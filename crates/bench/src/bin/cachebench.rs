@@ -38,7 +38,6 @@ fn hot_key_spec(cache_max_entries: usize, quick: bool) -> RunSpec {
         key_space: 8,
         instances: 1,
         cache_max_entries,
-        ..RunSpec::default()
     }
 }
 

@@ -24,13 +24,12 @@
 //! instance joins. Cooperative mode must (a) move at most `ceil(T/3)`
 //! tasks, (b) revoke *only* the moved tasks — zero unaffected-task
 //! revocations, (c) keep the unaffected tasks committing during the whole
-//! warm-up + transfer window, and (d) never dirty-close a task. The same
-//! join is measured in eager mode for comparison (everything transfers at
-//! the join generation, before the newcomer's state is warm).
+//! warm-up + transfer window, and (d) never dirty-close a task.
 //!
 //! `--quick` runs the smallest Part A cell plus the Part B gates (the CI
 //! smoke); `--json` emits one machine-readable object (committed as
-//! `results/BENCH_rebalance.json`).
+//! `results/BENCH_rebalance.json`, whose extra `eager` join row measured a
+//! since-removed mode and is not regenerated).
 
 use bytes::Bytes;
 use kbroker::{Cluster, Producer, ProducerConfig, TopicConfig};
@@ -173,20 +172,14 @@ struct JoinOutcome {
 }
 
 /// Run 2 incumbents to steady state, join a third, and measure the window.
-fn join_cycle(cooperative: bool) -> JoinOutcome {
+fn join_cycle() -> JoinOutcome {
     kobs::reset();
     let clock = ManualClock::new();
     let cluster = Cluster::builder().brokers(1).replication(1).clock(clock.shared()).build();
     cluster.create_topic("events", TopicConfig::new(PARTITIONS)).unwrap();
     cluster.create_topic("out", TopicConfig::new(PARTITIONS)).unwrap();
 
-    let config = || {
-        let mut cfg = StreamsConfig::new(APP_ID).exactly_once().with_commit_interval_ms(10);
-        if !cooperative {
-            cfg = cfg.with_eager_rebalancing();
-        }
-        cfg
-    };
+    let config = || StreamsConfig::new(APP_ID).exactly_once().with_commit_interval_ms(10);
     let mut feeder = Producer::new(cluster.clone(), ProducerConfig::default());
     let mut fed = 0u64;
     let mut feed = |feeder: &mut Producer, n: u64| {
@@ -357,74 +350,56 @@ fn main() {
         println!();
         println!("# Part B — one instance joins 2 under sustained load ({PARTITIONS} tasks)");
         println!(
-            "{:<12} {:>14} {:>11} {:>13} {:>16} {:>12}",
-            "mode",
-            "transfer-steps",
-            "tasks-moved",
-            "tasks-revoked",
-            "incumbent-commits",
-            "dirty-closed"
+            "{:>14} {:>11} {:>13} {:>16} {:>12}",
+            "transfer-steps", "tasks-moved", "tasks-revoked", "incumbent-commits", "dirty-closed"
         );
     }
-    let mut join_rows: Vec<Value> = Vec::new();
-    for (mode, cooperative) in [("cooperative", true), ("eager", false)] {
-        let o = join_cycle(cooperative);
-        let bound = (PARTITIONS as u64).div_ceil(3);
-        assert!(
-            o.tasks_moved <= bound,
-            "{mode}: moved {} tasks > ceil({PARTITIONS}/3) = {bound}",
-            o.tasks_moved
-        );
-        if cooperative {
-            // The cooperative gates: only the moved tasks are ever revoked
-            // (zero pause for unaffected tasks), the incumbents keep
-            // committing through the window, and nothing dirty-closes.
-            assert_eq!(
-                o.tasks_revoked, o.tasks_moved,
-                "cooperative: revoked {} != moved {} — unaffected tasks were paused",
-                o.tasks_revoked, o.tasks_moved
-            );
-            assert!(
-                o.incumbent_commits_during > 0,
-                "cooperative: incumbents must commit during the transfer window"
-            );
-            assert_eq!(o.dirty_closed, 0, "cooperative: no task may dirty-close");
-        }
-        if json {
-            join_rows.push(obj(vec![
-                ("mode", jstr(mode.to_string())),
-                ("partitions", num(PARTITIONS as f64)),
-                ("transfer_steps", num(o.transfer_steps as f64)),
-                ("tasks_moved", num(o.tasks_moved as f64)),
-                ("tasks_revoked", num(o.tasks_revoked as f64)),
-                ("incumbent_commits_during", num(o.incumbent_commits_during as f64)),
-                ("dirty_closed", num(o.dirty_closed as f64)),
-                ("fleet_processed", num(o.fleet_processed as f64)),
-            ]));
-        } else {
-            println!(
-                "{:<12} {:>14} {:>11} {:>13} {:>16} {:>12}",
-                mode,
-                o.transfer_steps,
-                o.tasks_moved,
-                o.tasks_revoked,
-                o.incumbent_commits_during,
-                o.dirty_closed
-            );
-        }
-    }
-
+    let o = join_cycle();
+    let bound = (PARTITIONS as u64).div_ceil(3);
+    assert!(
+        o.tasks_moved <= bound,
+        "moved {} tasks > ceil({PARTITIONS}/3) = {bound}",
+        o.tasks_moved
+    );
+    // Only the moved tasks are ever revoked (zero pause for unaffected
+    // tasks), the incumbents keep committing through the window, and
+    // nothing dirty-closes.
+    assert_eq!(
+        o.tasks_revoked, o.tasks_moved,
+        "revoked {} != moved {} — unaffected tasks were paused",
+        o.tasks_revoked, o.tasks_moved
+    );
+    assert!(o.incumbent_commits_during > 0, "incumbents must commit during the transfer window");
+    assert_eq!(o.dirty_closed, 0, "no task may dirty-close");
     if json {
+        let join_row = obj(vec![
+            ("mode", jstr("cooperative".to_string())),
+            ("partitions", num(PARTITIONS as f64)),
+            ("transfer_steps", num(o.transfer_steps as f64)),
+            ("tasks_moved", num(o.tasks_moved as f64)),
+            ("tasks_revoked", num(o.tasks_revoked as f64)),
+            ("incumbent_commits_during", num(o.incumbent_commits_during as f64)),
+            ("dirty_closed", num(o.dirty_closed as f64)),
+            ("fleet_processed", num(o.fleet_processed as f64)),
+        ]);
         println!(
             "{}",
             obj(vec![
                 ("figure", jstr("rebalancebench".to_string())),
                 ("scale", Value::Arr(scale_rows)),
-                ("join", Value::Arr(join_rows)),
+                ("join", Value::Arr(vec![join_row])),
             ])
         );
         return;
     }
+    println!(
+        "{:>14} {:>11} {:>13} {:>16} {:>12}",
+        o.transfer_steps,
+        o.tasks_moved,
+        o.tasks_revoked,
+        o.incumbent_commits_during,
+        o.dirty_closed
+    );
     println!();
     println!("# Paper check (§3.3): workload balance with task stickiness. The sticky");
     println!("# assignor bounds a one-member delta to the newcomer's fair share, and the");

@@ -27,8 +27,9 @@
 //!   is the reproduction target.
 
 use kbroker::{Cluster, Consumer, ConsumerConfig, Producer, ProducerConfig, TopicConfig};
+use kobs::LatencyHistogram;
 use kstreams::{KSerde, KafkaStreamsApp, StreamsBuilder, StreamsConfig};
-use simkit::{Clock, LatencyHistogram, ManualClock};
+use simkit::{Clock, ManualClock};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -50,36 +51,6 @@ pub fn stateful_reduce_topology(
         .stream::<String, i64>(input)
         .group_by_key()
         .reduce(store, |a, b| a.wrapping_add(*b))
-        .to_stream()
-        .to(output);
-    Arc::new(builder.build().expect("valid topology"))
-}
-
-/// The benchmark reduce with `cpu_work` extra xorshift rounds per record:
-/// models a CPU-heavy operator (deserialization, joins, UDFs) so the
-/// parallel fetch/process phase dominates the serial produce/commit phase
-/// and worker scaling is visible. The aggregate value is still the plain
-/// wrapping sum — `cpu_work` changes cost, never results.
-pub fn cpu_bound_reduce_topology(
-    input: &str,
-    output: &str,
-    store: &str,
-    cpu_work: u32,
-) -> Arc<kstreams::topology::Topology> {
-    let builder = StreamsBuilder::new();
-    builder
-        .stream::<String, i64>(input)
-        .group_by_key()
-        .reduce(store, move |a, b| {
-            let mut x = (*a ^ *b) as u64 | 1;
-            for _ in 0..cpu_work {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-            }
-            std::hint::black_box(x);
-            a.wrapping_add(*b)
-        })
         .to_stream()
         .to(output);
     Arc::new(builder.build().expect("valid topology"))
@@ -192,15 +163,6 @@ pub struct RunSpec {
     pub instances: usize,
     /// Record-cache capacity per store (0 = write-through, no caching).
     pub cache_max_entries: usize,
-    /// Scheduler workers per instance (1 = serial task loop).
-    pub worker_threads: usize,
-    /// `Some(seed)` pins the work-stealing schedule (virtual mode:
-    /// deterministic interleaving, serialized on the instance thread);
-    /// `None` uses real OS threads when `worker_threads > 1`.
-    pub scheduler_seed: Option<u64>,
-    /// Extra xorshift rounds per record in the reduce (0 = the plain
-    /// stateful reduce) — dials how CPU-bound the parallel phase is.
-    pub cpu_work: u32,
 }
 
 impl Default for RunSpec {
@@ -215,9 +177,6 @@ impl Default for RunSpec {
             key_space: 1024,
             instances: 1,
             cache_max_entries: 0,
-            worker_threads: 1,
-            scheduler_seed: None,
-            cpu_work: 0,
         }
     }
 }
@@ -227,16 +186,6 @@ pub struct RunReport {
     pub spec: RunSpec,
     /// Records fully processed by the app per wall-clock second.
     pub throughput_msg_per_sec: f64,
-    /// Wall-clock seconds spent inside `app.step()` across the run.
-    pub app_wall_sec: f64,
-    /// Summed per-worker busy time over all parallel cycles (ns; 0 when
-    /// serial).
-    pub sched_busy_ns: u64,
-    /// Summed critical-path time of the parallel sections (ns; 0 when
-    /// serial).
-    pub sched_critical_ns: u64,
-    /// Work-stealing scheduler steals across the fleet.
-    pub scheduler_steals: u64,
     /// Virtual-time end-to-end latency.
     pub latency: LatencyHistogram,
     pub records_generated: u64,
@@ -253,25 +202,6 @@ pub struct RunReport {
     /// Commit-cycle critical-path breakdown from the ktrace span store
     /// (`None` when no commit cycle completed or tracing is compiled out).
     pub critical_path: Option<kobs::CriticalPathSummary>,
-    /// Distinct timeline rows (`track` / `track wN`) the run's spans landed
-    /// on — one entry per worker lane for parallel runs.
-    pub span_tracks: Vec<String>,
-}
-
-impl RunReport {
-    /// Records/sec with each parallel section charged at its critical path
-    /// (busiest worker) instead of its serialized cost: the throughput of
-    /// this exact run and schedule on a host with one core per worker.
-    /// Equals the plain wall-clock throughput for serial runs, and for
-    /// threaded runs measured on a machine with enough cores. This is the
-    /// scaling metric `throughputbench` gates on, so the CI result does not
-    /// depend on how many cores the CI container happens to have.
-    pub fn scaled_throughput_msg_per_sec(&self) -> f64 {
-        let serialized = self.sched_busy_ns as f64 / 1e9;
-        let critical = self.sched_critical_ns as f64 / 1e9;
-        let wall = (self.app_wall_sec - serialized + critical).max(1e-9);
-        self.records_processed as f64 / wall
-    }
 }
 
 /// Execute one benchmark run on a fresh virtual-clock cluster
@@ -291,11 +221,7 @@ pub fn run(spec: RunSpec) -> RunReport {
     cluster.create_topic("bench-in", TopicConfig::new(spec.input_partitions)).unwrap();
     cluster.create_topic("bench-out", TopicConfig::new(spec.output_partitions)).unwrap();
 
-    let topology = if spec.cpu_work > 0 {
-        cpu_bound_reduce_topology("bench-in", "bench-out", "bench-state", spec.cpu_work)
-    } else {
-        stateful_reduce_topology("bench-in", "bench-out", "bench-state")
-    };
+    let topology = stateful_reduce_topology("bench-in", "bench-out", "bench-state");
     let mut config = StreamsConfig::new("bench-app")
         .with_commit_interval_ms(spec.commit_interval_ms)
         .with_max_poll_records(100_000)
@@ -303,12 +229,6 @@ pub fn run(spec: RunSpec) -> RunReport {
         .with_cache_max_entries(spec.cache_max_entries);
     if spec.exactly_once {
         config = config.exactly_once();
-    }
-    if spec.worker_threads > 1 {
-        config = config.with_num_worker_threads(spec.worker_threads);
-        if let Some(seed) = spec.scheduler_seed {
-            config = config.with_deterministic_scheduler(seed);
-        }
     }
     let mut apps: Vec<KafkaStreamsApp> = (0..spec.instances)
         .map(|i| {
@@ -368,22 +288,13 @@ pub fn run(spec: RunSpec) -> RunReport {
     }
     let wall = app_wall.as_secs_f64();
     let mut streams = kstreams::StreamsMetrics::default();
-    let mut sched_busy_ns = 0u64;
-    let mut sched_critical_ns = 0u64;
     for app in &mut apps {
         streams.merge(&app.metrics());
-        let (busy, critical) = app.scheduler_timings();
-        sched_busy_ns += busy;
-        sched_critical_ns += critical;
         app.close().expect("close");
     }
     RunReport {
         spec,
         throughput_msg_per_sec: streams.records_processed as f64 / wall,
-        app_wall_sec: wall,
-        sched_busy_ns,
-        sched_critical_ns,
-        scheduler_steals: streams.scheduler_steals,
         latency: probe.histogram,
         records_generated: generator.produced(),
         records_processed: streams.records_processed,
@@ -391,21 +302,7 @@ pub fn run(spec: RunSpec) -> RunReport {
         streams,
         obs: kobs::snapshot(),
         critical_path: kobs::ktrace::critical_path_summary(),
-        span_tracks: observed_span_tracks(),
     }
-}
-
-/// Distinct timeline rows in the span store, sorted: the per-worker track
-/// layout the chrome export would render for this run.
-fn observed_span_tracks() -> Vec<String> {
-    let mut rows: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-    for s in kobs::ktrace::finished_spans() {
-        rows.insert(match s.worker {
-            Some(w) => format!("{} w{w}", s.track),
-            None => s.track.to_string(),
-        });
-    }
-    rows.into_iter().collect()
 }
 
 /// Run `spec` several times and return the run with median throughput —
@@ -469,10 +366,6 @@ pub fn run_checkpoint_baseline(spec: RunSpec) -> RunReport {
     RunReport {
         spec,
         throughput_msg_per_sec: stats.records_processed as f64 / wall,
-        app_wall_sec: wall,
-        sched_busy_ns: 0,
-        sched_critical_ns: 0,
-        scheduler_steals: 0,
         latency: probe.histogram,
         records_generated: generator.produced(),
         records_processed: stats.records_processed,
@@ -480,7 +373,6 @@ pub fn run_checkpoint_baseline(spec: RunSpec) -> RunReport {
         streams: kstreams::StreamsMetrics::default(),
         obs: kobs::snapshot(),
         critical_path: kobs::ktrace::critical_path_summary(),
-        span_tracks: observed_span_tracks(),
     }
 }
 
@@ -592,30 +484,6 @@ mod tests {
             slow > fast * 2.0,
             "10ms interval gave {fast:.1}ms, 200ms interval gave {slow:.1}ms"
         );
-    }
-
-    #[test]
-    fn worker_scaling_run_measures_critical_path() {
-        let report = run(RunSpec {
-            input_partitions: 4,
-            output_partitions: 4,
-            commit_interval_ms: 20,
-            rate_per_ms: 2,
-            duration_ms: 200,
-            key_space: 16,
-            worker_threads: 2,
-            scheduler_seed: Some(7),
-            cpu_work: 100,
-            ..RunSpec::default()
-        });
-        assert_eq!(report.records_processed, report.records_generated);
-        assert!(report.sched_busy_ns > 0, "parallel cycles measured busy time");
-        assert!(report.sched_critical_ns > 0);
-        assert!(
-            report.sched_critical_ns <= report.sched_busy_ns,
-            "critical path cannot exceed the serialized cost"
-        );
-        assert!(report.scaled_throughput_msg_per_sec() >= report.throughput_msg_per_sec);
     }
 
     #[test]

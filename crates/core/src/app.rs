@@ -26,7 +26,7 @@ use crate::assignment::{
 use crate::config::{ProcessingGuarantee, StreamsConfig};
 use crate::error::StreamsError;
 use crate::metrics::StreamsMetrics;
-use crate::processor::{scheduler, SchedulerMode};
+use crate::processor::scheduler;
 use crate::standby::{assign_standbys, StandbyTask};
 use crate::task::StreamTask;
 use crate::topology::{TaskId, Topology};
@@ -87,11 +87,6 @@ pub struct KafkaStreamsApp {
     /// Process cycles run so far — the stream id for the deterministic
     /// scheduler's per-cycle steal decisions.
     scheduler_cycles: u64,
-    /// Summed per-worker busy time across all parallel cycles (ns).
-    sched_busy_ns: u64,
-    /// Summed critical-path time across all parallel cycles (ns) — what the
-    /// parallel sections would cost on one core per worker.
-    sched_critical_ns: u64,
 }
 
 impl KafkaStreamsApp {
@@ -137,8 +132,6 @@ impl KafkaStreamsApp {
             commits: 0,
             transactions: 0,
             scheduler_cycles: 0,
-            sched_busy_ns: 0,
-            sched_critical_ns: 0,
         }
     }
 
@@ -294,13 +287,7 @@ impl KafkaStreamsApp {
         let counts = self.plan_partitions()?;
         let all = Self::all_task_ids(&counts);
         let (previous, warm) = decode_group_metadata(&view.member_metadata);
-        Ok(plan_assignment(
-            &all,
-            &view.members,
-            &previous,
-            &warm,
-            self.config.cooperative_rebalancing,
-        ))
+        Ok(plan_assignment(&all, &view.members, &previous, &warm))
     }
 
     /// Adopt this instance's share of the plan: active tasks, warm-up
@@ -515,17 +502,17 @@ impl KafkaStreamsApp {
         // cases:
         //
         // * Every dirty task is one the new plan *retains* on this
-        //   instance (with cooperative rebalancing, the common case — only
-        //   released/expired tasks ever leave a live owner). Then the
-        //   in-flight work is safe to keep: no other member can own those
-        //   tasks in the new generation, so we *rejoin first* (adopt the
-        //   new generation number) and commit under it. Unaffected tasks
-        //   never lose work to a rebalance. Tasks that are leaving but
-        //   clean are dropped before the commit so their (possibly stale)
-        //   offsets are not re-committed over a new owner's progress.
+        //   instance (the common case — only released/expired tasks ever
+        //   leave a live owner). Then the in-flight work is safe to keep:
+        //   no other member can own those tasks in the new generation, so
+        //   we *rejoin first* (adopt the new generation number) and commit
+        //   under it. Unaffected tasks never lose work to a rebalance.
+        //   Tasks that are leaving but clean are dropped before the commit
+        //   so their (possibly stale) offsets are not re-committed over a
+        //   new owner's progress.
         //
-        // * Some dirty task is leaving us (eager mode, or we were expelled
-        //   and re-admitted). Its work cannot be committed — the commit
+        // * Some dirty task is leaving us (we were expelled and
+        //   re-admitted). Its work cannot be committed — the commit
         //   carries our stale generation, the broker fences it, and every
         //   dirty task closes, rebuilding from committed changelogs and
         //   offsets so nothing half-processed leaks through.
@@ -610,61 +597,27 @@ impl KafkaStreamsApp {
     fn step_inner(&mut self, cycle_span: kobs::SpanHandle) -> Result<StepSummary, StreamsError> {
         self.try_finish_restores()?;
         let isolation = self.consume_isolation();
-        let task_ids: Vec<TaskId> = self.tasks.keys().copied().collect();
-        let processed = match self.config.scheduler_mode() {
-            // Serial: the historical inline loop, byte-identical to the
-            // pre-scheduler behavior — each task's writes drain into the
-            // producer immediately after its cycle. Deterministic task
-            // order (BTreeMap iterates keys in sorted order): the
-            // simulation harness replays runs byte-identically from a seed.
-            SchedulerMode::Serial => {
-                let wall_ms = self.cluster.now_ms();
-                let mut processed = 0;
-                for (seqno, id) in task_ids.iter().enumerate() {
-                    let task = self.tasks.get_mut(id).expect("owned");
-                    let span =
-                        scheduler::slot_span(cycle_span, wall_ms, seqno as i64, 0, seqno, false);
-                    let entered = kobs::ktrace::enter(span);
-                    let result = task
-                        .poll_and_process(&self.cluster, self.config.max_poll_records, isolation)
-                        .and_then(|n| task.punctuate(self.cluster.now_ms()).map(|()| n));
-                    drop(entered);
-                    kobs::ktrace::finish_span(span, wall_ms * 1000 + seqno as i64 + 1);
-                    processed += result?;
-                    self.send_task_writes(*id)?;
-                }
-                processed
-            }
-            // Parallel modes: fetch/process/punctuate run on workers (pure
-            // task-local mutation), then the instance thread drains every
-            // task's writes into its single EOS-v2 transactional producer
-            // in task-id order — producer access stays single-threaded and
-            // the commit scope per task is unchanged.
-            mode => {
-                let wall_ms = self.cluster.now_ms();
-                let outcome = scheduler::run_cycle(
-                    mode,
-                    cycle_span,
-                    &mut self.tasks,
-                    &self.cluster,
-                    self.config.max_poll_records,
-                    isolation,
-                    wall_ms,
-                    self.scheduler_cycles,
-                )?;
-                self.scheduler_cycles = self.scheduler_cycles.wrapping_add(1);
-                self.sched_busy_ns += outcome.busy_total_ns;
-                self.sched_critical_ns += outcome.critical_path_ns;
-                if outcome.steals > 0 {
-                    self.retired_metrics.scheduler_steals += outcome.steals;
-                    kobs::count("kstreams.scheduler.steals", outcome.steals);
-                }
-                for id in &task_ids {
-                    self.send_task_writes(*id)?;
-                }
-                outcome.processed
-            }
-        };
+        // Fetch/process/punctuate run on the scheduler's workers (pure
+        // task-local mutation); every finished task comes back to this
+        // thread to drain its writes into the instance's single EOS-v2
+        // transactional producer — right after its own cycle with one
+        // worker or a seeded schedule, after the join with real threads.
+        let Self { tasks, producer, txn_open, config, cluster, .. } = self;
+        let outcome = scheduler::run_cycle(
+            config,
+            cycle_span,
+            tasks,
+            cluster,
+            isolation,
+            self.scheduler_cycles,
+            |task| Self::send_task_writes(producer, txn_open, config, cluster, task),
+        )?;
+        self.scheduler_cycles = self.scheduler_cycles.wrapping_add(1);
+        if outcome.steals > 0 {
+            self.retired_metrics.scheduler_steals += outcome.steals;
+            kobs::count("kstreams.scheduler.steals", outcome.steals);
+        }
+        let processed = outcome.processed;
         // Standby replicas tail their changelogs (pure replay; no output,
         // no commit, no effect on semantics).
         for standby in self.standbys.values_mut() {
@@ -681,7 +634,7 @@ impl KafkaStreamsApp {
         // Even an all-filtered cycle advances input offsets, which must be
         // committed through the transaction.
         if processed > 0 {
-            self.begin_txn_if_needed()?;
+            Self::begin_txn_if_needed(&mut self.producer, &mut self.txn_open, &self.config)?;
         }
         // Send eagerly every cycle (linger = 0) in both modes, so batching
         // behaviour is identical and the EOS/ALOS comparison isolates the
@@ -738,36 +691,46 @@ impl KafkaStreamsApp {
         Ok(())
     }
 
-    fn begin_txn_if_needed(&mut self) -> Result<(), StreamsError> {
-        if self.config.guarantee == ProcessingGuarantee::ExactlyOnce && !self.txn_open {
-            self.producer.begin_transaction()?;
-            self.txn_open = true;
+    fn begin_txn_if_needed(
+        producer: &mut Producer,
+        txn_open: &mut bool,
+        config: &StreamsConfig,
+    ) -> Result<(), StreamsError> {
+        if config.guarantee == ProcessingGuarantee::ExactlyOnce && !*txn_open {
+            producer.begin_transaction()?;
+            *txn_open = true;
         }
         Ok(())
     }
 
     /// Drain one task's buffered sink outputs and changelog appends into the
-    /// producer, opening a transaction first if anything is pending.
-    fn send_task_writes(&mut self, id: TaskId) -> Result<(), StreamsError> {
-        let task = self.tasks.get_mut(&id).expect("owned");
+    /// producer, opening a transaction first if anything is pending. Takes
+    /// the instance's fields one by one so it can run while the task map is
+    /// borrowed (the scheduler's `drain` callback).
+    fn send_task_writes(
+        producer: &mut Producer,
+        txn_open: &mut bool,
+        config: &StreamsConfig,
+        cluster: &Cluster,
+        task: &mut StreamTask,
+    ) -> Result<(), StreamsError> {
         let outputs = task.take_outputs();
         let changelog = task.take_changelog();
         if outputs.is_empty() && changelog.is_empty() {
             return Ok(());
         }
-        self.begin_txn_if_needed()?;
-        let app_id = self.config.application_id.clone();
+        Self::begin_txn_if_needed(producer, txn_open, config)?;
         for out in outputs {
-            let topic = out.topic.resolve(&app_id);
-            self.producer.send(&topic, out.key, out.value, out.ts)?;
+            let topic = out.topic.resolve(&config.application_id);
+            producer.send(&topic, out.key, out.value, out.ts)?;
         }
         for (tp, key, value) in changelog {
-            self.producer.send_to_partition(
+            producer.send_to_partition(
                 &tp,
                 klog::Record {
                     key: Some(key),
                     value,
-                    timestamp: self.cluster.now_ms(),
+                    timestamp: cluster.now_ms(),
                     headers: Vec::new(),
                 },
             )?;
@@ -798,10 +761,10 @@ impl KafkaStreamsApp {
         // atomically with the inputs that produced them (§4.2 atomicity of
         // the §6.2 caching layer).
         let now_ms = self.cluster.now_ms();
-        let task_ids: Vec<TaskId> = self.tasks.keys().copied().collect();
-        for id in &task_ids {
-            self.tasks.get_mut(id).expect("owned").flush_caches(now_ms)?;
-            self.send_task_writes(*id)?;
+        let Self { tasks, producer, txn_open, config, cluster, .. } = self;
+        for task in tasks.values_mut() {
+            task.flush_caches(now_ms)?;
+            Self::send_task_writes(producer, txn_open, config, cluster, task)?;
         }
         let mut offsets: Vec<(TopicPartition, i64)> =
             self.tasks.values().flat_map(StreamTask::committable_offsets).collect();
@@ -854,8 +817,8 @@ impl KafkaStreamsApp {
         // so a crash between here and the next commit warm-starts from this
         // point instead of replaying the changelog from the beginning.
         if let Some(dir) = self.config.state_dir.clone() {
-            for id in &task_ids {
-                self.tasks.get(id).expect("owned").spill_stores(&dir, &self.cluster)?;
+            for task in self.tasks.values() {
+                task.spill_stores(&dir, &self.cluster)?;
             }
         }
         // Everything buffered is now durable: each task's in-memory state
@@ -996,15 +959,6 @@ impl KafkaStreamsApp {
     /// Producer-side stats (dedup counters etc. for benches).
     pub fn producer_stats(&self) -> kbroker::producer::ProducerStats {
         self.producer.stats()
-    }
-
-    /// `(busy_total_ns, critical_path_ns)` summed over all parallel cycles:
-    /// the serialized cost of the parallel sections and what they cost on
-    /// the schedule's critical path (one core per worker). Both 0 in serial
-    /// mode. `throughputbench` uses the pair to report scaling that is
-    /// independent of how many physical cores the measuring host has.
-    pub fn scheduler_timings(&self) -> (u64, u64) {
-        (self.sched_busy_ns, self.sched_critical_ns)
     }
 
     /// Deterministic dump of every owned task's stores, keyed by

@@ -149,8 +149,7 @@ pub struct AssignmentPlan {
 /// `previous` is each member's reported task ownership and `warm` each
 /// member's reported warm (replay lag ≤ threshold) tasks, both decoded from
 /// the frozen group-view metadata — so every member computes the identical
-/// plan. With `cooperative` false (eager mode), the sticky target applies
-/// immediately and `warmups` is empty.
+/// plan.
 ///
 /// A task whose sticky target differs from its (live) previous owner never
 /// transfers outright: it stays active at the previous owner while the
@@ -159,14 +158,12 @@ pub struct AssignmentPlan {
 /// handover generation — and only a task nobody claims lands on its
 /// destination (which, being the warm claimant, is sticky-preferred for
 /// it). Active sets are disjoint within a generation by construction — each
-/// task is routed exactly once. With `cooperative` false (eager mode), the
-/// sticky target applies immediately and `warmups`/`releases` are empty.
+/// task is routed exactly once.
 pub fn plan_assignment(
     tasks: &[TaskId],
     members: &[String],
     previous: &BTreeMap<String, Vec<TaskId>>,
     warm: &BTreeMap<String, BTreeSet<TaskId>>,
-    cooperative: bool,
 ) -> AssignmentPlan {
     let member_set: BTreeSet<&str> = members.iter().map(String::as_str).collect();
     // First claimant in sorted member order wins a (transient) double claim.
@@ -208,7 +205,7 @@ pub fn plan_assignment(
     for (m, assigned) in &target {
         for t in assigned {
             match prev_owner.get(t) {
-                Some(po) if *po != m.as_str() && cooperative => {
+                Some(po) if *po != m.as_str() => {
                     // Deferred move: the previous owner keeps processing
                     // (and, once the destination is warm, releases at its
                     // next commit boundary); the destination warms.
@@ -411,7 +408,7 @@ mod tests {
         let previous: BTreeMap<String, Vec<TaskId>> =
             [("a".to_string(), tasks.clone()), ("b".to_string(), Vec::new())].into();
         // b is cold: the moved tasks stay active at a, b warms them.
-        let cold = plan_assignment(&tasks, &members, &previous, &BTreeMap::new(), true);
+        let cold = plan_assignment(&tasks, &members, &previous, &BTreeMap::new());
         assert_eq!(cold.active["a"].len(), 4, "previous owner keeps processing");
         assert!(cold.active["b"].is_empty());
         assert_eq!(cold.warmups["b"].len(), 2, "destination warms the sticky target");
@@ -421,7 +418,7 @@ mod tests {
         // a move is never forced onto the owner's in-flight work).
         let warm: BTreeMap<String, BTreeSet<TaskId>> =
             [("b".to_string(), cold.warmups["b"].iter().copied().collect())].into();
-        let hot = plan_assignment(&tasks, &members, &previous, &warm, true);
+        let hot = plan_assignment(&tasks, &members, &previous, &warm);
         assert_eq!(hot.active["a"].len(), 4, "owner keeps the tasks until it releases");
         assert!(hot.active["b"].is_empty());
         assert_eq!(hot.releases["a"], cold.warmups["b"], "owner releases what b warmed");
@@ -436,7 +433,7 @@ mod tests {
             ("b".to_string(), Vec::new()),
         ]
         .into();
-        let done = plan_assignment(&tasks, &members, &released, &warm, true);
+        let done = plan_assignment(&tasks, &members, &released, &warm);
         assert_eq!(done.active["a"].len(), 2);
         assert_eq!(done.active["b"], cold.warmups["b"], "b receives exactly what it warmed");
         assert!(done.warmups.is_empty());
@@ -444,22 +441,11 @@ mod tests {
     }
 
     #[test]
-    fn eager_plan_moves_immediately() {
-        let tasks: Vec<TaskId> = (0..4).map(|p| tid(0, p)).collect();
-        let members = vec!["a".to_string(), "b".to_string()];
-        let previous: BTreeMap<String, Vec<TaskId>> = [("a".to_string(), tasks.clone())].into();
-        let plan = plan_assignment(&tasks, &members, &previous, &BTreeMap::new(), false);
-        assert_eq!(plan.active["a"].len(), 2);
-        assert_eq!(plan.active["b"].len(), 2);
-        assert!(plan.warmups.is_empty());
-    }
-
-    #[test]
     fn departed_owner_transfers_without_warmup() {
         let tasks: Vec<TaskId> = (0..4).map(|p| tid(0, p)).collect();
         let members = vec!["b".to_string()];
         let previous: BTreeMap<String, Vec<TaskId>> = [("a".to_string(), tasks.clone())].into();
-        let plan = plan_assignment(&tasks, &members, &previous, &BTreeMap::new(), true);
+        let plan = plan_assignment(&tasks, &members, &previous, &BTreeMap::new());
         assert_eq!(plan.active["b"].len(), 4, "no live previous owner: immediate adoption");
         assert!(plan.warmups.is_empty());
     }
@@ -475,7 +461,7 @@ mod tests {
             ("b".to_string(), vec![tid(0, 0), tid(0, 2)]),
         ]
         .into();
-        let plan = plan_assignment(&tasks, &members, &previous, &BTreeMap::new(), true);
+        let plan = plan_assignment(&tasks, &members, &previous, &BTreeMap::new());
         let mut all: Vec<TaskId> = plan.active.values().flatten().copied().collect();
         all.sort();
         assert_eq!(all, tasks, "each task active exactly once");

@@ -47,10 +47,11 @@ pub struct StreamsConfig {
     /// (`Topology::verify_with`); an app refuses to start while a denied
     /// rule fires (see `crate::analyze`).
     pub deny_rules: Vec<crate::analyze::Rule>,
-    /// Worker threads executing task process cycles (§6.1's scaling knob).
-    /// `1` (the default) is the historical serial path; `> 1` runs the
-    /// work-stealing scheduler (`processor::scheduler`), with commits still
-    /// scoped per task so exactly-once is unaffected.
+    /// Workers executing task process cycles (§6.1's scaling knob), never
+    /// more than there are tasks. `1` (the default) runs the tasks inline in
+    /// task-id order; `> 1` adds work stealing (`processor::scheduler`),
+    /// with all producer work still on the instance thread so exactly-once
+    /// is unaffected.
     pub num_worker_threads: usize,
     /// When set, every successful commit also spills each task's store
     /// contents under `<state_dir>/<app_id>/<task_id>/` together with a
@@ -65,17 +66,11 @@ pub struct StreamsConfig {
     /// harness so parallel runs replay byte-identically; `None` (default)
     /// uses real OS threads.
     pub scheduler_seed: Option<u64>,
-    /// Cooperative incremental rebalancing (default on): a task whose
-    /// sticky target moved between two live instances stays with its
-    /// previous owner — which keeps processing and committing it — while
-    /// the destination warms a standby replica; the transfer happens only
-    /// once the destination's changelog replay lag is at most
-    /// [`Self::max_warmup_lag`]. `false` restores eager transfers (the
-    /// destination rebuilds from the changelog immediately).
-    pub cooperative_rebalancing: bool,
     /// Maximum changelog replay lag (records) at which a warming standby is
     /// reported *warm* and its deferred task transfer may proceed — the
-    /// KIP-441-style `acceptable.recovery.lag` analog.
+    /// KIP-441-style `acceptable.recovery.lag` analog. Until then the task
+    /// stays with its previous owner, which keeps processing and committing
+    /// it (cooperative rebalancing).
     pub max_warmup_lag: i64,
     /// Broker-side rebalance debounce window (virtual-clock ms): joins and
     /// warm-up transfer requests within the window coalesce into a single
@@ -98,19 +93,8 @@ impl StreamsConfig {
             num_worker_threads: 1,
             state_dir: None,
             scheduler_seed: None,
-            cooperative_rebalancing: true,
             max_warmup_lag: 10_000,
             rebalance_debounce_ms: 0,
-        }
-    }
-
-    /// The scheduler mode this configuration resolves to.
-    pub fn scheduler_mode(&self) -> crate::processor::SchedulerMode {
-        use crate::processor::SchedulerMode;
-        match (self.num_worker_threads, self.scheduler_seed) {
-            (0 | 1, _) => SchedulerMode::Serial,
-            (workers, Some(seed)) => SchedulerMode::Virtual { workers, seed },
-            (workers, None) => SchedulerMode::Threaded { workers },
         }
     }
 
@@ -166,8 +150,8 @@ impl StreamsConfig {
         self
     }
 
-    /// Execute task cycles on `n` worker threads with work stealing
-    /// (`1` = serial, the default).
+    /// Execute task cycles on `n` workers with work stealing (`1` = inline
+    /// in task-id order, the default).
     pub fn with_num_worker_threads(mut self, n: usize) -> Self {
         assert!(n > 0);
         self.num_worker_threads = n;
@@ -178,14 +162,6 @@ impl StreamsConfig {
     /// warm-start recovery from those spills (bounded changelog replay).
     pub fn with_state_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.state_dir = Some(dir.into());
-        self
-    }
-
-    /// Disable cooperative rebalancing: task moves apply immediately (the
-    /// destination stops-the-world restoring from the changelog) instead of
-    /// being deferred behind a standby warm-up.
-    pub fn with_eager_rebalancing(mut self) -> Self {
-        self.cooperative_rebalancing = false;
         self
     }
 
@@ -237,20 +213,5 @@ mod tests {
     fn single_switch_to_eos() {
         let c = StreamsConfig::new("app").exactly_once();
         assert_eq!(c.guarantee, ProcessingGuarantee::ExactlyOnce);
-    }
-
-    #[test]
-    fn scheduler_mode_resolution() {
-        use crate::processor::SchedulerMode;
-        let serial = StreamsConfig::new("app");
-        assert_eq!(serial.scheduler_mode(), SchedulerMode::Serial);
-        // One worker stays serial even with a scheduler seed set.
-        let one = StreamsConfig::new("app").with_deterministic_scheduler(7);
-        assert_eq!(one.scheduler_mode(), SchedulerMode::Serial);
-        let threaded = StreamsConfig::new("app").with_num_worker_threads(4);
-        assert_eq!(threaded.scheduler_mode(), SchedulerMode::Threaded { workers: 4 });
-        let virt =
-            StreamsConfig::new("app").with_num_worker_threads(4).with_deterministic_scheduler(7);
-        assert_eq!(virt.scheduler_mode(), SchedulerMode::Virtual { workers: 4, seed: 7 });
     }
 }

@@ -70,7 +70,7 @@ streams_metrics! {
     /// dedup ratio is `records_processed / changelog_appends`).
     changelog_appends,
     /// Task cycles executed by a non-home worker (work-stealing scheduler;
-    /// 0 in serial mode).
+    /// 0 with one worker).
     scheduler_steals,
 }
 

@@ -11,7 +11,7 @@ pub mod driver;
 pub mod scheduler;
 
 pub use driver::{SinkOutput, SubTopologyDriver, TaskEnv};
-pub use scheduler::{CycleOutcome, SchedulerMode};
+pub use scheduler::CycleOutcome;
 
 use crate::record::FlowRecord;
 use crate::state::{RecordCache, Store, StoreSpec};

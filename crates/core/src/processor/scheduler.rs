@@ -10,26 +10,27 @@
 //! exclusive ownership of a task slot before running it, per-partition
 //! ordering is preserved with no locking inside the hot processing path.
 //!
-//! Why this is safe under exactly-once: the parallel portion of a cycle —
+//! Why this is safe under exactly-once: a worker's share of a cycle —
 //! fetch, process, punctuate — only reads broker logs and mutates
 //! *task-local* state (stores, output buffers, offsets). Everything that
 //! touches the instance's single EOS-v2 transactional producer (draining
-//! outputs, changelog appends, offset commits) stays on the instance thread,
-//! in task-id order, after the workers have quiesced. Commit transactions
-//! therefore remain scoped exactly as in serial execution and no cross-task
-//! locking is introduced.
+//! outputs, changelog appends, offset commits) stays on the instance
+//! thread: [`run_cycle`] hands every task whose cycle succeeded to the
+//! caller's `drain` closure on the calling thread. Commit transactions
+//! therefore remain scoped per instance and no cross-task locking is
+//! introduced.
 //!
-//! Three modes:
-//! * [`SchedulerMode::Serial`] — the default (`num_worker_threads = 1`):
-//!   tasks run inline on the instance thread in task-id order, byte-
-//!   identical to the historical serial loop.
-//! * [`SchedulerMode::Virtual`] — N *virtual* workers serialized
-//!   deterministically on the calling thread; steal decisions derive from a
-//!   seed, so a `simtest` run with `--workers k` replays byte-identically
-//!   for a fixed seed while still exercising the steal paths.
-//! * [`SchedulerMode::Threaded`] — N OS threads with real work stealing
-//!   (used outside the simulation harness).
+//! One engine, two executors over the same `run_one` step:
+//! * *inline* — one worker, or a scheduler seed is set: the workers are
+//!   stepped on the calling thread, in rounds over a seed-shuffled visit
+//!   order, and each task is drained right after its slot. One worker is
+//!   the plain task-id-order loop; with a seed, `simtest --workers k`
+//!   replays byte-identically while still exercising the steal paths.
+//! * *threads* — several workers and no seed: one scoped OS thread per
+//!   worker with real work stealing; tasks are drained after the join, in
+//!   task-id order.
 
+use crate::config::StreamsConfig;
 use crate::error::StreamsError;
 use crate::task::StreamTask;
 use crate::topology::TaskId;
@@ -39,18 +40,6 @@ use simkit::DetRng;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// How one process cycle's task executions are laid across workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulerMode {
-    /// One worker, inline on the instance thread (default).
-    Serial,
-    /// `workers` virtual workers stepped deterministically on the calling
-    /// thread; steal victim choice derives from `seed` (simulation mode).
-    Virtual { workers: usize, seed: u64 },
-    /// `workers` OS threads with real work stealing.
-    Threaded { workers: usize },
-}
-
 /// What one scheduled process cycle did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CycleOutcome {
@@ -58,22 +47,18 @@ pub struct CycleOutcome {
     pub processed: usize,
     /// Tasks executed by a worker other than their home worker.
     pub steals: u64,
-    /// Summed wall time all workers spent running tasks this cycle
-    /// (nanoseconds) — the serialized cost of the parallel section.
-    pub busy_total_ns: u64,
-    /// Wall time of the busiest worker this cycle (nanoseconds) — the
-    /// schedule's critical path, i.e. the cycle's parallel-section duration
-    /// given one core per worker. 0 in serial mode (no parallel section).
-    pub critical_path_ns: u64,
 }
 
-/// One schedulable task slot. The slot mutex hands a worker exclusive
-/// ownership of the task for the duration of its cycle; since each slot is
-/// enqueued exactly once per cycle, the mutex is never contended — it exists
-/// to move the task across the thread boundary soundly.
-struct Slot {
-    task: Mutex<Option<StreamTask>>,
-    outcome: Mutex<Option<Result<usize, StreamsError>>>,
+/// One schedulable task slot, borrowing its task from the instance's task
+/// map for the cycle. The slot mutex hands a worker exclusive ownership of
+/// the task for the duration of its cycle; since each slot is enqueued
+/// exactly once per cycle, the mutex is never contended — it exists to lend
+/// the task across the thread boundary soundly.
+struct Slot<'a> {
+    task: &'a mut StreamTask,
+    /// Records the task's cycle processed, or why the cycle or its drain
+    /// failed.
+    outcome: Result<usize, StreamsError>,
 }
 
 /// Per-worker FIFO run queues with back-of-queue stealing.
@@ -87,11 +72,9 @@ impl RunQueues {
         // Round-robin home assignment: slot i belongs to worker i % W. Each
         // slot is enqueued exactly once per cycle, so per-partition ordering
         // needs no further coordination.
-        let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); workers];
-        for slot in 0..n_slots {
-            queues[slot % workers].push_back(slot);
-        }
-        Self { queues: queues.into_iter().map(Mutex::new).collect(), steals: AtomicU64::new(0) }
+        let queues =
+            (0..workers).map(|w| Mutex::new((w..n_slots).step_by(workers).collect())).collect();
+        Self { queues, steals: AtomicU64::new(0) }
     }
 
     /// Pop the front of worker `w`'s own queue.
@@ -117,296 +100,291 @@ impl RunQueues {
     }
 }
 
-/// Run one task cycle (poll-process + punctuate) against a slot, recording
-/// the outcome. Task-local mutation only — nothing here touches the
-/// instance's producer or any other task. The slot's ktrace span is
-/// entered for the duration, so the task's fetch/process/punctuate spans
-/// parent under it on whichever thread runs the slot.
-fn run_slot(
-    slot: &Slot,
-    cluster: &Cluster,
+/// One process cycle's shared state: the slots, their run queues, and what
+/// a task cycle needs from the instance.
+struct Cycle<'a> {
+    slots: Vec<Mutex<Slot<'a>>>,
+    queues: RunQueues,
+    /// Execution sequence number shared by all workers: the slot spans'
+    /// sub-millisecond order on the exported timeline.
+    seq: AtomicU64,
+    parent: kobs::SpanHandle,
+    cluster: &'a Cluster,
     max_poll_records: usize,
     isolation: IsolationLevel,
     wall_ms: i64,
-    span: kobs::SpanHandle,
-) {
-    let _enter = kobs::ktrace::enter(span);
-    let mut guard = slot.task.lock();
-    let Some(task) = guard.as_mut() else { return };
-    let result = task
-        .poll_and_process(cluster, max_poll_records, isolation)
-        .and_then(|n| task.punctuate(wall_ms).map(|()| n));
-    *slot.outcome.lock() = Some(result);
 }
 
-/// Open one worker-slot span under the cycle root. Span times never come
-/// from the wall clock (that would break byte-identical replay): the start
-/// is the cycle's virtual time plus the slot's *execution sequence number*
-/// as a sub-millisecond µs offset, which both orders the slots on the
-/// timeline and keeps sibling intervals disjoint so critical-path self
-/// times tile the cycle. Real per-slot wall cost stays in
-/// [`CycleOutcome::busy_total_ns`].
-pub(crate) fn slot_span(
-    parent: kobs::SpanHandle,
-    wall_ms: i64,
-    seqno: i64,
-    worker: usize,
-    slot_idx: usize,
-    stolen: bool,
-) -> kobs::SpanHandle {
-    kobs::ktrace::start_span(
-        wall_ms * 1000 + seqno,
-        "worker",
-        Some(worker as u32),
-        kobs::ktrace::Parent::Of(parent),
-        "task",
-        || {
-            vec![
-                ("slot", kobs::FieldValue::from(slot_idx)),
-                ("stolen", kobs::FieldValue::from(u64::from(stolen))),
-            ]
-        },
-    )
-}
-
-/// Move tasks out of the map into slots, in task-id order.
-fn take_slots(tasks: &mut BTreeMap<TaskId, StreamTask>) -> (Vec<TaskId>, Vec<Slot>) {
-    let ids: Vec<TaskId> = tasks.keys().copied().collect();
-    let slots = ids
-        .iter()
-        .map(|id| Slot { task: Mutex::new(tasks.remove(id)), outcome: Mutex::new(None) })
-        .collect();
-    (ids, slots)
-}
-
-/// Return tasks to the map and fold slot outcomes: total records processed,
-/// or the first error in task-id order (deterministic error selection —
-/// independent of which worker hit it first).
-fn restore_slots(
-    tasks: &mut BTreeMap<TaskId, StreamTask>,
-    ids: Vec<TaskId>,
-    slots: Vec<Slot>,
-) -> Result<usize, StreamsError> {
-    let mut processed = 0;
-    let mut first_err = None;
-    for (id, slot) in ids.into_iter().zip(slots) {
-        if let Some(task) = slot.task.lock().take() {
-            tasks.insert(id, task);
+impl Cycle<'_> {
+    /// Run worker `worker`'s next task cycle (poll-process + punctuate): the
+    /// front of its own queue, else a steal scanning from `victim`. Returns
+    /// the slot it ran, `None` once every queue is empty. Task-local
+    /// mutation only — nothing here touches the instance's producer or any
+    /// other task.
+    ///
+    /// The slot's ktrace span is entered for the duration, so the task's
+    /// fetch/process/punctuate spans parent under it on whichever thread
+    /// runs the slot. Span times never come from the wall clock (that would
+    /// break byte-identical replay): the start is the cycle's virtual time
+    /// plus the slot's execution sequence number as a µs offset, which both
+    /// orders the slots on the timeline and keeps sibling intervals disjoint
+    /// so critical-path self times tile the cycle.
+    fn run_one(&self, worker: usize, victim: usize) -> Option<usize> {
+        let (idx, stolen) = match self.queues.pop_own(worker) {
+            Some(idx) => (idx, false),
+            None => (self.queues.steal(worker, victim)?, true),
+        };
+        let start_us = self.wall_ms * 1000 + self.seq.fetch_add(1, Ordering::Relaxed) as i64;
+        let span = kobs::ktrace::start_span(
+            start_us,
+            "worker",
+            Some(worker as u32),
+            kobs::ktrace::Parent::Of(self.parent),
+            "task",
+            || {
+                vec![
+                    ("slot", kobs::FieldValue::from(idx)),
+                    ("stolen", kobs::FieldValue::from(u64::from(stolen))),
+                ]
+            },
+        );
+        {
+            let _enter = kobs::ktrace::enter(span);
+            let mut slot = self.slots[idx].lock();
+            slot.outcome = slot
+                .task
+                .poll_and_process(self.cluster, self.max_poll_records, self.isolation)
+                .and_then(|n| slot.task.punctuate(self.wall_ms).map(|()| n));
         }
-        match slot.outcome.lock().take() {
-            Some(Ok(n)) => processed += n,
-            Some(Err(e)) if first_err.is_none() => first_err = Some(e),
-            Some(Err(_)) | None => {}
+        kobs::ktrace::finish_span(span, start_us + 1);
+        Some(idx)
+    }
+
+    /// Hand slot `idx`'s task to `drain` if its cycle succeeded; a drain
+    /// error becomes the slot's outcome.
+    fn drain_slot(
+        &self,
+        idx: usize,
+        drain: &mut impl FnMut(&mut StreamTask) -> Result<(), StreamsError>,
+    ) {
+        let mut slot = self.slots[idx].lock();
+        if slot.outcome.is_ok() {
+            if let Err(e) = drain(slot.task) {
+                slot.outcome = Err(e);
+            }
         }
     }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(processed),
-    }
 }
 
-/// Execute one process cycle over `tasks` under the given mode. Parallel
-/// modes run every task to completion before returning (even when one
-/// errors), then surface the first error in task-id order; the serial mode
-/// short-circuits exactly like the historical loop.
-#[allow(clippy::too_many_arguments)]
+/// Execute one process cycle over `tasks` on `config.num_worker_threads`
+/// workers (never more than there are tasks) and hand every task whose
+/// cycle succeeded to `drain`, exactly once and on the calling thread.
+/// Every task runs even when another one fails; the error surfaced is then
+/// the first in task-id order, independent of which worker hit it first.
+///
+/// Under the inline executor one task cycle runs per worker per round, with
+/// the round's worker *visit order* shuffled from the seed stream. The
+/// shuffle is what makes steals reachable there — round-robin home
+/// assignment keeps queue lengths within one of each other, so under a
+/// fixed visit order every owner would drain its own queue before any idle
+/// worker got a turn to steal from it. A shuffled order models real pace
+/// divergence: a worker visited ahead of a slower peer finds that peer's
+/// queue still populated and steals from its back. The interleaving — visit
+/// order and victim choice alike — is a pure function of (task set, worker
+/// count, seed, `cycle`), which is what keeps `simtest` replays
+/// byte-identical. The threads executor makes no replay promise.
 pub fn run_cycle(
-    mode: SchedulerMode,
+    config: &StreamsConfig,
     parent: kobs::SpanHandle,
     tasks: &mut BTreeMap<TaskId, StreamTask>,
     cluster: &Cluster,
-    max_poll_records: usize,
     isolation: IsolationLevel,
-    wall_ms: i64,
     cycle: u64,
+    mut drain: impl FnMut(&mut StreamTask) -> Result<(), StreamsError>,
 ) -> Result<CycleOutcome, StreamsError> {
-    match mode {
-        SchedulerMode::Serial => {
-            let mut processed = 0;
-            for (seqno, task) in tasks.values_mut().enumerate() {
-                let span = slot_span(parent, wall_ms, seqno as i64, 0, seqno, false);
-                let _enter = kobs::ktrace::enter(span);
-                let result = task
-                    .poll_and_process(cluster, max_poll_records, isolation)
-                    .and_then(|n| task.punctuate(wall_ms).map(|()| n));
-                kobs::ktrace::finish_span(span, wall_ms * 1000 + seqno as i64 + 1);
-                processed += result?;
+    let workers = config.num_worker_threads.clamp(1, tasks.len().max(1));
+    let cx = Cycle {
+        queues: RunQueues::new(tasks.len(), workers),
+        slots: tasks.values_mut().map(|task| Mutex::new(Slot { task, outcome: Ok(0) })).collect(),
+        seq: AtomicU64::new(0),
+        parent,
+        cluster,
+        max_poll_records: config.max_poll_records,
+        isolation,
+        wall_ms: cluster.now_ms(),
+    };
+    if workers == 1 || config.scheduler_seed.is_some() {
+        // Per-cycle child stream: steal decisions replay deterministically
+        // yet vary between cycles the way a real pool's would.
+        let mut rng = DetRng::new(config.scheduler_seed.unwrap_or(0)).derive(cycle);
+        let mut order: Vec<usize> = (0..workers).collect();
+        let mut ran = true;
+        while ran {
+            // Fisher–Yates from the cycle stream: a fresh visit order per round.
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.index(i + 1));
             }
-            Ok(CycleOutcome { processed, steals: 0, ..CycleOutcome::default() })
-        }
-        SchedulerMode::Virtual { workers, seed } => run_virtual(
-            workers.max(1),
-            seed,
-            parent,
-            tasks,
-            cluster,
-            max_poll_records,
-            isolation,
-            wall_ms,
-            cycle,
-        ),
-        SchedulerMode::Threaded { workers } => run_threaded(
-            workers.max(1),
-            parent,
-            tasks,
-            cluster,
-            max_poll_records,
-            isolation,
-            wall_ms,
-        ),
-    }
-}
-
-/// Virtual workers, stepped on the calling thread: one task cycle per
-/// worker per round, with the round's worker *visit order* shuffled from
-/// the seed stream. The shuffle is what makes steals reachable here —
-/// round-robin home assignment keeps queue lengths within one of each
-/// other, so under a fixed visit order every owner would drain its own
-/// queue before any idle worker got a turn to steal from it. A shuffled
-/// order models real pace divergence: a worker visited ahead of a slower
-/// peer finds that peer's queue still populated and steals from its back.
-/// The interleaving — visit order and victim choice alike — is a pure
-/// function of (task set, worker count, seed, cycle number), which is what
-/// keeps `simtest` replays byte-identical.
-#[allow(clippy::too_many_arguments)]
-fn run_virtual(
-    workers: usize,
-    seed: u64,
-    parent: kobs::SpanHandle,
-    tasks: &mut BTreeMap<TaskId, StreamTask>,
-    cluster: &Cluster,
-    max_poll_records: usize,
-    isolation: IsolationLevel,
-    wall_ms: i64,
-    cycle: u64,
-) -> Result<CycleOutcome, StreamsError> {
-    let (ids, slots) = take_slots(tasks);
-    let queues = RunQueues::new(slots.len(), workers);
-    // Per-cycle child stream: steal decisions replay deterministically yet
-    // vary between cycles the way a real pool's would.
-    let mut rng = DetRng::new(seed).derive(cycle);
-    let mut busy = vec![0u64; workers];
-    let mut order: Vec<usize> = (0..workers).collect();
-    // Execution sequence number: the slot spans' deterministic sub-ms
-    // ordering on the exported timeline.
-    let mut seqno = 0i64;
-    loop {
-        // Fisher–Yates from the cycle stream: a fresh visit order per round.
-        for i in (1..order.len()).rev() {
-            order.swap(i, rng.index(i + 1));
-        }
-        let mut ran = false;
-        for &w in &order {
-            let next = match queues.pop_own(w) {
-                Some(idx) => Some((idx, false)),
-                None => queues.steal(w, rng.index(workers)).map(|idx| (idx, true)),
-            };
-            if let Some((idx, stolen)) = next {
-                let span = slot_span(parent, wall_ms, seqno, w, idx, stolen);
-                seqno += 1;
-                // detlint:allow[wall-clock] busy-time measurement only; never feeds control flow
-                let t = std::time::Instant::now();
-                run_slot(&slots[idx], cluster, max_poll_records, isolation, wall_ms, span);
-                busy[w] += t.elapsed().as_nanos() as u64;
-                kobs::ktrace::finish_span(span, wall_ms * 1000 + seqno);
-                ran = true;
+            ran = false;
+            for &w in &order {
+                if let Some(idx) = cx.run_one(w, rng.index(workers)) {
+                    cx.drain_slot(idx, &mut drain);
+                    ran = true;
+                }
             }
         }
-        if !ran {
-            break;
-        }
-    }
-    let steals = queues.steals.load(Ordering::Relaxed);
-    let (busy_total_ns, critical_path_ns) = fold_busy(&busy);
-    restore_slots(tasks, ids, slots).map(|processed| CycleOutcome {
-        processed,
-        steals,
-        busy_total_ns,
-        critical_path_ns,
-    })
-}
-
-/// `(sum, max)` of per-worker busy nanoseconds: the serialized cost of the
-/// parallel section and its critical path.
-fn fold_busy(busy: &[u64]) -> (u64, u64) {
-    (busy.iter().sum(), busy.iter().copied().max().unwrap_or(0))
-}
-
-/// Real OS-thread workers over a scoped pool. Worker `w` drains its own
-/// queue and then steals, scanning victims from `w + 1` upward; it exits
-/// when every queue is empty (each slot is queued once per cycle, so there
-/// is no re-arm race).
-#[allow(clippy::too_many_arguments)]
-fn run_threaded(
-    workers: usize,
-    parent: kobs::SpanHandle,
-    tasks: &mut BTreeMap<TaskId, StreamTask>,
-    cluster: &Cluster,
-    max_poll_records: usize,
-    isolation: IsolationLevel,
-    wall_ms: i64,
-) -> Result<CycleOutcome, StreamsError> {
-    let (ids, slots) = take_slots(tasks);
-    if slots.is_empty() {
-        return Ok(CycleOutcome::default());
-    }
-    let queues = RunQueues::new(slots.len(), workers);
-    let n_threads = workers.min(slots.len());
-    let busy: Vec<AtomicU64> = (0..n_threads).map(|_| AtomicU64::new(0)).collect();
-    // Shared execution sequence across workers: slot spans stay disjoint
-    // on the timeline (the order reflects this run's real interleaving —
-    // threaded mode makes no replay promise).
-    let seq = AtomicU64::new(0);
-    {
-        let slots = &slots;
-        let queues = &queues;
-        let busy = &busy;
-        let seq = &seq;
+    } else {
+        // Worker `w` scans victims from `w + 1` upward and exits when every
+        // queue is empty (each slot is queued once per cycle, so there is
+        // no re-arm race).
         std::thread::scope(|scope| {
-            for (w, busy_w) in busy.iter().enumerate() {
-                scope.spawn(move || {
-                    let mut mine = 0u64;
-                    loop {
-                        let next = match queues.pop_own(w) {
-                            Some(idx) => Some((idx, false)),
-                            None => queues.steal(w, w + 1).map(|idx| (idx, true)),
-                        };
-                        let Some((idx, stolen)) = next else { break };
-                        let seqno = seq.fetch_add(1, Ordering::Relaxed) as i64;
-                        let span = slot_span(parent, wall_ms, seqno, w, idx, stolen);
-                        // detlint:allow[wall-clock] busy-time measurement only; never feeds control flow
-                        let t = std::time::Instant::now();
-                        run_slot(&slots[idx], cluster, max_poll_records, isolation, wall_ms, span);
-                        mine += t.elapsed().as_nanos() as u64;
-                        kobs::ktrace::finish_span(span, wall_ms * 1000 + seqno + 1);
-                    }
-                    busy_w.store(mine, Ordering::Relaxed);
-                });
+            for w in 0..workers {
+                let cx = &cx;
+                scope.spawn(move || while cx.run_one(w, w + 1).is_some() {});
             }
         });
+        for idx in 0..cx.slots.len() {
+            cx.drain_slot(idx, &mut drain);
+        }
     }
-    let steals = queues.steals.load(Ordering::Relaxed);
-    let per_worker: Vec<u64> = busy.iter().map(|b| b.load(Ordering::Relaxed)).collect();
-    let (busy_total_ns, critical_path_ns) = fold_busy(&per_worker);
-    restore_slots(tasks, ids, slots).map(|processed| CycleOutcome {
-        processed,
-        steals,
-        busy_total_ns,
-        critical_path_ns,
-    })
+    let steals = cx.queues.steals.load(Ordering::Relaxed);
+    // Slots are in task-id order, so the sum stops at the first error in
+    // that order.
+    let processed =
+        cx.slots.into_iter().map(|slot| slot.into_inner().outcome).sum::<Result<_, _>>()?;
+    Ok(CycleOutcome { processed, steals })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dsl::StreamsBuilder;
+    use kbroker::{Producer, ProducerConfig, TopicConfig, TopicPartition};
+
+    const RECORDS_PER_PARTITION: usize = 3;
+
+    /// `tasks` passthrough tasks over a `partitions`-partition topic with
+    /// records in every partition. Tasks beyond the partition count read a
+    /// partition that does not exist, so their cycle fails.
+    fn fixture(partitions: u32, tasks: u32) -> (Cluster, BTreeMap<TaskId, StreamTask>) {
+        let cluster = Cluster::builder().brokers(1).replication(1).build();
+        cluster.create_topic("in", TopicConfig::new(partitions)).unwrap();
+        let mut producer = Producer::new(cluster.clone(), ProducerConfig::default());
+        for p in 0..partitions {
+            for i in 0..RECORDS_PER_PARTITION {
+                let record = klog::Record {
+                    key: Some(bytes::Bytes::from_static(b"k")),
+                    value: Some(bytes::Bytes::from_static(b"v")),
+                    timestamp: i as i64,
+                    headers: Vec::new(),
+                };
+                producer.send_to_partition(&TopicPartition::new("in", p), record).unwrap();
+            }
+        }
+        producer.flush().unwrap();
+        let builder = StreamsBuilder::new();
+        builder.stream::<String, String>("in").to("out");
+        let topology = builder.build().unwrap();
+        let tasks = (0..tasks)
+            .map(|partition| {
+                let id = TaskId { subtopology: 0, partition };
+                (id, StreamTask::new(&topology, id, "app").unwrap())
+            })
+            .collect();
+        (cluster, tasks)
+    }
+
+    /// Every executor shape: one worker with and without a seed, seeded and
+    /// threaded pools, and more workers than tasks.
+    const SHAPES: [(usize, Option<u64>); 6] =
+        [(1, None), (1, Some(7)), (3, Some(7)), (8, Some(7)), (3, None), (8, None)];
+
+    /// Run one cycle under `shape`, panicking if `drain` ever runs off the
+    /// calling thread.
+    fn cycle(
+        (workers, seed): (usize, Option<u64>),
+        cluster: &Cluster,
+        tasks: &mut BTreeMap<TaskId, StreamTask>,
+        mut drain: impl FnMut(&mut StreamTask) -> Result<(), StreamsError>,
+    ) -> Result<CycleOutcome, StreamsError> {
+        let mut config = StreamsConfig::new("app").with_num_worker_threads(workers);
+        config.scheduler_seed = seed;
+        let caller = std::thread::current().id();
+        let isolation = IsolationLevel::ReadUncommitted;
+        run_cycle(&config, kobs::SpanHandle::NONE, tasks, cluster, isolation, 0, |task| {
+            assert_eq!(std::thread::current().id(), caller, "drain left the instance thread");
+            drain(task)
+        })
+    }
 
     #[test]
     fn stream_task_is_send() {
-        // The threaded scheduler moves tasks across worker threads;
+        // The threads executor lends tasks to worker threads;
         // `Processor: Send` is the supertrait that carries this. A compile
         // failure here means an operator lost its `Send`-ability.
         fn assert_send<T: Send>() {}
         assert_send::<StreamTask>();
+    }
+
+    #[test]
+    fn drain_runs_once_per_task_on_the_calling_thread() {
+        for shape in SHAPES {
+            let (cluster, mut tasks) = fixture(6, 6);
+            let mut drained = Vec::new();
+            let outcome = cycle(shape, &cluster, &mut tasks, |task| {
+                assert_eq!(task.take_outputs().len(), RECORDS_PER_PARTITION, "cycle ran first");
+                drained.push(task.id);
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(outcome.processed, 6 * RECORDS_PER_PARTITION, "{shape:?}");
+            if shape.0 == 1 {
+                assert_eq!(outcome.steals, 0);
+                assert!(drained.is_sorted(), "one worker runs in task-id order: {drained:?}");
+            }
+            drained.sort();
+            assert_eq!(drained, tasks.keys().copied().collect::<Vec<_>>(), "{shape:?}");
+        }
+    }
+
+    #[test]
+    fn failed_task_is_not_drained_and_first_error_in_id_order_surfaces() {
+        for shape in SHAPES {
+            // Tasks 0_4 and 0_5 read partitions the topic does not have.
+            let (cluster, mut tasks) = fixture(4, 6);
+            let mut drained = Vec::new();
+            let err = cycle(shape, &cluster, &mut tasks, |task| {
+                drained.push(task.id);
+                Ok(())
+            })
+            .unwrap_err();
+            assert!(
+                matches!(
+                    &err,
+                    StreamsError::Broker(kbroker::BrokerError::UnknownPartition {
+                        partition: 4,
+                        ..
+                    })
+                ),
+                "{shape:?}: {err:?}"
+            );
+            drained.sort();
+            let healthy: Vec<TaskId> = tasks.keys().copied().take(4).collect();
+            assert_eq!(drained, healthy, "{shape:?}: the healthy tasks still ran and drained");
+        }
+    }
+
+    #[test]
+    fn drain_error_is_the_tasks_error() {
+        for shape in SHAPES {
+            let (cluster, mut tasks) = fixture(3, 3);
+            let result = cycle(shape, &cluster, &mut tasks, |task| {
+                Err(StreamsError::InvalidOperation(task.id.to_string()))
+            });
+            assert!(
+                matches!(&result, Err(StreamsError::InvalidOperation(id)) if id == "0_0"),
+                "{shape:?}: {result:?}"
+            );
+        }
     }
 
     #[test]

@@ -60,12 +60,12 @@ fn run(
     }
     p.flush().unwrap();
 
-    let mut cfg = StreamsConfig::new("perm-app").exactly_once().with_commit_interval_ms(10);
-    if workers > 1 {
-        cfg = cfg.with_num_worker_threads(workers);
-        if let Some(seed) = sched_seed {
-            cfg = cfg.with_deterministic_scheduler(seed);
-        }
+    let mut cfg = StreamsConfig::new("perm-app")
+        .exactly_once()
+        .with_commit_interval_ms(10)
+        .with_num_worker_threads(workers);
+    if let Some(seed) = sched_seed {
+        cfg = cfg.with_deterministic_scheduler(seed);
     }
     let mut app = KafkaStreamsApp::new(cluster.clone(), counting_topology(), cfg, "i0");
     app.start().unwrap();
@@ -117,16 +117,17 @@ fn run(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// ANY deterministic steal schedule — any worker count, any seed, any
-    /// commit cadence (via the clock-advance stride) — commits exactly the
-    /// same outputs and leaves exactly the same store bytes as serial
-    /// execution of the same workload.
+    /// ANY deterministic steal schedule — any worker count (one worker with
+    /// a seed and more workers than tasks included), any seed, any commit
+    /// cadence (via the clock-advance stride) — commits exactly the same
+    /// outputs and leaves exactly the same store bytes as serial execution
+    /// of the same workload.
     #[test]
     fn any_steal_schedule_is_observationally_serial(
         records in 40usize..140,
         keys in 1usize..12,
         partitions in 1u32..9,
-        workers in 2usize..9,
+        workers in 1usize..13,
         sched_seed in any::<u64>(),
         advance_ms in 1i64..30,
     ) {
@@ -148,7 +149,7 @@ proptest! {
         records in 40usize..120,
         keys in 1usize..10,
         partitions in 1u32..7,
-        workers in 2usize..7,
+        workers in 2usize..11,
         advance_ms in 1i64..30,
     ) {
         let serial = run(records, keys, partitions, 1, None, advance_ms);

@@ -1,10 +1,10 @@
-//! Log-bucketed latency histograms and throughput meters.
+//! Log-bucketed latency histograms.
 //!
 //! Promoted from `simprims::hist` so every layer (broker, streams, bench,
 //! simtest) shares one histogram type through the metrics registry; the
 //! figure-reproduction binaries report end-to-end latency percentiles
 //! (record create time → read-committed consumer receive time, as in the
-//! paper's §4.3 setup) and sustained throughput from it.
+//! paper's §4.3 setup) from it.
 
 use std::sync::OnceLock;
 
@@ -141,45 +141,6 @@ impl LatencyHistogram {
 impl Default for LatencyHistogram {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Counts events over a measured time span to report a rate.
-#[derive(Debug, Clone, Default)]
-pub struct ThroughputMeter {
-    events: u64,
-    start_ms: Option<i64>,
-    end_ms: i64,
-}
-
-impl ThroughputMeter {
-    /// Create an empty meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record `n` events occurring at time `now_ms`.
-    pub fn record(&mut self, n: u64, now_ms: i64) {
-        if self.start_ms.is_none() {
-            self.start_ms = Some(now_ms);
-        }
-        self.end_ms = self.end_ms.max(now_ms);
-        self.events += n;
-    }
-
-    /// Total events recorded.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// Events per second over the observed span (0 if the span is empty).
-    pub fn rate_per_sec(&self) -> f64 {
-        match self.start_ms {
-            Some(start) if self.end_ms > start => {
-                self.events as f64 * 1000.0 / (self.end_ms - start) as f64
-            }
-            _ => 0.0,
-        }
     }
 }
 
@@ -324,22 +285,5 @@ mod tests {
         assert!((9..=10).contains(&p99), "p99={p99}");
         let p999 = h.percentile_ms(0.999);
         assert!((920..=1000).contains(&p999), "p999={p999}");
-    }
-
-    #[test]
-    fn throughput_meter_rate() {
-        let mut m = ThroughputMeter::new();
-        m.record(500, 0);
-        m.record(500, 1000);
-        assert_eq!(m.events(), 1000);
-        assert!((m.rate_per_sec() - 1000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn throughput_meter_empty_span() {
-        let mut m = ThroughputMeter::new();
-        m.record(10, 5);
-        assert_eq!(m.rate_per_sec(), 0.0);
-        assert_eq!(m.events(), 10);
     }
 }

@@ -146,6 +146,9 @@ struct Active {
     /// Raised by finishing children so a parent can never end before the
     /// intervals nested inside it.
     min_end_us: i64,
+    /// How far [`start_span`] moved the start past its earlier siblings;
+    /// [`finish_span`] moves the end by as much.
+    shift_us: i64,
 }
 
 #[derive(Default)]
@@ -193,8 +196,15 @@ thread_local! {
 
 /// Start a span. `start_us` is virtual microseconds; children starting
 /// "before" their parent (sub-ms sequence offsets) are clamped forward so
-/// intervals always nest. The `fields` closure only runs when tracing is
-/// compiled in.
+/// intervals always nest. A [`Parent::Current`] child starts no earlier
+/// than its parent's latest finished child: same-thread siblings run one
+/// after another, so they must tile the parent rather than overlap
+/// ([`Parent::Of`] children keep their explicit sequence offsets). Such a
+/// child is *moved*, not squeezed — [`finish_span`] shifts its end by the
+/// same amount — because the span timeline runs ahead of the clock its
+/// call sites stamp from (slot sequence offsets, modeled fsync costs), and
+/// squeezing would bill that lead to whichever span comes next. The
+/// `fields` closure only runs when tracing is compiled in.
 #[allow(unused_variables)]
 pub fn start_span<F>(
     start_us: i64,
@@ -209,10 +219,10 @@ where
 {
     #[cfg(not(feature = "off"))]
     {
-        let parent_id = match parent {
-            Parent::Root => None,
-            Parent::Current => current().id(),
-            Parent::Of(h) => h.id(),
+        let (parent_id, sequential) = match parent {
+            Parent::Root => (None, false),
+            Parent::Current => (current().id(), true),
+            Parent::Of(h) => (h.id(), false),
         };
         let mut st = lock();
         st.next_id += 1;
@@ -220,14 +230,17 @@ where
         // Children inherit the parent's worker lane unless they carry
         // their own (a fetch span run inside worker 2's slot renders on
         // worker 2's timeline row).
-        let (parent_id, root, start_us, worker) = match parent_id.and_then(|p| st.active.get(&p)) {
+        let (parent_id, root, floor, worker) = match parent_id.and_then(|p| st.active.get(&p)) {
             Some(pa) => {
-                (parent_id, pa.span.root, start_us.max(pa.span.start_us), worker.or(pa.span.worker))
+                let floor = if sequential { pa.min_end_us } else { pa.span.start_us };
+                (parent_id, pa.span.root, floor, worker.or(pa.span.worker))
             }
             // A dangling explicit parent (already finished) degrades to a
             // fresh root rather than a broken edge.
             None => (None, id, start_us, worker),
         };
+        let shift_us = if sequential { (floor - start_us).max(0) } else { 0 };
+        let start_us = start_us.max(floor);
         st.active.insert(
             id,
             Active {
@@ -243,6 +256,7 @@ where
                     fields: fields(),
                 },
                 min_end_us: start_us,
+                shift_us,
             },
         );
         #[allow(clippy::needless_return)]
@@ -270,7 +284,7 @@ pub fn finish_span(handle: SpanHandle, end_us: i64) {
             return;
         };
         let mut span = active.span;
-        span.end_us = end_us.max(active.min_end_us).max(span.start_us);
+        span.end_us = (end_us + active.shift_us).max(active.min_end_us).max(span.start_us);
         if let Some(parent) = span.parent {
             if let Some(pa) = st.active.get_mut(&parent) {
                 pa.min_end_us = pa.min_end_us.max(span.end_us);
@@ -333,9 +347,9 @@ fn finish_root(st: &mut Store, root: Span, mut spans: Vec<Span>) {
 
 /// Per-phase self time: a span's duration minus its direct children's
 /// durations. Summed over a tree the child durations telescope, so the
-/// phase breakdown sums to the root duration *exactly* — which is why a
-/// span whose siblings overlap it by a few µs is allowed to contribute a
-/// slightly negative self time instead of being clamped.
+/// phase breakdown sums to the root duration *exactly*; self times are
+/// non-negative because [`start_span`] makes siblings tile their parent,
+/// so nothing is clamped here.
 #[cfg(not(feature = "off"))]
 fn account_critical_path(st: &mut Store, tree: &SpanTree) {
     let mut child_total: BTreeMap<u64, i64> = BTreeMap::new();
@@ -626,6 +640,32 @@ mod tests {
         assert_eq!(s.longest_chain, vec!["cycle", "commit", "markers"]);
         let markers_self = s.phases.iter().find(|(n, _)| *n == "markers").unwrap().1;
         assert_eq!(markers_self, 6_000);
+    }
+
+    #[test]
+    fn same_thread_child_tiles_after_worker_slots() {
+        let _g = isolated();
+        if !crate::ENABLED {
+            return;
+        }
+        // A cycle with three 1 µs worker slots, then a commit that — like
+        // the slots — is stamped with the cycle's own start tick.
+        let root = crate::span!(7, "kstreams", "cycle");
+        let _e = enter(root);
+        for seq in 0..3 {
+            let slot =
+                start_span(7_000 + seq, "worker", Some(0), Parent::Of(root), "task", Vec::new);
+            finish_span(slot, 7_001 + seq);
+        }
+        let commit = crate::child_span!(7, "kstreams", "commit");
+        finish_span(commit, 9_000);
+        finish_span(root, 9_000);
+        let s = critical_path_summary().expect("one commit cycle");
+        assert!(s.phases.iter().all(|(_, us)| *us >= 0), "negative self time: {:?}", s.phases);
+        assert_eq!(s.phases.iter().map(|(_, us)| *us).sum::<i64>(), s.total_us);
+        // The commit keeps its stamped 2 ms: it is moved past the slots, not
+        // squeezed by them.
+        assert_eq!(s.phases, vec![("commit", 2_000), ("cycle", 0), ("task", 3)]);
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod registry;
 pub mod trace;
 pub mod trace_export;
 
-pub use hist::{LatencyHistogram, ThroughputMeter};
+pub use hist::LatencyHistogram;
 pub use ktrace::{CriticalPathSummary, Span, SpanHandle, SpanTree};
 pub use registry::{global, HistSnapshot, Registry, Snapshot, ENABLED};
 pub use trace::{Event, FieldValue, Level};

@@ -1,11 +1,10 @@
 //! # simkit — deterministic simulation kit
 //!
 //! Shared infrastructure for the Kafka-Streams reproduction: virtual and
-//! wall clocks, seeded deterministic RNG, fault-injection plans, and
-//! latency/throughput measurement — re-exported from the dependency-free
-//! `simprims` crate, so the broker and streams layers (which depend on
-//! `simprims` under the `simkit` name) and this crate hand out the *same*
-//! types.
+//! wall clocks, seeded deterministic RNG, and fault-injection plans —
+//! re-exported from the dependency-free `simprims` crate, so the broker and
+//! streams layers (which depend on `simprims` under the `simkit` name) and
+//! this crate hand out the *same* types.
 //!
 //! On top of the primitives, [`simtest`] adds a FoundationDB-style
 //! deterministic simulation engine: a single `u64` seed generates a
@@ -19,11 +18,10 @@
 //! can run on a [`ManualClock`] (fully deterministic, instantaneous) while
 //! benchmark harnesses run on the [`WallClock`].
 
-pub use simprims::{clock, fault, hist, rng};
+pub use simprims::{clock, fault, rng};
 
 pub use simprims::{
-    Clock, DetRng, FaultDecision, FaultPlan, FaultPoint, LatencyHistogram, ManualClock,
-    SharedClock, ThroughputMeter, WallClock,
+    Clock, DetRng, FaultDecision, FaultPlan, FaultPoint, ManualClock, SharedClock, WallClock,
 };
 
 pub mod simtest;

@@ -62,8 +62,8 @@ pub struct SimConfig {
     /// Record-cache capacity handed to every app instance
     /// (`StreamsConfig::cache_max_entries`); 0 disables caching.
     pub cache_max_entries: usize,
-    /// Scheduler worker count per app instance. 1 keeps the serial task
-    /// loop; >1 runs the work-stealing scheduler in *virtual* mode — the
+    /// Scheduler worker count per app instance. 1 keeps the task-id-order
+    /// loop; >1 runs the work-stealing scheduler's inline executor — the
     /// worker interleaving is derived from the run seed and serialized on
     /// the calling thread, so the run stays byte-identical per
     /// `(seed, workers)` pair.
@@ -311,14 +311,9 @@ impl Engine {
             // generation bump (virtual clock, so still deterministic).
             cfg = cfg.with_rebalance_debounce_ms(CHURN_DEBOUNCE_MS);
         }
-        if self.cfg.workers > 1 {
-            // Virtual mode: the scheduler's steal decisions come from the
-            // run seed, so a multi-worker run replays byte-identically.
-            cfg.with_num_worker_threads(self.cfg.workers)
-                .with_deterministic_scheduler(self.cfg.seed)
-        } else {
-            cfg
-        }
+        // The scheduler's steal decisions come from the run seed, so a
+        // multi-worker run replays byte-identically.
+        cfg.with_num_worker_threads(self.cfg.workers).with_deterministic_scheduler(self.cfg.seed)
     }
 
     /// Create and start the app for instance `idx`. On a start error (e.g.

@@ -35,8 +35,8 @@ pub struct SimReport {
     pub profile: String,
     /// Record-cache capacity per store (`--cache`); 0 means caching off.
     pub cache_max_entries: usize,
-    /// Scheduler workers per instance (`--workers`); 1 means the serial
-    /// task loop, >1 the seed-derived virtual work-stealing scheduler.
+    /// Scheduler workers per instance (`--workers`); 1 means the
+    /// task-id-order loop, >1 the seed-derived work-stealing schedule.
     pub workers: usize,
     /// Storage backend the brokers ran on: `"memory"` or `"disk"`.
     pub storage: String,

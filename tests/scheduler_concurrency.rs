@@ -3,26 +3,41 @@
 //! through rebalances arriving while parallel cycles run — and the final
 //! store contents must be bit-identical to serial execution.
 //!
-//! Two scheduler flavors are exercised:
-//! * `Threaded` — real OS worker threads (the deployment shape),
-//! * `Virtual` — the seed-driven deterministic serialization `simtest`
-//!   uses; its shuffled per-round visit order makes idle workers steal from
-//!   slower peers, so crash points reliably land between stolen task
-//!   executions.
+//! Both executors of the scheduler are exercised:
+//! * threads (no seed) — real OS worker threads (the deployment shape),
+//! * inline (a seed) — the seed-driven deterministic serialization
+//!   `simtest` uses; its shuffled per-round visit order makes idle workers
+//!   steal from slower peers, so crash points reliably land between stolen
+//!   task executions.
 
 use bytes::Bytes;
 use kbroker::{Cluster, Consumer, ConsumerConfig, Producer, ProducerConfig, TopicConfig};
-use kstreams::{KSerde, KafkaStreamsApp, StreamsBuilder, StreamsConfig};
+use kstreams::topology::Topology;
+use kstreams::{KSerde, KafkaStreamsApp, ProcessingGuarantee, StreamsBuilder, StreamsConfig};
 use simkit::ManualClock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-fn counting_topology() -> Arc<kstreams::topology::Topology> {
+fn counting_topology() -> Arc<Topology> {
     let builder = StreamsBuilder::new();
     builder
         .stream::<String, String>("events")
         .group_by_key()
         .count("counts-store")
+        .to_stream()
+        .to("out");
+    Arc::new(builder.build().unwrap())
+}
+
+/// Two sub-topologies: the re-keyed count reads a repartition topic the
+/// first sub-topology's tasks write, so what it sees within one cycle
+/// depends on when those tasks' writes were drained into the producer.
+fn regrouping_topology() -> Arc<Topology> {
+    let builder = StreamsBuilder::new();
+    builder
+        .stream::<String, String>("events")
+        .group_by(|k, _v| format!("len{}", k.len()))
+        .count("regrouped-store")
         .to_stream()
         .to("out");
     Arc::new(builder.build().unwrap())
@@ -57,14 +72,14 @@ fn feed(cluster: &Cluster, n: usize, keys: usize) {
 }
 
 fn config(app_id: &str, workers: usize, seed: Option<u64>) -> StreamsConfig {
-    let mut cfg = StreamsConfig::new(app_id).exactly_once().with_commit_interval_ms(10);
-    if workers > 1 {
-        cfg = cfg.with_num_worker_threads(workers);
-        if let Some(seed) = seed {
-            cfg = cfg.with_deterministic_scheduler(seed);
-        }
+    let cfg = StreamsConfig::new(app_id)
+        .exactly_once()
+        .with_commit_interval_ms(10)
+        .with_num_worker_threads(workers);
+    match seed {
+        Some(seed) => cfg.with_deterministic_scheduler(seed),
+        None => cfg,
     }
-    cfg
 }
 
 /// Step the apps (advancing the virtual clock) until the group's committed
@@ -244,27 +259,39 @@ fn rebalance_while_parallel_is_exactly_once() {
     assert_exactly_once(&s.cluster, RECORDS, KEYS);
 }
 
-/// Stress: the same workload through serial, virtual (several steal
-/// schedules), and threaded execution must leave byte-identical stores.
-/// Store dumps are `(changelog key, value)` lists in key order, so this is
-/// a direct store-content fingerprint comparison.
+/// Stress: the same workload on one worker and on seeded (several steal
+/// schedules) and threaded pools must leave byte-identical stores. Store
+/// dumps are `(changelog key, value)` lists in key order, so this is a
+/// direct store-content fingerprint comparison. The at-least-once
+/// repartition case is the one shape where a task can see, within a cycle,
+/// what an earlier task of the same cycle wrote.
 #[test]
 fn parallel_store_dumps_match_serial() {
     const RECORDS: usize = 800;
     const KEYS: usize = 32;
+    const PARTITIONS: usize = 8;
 
-    let run = |workers: usize, seed: Option<u64>| {
-        let s = setup(8);
+    type TopologyFn = fn() -> Arc<Topology>;
+    let run = |topology: TopologyFn,
+               guarantee: ProcessingGuarantee,
+               workers: usize,
+               seed: Option<u64>| {
+        let s = setup(PARTITIONS as u32);
         feed(&s.cluster, RECORDS, KEYS);
-        let mut app = KafkaStreamsApp::new(
-            s.cluster.clone(),
-            counting_topology(),
-            config("dump-app", workers, seed),
-            "i0",
-        );
-        app.start().unwrap();
+        let cfg = StreamsConfig { guarantee, ..config("dump-app", workers, seed) };
+        let app = KafkaStreamsApp::new(s.cluster.clone(), topology(), cfg, "i0");
         let mut apps = vec![app];
+        apps[0].start().unwrap();
         run_until_committed(&mut apps, &s.cluster, &s.clock, "dump-app");
+        // A downstream sub-topology may still be working through its
+        // repartition topic.
+        for _ in 0..200 {
+            if read_output(&s.cluster).1 == RECORDS {
+                break;
+            }
+            apps[0].step().unwrap();
+            s.clock.advance(20);
+        }
         let mut app = apps.pop().unwrap();
         let dump = app.dump_stores();
         let steals = app.metrics().scheduler_steals;
@@ -273,18 +300,33 @@ fn parallel_store_dumps_match_serial() {
         (dump, steals, latest, total)
     };
 
-    let (serial_dump, _, serial_latest, serial_total) = run(1, None);
-    assert_eq!(serial_total, RECORDS);
-    let mut steal_schedules_seen = 0u64;
-    for (workers, seed) in [(2, Some(1)), (4, Some(2)), (4, Some(3)), (8, Some(4)), (4, None)] {
-        let (dump, steals, latest, total) = run(workers, seed);
-        assert_eq!(
-            dump, serial_dump,
-            "workers={workers} seed={seed:?}: final stores diverged from serial"
-        );
-        assert_eq!(latest, serial_latest);
-        assert_eq!(total, serial_total, "committed output count diverged");
-        steal_schedules_seen += u64::from(steals > 0);
+    let cases: [(TopologyFn, ProcessingGuarantee); 2] = [
+        (counting_topology, ProcessingGuarantee::ExactlyOnce),
+        (regrouping_topology, ProcessingGuarantee::AtLeastOnce),
+    ];
+    for (topology, guarantee) in cases {
+        let (serial_dump, _, serial_latest, serial_total) = run(topology, guarantee, 1, None);
+        assert_eq!(serial_total, RECORDS);
+        let mut steal_schedules_seen = 0u64;
+        for (workers, seed) in [
+            (1, Some(9)),
+            (2, Some(1)),
+            (4, Some(2)),
+            (4, Some(3)),
+            (8, Some(4)),
+            (2 * PARTITIONS + 1, Some(5)),
+            (4, None),
+            (2 * PARTITIONS + 1, None),
+        ] {
+            let (dump, steals, latest, total) = run(topology, guarantee, workers, seed);
+            assert_eq!(
+                dump, serial_dump,
+                "{guarantee:?} workers={workers} seed={seed:?}: final stores diverged from serial"
+            );
+            assert_eq!(latest, serial_latest);
+            assert_eq!(total, serial_total, "committed output count diverged");
+            steal_schedules_seen += u64::from(steals > 0);
+        }
+        assert!(steal_schedules_seen > 0, "at least one schedule must actually exercise stealing");
     }
-    assert!(steal_schedules_seen > 0, "at least one schedule must actually exercise stealing");
 }

@@ -79,13 +79,13 @@ fn twenty_five_seed_sweep_replays_byte_identically_with_four_workers() {
 
 /// The scheduler sits on simtest's replay-critical path, so it must stay
 /// clean under detlint's determinism rules (no wall clock, no entropy, no
-/// unordered iteration) — its busy-time instrumentation is allowed only
-/// through explicit `detlint:allow` escapes that never feed control flow.
+/// unordered iteration), with no `detlint:allow` escape.
 #[test]
 fn detlint_is_clean_over_the_scheduler_module() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let path = root.join("crates/core/src/processor/scheduler.rs");
     let source = std::fs::read_to_string(&path).expect("scheduler module readable");
+    assert!(!source.contains("detlint:allow"), "the scheduler needs no determinism escape");
     let findings = kcheck::detlint::lint_source(std::path::Path::new("scheduler.rs"), &source);
     assert!(findings.is_empty(), "scheduler module must stay detlint-clean: {findings:?}");
     // And the lint actually covers the scheduler's tree (guards against the
