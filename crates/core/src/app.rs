@@ -721,18 +721,17 @@ impl KafkaStreamsApp {
         }
         Self::begin_txn_if_needed(producer, txn_open, config)?;
         for out in outputs {
-            let topic = out.topic.resolve(&config.application_id);
-            producer.send(&topic, out.key, out.value, out.ts)?;
+            let tp = task.sink_partition(cluster, out.sink, out.key.as_deref())?;
+            producer.send_to_partition(
+                tp,
+                klog::Record { key: out.key, value: out.value, timestamp: out.ts },
+            )?;
         }
+        let now_ms = cluster.now_ms();
         for (tp, key, value) in changelog {
             producer.send_to_partition(
                 &tp,
-                klog::Record {
-                    key: Some(key),
-                    value,
-                    timestamp: cluster.now_ms(),
-                    headers: Vec::new(),
-                },
+                klog::Record { key: Some(key), value, timestamp: now_ms },
             )?;
         }
         Ok(())

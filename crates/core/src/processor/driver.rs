@@ -13,12 +13,17 @@ use crate::record::FlowRecord;
 use crate::topology::node::{NodeKind, TopicRef, ValueMode};
 use crate::topology::Topology;
 use bytes::Bytes;
+use kbroker::TopicPartition;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::Arc;
 
 /// One record bound for a sink topic.
 #[derive(Debug, Clone)]
 pub struct SinkOutput {
-    pub topic: TopicRef,
+    /// Which of the sub-topology's sinks emitted it: an index into
+    /// [`SubTopologyDriver::sink_topics`], resolved to a topic once per task
+    /// instead of carried by name on every record.
+    pub sink: usize,
     pub key: Option<Bytes>,
     /// Wire value (change-encoded when the sink crosses a table boundary).
     pub value: Option<Bytes>,
@@ -32,8 +37,10 @@ pub struct TaskEnv {
     pub stores: BTreeMap<String, StoreEntry>,
     /// Records produced to sinks this cycle.
     pub outputs: Vec<SinkOutput>,
-    /// Captured store mutations: `(store, changelog key, value)`.
-    pub changelog: Vec<(String, Bytes, Option<Bytes>)>,
+    /// Captured store mutations: `(changelog partition, changelog key,
+    /// value)`. The partition is the writing store's shared handle
+    /// ([`StoreEntry::changelog`]), so capturing a write allocates nothing.
+    pub changelog: Vec<(Arc<TopicPartition>, Bytes, Option<Bytes>)>,
     pub metrics: StreamsMetrics,
     /// Max record timestamp observed by this task (§5's stream time).
     pub stream_time: i64,
@@ -68,14 +75,13 @@ impl TaskEnv {
         if entry.cache.is_empty() {
             return Vec::new();
         }
-        let changelogged = entry.spec.changelog;
         let drained = entry.cache.drain_sorted();
         kobs::count("kstreams.cache.flush_entries", drained.len() as u64);
         let mut forwards = Vec::new();
         for (key, e) in drained {
-            if changelogged {
+            if let Some(changelog) = &entry.changelog {
                 self.metrics.changelog_appends += 1;
-                self.changelog.push((store.to_string(), key.clone(), e.new.clone()));
+                self.changelog.push((changelog.clone(), key.clone(), e.new.clone()));
             }
             if e.forward {
                 forwards.push(FlowRecord { key: Some(key), old: e.old, new: e.new, ts: e.ts });
@@ -88,7 +94,7 @@ impl TaskEnv {
 enum RuntimeKind {
     Source { mode: ValueMode },
     Proc(Option<Box<dyn Processor>>),
-    Sink { topic: TopicRef, mode: ValueMode },
+    Sink { sink: usize, mode: ValueMode },
 }
 
 struct RuntimeNode {
@@ -102,6 +108,9 @@ pub struct SubTopologyDriver {
     nodes: Vec<RuntimeNode>,
     /// Logical source-topic name → local source node.
     sources: HashMap<String, usize>,
+    /// The topic of every sink node, in node order; a [`SinkOutput`] names
+    /// its sink by position here.
+    sinks: Vec<TopicRef>,
     /// Every store of this sub-topology with the local node that owns it
     /// (first declaring processor; `None` for stores no node declared).
     /// Cache flushes forward through the owner's children.
@@ -123,6 +132,7 @@ impl SubTopologyDriver {
         }
         let mut nodes = Vec::with_capacity(st.nodes.len());
         let mut sources = HashMap::new();
+        let mut sinks = Vec::new();
         let mut store_owners: Vec<(Option<usize>, String)> = Vec::new();
         for (li, &gi) in st.nodes.iter().enumerate() {
             let node = &topology.nodes[gi];
@@ -152,7 +162,8 @@ impl SubTopologyDriver {
                     RuntimeKind::Proc(Some(factory()))
                 }
                 NodeKind::Sink { topic, mode } => {
-                    RuntimeKind::Sink { topic: topic.clone(), mode: *mode }
+                    sinks.push(topic.clone());
+                    RuntimeKind::Sink { sink: sinks.len() - 1, mode: *mode }
                 }
             };
             nodes.push(RuntimeNode { kind, children });
@@ -164,42 +175,54 @@ impl SubTopologyDriver {
                 store_owners.push((None, s.clone()));
             }
         }
-        Ok(Self { nodes, sources, store_owners, queue: VecDeque::new() })
+        Ok(Self { nodes, sources, sinks, store_owners, queue: VecDeque::new() })
     }
 
-    /// Feed one input record from `topic` through the graph, running every
+    /// The source node reading the logical topic `topic`, if there is one.
+    /// A task looks its inputs up once and feeds [`process`](Self::process)
+    /// the node from then on.
+    pub fn source(&self, topic: &str) -> Option<usize> {
+        self.sources.get(topic).copied()
+    }
+
+    /// The topic of every sink, indexed as [`SinkOutput::sink`].
+    pub fn sink_topics(&self) -> &[TopicRef] {
+        &self.sinks
+    }
+
+    /// Feed one input record in at source node `source`, running every
     /// downstream operator to completion.
     pub fn process(
         &mut self,
         env: &mut TaskEnv,
-        topic: &str,
+        source: usize,
         key: Option<Bytes>,
         value: Option<Bytes>,
         ts: i64,
     ) -> Result<(), StreamsError> {
-        let &src = self
-            .sources
-            .get(topic)
-            .ok_or_else(|| StreamsError::InvalidOperation(format!("no source for {topic}")))?;
         // Decode according to the source's value mode.
-        let record = match &self.nodes[src].kind {
-            RuntimeKind::Source { mode: ValueMode::Plain } => {
+        let record = match self.nodes.get(source).map(|n| &n.kind) {
+            Some(RuntimeKind::Source { mode: ValueMode::Plain }) => {
                 FlowRecord { key, new: value, old: None, ts }
             }
-            RuntimeKind::Source { mode: ValueMode::Change } => {
+            Some(RuntimeKind::Source { mode: ValueMode::Change }) => {
                 let (old, new) = match &value {
                     Some(v) => decode_change(v)?,
                     None => (None, None),
                 };
                 FlowRecord { key, new, old, ts }
             }
-            _ => unreachable!("sources index only holds source nodes"),
+            _ => {
+                return Err(StreamsError::InvalidOperation(format!(
+                    "node {source} is not a source"
+                )));
+            }
         };
         if ts > env.stream_time {
             env.stream_time = ts;
         }
         env.metrics.records_processed += 1;
-        for &c in &self.nodes[src].children {
+        for &c in &self.nodes[source].children {
             self.queue.push_back((c, record.clone()));
         }
         self.drain(env)
@@ -273,14 +296,14 @@ impl SubTopologyDriver {
                         "record forwarded into a source node".into(),
                     ));
                 }
-                RuntimeKind::Sink { topic, mode } => {
+                RuntimeKind::Sink { sink, mode } => {
                     let value = match mode {
-                        ValueMode::Plain => record.new.clone(),
+                        ValueMode::Plain => record.new,
                         ValueMode::Change => Some(encode_change(&record.old, &record.new)),
                     };
                     env.metrics.records_emitted += 1;
                     env.outputs.push(SinkOutput {
-                        topic: topic.clone(),
+                        sink: *sink,
                         key: record.key,
                         value,
                         ts: record.ts,
@@ -353,6 +376,18 @@ mod tests {
         Bytes::copy_from_slice(&n.to_be_bytes())
     }
 
+    /// Feed one record in at the source of topic `in`.
+    fn process_in(
+        driver: &mut SubTopologyDriver,
+        env: &mut TaskEnv,
+        key: Option<Bytes>,
+        value: Option<Bytes>,
+        ts: i64,
+    ) -> Result<(), StreamsError> {
+        let source = driver.source("in").expect("topology reads `in`");
+        driver.process(env, source, key, value, ts)
+    }
+
     #[test]
     fn linear_pipeline_transforms_and_sinks() {
         let mut b = InternalBuilder::new();
@@ -363,7 +398,8 @@ mod tests {
         let t = b.build().unwrap();
         let mut driver = SubTopologyDriver::new(&t, 0).unwrap();
         let mut env = TaskEnv::new(0);
-        driver.process(&mut env, "in", Some(Bytes::from_static(b"k")), Some(i64b(21)), 7).unwrap();
+        process_in(&mut driver, &mut env, Some(Bytes::from_static(b"k")), Some(i64b(21)), 7)
+            .unwrap();
         assert_eq!(env.outputs.len(), 1);
         assert_eq!(env.outputs[0].value, Some(i64b(42)));
         assert_eq!(env.outputs[0].ts, 7);
@@ -390,8 +426,7 @@ mod tests {
         let mut driver = SubTopologyDriver::new(&t, 0).unwrap();
         let mut env = env_with_store("c", StoreKind::KeyValue);
         for i in 0..3 {
-            driver
-                .process(&mut env, "in", Some(Bytes::from_static(b"k")), Some(i64b(0)), i)
+            process_in(&mut driver, &mut env, Some(Bytes::from_static(b"k")), Some(i64b(0)), i)
                 .unwrap();
         }
         assert_eq!(env.changelog.len(), 3, "every state update captured as a log append");
@@ -409,8 +444,7 @@ mod tests {
         let mut driver = SubTopologyDriver::new(&t, 0).unwrap();
         let mut env = TaskEnv::new(0);
         let wire = encode_change(&Some(i64b(1)), &Some(i64b(2)));
-        driver
-            .process(&mut env, "in", Some(Bytes::from_static(b"k")), Some(wire.clone()), 0)
+        process_in(&mut driver, &mut env, Some(Bytes::from_static(b"k")), Some(wire.clone()), 0)
             .unwrap();
         assert_eq!(env.outputs[0].value, Some(wire));
     }
@@ -424,7 +458,7 @@ mod tests {
         let t = b.build().unwrap();
         let mut driver = SubTopologyDriver::new(&t, 0).unwrap();
         let mut env = TaskEnv::new(0);
-        driver.process(&mut env, "in", None, Some(i64b(1)), 0).unwrap();
+        process_in(&mut driver, &mut env, None, Some(i64b(1)), 0).unwrap();
         assert_eq!(env.outputs.len(), 2);
     }
 
@@ -435,7 +469,9 @@ mod tests {
         let t = b.build().unwrap();
         let mut driver = SubTopologyDriver::new(&t, 0).unwrap();
         let mut env = TaskEnv::new(0);
-        assert!(driver.process(&mut env, "other", None, None, 0).is_err());
+        assert_eq!(driver.source("other"), None);
+        let not_a_source = driver.source("in").unwrap() + 1;
+        assert!(driver.process(&mut env, not_a_source, None, None, 0).is_err());
     }
 
     #[test]
@@ -446,8 +482,8 @@ mod tests {
         let t = b.build().unwrap();
         let mut driver = SubTopologyDriver::new(&t, 0).unwrap();
         let mut env = TaskEnv::new(0);
-        driver.process(&mut env, "in", None, Some(i64b(1)), 100).unwrap();
-        driver.process(&mut env, "in", None, Some(i64b(1)), 50).unwrap(); // out of order
+        process_in(&mut driver, &mut env, None, Some(i64b(1)), 100).unwrap();
+        process_in(&mut driver, &mut env, None, Some(i64b(1)), 50).unwrap(); // out of order
         assert_eq!(env.stream_time, 100, "stream time never regresses");
     }
 }

@@ -15,7 +15,10 @@ pub use scheduler::CycleOutcome;
 
 use crate::record::FlowRecord;
 use crate::state::{RecordCache, Store, StoreSpec};
+use crate::topology::Topology;
 use bytes::Bytes;
+use kbroker::TopicPartition;
+use std::sync::Arc;
 
 /// A stream processor: receives one record at a time, may read/write stores
 /// and forward records downstream.
@@ -42,6 +45,12 @@ pub struct StoreEntry {
     /// inline). The store itself stays write-through; only the log-shaped
     /// side effects are buffered here until commit.
     pub cache: RecordCache,
+    /// Where this store's writes are logged, `None` for a store without a
+    /// changelog. Every captured write carries a clone of this handle, so
+    /// the partition is named once per store instead of once per write. An
+    /// entry starts with the store's logical changelog topic; the task that
+    /// owns it substitutes its own physical changelog partition.
+    pub changelog: Option<Arc<TopicPartition>>,
 }
 
 impl StoreEntry {
@@ -53,7 +62,10 @@ impl StoreEntry {
     /// Entry buffering up to `cache_max_entries` dirty entries between
     /// commits.
     pub fn with_cache(store: Store, spec: StoreSpec, cache_max_entries: usize) -> Self {
-        Self { store, spec, cache: RecordCache::new(cache_max_entries) }
+        let changelog = spec
+            .changelog
+            .then(|| Arc::new(TopicPartition::new(Topology::changelog_topic(&spec.name), 0)));
+        Self { store, spec, cache: RecordCache::new(cache_max_entries), changelog }
     }
 }
 
@@ -146,14 +158,14 @@ impl<'a> ProcessorContext<'a> {
         forward: bool,
     ) {
         let entry = self.entry(store);
-        let changelogged = entry.spec.changelog;
-        if !changelogged && !forward {
+        let changelog = entry.changelog.clone();
+        if changelog.is_none() && !forward {
             return;
         }
         if !entry.cache.enabled() {
-            if changelogged {
+            if let Some(changelog) = changelog {
                 self.env.metrics.changelog_appends += 1;
-                self.env.changelog.push((store.to_string(), changelog_key.clone(), value.clone()));
+                self.env.changelog.push((changelog, changelog_key.clone(), value.clone()));
             }
             if forward {
                 self.forward(FlowRecord { key: Some(changelog_key), old, new: value, ts });
@@ -171,9 +183,9 @@ impl<'a> ProcessorContext<'a> {
         if let Some((key, e)) = outcome.evicted {
             self.env.metrics.cache_evictions += 1;
             kobs::count("kstreams.cache.evictions", 1);
-            if changelogged {
+            if let Some(changelog) = changelog {
                 self.env.metrics.changelog_appends += 1;
-                self.env.changelog.push((store.to_string(), key.clone(), e.new.clone()));
+                self.env.changelog.push((changelog, key.clone(), e.new.clone()));
             }
             if e.forward {
                 self.forward(FlowRecord { key: Some(key), old: e.old, new: e.new, ts: e.ts });

@@ -275,7 +275,6 @@ mod tests {
                     key: Some(bytes::Bytes::from_static(b"k")),
                     value: Some(bytes::Bytes::from_static(b"v")),
                     timestamp: i as i64,
-                    headers: Vec::new(),
                 };
                 producer.send_to_partition(&TopicPartition::new("in", p), record).unwrap();
             }

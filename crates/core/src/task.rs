@@ -18,18 +18,54 @@ use crate::processor::StoreEntry;
 use crate::state::{spill, Store};
 use crate::topology::{TaskId, Topology};
 use bytes::Bytes;
+use kbroker::topic::default_partition;
 use kbroker::{Cluster, IsolationLevel, TopicPartition};
+use klog::{Record, StoredBatch};
 use simkit::{FaultDecision, FaultPoint};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::Path;
+use std::sync::Arc;
 
-/// One buffered input record.
-#[derive(Debug, Clone)]
-struct PendingRecord {
-    offset: i64,
-    key: Option<Bytes>,
-    value: Option<Bytes>,
-    ts: i64,
+/// One input partition of a task, and how far the task has read it.
+struct Input {
+    tp: TopicPartition,
+    /// The driver's source node for this input's topic.
+    source: usize,
+    /// Next offset to fetch.
+    fetch_position: i64,
+    /// Next offset to commit (last processed + 1); `None` until a position
+    /// is set or something is processed, and not committed until then.
+    processed_position: Option<i64>,
+    /// Fetched-but-unprocessed batches: the allocations the log stores,
+    /// shared, not copies of their records.
+    fetched: VecDeque<StoredBatch>,
+    /// The next unprocessed entry of `fetched`'s front batch.
+    cursor: usize,
+}
+
+impl Input {
+    /// The next unprocessed record and its offset.
+    fn head(&self) -> Option<&(i64, Record)> {
+        // Fetched batches are never empty and a finished one is popped at
+        // once, so the cursor always addresses an entry of the front batch.
+        self.fetched.front().map(|batch| &batch.entries[self.cursor])
+    }
+
+    /// Step past the record [`head`](Self::head) returned.
+    fn advance(&mut self) {
+        self.cursor += 1;
+        if self.fetched.front().is_some_and(|batch| self.cursor == batch.len()) {
+            self.fetched.pop_front();
+            self.cursor = 0;
+        }
+    }
+}
+
+/// One sink of the task's sub-topology: its physical topic, and that
+/// topic's partition addresses once the first output has looked them up.
+struct Sink {
+    topic: String,
+    partitions: Vec<TopicPartition>,
 }
 
 /// A runnable task instance.
@@ -38,24 +74,17 @@ pub struct StreamTask {
     app_id: String,
     driver: SubTopologyDriver,
     env: TaskEnv,
-    /// `(logical topic, physical partition)` inputs.
-    inputs: Vec<(String, TopicPartition)>,
-    /// Next offset to fetch, per input partition.
-    fetch_positions: HashMap<TopicPartition, i64>,
-    /// Next offset to commit (last processed + 1), per input partition.
-    processed_positions: HashMap<TopicPartition, i64>,
-    /// Fetched-but-unprocessed records, per input partition.
-    buffers: HashMap<TopicPartition, VecDeque<PendingRecord>>,
-    /// Physical changelog partition per store.
-    changelog_tps: HashMap<String, TopicPartition>,
+    /// The input partitions, in the sub-topology's source order (which
+    /// breaks timestamp ties between inputs).
+    inputs: Vec<Input>,
+    /// The sub-topology's sinks, indexed as [`SinkOutput::sink`].
+    sinks: Vec<Sink>,
     /// Where restore should begin per store (set when promoted from a
     /// standby replica; default is the changelog's earliest offset).
     restore_from: HashMap<String, i64>,
     /// Stores restored from a *source topic* instead of a changelog (§3.3
     /// optimization): store → source partition.
     source_restore_tps: HashMap<String, TopicPartition>,
-    /// Configured per-store record-cache capacity (0 = caching off).
-    cache_max_entries: usize,
     /// Whether this task has processed input, produced output, or mutated
     /// state since the last successful commit. A clean task's in-memory
     /// state equals its committed state, so a rebalance that aborts the
@@ -73,6 +102,10 @@ impl StreamTask {
 
     /// Instantiate with each store fronted by a write-back record cache of
     /// up to `cache_max_entries` dirty entries (0 = off).
+    ///
+    /// Everything the hot path addresses by name elsewhere is resolved here,
+    /// once: each input's source node, each sink's physical topic, each
+    /// store's physical changelog partition.
     pub fn with_cache(
         topology: &Topology,
         id: TaskId,
@@ -85,28 +118,43 @@ impl StreamTask {
             .ok_or_else(|| StreamsError::InvalidTopology("unknown sub-topology".into()))?;
         let driver = SubTopologyDriver::new(topology, id.subtopology)?;
         let mut env = TaskEnv::new(id.partition);
-        let mut changelog_tps = HashMap::new();
         let mut source_restore_tps = HashMap::new();
         for store_name in &st.stores {
             let (spec, _) = &topology.stores[store_name];
-            env.stores.insert(
-                store_name.clone(),
-                StoreEntry::with_cache(Store::new(spec.kind), spec.clone(), cache_max_entries),
-            );
+            let mut entry =
+                StoreEntry::with_cache(Store::new(spec.kind), spec.clone(), cache_max_entries);
             if spec.changelog {
                 let topic = format!("{app_id}-{}", Topology::changelog_topic(store_name));
-                changelog_tps.insert(store_name.clone(), TopicPartition::new(topic, id.partition));
+                entry.changelog = Some(Arc::new(TopicPartition::new(topic, id.partition)));
             } else if let Some(source) = topology.source_changelogs.get(store_name) {
                 source_restore_tps.insert(
                     store_name.clone(),
                     TopicPartition::new(source.resolve(app_id), id.partition),
                 );
             }
+            env.stores.insert(store_name.clone(), entry);
         }
         let inputs = st
             .source_topics
             .iter()
-            .map(|t| (t.name.clone(), TopicPartition::new(t.resolve(app_id), id.partition)))
+            .map(|t| {
+                let source = driver.source(&t.name).ok_or_else(|| {
+                    StreamsError::InvalidTopology(format!("no source node reads {}", t.name))
+                })?;
+                Ok(Input {
+                    tp: TopicPartition::new(t.resolve(app_id), id.partition),
+                    source,
+                    fetch_position: 0,
+                    processed_position: None,
+                    fetched: VecDeque::new(),
+                    cursor: 0,
+                })
+            })
+            .collect::<Result<Vec<Input>, StreamsError>>()?;
+        let sinks = driver
+            .sink_topics()
+            .iter()
+            .map(|t| Sink { topic: t.resolve(app_id), partitions: Vec::new() })
             .collect();
         Ok(Self {
             id,
@@ -114,13 +162,9 @@ impl StreamTask {
             driver,
             env,
             inputs,
-            fetch_positions: HashMap::new(),
-            processed_positions: HashMap::new(),
-            buffers: HashMap::new(),
-            changelog_tps,
+            sinks,
             restore_from: HashMap::new(),
             source_restore_tps,
-            cache_max_entries,
             dirty: false,
         })
     }
@@ -145,12 +189,11 @@ impl StreamTask {
         stores: BTreeMap<String, StoreEntry>,
         positions: BTreeMap<String, (TopicPartition, i64)>,
     ) {
-        for (name, mut entry) in stores {
-            if self.env.stores.contains_key(&name) {
-                // Standby replicas apply changelogs directly and never cache;
-                // re-arm the cache at this task's configured capacity.
-                entry.cache = crate::state::RecordCache::new(self.cache_max_entries);
-                self.env.stores.insert(name, entry);
+        for (name, warm) in stores {
+            // Only the contents are the standby's: the cache (a standby has
+            // none) and the changelog handle stay this task's own.
+            if let Some(entry) = self.env.stores.get_mut(&name) {
+                entry.store = warm.store;
             }
         }
         for (name, (_tp, pos)) in positions {
@@ -160,7 +203,7 @@ impl StreamTask {
 
     /// The physical input partitions this task consumes.
     pub fn input_partitions(&self) -> Vec<TopicPartition> {
-        self.inputs.iter().map(|(_, tp)| tp.clone()).collect()
+        self.inputs.iter().map(|input| input.tp.clone()).collect()
     }
 
     /// The application id this task belongs to.
@@ -227,7 +270,13 @@ impl StreamTask {
                 caught_up = false;
             }
         }
-        for (store_name, tp) in self.changelog_tps.clone() {
+        let changelogs: Vec<(String, Arc<TopicPartition>)> = self
+            .env
+            .stores
+            .iter()
+            .filter_map(|(name, entry)| Some((name.clone(), entry.changelog.clone()?)))
+            .collect();
+        for (store_name, tp) in changelogs {
             if !cluster.topic_exists(&tp.topic) {
                 continue;
             }
@@ -272,8 +321,10 @@ impl StreamTask {
     /// Set the consume position of an input partition (from the group's
     /// committed offsets, or earliest).
     pub fn set_position(&mut self, tp: &TopicPartition, offset: i64) {
-        self.fetch_positions.insert(tp.clone(), offset);
-        self.processed_positions.insert(tp.clone(), offset);
+        if let Some(input) = self.inputs.iter_mut().find(|input| input.tp == *tp) {
+            input.fetch_position = offset;
+            input.processed_position = Some(offset);
+        }
     }
 
     /// Fetch available records into per-partition buffers, then process up
@@ -288,9 +339,9 @@ impl StreamTask {
         let now_ms = cluster.now_ms();
         // Fetch phase.
         let fetch_span = kobs::child_span!(now_ms, "worker", "fetch", task = self.id.to_string());
-        for (_, tp) in self.inputs.clone() {
-            let pos = *self.fetch_positions.get(&tp).unwrap_or(&0);
-            let fetch = match cluster.fetch(&tp, pos, max_records, isolation) {
+        for input in &mut self.inputs {
+            let pos = input.fetch_position;
+            let fetch = match cluster.fetch(&input.tp, pos, max_records, isolation) {
                 Ok(f) => f,
                 // Transient unavailability (broker failover in progress).
                 Err(kbroker::BrokerError::NoLeader { .. }) => continue,
@@ -302,47 +353,43 @@ impl StreamTask {
                 continue;
             }
             if fetch.next_offset > pos {
-                let buf = self.buffers.entry(tp.clone()).or_default();
-                for (offset, rec) in fetch.records() {
-                    buf.push_back(PendingRecord {
-                        offset,
-                        key: rec.key.clone(),
-                        value: rec.value.clone(),
-                        ts: rec.timestamp,
-                    });
-                }
-                self.fetch_positions.insert(tp.clone(), fetch.next_offset);
-                // Mark skipped trailing markers/aborted data as processed if
-                // no data records were returned for them.
-                if fetch.count() == 0 {
-                    let processed = self.processed_positions.entry(tp.clone()).or_insert(pos);
+                input.fetch_position = fetch.next_offset;
+                if fetch.batches.is_empty() {
+                    // Only markers or aborted data were skipped: count them
+                    // as processed, unless records fetched earlier are still
+                    // waiting to be.
+                    let processed = input.processed_position.get_or_insert(pos);
                     if *processed == pos {
                         *processed = fetch.next_offset;
                     }
+                } else {
+                    input.fetched.extend(fetch.batches);
                 }
             }
         }
         kobs::ktrace::finish_span(fetch_span, cluster.now_ms() * 1000);
         // Process phase: repeatedly pick the buffered head with the smallest
-        // timestamp (§7's deterministic choice).
+        // timestamp (§7's deterministic choice; the first input wins a tie).
         let process_span =
             kobs::child_span!(cluster.now_ms(), "worker", "process", task = self.id.to_string());
         let mut processed = 0;
         while processed < max_records {
             let mut best: Option<(usize, i64)> = None;
-            for (i, (_, tp)) in self.inputs.iter().enumerate() {
-                if let Some(head) = self.buffers.get(tp).and_then(|b| b.front()) {
-                    if best.is_none_or(|(_, ts)| head.ts < ts) {
-                        best = Some((i, head.ts));
+            for (i, input) in self.inputs.iter().enumerate() {
+                if let Some((_, head)) = input.head() {
+                    if best.is_none_or(|(_, ts)| head.timestamp < ts) {
+                        best = Some((i, head.timestamp));
                     }
                 }
             }
             let Some((input_idx, _)) = best else { break };
-            let (logical, tp) = self.inputs[input_idx].clone();
-            let rec =
-                self.buffers.get_mut(&tp).and_then(VecDeque::pop_front).expect("head existed");
-            self.driver.process(&mut self.env, &logical, rec.key, rec.value, rec.ts)?;
-            self.processed_positions.insert(tp.clone(), rec.offset + 1);
+            let input = &mut self.inputs[input_idx];
+            let (offset, rec) = input.head().expect("head existed");
+            let (offset, key, value, ts) =
+                (*offset, rec.key.clone(), rec.value.clone(), rec.timestamp);
+            input.advance();
+            self.driver.process(&mut self.env, input.source, key, value, ts)?;
+            input.processed_position = Some(offset + 1);
             processed += 1;
         }
         kobs::ktrace::finish_span(process_span, cluster.now_ms() * 1000);
@@ -410,22 +457,37 @@ impl StreamTask {
         std::mem::take(&mut self.env.outputs)
     }
 
-    /// Drain this cycle's changelog appends as `(partition, key, value)`.
-    pub fn take_changelog(&mut self) -> Vec<(TopicPartition, Bytes, Option<Bytes>)> {
+    /// Drain this cycle's changelog appends as `(partition, key, value)`,
+    /// the partition being the writing store's shared handle.
+    pub fn take_changelog(&mut self) -> Vec<(Arc<TopicPartition>, Bytes, Option<Bytes>)> {
         std::mem::take(&mut self.env.changelog)
-            .into_iter()
-            .filter_map(|(store, key, value)| {
-                self.changelog_tps.get(&store).map(|tp| (tp.clone(), key, value))
-            })
-            .collect()
+    }
+
+    /// The partition of sink `sink`'s topic a record with `key` goes to: the
+    /// producer's [`default_partition`] over partition addresses looked up
+    /// once per sink, at its first output.
+    pub(crate) fn sink_partition(
+        &mut self,
+        cluster: &Cluster,
+        sink: usize,
+        key: Option<&[u8]>,
+    ) -> Result<&TopicPartition, StreamsError> {
+        let sink = &mut self.sinks[sink];
+        if sink.partitions.is_empty() {
+            sink.partitions = cluster.partitions_of(&sink.topic)?;
+        }
+        let partition = default_partition(key, sink.partitions.len() as u32);
+        Ok(&sink.partitions[partition as usize])
     }
 
     /// Offsets to commit: next unprocessed offset per input partition, in
     /// deterministic partition order.
     pub fn committable_offsets(&self) -> Vec<(TopicPartition, i64)> {
-        let mut offsets: Vec<(TopicPartition, i64)> =
-            // detlint:allow[unordered-iter] collected then sorted below
-            self.processed_positions.iter().map(|(tp, off)| (tp.clone(), *off)).collect();
+        let mut offsets: Vec<(TopicPartition, i64)> = self
+            .inputs
+            .iter()
+            .filter_map(|input| Some((input.tp.clone(), input.processed_position?)))
+            .collect();
         offsets.sort_by(|a, b| a.0.cmp(&b.0));
         offsets
     }
@@ -481,13 +543,14 @@ impl StreamTask {
     pub fn spill_stores(&self, state_dir: &Path, cluster: &Cluster) -> Result<(), StreamsError> {
         let task_id = self.id.to_string();
         for (store_name, entry) in &self.env.stores {
-            let watermark = if let Some(tp) = self.changelog_tps.get(store_name) {
+            let watermark = if let Some(tp) = &entry.changelog {
                 if !cluster.topic_exists(&tp.topic) {
                     continue;
                 }
                 cluster.latest_offset(tp)?
             } else if let Some(tp) = self.source_restore_tps.get(store_name) {
-                self.processed_positions.get(tp).copied().unwrap_or(0)
+                let input = self.inputs.iter().find(|input| input.tp == *tp);
+                input.and_then(|input| input.processed_position).unwrap_or(0)
             } else {
                 continue; // no changelog: the store is ephemeral by design
             };
@@ -509,9 +572,7 @@ impl StreamTask {
         let task_id = self.id.to_string();
         let mut loaded = 0u64;
         for (store_name, entry) in &mut self.env.stores {
-            if !self.changelog_tps.contains_key(store_name)
-                && !self.source_restore_tps.contains_key(store_name)
-            {
+            if entry.changelog.is_none() && !self.source_restore_tps.contains_key(store_name) {
                 continue;
             }
             let path = spill::spill_path(state_dir, &self.app_id, &task_id, store_name);
@@ -533,5 +594,98 @@ impl StreamTask {
         if loaded > 0 {
             kobs::count("kstreams.spill.stores_loaded", loaded);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dsl::StreamsBuilder;
+    use crate::KSerde;
+    use kbroker::{Producer, ProducerConfig, TopicConfig};
+    use simkit::FaultPlan;
+
+    fn cluster_with(faults: FaultPlan, topics: &[&str]) -> Cluster {
+        let cluster = Cluster::builder().brokers(1).replication(1).faults(faults).build();
+        for topic in topics {
+            cluster.create_topic(topic, TopicConfig::new(1)).unwrap();
+        }
+        cluster
+    }
+
+    /// Produce one record per timestamp to `topic`, valued `<topic><ts>`, in
+    /// batches of two.
+    fn produce(cluster: &Cluster, topic: &str, timestamps: &[i64]) {
+        let mut producer =
+            Producer::new(cluster.clone(), ProducerConfig::default().with_batch_size(2));
+        for ts in timestamps {
+            let value = format!("{topic}{ts}").to_bytes();
+            producer.send(topic, "k".to_string().to_bytes(), value, *ts).unwrap();
+        }
+        producer.flush().unwrap();
+    }
+
+    fn output_values(task: &mut StreamTask) -> Vec<String> {
+        task.take_outputs()
+            .into_iter()
+            .map(|out| String::from_bytes(&out.value.unwrap()).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn two_inputs_merge_in_timestamp_order_across_batches_and_polls() {
+        let cluster = cluster_with(FaultPlan::none(), &["a", "b", "out"]);
+        let (a, b): (&[i64], &[i64]) = (&[1, 4, 5, 9, 9], &[2, 3, 5, 8, 9, 10]);
+        produce(&cluster, "a", a);
+        produce(&cluster, "b", b);
+        let builder = StreamsBuilder::new();
+        let left = builder.stream::<String, String>("a");
+        left.merge(&builder.stream::<String, String>("b")).to("out");
+        let topology = builder.build().unwrap();
+        let mut task = StreamTask::new(&topology, TaskId { subtopology: 0, partition: 0 }, "app")
+            .expect("one sub-topology with two sources");
+        assert_eq!(task.input_partitions().len(), 2);
+
+        // Three records per fetch and per poll against batches of two: every
+        // poll resumes inside a fetched batch, and every second fetch is cut.
+        let mut merged = Vec::new();
+        while task.poll_and_process(&cluster, 3, IsolationLevel::ReadUncommitted).unwrap() > 0 {
+            merged.extend(output_values(&mut task));
+        }
+        // Smallest head timestamp first; the first input wins a tie.
+        let expected = ["a1", "b2", "b3", "a4", "a5", "b5", "b8", "a9", "a9", "b9", "b10"];
+        assert_eq!(merged, expected);
+        assert_eq!(
+            task.committable_offsets(),
+            vec![(TopicPartition::new("a", 0), 5), (TopicPartition::new("b", 0), 6)]
+        );
+    }
+
+    #[test]
+    fn lost_fetch_response_refetches_the_identical_range() {
+        let faults =
+            FaultPlan::none().script(FaultPoint::FetchResponseLost, 1, FaultDecision::DropAck);
+        let cluster = cluster_with(faults.clone(), &["a", "out"]);
+        produce(&cluster, "a", &[1, 2, 3, 4, 5]);
+        let builder = StreamsBuilder::new();
+        builder.stream::<String, String>("a").to("out");
+        let topology = builder.build().unwrap();
+        let mut task =
+            StreamTask::new(&topology, TaskId { subtopology: 0, partition: 0 }, "app").unwrap();
+        let input = TopicPartition::new("a", 0);
+        task.set_position(&input, 0);
+
+        let isolation = IsolationLevel::ReadUncommitted;
+        assert_eq!(task.poll_and_process(&cluster, 100, isolation).unwrap(), 0);
+        assert!(output_values(&mut task).is_empty(), "the lost response delivered nothing");
+        assert_eq!(task.committable_offsets(), vec![(input.clone(), 0)], "and moved nothing");
+        assert!(!task.is_dirty());
+
+        assert_eq!(task.poll_and_process(&cluster, 100, isolation).unwrap(), 5);
+        assert_eq!(output_values(&mut task), ["a1", "a2", "a3", "a4", "a5"]);
+        assert_eq!(task.committable_offsets(), vec![(input, 5)]);
+        assert_eq!(task.poll_and_process(&cluster, 100, isolation).unwrap(), 0, "exactly once");
+        assert_eq!(faults.observed(FaultPoint::FetchResponseLost), 3);
+        assert_eq!(faults.injected(FaultPoint::FetchResponseLost), 1);
     }
 }

@@ -141,11 +141,12 @@ fn run_cached_pipeline(events: &[(u8, i64)], commit_every: usize, cache: usize) 
             cache,
         ),
     );
+    let source = driver.source("in").unwrap();
     for (i, (k, ts)) in events.iter().enumerate() {
         driver
             .process(
                 &mut env,
-                "in",
+                source,
                 Some(Bytes::from(vec![*k])),
                 Some(Bytes::from_static(b"v")),
                 *ts,

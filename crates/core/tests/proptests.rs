@@ -101,8 +101,8 @@ proptest! {
         }
         // Replay the captured changelog into a fresh store.
         let mut restored = Store::new(StoreKind::Window);
-        for (store, key, value) in &env.changelog {
-            prop_assert_eq!(store.as_str(), "w");
+        for (changelog, key, value) in &env.changelog {
+            prop_assert_eq!(changelog.topic.as_str(), "w-changelog");
             restored.apply_changelog(key, value.clone());
         }
         let Store::Window(original) = &env.stores.get("w").unwrap().store else { unreachable!() };

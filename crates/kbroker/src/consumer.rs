@@ -15,6 +15,7 @@ use bytes::Bytes;
 use klog::{IsolationLevel, Offset};
 use simkit::{FaultDecision, FaultPoint};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Upper bound on injected-fault retries for one `commit_sync` call; the
 /// fault plans used in tests cap scripted/probabilistic losses well below
@@ -64,7 +65,8 @@ impl ConsumerConfig {
 /// One record as delivered to the application.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConsumerRecord {
-    pub topic: String,
+    /// Shared by every record one fetch delivered.
+    pub topic: Arc<str>,
     pub partition: u32,
     pub offset: Offset,
     pub key: Option<Bytes>,
@@ -194,16 +196,16 @@ impl Consumer {
             if out.len() >= budget {
                 break;
             }
-            let tp = self.assignment[(self.next_partition + i) % nparts].clone();
-            let pos = *self.positions.get(&tp).unwrap_or(&0);
-            let fetch =
-                match self.cluster.fetch(&tp, pos, budget - out.len(), self.config.isolation) {
-                    Ok(f) => f,
-                    // The partition may be momentarily leaderless during a
-                    // broker failure; skip and retry next poll.
-                    Err(BrokerError::NoLeader { .. }) => continue,
-                    Err(e) => return Err(e),
-                };
+            let tp = &self.assignment[(self.next_partition + i) % nparts];
+            let pos = *self.positions.get(tp).unwrap_or(&0);
+            let fetch = match self.cluster.fetch(tp, pos, budget - out.len(), self.config.isolation)
+            {
+                Ok(f) => f,
+                // The partition may be momentarily leaderless during a
+                // broker failure; skip and retry next poll.
+                Err(BrokerError::NoLeader { .. }) => continue,
+                Err(e) => return Err(e),
+            };
             // A lost fetch request or a lost fetch response look identical
             // from the client: no data arrives and the position stays put,
             // so the next poll re-fetches the same range (fetches are
@@ -212,9 +214,10 @@ impl Consumer {
             {
                 continue;
             }
+            let topic: Arc<str> = Arc::from(tp.topic.as_str());
             for (offset, rec) in fetch.records() {
                 out.push(ConsumerRecord {
-                    topic: tp.topic.clone(),
+                    topic: topic.clone(),
                     partition: tp.partition,
                     offset,
                     key: rec.key.clone(),
@@ -222,7 +225,12 @@ impl Consumer {
                     timestamp: rec.timestamp,
                 });
             }
-            self.positions.insert(tp, fetch.next_offset);
+            match self.positions.get_mut(tp) {
+                Some(position) => *position = fetch.next_offset,
+                None => {
+                    self.positions.insert(tp.clone(), fetch.next_offset);
+                }
+            }
         }
         self.next_partition = (self.next_partition + 1) % nparts;
         Ok(out)

@@ -532,7 +532,6 @@ impl Cluster {
                 key: Some(encode_offset_key(group, tp)),
                 value: Some(Bytes::from(off.to_string())),
                 timestamp: ts,
-                headers: Vec::new(),
             })
             .collect()
     }

@@ -10,12 +10,13 @@
 
 use crate::cluster::Cluster;
 use crate::error::BrokerError;
-use crate::topic::{partition_for_key, TopicPartition};
+use crate::topic::{default_partition, TopicPartition};
 use bytes::Bytes;
 use klog::batch::BatchMeta;
 use klog::{Offset, Record, NO_SEQUENCE};
 use simkit::{FaultDecision, FaultPoint};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Producer configuration.
 #[derive(Debug, Clone)]
@@ -99,6 +100,10 @@ pub struct Producer {
     buffers: HashMap<TopicPartition, Vec<Record>>,
     /// Partitions registered with the current transaction.
     registered: HashSet<TopicPartition>,
+    /// Each topic's partition addresses, built at the first `send` to it.
+    /// Topics are create-only with a fixed partition count, so an entry
+    /// never goes stale.
+    topic_partitions: HashMap<String, Arc<[TopicPartition]>>,
     in_transaction: bool,
     txn_inited: bool,
     stats: ProducerStats,
@@ -119,6 +124,7 @@ impl Producer {
             sequences: HashMap::new(),
             buffers: HashMap::new(),
             registered: HashSet::new(),
+            topic_partitions: HashMap::new(),
             in_transaction: false,
             txn_inited: false,
             stats: ProducerStats::default(),
@@ -183,8 +189,7 @@ impl Producer {
         self.config.transactional_id.is_some()
     }
 
-    /// Send a record to a topic, partitioned by key hash (round-robin is not
-    /// needed — all workloads in this reproduction are keyed).
+    /// Send a record to a topic, partitioned by [`default_partition`].
     pub fn send(
         &mut self,
         topic: &str,
@@ -193,15 +198,21 @@ impl Producer {
         timestamp: i64,
     ) -> Result<(), BrokerError> {
         let key = key.into();
-        let nparts = self.cluster.partition_count(topic)?;
-        let partition = match &key {
-            Some(k) => partition_for_key(k, nparts),
-            None => 0,
-        };
+        let partitions = self.partitions_of(topic)?;
+        let partition = default_partition(key.as_deref(), partitions.len() as u32);
         self.send_to_partition(
-            &TopicPartition::new(topic, partition),
-            Record { key, value: value.into(), timestamp, headers: Vec::new() },
+            &partitions[partition as usize],
+            Record { key, value: value.into(), timestamp },
         )
+    }
+
+    fn partitions_of(&mut self, topic: &str) -> Result<Arc<[TopicPartition]>, BrokerError> {
+        if let Some(partitions) = self.topic_partitions.get(topic) {
+            return Ok(partitions.clone());
+        }
+        let partitions: Arc<[TopicPartition]> = self.cluster.partitions_of(topic)?.into();
+        self.topic_partitions.insert(topic.to_string(), partitions.clone());
+        Ok(partitions)
     }
 
     /// Send a pre-built record to an explicit partition.
@@ -216,9 +227,19 @@ impl Producer {
             ));
         }
         self.stats.records_sent += 1;
-        let buf = self.buffers.entry(tp.clone()).or_default();
-        buf.push(record);
-        if buf.len() >= self.config.batch_size {
+        // The partition's buffer is found by reference; only the first
+        // record ever sent to a partition pays for an owned key.
+        let buffered = match self.buffers.get_mut(tp) {
+            Some(buf) => {
+                buf.push(record);
+                buf.len()
+            }
+            None => {
+                self.buffers.insert(tp.clone(), vec![record]);
+                1
+            }
+        };
+        if buffered >= self.config.batch_size {
             self.flush_partition(tp)?;
         }
         Ok(())
@@ -240,14 +261,19 @@ impl Producer {
 
     fn flush_partition(&mut self, tp: &TopicPartition) -> Result<(), BrokerError> {
         let records = match self.buffers.get_mut(tp) {
-            Some(b) if !b.is_empty() => std::mem::take(b),
+            // The next batch's buffer is sized like this one, so a
+            // partition in a steady state grows its buffer once per batch.
+            Some(b) if !b.is_empty() => {
+                let next = Vec::with_capacity(b.len());
+                std::mem::replace(b, next)
+            }
             _ => return Ok(()),
         };
         if self.is_transactional() && !self.registered.contains(tp) {
             self.add_partition_with_retries(tp)?;
         }
         let base_seq = if self.config.idempotent || self.is_transactional() {
-            *self.sequences.entry(tp.clone()).or_insert(0)
+            self.sequences.get(tp).copied().unwrap_or(0)
         } else {
             NO_SEQUENCE
         };
@@ -261,7 +287,12 @@ impl Producer {
         let n = records.len() as i64;
         let outcome = self.send_with_retries(tp, meta, records)?;
         if base_seq != NO_SEQUENCE {
-            self.sequences.insert(tp.clone(), base_seq + n);
+            match self.sequences.get_mut(tp) {
+                Some(next) => *next = base_seq + n,
+                None => {
+                    self.sequences.insert(tp.clone(), base_seq + n);
+                }
+            }
         }
         if outcome.duplicate {
             self.stats.duplicates_acked += 1;
@@ -320,7 +351,6 @@ impl Producer {
         meta: BatchMeta,
         records: Vec<Record>,
     ) -> Result<klog::AppendOutcome, BrokerError> {
-        let mut last_outcome: Option<klog::AppendOutcome> = None;
         for attempt in 0..=self.config.max_retries {
             if attempt > 0 {
                 self.stats.retries += 1;
@@ -337,22 +367,23 @@ impl Producer {
                 FaultDecision::DropRequest => {} // never reached broker
                 FaultDecision::DropAck => {
                     // The broker applies the append but the client never
-                    // learns — it must retry the identical batch.
-                    let outcome = self.cluster.produce(tp, meta.clone(), records.clone())?;
-                    last_outcome = Some(outcome);
+                    // learns — it must retry the identical batch, so this
+                    // is the one attempt that sends a copy and keeps the
+                    // original.
+                    self.cluster.produce(tp, meta.clone(), records.clone())?;
                 }
                 FaultDecision::Deliver => {
+                    // The batch moves into the attempt that is acknowledged.
                     // A retry of an earlier DropAck attempt is flagged as a
                     // duplicate only when idempotence is on; without it the
                     // broker really re-appended.
-                    return self.cluster.produce(tp, meta.clone(), records.clone());
+                    return self.cluster.produce(tp, meta, records);
                 }
             }
         }
         // If an append actually landed but every ack was dropped, the data
         // is in the log while the client sees an error — the fundamental
         // ambiguity of §2.1.
-        let _ = last_outcome;
         Err(BrokerError::RetriesExhausted { topic: tp.topic.clone(), partition: tp.partition })
     }
 

@@ -116,11 +116,12 @@ impl ReplicaSet {
         self.replicas.iter().map(|(b, _)| *b).collect()
     }
 
+    fn no_leader(&self) -> BrokerError {
+        BrokerError::NoLeader { topic: self.tp.topic.clone(), partition: self.tp.partition }
+    }
+
     fn leader_log_mut(&mut self) -> Result<&mut PartitionLog, BrokerError> {
-        let leader = self.leader.ok_or(BrokerError::NoLeader {
-            topic: self.tp.topic.clone(),
-            partition: self.tp.partition,
-        })?;
+        let leader = self.leader.ok_or_else(|| self.no_leader())?;
         Ok(self
             .replicas
             .iter_mut()
@@ -131,10 +132,7 @@ impl ReplicaSet {
 
     /// Leader log, read-only.
     pub fn leader_log(&self) -> Result<&PartitionLog, BrokerError> {
-        let leader = self.leader.ok_or(BrokerError::NoLeader {
-            topic: self.tp.topic.clone(),
-            partition: self.tp.partition,
-        })?;
+        let leader = self.leader.ok_or_else(|| self.no_leader())?;
         Ok(self
             .replicas
             .iter()
@@ -149,13 +147,9 @@ impl ReplicaSet {
         meta: BatchMeta,
         records: Vec<Record>,
     ) -> Result<AppendOutcome, BrokerError> {
-        let outcome = self.leader_log_mut()?.append(meta.clone(), records.clone())?;
+        let outcome = self.leader_log_mut()?.append(meta, records)?;
         if !outcome.duplicate {
-            self.replicate(|log| {
-                // Followers replay the leader's append verbatim; errors
-                // cannot occur because follower logs mirror the leader.
-                log.append(meta.clone(), records.clone()).expect("follower replay");
-            });
+            self.replicate_last_batch()?;
         }
         self.advance_watermarks();
         Ok(outcome)
@@ -170,21 +164,33 @@ impl ReplicaSet {
         timestamp: i64,
     ) -> Result<Offset, BrokerError> {
         let off = self.leader_log_mut()?.append_control(producer_id, epoch, ctl, timestamp)?;
-        self.replicate(|log| {
-            log.append_control(producer_id, epoch, ctl, timestamp).expect("follower replay");
-        });
+        self.replicate_last_batch()?;
         self.advance_watermarks();
         Ok(off)
     }
 
-    fn replicate(&mut self, mut f: impl FnMut(&mut PartitionLog)) {
-        let leader = self.leader.expect("checked by caller");
-        let isr = self.isr.clone();
+    /// Hand the batch the leader just stored to every in-sync follower. The
+    /// followers install the leader's batch itself — one allocation shared
+    /// by all replicas — instead of appending copies of its records: the
+    /// leader already decided the append (dedup, fencing, offsets), and an
+    /// install at the follower's log end moves its producer and transaction
+    /// state exactly as the leader's moved.
+    ///
+    /// A follower that cannot take the batch (its log end is not where the
+    /// leader's was) fails the append with a typed error; the other
+    /// followers still receive the batch, so the replicas that are in sync
+    /// stay identical, and the high watermark does not pass the batch.
+    fn replicate_last_batch(&mut self) -> Result<(), BrokerError> {
+        let Some(batch) = self.leader_log()?.last_batch().cloned() else { return Ok(()) };
+        let mut first_error = None;
         for (b, log) in &mut self.replicas {
-            if *b != leader && isr.contains(b) {
-                f(log);
+            if Some(*b) != self.leader && self.isr.contains(b) {
+                if let Err(e) = log.install_batch(batch.clone()) {
+                    first_error.get_or_insert(e);
+                }
             }
         }
+        first_error.map_or(Ok(()), |e| Err(e.into()))
     }
 
     /// Advance the high watermark to the minimum log-end offset across the
@@ -390,6 +396,7 @@ impl ReplicaSet {
 mod tests {
     use super::*;
     use klog::batch::BatchMeta;
+    use std::sync::Arc;
 
     fn tp() -> TopicPartition {
         TopicPartition::new("t", 0)
@@ -492,6 +499,90 @@ mod tests {
         assert_eq!(rs.leader_log().unwrap().high_watermark(), 3);
     }
 
+    fn log_mut(rs: &mut ReplicaSet, broker: usize) -> &mut PartitionLog {
+        &mut rs.replicas.iter_mut().find(|(b, _)| *b == broker).unwrap().1
+    }
+
+    fn contents(log: &PartitionLog) -> Vec<(Offset, Record)> {
+        let f = log.fetch(log.log_start(), usize::MAX, IsolationLevel::ReadUncommitted).unwrap();
+        f.records().map(|(o, r)| (o, r.clone())).collect()
+    }
+
+    #[test]
+    fn every_isr_replica_holds_the_leaders_allocation() {
+        let mut rs = ReplicaSet::new(tp(), vec![0, 1, 2]);
+        rs.append(BatchMeta::transactional(9, 0, 0), recs(3)).unwrap();
+        rs.append_control(9, 0, ControlType::Commit, 5).unwrap();
+        rs.on_broker_down(2, 0);
+        rs.append(BatchMeta::plain(), recs(2)).unwrap(); // broker 2 misses this one
+        let leader: Vec<StoredBatch> = rs.leader_log().unwrap().batches().cloned().collect();
+        assert_eq!(leader.len(), 3, "data, marker, data");
+        for (b, log) in &rs.replicas {
+            let held = if *b == 2 { 2 } else { 3 };
+            assert_eq!(log.batches().count(), held);
+            for (mine, leaders) in log.batches().zip(&leader) {
+                assert!(
+                    Arc::ptr_eq(&mine.entries, &leaders.entries),
+                    "broker {b} copied the batch at offset {}",
+                    mine.base_offset()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn maintenance_on_one_replica_never_shows_through_the_shared_batches() {
+        let mut rs = ReplicaSet::new(tp(), vec![0, 1, 2]);
+        for _ in 0..3 {
+            // `recs` repeats one key, so compaction has records to remove.
+            rs.append(BatchMeta::plain(), recs(4)).unwrap();
+        }
+        let before = contents(rs.leader_log().unwrap());
+        assert_eq!(before.len(), 12);
+        let others_unchanged = |rs: &ReplicaSet, what: &str| {
+            for (b, log) in &rs.replicas {
+                if *b != 1 {
+                    assert_eq!(contents(log), before, "broker {b} changed after {what}");
+                }
+            }
+        };
+        klog::compaction::compact(
+            log_mut(&mut rs, 1),
+            klog::compaction::CompactionOptions::default(),
+        );
+        assert_eq!(contents(log_mut(&mut rs, 1)).len(), 1, "one key survives compaction");
+        others_unchanged(&rs, "compacting broker 1");
+
+        log_mut(&mut rs, 1).truncate_suffix(0);
+        assert!(contents(log_mut(&mut rs, 1)).is_empty());
+        others_unchanged(&rs, "truncating broker 1");
+
+        rs.on_broker_down(1, 0);
+        rs.on_broker_up(1, 0);
+        assert_eq!(contents(log_mut(&mut rs, 1)), before, "restore re-clones the leader");
+        others_unchanged(&rs, "killing and restoring broker 1");
+    }
+
+    #[test]
+    fn diverged_follower_fails_the_append_with_an_error_not_a_panic() {
+        let mut rs = ReplicaSet::new(tp(), vec![0, 1, 2]);
+        rs.append(BatchMeta::idempotent(7, 0, 0), recs(3)).unwrap();
+        // Behind the leader's back, broker 1 loses its log: the leader's
+        // next batch no longer starts at that follower's log end.
+        log_mut(&mut rs, 1).truncate_suffix(0);
+        let err = rs.append(BatchMeta::idempotent(7, 0, 3), recs(2)).unwrap_err();
+        assert!(matches!(err, BrokerError::Log(klog::LogError::CorruptBatch(_))), "{err:?}");
+        let err = rs.append_control(7, 0, ControlType::Commit, 0).unwrap_err();
+        assert!(matches!(err, BrokerError::Log(klog::LogError::CorruptBatch(_))), "{err:?}");
+        // The healthy follower still took both batches: it and the leader
+        // stay identical, and neither batch passed the high watermark.
+        let log_of = |broker| &rs.replicas.iter().find(|(b, _)| *b == broker).unwrap().1;
+        assert_eq!(log_of(0).log_end(), 6);
+        assert!(log_of(0).batches().eq(log_of(2).batches()));
+        assert_eq!(log_of(0).high_watermark(), 3);
+        assert_eq!(log_of(1).log_end(), 0, "the diverged follower was not written to");
+    }
+
     mod disk {
         use super::*;
         use klog::StorageMode;
@@ -525,6 +616,34 @@ mod tests {
             rs.on_broker_down(0, 0);
             assert_eq!(rs.leader(), Some(1));
             assert_eq!(rs.fetch(0, 100, IsolationLevel::ReadUncommitted).unwrap().count(), 6);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+
+        #[test]
+        fn every_replica_writes_the_frames_of_the_leaders_batches() {
+            use klog::storage::format::{encode_batch, frame};
+            let dir = root();
+            let mut rs = disk_rs(&dir, vec![0, 1, 2]);
+            rs.append(BatchMeta::transactional(5, 0, 0), recs(4)).unwrap();
+            rs.append_control(5, 0, ControlType::Abort, 9).unwrap();
+            rs.append(BatchMeta::plain(), recs(2)).unwrap();
+            // What a log that appended these records itself writes: each
+            // stored batch as one CRC frame, in offset order.
+            let expected: Vec<u8> =
+                rs.leader_log().unwrap().batches().flat_map(|b| frame(&encode_batch(b))).collect();
+            for broker in 0..3 {
+                let replica_dir = rs.replica_disk_config(broker).unwrap().dir;
+                let mut segments: Vec<PathBuf> = std::fs::read_dir(&replica_dir)
+                    .unwrap()
+                    .map(|e| e.unwrap().path())
+                    .filter(|p| p.extension().is_some_and(|ext| ext == "log"))
+                    .collect();
+                segments.sort();
+                assert!(segments.len() > 1, "roll=3 splits 7 records over several files");
+                let written: Vec<u8> =
+                    segments.iter().flat_map(|p| std::fs::read(p).unwrap()).collect();
+                assert_eq!(written, expected, "broker {broker}'s segment bytes");
+            }
             let _ = std::fs::remove_dir_all(&dir);
         }
 

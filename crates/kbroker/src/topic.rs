@@ -90,6 +90,15 @@ pub fn partition_for_key(key: &[u8], num_partitions: u32) -> u32 {
     (hash % num_partitions as u64) as u32
 }
 
+/// The partition a record goes to when its sender names only the topic:
+/// [`partition_for_key`] of its key, and partition 0 for a keyless record
+/// (round-robin is not needed — all workloads in this reproduction are
+/// keyed). Every sender that resolves partitions itself must use this rule,
+/// or co-partitioned topics stop lining up.
+pub fn default_partition(key: Option<&[u8]>, num_partitions: u32) -> u32 {
+    key.map_or(0, |k| partition_for_key(k, num_partitions))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -96,7 +96,6 @@ impl Cluster {
             key: Some(Bytes::copy_from_slice(tid.as_bytes())),
             value: Some(meta.encode()),
             timestamp: self.now_ms(),
-            headers: Vec::new(),
         };
         self.produce(&self.txn_log_tp(tid), BatchMeta::plain(), vec![rec])?;
         Ok(())

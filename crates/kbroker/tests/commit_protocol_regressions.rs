@@ -33,7 +33,6 @@ fn rec(v: &str) -> Record {
         key: Some(Bytes::from_static(b"k")),
         value: Some(Bytes::copy_from_slice(v.as_bytes())),
         timestamp: 0,
-        headers: Vec::new(),
     }
 }
 

@@ -814,7 +814,7 @@ impl Model {
                 b.meta.transactional.hash(&mut h);
                 (b.meta.control.map(|c| c as u8)).hash(&mut h);
                 b.entries.len().hash(&mut h);
-                for (o, r) in &b.entries {
+                for (o, r) in b.entries.iter() {
                     o.hash(&mut h);
                     r.value.as_deref().unwrap_or_default().hash(&mut h);
                 }

@@ -8,6 +8,7 @@
 
 use crate::record::Record;
 use crate::{Offset, ProducerEpoch, ProducerId, NO_PRODUCER_ID, NO_SEQUENCE, NO_TIMESTAMP};
+use std::sync::Arc;
 
 /// Transaction control-marker type (§4.2.2). Control batches are written by
 /// the transaction coordinator, not by producers, and are invisible to
@@ -104,12 +105,18 @@ impl BatchMeta {
 /// Offsets inside a batch are contiguous at append time, but compaction may
 /// later remove individual records, leaving gaps — Kafka preserves original
 /// offsets through compaction and so do we, hence per-record offsets.
+///
+/// The entries are immutable and reference-counted: the leader log builds
+/// them once at append, and every follower replica, every fetch of the whole
+/// batch and every task buffering it holds the same allocation, so cloning a
+/// stored batch copies no record. Whatever needs different entries — a fetch
+/// cut by its bounds, compaction — builds a new batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoredBatch {
     /// Producer/transaction metadata stamped at append time.
     pub meta: BatchMeta,
     /// `(offset, record)` pairs in strictly increasing offset order.
-    pub entries: Vec<(Offset, Record)>,
+    pub entries: Arc<[(Offset, Record)]>,
 }
 
 impl StoredBatch {
@@ -193,7 +200,7 @@ mod tests {
     fn stored_batch_offsets_and_sequences() {
         let b = StoredBatch {
             meta: BatchMeta::idempotent(1, 0, 5),
-            entries: vec![(100, rec(1)), (101, rec(3)), (102, rec(2))],
+            entries: vec![(100, rec(1)), (101, rec(3)), (102, rec(2))].into(),
         };
         assert_eq!(b.base_offset(), 100);
         assert_eq!(b.last_offset(), 102);
@@ -204,13 +211,13 @@ mod tests {
 
     #[test]
     fn non_idempotent_batch_has_no_sequence() {
-        let b = StoredBatch { meta: BatchMeta::plain(), entries: vec![(0, rec(1))] };
+        let b = StoredBatch { meta: BatchMeta::plain(), entries: vec![(0, rec(1))].into() };
         assert_eq!(b.last_sequence(), NO_SEQUENCE);
     }
 
     #[test]
     fn approximate_size_includes_header() {
-        let b = StoredBatch { meta: BatchMeta::plain(), entries: vec![(0, rec(1))] };
+        let b = StoredBatch { meta: BatchMeta::plain(), entries: vec![(0, rec(1))].into() };
         assert!(b.approximate_size() > rec(1).approximate_size());
     }
 }

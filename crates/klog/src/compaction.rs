@@ -18,9 +18,11 @@
 
 use crate::batch::StoredBatch;
 use crate::log::PartitionLog;
+use crate::record::Record;
 use crate::Offset;
 use bytes::Bytes;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Options controlling one compaction pass.
 #[derive(Debug, Clone, Copy, Default)]
@@ -79,7 +81,7 @@ pub fn compact(log: &mut PartitionLog, opts: CompactionOptions) -> CompactionSta
         if batch.meta.is_control() || is_aborted(batch) {
             continue;
         }
-        for (off, rec) in &batch.entries {
+        for (off, rec) in batch.entries.iter() {
             if *off >= bound {
                 break;
             }
@@ -89,7 +91,9 @@ pub fn compact(log: &mut PartitionLog, opts: CompactionOptions) -> CompactionSta
         }
     }
 
-    // Pass 2: rewrite batches.
+    // Pass 2: rewrite batches. A batch that loses nothing is kept as stored
+    // (still the allocation its replicas and consumers share); one that
+    // loses records is rebuilt from copies of the survivors.
     let mut out: Vec<StoredBatch> = Vec::with_capacity(before.len());
     for batch in before {
         if batch.meta.is_control() {
@@ -97,33 +101,29 @@ pub fn compact(log: &mut PartitionLog, opts: CompactionOptions) -> CompactionSta
             continue;
         }
         let aborted_batch = is_aborted(&batch);
-        let meta = batch.meta.clone();
-        let entries: Vec<(Offset, crate::record::Record)> = batch
-            .entries
-            .into_iter()
-            .filter(|(off, rec)| {
-                if *off >= bound {
-                    return true; // dirty tail untouched
+        let keep = |(off, rec): &(Offset, Record)| {
+            if *off >= bound {
+                return true; // dirty tail untouched
+            }
+            if aborted_batch {
+                return false; // aborted data removed
+            }
+            match &rec.key {
+                None => true, // keyless records kept
+                // Superseded by a later record, or an expired tombstone?
+                Some(key) => {
+                    latest.get(key) == Some(off) && !(rec.is_tombstone() && opts.remove_tombstones)
                 }
-                if aborted_batch {
-                    return false; // aborted data removed
-                }
-                match &rec.key {
-                    None => true, // keyless records kept
-                    Some(key) => {
-                        if latest.get(key) != Some(off) {
-                            return false; // superseded by a later record
-                        }
-                        if rec.is_tombstone() && opts.remove_tombstones {
-                            return false;
-                        }
-                        true
-                    }
-                }
-            })
-            .collect();
+            }
+        };
+        if batch.entries.iter().all(keep) {
+            out.push(batch);
+            continue;
+        }
+        let entries: Arc<[(Offset, Record)]> =
+            batch.entries.iter().filter(|e| keep(e)).cloned().collect();
         if !entries.is_empty() {
-            out.push(StoredBatch { meta, entries });
+            out.push(StoredBatch { meta: batch.meta, entries });
         }
     }
 
@@ -150,7 +150,6 @@ mod tests {
     use super::*;
     use crate::batch::{BatchMeta, ControlType};
     use crate::log::IsolationLevel;
-    use crate::record::Record;
 
     fn kv(key: &str, val: &str, ts: i64) -> Record {
         Record::of_str(key, val, ts)

@@ -23,7 +23,8 @@ use crate::record::Record;
 use crate::segment::SegmentList;
 use crate::storage::format::ProducerSnapshot;
 use crate::storage::{DiskConfig, DiskLog, RecoveredLog};
-use crate::{Offset, ProducerEpoch, ProducerId, NO_SEQUENCE, NO_TIMESTAMP};
+use crate::{Offset, ProducerEpoch, ProducerId, NO_TIMESTAMP};
+use std::sync::Arc;
 
 /// Consumer isolation level (§4.2.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -201,15 +202,6 @@ impl PartitionLog {
     /// suffix replay — otherwise a full §4.1 rescan.
     pub fn from_recovered(rec: RecoveredLog) -> Self {
         let RecoveredLog { disk, batches, log_start, high_watermark, snapshot } = rec;
-        let mut time_index = TimeIndex::new();
-        let mut max_timestamp = NO_TIMESTAMP;
-        for b in &batches {
-            let ts = b.max_timestamp();
-            if ts > max_timestamp {
-                max_timestamp = ts;
-                time_index.maybe_add(ts, b.base_offset());
-            }
-        }
         let next_offset =
             batches.last().map_or(log_start.max(high_watermark), |b| b.last_offset() + 1);
         // Snapshot fast path: seed the producer table and aborted index from
@@ -232,17 +224,21 @@ impl PartitionLog {
             (table, aborted)
         });
         let mut log = Self {
-            segments: SegmentList::from_batches(batches),
+            segments: SegmentList::new(),
             log_start,
             next_offset,
             high_watermark,
             producers: ProducerStateTable::new(),
             aborted: Vec::new(),
-            time_index,
-            max_timestamp,
+            time_index: TimeIndex::new(),
+            max_timestamp: NO_TIMESTAMP,
             auto_advance_hw: true,
             disk: Some(disk),
         };
+        for b in batches {
+            log.index_timestamp(&b);
+            log.segments.append(b);
+        }
         match seeded {
             Some((table, aborted)) => {
                 log.producers = table;
@@ -335,58 +331,12 @@ impl PartitionLog {
         }
 
         let base_offset = self.next_offset;
-        let entries: Vec<(Offset, Record)> =
+        // The batch's one allocation: the producer's records move into it,
+        // and from here on every holder shares it.
+        let entries: Arc<[(Offset, Record)]> =
             records.into_iter().enumerate().map(|(i, r)| (base_offset + i as i64, r)).collect();
         let last_offset = entries.last().expect("non-empty").0;
-        let batch = StoredBatch { meta: meta.clone(), entries };
-        let max_ts = batch.max_timestamp();
-        if max_ts > self.max_timestamp {
-            self.max_timestamp = max_ts;
-            self.time_index.maybe_add(max_ts, base_offset);
-        }
-        // Span only inside a traced lifecycle (a commit cycle's produce or
-        // marker path); harness-side feeder appends stay span-free. The disk
-        // mirror runs *inside* the append span so its `fsync` child nests.
-        let trace = kobs::ktrace::in_span().then(|| {
-            let ts = max_ts.max(0);
-            let h = kobs::child_span!(
-                ts,
-                "klog",
-                "append",
-                records = last_offset - base_offset + 1,
-                base_offset = base_offset,
-            );
-            (h, ts)
-        });
-        let mut rolled = false;
-        if let Some(d) = self.disk.as_mut() {
-            let _in_append = trace.as_ref().map(|(h, _)| kobs::ktrace::enter(*h));
-            rolled = d.append_batch(&batch)?;
-        }
-        self.segments.append(batch);
-        self.next_offset = last_offset + 1;
-        if meta.producer_id >= 0 {
-            self.producers.on_append(
-                meta.producer_id,
-                meta.producer_epoch,
-                meta.base_sequence,
-                base_offset,
-                last_offset,
-                meta.transactional,
-            );
-        }
-        if self.auto_advance_hw {
-            self.high_watermark = self.next_offset;
-        }
-        if rolled {
-            // A finished segment gets a producer-state snapshot, so recovery
-            // can seed the table and replay only the active segment.
-            self.disk_snapshot()?;
-        }
-        self.disk_checkpoint()?;
-        if let Some((h, ts)) = trace {
-            kobs::ktrace::finish_span(h, ts * 1000);
-        }
+        self.store(StoredBatch { meta, entries })?;
         Ok(AppendOutcome { base_offset, last_offset, duplicate: false })
     }
 
@@ -395,6 +345,9 @@ impl PartitionLog {
     ///
     /// Closes the producer's open transaction on this partition; for aborts,
     /// the covered offset range is added to the aborted-transaction index.
+    /// Kafka tolerates markers for transactions with no data on this
+    /// partition (e.g. retried registration), so a missing open transaction
+    /// is not an error.
     pub fn append_control(
         &mut self,
         producer_id: ProducerId,
@@ -412,54 +365,22 @@ impl PartitionLog {
             }
         }
         let marker_offset = self.next_offset;
-        let marker_record = Record { key: None, value: None, timestamp, headers: Vec::new() };
-        let batch = StoredBatch {
+        let marker_record = Record { key: None, value: None, timestamp };
+        self.store(StoredBatch {
             meta: BatchMeta::control(producer_id, epoch, ctl),
-            entries: vec![(marker_offset, marker_record)],
-        };
-        let trace = kobs::ktrace::in_span().then(|| {
-            kobs::child_span!(timestamp, "klog", "append_control", offset = marker_offset)
-        });
-        let mut rolled = false;
-        if let Some(d) = self.disk.as_mut() {
-            let _in_append = trace.as_ref().map(|h| kobs::ktrace::enter(*h));
-            rolled = d.append_batch(&batch)?;
-        }
-        self.segments.append(batch);
-        self.next_offset = marker_offset + 1;
-        // Close the open transaction; Kafka tolerates markers for
-        // transactions with no data on this partition (e.g. retried
-        // registration), so a missing open txn is not an error.
-        self.producers.on_append(
-            producer_id,
-            epoch,
-            NO_SEQUENCE,
-            marker_offset,
-            marker_offset,
-            false,
-        );
-        if let Some(first) = self.producers.end_txn(producer_id) {
-            if ctl == ControlType::Abort {
-                self.aborted.push(AbortedTxn { producer_id, first_offset: first, marker_offset });
-            }
-        }
-        if self.auto_advance_hw {
-            self.high_watermark = self.next_offset;
-        }
-        if rolled {
-            self.disk_snapshot()?;
-        }
-        self.disk_checkpoint()?;
-        if let Some(h) = trace {
-            kobs::ktrace::finish_span(h, timestamp * 1000);
-        }
+            entries: [(marker_offset, marker_record)].into(),
+        })?;
         Ok(marker_offset)
     }
 
-    /// Install a batch verbatim at its original offsets — the follower
-    /// catch-up path after disk recovery (replicating the suffix the replica
-    /// missed while down). The batch must start at the current log end;
-    /// producer/transaction state advances exactly as a live append would.
+    /// Install a batch verbatim at its original offsets: how a follower
+    /// replica takes the batch its leader just stored (sharing the leader's
+    /// allocation), and how a recovered replica catches up on the suffix it
+    /// missed while down. The batch must start at the current log end;
+    /// producer/transaction state advances exactly as it did on the log the
+    /// batch was appended to — the append's sequence and fencing decisions
+    /// were made there and are not made again, only their invariants are
+    /// re-checked.
     pub fn install_batch(&mut self, batch: StoredBatch) -> Result<(), LogError> {
         if batch.is_empty() {
             return Err(LogError::CorruptBatch("empty batch".into()));
@@ -471,14 +392,54 @@ impl PartitionLog {
                 self.next_offset
             )));
         }
-        let mut rolled = false;
-        if let Some(d) = self.disk.as_mut() {
-            rolled = d.append_batch(&batch)?;
+        self.store(batch)
+    }
+
+    /// A data batch's timestamps feed the time index; a control marker
+    /// carries its coordinator's clock, not event time, and does not.
+    fn index_timestamp(&mut self, batch: &StoredBatch) {
+        if batch.meta.is_control() {
+            return;
         }
         let max_ts = batch.max_timestamp();
         if max_ts > self.max_timestamp {
             self.max_timestamp = max_ts;
             self.time_index.maybe_add(max_ts, batch.base_offset());
+        }
+    }
+
+    /// Store a validated batch at the log end: the one path behind
+    /// [`append`](Self::append), [`append_control`](Self::append_control)
+    /// and [`install_batch`](Self::install_batch), so a leader and the
+    /// followers installing its batches go through identical state
+    /// transitions (time index, disk mirror, aborted index, producer table,
+    /// watermark, snapshot and checkpoint).
+    fn store(&mut self, batch: StoredBatch) -> Result<(), LogError> {
+        let (base_offset, last_offset) = (batch.base_offset(), batch.last_offset());
+        self.index_timestamp(&batch);
+        // Span only inside a traced lifecycle (a commit cycle's produce or
+        // marker path); harness-side feeder appends stay span-free. The disk
+        // mirror runs *inside* the span so its `fsync` child nests.
+        let trace = kobs::ktrace::in_span().then(|| {
+            if batch.meta.is_control() {
+                let ts = batch.entries[0].1.timestamp;
+                (kobs::child_span!(ts, "klog", "append_control", offset = base_offset), ts)
+            } else {
+                let ts = batch.max_timestamp().max(0);
+                let h = kobs::child_span!(
+                    ts,
+                    "klog",
+                    "append",
+                    records = last_offset - base_offset + 1,
+                    base_offset = base_offset,
+                );
+                (h, ts)
+            }
+        });
+        let mut rolled = false;
+        if let Some(d) = self.disk.as_mut() {
+            let _in_append = trace.as_ref().map(|(h, _)| kobs::ktrace::enter(*h));
+            rolled = d.append_batch(&batch)?;
         }
         // Maintain the aborted index *before* applying the batch (the apply
         // clears the open-txn marker an abort refers to).
@@ -487,17 +448,26 @@ impl PartitionLog {
                 self.aborted.push(AbortedTxn {
                     producer_id: batch.meta.producer_id,
                     first_offset: first,
-                    marker_offset: batch.base_offset(),
+                    marker_offset: base_offset,
                 });
             }
         }
         self.producers.apply_batch(&batch);
-        self.next_offset = batch.last_offset() + 1;
         self.segments.append(batch);
+        self.next_offset = last_offset + 1;
+        if self.auto_advance_hw {
+            self.high_watermark = self.next_offset;
+        }
         if rolled {
+            // A finished segment gets a producer-state snapshot, so recovery
+            // can seed the table and replay only the active segment.
             self.disk_snapshot()?;
         }
-        self.disk_checkpoint()
+        self.disk_checkpoint()?;
+        if let Some((h, ts)) = trace {
+            kobs::ktrace::finish_span(h, ts * 1000);
+        }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -546,23 +516,30 @@ impl PartitionLog {
                 }
                 continue;
             }
-            let mut entries: Vec<(Offset, Record)> = batch
-                .entries
-                .iter()
-                .filter(|(o, _)| *o >= from && *o < bound)
-                .take(max_records - taken)
-                .cloned()
-                .collect();
-            if entries.is_empty() {
-                continue;
-            }
-            taken += entries.len();
-            let last = entries.last().expect("non-empty").0;
-            next_offset = next_offset.max(last + 1);
-            out.push(StoredBatch {
-                meta: batch.meta.clone(),
-                entries: std::mem::take(&mut entries),
-            });
+            // A batch the fetch covers whole is handed out as stored — the
+            // consumer shares the log's allocation. Only a batch cut by
+            // `from`, the visibility bound or the record budget is copied.
+            let room = max_records - taken;
+            let whole =
+                batch.base_offset() >= from && batch.last_offset() < bound && batch.len() <= room;
+            let delivered = if whole {
+                batch.clone()
+            } else {
+                let entries: Arc<[(Offset, Record)]> = batch
+                    .entries
+                    .iter()
+                    .filter(|(o, _)| *o >= from && *o < bound)
+                    .take(room)
+                    .cloned()
+                    .collect();
+                if entries.is_empty() {
+                    continue;
+                }
+                StoredBatch { meta: batch.meta.clone(), entries }
+            };
+            taken += delivered.len();
+            next_offset = next_offset.max(delivered.last_offset() + 1);
+            out.push(delivered);
         }
         Ok(FetchResult {
             batches: out,
@@ -669,6 +646,12 @@ impl PartitionLog {
     /// Iterate all retained batches in offset order.
     pub fn batches(&self) -> impl Iterator<Item = &StoredBatch> {
         self.segments.iter_from(i64::MIN)
+    }
+
+    /// The batch at the log end — after a successful append, the batch it
+    /// stored, which is what the replication layer hands to followers.
+    pub fn last_batch(&self) -> Option<&StoredBatch> {
+        self.segments.last()
     }
 
     // ------------------------------------------------------------------

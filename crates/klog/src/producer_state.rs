@@ -393,13 +393,16 @@ mod tests {
         let batches = vec![
             StoredBatch {
                 meta: BatchMeta::idempotent(1, 0, 0),
-                entries: vec![(0, rec()), (1, rec())],
+                entries: vec![(0, rec()), (1, rec())].into(),
             },
-            StoredBatch { meta: BatchMeta::transactional(2, 1, 0), entries: vec![(2, rec())] },
-            StoredBatch { meta: BatchMeta::idempotent(1, 0, 2), entries: vec![(3, rec())] },
+            StoredBatch {
+                meta: BatchMeta::transactional(2, 1, 0),
+                entries: vec![(2, rec())].into(),
+            },
+            StoredBatch { meta: BatchMeta::idempotent(1, 0, 2), entries: vec![(3, rec())].into() },
             StoredBatch {
                 meta: BatchMeta::control(2, 1, ControlType::Commit),
-                entries: vec![(4, rec())],
+                entries: vec![(4, rec())].into(),
             },
         ];
         let t = ProducerStateTable::rebuild_from(&batches);
@@ -463,7 +466,8 @@ mod tests {
 
     #[test]
     fn rebuild_ignores_plain_batches() {
-        let batches = vec![StoredBatch { meta: BatchMeta::plain(), entries: vec![(0, rec())] }];
+        let batches =
+            vec![StoredBatch { meta: BatchMeta::plain(), entries: vec![(0, rec())].into() }];
         let t = ProducerStateTable::rebuild_from(&batches);
         assert!(t.is_empty());
     }

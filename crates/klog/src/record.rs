@@ -4,6 +4,11 @@
 //! the producer; the log assigns each a dense offset at append time. Offset
 //! order need not match timestamp order — handling that gap is the paper's
 //! "completeness" problem (§2.2, §5).
+//!
+//! A record is three words of payload handles and nothing else: key and
+//! value are reference-counted [`Bytes`], so cloning a record never copies
+//! payload, and anything the streams layer needs to say about a record (a
+//! revision's old/new pair, for one) travels inside the value.
 
 use bytes::Bytes;
 
@@ -21,19 +26,16 @@ pub struct Record {
     pub value: Option<Bytes>,
     /// Event-time timestamp in milliseconds ([`crate::NO_TIMESTAMP`] if unset).
     pub timestamp: i64,
-    /// Application headers (used by the streams layer to carry revision
-    /// metadata such as `Change<V>` old/new flags).
-    pub headers: Vec<(String, Bytes)>,
 }
 
 impl Record {
-    /// A record with key, value and timestamp and no headers.
+    /// A record with key, value and timestamp.
     pub fn new(
         key: impl Into<Option<Bytes>>,
         value: impl Into<Option<Bytes>>,
         timestamp: i64,
     ) -> Self {
-        Self { key: key.into(), value: value.into(), timestamp, headers: Vec::new() }
+        Self { key: key.into(), value: value.into(), timestamp }
     }
 
     /// Convenience constructor from UTF-8 string slices.
@@ -47,7 +49,7 @@ impl Record {
 
     /// A tombstone (null-value) record for `key`.
     pub fn tombstone(key: Bytes, timestamp: i64) -> Self {
-        Self { key: Some(key), value: None, timestamp, headers: Vec::new() }
+        Self { key: Some(key), value: None, timestamp }
     }
 
     /// Whether this record is a tombstone (null value).
@@ -55,25 +57,13 @@ impl Record {
         self.value.is_none()
     }
 
-    /// Attach a header, builder-style.
-    pub fn with_header(mut self, name: &str, value: Bytes) -> Self {
-        self.headers.push((name.to_string(), value));
-        self
-    }
-
-    /// Look up the first header with `name`.
-    pub fn header(&self, name: &str) -> Option<&Bytes> {
-        self.headers.iter().find(|(n, _)| n == name).map(|(_, v)| v)
-    }
-
     /// Approximate in-memory size in bytes, used by retention policies and
     /// the benchmark harness's I/O accounting.
     pub fn approximate_size(&self) -> usize {
         let key_len = self.key.as_ref().map_or(0, Bytes::len);
         let val_len = self.value.as_ref().map_or(0, Bytes::len);
-        let hdr_len: usize = self.headers.iter().map(|(n, v)| n.len() + v.len()).sum();
         // 8 bytes timestamp + 2 length prefixes.
-        key_len + val_len + hdr_len + 16
+        key_len + val_len + 16
     }
 }
 
@@ -95,15 +85,6 @@ mod tests {
         let r = Record::tombstone(Bytes::from_static(b"k"), 1);
         assert!(r.is_tombstone());
         assert_eq!(r.key.as_deref(), Some(b"k".as_slice()));
-    }
-
-    #[test]
-    fn headers_lookup() {
-        let r = Record::of_str("k", "v", 0)
-            .with_header("change", Bytes::from_static(b"new"))
-            .with_header("other", Bytes::from_static(b"x"));
-        assert_eq!(r.header("change").map(AsRef::as_ref), Some(b"new".as_slice()));
-        assert!(r.header("missing").is_none());
     }
 
     #[test]

@@ -90,7 +90,12 @@ impl SegmentList {
 
     /// Last retained offset.
     pub fn last_offset(&self) -> Option<Offset> {
-        self.segments.iter().rev().find_map(Segment::last_offset)
+        self.last().map(StoredBatch::last_offset)
+    }
+
+    /// Last retained batch.
+    pub fn last(&self) -> Option<&StoredBatch> {
+        self.segments.iter().rev().find_map(|s| s.batches.last())
     }
 
     /// Number of segments (for tests and metrics).

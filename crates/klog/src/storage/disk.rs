@@ -706,7 +706,7 @@ mod tests {
         let mut d = DiskLog::open_clean(cfg.clone()).unwrap();
         let b = StoredBatch {
             meta: BatchMeta::transactional(7, 0, 0),
-            entries: vec![(0, Record::of_str("k", "v", 1))],
+            entries: vec![(0, Record::of_str("k", "v", 1))].into(),
         };
         d.append_batch(&b).unwrap();
         let snap = ProducerSnapshot { snapshot_offset: 1, entries: vec![], aborted: vec![] };
@@ -742,11 +742,11 @@ mod tests {
         let mut d = DiskLog::open_clean(cfg.clone()).unwrap();
         let data = StoredBatch {
             meta: BatchMeta::transactional(3, 0, 0),
-            entries: vec![(0, Record::of_str("k", "v", 1))],
+            entries: vec![(0, Record::of_str("k", "v", 1))].into(),
         };
         let marker = StoredBatch {
             meta: BatchMeta::control(3, 0, ControlType::Abort),
-            entries: vec![(1, Record { key: None, value: None, timestamp: 2, headers: vec![] })],
+            entries: vec![(1, Record { key: None, value: None, timestamp: 2 })].into(),
         };
         d.append_batch(&data).unwrap();
         d.append_batch(&marker).unwrap();

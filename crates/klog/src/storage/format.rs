@@ -141,6 +141,11 @@ impl<'a> Reader<'a> {
 const FLAG_TRANSACTIONAL: u8 = 1 << 0;
 const FLAG_CONTROL: u8 = 1 << 1;
 const FLAG_ABORT: u8 = 1 << 2;
+/// Every record frame ends in a 16-bit count that is always zero: the slot
+/// of a per-record extension the format once had. Writing it keeps the
+/// frame layout stable; a frame that claims anything else there is not one
+/// this log wrote, so it is rejected rather than decoded with data dropped.
+const NO_RECORD_HEADERS: u16 = 0;
 
 /// Encode one stored batch as a frame payload (no length/CRC framing).
 pub fn encode_batch(batch: &StoredBatch) -> Vec<u8> {
@@ -159,24 +164,19 @@ pub fn encode_batch(batch: &StoredBatch) -> Vec<u8> {
     }
     put_u8(&mut out, flags);
     put_u32(&mut out, u32::try_from(batch.entries.len()).unwrap_or(u32::MAX));
-    for (offset, rec) in &batch.entries {
+    for (offset, rec) in batch.entries.iter() {
         put_i64(&mut out, *offset);
         put_i64(&mut out, rec.timestamp);
         put_opt_bytes(&mut out, rec.key.as_ref());
         put_opt_bytes(&mut out, rec.value.as_ref());
-        put_u16(&mut out, u16::try_from(rec.headers.len()).unwrap_or(u16::MAX));
-        for (name, value) in &rec.headers {
-            put_u16(&mut out, u16::try_from(name.len()).unwrap_or(u16::MAX));
-            out.extend_from_slice(name.as_bytes());
-            put_u32(&mut out, u32::try_from(value.len()).unwrap_or(u32::MAX));
-            out.extend_from_slice(value);
-        }
+        put_u16(&mut out, NO_RECORD_HEADERS);
     }
     out
 }
 
 /// Decode a frame payload back into a stored batch. `None` on any
-/// malformation (bad lengths, trailing garbage, empty batch).
+/// malformation (bad lengths, trailing garbage, empty batch, a record that
+/// claims headers).
 pub fn decode_batch(payload: &[u8]) -> Option<StoredBatch> {
     let mut r = Reader::new(payload);
     let producer_id = r.i64()?;
@@ -205,21 +205,15 @@ pub fn decode_batch(payload: &[u8]) -> Option<StoredBatch> {
         let timestamp = r.i64()?;
         let key = r.opt_bytes()?;
         let value = r.opt_bytes()?;
-        let n_headers = r.u16()? as usize;
-        let mut headers = Vec::with_capacity(n_headers);
-        for _ in 0..n_headers {
-            let name_len = r.u16()? as usize;
-            let name = String::from_utf8(r.take(name_len)?.to_vec()).ok()?;
-            let value_len = r.u32()? as usize;
-            let hval = Bytes::copy_from_slice(r.take(value_len)?);
-            headers.push((name, hval));
+        if r.u16()? != NO_RECORD_HEADERS {
+            return None;
         }
-        entries.push((offset, Record { key, value, timestamp, headers }));
+        entries.push((offset, Record { key, value, timestamp }));
     }
     if !r.done() {
         return None;
     }
-    Some(StoredBatch { meta, entries })
+    Some(StoredBatch { meta, entries: entries.into() })
 }
 
 /// Frame a payload for appending to a segment file:
@@ -400,14 +394,11 @@ mod tests {
         StoredBatch {
             meta: BatchMeta::transactional(7, 2, 5),
             entries: vec![
-                (
-                    10,
-                    Record::of_str("k1", "v1", 100)
-                        .with_header("change", Bytes::from_static(b"new")),
-                ),
+                (10, Record::of_str("k1", "v1", 100)),
                 (11, Record::tombstone(Bytes::from_static(b"k2"), 101)),
                 (12, Record::new(None, Some(Bytes::from_static(b"v3")), 102)),
-            ],
+            ]
+            .into(),
         }
     }
 
@@ -429,7 +420,7 @@ mod tests {
     fn control_batch_round_trips() {
         let b = StoredBatch {
             meta: BatchMeta::control(3, 1, ControlType::Abort),
-            entries: vec![(42, Record { key: None, value: None, timestamp: 9, headers: vec![] })],
+            entries: vec![(42, Record { key: None, value: None, timestamp: 9 })].into(),
         };
         let enc = encode_batch(&b);
         assert_eq!(decode_batch(&enc).expect("decodes"), b);
@@ -443,6 +434,20 @@ mod tests {
         let mut garbage = encode_batch(&sample_batch());
         garbage.push(0xFF);
         assert!(decode_batch(&garbage).is_none(), "trailing garbage must not decode");
+    }
+
+    #[test]
+    fn nonzero_record_header_count_is_a_corrupt_frame() {
+        let marker = StoredBatch {
+            meta: BatchMeta::control(3, 1, ControlType::Commit),
+            entries: vec![(42, Record { key: None, value: None, timestamp: 9 })].into(),
+        };
+        let mut enc = encode_batch(&marker);
+        // The single record's trailing count is the payload's last two bytes.
+        let at = enc.len() - 2;
+        assert_eq!(enc[at..], [0, 0]);
+        enc[at] = 1;
+        assert!(decode_batch(&enc).is_none(), "claimed headers must not be dropped silently");
     }
 
     #[test]

@@ -3,9 +3,10 @@
 use bytes::Bytes;
 use klog::batch::{BatchMeta, ControlType};
 use klog::compaction::{compact, CompactionOptions};
-use klog::{IsolationLevel, PartitionLog, Record};
+use klog::{IsolationLevel, Offset, PartitionLog, Record};
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 fn arb_record() -> impl Strategy<Value = Record> {
     ("[a-d]{1,3}", "[a-z]{0,6}", 0i64..10_000).prop_map(|(k, v, ts)| {
@@ -36,7 +37,168 @@ fn materialize(log: &PartitionLog) -> HashMap<Bytes, Option<Bytes>> {
     state
 }
 
+/// One step of the script that builds a log for the fetch property.
+#[derive(Debug, Clone)]
+enum LogOp {
+    Plain(Vec<Record>),
+    Idempotent(Vec<Record>),
+    /// A transactional batch from producer `0..TXN_PRODUCERS`.
+    Txn(usize, Vec<Record>),
+    /// End that producer's open transaction, if it has one.
+    End(usize, bool),
+    /// Compact the stable prefix (leaves offset gaps inside batches).
+    Compact,
+    /// Move the high watermark to this percentage of the log end.
+    AdvanceHw(i64),
+}
+
+const TXN_PRODUCERS: usize = 2;
+
+fn arb_log_op() -> impl Strategy<Value = LogOp> {
+    // Weighted choice: 3 plain / 2 idempotent / 4 txn / 3 end / 1 compact /
+    // 3 watermark moves.
+    (
+        0u8..16,
+        0usize..TXN_PRODUCERS,
+        any::<bool>(),
+        0i64..101,
+        prop::collection::vec(arb_record(), 1..6),
+    )
+        .prop_map(|(w, p, commit, pct, records)| match w {
+            0..=2 => LogOp::Plain(records),
+            3..=4 => LogOp::Idempotent(records),
+            5..=8 => LogOp::Txn(p, records),
+            9..=11 => LogOp::End(p, commit),
+            12 => LogOp::Compact,
+            _ => LogOp::AdvanceHw(pct),
+        })
+}
+
+/// A log under external watermark management, as a replica's is, driven
+/// through `ops`.
+fn build_log(ops: &[LogOp]) -> PartitionLog {
+    let mut log = PartitionLog::new().with_managed_watermark();
+    let mut idempotent_seq = 0i64;
+    let mut txn_seq = [0i64; TXN_PRODUCERS];
+    let mut open = [false; TXN_PRODUCERS];
+    for op in ops {
+        match op {
+            LogOp::Plain(records) => {
+                log.append(BatchMeta::plain(), records.clone()).unwrap();
+            }
+            LogOp::Idempotent(records) => {
+                log.append(BatchMeta::idempotent(50, 0, idempotent_seq), records.clone()).unwrap();
+                idempotent_seq += records.len() as i64;
+            }
+            LogOp::Txn(p, records) => {
+                let meta = BatchMeta::transactional(100 + *p as i64, 0, txn_seq[*p]);
+                log.append(meta, records.clone()).unwrap();
+                txn_seq[*p] += records.len() as i64;
+                open[*p] = true;
+            }
+            LogOp::End(p, commit) => {
+                if std::mem::take(&mut open[*p]) {
+                    let ctl = if *commit { ControlType::Commit } else { ControlType::Abort };
+                    log.append_control(100 + *p as i64, 0, ctl, 0).unwrap();
+                }
+            }
+            LogOp::Compact => {
+                compact(&mut log, CompactionOptions::default());
+            }
+            LogOp::AdvanceHw(pct) => log.advance_high_watermark(log.log_end() * pct / 100),
+        }
+    }
+    log
+}
+
+/// What `fetch` must return, decided one record at a time: the loop `fetch`
+/// ran before whole batches were handed out as stored, kept as the
+/// reference. Returns the `(offset, record)` sequence and the next offset.
+fn reference_fetch(
+    log: &PartitionLog,
+    from: Offset,
+    max_records: usize,
+    isolation: IsolationLevel,
+) -> (Vec<(Offset, Record)>, Offset) {
+    let bound = match isolation {
+        IsolationLevel::ReadUncommitted => log.high_watermark(),
+        IsolationLevel::ReadCommitted => log.high_watermark().min(log.last_stable_offset()),
+    };
+    let mut out: Vec<(Offset, Record)> = Vec::new();
+    let mut next_offset = from;
+    for batch in log.batches().filter(|b| b.last_offset() >= from) {
+        if batch.base_offset() >= bound || out.len() >= max_records {
+            break;
+        }
+        let base = batch.base_offset();
+        let aborted = batch.meta.transactional
+            && !batch.meta.is_control()
+            && log.aborted_txns().iter().any(|a| {
+                a.producer_id == batch.meta.producer_id
+                    && a.first_offset <= base
+                    && base < a.marker_offset
+            });
+        if batch.meta.is_control() || (isolation == IsolationLevel::ReadCommitted && aborted) {
+            if batch.last_offset() < bound {
+                next_offset = next_offset.max(batch.last_offset() + 1);
+            }
+            continue;
+        }
+        let room = max_records - out.len();
+        let visible = batch.entries.iter().filter(|(o, _)| *o >= from && *o < bound).take(room);
+        out.extend(visible.cloned());
+        if let Some((last, _)) = out.last() {
+            next_offset = next_offset.max(last + 1);
+        }
+    }
+    (out, next_offset)
+}
+
 proptest! {
+    /// Over random logs — plain, idempotent and transactional batches,
+    /// commit and abort markers, compaction gaps, a moving high watermark —
+    /// and random fetch bounds, `fetch` returns exactly what a per-record
+    /// filter returns; a batch it covers whole is the stored allocation and
+    /// a batch it cuts is a copy.
+    #[test]
+    fn fetch_matches_per_record_reference(
+        ops in prop::collection::vec(arb_log_op(), 1..40),
+        from_pct in 0i64..101,
+        max_records in 1usize..24,
+        read_committed in any::<bool>(),
+    ) {
+        let log = build_log(&ops);
+        let from = log.log_end() * from_pct / 100;
+        let isolation = if read_committed {
+            IsolationLevel::ReadCommitted
+        } else {
+            IsolationLevel::ReadUncommitted
+        };
+        let got = log.fetch(from, max_records, isolation).unwrap();
+        let (want, want_next) = reference_fetch(&log, from, max_records, isolation);
+        let flat: Vec<(Offset, Record)> = got.records().map(|(o, r)| (o, r.clone())).collect();
+        prop_assert_eq!(flat, want);
+        prop_assert_eq!(got.next_offset, want_next);
+        prop_assert_eq!(got.high_watermark, log.high_watermark());
+        prop_assert_eq!(got.last_stable_offset, log.last_stable_offset());
+        prop_assert_eq!(got.log_start, log.log_start());
+        for fetched in &got.batches {
+            let stored = log
+                .batches()
+                .find(|b| b.base_offset() <= fetched.base_offset()
+                    && fetched.last_offset() <= b.last_offset())
+                .expect("a fetched batch comes from one stored batch");
+            prop_assert_eq!(&fetched.meta, &stored.meta);
+            prop_assert_eq!(
+                Arc::ptr_eq(&fetched.entries, &stored.entries),
+                fetched.len() == stored.len(),
+                "whole batches are shared, cut ones copied: fetched {:?} of stored {:?}",
+                (fetched.base_offset(), fetched.last_offset()),
+                (stored.base_offset(), stored.last_offset())
+            );
+        }
+    }
+
     /// Appends assign dense, strictly increasing offsets, and fetch returns
     /// exactly what was appended, in order.
     #[test]

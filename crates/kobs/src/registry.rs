@@ -79,7 +79,13 @@ impl Registry {
     pub fn gauge_set(&self, name: &str, v: i64) {
         #[cfg(not(feature = "off"))]
         {
-            self.lock().gauges.insert(name.to_string(), v);
+            let mut inner = self.lock();
+            match inner.gauges.get_mut(name) {
+                Some(g) => *g = v,
+                None => {
+                    inner.gauges.insert(name.to_string(), v);
+                }
+            }
         }
     }
 

@@ -619,7 +619,6 @@ impl Engine {
                     key: Some(SENTINEL_KEY.to_string().to_bytes()),
                     value: Some("v".to_string().to_bytes()),
                     timestamp: sentinel_ts,
-                    headers: Vec::new(),
                 },
             );
             if let Err(e) = sent {

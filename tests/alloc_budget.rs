@@ -1,0 +1,160 @@
+//! Allocation-budget ratchet for the produce → replicate → fetch → task hot
+//! path: a gate that needs no quiet host, because it counts heap
+//! allocations instead of timing them.
+//!
+//! The workload is perfbench's `reduce_eos` in miniature — a 3-broker,
+//! replication-3 cluster on a `ManualClock`, `group_by_key().reduce()` over
+//! 4 input and 4 output partitions, exactly-once, `max_poll_records` 1000,
+//! producer batch 64 — with 20 000 preloaded records. A record batch is
+//! allocated once by the producer and once by the leader log and shared from
+//! there on (followers, fetch, task), and the kstreams hot path addresses
+//! topics, partitions and stores through handles resolved at task
+//! construction, so what is left per record is the record's own payload.
+//!
+//! This file is its own integration-test binary with a single test, so the
+//! `#[global_allocator]` below sees nothing but this workload; the count is
+//! taken on the test's own thread and repeats exactly from run to run.
+
+use bytes::Bytes;
+use kbroker::{Cluster, Producer, ProducerConfig, TopicConfig};
+use kstreams::{KSerde, KafkaStreamsApp, StreamsBuilder, StreamsConfig};
+use simkit::ManualClock;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+/// Counts `alloc`/`alloc_zeroed`/`realloc` calls made by a thread that has
+/// switched counting on; everything is forwarded to the system allocator.
+struct CountingAllocator;
+
+thread_local! {
+    // `const` initialiser and no destructor: safe to touch from inside the
+    // allocator.
+    static COUNTED: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn note_allocation() {
+    // `try_with`: the allocator also runs while a thread is being torn down.
+    let _ = COUNTED.try_with(|c| c.set(c.get().map(|n| n + 1)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter touches no allocator state.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_allocation();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_allocation();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_allocation();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Allocations `f` makes on this thread.
+fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    COUNTED.with(|c| c.set(Some(0)));
+    let out = f();
+    let n = COUNTED.with(|c| c.replace(None)).expect("counting was on");
+    (out, n)
+}
+
+const RECORDS: usize = 20_000;
+const KEYS: usize = 4096;
+const PARTITIONS: u32 = 4;
+/// Allocations per input record the drain may make (12.0 before batches were
+/// shared and names resolved per task; 1.40 measured when this budget was
+/// set).
+const DRAIN_BUDGET: f64 = 3.0;
+/// Allocations per record the preload may make, the record's own value
+/// included (3.26 before; 1.04 measured when this budget was set).
+const PRELOAD_BUDGET: f64 = 1.5;
+
+#[test]
+fn hot_path_allocations_stay_within_budget() {
+    let clock = ManualClock::new();
+    let cluster = Cluster::builder().brokers(3).replication(3).clock(clock.shared()).build();
+    cluster.create_topic("in", TopicConfig::new(PARTITIONS)).unwrap();
+    cluster.create_topic("out", TopicConfig::new(PARTITIONS)).unwrap();
+
+    let builder = StreamsBuilder::new();
+    builder
+        .stream::<String, i64>("in")
+        .group_by_key()
+        .reduce("sums", |a, b| a.wrapping_add(*b))
+        .to_stream()
+        .to("out");
+    let topology = Arc::new(builder.build().unwrap());
+    let config = StreamsConfig::new("alloc-budget")
+        .exactly_once()
+        .with_commit_interval_ms(100)
+        .with_max_poll_records(1000)
+        .with_producer_batch_size(64);
+    let mut app = KafkaStreamsApp::new(cluster.clone(), topology, config, "instance-0");
+    app.start().unwrap();
+    // Adopt the assignment before anything is counted.
+    app.step().unwrap();
+
+    // The key table is built up front, as an upstream system that reuses its
+    // keys would: a preloaded record then owns only its value.
+    let keys: Vec<Bytes> = (0..KEYS).map(|k| format!("key-{k:05}").to_bytes()).collect();
+    let mut generator = Producer::new(
+        cluster.clone(),
+        ProducerConfig { idempotent: false, batch_size: 64, ..ProducerConfig::default() },
+    );
+    let ((), preload) = allocations_during(|| {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for i in 0..RECORDS {
+            // A fixed LCG: the same keys in the same order on every run.
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let key = keys[(state >> 33) as usize % KEYS].clone();
+            generator.send("in", key, (i as i64).to_bytes(), i as i64).unwrap();
+        }
+        generator.flush().unwrap();
+    });
+
+    let (processed, drain) = allocations_during(|| {
+        let mut processed = 0;
+        while processed < RECORDS {
+            clock.advance(10);
+            let summary = app.step().unwrap();
+            assert!(summary.processed > 0, "drain stalled at {processed} of {RECORDS}");
+            processed += summary.processed;
+        }
+        app.commit().unwrap();
+        processed
+    });
+    assert_eq!(processed, RECORDS);
+    assert_eq!(app.metrics().records_processed, RECORDS as u64);
+    assert!(klog::checks::take_violations().is_empty());
+
+    let per_record = |n: u64| n as f64 / RECORDS as f64;
+    println!(
+        "allocations per record: preload {:.3} ({preload} total), drain {:.3} ({drain} total)",
+        per_record(preload),
+        per_record(drain),
+    );
+    assert!(
+        per_record(preload) <= PRELOAD_BUDGET,
+        "preload made {:.3} allocations per record, budget {PRELOAD_BUDGET}",
+        per_record(preload)
+    );
+    assert!(
+        per_record(drain) <= DRAIN_BUDGET,
+        "drain made {:.3} allocations per input record, budget {DRAIN_BUDGET}",
+        per_record(drain)
+    );
+}

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full verification gate for the workspace. Run from the repo root.
 #
-#   ./verify.sh          # everything (fmt, clippy, tests, static analysis demo)
+#   ./verify.sh          # everything (fmt, clippy, tests, static analysis demo,
+#                        # model check, perfbench tests and smoke run)
 #   ./verify.sh --quick  # skip the workspace test suite, keep the fast gates
 #
 # Exits non-zero on the first failing gate.
@@ -38,6 +39,14 @@ cargo run -q --release -p kcheck --bin detlint
 if [[ "$QUICK" -eq 0 ]]; then
   step "kcheck --quick (exhaustive model check of the EOS commit protocol)"
   cargo run -q --release -p kcheck --bin kcheck -- --quick
+
+  # perfbench is its own workspace: nothing above compiles it, yet it calls
+  # the crates' public API (Record, FetchResult, StreamTask, Producer).
+  step "perfbench tests"
+  cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
+  step "perfbench/run.sh --quick (every workload once, outputs checked)"
+  perfbench/run.sh --quick
 fi
 
 step "all gates passed"
