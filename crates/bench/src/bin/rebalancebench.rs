@@ -34,7 +34,7 @@
 use bytes::Bytes;
 use kbroker::{Cluster, Producer, ProducerConfig, TopicConfig};
 use kobs::json::{num, obj, str as jstr, Value};
-use kstreams::assignment::{assign_tasks, assign_tasks_sticky};
+use kstreams::assignment::assign_tasks_sticky;
 use kstreams::topology::TaskId;
 use kstreams::{KSerde, KafkaStreamsApp, StreamsBuilder, StreamsConfig};
 use simkit::ManualClock;
@@ -89,7 +89,7 @@ fn scale_cell(n: usize, t: usize) -> ScaleRow {
     let tasks: Vec<TaskId> =
         (0..t).map(|p| TaskId { subtopology: 0, partition: p as u32 }).collect();
     let members: Vec<String> = (0..n).map(|i| format!("i{i:03}")).collect();
-    let base = assign_tasks(&tasks, &members);
+    let base = assign_tasks_sticky(&tasks, &members, &BTreeMap::new());
     check_balance(&base, t);
     let base_owners = owners(&base);
 

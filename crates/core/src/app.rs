@@ -26,7 +26,6 @@ use crate::assignment::{
 use crate::config::{ProcessingGuarantee, StreamsConfig};
 use crate::error::StreamsError;
 use crate::metrics::StreamsMetrics;
-use crate::processor::scheduler;
 use crate::standby::{assign_standbys, StandbyTask};
 use crate::task::StreamTask;
 use crate::topology::{TaskId, Topology};
@@ -84,9 +83,8 @@ pub struct KafkaStreamsApp {
     retired_metrics: StreamsMetrics,
     commits: u64,
     transactions: u64,
-    /// Process cycles run so far — the stream id for the deterministic
-    /// scheduler's per-cycle steal decisions.
-    scheduler_cycles: u64,
+    /// Process cycles run so far (the cycle span's `n`).
+    cycles: u64,
 }
 
 impl KafkaStreamsApp {
@@ -131,7 +129,7 @@ impl KafkaStreamsApp {
             retired_metrics: StreamsMetrics::default(),
             commits: 0,
             transactions: 0,
-            scheduler_cycles: 0,
+            cycles: 0,
         }
     }
 
@@ -577,7 +575,7 @@ impl KafkaStreamsApp {
         }
         self.check_rebalance()?;
         // Root ktrace span: one causal tree per process cycle. Everything
-        // this step triggers — worker slots, the commit phases, the broker
+        // this step triggers — task cycles, the commit phases, the broker
         // txn coordinator, klog appends — parents under it, which is what
         // the critical-path analyzer and the flight recorder consume.
         let cycle_span = kobs::span!(
@@ -585,39 +583,46 @@ impl KafkaStreamsApp {
             "kstreams",
             "cycle",
             instance = self.instance_id.clone(),
-            n = self.scheduler_cycles,
+            n = self.cycles,
         );
         let entered = kobs::ktrace::enter(cycle_span);
-        let result = self.step_inner(cycle_span);
+        let result = self.step_inner();
         drop(entered);
         kobs::ktrace::finish_span(cycle_span, self.cluster.now_ms() * 1000);
         result
     }
 
-    fn step_inner(&mut self, cycle_span: kobs::SpanHandle) -> Result<StepSummary, StreamsError> {
+    fn step_inner(&mut self) -> Result<StepSummary, StreamsError> {
         self.try_finish_restores()?;
         let isolation = self.consume_isolation();
-        // Fetch/process/punctuate run on the scheduler's workers (pure
-        // task-local mutation); every finished task comes back to this
-        // thread to drain its writes into the instance's single EOS-v2
-        // transactional producer — right after its own cycle with one
-        // worker or a seeded schedule, after the join with real threads.
+        // Tasks run one after another in task-id order. A task's cycle
+        // (fetch, process, punctuate) mutates only the task; if it
+        // succeeded, its writes are drained into the instance's single
+        // EOS-v2 producer at once, before the next task runs. A task that
+        // failed is not drained, the others still run and drain, and the
+        // step fails with the first error in task-id order.
         let Self { tasks, producer, txn_open, config, cluster, .. } = self;
-        let outcome = scheduler::run_cycle(
-            config,
-            cycle_span,
-            tasks,
-            cluster,
-            isolation,
-            self.scheduler_cycles,
-            |task| Self::send_task_writes(producer, txn_open, config, cluster, task),
-        )?;
-        self.scheduler_cycles = self.scheduler_cycles.wrapping_add(1);
-        if outcome.steals > 0 {
-            self.retired_metrics.scheduler_steals += outcome.steals;
-            kobs::count("kstreams.scheduler.steals", outcome.steals);
+        let wall_ms = cluster.now_ms();
+        let mut processed = 0;
+        let mut first_error = None;
+        for task in tasks.values_mut() {
+            let cycled = task
+                .run_cycle(cluster, config.max_poll_records, isolation, wall_ms)
+                .and_then(|n| {
+                    Self::send_task_writes(producer, txn_open, config, cluster, task)?;
+                    Ok(n)
+                });
+            match cycled {
+                Ok(n) => processed += n,
+                Err(e) => {
+                    first_error.get_or_insert(e);
+                }
+            }
         }
-        let processed = outcome.processed;
+        if let Some(e) = first_error {
+            return Err(e);
+        }
+        self.cycles += 1;
         // Standby replicas tail their changelogs (pure replay; no output,
         // no commit, no effect on semantics).
         for standby in self.standbys.values_mut() {
@@ -706,7 +711,7 @@ impl KafkaStreamsApp {
     /// Drain one task's buffered sink outputs and changelog appends into the
     /// producer, opening a transaction first if anything is pending. Takes
     /// the instance's fields one by one so it can run while the task map is
-    /// borrowed (the scheduler's `drain` callback).
+    /// borrowed.
     fn send_task_writes(
         producer: &mut Producer,
         txn_open: &mut bool,
@@ -978,6 +983,7 @@ impl KafkaStreamsApp {
 mod tests {
     use super::*;
     use crate::dsl::StreamsBuilder;
+    use crate::topology::{TopicRef, ValueMode};
     use kbroker::TopicConfig;
 
     fn cluster() -> Cluster {
@@ -1031,5 +1037,130 @@ mod tests {
         c.create_topic("in", TopicConfig::new(1)).unwrap();
         let mut app = KafkaStreamsApp::new(c, simple_topology(), StreamsConfig::new("app"), "i0");
         app.close().unwrap();
+    }
+
+    // The task loop's contract: `step_inner` driven over hand-placed tasks.
+
+    const RECORDS_PER_PARTITION: usize = 3;
+
+    fn send(producer: &mut Producer, partition: u32, value: Bytes) {
+        let record =
+            klog::Record { key: Some(Bytes::from_static(b"k")), value: Some(value), timestamp: 0 };
+        producer.send_to_partition(&TopicPartition::new("in", partition), record).unwrap();
+    }
+
+    /// An at-least-once instance of a change-decoding passthrough (`in` →
+    /// `out`) with records in each of `in`'s `partitions` partitions,
+    /// `corrupt`'s ending in one that does not decode. Its `tasks` tasks are
+    /// placed by hand — those beyond `partitions` read a partition that does
+    /// not exist — so `step_inner` needs no group, and the manual clock at 0
+    /// keeps it from committing. With a producer batch size of 1 every
+    /// drained write is on the log at once.
+    fn instance_with_tasks(partitions: u32, tasks: u32, corrupt: Option<u32>) -> KafkaStreamsApp {
+        let clock = simkit::ManualClock::new();
+        let cluster = Cluster::builder().brokers(1).replication(1).clock(clock.shared()).build();
+        cluster.create_topic("in", TopicConfig::new(partitions)).unwrap();
+        let mut producer = Producer::new(cluster.clone(), ProducerConfig::default());
+        let change = crate::kserde::encode_change(&None, &Some(Bytes::from_static(b"v")));
+        for partition in 0..partitions {
+            for _ in 0..RECORDS_PER_PARTITION {
+                send(&mut producer, partition, change.clone());
+            }
+            if corrupt == Some(partition) {
+                send(&mut producer, partition, Bytes::from_static(b"\xff"));
+            }
+        }
+        producer.flush().unwrap();
+        let mut builder = crate::topology::builder::InternalBuilder::new();
+        let source =
+            builder.add_source("s".into(), TopicRef::external("in"), ValueMode::Change).unwrap();
+        builder
+            .add_sink("k".into(), TopicRef::external("out"), ValueMode::Change, &[source])
+            .unwrap();
+        let topology = Arc::new(builder.build().unwrap());
+        let config = StreamsConfig::new("app").with_producer_batch_size(1);
+        let mut app = KafkaStreamsApp::new(cluster, topology.clone(), config, "i0");
+        for partition in 0..tasks {
+            let id = TaskId { subtopology: 0, partition };
+            app.tasks.insert(id, StreamTask::new(&topology, id, "app").unwrap());
+        }
+        app
+    }
+
+    fn buffered_outputs(app: &mut KafkaStreamsApp) -> Vec<usize> {
+        app.tasks.values_mut().map(|task| task.take_outputs().len()).collect()
+    }
+
+    #[test]
+    fn stream_task_is_send() {
+        // An instance moves, tasks and operators included, onto the thread
+        // that runs it: `Processor: Send` carries this, and an operator that
+        // loses its `Send`-ability fails to compile here.
+        fn assert_send<T: Send>() {}
+        assert_send::<StreamTask>();
+    }
+
+    #[test]
+    fn each_task_is_drained_once_and_before_the_next_one_runs() {
+        // Two sub-topologies: task 1_0 reads the repartition topic task 0_0
+        // writes. At-least-once with one-record batches, 1_0 sees in its own
+        // cycle what 0_0's drain sent — only if that drain came first.
+        let clock = simkit::ManualClock::new();
+        let cluster = Cluster::builder().brokers(1).replication(1).clock(clock.shared()).build();
+        cluster.create_topic("in", TopicConfig::new(1)).unwrap();
+        cluster.create_topic("out", TopicConfig::new(1)).unwrap();
+        let mut producer = Producer::new(cluster.clone(), ProducerConfig::default());
+        for _ in 0..RECORDS_PER_PARTITION {
+            send(&mut producer, 0, Bytes::from_static(b"v"));
+        }
+        producer.flush().unwrap();
+        let builder = StreamsBuilder::new();
+        builder
+            .stream::<String, String>("in")
+            .group_by(|k, _v| format!("{k}{k}"))
+            .count("regrouped")
+            .to_stream()
+            .to("out");
+        let topology = Arc::new(builder.build().unwrap());
+        let config = StreamsConfig::new("app").with_producer_batch_size(1);
+        let mut app = KafkaStreamsApp::new(cluster.clone(), topology, config, "i0");
+        app.start().unwrap();
+        assert_eq!(app.step().unwrap().processed, 2 * RECORDS_PER_PARTITION);
+        assert_eq!(cluster.topic_record_count("out").unwrap(), RECORDS_PER_PARTITION);
+        assert_eq!(app.step().unwrap().processed, 0, "nothing runs twice");
+        assert_eq!(cluster.topic_record_count("out").unwrap(), RECORDS_PER_PARTITION);
+    }
+
+    #[test]
+    fn failed_task_is_not_drained_and_first_error_in_id_order_surfaces() {
+        // Task 0_1 fails in its process phase with its well-formed records'
+        // outputs buffered; task 0_4 reads a partition the topic does not
+        // have.
+        let mut app = instance_with_tasks(4, 5, Some(1));
+        app.cluster.create_topic("out", TopicConfig::new(4)).unwrap();
+        let err = app.step_inner().unwrap_err();
+        assert!(matches!(err, StreamsError::Serde(_)), "0_1 precedes 0_4: {err:?}");
+        assert_eq!(
+            app.cluster.topic_record_count("out").unwrap(),
+            3 * RECORDS_PER_PARTITION,
+            "the healthy tasks still ran and drained"
+        );
+        assert_eq!(
+            buffered_outputs(&mut app),
+            [0, RECORDS_PER_PARTITION, 0, 0, 0],
+            "the failed cycle's writes never reached the producer"
+        );
+    }
+
+    #[test]
+    fn drain_error_is_the_steps_error() {
+        // No `out` topic: every cycle succeeds and every drain fails.
+        let mut app = instance_with_tasks(3, 3, None);
+        let err = app.step_inner().unwrap_err();
+        assert!(
+            matches!(&err, StreamsError::Broker(kbroker::BrokerError::UnknownTopic(t)) if t == "out"),
+            "{err:?}"
+        );
+        assert_eq!(buffered_outputs(&mut app), [0; 3], "each task was handed to the drain");
     }
 }

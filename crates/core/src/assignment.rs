@@ -25,15 +25,6 @@
 use crate::topology::TaskId;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Assign `tasks` to `members` with no ownership history: every task is an
-/// orphan placed on the least-loaded member. Equivalent to
-/// [`assign_tasks_sticky`] with an empty `previous` map.
-///
-/// Both inputs are sorted internally, so all instances agree.
-pub fn assign_tasks(tasks: &[TaskId], members: &[String]) -> BTreeMap<String, Vec<TaskId>> {
-    assign_tasks_sticky(tasks, members, &BTreeMap::new())
-}
-
 /// Sticky, balance-bounded assignment: member → tasks.
 ///
 /// Three deterministic phases:
@@ -301,14 +292,15 @@ mod tests {
     #[test]
     fn single_member_gets_all() {
         let tasks = vec![tid(0, 0), tid(0, 1), tid(1, 0)];
-        let a = assign_tasks(&tasks, &["m1".into()]);
+        let a = assign_tasks_sticky(&tasks, &["m1".into()], &BTreeMap::new());
         assert_eq!(a["m1"].len(), 3);
     }
 
     #[test]
     fn balanced_within_one() {
         let tasks: Vec<TaskId> = (0..7).map(|p| tid(0, p)).collect();
-        let a = assign_tasks(&tasks, &["a".into(), "b".into(), "c".into()]);
+        let a =
+            assign_tasks_sticky(&tasks, &["a".into(), "b".into(), "c".into()], &BTreeMap::new());
         let counts: Vec<usize> = a.values().map(Vec::len).collect();
         assert_eq!(counts.iter().sum::<usize>(), 7);
         assert!(counts.iter().max().unwrap() - counts.iter().min().unwrap() <= 1);
@@ -321,13 +313,15 @@ mod tests {
         rev.reverse();
         let m1 = vec!["b".to_string(), "a".to_string()];
         let m2 = vec!["a".to_string(), "b".to_string()];
-        assert_eq!(assign_tasks(&tasks, &m1), assign_tasks(&rev, &m2));
+        let none = BTreeMap::new();
+        assert_eq!(assign_tasks_sticky(&tasks, &m1, &none), assign_tasks_sticky(&rev, &m2, &none));
     }
 
     #[test]
     fn disjoint_and_complete() {
         let tasks: Vec<TaskId> = (0..10).map(|p| tid(0, p)).collect();
-        let a = assign_tasks(&tasks, &["x".into(), "y".into(), "z".into()]);
+        let a =
+            assign_tasks_sticky(&tasks, &["x".into(), "y".into(), "z".into()], &BTreeMap::new());
         let mut all: Vec<TaskId> = a.values().flatten().copied().collect();
         all.sort();
         assert_eq!(all, tasks);
@@ -335,7 +329,7 @@ mod tests {
 
     #[test]
     fn empty_members_yields_empty_map() {
-        let a = assign_tasks(&[tid(0, 0)], &[]);
+        let a = assign_tasks_sticky(&[tid(0, 0)], &[], &BTreeMap::new());
         assert!(a.is_empty());
     }
 
@@ -343,7 +337,7 @@ mod tests {
     fn stable_when_membership_unchanged() {
         let tasks: Vec<TaskId> = (0..6).map(|p| tid(0, p)).collect();
         let members = vec!["a".to_string(), "b".to_string()];
-        let first = assign_tasks(&tasks, &members);
+        let first = assign_tasks_sticky(&tasks, &members, &BTreeMap::new());
         let again = assign_tasks_sticky(&tasks, &members, &first);
         assert_eq!(first, again, "fixpoint: unchanged membership moves nothing");
     }

@@ -47,12 +47,6 @@ pub struct StreamsConfig {
     /// (`Topology::verify_with`); an app refuses to start while a denied
     /// rule fires (see `crate::analyze`).
     pub deny_rules: Vec<crate::analyze::Rule>,
-    /// Workers executing task process cycles (§6.1's scaling knob), never
-    /// more than there are tasks. `1` (the default) runs the tasks inline in
-    /// task-id order; `> 1` adds work stealing (`processor::scheduler`),
-    /// with all producer work still on the instance thread so exactly-once
-    /// is unaffected.
-    pub num_worker_threads: usize,
     /// When set, every successful commit also spills each task's store
     /// contents under `<state_dir>/<app_id>/<task_id>/` together with a
     /// changelog watermark, and task (re)creation loads the spill and
@@ -60,12 +54,6 @@ pub struct StreamsConfig {
     /// that survives full instance crashes. `None` (the default) keeps the
     /// seed behaviour: recovery replays changelogs from the beginning.
     pub state_dir: Option<std::path::PathBuf>,
-    /// When set, a `num_worker_threads > 1` schedule is *virtualized*:
-    /// worker steps are serialized deterministically on the instance thread
-    /// and steal decisions derive from this seed. Used by the simulation
-    /// harness so parallel runs replay byte-identically; `None` (default)
-    /// uses real OS threads.
-    pub scheduler_seed: Option<u64>,
     /// Maximum changelog replay lag (records) at which a warming standby is
     /// reported *warm* and its deferred task transfer may proceed — the
     /// KIP-441-style `acceptable.recovery.lag` analog. Until then the task
@@ -90,9 +78,7 @@ impl StreamsConfig {
             num_standby_replicas: 0,
             cache_max_entries: 0,
             deny_rules: Vec::new(),
-            num_worker_threads: 1,
             state_dir: None,
-            scheduler_seed: None,
             max_warmup_lag: 10_000,
             rebalance_debounce_ms: 0,
         }
@@ -150,14 +136,6 @@ impl StreamsConfig {
         self
     }
 
-    /// Execute task cycles on `n` workers with work stealing (`1` = inline
-    /// in task-id order, the default).
-    pub fn with_num_worker_threads(mut self, n: usize) -> Self {
-        assert!(n > 0);
-        self.num_worker_threads = n;
-        self
-    }
-
     /// Spill store contents to `dir` after every successful commit and
     /// warm-start recovery from those spills (bounded changelog replay).
     pub fn with_state_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
@@ -178,15 +156,6 @@ impl StreamsConfig {
     pub fn with_rebalance_debounce_ms(mut self, ms: i64) -> Self {
         assert!(ms >= 0);
         self.rebalance_debounce_ms = ms;
-        self
-    }
-
-    /// Virtualize the parallel schedule: worker steps are serialized
-    /// deterministically on the instance thread, with steal decisions
-    /// derived from `seed`. A fixed `(seed, num_worker_threads)` pair
-    /// replays byte-identically — the simulation harness's mode.
-    pub fn with_deterministic_scheduler(mut self, seed: u64) -> Self {
-        self.scheduler_seed = Some(seed);
         self
     }
 }

@@ -74,13 +74,6 @@ impl Processor for WindowAggregate {
             if self.windows.is_closed(start, stream_time) {
                 ctx.metrics().late_dropped += 1;
                 kobs::count("kstreams.late_drops", 1);
-                kobs::debug_event!(
-                    stream_time,
-                    "kstreams",
-                    "late_drop",
-                    record_ts = record.ts,
-                    window_start = start,
-                );
                 continue;
             }
             let old = ctx.window_fetch(&self.store, &key, start);
@@ -185,7 +178,6 @@ impl Processor for SessionAggregate {
         if record.ts.saturating_add(self.windows.grace_ms) < stream_time {
             ctx.metrics().late_dropped += 1;
             kobs::count("kstreams.late_drops", 1);
-            kobs::debug_event!(stream_time, "kstreams", "late_drop", record_ts = record.ts);
             return;
         }
         let overlapping = ctx.session_find(&self.store, &key, record.ts, self.windows.gap_ms);

@@ -46,5 +46,4 @@ pub use dsl::{KGroupedStream, KStream, KTable, StreamsBuilder};
 pub use error::StreamsError;
 pub use kserde::KSerde;
 pub use metrics::StreamsMetrics;
-pub use processor::CycleOutcome;
 pub use record::{Change, FlowRecord};

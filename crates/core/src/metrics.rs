@@ -69,9 +69,6 @@ streams_metrics! {
     /// Records appended to store changelog topics (post-cache, so the
     /// dedup ratio is `records_processed / changelog_appends`).
     changelog_appends,
-    /// Task cycles executed by a non-home worker (work-stealing scheduler;
-    /// 0 with one worker).
-    scheduler_steals,
 }
 
 impl StreamsMetrics {
@@ -108,11 +105,10 @@ mod tests {
             ..Default::default()
         };
         let fields: Vec<(&str, u64)> = m.fields().collect();
-        assert_eq!(fields.len(), 16, "field iterator must cover the whole struct");
+        assert_eq!(fields.len(), 15, "field iterator must cover the whole struct");
         assert_eq!(fields[0], ("kstreams.records_processed", 3));
         assert_eq!(fields[10], ("kstreams.standby_records_applied", 9));
         assert_eq!(fields[14], ("kstreams.changelog_appends", 4));
-        assert_eq!(fields[15], ("kstreams.scheduler_steals", 0));
         assert!(fields.iter().all(|(n, _)| n.starts_with("kstreams.")));
     }
 

@@ -8,10 +8,8 @@
 //! into "log append" and lets transactions cover it.
 
 pub mod driver;
-pub mod scheduler;
 
 pub use driver::{SinkOutput, SubTopologyDriver, TaskEnv};
-pub use scheduler::CycleOutcome;
 
 use crate::record::FlowRecord;
 use crate::state::{RecordCache, Store, StoreSpec};
@@ -23,9 +21,9 @@ use std::sync::Arc;
 /// A stream processor: receives one record at a time, may read/write stores
 /// and forward records downstream.
 ///
-/// `Send` is a supertrait: a task (and the operator instances it owns) may
-/// be executed by any worker thread of the scheduler, though never by two at
-/// once — tasks are the unit of scheduling, so no operator needs `Sync`.
+/// `Send` is a supertrait: an instance (and the tasks and operator
+/// instances it owns) moves onto whichever thread runs it, though it is
+/// never run by two at once — so no operator needs `Sync`.
 pub trait Processor: Send {
     /// Process one input record.
     fn process(&mut self, ctx: &mut ProcessorContext<'_>, record: FlowRecord);

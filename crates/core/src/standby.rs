@@ -16,6 +16,7 @@
 use crate::error::StreamsError;
 use crate::processor::StoreEntry;
 use crate::state::Store;
+use crate::task::replay_changelog;
 use crate::topology::{TaskId, Topology};
 use kbroker::{Cluster, IsolationLevel, TopicPartition};
 use std::collections::BTreeMap;
@@ -67,26 +68,11 @@ impl StandbyTask {
             if *pos == 0 {
                 *pos = cluster.earliest_offset(tp)?;
             }
-            loop {
-                let fetch = match cluster.fetch(tp, *pos, 4096, isolation) {
-                    Ok(f) => f,
-                    Err(kbroker::BrokerError::NoLeader { .. }) => break,
-                    Err(e) => return Err(e.into()),
-                };
-                if fetch.count() == 0 && fetch.next_offset == *pos {
-                    break;
-                }
-                for (_, rec) in fetch.records() {
-                    if let Some(key) = &rec.key {
-                        self.stores
-                            .get_mut(store_name)
-                            .expect("store exists")
-                            .store
-                            .apply_changelog(key, rec.value.clone());
-                        applied += 1;
-                    }
-                }
-                *pos = fetch.next_offset;
+            let store = &mut self.stores.get_mut(store_name).expect("store exists").store;
+            match replay_changelog(cluster, tp, pos, None, isolation, store, &mut applied) {
+                // A partition without a leader makes no progress this poll.
+                Ok(()) | Err(kbroker::BrokerError::NoLeader { .. }) => {}
+                Err(e) => return Err(e.into()),
             }
         }
         self.records_applied += applied;
@@ -173,7 +159,7 @@ mod tests {
     }
 
     fn actives_for(tasks: &[TaskId], members: &[String]) -> BTreeMap<String, Vec<TaskId>> {
-        crate::assignment::assign_tasks(tasks, members)
+        crate::assignment::assign_tasks_sticky(tasks, members, &BTreeMap::new())
     }
 
     #[test]

@@ -83,8 +83,9 @@ pub struct StreamTask {
     /// standby replica; default is the changelog's earliest offset).
     restore_from: HashMap<String, i64>,
     /// Stores restored from a *source topic* instead of a changelog (§3.3
-    /// optimization): store → source partition.
-    source_restore_tps: HashMap<String, TopicPartition>,
+    /// optimization): store → source partition. Ordered, as restore walks
+    /// it.
+    source_restore_tps: BTreeMap<String, TopicPartition>,
     /// Whether this task has processed input, produced output, or mutated
     /// state since the last successful commit. A clean task's in-memory
     /// state equals its committed state, so a rebalance that aborts the
@@ -118,7 +119,7 @@ impl StreamTask {
             .ok_or_else(|| StreamsError::InvalidTopology("unknown sub-topology".into()))?;
         let driver = SubTopologyDriver::new(topology, id.subtopology)?;
         let mut env = TaskEnv::new(id.partition);
-        let mut source_restore_tps = HashMap::new();
+        let mut source_restore_tps = BTreeMap::new();
         for store_name in &st.stores {
             let (spec, _) = &topology.stores[store_name];
             let mut entry =
@@ -238,67 +239,35 @@ impl StreamTask {
         let restore_start_ms = cluster.now_ms();
         let replayed_before = self.env.metrics.restore_records;
         let mut caught_up = true;
+        let TaskEnv { stores, metrics, .. } = &mut self.env;
         // Source-as-changelog stores: replay the source prefix we already
         // processed (per committed offsets).
-        for (store_name, tp) in self.source_restore_tps.clone() {
-            let Some(&bound) = committed.get(&tp) else { continue };
+        for (store_name, tp) in &self.source_restore_tps {
+            let Some(&bound) = committed.get(tp) else { continue };
             if !cluster.topic_exists(&tp.topic) {
                 continue;
             }
             // A loaded spill (or warm standby) already reflects the prefix
             // below its watermark; replay only the rest.
-            let warm = self.restore_from.get(&store_name).copied().unwrap_or(0);
-            let mut pos = warm.max(cluster.earliest_offset(&tp)?);
-            while pos < bound {
-                let fetch = cluster.fetch(&tp, pos, 4096, isolation)?;
-                if fetch.count() == 0 && fetch.next_offset == pos {
-                    break;
-                }
-                for (off, rec) in fetch.records() {
-                    if off >= bound {
-                        break;
-                    }
-                    if let Some(key) = &rec.key {
-                        let entry = self.env.stores.get_mut(&store_name).expect("store exists");
-                        entry.store.apply_changelog(key, rec.value.clone());
-                        self.env.metrics.restore_records += 1;
-                    }
-                }
-                pos = fetch.next_offset;
-            }
+            let warm = self.restore_from.get(store_name).copied().unwrap_or(0);
+            let mut pos = warm.max(cluster.earliest_offset(tp)?);
+            let store = &mut stores.get_mut(store_name).expect("store exists").store;
+            let applied = &mut metrics.restore_records;
+            replay_changelog(cluster, tp, &mut pos, Some(bound), isolation, store, applied)?;
             if pos < bound {
                 caught_up = false;
             }
         }
-        let changelogs: Vec<(String, Arc<TopicPartition>)> = self
-            .env
-            .stores
-            .iter()
-            .filter_map(|(name, entry)| Some((name.clone(), entry.changelog.clone()?)))
-            .collect();
-        for (store_name, tp) in changelogs {
+        for (store_name, entry) in stores.iter_mut() {
+            let Some(tp) = entry.changelog.as_deref() else { continue };
             if !cluster.topic_exists(&tp.topic) {
                 continue;
             }
-            let mut pos = match self.restore_from.get(&store_name) {
-                Some(&warm) if warm > 0 => warm.max(cluster.earliest_offset(&tp)?),
-                _ => cluster.earliest_offset(&tp)?,
-            };
-            loop {
-                let fetch = cluster.fetch(&tp, pos, 4096, isolation)?;
-                if fetch.count() == 0 && fetch.next_offset == pos {
-                    break;
-                }
-                for (_, rec) in fetch.records() {
-                    if let Some(key) = &rec.key {
-                        let entry = self.env.stores.get_mut(&store_name).expect("store exists");
-                        entry.store.apply_changelog(key, rec.value.clone());
-                        self.env.metrics.restore_records += 1;
-                    }
-                }
-                pos = fetch.next_offset;
-            }
-            if pos < cluster.latest_offset(&tp)? {
+            let warm = self.restore_from.get(store_name).copied().unwrap_or(0);
+            let mut pos = warm.max(cluster.earliest_offset(tp)?);
+            let applied = &mut metrics.restore_records;
+            replay_changelog(cluster, tp, &mut pos, None, isolation, &mut entry.store, applied)?;
+            if pos < cluster.latest_offset(tp)? {
                 caught_up = false;
             }
         }
@@ -327,6 +296,30 @@ impl StreamTask {
         }
     }
 
+    /// One process cycle — fetch, process up to `max_records`, then run the
+    /// time-driven operators at `wall_ms` — under a `task` span its
+    /// fetch/process/punctuate spans nest in. Returns the number of records
+    /// processed. Task-local mutation only: the writes it buffers are the
+    /// caller's to send.
+    pub(crate) fn run_cycle(
+        &mut self,
+        cluster: &Cluster,
+        max_records: usize,
+        isolation: IsolationLevel,
+        wall_ms: i64,
+    ) -> Result<usize, StreamsError> {
+        let span = kobs::child_span!(wall_ms, "task", "task", task = self.id.to_string());
+        let entered = kobs::ktrace::enter(span);
+        let result = self
+            .poll_and_process(cluster, max_records, isolation)
+            .and_then(|processed| self.punctuate(wall_ms).map(|()| processed));
+        drop(entered);
+        // The virtual clock stands still within a step; one microsecond per
+        // cycle keeps the tasks of a step distinguishable on the timeline.
+        kobs::ktrace::finish_span(span, wall_ms * 1000 + 1);
+        result
+    }
+
     /// Fetch available records into per-partition buffers, then process up
     /// to `max_records` of them in timestamp order across inputs. Returns
     /// the number processed.
@@ -337,8 +330,28 @@ impl StreamTask {
         isolation: IsolationLevel,
     ) -> Result<usize, StreamsError> {
         let now_ms = cluster.now_ms();
-        // Fetch phase.
-        let fetch_span = kobs::child_span!(now_ms, "worker", "fetch", task = self.id.to_string());
+        let fetch_span = kobs::child_span!(now_ms, "task", "fetch", task = self.id.to_string());
+        let fetched = self.fetch_inputs(cluster, max_records, isolation);
+        kobs::ktrace::finish_span(fetch_span, cluster.now_ms() * 1000);
+        fetched?;
+        let process_span =
+            kobs::child_span!(cluster.now_ms(), "task", "process", task = self.id.to_string());
+        let processed = self.process_fetched(max_records);
+        kobs::ktrace::finish_span(process_span, cluster.now_ms() * 1000);
+        let processed = processed?;
+        if processed > 0 {
+            self.dirty = true;
+        }
+        Ok(processed)
+    }
+
+    /// Fetch phase: one fetch of up to `max_records` per input partition.
+    fn fetch_inputs(
+        &mut self,
+        cluster: &Cluster,
+        max_records: usize,
+        isolation: IsolationLevel,
+    ) -> Result<(), StreamsError> {
         for input in &mut self.inputs {
             let pos = input.fetch_position;
             let fetch = match cluster.fetch(&input.tp, pos, max_records, isolation) {
@@ -367,11 +380,12 @@ impl StreamTask {
                 }
             }
         }
-        kobs::ktrace::finish_span(fetch_span, cluster.now_ms() * 1000);
-        // Process phase: repeatedly pick the buffered head with the smallest
-        // timestamp (§7's deterministic choice; the first input wins a tie).
-        let process_span =
-            kobs::child_span!(cluster.now_ms(), "worker", "process", task = self.id.to_string());
+        Ok(())
+    }
+
+    /// Process phase: repeatedly pick the buffered head with the smallest
+    /// timestamp (§7's deterministic choice; the first input wins a tie).
+    fn process_fetched(&mut self, max_records: usize) -> Result<usize, StreamsError> {
         let mut processed = 0;
         while processed < max_records {
             let mut best: Option<(usize, i64)> = None;
@@ -392,16 +406,12 @@ impl StreamTask {
             input.processed_position = Some(offset + 1);
             processed += 1;
         }
-        kobs::ktrace::finish_span(process_span, cluster.now_ms() * 1000);
-        if processed > 0 {
-            self.dirty = true;
-        }
         Ok(processed)
     }
 
     /// Run time-driven operators (suppress flushes, join padding, GC).
     pub fn punctuate(&mut self, wall_time: i64) -> Result<(), StreamsError> {
-        let span = kobs::child_span!(wall_time, "worker", "punctuate", task = self.id.to_string());
+        let span = kobs::child_span!(wall_time, "task", "punctuate", task = self.id.to_string());
         let before = self.env.outputs.len() + self.env.changelog.len();
         let cache_before = self.env.cache_dirty_entries();
         let result = self.driver.punctuate(&mut self.env, wall_time);
@@ -597,6 +607,39 @@ impl StreamTask {
     }
 }
 
+/// Replay a changelog partition into `store`: apply every keyed record from
+/// `*pos` up to `until` (exclusive), or — with no bound — until a fetch under
+/// `isolation` returns nothing further. `*pos` and `*applied` advance fetch
+/// by fetch, so what was replayed before a failing fetch stays accounted.
+pub(crate) fn replay_changelog(
+    cluster: &Cluster,
+    tp: &TopicPartition,
+    pos: &mut i64,
+    until: Option<i64>,
+    isolation: IsolationLevel,
+    store: &mut Store,
+    applied: &mut u64,
+) -> Result<(), kbroker::BrokerError> {
+    let until = until.unwrap_or(i64::MAX);
+    while *pos < until {
+        let fetch = cluster.fetch(tp, *pos, 4096, isolation)?;
+        if fetch.count() == 0 && fetch.next_offset == *pos {
+            break;
+        }
+        for (off, rec) in fetch.records() {
+            if off >= until {
+                break;
+            }
+            if let Some(key) = &rec.key {
+                store.apply_changelog(key, rec.value.clone());
+                *applied += 1;
+            }
+        }
+        *pos = fetch.next_offset;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -687,5 +730,34 @@ mod tests {
         assert_eq!(task.poll_and_process(&cluster, 100, isolation).unwrap(), 0, "exactly once");
         assert_eq!(faults.observed(FaultPoint::FetchResponseLost), 3);
         assert_eq!(faults.injected(FaultPoint::FetchResponseLost), 1);
+    }
+
+    #[test]
+    fn failed_cycle_finishes_its_spans() {
+        if !kobs::ENABLED {
+            return;
+        }
+        let cluster = cluster_with(FaultPlan::none(), &["a", "out"]);
+        let builder = StreamsBuilder::new();
+        builder.stream::<String, String>("a").to("out");
+        let topology = builder.build().unwrap();
+        // Partition 1 of a one-partition topic: the fetch fails.
+        let id = TaskId { subtopology: 0, partition: 1 };
+        let mut task = StreamTask::new(&topology, id, "app").unwrap();
+
+        let cycle = kobs::span!(0, "kstreams", "cycle");
+        let entered = kobs::ktrace::enter(cycle);
+        let result = task.run_cycle(&cluster, 100, IsolationLevel::ReadUncommitted, 0);
+        drop(entered);
+        kobs::ktrace::finish_span(cycle, 0);
+        assert!(matches!(result, Err(StreamsError::Broker(_))), "{result:?}");
+
+        // The span store is process-global: this cycle's spans are those
+        // under its root.
+        let in_cycle = |span: &kobs::Span| Some(span.root) == cycle.id();
+        let finished = kobs::ktrace::finished_spans();
+        let tree: Vec<_> = finished.iter().filter(|s| in_cycle(s)).map(|s| s.name).collect();
+        assert_eq!(tree, ["cycle", "task", "fetch"], "the failing span is in the finished tree");
+        assert!(!kobs::ktrace::active_spans().iter().any(in_cycle), "a span was left active");
     }
 }

@@ -11,7 +11,7 @@ use kstreams::processor::{Processor, ProcessorContext, StoreEntry};
 use kstreams::record::FlowRecord;
 use kstreams::state::{Store, StoreKind, StoreSpec};
 use proptest::prelude::*;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 fn count_agg() -> kstreams::dsl::ops::AggFn {
@@ -192,7 +192,7 @@ proptest! {
             .flat_map(|s| (0..parts).map(move |p| TaskId { subtopology: s, partition: p }))
             .collect();
         let members: Vec<String> = members.into_iter().collect();
-        let assignment = kstreams::assignment::assign_tasks(&tasks, &members);
+        let assignment = kstreams::assignment::assign_tasks_sticky(&tasks, &members, &BTreeMap::new());
         let mut seen: Vec<TaskId> = assignment.values().flatten().copied().collect();
         seen.sort();
         let mut want = tasks.clone();

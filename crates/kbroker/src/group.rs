@@ -95,8 +95,8 @@ pub struct GroupView {
 ///
 /// Striped by the group's offsets-topic partition (the same shard key the
 /// real coordinator uses): operations on groups living on different
-/// `__consumer_offsets` partitions never contend, so parallel worker
-/// threads committing for distinct groups don't serialize here. Mirrors
+/// `__consumer_offsets` partitions never contend, so instance threads
+/// committing for distinct groups don't serialize here. Mirrors
 /// the [`crate::txn`] registry's per-shard locking.
 pub struct GroupsRegistry {
     /// Group state, sharded by `offsets_partition_for(group)`.

@@ -436,9 +436,24 @@ impl PartitionLog {
                 (h, ts)
             }
         });
+        let stored = self.store_under_span(batch, trace.map(|(h, _)| h));
+        if let Some((h, ts)) = trace {
+            kobs::ktrace::finish_span(h, ts * 1000);
+        }
+        stored
+    }
+
+    /// [`store`](Self::store)'s state transitions, under its span (`None`
+    /// outside a traced lifecycle).
+    fn store_under_span(
+        &mut self,
+        batch: StoredBatch,
+        span: Option<kobs::SpanHandle>,
+    ) -> Result<(), LogError> {
+        let (base_offset, last_offset) = (batch.base_offset(), batch.last_offset());
         let mut rolled = false;
         if let Some(d) = self.disk.as_mut() {
-            let _in_append = trace.as_ref().map(|(h, _)| kobs::ktrace::enter(*h));
+            let _in_append = span.map(kobs::ktrace::enter);
             rolled = d.append_batch(&batch)?;
         }
         // Maintain the aborted index *before* applying the batch (the apply
@@ -463,11 +478,7 @@ impl PartitionLog {
             // can seed the table and replay only the active segment.
             self.disk_snapshot()?;
         }
-        self.disk_checkpoint()?;
-        if let Some((h, ts)) = trace {
-            kobs::ktrace::finish_span(h, ts * 1000);
-        }
-        Ok(())
+        self.disk_checkpoint()
     }
 
     // ------------------------------------------------------------------
@@ -813,6 +824,34 @@ mod tests {
         assert_eq!((b.base_offset, b.last_offset), (3, 4));
         assert_eq!(log.log_end(), 5);
         assert_eq!(log.high_watermark(), 5);
+    }
+
+    #[test]
+    fn failed_disk_append_finishes_its_span() {
+        if !kobs::ENABLED {
+            return;
+        }
+        let dir = std::env::temp_dir().join(format!("klog-span-leak-{}", std::process::id()));
+        let mut log = PartitionLog::new();
+        log.attach_disk(DiskLog::open_clean(DiskConfig::at(&dir)).unwrap());
+        // The directory goes away under the mirror: the open segment still
+        // takes the batch, the checkpoint's write-and-rename cannot.
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        let cycle = kobs::span!(0, "kstreams", "cycle");
+        let entered = kobs::ktrace::enter(cycle);
+        let result = log.append(BatchMeta::plain(), recs(2, 0));
+        drop(entered);
+        kobs::ktrace::finish_span(cycle, 0);
+        assert!(matches!(result, Err(LogError::Io(_))), "{result:?}");
+
+        // The span store is process-global: this cycle's spans are those
+        // under its root.
+        let in_cycle = |span: &kobs::Span| Some(span.root) == cycle.id();
+        let finished = kobs::ktrace::finished_spans();
+        let tree: Vec<_> = finished.iter().filter(|s| in_cycle(s)).map(|s| s.name).collect();
+        assert_eq!(tree, ["cycle", "append"], "the failing span is in the finished tree");
+        assert!(!kobs::ktrace::active_spans().iter().any(in_cycle), "a span was left active");
     }
 
     #[test]

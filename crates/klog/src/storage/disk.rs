@@ -216,7 +216,6 @@ impl DiskLog {
             let h = kobs::ktrace::start_span(
                 start_us,
                 "klog",
-                None,
                 kobs::ktrace::Parent::Current,
                 "fsync",
                 || vec![("bytes", kobs::trace::FieldValue::from(bytes as i64))],

@@ -1,14 +1,12 @@
 //! ktrace — deterministic hierarchical spans over the virtual clock.
 //!
 //! A [`Span`] is a named interval on a *track* (one row in the exported
-//! timeline: `kstreams`, `worker` × index, `kbroker.txn`, `klog`), with an
-//! optional parent forming a causal tree per commit cycle. Span ids come
-//! from a per-run counter (reset by [`crate::reset`]), and every timestamp
-//! is virtual microseconds (the simulation clock's `now_ms` × 1000, plus
-//! deterministic sub-millisecond sequence offsets where the scheduler
-//! needs to order parallel slot executions) — so a replayed seed produces
-//! byte-identical span trees and byte-identical chrome JSON, serial or
-//! parallel.
+//! timeline: `kstreams`, `task`, `kbroker.txn`, `klog`), with an optional
+//! parent forming a causal tree per commit cycle. Span ids come from a
+//! per-run counter (reset by [`crate::reset`]), and every timestamp is
+//! virtual microseconds (the simulation clock's `now_ms` × 1000) — so a
+//! replayed seed produces byte-identical span trees and byte-identical
+//! chrome JSON.
 //!
 //! Three consumers sit on top of the store:
 //!
@@ -54,10 +52,8 @@ pub struct Span {
     pub root: u64,
     /// Span name (`cycle`, `task`, `fetch`, `commit`, `markers`, ...).
     pub name: &'static str,
-    /// Timeline row: `kstreams`, `worker`, `kbroker.txn`, `klog`.
+    /// Timeline row: `kstreams`, `task`, `kbroker.txn`, `klog`.
     pub track: &'static str,
-    /// Worker index for `worker`-track spans.
-    pub worker: Option<u32>,
     /// Virtual start, microseconds.
     pub start_us: i64,
     /// Virtual end, microseconds (>= `start_us`).
@@ -106,9 +102,6 @@ pub enum Parent {
     Root,
     /// Child of the calling thread's innermost entered span (root if none).
     Current,
-    /// Child of an explicit handle — used across threads, where the
-    /// scheduler hands each worker slot the cycle root.
-    Of(SpanHandle),
 }
 
 /// One completed span tree, root first, then the remaining spans in id
@@ -194,22 +187,20 @@ thread_local! {
     static CURRENT: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Start a span. `start_us` is virtual microseconds; children starting
-/// "before" their parent (sub-ms sequence offsets) are clamped forward so
-/// intervals always nest. A [`Parent::Current`] child starts no earlier
-/// than its parent's latest finished child: same-thread siblings run one
-/// after another, so they must tile the parent rather than overlap
-/// ([`Parent::Of`] children keep their explicit sequence offsets). Such a
-/// child is *moved*, not squeezed — [`finish_span`] shifts its end by the
-/// same amount — because the span timeline runs ahead of the clock its
-/// call sites stamp from (slot sequence offsets, modeled fsync costs), and
-/// squeezing would bill that lead to whichever span comes next. The
-/// `fields` closure only runs when tracing is compiled in.
+/// Start a span. `start_us` is virtual microseconds. A child starts no
+/// earlier than its parent's latest finished child (which is no earlier
+/// than the parent's own start): siblings run one after another on the
+/// thread that entered the parent, so they must tile it rather than
+/// overlap. Such a child is *moved*, not squeezed — [`finish_span`] shifts
+/// its end by the same amount — because the span timeline runs ahead of
+/// the clock its call sites stamp from (record-timestamped klog appends,
+/// modeled fsync costs), and squeezing would bill that lead to whichever
+/// span comes next. The `fields` closure only runs when tracing is
+/// compiled in.
 #[allow(unused_variables)]
 pub fn start_span<F>(
     start_us: i64,
     track: &'static str,
-    worker: Option<u32>,
     parent: Parent,
     name: &'static str,
     fields: F,
@@ -219,27 +210,20 @@ where
 {
     #[cfg(not(feature = "off"))]
     {
-        let (parent_id, sequential) = match parent {
-            Parent::Root => (None, false),
-            Parent::Current => (current().id(), true),
-            Parent::Of(h) => (h.id(), false),
+        let parent_id = match parent {
+            Parent::Root => None,
+            Parent::Current => current().id(),
         };
         let mut st = lock();
         st.next_id += 1;
         let id = st.next_id;
-        // Children inherit the parent's worker lane unless they carry
-        // their own (a fetch span run inside worker 2's slot renders on
-        // worker 2's timeline row).
-        let (parent_id, root, floor, worker) = match parent_id.and_then(|p| st.active.get(&p)) {
-            Some(pa) => {
-                let floor = if sequential { pa.min_end_us } else { pa.span.start_us };
-                (parent_id, pa.span.root, floor, worker.or(pa.span.worker))
-            }
-            // A dangling explicit parent (already finished) degrades to a
-            // fresh root rather than a broken edge.
-            None => (None, id, start_us, worker),
+        let (parent_id, root, floor) = match parent_id.and_then(|p| st.active.get(&p)) {
+            Some(pa) => (parent_id, pa.span.root, pa.min_end_us),
+            // A dangling parent (entered but already finished) degrades to
+            // a fresh root rather than a broken edge.
+            None => (None, id, start_us),
         };
-        let shift_us = if sequential { (floor - start_us).max(0) } else { 0 };
+        let shift_us = (floor - start_us).max(0);
         let start_us = start_us.max(floor);
         st.active.insert(
             id,
@@ -250,7 +234,6 @@ where
                     root,
                     name,
                     track,
-                    worker,
                     start_us,
                     end_us: start_us,
                     fields: fields(),
@@ -439,6 +422,12 @@ pub fn finished_spans() -> Vec<Span> {
     spans
 }
 
+/// Every span started and not yet finished, ascending id. A lifecycle
+/// that has returned — with or without an error — has none left here.
+pub fn active_spans() -> Vec<Span> {
+    lock().active.values().map(|a| a.span.clone()).collect()
+}
+
 /// Finished spans evicted from the export buffer.
 pub fn dropped_spans() -> u64 {
     lock().dropped
@@ -482,9 +471,6 @@ pub fn render_tree(tree: &SpanTree) -> String {
             s.end_us,
             s.duration_us()
         );
-        if let Some(w) = s.worker {
-            let _ = write!(out, " worker={w}");
-        }
         if s.track != tree.root.track {
             let _ = write!(out, " track={}", s.track);
         }
@@ -520,7 +506,6 @@ macro_rules! span {
         $crate::ktrace::start_span(
             ($ts_ms as i64) * 1000,
             $track,
-            None,
             $crate::ktrace::Parent::Root,
             $name,
             || vec![$((stringify!($key), $crate::trace::FieldValue::from($val))),*],
@@ -536,7 +521,6 @@ macro_rules! child_span {
         $crate::ktrace::start_span(
             ($ts_ms as i64) * 1000,
             $track,
-            None,
             $crate::ktrace::Parent::Current,
             $name,
             || vec![$((stringify!($key), $crate::trace::FieldValue::from($val))),*],
@@ -580,40 +564,28 @@ mod tests {
     }
 
     #[test]
-    fn parent_end_clamped_to_children() {
+    fn child_of_a_moved_span_starts_inside_it() {
         let _g = isolated();
         if !crate::ENABLED {
             return;
         }
         let root = crate::span!(5, "kstreams", "cycle");
-        let slot = start_span(5_003, "worker", Some(2), Parent::Of(root), "task", Vec::new);
-        finish_span(slot, 5_004);
-        // Root "finishes" at its start tick, but the slot extended to
-        // 5_004us — the root must cover it.
-        finish_span(root, 5_000);
-        let spans = finished_spans();
-        assert_eq!(spans[0].end_us, 5_004);
-        assert_eq!(spans[1].worker, Some(2));
-    }
-
-    #[test]
-    fn child_start_clamped_into_parent() {
-        let _g = isolated();
-        if !crate::ENABLED {
-            return;
-        }
-        let root = crate::span!(5, "kstreams", "cycle");
-        let slot = start_span(5_003, "worker", Some(0), Parent::Of(root), "task", Vec::new);
+        let _e = enter(root);
+        let first = crate::child_span!(5, "task", "task");
+        finish_span(first, 5_003);
+        // Stamped with the same tick, so moved past its sibling to 5_003us.
+        let slot = crate::child_span!(5, "task", "task");
         let _e = enter(slot);
-        // Virtual clock still reads 5ms inside the slot: the child would
-        // start before its parent without the clamp.
-        let fetch = crate::child_span!(5, "worker", "fetch");
+        // The clock still reads 5ms inside the slot: the child would start
+        // before its parent if it were not moved too.
+        let fetch = crate::child_span!(5, "task", "fetch");
         finish_span(fetch, 5_000);
-        finish_span(slot, 5_004);
+        finish_span(slot, 5_001);
         finish_span(root, 6_000);
         let spans = finished_spans();
         let f = spans.iter().find(|s| s.name == "fetch").unwrap();
-        let t = spans.iter().find(|s| s.name == "task").unwrap();
+        let t = spans.iter().find(|s| s.id == 3).unwrap();
+        assert_eq!((t.start_us, t.end_us), (5_003, 5_004));
         assert!(f.start_us >= t.start_us && f.end_us <= t.end_us, "{f:?} not inside {t:?}");
     }
 
@@ -643,19 +615,19 @@ mod tests {
     }
 
     #[test]
-    fn same_thread_child_tiles_after_worker_slots() {
+    fn same_tick_siblings_tile_their_parent() {
         let _g = isolated();
         if !crate::ENABLED {
             return;
         }
-        // A cycle with three 1 µs worker slots, then a commit that — like
-        // the slots — is stamped with the cycle's own start tick.
+        // A cycle with three 1 µs task slots, then a commit — all stamped
+        // with the cycle's own start tick, as the virtual clock stands
+        // still within a step.
         let root = crate::span!(7, "kstreams", "cycle");
         let _e = enter(root);
-        for seq in 0..3 {
-            let slot =
-                start_span(7_000 + seq, "worker", Some(0), Parent::Of(root), "task", Vec::new);
-            finish_span(slot, 7_001 + seq);
+        for _ in 0..3 {
+            let slot = crate::child_span!(7, "task", "task");
+            finish_span(slot, 7_001);
         }
         let commit = crate::child_span!(7, "kstreams", "commit");
         finish_span(commit, 9_000);
@@ -664,8 +636,10 @@ mod tests {
         assert!(s.phases.iter().all(|(_, us)| *us >= 0), "negative self time: {:?}", s.phases);
         assert_eq!(s.phases.iter().map(|(_, us)| *us).sum::<i64>(), s.total_us);
         // The commit keeps its stamped 2 ms: it is moved past the slots, not
-        // squeezed by them.
+        // squeezed by them — and the root, "finished" at 9 ms, covers it.
         assert_eq!(s.phases, vec![("commit", 2_000), ("cycle", 0), ("task", 3)]);
+        assert_eq!(finished_spans()[0].end_us, 9_003);
+        assert!(active_spans().is_empty());
     }
 
     #[test]
@@ -706,7 +680,7 @@ mod tests {
             return;
         }
         let mut ran = false;
-        let h = start_span(0, "kstreams", None, Parent::Root, "cycle", || {
+        let h = start_span(0, "kstreams", Parent::Root, "cycle", || {
             ran = true;
             vec![]
         });

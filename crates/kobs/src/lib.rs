@@ -7,11 +7,10 @@
 //!   behind a process-global [`Registry`], exported as ordered text or
 //!   JSON [`Snapshot`]s. Metric names follow `<crate>.<subsystem>.<metric>`
 //!   with an `_ms` suffix for virtual-time histograms.
-//! - [`trace`]: a bounded ring of structured [`Event`]s with per-component
-//!   [`Level`]s, emitted via the [`event!`] / [`debug_event!`] macros.
-//!   `simtest` dumps the ring tail next to the repro command when an
-//!   oracle fails. Ring overflow is surfaced as the `kobs.trace.dropped`
-//!   counter.
+//! - [`trace`]: a bounded ring of structured [`Event`]s, emitted via the
+//!   [`event!`] macro. `simtest` dumps the ring tail next to the repro
+//!   command when an oracle fails. Ring overflow is surfaced as the
+//!   `kobs.trace.dropped` counter.
 //! - [`ktrace`] / [`trace_export`]: deterministic hierarchical spans
 //!   ([`span!`] / [`child_span!`]) over the virtual clock, with a
 //!   critical-path analyzer (`kobs.critical_path.*`), a flight recorder of
@@ -42,7 +41,7 @@ pub mod trace_export;
 pub use hist::LatencyHistogram;
 pub use ktrace::{CriticalPathSummary, Span, SpanHandle, SpanTree};
 pub use registry::{global, HistSnapshot, Registry, Snapshot, ENABLED};
-pub use trace::{Event, FieldValue, Level};
+pub use trace::{Event, FieldValue};
 
 /// Reset the global registry, trace ring, and span store (run isolation
 /// in harnesses; span ids restart so replays are byte-identical).

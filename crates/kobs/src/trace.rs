@@ -2,12 +2,10 @@
 //! kind, fields }` records cheap enough to stay on by default.
 //!
 //! Components are coarse subsystem names (`klog`, `kbroker.txn`,
-//! `kbroker.isr`, `kstreams`, ...) with independent levels; `kind` is a
-//! short verb-ish tag (`segment_roll`, `isr_shrink`, `txn_complete`,
-//! `late_drop`). Fields are small typed key/values — no format strings on
-//! the hot path. When a component's level filters an event out, the field
-//! closure is never invoked, so a disabled trace point costs one level
-//! lookup.
+//! `kbroker.isr`, `kstreams`, ...); `kind` is a short verb-ish tag
+//! (`segment_roll`, `isr_shrink`, `txn_complete`). Events mark lifecycle
+//! transitions and anomalies, never per-record work. Fields are small typed
+//! key/values — no format strings.
 //!
 //! The ring keeps the last [`RING_CAPACITY`] events; `simtest` dumps the
 //! tail next to the `--seed` repro line when an oracle fails, which is
@@ -21,17 +19,6 @@ use std::sync::Mutex;
 
 /// Maximum events retained; older events are evicted FIFO.
 pub const RING_CAPACITY: usize = 4096;
-
-/// Verbosity for one component (or the default for all of them).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Level {
-    /// Drop everything from this component.
-    Off,
-    /// Lifecycle transitions and anomalies (the default).
-    Info,
-    /// High-frequency detail (per-batch, per-record).
-    Debug,
-}
 
 /// One typed field value on an event.
 #[derive(Debug, Clone, PartialEq)]
@@ -156,28 +143,10 @@ impl fmt::Display for Event {
 struct Ring {
     events: VecDeque<Event>,
     next_seq: u64,
-    default_level: Level,
-    overrides: Vec<(&'static str, Level)>,
-}
-
-impl Ring {
-    const fn new() -> Self {
-        Self {
-            events: VecDeque::new(),
-            next_seq: 0,
-            default_level: Level::Info,
-            overrides: Vec::new(),
-        }
-    }
-
-    #[cfg_attr(feature = "off", allow(dead_code))]
-    fn level_for(&self, component: &str) -> Level {
-        self.overrides.iter().find(|(c, _)| *c == component).map_or(self.default_level, |(_, l)| *l)
-    }
 }
 
 fn ring() -> &'static Mutex<Ring> {
-    static RING: Mutex<Ring> = Mutex::new(Ring::new());
+    static RING: Mutex<Ring> = Mutex::new(Ring { events: VecDeque::new(), next_seq: 0 });
     &RING
 }
 
@@ -185,19 +154,16 @@ fn lock() -> std::sync::MutexGuard<'static, Ring> {
     ring().lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Emit one event at `level` iff the component's level admits it. The
-/// `fields` closure runs only when the event is admitted.
+/// Emit one event. The `fields` closure only runs when tracing is compiled
+/// in.
 #[allow(unused_variables)]
-pub fn emit<F>(level: Level, ts: i64, component: &'static str, kind: &'static str, fields: F)
+pub fn emit<F>(ts: i64, component: &'static str, kind: &'static str, fields: F)
 where
     F: FnOnce() -> Vec<(&'static str, FieldValue)>,
 {
     #[cfg(not(feature = "off"))]
     {
         let mut ring = lock();
-        if level > ring.level_for(component) || level == Level::Off {
-            return;
-        }
         let seq = ring.next_seq;
         ring.next_seq += 1;
         if ring.events.len() == RING_CAPACITY {
@@ -212,29 +178,6 @@ where
     }
 }
 
-/// Set the default level applied to components without an override.
-#[allow(unused_variables)]
-pub fn set_default_level(level: Level) {
-    #[cfg(not(feature = "off"))]
-    {
-        lock().default_level = level;
-    }
-}
-
-/// Override the level for one component (exact match on the component tag).
-#[allow(unused_variables)]
-pub fn set_level(component: &'static str, level: Level) {
-    #[cfg(not(feature = "off"))]
-    {
-        let mut ring = lock();
-        if let Some(slot) = ring.overrides.iter_mut().find(|(c, _)| *c == component) {
-            slot.1 = level;
-        } else {
-            ring.overrides.push((component, level));
-        }
-    }
-}
-
 /// The last `n` events, oldest first.
 pub fn tail(n: usize) -> Vec<Event> {
     let ring = lock();
@@ -242,21 +185,19 @@ pub fn tail(n: usize) -> Vec<Event> {
     ring.events.iter().skip(skip).cloned().collect()
 }
 
-/// Total events emitted (admitted) so far, including evicted ones.
+/// Total events emitted so far, including evicted ones.
 pub fn emitted() -> u64 {
     lock().next_seq
 }
 
-/// Clear the ring and level configuration (run isolation in simtest).
+/// Clear the ring (run isolation in simtest).
 pub fn clear() {
     let mut ring = lock();
     ring.events.clear();
     ring.next_seq = 0;
-    ring.default_level = Level::Info;
-    ring.overrides.clear();
 }
 
-/// Emit an info-level event on the global ring.
+/// Emit an event on the global ring.
 ///
 /// ```
 /// kobs::event!(17, "kbroker.txn", "txn_complete", pid = 4u64, partitions = 2usize);
@@ -266,17 +207,7 @@ pub fn clear() {
 #[macro_export]
 macro_rules! event {
     ($ts:expr, $component:expr, $kind:expr $(, $key:ident = $val:expr)* $(,)?) => {
-        $crate::trace::emit($crate::trace::Level::Info, $ts, $component, $kind, || {
-            vec![$((stringify!($key), $crate::trace::FieldValue::from($val))),*]
-        })
-    };
-}
-
-/// Emit a debug-level event (dropped unless the component is at `Debug`).
-#[macro_export]
-macro_rules! debug_event {
-    ($ts:expr, $component:expr, $kind:expr $(, $key:ident = $val:expr)* $(,)?) => {
-        $crate::trace::emit($crate::trace::Level::Debug, $ts, $component, $kind, || {
+        $crate::trace::emit($ts, $component, $kind, || {
             vec![$((stringify!($key), $crate::trace::FieldValue::from($val))),*]
         })
     };
@@ -311,36 +242,6 @@ mod tests {
         assert_eq!(tail[1].ts, 9);
         assert_eq!(tail[1].field("partitions"), Some(&FieldValue::U64(3)));
         assert_eq!(tail[0].seq + 1, tail[1].seq);
-    }
-
-    #[test]
-    fn debug_events_filtered_by_default_and_closure_not_run() {
-        let _g = isolated();
-        let mut ran = false;
-        emit(Level::Debug, 0, "klog", "per_record", || {
-            ran = true;
-            vec![]
-        });
-        assert!(tail(10).is_empty());
-        assert!(!ran, "field closure must not run for filtered events");
-
-        set_level("klog", Level::Debug);
-        crate::debug_event!(1, "klog", "per_record", n = 1u64);
-        assert_eq!(tail(10).len(), crate::ENABLED as usize);
-    }
-
-    #[test]
-    fn component_off_silences_only_that_component() {
-        let _g = isolated();
-        if !crate::ENABLED {
-            return;
-        }
-        set_level("klog", Level::Off);
-        crate::event!(0, "klog", "segment_roll");
-        crate::event!(0, "kstreams", "commit");
-        let tail = tail(10);
-        assert_eq!(tail.len(), 1);
-        assert_eq!(tail[0].component, "kstreams");
     }
 
     #[test]

@@ -1,13 +1,11 @@
 //! Chrome trace-event export: render [`ktrace`](crate::ktrace) spans as a
 //! `chrome://tracing` / Perfetto-loadable JSON document.
 //!
-//! Layout: one process (`pid` 1), one thread row per distinct
-//! `(track, worker)` pair — so parallel worker slots (and the steals
-//! between them) show up as separate lanes under the `kstreams` lane that
-//! owns the cycle. Rows are announced with `"ph":"M"` `thread_name`
-//! metadata events; every span becomes one `"ph":"X"` complete event with
-//! `ts`/`dur` in (virtual) microseconds and its causal identity
-//! (`span_id`, `parent`) plus user fields in `args`.
+//! Layout: one process (`pid` 1), one thread row per track. Rows are
+//! announced with `"ph":"M"` `thread_name` metadata events; every span
+//! becomes one `"ph":"X"` complete event with `ts`/`dur` in (virtual)
+//! microseconds and its causal identity (`span_id`, `parent`) plus user
+//! fields in `args`.
 //!
 //! The document is constructed purely from span data (ids, virtual
 //! timestamps, name-ordered rows), so two replays of the same seed emit
@@ -18,47 +16,29 @@ use crate::json::{self, Value};
 use crate::ktrace::Span;
 use std::collections::BTreeMap;
 
-/// Stable row key: worker-less spans sort ahead of worker slots on the
-/// same track.
-fn row_key(s: &Span) -> (&'static str, i64) {
-    (s.track, s.worker.map_or(-1, |w| w as i64))
-}
-
-fn row_name(track: &str, worker: i64) -> String {
-    if worker < 0 {
-        track.to_string()
-    } else {
-        format!("{track} w{worker}")
-    }
-}
-
 /// Render `spans` as a chrome trace JSON document (single line).
 pub fn chrome_json(spans: &[Span]) -> String {
-    let mut tids: BTreeMap<(&'static str, i64), u64> = BTreeMap::new();
-    for s in spans {
-        let next = tids.len() as u64 + 1;
-        tids.entry(row_key(s)).or_insert(next);
-    }
-    // Re-number rows in sorted key order so the tid assignment does not
+    // Rows are numbered in track-name order, so the tid assignment does not
     // depend on which span happened to finish first.
-    for (i, (_, tid)) in tids.iter_mut().enumerate() {
+    let mut tids: BTreeMap<&'static str, u64> = spans.iter().map(|s| (s.track, 0)).collect();
+    for (i, tid) in tids.values_mut().enumerate() {
         *tid = i as u64 + 1;
     }
     let mut events: Vec<Value> = Vec::with_capacity(tids.len() + spans.len());
-    for ((track, worker), tid) in &tids {
+    for (track, tid) in &tids {
         events.push(json::obj(vec![
             ("name", json::str("thread_name")),
             ("ph", json::str("M")),
             ("pid", json::num(1.0)),
             ("tid", json::num(*tid as f64)),
-            ("args", json::obj(vec![("name", json::str(row_name(track, *worker)))])),
+            ("args", json::obj(vec![("name", json::str(*track))])),
         ]));
     }
     let ids: std::collections::BTreeSet<u64> = spans.iter().map(|s| s.id).collect();
     let mut sorted: Vec<&Span> = spans.iter().collect();
     sorted.sort_by_key(|s| s.id);
     for s in sorted {
-        let tid = tids[&row_key(s)];
+        let tid = tids[s.track];
         let mut args = vec![("span_id".to_string(), json::num(s.id as f64))];
         // Omit parent edges pointing outside the exported set (parent
         // still active, or evicted by the span-capacity bound).
@@ -176,7 +156,6 @@ mod tests {
             root: 1,
             name,
             track: "kstreams",
-            worker: None,
             start_us: start,
             end_us: end,
             fields: vec![("step", FieldValue::U64(4))],
@@ -188,21 +167,21 @@ mod tests {
         let spans = vec![
             span(1, None, "cycle", 1000, 9000),
             span(2, Some(1), "commit", 2000, 8000),
-            Span { worker: Some(3), track: "worker", ..span(3, Some(1), "task", 1000, 1001) },
+            Span { track: "task", ..span(3, Some(1), "task", 1000, 1001) },
         ];
         let text = chrome_json(&spans);
         let n = validate_chrome_json(&text).expect("valid");
         assert_eq!(n, 3);
         let doc = json::parse(&text).unwrap();
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
-        // 2 rows (kstreams, worker w3) => 2 metadata + 3 complete events.
+        // 2 rows (kstreams, task) => 2 metadata + 3 complete events.
         assert_eq!(events.len(), 5);
         let meta: Vec<String> = events
             .iter()
             .filter(|e| e.get("ph").and_then(|v| v.as_str()) == Some("M"))
             .map(|e| e.get("args").unwrap().get("name").unwrap().as_str().unwrap().to_string())
             .collect();
-        assert_eq!(meta, vec!["kstreams".to_string(), "worker w3".to_string()]);
+        assert_eq!(meta, vec!["kstreams".to_string(), "task".to_string()]);
     }
 
     #[test]

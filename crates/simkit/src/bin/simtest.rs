@@ -6,7 +6,6 @@
 //! cargo run -p simkit --bin simtest -- --seed 42 --profile           # obs snapshot
 //! cargo run -p simkit --bin simtest -- --seed 42 --profile --json
 //! cargo run -p simkit --bin simtest -- --sweep 0..50
-//! cargo run -p simkit --bin simtest -- --seed 42 --workers 4        # virtual scheduler
 //! cargo run -p simkit --bin simtest -- --seed 42 --storage disk     # durable backend
 //! cargo run -p simkit --bin simtest -- --seed 42 --churn            # rebalance churn
 //! cargo run -p simkit --bin simtest -- --seed 0 --script "TxnRpcAckLost@2;KillBroker@5"
@@ -29,7 +28,6 @@ struct Args {
     steps: Option<u64>,
     profile: Option<Profile>,
     cache: Option<usize>,
-    workers: Option<usize>,
     script: Option<Script>,
     obs: bool,
     json: bool,
@@ -41,7 +39,7 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: simtest (--seed N | --sweep A..B) [--steps M] [--cache N] [--workers K] [--storage memory|disk] [--churn] [--profile [count|windowed|suppressed]] [--script TOKENS] [--trace-out PATH] [--inject-failure] [--json]"
+        "usage: simtest (--seed N | --sweep A..B) [--steps M] [--cache N] [--storage memory|disk] [--churn] [--profile [count|windowed|suppressed]] [--script TOKENS] [--trace-out PATH] [--inject-failure] [--json]"
     );
     std::process::exit(2);
 }
@@ -52,7 +50,6 @@ fn parse_args() -> Args {
         steps: None,
         profile: None,
         cache: None,
-        workers: None,
         script: None,
         obs: false,
         json: false,
@@ -116,14 +113,6 @@ fn parse_args() -> Args {
                     _ => usage(),
                 }
             }
-            "--workers" => {
-                let Some(value) = argv.get(i) else { usage() };
-                i += 1;
-                match value.parse() {
-                    Ok(n) if n > 0 => args.workers = Some(n),
-                    _ => usage(),
-                }
-            }
             "--seed" | "--sweep" | "--steps" => {
                 let Some(value) = argv.get(i) else { usage() };
                 i += 1;
@@ -168,9 +157,6 @@ fn main() -> ExitCode {
         }
         if let Some(cache) = args.cache {
             cfg = cfg.with_cache(cache);
-        }
-        if let Some(workers) = args.workers {
-            cfg = cfg.with_workers(workers);
         }
         if let Some(script) = &args.script {
             cfg = cfg.with_script(script.clone());

@@ -62,12 +62,6 @@ pub struct SimConfig {
     /// Record-cache capacity handed to every app instance
     /// (`StreamsConfig::cache_max_entries`); 0 disables caching.
     pub cache_max_entries: usize,
-    /// Scheduler worker count per app instance. 1 keeps the task-id-order
-    /// loop; >1 runs the work-stealing scheduler's inline executor — the
-    /// worker interleaving is derived from the run seed and serialized on
-    /// the calling thread, so the run stays byte-identical per
-    /// `(seed, workers)` pair.
-    pub workers: usize,
     /// Scripted fault schedule (the kcheck counterexample bridge). When
     /// set, it replaces the seed-derived probabilistic fault plan.
     pub script: Option<Script>,
@@ -102,7 +96,6 @@ impl SimConfig {
             profile: None,
             obs_profile: false,
             cache_max_entries: 0,
-            workers: 1,
             script: None,
             inject_failure: false,
             disk_storage: false,
@@ -132,14 +125,6 @@ impl SimConfig {
 
     pub fn with_script(mut self, script: Script) -> Self {
         self.script = Some(script);
-        self
-    }
-
-    /// Run every app instance with `workers` virtual scheduler workers
-    /// (deterministically interleaved from the run seed).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        assert!(workers > 0, "worker count must be at least 1");
-        self.workers = workers;
         self
     }
 
@@ -311,9 +296,7 @@ impl Engine {
             // generation bump (virtual clock, so still deterministic).
             cfg = cfg.with_rebalance_debounce_ms(CHURN_DEBOUNCE_MS);
         }
-        // The scheduler's steal decisions come from the run seed, so a
-        // multi-worker run replays byte-identically.
-        cfg.with_num_worker_threads(self.cfg.workers).with_deterministic_scheduler(self.cfg.seed)
+        cfg
     }
 
     /// Create and start the app for instance `idx`. On a start error (e.g.
@@ -728,7 +711,6 @@ impl Engine {
                 p
             },
             cache_max_entries: self.cfg.cache_max_entries,
-            workers: self.cfg.workers,
             storage: if self.cfg.disk_storage { "disk" } else { "memory" }.to_string(),
             churn: self.cfg.churn,
             brokers: self.workload.brokers,

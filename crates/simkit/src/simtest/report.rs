@@ -35,9 +35,6 @@ pub struct SimReport {
     pub profile: String,
     /// Record-cache capacity per store (`--cache`); 0 means caching off.
     pub cache_max_entries: usize,
-    /// Scheduler workers per instance (`--workers`); 1 means the
-    /// task-id-order loop, >1 the seed-derived work-stealing schedule.
-    pub workers: usize,
     /// Storage backend the brokers ran on: `"memory"` or `"disk"`.
     pub storage: String,
     /// Whether the rebalance-churn fault classes were enabled (`--churn`).
@@ -101,9 +98,6 @@ impl SimReport {
         if self.cache_max_entries > 0 {
             cmd.push_str(&format!(" --cache {}", self.cache_max_entries));
         }
-        if self.workers > 1 {
-            cmd.push_str(&format!(" --workers {}", self.workers));
-        }
         if self.storage == "disk" {
             cmd.push_str(" --storage disk");
         }
@@ -135,7 +129,6 @@ impl SimReport {
             ("steps", num(self.steps as f64)),
             ("profile", jstr(self.profile.clone())),
             ("cache_max_entries", num(self.cache_max_entries as f64)),
-            ("workers", num(self.workers as f64)),
             ("storage", jstr(self.storage.clone())),
             ("churn", Value::Bool(self.churn)),
             ("brokers", num(self.brokers as f64)),
@@ -192,12 +185,11 @@ impl fmt::Display for SimReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "simtest seed={} steps={} profile={} cache={} workers={} storage={} brokers={} partitions={} keys={} instances={}",
+            "simtest seed={} steps={} profile={} cache={} storage={} brokers={} partitions={} keys={} instances={}",
             self.seed,
             self.steps,
             self.profile,
             self.cache_max_entries,
-            self.workers,
             self.storage,
             self.brokers,
             self.partitions,

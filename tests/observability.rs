@@ -4,7 +4,7 @@
 //! per-instance `StreamsMetrics` and the global kobs registry.
 //!
 //! Also home to the ktrace determinism contract: identical seeds produce
-//! byte-identical span trees and chrome JSON (serial and multi-worker),
+//! byte-identical span trees and chrome JSON,
 //! and the `kobs-off` feature compiles the span macros to true no-ops
 //! (run with `--features kobs-off` to exercise the disabled branches).
 
@@ -200,18 +200,16 @@ fn trace_fingerprint(cfg: &simkit::simtest::SimConfig) -> (String, String) {
 #[test]
 fn span_trees_replay_byte_identically() {
     let _serial = OBS_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    for workers in [1usize, 4] {
-        let cfg = simkit::simtest::SimConfig::new(7).with_steps(150).with_workers(workers);
-        let (trees_a, chrome_a) = trace_fingerprint(&cfg);
-        let (trees_b, chrome_b) = trace_fingerprint(&cfg);
-        assert_eq!(trees_a, trees_b, "span trees diverged on replay (workers={workers})");
-        assert_eq!(chrome_a, chrome_b, "chrome JSON diverged on replay (workers={workers})");
-        if kobs::ENABLED {
-            assert!(!trees_a.is_empty(), "a passing EOS run records commit-cycle trees");
-            let events = kobs::trace_export::validate_chrome_json(&chrome_a)
-                .expect("replayed export validates");
-            assert!(events > 0, "chrome export carries span events");
-        }
+    let cfg = simkit::simtest::SimConfig::new(7).with_steps(150);
+    let (trees_a, chrome_a) = trace_fingerprint(&cfg);
+    let (trees_b, chrome_b) = trace_fingerprint(&cfg);
+    assert_eq!(trees_a, trees_b, "span trees diverged on replay");
+    assert_eq!(chrome_a, chrome_b, "chrome JSON diverged on replay");
+    if kobs::ENABLED {
+        assert!(!trees_a.is_empty(), "a passing EOS run records commit-cycle trees");
+        let events =
+            kobs::trace_export::validate_chrome_json(&chrome_a).expect("replayed export validates");
+        assert!(events > 0, "chrome export carries span events");
     }
 }
 
@@ -222,7 +220,7 @@ fn span_macros_are_noops_when_disabled() {
     let root = kobs::span!(5, "kstreams", "cycle", n = 1u64);
     let child = {
         let _in = kobs::ktrace::enter(root);
-        let child = kobs::child_span!(5, "worker", "task");
+        let child = kobs::child_span!(5, "task", "task");
         kobs::ktrace::finish_span(child, 6_000);
         child
     };
