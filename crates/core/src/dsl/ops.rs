@@ -65,25 +65,25 @@ pub struct WindowAggregate {
 
 impl Processor for WindowAggregate {
     fn process(&mut self, ctx: &mut ProcessorContext<'_>, record: FlowRecord) {
-        let (Some(key), Some(value)) = (record.key.clone(), record.new.clone()) else {
-            return;
-        };
-        ctx.observe_ts(record.ts);
+        let FlowRecord { key: Some(key), new: Some(value), ts, .. } = record else { return };
+        ctx.observe_ts(ts);
         let stream_time = ctx.stream_time();
-        for start in self.windows.windows_for(record.ts) {
+        for start in self.windows.windows_for(ts) {
             if self.windows.is_closed(start, stream_time) {
                 ctx.metrics().late_dropped += 1;
-                kobs::count("kstreams.late_drops", 1);
                 continue;
             }
-            let old = ctx.window_fetch(&self.store, &key, start);
-            let new = (self.agg)(old.clone(), &value);
-            if old.is_some() {
+            // Read, aggregate, write and forward the revision in one step:
+            // one descent of the store, and the record cache can coalesce
+            // repeated updates of the same window (§6.2).
+            let mut revises = false;
+            ctx.window_update(&self.store, key.clone(), start, ts, |current| {
+                revises = current.is_some();
+                (self.agg)(current.cloned(), &value)
+            });
+            if revises {
                 ctx.metrics().revisions_emitted += 1;
             }
-            // Put + revision forward in one step, so the record cache can
-            // coalesce repeated updates of the same window (§6.2).
-            ctx.window_put_forward(&self.store, key.clone(), start, new, record.ts);
         }
         // GC windows whose grace elapsed.
         let horizon = stream_time
@@ -118,23 +118,26 @@ pub struct KvAggregate {
 
 impl Processor for KvAggregate {
     fn process(&mut self, ctx: &mut ProcessorContext<'_>, record: FlowRecord) {
-        let Some(key) = record.key.clone() else { return };
-        if record.new.is_none() && record.old.is_none() {
+        let FlowRecord { key: Some(key), old, new, ts } = record else { return };
+        if new.is_none() && old.is_none() {
             return;
         }
-        ctx.observe_ts(record.ts);
-        let before = ctx.kv_get(&self.store, &key);
-        let mut agg = before.clone();
-        if let Some(old) = &record.old {
-            agg = (self.sub)(agg, old);
+        ctx.observe_ts(ts);
+        if old.is_some() {
             ctx.metrics().revisions_emitted += 1;
         }
-        if let Some(new) = &record.new {
-            agg = (self.add)(agg, new);
-        }
-        // Put + revision forward in one step (cache-coalescible, §6.2); the
-        // put's prior value is exactly `before`.
-        ctx.table_put(&self.store, key, agg, record.ts);
+        // Read, retract, accumulate, write and forward the revision in one
+        // probe of the store (cache-coalescible, §6.2).
+        ctx.table_update(&self.store, key, ts, |current| {
+            let mut agg = current.cloned();
+            if let Some(old) = &old {
+                agg = (self.sub)(agg, old);
+            }
+            if let Some(new) = &new {
+                agg = (self.add)(agg, new);
+            }
+            agg
+        });
     }
 }
 
@@ -147,9 +150,9 @@ pub struct TableMaterialize {
 
 impl Processor for TableMaterialize {
     fn process(&mut self, ctx: &mut ProcessorContext<'_>, record: FlowRecord) {
-        let Some(key) = record.key.clone() else { return };
-        ctx.observe_ts(record.ts);
-        ctx.table_put(&self.store, key, record.new, record.ts);
+        let FlowRecord { key: Some(key), new, ts, .. } = record else { return };
+        ctx.observe_ts(ts);
+        ctx.table_update(&self.store, key, ts, |_| new);
     }
 }
 
@@ -177,7 +180,6 @@ impl Processor for SessionAggregate {
         let stream_time = ctx.stream_time();
         if record.ts.saturating_add(self.windows.grace_ms) < stream_time {
             ctx.metrics().late_dropped += 1;
-            kobs::count("kstreams.late_drops", 1);
             return;
         }
         let overlapping = ctx.session_find(&self.store, &key, record.ts, self.windows.gap_ms);

@@ -5,7 +5,7 @@
 //! later sends through the (possibly transactional) producer. This is the
 //! "read-process" half of the read-process-write cycle (§4).
 
-use super::{Processor, ProcessorContext, StoreEntry};
+use super::{enqueue, Processor, ProcessorContext, StoreEntry};
 use crate::error::StreamsError;
 use crate::kserde::{decode_change, encode_change};
 use crate::metrics::StreamsMetrics;
@@ -222,9 +222,7 @@ impl SubTopologyDriver {
             env.stream_time = ts;
         }
         env.metrics.records_processed += 1;
-        for &c in &self.nodes[source].children {
-            self.queue.push_back((c, record.clone()));
-        }
+        enqueue(&mut self.queue, &self.nodes[source].children, record);
         self.drain(env)
     }
 
@@ -273,9 +271,7 @@ impl SubTopologyDriver {
                 let Some(owner) = owner else { continue };
                 forwarded = true;
                 for record in records {
-                    for &c in &self.nodes[owner].children {
-                        self.queue.push_back((c, record.clone()));
-                    }
+                    enqueue(&mut self.queue, &self.nodes[owner].children, record);
                 }
             }
             if !forwarded {
@@ -449,17 +445,91 @@ mod tests {
         assert_eq!(env.outputs[0].value, Some(wire));
     }
 
+    /// Every output as `(sink topic, key, value, ts)`, in emission order.
+    fn outputs_by_topic(
+        driver: &SubTopologyDriver,
+        env: &TaskEnv,
+    ) -> Vec<(String, Option<Bytes>, Option<Bytes>, i64)> {
+        let topics = driver.sink_topics();
+        env.outputs
+            .iter()
+            .map(|o| (topics[o.sink].name.clone(), o.key.clone(), o.value.clone(), o.ts))
+            .collect()
+    }
+
     #[test]
     fn fanout_forwards_to_all_children() {
+        // A source and a processor with `fanout` sinks each: whether a child
+        // got the record by clone (all but the last) or by move (the last,
+        // or the only one), every child sees the same record.
+        for fanout in 1..=3 {
+            let mut b = InternalBuilder::new();
+            let src = b.add_source("s".into(), TopicRef::external("in"), ValueMode::Plain).unwrap();
+            let p = b
+                .add_processor("d".into(), Arc::new(|| Box::new(Doubler)), &[src], vec![])
+                .unwrap();
+            for i in 0..fanout {
+                let (raw, doubled) = (format!("raw{i}"), format!("doubled{i}"));
+                b.add_sink(raw.clone(), TopicRef::external(raw), ValueMode::Plain, &[src]).unwrap();
+                b.add_sink(doubled.clone(), TopicRef::external(doubled), ValueMode::Plain, &[p])
+                    .unwrap();
+            }
+            let t = b.build().unwrap();
+            let mut driver = SubTopologyDriver::new(&t, 0).unwrap();
+            let mut env = TaskEnv::new(0);
+            let key = Some(Bytes::from_static(b"k"));
+            process_in(&mut driver, &mut env, key.clone(), Some(i64b(21)), 7).unwrap();
+            let mut got = outputs_by_topic(&driver, &env);
+            got.sort();
+            let mut want = Vec::new();
+            for i in 0..fanout {
+                want.push((format!("doubled{i}"), key.clone(), Some(i64b(42)), 7));
+            }
+            for i in 0..fanout {
+                want.push((format!("raw{i}"), key.clone(), Some(i64b(21)), 7));
+            }
+            assert_eq!(got, want, "fanout {fanout}");
+            assert_eq!(env.metrics.records_emitted, 2 * fanout as u64);
+        }
+    }
+
+    #[test]
+    fn cache_flush_revision_reaches_every_child_of_the_owner() {
         let mut b = InternalBuilder::new();
         let src = b.add_source("s".into(), TopicRef::external("in"), ValueMode::Plain).unwrap();
-        b.add_sink("k1".into(), TopicRef::external("out1"), ValueMode::Plain, &[src]).unwrap();
-        b.add_sink("k2".into(), TopicRef::external("out2"), ValueMode::Plain, &[src]).unwrap();
+        b.add_store(StoreSpec::new("t", StoreKind::KeyValue)).unwrap();
+        let owner = b
+            .add_processor(
+                "table".into(),
+                Arc::new(|| Box::new(crate::dsl::ops::TableMaterialize { store: "t".into() })),
+                &[src],
+                vec!["t".into()],
+            )
+            .unwrap();
+        for out in ["out1", "out2", "out3"] {
+            b.add_sink(out.into(), TopicRef::external(out), ValueMode::Change, &[owner]).unwrap();
+        }
         let t = b.build().unwrap();
         let mut driver = SubTopologyDriver::new(&t, 0).unwrap();
         let mut env = TaskEnv::new(0);
-        process_in(&mut driver, &mut env, None, Some(i64b(1)), 0).unwrap();
-        assert_eq!(env.outputs.len(), 2);
+        let spec = StoreSpec::new("t", StoreKind::KeyValue);
+        env.stores
+            .insert("t".into(), StoreEntry::with_cache(Store::new(StoreKind::KeyValue), spec, 8));
+        let key = Some(Bytes::from_static(b"k"));
+        for (ts, v) in [(1, 10), (2, 11), (3, 12)] {
+            process_in(&mut driver, &mut env, key.clone(), Some(i64b(v)), ts).unwrap();
+        }
+        assert!(env.outputs.is_empty(), "revisions wait in the cache");
+        driver.flush_caches(&mut env).unwrap();
+        // One coalesced revision (nothing → 12, stamped by the last write),
+        // delivered to each of the owner's three children.
+        let revision = Some(encode_change(&None, &Some(i64b(12))));
+        let want: Vec<_> = ["out1", "out2", "out3"]
+            .into_iter()
+            .map(|out| (out.to_string(), key.clone(), revision.clone(), 3))
+            .collect();
+        assert_eq!(outputs_by_topic(&driver, &env), want);
+        assert_eq!(env.changelog.len(), 1, "three writes, one changelog append");
     }
 
     #[test]

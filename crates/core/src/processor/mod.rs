@@ -16,6 +16,7 @@ use crate::state::{RecordCache, Store, StoreSpec};
 use crate::topology::Topology;
 use bytes::Bytes;
 use kbroker::TopicPartition;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// A stream processor: receives one record at a time, may read/write stores
@@ -67,6 +68,20 @@ impl StoreEntry {
     }
 }
 
+/// Queue `record` for each of `children`: a record has one owner per hop, so
+/// it is cloned for every child but the last and moved into the last.
+pub(crate) fn enqueue(
+    queue: &mut VecDeque<(usize, FlowRecord)>,
+    children: &[usize],
+    record: FlowRecord,
+) {
+    let Some((&last, rest)) = children.split_last() else { return };
+    for &c in rest {
+        queue.push_back((c, record.clone()));
+    }
+    queue.push_back((last, record));
+}
+
 /// The context a processor sees while handling one record.
 ///
 /// Borrows the task's environment: stores, output buffers, metrics, and the
@@ -75,7 +90,7 @@ pub struct ProcessorContext<'a> {
     /// Children of the currently executing node.
     pub(crate) children: &'a [usize],
     /// The driver's pending-record queue.
-    pub(crate) queue: &'a mut std::collections::VecDeque<(usize, FlowRecord)>,
+    pub(crate) queue: &'a mut VecDeque<(usize, FlowRecord)>,
     /// Task environment: stores, outputs, metrics, time.
     pub(crate) env: &'a mut TaskEnv,
 }
@@ -85,7 +100,7 @@ impl<'a> ProcessorContext<'a> {
     /// outside a task (unit tests, microbenchmarks).
     pub fn new(
         children: &'a [usize],
-        queue: &'a mut std::collections::VecDeque<(usize, FlowRecord)>,
+        queue: &'a mut VecDeque<(usize, FlowRecord)>,
         env: &'a mut TaskEnv,
     ) -> Self {
         Self { children, queue, env }
@@ -93,9 +108,7 @@ impl<'a> ProcessorContext<'a> {
 
     /// Forward a record to all downstream operators of the current node.
     pub fn forward(&mut self, record: FlowRecord) {
-        for &c in self.children {
-            self.queue.push_back((c, record.clone()));
-        }
+        enqueue(self.queue, self.children, record);
     }
 
     /// Current task stream time: the maximum record timestamp observed so
@@ -124,7 +137,7 @@ impl<'a> ProcessorContext<'a> {
     // ---------------------------------------------------------------
     // Store access. Every mutation's log-shaped side effects — the
     // changelog append (drained by the task into the store's changelog
-    // topic) and, for the `*_put_forward` variants, the downstream
+    // topic) and, for the `*_update` read-modify-writes, the downstream
     // revision — route through the store's write-back record cache when
     // one is enabled, and are emitted inline otherwise. The store itself
     // is always written through, so reads never consult the cache.
@@ -173,14 +186,11 @@ impl<'a> ProcessorContext<'a> {
         let outcome = entry.cache.put(changelog_key, old, value, ts, forward);
         if outcome.hit {
             self.env.metrics.cache_hits += 1;
-            kobs::count("kstreams.cache.hits", 1);
         } else {
             self.env.metrics.cache_misses += 1;
-            kobs::count("kstreams.cache.misses", 1);
         }
         if let Some((key, e)) = outcome.evicted {
             self.env.metrics.cache_evictions += 1;
-            kobs::count("kstreams.cache.evictions", 1);
             if let Some(changelog) = changelog {
                 self.env.metrics.changelog_appends += 1;
                 self.env.changelog.push((changelog, key.clone(), e.new.clone()));
@@ -204,20 +214,21 @@ impl<'a> ProcessorContext<'a> {
         old
     }
 
-    /// Key/value put that also emits the table revision `old → new`
-    /// downstream — deferred and coalesced through the record cache when one
-    /// is enabled, so N same-key updates per commit emit one revision whose
-    /// `old` is the value before the first of them. Returns the prior value.
-    pub fn table_put(
+    /// Key/value read-modify-write in one probe of the store: `f` maps the
+    /// key's current value to its new one (`None` deletes), and the table
+    /// revision `old → new` is emitted downstream — deferred and coalesced
+    /// through the record cache when one is enabled, so N same-key updates
+    /// per commit emit one revision whose `old` is the value before the
+    /// first of them.
+    pub fn table_update(
         &mut self,
         store: &str,
         key: Bytes,
-        value: Option<Bytes>,
         ts: i64,
-    ) -> Option<Bytes> {
-        let old = self.entry(store).store.as_kv().put(key.clone(), value.clone());
-        self.record_write(store, key, value, old.clone(), ts, true);
-        old
+        f: impl FnOnce(Option<&Bytes>) -> Option<Bytes>,
+    ) {
+        let (old, new) = self.entry(store).store.as_kv().update(key.clone(), f);
+        self.record_write(store, key, new, old, ts, true);
     }
 
     /// Number of entries in a KV store (suppress occupancy, index checks).
@@ -262,21 +273,22 @@ impl<'a> ProcessorContext<'a> {
         old
     }
 
-    /// Windowed put that also emits the window's revision downstream (keyed
-    /// by the windowed changelog key), coalesced through the record cache
-    /// when one is enabled. Returns the prior value.
-    pub fn window_put_forward(
+    /// Windowed read-modify-write in one descent of the store: `f` maps the
+    /// window's current value to its new one (`None` deletes), and the
+    /// window's revision is emitted downstream (keyed by the windowed
+    /// changelog key), coalesced through the record cache when one is
+    /// enabled.
+    pub fn window_update(
         &mut self,
         store: &str,
         key: Bytes,
         window_start: i64,
-        value: Option<Bytes>,
         ts: i64,
-    ) -> Option<Bytes> {
-        let old = self.entry(store).store.as_window().put(key.clone(), window_start, value.clone());
+        f: impl FnOnce(Option<&Bytes>) -> Option<Bytes>,
+    ) {
         let ck = Store::windowed_changelog_key(&key, window_start);
-        self.record_write(store, ck, value, old.clone(), ts, true);
-        old
+        let (old, new) = self.entry(store).store.as_window().update(key, window_start, f);
+        self.record_write(store, ck, new, old, ts, true);
     }
 
     /// Windowed range fetch for one key.

@@ -66,7 +66,8 @@ pub struct RecordCache {
     max_entries: usize,
     map: HashMap<Bytes, DirtyEntry>,
     /// Lazy LRU queue of `(seq, key)`; stale pairs (seq no longer matching
-    /// the entry) are skipped at eviction time.
+    /// the entry) are skipped at eviction time and compacted away whenever
+    /// the queue exceeds `2 * max_entries`, which bounds it.
     order: VecDeque<(u64, Bytes)>,
     next_seq: u64,
     hits: u64,
@@ -143,6 +144,14 @@ impl RecordCache {
             }
         };
         self.order.push_back((seq, key));
+        // A rewritten key leaves its earlier pair behind. Eviction skips
+        // those, so dropping them changes no eviction order — it only keeps
+        // a hot key under a long commit interval from growing the queue by
+        // one pair per write.
+        if self.order.len() > 2 * self.max_entries {
+            let map = &self.map;
+            self.order.retain(|(seq, key)| map.get(key).is_some_and(|e| e.seq == *seq));
+        }
         PutOutcome { hit, evicted: self.evict_if_over() }
     }
 
@@ -223,6 +232,41 @@ mod tests {
         assert_eq!(entry.new, Some(b("2")));
         assert_eq!(c.len(), 2);
         assert_eq!(c.stats().2, 1);
+    }
+
+    #[test]
+    fn lru_queue_stays_bounded_under_hot_keys() {
+        let mut c = RecordCache::new(4);
+        for i in 0..10_000i64 {
+            let key = b(["a", "b", "c"][i as usize % 3]);
+            assert!(c.put(key, None, Some(b("v")), i, false).evicted.is_none());
+            assert!(c.order.len() <= 2 * c.max_entries(), "queue {} at write {i}", c.order.len());
+        }
+        assert_eq!(c.len(), 3);
+        assert_eq!(c.stats(), (9_997, 3, 0));
+    }
+
+    #[test]
+    fn compaction_does_not_change_eviction_order() {
+        // Same recency order — c, d, a, b from least to most recent — reached
+        // with few rewrites of `a` (stale pairs still queued) and with many
+        // (queue compacted on the way): the same key must be evicted.
+        for rewrites in [2, 50] {
+            let mut c = RecordCache::new(4);
+            for (i, k) in ["a", "b", "c", "d"].into_iter().enumerate() {
+                c.put(b(k), None, Some(b("v")), i as i64, false);
+            }
+            for _ in 0..rewrites {
+                c.put(b("a"), None, Some(b("v")), 9, false);
+            }
+            c.put(b("b"), None, Some(b("v")), 10, false);
+            let compacted = c.order.len() < 4 + rewrites + 1;
+            assert_eq!(compacted, rewrites == 50, "{rewrites} rewrites: queue {}", c.order.len());
+            let (key, _) = c.put(b("e"), None, Some(b("v")), 11, false).evicted.expect("over");
+            assert_eq!(key, b("c"), "least-recently-written entry, {rewrites} rewrites");
+            let (key, _) = c.put(b("f"), None, Some(b("v")), 12, false).evicted.expect("over");
+            assert_eq!(key, b("d"));
+        }
     }
 
     #[test]

@@ -1,13 +1,24 @@
-//! In-memory key/value store (ordered, range-scannable).
+//! In-memory key/value store: hash-indexed for point access, sorted on scan.
+//!
+//! Every record of a key-level aggregate or table materialization probes
+//! this store, while scans happen at cold moments only (a suppress index
+//! rebuild, a spill after commit, a store dump in a test). So the map is a
+//! `HashMap` and [`KvStore::range`] / [`KvStore::iter`] collect and sort by
+//! key: callers see the same key order an ordered tree would give them, and
+//! the hash order — which differs from process to process — never reaches
+//! an output, a changelog or a span.
+//!
+//! The hasher is std's default `RandomState`: record keys come from outside
+//! the program, and a faster fixed-key hasher would let a producer craft
+//! keys that all collide.
 
 use bytes::Bytes;
-use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::collections::hash_map::{Entry, HashMap};
 
-/// An ordered key/value store. `put(key, None)` deletes.
+/// A key/value store. `put(key, None)` deletes.
 #[derive(Debug, Default, Clone)]
 pub struct KvStore {
-    map: BTreeMap<Bytes, Bytes>,
+    map: HashMap<Bytes, Bytes>,
 }
 
 impl KvStore {
@@ -28,14 +39,54 @@ impl KvStore {
         }
     }
 
-    /// Iterate entries with keys in `[from, to)` in key order.
-    pub fn range(&self, from: &[u8], to: &[u8]) -> impl Iterator<Item = (&Bytes, &Bytes)> {
-        self.map.range::<[u8], _>((Bound::Included(from), Bound::Excluded(to)))
+    /// Read-modify-write in one probe: `f` maps the current value to the new
+    /// one (`None` deletes, or leaves an absent key absent). Returns
+    /// `(old, new)` — what [`get`](Self::get) then [`put`](Self::put) of
+    /// `f`'s result would have returned and stored.
+    pub fn update(
+        &mut self,
+        key: Bytes,
+        f: impl FnOnce(Option<&Bytes>) -> Option<Bytes>,
+    ) -> (Option<Bytes>, Option<Bytes>) {
+        match self.map.entry(key) {
+            Entry::Occupied(mut slot) => {
+                let new = f(Some(slot.get()));
+                let old = match &new {
+                    Some(v) => slot.insert(v.clone()),
+                    None => slot.remove(),
+                };
+                (Some(old), new)
+            }
+            Entry::Vacant(slot) => {
+                let new = f(None);
+                if let Some(v) = &new {
+                    slot.insert(v.clone());
+                }
+                (None, new)
+            }
+        }
     }
 
-    /// Iterate all entries in key order.
+    /// Entries with keys in `[from, to)`, in key order.
+    pub fn range(&self, from: &[u8], to: &[u8]) -> impl Iterator<Item = (&Bytes, &Bytes)> {
+        // detlint:allow[unordered-iter] filtered, then sorted by key in `sorted`
+        Self::sorted(self.map.iter().filter(|(k, _)| from <= k.as_ref() && k.as_ref() < to))
+    }
+
+    /// All entries, in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&Bytes, &Bytes)> {
-        self.map.iter()
+        // detlint:allow[unordered-iter] sorted by key in `sorted`
+        Self::sorted(self.map.iter())
+    }
+
+    /// The one place hash order is turned into key order (keys are unique,
+    /// so the result does not depend on the order `entries` arrive in).
+    fn sorted<'a>(
+        entries: impl Iterator<Item = (&'a Bytes, &'a Bytes)>,
+    ) -> std::vec::IntoIter<(&'a Bytes, &'a Bytes)> {
+        let mut out: Vec<(&Bytes, &Bytes)> = entries.collect();
+        out.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        out.into_iter()
     }
 
     pub fn len(&self) -> usize {

@@ -7,7 +7,7 @@
 //!
 //! Three store shapes cover the DSL:
 //! * [`kv::KvStore`] — plain key/value (non-windowed aggregates, table
-//!   materializations),
+//!   materializations), hash-indexed, scans sorted by key,
 //! * [`window::WindowStore`] — `(key, window_start)` → value, with
 //!   stream-time-driven expiry implementing the grace period (§5),
 //! * [`session::SessionStore`] — variable-length session windows per key.
@@ -118,7 +118,8 @@ impl Store {
     /// tests, interactive debugging).
     pub fn dump(&self) -> Vec<(Bytes, Bytes)> {
         let mut out: Vec<(Bytes, Bytes)> = match self {
-            Store::Kv(s) => s.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
+            // A KV store's changelog key is its key, which `iter` sorts by.
+            Store::Kv(s) => return s.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
             Store::Window(s) => s
                 .iter()
                 .map(|(start, k, v)| (Self::windowed_changelog_key(k, start), v.clone()))

@@ -5,7 +5,7 @@
 //! per-key window scans are still efficient within the bounded window range.
 
 use bytes::Bytes;
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::ops::Bound;
 
 /// An in-memory windowed store.
@@ -32,6 +32,36 @@ impl WindowStore {
         }
     }
 
+    /// Read-modify-write in one descent: `f` maps the window's current value
+    /// to the new one (`None` deletes, or leaves an absent window absent).
+    /// Returns `(old, new)` — what [`fetch`](Self::fetch) then
+    /// [`put`](Self::put) of `f`'s result would have returned and stored,
+    /// without `fetch`'s copy of the key.
+    pub fn update(
+        &mut self,
+        key: Bytes,
+        window_start: i64,
+        f: impl FnOnce(Option<&Bytes>) -> Option<Bytes>,
+    ) -> (Option<Bytes>, Option<Bytes>) {
+        match self.map.entry((window_start, key)) {
+            Entry::Occupied(mut slot) => {
+                let new = f(Some(slot.get()));
+                let old = match &new {
+                    Some(v) => slot.insert(v.clone()),
+                    None => slot.remove(),
+                };
+                (Some(old), new)
+            }
+            Entry::Vacant(slot) => {
+                let new = f(None);
+                if let Some(v) = &new {
+                    slot.insert(v.clone());
+                }
+                (None, new)
+            }
+        }
+    }
+
     /// All `(window_start, value)` entries for `key` with window start in
     /// `[from, to]` (inclusive), in window order. Used by stream-stream
     /// joins to probe the other side's buffered records.
@@ -52,6 +82,11 @@ impl WindowStore {
     /// the grace-period GC (§5). The caller decides `before` from observed
     /// stream time.
     pub fn expire_before(&mut self, before: i64) -> Vec<(i64, Bytes, Bytes)> {
+        // Operators call this once per record and almost always nothing is
+        // due: leave the tree alone then.
+        if self.earliest_window().is_none_or(|start| start >= before) {
+            return Vec::new();
+        }
         let keep = self.map.split_off(&(before, Bytes::new()));
         let expired = std::mem::replace(&mut self.map, keep);
         expired.into_iter().map(|((start, k), v)| (start, k, v)).collect()
@@ -141,6 +176,25 @@ mod tests {
         s.put(b("k"), 100, Some(b("v")));
         assert!(s.expire_before(50).is_empty());
         assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn expiry_below_the_earliest_window_touches_nothing() {
+        let mut s = WindowStore::new();
+        s.put(b("b"), 5000, Some(b("1")));
+        s.put(b("a"), 5000, Some(b("2")));
+        s.put(b("a"), 10_000, Some(b("3")));
+        let before: Vec<_> = s.iter().map(|(start, k, v)| (start, k.clone(), v.clone())).collect();
+        for horizon in [i64::MIN, 0, 5000] {
+            assert!(s.expire_before(horizon).is_empty(), "nothing starts below {horizon}");
+            assert_eq!(s.len(), 3);
+            assert_eq!(s.earliest_window(), Some(5000));
+            let after: Vec<_> =
+                s.iter().map(|(start, k, v)| (start, k.clone(), v.clone())).collect();
+            assert_eq!(after, before, "iteration order and contents unchanged");
+        }
+        assert!(WindowStore::new().expire_before(i64::MAX).is_empty(), "empty store");
+        assert_eq!(s.expire_before(5001).len(), 2, "the next horizon up still expires");
     }
 
     #[test]

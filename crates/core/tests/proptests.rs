@@ -1,6 +1,9 @@
 //! Property-based tests for the streams layer: windowed aggregation
 //! equivalence against a batch oracle under arbitrary out-of-order input,
-//! store/changelog replay equivalence, and serde round-trips.
+//! store/changelog replay equivalence, the KV and window stores against an
+//! ordered-tree model (the hash-indexed store must be indistinguishable from
+//! it, scans included, whatever order it was filled in), and serde
+//! round-trips.
 
 use bytes::Bytes;
 use kstreams::dsl::ops::{KvAggregate, WindowAggregate};
@@ -9,8 +12,10 @@ use kstreams::kserde::{decode_change, encode_change, KSerde};
 use kstreams::processor::driver::TaskEnv;
 use kstreams::processor::{Processor, ProcessorContext, StoreEntry};
 use kstreams::record::FlowRecord;
-use kstreams::state::{Store, StoreKind, StoreSpec};
+use kstreams::state::spill::{spill_path, write_spill, StoreSpill};
+use kstreams::state::{KvStore, Store, StoreKind, StoreSpec, WindowStore};
 use proptest::prelude::*;
+use simkit::DetRng;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -41,6 +46,55 @@ fn kv_env() -> TaskEnv {
 
 fn arb_keyed_events() -> impl Strategy<Value = Vec<(u8, i64)>> {
     prop::collection::vec((0u8..5, 0i64..20_000), 1..80)
+}
+
+/// Store operations as `(op, key, value, second key)`: few distinct keys so
+/// that deletes, overwrites and updates of present keys are common. Keys
+/// are one or two bytes long, so key order is not insertion or length order.
+fn arb_store_ops() -> impl Strategy<Value = Vec<(u8, u8, u8, u8)>> {
+    prop::collection::vec((0u8..7, 0u8..12, any::<u8>(), 0u8..12), 1..120)
+}
+
+fn store_key(k: u8) -> Vec<u8> {
+    if k.is_multiple_of(3) {
+        vec![k]
+    } else {
+        vec![k / 2, k]
+    }
+}
+
+/// What an update writes: a value derived from the current one, or — for
+/// one generated value in four — nothing, which deletes a present key and
+/// must leave an absent one absent.
+fn updated(current: Option<&[u8]>, v: u8) -> Option<Vec<u8>> {
+    (!v.is_multiple_of(4)).then(|| {
+        let mut out = current.unwrap_or_default().to_vec();
+        out.push(v);
+        out.truncate(4);
+        out
+    })
+}
+
+fn pairs<'a>(it: impl Iterator<Item = (&'a Bytes, &'a Bytes)>) -> Vec<(Vec<u8>, Vec<u8>)> {
+    it.map(|(k, v)| (k.to_vec(), v.to_vec())).collect()
+}
+
+/// In-place Fisher–Yates from an explicit seed.
+fn permute<T>(items: &mut [T], seed: u64) {
+    let mut rng = DetRng::new(seed);
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.index(i + 1));
+    }
+}
+
+/// The bytes a spill of `store` at watermark 7 puts on disk.
+fn spill_bytes(store: &Store, tag: &str) -> Vec<u8> {
+    let dir = std::env::temp_dir().join(format!("kstreams-prop-{}-{tag}", std::process::id()));
+    let path = spill_path(&dir, "app", "0_0", "s");
+    write_spill(&path, &StoreSpill { watermark: 7, pairs: store.dump() }).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    bytes
 }
 
 proptest! {
@@ -110,6 +164,124 @@ proptest! {
         let a: Vec<_> = original.iter().map(|(s, k, v)| (s, k.clone(), v.clone())).collect();
         let b: Vec<_> = restored.iter().map(|(s, k, v)| (s, k.clone(), v.clone())).collect();
         prop_assert_eq!(a, b);
+    }
+
+    /// The hash-indexed KV store is indistinguishable from an ordered tree:
+    /// every point operation returns what the model returns, `update` is
+    /// `get` then `put`, and `range`/`iter` give the model's entries in the
+    /// model's order.
+    #[test]
+    fn kv_store_matches_an_ordered_model(ops in arb_store_ops()) {
+        let mut store = KvStore::new();
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        for (op, k, v, k2) in ops {
+            let key = store_key(k);
+            match op {
+                0 | 1 => {
+                    let old = store.put(Bytes::from(key.clone()), Some(Bytes::from(vec![v])));
+                    prop_assert_eq!(old.map(|b| b.to_vec()), model.insert(key, vec![v]));
+                }
+                2 => {
+                    let old = store.put(Bytes::from(key.clone()), None);
+                    prop_assert_eq!(old.map(|b| b.to_vec()), model.remove(&key));
+                }
+                3 => {
+                    prop_assert_eq!(store.get(&key).map(|b| b.to_vec()), model.get(&key).cloned());
+                }
+                4 => {
+                    let (old, new) = store.update(Bytes::from(key.clone()), |cur| {
+                        updated(cur.map(AsRef::as_ref), v).map(Bytes::from)
+                    });
+                    let want_old = model.get(&key).cloned();
+                    let want_new = updated(want_old.as_deref(), v);
+                    match &want_new {
+                        Some(n) => model.insert(key, n.clone()),
+                        None => model.remove(&key),
+                    };
+                    prop_assert_eq!(old.map(|b| b.to_vec()), want_old);
+                    prop_assert_eq!(new.map(|b| b.to_vec()), want_new);
+                }
+                5 => {
+                    let (from, to) = (key, store_key(k2));
+                    let want: Vec<_> = if from <= to {
+                        model.range(from.clone()..to.clone()).map(|(k, v)| (k.clone(), v.clone())).collect()
+                    } else {
+                        Vec::new()
+                    };
+                    prop_assert_eq!(pairs(store.range(&from, &to)), want, "range {:?}..{:?}", from, to);
+                }
+                _ => {
+                    let want: Vec<_> = model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+                    prop_assert_eq!(pairs(store.iter()), want);
+                }
+            }
+            prop_assert_eq!(store.len(), model.len());
+        }
+        let want: Vec<_> = model.into_iter().collect();
+        prop_assert_eq!(pairs(store.iter()), want, "final contents, in key order");
+    }
+
+    /// `WindowStore::update` is `fetch` then `put`: the same sequence applied
+    /// either way returns the same values and leaves the same store.
+    #[test]
+    fn window_update_is_fetch_then_put(ops in arb_store_ops()) {
+        let mut updated_store = WindowStore::new();
+        let mut reference = WindowStore::new();
+        for (op, k, v, w) in ops {
+            let key = Bytes::from(store_key(k));
+            let start = i64::from(w % 4) * 1_000;
+            if op < 2 {
+                // Plain puts and deletes keep absent and present windows mixed.
+                let value = (op == 0).then(|| Bytes::from(vec![v]));
+                prop_assert_eq!(
+                    updated_store.put(key.clone(), start, value.clone()),
+                    reference.put(key, start, value)
+                );
+                continue;
+            }
+            let want_old = reference.fetch(&key, start);
+            let want_new = updated(want_old.as_deref(), v).map(Bytes::from);
+            reference.put(key.clone(), start, want_new.clone());
+            let got = updated_store.update(key, start, |cur| {
+                updated(cur.map(AsRef::as_ref), v).map(Bytes::from)
+            });
+            prop_assert_eq!(got, (want_old, want_new));
+            prop_assert_eq!(updated_store.len(), reference.len());
+        }
+        let a: Vec<_> = updated_store.iter().map(|(s, k, v)| (s, k.clone(), v.clone())).collect();
+        let b: Vec<_> = reference.iter().map(|(s, k, v)| (s, k.clone(), v.clone())).collect();
+        prop_assert_eq!(a, b);
+    }
+
+    /// Insertion order — and with it the hash map's layout — is invisible:
+    /// two stores holding the same pairs, filled in two random orders, give
+    /// equal dumps, equal `kv_entries` and byte-equal spill files. This is
+    /// the property that keeps hash order out of seed replay.
+    #[test]
+    fn kv_scans_do_not_depend_on_insertion_order(
+        entries in prop::collection::vec((0u8..40, any::<u8>()), 1..60),
+        seeds in (any::<u64>(), any::<u64>()),
+    ) {
+        // Last write wins in any order only if keys are unique.
+        let unique: BTreeMap<u8, u8> = entries.into_iter().collect();
+        let fill = |seed: u64| {
+            let mut order: Vec<(u8, u8)> = unique.iter().map(|(k, v)| (*k, *v)).collect();
+            permute(&mut order, seed);
+            let mut env = kv_env();
+            let mut queue = VecDeque::new();
+            let mut ctx = ProcessorContext::new(&[], &mut queue, &mut env);
+            for (k, v) in order {
+                ctx.kv_put("s", Bytes::from(store_key(k)), Some(Bytes::from(vec![v])));
+            }
+            let entries = ctx.kv_entries("s");
+            (env.stores.remove("s").unwrap().store, entries)
+        };
+        let (a, a_entries) = fill(seeds.0);
+        let (b, b_entries) = fill(seeds.1);
+        prop_assert_eq!(a.dump(), b.dump());
+        prop_assert_eq!(&a_entries, &b_entries);
+        prop_assert_eq!(&a_entries, &a.dump(), "kv_entries is the dump: sorted by key");
+        prop_assert_eq!(spill_bytes(&a, "a"), spill_bytes(&b, "b"));
     }
 
     /// KvAggregate with add/sub is revision-correct: applying a random
