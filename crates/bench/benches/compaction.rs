@@ -33,7 +33,7 @@ fn bench_compaction_pass(c: &mut Criterion) {
                 b.iter_batched(
                     || changelog(500, updates),
                     |mut log| {
-                        let stats = compact(&mut log, CompactionOptions::default());
+                        let stats = compact(&mut log, CompactionOptions::default()).unwrap();
                         assert_eq!(stats.records_after, 500);
                     },
                     criterion::BatchSize::SmallInput,
@@ -68,7 +68,7 @@ fn bench_restore_scan(c: &mut Criterion) {
     });
     group.bench_function("compacted-20x", |b| {
         let mut log = changelog(500, 20);
-        compact(&mut log, CompactionOptions::default());
+        compact(&mut log, CompactionOptions::default()).unwrap();
         b.iter(|| assert_eq!(scan(&log), 500));
     });
     group.finish();

@@ -142,7 +142,7 @@ fn run_cycle(records: u64, keys: usize, spills: bool) -> Outcome {
     kobs::reset();
     let t = Instant::now();
     cluster.kill_broker(0);
-    cluster.restore_broker(0);
+    cluster.restore_broker(0).unwrap();
     let broker_recovery_ms = t.elapsed().as_secs_f64() * 1e3;
     let broker_recovered_batches =
         kobs::snapshot().counter("klog.disk.recovered_batches").unwrap_or(0);

@@ -38,7 +38,7 @@ pub mod txn;
 pub use cluster::{Cluster, ClusterBuilder};
 pub use consumer::{Consumer, ConsumerConfig, ConsumerRecord};
 pub use error::BrokerError;
-pub use klog::{DiskConfig, FsyncPolicy, IsolationLevel, StorageMode};
+pub use klog::{DiskConfig, IsolationLevel, StorageMode};
 pub use producer::{Producer, ProducerConfig};
 pub use topic::{TopicConfig, TopicPartition};
 

@@ -94,7 +94,7 @@ fn fault_injected_runs_uphold_protocol_invariants() {
         // Rolling failover: never more than one broker down at a time.
         let victim = cycle % 3;
         cluster.kill_broker(victim);
-        cluster.restore_broker(victim);
+        cluster.restore_broker(victim).unwrap();
     }
     assert_eq!(
         committed_values(&cluster, "txn").len(),

@@ -118,7 +118,7 @@ proptest! {
             // Kill one broker and immediately restore a (possibly
             // different) one, so at least two stay alive at all times.
             cluster.kill_broker(victim);
-            cluster.restore_broker(victim);
+            cluster.restore_broker(victim).unwrap();
         }
         let f = cluster.fetch(&tp, 0, usize::MAX, IsolationLevel::ReadUncommitted).unwrap();
         prop_assert_eq!(f.count(), sent, "no record lost across failovers");

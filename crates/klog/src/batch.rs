@@ -7,7 +7,9 @@
 //! exactly as the paper describes.
 
 use crate::record::Record;
-use crate::{Offset, ProducerEpoch, ProducerId, NO_PRODUCER_ID, NO_SEQUENCE, NO_TIMESTAMP};
+use crate::{
+    Offset, ProducerEpoch, ProducerId, NO_OFFSET, NO_PRODUCER_ID, NO_SEQUENCE, NO_TIMESTAMP,
+};
 use std::sync::Arc;
 
 /// Transaction control-marker type (§4.2.2). Control batches are written by
@@ -120,15 +122,15 @@ pub struct StoredBatch {
 }
 
 impl StoredBatch {
-    /// First offset in the batch. Panics on an empty batch (empty batches
-    /// are never stored).
+    /// First offset in the batch ([`NO_OFFSET`] for an empty batch, which
+    /// the log never stores).
     pub fn base_offset(&self) -> Offset {
-        self.entries.first().expect("stored batches are non-empty").0
+        self.entries.first().map_or(NO_OFFSET, |(o, _)| *o)
     }
 
-    /// Last offset in the batch.
+    /// Last offset in the batch ([`NO_OFFSET`] for an empty batch).
     pub fn last_offset(&self) -> Offset {
-        self.entries.last().expect("stored batches are non-empty").0
+        self.entries.last().map_or(NO_OFFSET, |(o, _)| *o)
     }
 
     /// Last sequence number covered by this batch

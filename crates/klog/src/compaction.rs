@@ -17,6 +17,7 @@
 //!   unless `remove_tombstones` is set, in which case the key disappears.
 
 use crate::batch::StoredBatch;
+use crate::error::LogError;
 use crate::log::PartitionLog;
 use crate::record::Record;
 use crate::Offset;
@@ -56,8 +57,12 @@ impl CompactionStats {
     }
 }
 
-/// Run one compaction pass over `log`.
-pub fn compact(log: &mut PartitionLog, opts: CompactionOptions) -> CompactionStats {
+/// Run one compaction pass over `log`. Fails only when the log's disk
+/// cannot be rewritten.
+pub fn compact(
+    log: &mut PartitionLog,
+    opts: CompactionOptions,
+) -> Result<CompactionStats, LogError> {
     let bound: Offset = log.high_watermark().min(log.last_stable_offset());
     let aborted = log.aborted_txns().to_vec();
     let is_aborted = |batch: &StoredBatch| {
@@ -130,7 +135,7 @@ pub fn compact(log: &mut PartitionLog, opts: CompactionOptions) -> CompactionSta
     let records_after: usize =
         out.iter().filter(|b| !b.meta.is_control()).map(StoredBatch::len).sum();
     let bytes_after: usize = out.iter().map(StoredBatch::approximate_size).sum();
-    log.replace_batches(out);
+    log.replace_batches(out)?;
     let stats = CompactionStats { records_before, records_after, bytes_before, bytes_after };
     kobs::count("klog.compaction.passes", 1);
     kobs::count("klog.compaction.records_removed", (records_before - records_after) as u64);
@@ -142,7 +147,7 @@ pub fn compact(log: &mut PartitionLog, opts: CompactionOptions) -> CompactionSta
         records_after = records_after,
         bytes_after = bytes_after,
     );
-    stats
+    Ok(stats)
 }
 
 #[cfg(test)]
@@ -161,7 +166,7 @@ mod tests {
         log.append(BatchMeta::plain(), vec![kv("a", "1", 0), kv("b", "1", 1)]).unwrap();
         log.append(BatchMeta::plain(), vec![kv("a", "2", 2)]).unwrap();
         log.append(BatchMeta::plain(), vec![kv("a", "3", 3), kv("b", "2", 4)]).unwrap();
-        let stats = compact(&mut log, CompactionOptions::default());
+        let stats = compact(&mut log, CompactionOptions::default()).unwrap();
         assert_eq!(stats.records_before, 5);
         assert_eq!(stats.records_after, 2);
         let f = log.fetch(0, 100, IsolationLevel::ReadUncommitted).unwrap();
@@ -176,8 +181,8 @@ mod tests {
         let mut log = PartitionLog::new().with_managed_watermark();
         log.append(BatchMeta::plain(), vec![kv("a", "1", 0)]).unwrap();
         log.append(BatchMeta::plain(), vec![kv("a", "2", 1)]).unwrap();
-        log.advance_high_watermark(1); // only offset 0 is clean
-        compact(&mut log, CompactionOptions::default());
+        log.advance_high_watermark(1).unwrap(); // only offset 0 is clean
+        compact(&mut log, CompactionOptions::default()).unwrap();
         // Both records survive: offset 0 is latest *in the clean region*,
         // offset 1 is dirty.
         assert_eq!(log.record_count(), 2);
@@ -189,7 +194,7 @@ mod tests {
         log.append(BatchMeta::plain(), vec![kv("a", "1", 0)]).unwrap();
         log.append(BatchMeta::transactional(1, 0, 0), vec![kv("a", "2", 1)]).unwrap();
         // Txn open ⇒ LSO = 1 ⇒ only offset 0 clean; nothing superseded.
-        compact(&mut log, CompactionOptions::default());
+        compact(&mut log, CompactionOptions::default()).unwrap();
         assert_eq!(log.record_count(), 2);
     }
 
@@ -199,7 +204,7 @@ mod tests {
         log.append(BatchMeta::plain(), vec![kv("a", "keep", 0)]).unwrap();
         log.append(BatchMeta::transactional(1, 0, 0), vec![kv("b", "gone", 1)]).unwrap();
         log.append_control(1, 0, ControlType::Abort, 2).unwrap();
-        let stats = compact(&mut log, CompactionOptions::default());
+        let stats = compact(&mut log, CompactionOptions::default()).unwrap();
         assert_eq!(stats.records_after, 1);
         let f = log.fetch(0, 100, IsolationLevel::ReadUncommitted).unwrap();
         assert_eq!(f.count(), 1);
@@ -213,9 +218,9 @@ mod tests {
         log.append(BatchMeta::plain(), vec![Record::tombstone(Bytes::from_static(b"a"), 1)])
             .unwrap();
         let mut log2 = log.clone();
-        compact(&mut log, CompactionOptions::default());
+        compact(&mut log, CompactionOptions::default()).unwrap();
         assert_eq!(log.record_count(), 1, "tombstone retained");
-        compact(&mut log2, CompactionOptions { remove_tombstones: true });
+        compact(&mut log2, CompactionOptions { remove_tombstones: true }).unwrap();
         assert_eq!(log2.record_count(), 0, "tombstone dropped");
     }
 
@@ -226,7 +231,7 @@ mod tests {
             .unwrap();
         log.append(BatchMeta::plain(), vec![Record::new(None, Some(Bytes::from_static(b"y")), 1)])
             .unwrap();
-        compact(&mut log, CompactionOptions::default());
+        compact(&mut log, CompactionOptions::default()).unwrap();
         assert_eq!(log.record_count(), 2);
     }
 
@@ -237,7 +242,7 @@ mod tests {
         log.append_control(1, 0, ControlType::Commit, 1).unwrap();
         log.append(BatchMeta::transactional(1, 0, 1), vec![kv("a", "2", 2)]).unwrap();
         log.append_control(1, 0, ControlType::Commit, 3).unwrap();
-        let stats = compact(&mut log, CompactionOptions::default());
+        let stats = compact(&mut log, CompactionOptions::default()).unwrap();
         assert_eq!(stats.records_after, 1);
         let f = log.fetch(0, 100, IsolationLevel::ReadCommitted).unwrap();
         assert_eq!(f.records().next().unwrap().1.value.as_deref(), Some(b"2".as_slice()));
@@ -252,7 +257,7 @@ mod tests {
             let key = format!("k{}", i % 10);
             log.append(BatchMeta::plain(), vec![kv(&key, &format!("v{i}"), i)]).unwrap();
         }
-        let stats = compact(&mut log, CompactionOptions::default());
+        let stats = compact(&mut log, CompactionOptions::default()).unwrap();
         assert_eq!(stats.records_after, 10);
         assert!(stats.reclaimed_fraction() > 0.8);
         // Replay: last value per key matches the uncompacted history.
@@ -275,7 +280,7 @@ mod tests {
         let mut log = PartitionLog::new();
         log.append(BatchMeta::idempotent(1, 0, 0), vec![kv("a", "1", 0)]).unwrap();
         log.append(BatchMeta::idempotent(1, 0, 1), vec![kv("a", "2", 1)]).unwrap();
-        compact(&mut log, CompactionOptions::default());
+        compact(&mut log, CompactionOptions::default()).unwrap();
         let retry = log.append(BatchMeta::idempotent(1, 0, 1), vec![kv("a", "2", 1)]).unwrap();
         assert!(retry.duplicate, "producer table survives compaction");
     }

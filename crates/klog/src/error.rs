@@ -50,7 +50,7 @@ pub enum LogError {
     InvalidTxnState(String),
     /// Batch failed validation (empty, bad control payload, …).
     CorruptBatch(String),
-    /// A disk-backend I/O operation failed (storage mirror or recovery).
+    /// A disk-backend I/O operation failed (a write through or recovery).
     Io(String),
 }
 

@@ -18,10 +18,11 @@
 //!
 //! `klog` is purely single-partition data structures with no threading and —
 //! by default — no I/O; `kbroker` composes these into a replicated
-//! multi-broker cluster. The optional [`storage`] disk backend mirrors a
-//! log's mutations into real segment files for honest crash recovery.
+//! multi-broker cluster. The optional [`storage`] disk backend backs each of
+//! a log's segments with one real segment file for honest crash recovery.
 
 #![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod batch;
 pub mod checks;
@@ -39,7 +40,7 @@ pub use error::LogError;
 pub use log::{AbortedTxn, AppendOutcome, FetchResult, IsolationLevel, PartitionLog};
 pub use producer_state::{ProducerStateTable, SequenceCheck};
 pub use record::Record;
-pub use storage::{DiskConfig, DiskLog, FsyncPolicy, RecoveredLog, StorageMode};
+pub use storage::{DiskConfig, DiskLog, StorageMode};
 
 /// Offsets are dense, zero-based positions within one partition log.
 pub type Offset = i64;
@@ -56,6 +57,9 @@ pub const NO_PRODUCER_ID: ProducerId = -1;
 
 /// The sentinel sequence for non-idempotent appends.
 pub const NO_SEQUENCE: i64 = -1;
+
+/// The sentinel offset of an empty batch.
+pub const NO_OFFSET: Offset = -1;
 
 /// The sentinel timestamp meaning "not set".
 pub const NO_TIMESTAMP: i64 = -1;

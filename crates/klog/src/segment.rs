@@ -3,42 +3,90 @@
 //! Kafka splits each partition log into segments so retention and compaction
 //! can drop or rewrite whole files. We keep the same structure in memory:
 //! a [`SegmentList`] of segments, each covering a contiguous offset range,
-//! rolled when a segment exceeds a record-count threshold. Prefix truncation
+//! rolled when a segment reaches a record-count threshold. Prefix truncation
 //! (repartition-topic purging, retention) drops whole segments cheaply and
 //! trims the head segment.
+//!
+//! The list is the log: with a disk attached, each segment is backed by
+//! exactly one segment file, named by the segment's base offset, so the list
+//! alone decides when a file is opened, dropped or rewritten.
 
 use crate::batch::StoredBatch;
 use crate::Offset;
 
-/// Maximum records per segment before rolling. Small enough that unit tests
-/// exercise multi-segment logs without huge appends.
+/// Records per segment before rolling, for a log with no disk attached (a
+/// disk-backed log rolls at its `DiskConfig::roll_records`).
 pub const SEGMENT_ROLL_RECORDS: usize = 4096;
 
-/// One segment: a run of batches with contiguous offsets.
-#[derive(Debug, Clone, Default)]
+/// One segment: a non-empty run of batches with increasing offsets.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Segment {
+    base: Offset,
     batches: Vec<StoredBatch>,
     record_count: usize,
 }
 
 impl Segment {
-    fn base_offset(&self) -> Option<Offset> {
-        self.batches.first().map(StoredBatch::base_offset)
+    /// A segment holding `batches`, which must be non-empty and in offset
+    /// order, opened at `base`.
+    pub(crate) fn new(base: Offset, batches: Vec<StoredBatch>) -> Self {
+        let record_count = batches.iter().map(StoredBatch::len).sum();
+        Self { base, batches, record_count }
+    }
+
+    /// The offset the segment was opened at — the base offset of its first
+    /// batch then, and its file's name on disk. Trimming the segment's head
+    /// keeps it.
+    pub(crate) fn base(&self) -> Offset {
+        self.base
+    }
+
+    /// The segment's batches, in offset order.
+    pub(crate) fn batches(&self) -> &[StoredBatch] {
+        &self.batches
     }
 
     fn last_offset(&self) -> Option<Offset> {
         self.batches.last().map(StoredBatch::last_offset)
     }
 
-    fn is_full(&self) -> bool {
-        self.record_count >= SEGMENT_ROLL_RECORDS
+    /// Keep only the batches `keep` accepts; true when any was dropped.
+    fn retain(&mut self, keep: impl FnMut(&StoredBatch) -> bool) -> bool {
+        let before = self.batches.len();
+        self.batches.retain(keep);
+        self.record_count = self.batches.iter().map(StoredBatch::len).sum();
+        self.batches.len() != before
     }
 }
 
-/// An ordered list of segments forming one partition log's storage.
+/// Where [`SegmentList::append`] puts a batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Placement {
+    /// Into the active (last) segment.
+    Active,
+    /// Into a new segment that starts an empty list.
+    First,
+    /// Into a new segment, closing the full active one: a roll.
+    Roll,
+}
+
+/// What a truncation did to the segment list: the bases of the segments it
+/// dropped whole, and the base of the one it trimmed — a cut falls inside at
+/// most one segment.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Truncation {
+    /// Bases of the segments dropped whole.
+    pub dropped: Vec<Offset>,
+    /// Base of the segment that lost some, but not all, of its batches.
+    pub trimmed: Option<Offset>,
+}
+
+/// An ordered list of segments forming one partition log's storage. It
+/// never holds an empty segment.
 #[derive(Debug, Clone)]
 pub struct SegmentList {
     segments: Vec<Segment>,
+    roll_records: usize,
 }
 
 impl Default for SegmentList {
@@ -48,26 +96,47 @@ impl Default for SegmentList {
 }
 
 impl SegmentList {
-    /// A list with a single empty active segment.
+    /// An empty list rolling at [`SEGMENT_ROLL_RECORDS`].
     pub fn new() -> Self {
-        Self { segments: vec![Segment::default()] }
+        Self { segments: Vec::new(), roll_records: SEGMENT_ROLL_RECORDS }
     }
 
-    /// Rebuild from a flat batch list (compaction output). Batches must be
-    /// in increasing offset order.
-    pub fn from_batches(batches: Vec<StoredBatch>) -> Self {
-        let mut list = Self::new();
+    /// Re-form the list from a flat batch list (compaction output), rolling
+    /// as appends would. Batches must be in increasing offset order.
+    pub fn rebuild(&mut self, batches: Vec<StoredBatch>) {
+        self.segments.clear();
         for b in batches {
-            list.append(b);
+            self.append(b);
         }
-        list
+    }
+
+    /// A list of already-formed segments (recovery: one per surviving
+    /// file). Rebuilding a segment is not a roll, so nothing is counted.
+    pub(crate) fn from_segments(segments: Vec<Segment>, roll_records: usize) -> Self {
+        Self { segments, roll_records }
+    }
+
+    /// Roll at `records` per segment from now on (a disk was attached).
+    pub(crate) fn set_roll_records(&mut self, records: usize) {
+        self.roll_records = records;
+    }
+
+    /// Where the next appended batch goes. The one place the roll threshold
+    /// is read: a segment rolls once it holds `roll_records` records.
+    pub fn placement(&self) -> Placement {
+        match self.segments.last() {
+            None => Placement::First,
+            Some(active) if active.record_count >= self.roll_records => Placement::Roll,
+            Some(_) => Placement::Active,
+        }
     }
 
     /// Append a batch, rolling to a new segment when the active one is full.
-    pub fn append(&mut self, batch: StoredBatch) {
+    /// Returns where the batch went.
+    pub fn append(&mut self, batch: StoredBatch) -> Placement {
         debug_assert!(!batch.is_empty());
-        let active = self.segments.last_mut().expect("at least one segment");
-        if active.is_full() && !active.batches.is_empty() {
+        let placement = self.placement();
+        if placement == Placement::Roll {
             kobs::count("klog.segment_rolls", 1);
             kobs::event!(
                 batch.max_timestamp(),
@@ -76,16 +145,20 @@ impl SegmentList {
                 segments = self.segments.len() + 1,
                 base_offset = batch.base_offset(),
             );
-            self.segments.push(Segment::default());
         }
-        let active = self.segments.last_mut().expect("at least one segment");
-        active.record_count += batch.len();
-        active.batches.push(batch);
+        match self.segments.last_mut() {
+            Some(active) if placement == Placement::Active => {
+                active.record_count += batch.len();
+                active.batches.push(batch);
+            }
+            _ => self.segments.push(Segment::new(batch.base_offset(), vec![batch])),
+        }
+        placement
     }
 
     /// Earliest retained offset, if any batch is retained.
     pub fn log_start(&self) -> Option<Offset> {
-        self.segments.iter().find_map(Segment::base_offset)
+        self.segments.first().and_then(|s| s.batches.first()).map(StoredBatch::base_offset)
     }
 
     /// Last retained offset.
@@ -95,12 +168,12 @@ impl SegmentList {
 
     /// Last retained batch.
     pub fn last(&self) -> Option<&StoredBatch> {
-        self.segments.iter().rev().find_map(|s| s.batches.last())
+        self.segments.last().and_then(|s| s.batches.last())
     }
 
-    /// Number of segments (for tests and metrics).
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
+    /// The segments, in offset order.
+    pub(crate) fn segments(&self) -> &[Segment] {
+        &self.segments
     }
 
     /// Iterate batches whose last offset is `>= from`, in offset order.
@@ -119,33 +192,35 @@ impl SegmentList {
 
     /// Drop whole batches entirely below `new_start`; whole segments are
     /// dropped in O(1) per segment.
-    pub fn truncate_prefix(&mut self, new_start: Offset) {
-        self.segments.retain(|s| s.last_offset().is_none_or(|lo| lo >= new_start));
-        if self.segments.is_empty() {
-            self.segments.push(Segment::default());
-            return;
-        }
-        let head = &mut self.segments[0];
-        let before: usize = head.batches.iter().map(StoredBatch::len).sum();
-        head.batches.retain(|b| b.last_offset() >= new_start);
-        let after: usize = head.batches.iter().map(StoredBatch::len).sum();
-        head.record_count -= before - after;
+    pub fn truncate_prefix(&mut self, new_start: Offset) -> Truncation {
+        let keep_from = self
+            .segments
+            .iter()
+            .position(|s| s.last_offset().is_some_and(|lo| lo >= new_start))
+            .unwrap_or(self.segments.len());
+        let dropped = self.segments.drain(..keep_from).map(|s| s.base).collect();
+        let trimmed = self
+            .segments
+            .first_mut()
+            .and_then(|head| head.retain(|b| b.last_offset() >= new_start).then_some(head.base));
+        Truncation { dropped, trimmed }
     }
 
     /// Drop all batches with any offset `>= to` (suffix truncation). Batches
     /// straddling `to` are dropped whole (matches Kafka, which truncates at
     /// batch boundaries).
-    pub fn truncate_suffix(&mut self, to: Offset) {
-        for s in &mut self.segments {
-            let before: usize = s.batches.iter().map(StoredBatch::len).sum();
-            s.batches.retain(|b| b.last_offset() < to);
-            let after: usize = s.batches.iter().map(StoredBatch::len).sum();
-            s.record_count -= before - after;
-        }
-        self.segments.retain(|s| !s.batches.is_empty());
-        if self.segments.is_empty() {
-            self.segments.push(Segment::default());
-        }
+    pub fn truncate_suffix(&mut self, to: Offset) -> Truncation {
+        let cut_from = self
+            .segments
+            .iter()
+            .position(|s| s.batches.first().is_some_and(|b| b.last_offset() >= to))
+            .unwrap_or(self.segments.len());
+        let dropped = self.segments.drain(cut_from..).map(|s| s.base).collect();
+        let trimmed = self
+            .segments
+            .last_mut()
+            .and_then(|tail| tail.retain(|b| b.last_offset() < to).then_some(tail.base));
+        Truncation { dropped, trimmed }
     }
 }
 
@@ -160,6 +235,10 @@ mod tests {
             meta: BatchMeta::plain(),
             entries: (0..n).map(|i| (base + i as i64, Record::of_str("k", "v", 0))).collect(),
         }
+    }
+
+    fn bases(l: &SegmentList) -> Vec<Offset> {
+        l.segments().iter().map(Segment::base).collect()
     }
 
     #[test]
@@ -188,11 +267,11 @@ mod tests {
     fn rolls_segments_when_full() {
         let mut l = SegmentList::new();
         let mut off = 0;
-        while l.segment_count() < 3 {
+        while l.segments().len() < 3 {
             l.append(batch(off, 512));
             off += 512;
         }
-        assert!(l.segment_count() >= 3);
+        assert!(l.segments().len() >= 3);
         // Iteration still spans all segments.
         let total: usize = l.iter_from(0).map(StoredBatch::len).sum();
         assert_eq!(total, off as usize);
@@ -205,8 +284,12 @@ mod tests {
             l.append(batch(i * SEGMENT_ROLL_RECORDS as i64, SEGMENT_ROLL_RECORDS));
         }
         let cutoff = 2 * SEGMENT_ROLL_RECORDS as i64;
-        l.truncate_prefix(cutoff);
+        let cut = l.truncate_prefix(cutoff);
         assert_eq!(l.log_start(), Some(cutoff));
+        assert_eq!(
+            cut,
+            Truncation { dropped: vec![0, SEGMENT_ROLL_RECORDS as i64], trimmed: None }
+        );
     }
 
     #[test]
@@ -217,7 +300,7 @@ mod tests {
         assert_eq!(l.log_start(), None);
         assert_eq!(l.iter_from(0).count(), 0);
         // Still appendable.
-        l.append(batch(5, 1));
+        assert_eq!(l.append(batch(5, 1)), Placement::First);
         assert_eq!(l.log_start(), Some(5));
     }
 
@@ -226,29 +309,43 @@ mod tests {
         let mut l = SegmentList::new();
         l.append(batch(0, 3));
         l.append(batch(3, 3));
-        l.truncate_suffix(3);
+        assert_eq!(l.truncate_suffix(3), Truncation { dropped: vec![], trimmed: Some(0) });
         assert_eq!(l.last_offset(), Some(2));
-        l.truncate_suffix(0);
+        assert_eq!(l.truncate_suffix(0), Truncation { dropped: vec![0], trimmed: None });
         assert_eq!(l.last_offset(), None);
     }
 
     #[test]
-    fn from_batches_round_trips() {
+    fn trimmed_head_keeps_its_base() {
+        let mut l = SegmentList::new();
+        l.set_roll_records(4);
+        l.rebuild(vec![batch(0, 2), batch(2, 2), batch(4, 2)]);
+        assert_eq!(bases(&l), vec![0, 4]);
+        assert_eq!(l.truncate_prefix(2), Truncation { dropped: vec![], trimmed: Some(0) });
+        assert_eq!(bases(&l), vec![0, 4], "the head is trimmed, not renamed");
+        assert_eq!(l.log_start(), Some(2));
+    }
+
+    #[test]
+    fn rebuild_round_trips() {
         let batches = vec![batch(0, 2), batch(2, 2)];
-        let l = SegmentList::from_batches(batches.clone());
+        let mut l = SegmentList::new();
+        l.append(batch(0, 1));
+        l.rebuild(batches.clone());
         let got: Vec<&StoredBatch> = l.iter_from(0).collect();
         assert_eq!(got.len(), 2);
         assert_eq!(got[0], &batches[0]);
     }
 
     // ---- segment-roll boundary arithmetic -------------------------------
-    // These pin the exact behaviour at roll boundaries so the disk backend
-    // (which mirrors the same roll rule) can rely on it.
+    // These pin the exact behaviour at roll boundaries, which the disk
+    // backend follows file for file.
 
     #[test]
     fn empty_fresh_list_has_no_offsets() {
         let l = SegmentList::new();
-        assert_eq!(l.segment_count(), 1);
+        assert!(l.segments().is_empty());
+        assert_eq!(l.placement(), Placement::First);
         assert_eq!(l.log_start(), None);
         assert_eq!(l.last_offset(), None);
         assert_eq!(l.iter_from(i64::MIN).count(), 0);
@@ -261,14 +358,13 @@ mod tests {
         // a freshly-rolled segment is never empty.
         let n = SEGMENT_ROLL_RECORDS;
         let mut l = SegmentList::new();
-        l.append(batch(0, n));
-        assert_eq!(l.segment_count(), 1, "roll is lazy");
+        assert_eq!(l.append(batch(0, n)), Placement::First);
+        assert_eq!(l.segments().len(), 1, "roll is lazy");
         assert_eq!(l.last_offset(), Some(n as i64 - 1));
-        l.append(batch(n as i64, 1));
-        assert_eq!(l.segment_count(), 2);
+        assert_eq!(l.append(batch(n as i64, 1)), Placement::Roll);
+        assert_eq!(bases(&l), vec![0, n as i64]);
         // The new segment's first batch IS the rolled-in batch — its base
         // offset equals the previous log end, with no gap and no overlap.
-        assert_eq!(l.segments[1].base_offset(), Some(n as i64));
         assert_eq!(l.segments[0].last_offset(), Some(n as i64 - 1));
         assert_eq!(l.last_offset(), Some(n as i64));
     }
@@ -279,9 +375,9 @@ mod tests {
         let mut l = SegmentList::new();
         l.append(batch(0, SEGMENT_ROLL_RECORDS));
         l.append(batch(n, SEGMENT_ROLL_RECORDS));
-        assert_eq!(l.segment_count(), 2);
-        l.truncate_suffix(n);
-        assert_eq!(l.segment_count(), 1);
+        assert_eq!(l.segments().len(), 2);
+        assert_eq!(l.truncate_suffix(n), Truncation { dropped: vec![n], trimmed: None });
+        assert_eq!(l.segments().len(), 1);
         assert_eq!(l.last_offset(), Some(n - 1));
         assert_eq!(l.log_start(), Some(0));
     }
@@ -292,8 +388,8 @@ mod tests {
         let mut l = SegmentList::new();
         l.append(batch(0, SEGMENT_ROLL_RECORDS));
         l.append(batch(n, SEGMENT_ROLL_RECORDS));
-        l.truncate_prefix(n);
-        assert_eq!(l.segment_count(), 1);
+        assert_eq!(l.truncate_prefix(n), Truncation { dropped: vec![0], trimmed: None });
+        assert_eq!(l.segments().len(), 1);
         assert_eq!(l.log_start(), Some(n));
         assert_eq!(l.last_offset(), Some(2 * n - 1));
     }
@@ -304,16 +400,15 @@ mod tests {
         let mut l = SegmentList::new();
         l.append(batch(0, n));
         l.truncate_suffix(0);
-        // Back to a single empty segment with no offsets.
-        assert_eq!(l.segment_count(), 1);
+        // Back to no segments and no offsets.
+        assert!(l.segments().is_empty());
         assert_eq!(l.log_start(), None);
         assert_eq!(l.last_offset(), None);
-        // Refill at a later base: the empty segment absorbs a full batch
-        // without rolling (it was empty), then rolls on the next one.
-        l.append(batch(100, n));
-        assert_eq!(l.segment_count(), 1);
-        l.append(batch(100 + n as i64, 1));
-        assert_eq!(l.segment_count(), 2);
+        // Refill at a later base: a full batch opens the first segment
+        // without rolling, then the next one rolls.
+        assert_eq!(l.append(batch(100, n)), Placement::First);
+        assert_eq!(l.append(batch(100 + n as i64, 1)), Placement::Roll);
+        assert_eq!(bases(&l), vec![100, 100 + n as i64]);
         assert_eq!(l.log_start(), Some(100));
         assert_eq!(l.last_offset(), Some(100 + n as i64));
     }

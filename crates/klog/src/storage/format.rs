@@ -10,7 +10,7 @@ use crate::batch::{BatchMeta, ControlType, StoredBatch};
 use crate::log::AbortedTxn;
 use crate::producer_state::ProducerSnapshotEntry;
 use crate::record::Record;
-use crate::{Offset, NO_PRODUCER_ID, NO_SEQUENCE};
+use crate::{Offset, NO_PRODUCER_ID};
 use bytes::Bytes;
 
 /// Magic prefix of a producer-state snapshot file (`"KSN1"`).
@@ -51,10 +51,6 @@ pub fn crc32(data: &[u8]) -> u32 {
 
 fn put_u8(out: &mut Vec<u8>, v: u8) {
     out.push(v);
-}
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -100,24 +96,24 @@ impl<'a> Reader<'a> {
         Some(s)
     }
 
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.take(N)?.try_into().ok()
     }
 
-    fn u16(&mut self) -> Option<u16> {
-        self.take(2).map(|s| u16::from_le_bytes(s.try_into().expect("2 bytes")))
+    fn u8(&mut self) -> Option<u8> {
+        self.array().map(|[b]| b)
     }
 
     fn u32(&mut self) -> Option<u32> {
-        self.take(4).map(|s| u32::from_le_bytes(s.try_into().expect("4 bytes")))
+        self.array().map(u32::from_le_bytes)
     }
 
     fn i32(&mut self) -> Option<i32> {
-        self.take(4).map(|s| i32::from_le_bytes(s.try_into().expect("4 bytes")))
+        self.array().map(i32::from_le_bytes)
     }
 
     fn i64(&mut self) -> Option<i64> {
-        self.take(8).map(|s| i64::from_le_bytes(s.try_into().expect("8 bytes")))
+        self.array().map(i64::from_le_bytes)
     }
 
     fn opt_bytes(&mut self) -> Option<Option<Bytes>> {
@@ -141,11 +137,6 @@ impl<'a> Reader<'a> {
 const FLAG_TRANSACTIONAL: u8 = 1 << 0;
 const FLAG_CONTROL: u8 = 1 << 1;
 const FLAG_ABORT: u8 = 1 << 2;
-/// Every record frame ends in a 16-bit count that is always zero: the slot
-/// of a per-record extension the format once had. Writing it keeps the
-/// frame layout stable; a frame that claims anything else there is not one
-/// this log wrote, so it is rejected rather than decoded with data dropped.
-const NO_RECORD_HEADERS: u16 = 0;
 
 /// Encode one stored batch as a frame payload (no length/CRC framing).
 pub fn encode_batch(batch: &StoredBatch) -> Vec<u8> {
@@ -169,14 +160,12 @@ pub fn encode_batch(batch: &StoredBatch) -> Vec<u8> {
         put_i64(&mut out, rec.timestamp);
         put_opt_bytes(&mut out, rec.key.as_ref());
         put_opt_bytes(&mut out, rec.value.as_ref());
-        put_u16(&mut out, NO_RECORD_HEADERS);
     }
     out
 }
 
 /// Decode a frame payload back into a stored batch. `None` on any
-/// malformation (bad lengths, trailing garbage, empty batch, a record that
-/// claims headers).
+/// malformation (bad lengths, trailing garbage, empty batch).
 pub fn decode_batch(payload: &[u8]) -> Option<StoredBatch> {
     let mut r = Reader::new(payload);
     let producer_id = r.i64()?;
@@ -199,15 +188,13 @@ pub fn decode_batch(payload: &[u8]) -> Option<StoredBatch> {
     if count == 0 {
         return None;
     }
-    let mut entries = Vec::with_capacity(count);
+    // Counts come from the input: grow as records decode, never reserve.
+    let mut entries = Vec::new();
     for _ in 0..count {
         let offset = r.i64()?;
         let timestamp = r.i64()?;
         let key = r.opt_bytes()?;
         let value = r.opt_bytes()?;
-        if r.u16()? != NO_RECORD_HEADERS {
-            return None;
-        }
         entries.push((offset, Record { key, value, timestamp }));
     }
     if !r.done() {
@@ -302,7 +289,7 @@ pub fn decode_snapshot(buf: &[u8]) -> Option<ProducerSnapshot> {
         return None;
     }
     let (body, crc_bytes) = buf.split_at(buf.len() - 4);
-    let stored_crc = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
+    let stored_crc = u32::from_le_bytes(crc_bytes.try_into().ok()?);
     if crc32(body) != stored_crc {
         return None;
     }
@@ -312,7 +299,7 @@ pub fn decode_snapshot(buf: &[u8]) -> Option<ProducerSnapshot> {
     }
     let snapshot_offset = r.i64()?;
     let n_entries = r.u32()? as usize;
-    let mut entries = Vec::with_capacity(n_entries);
+    let mut entries = Vec::new();
     for _ in 0..n_entries {
         let producer_id = r.i64()?;
         if producer_id == NO_PRODUCER_ID {
@@ -332,7 +319,7 @@ pub fn decode_snapshot(buf: &[u8]) -> Option<ProducerSnapshot> {
         });
     }
     let n_aborted = r.u32()? as usize;
-    let mut aborted = Vec::with_capacity(n_aborted);
+    let mut aborted = Vec::new();
     for _ in 0..n_aborted {
         aborted.push(AbortedTxn {
             producer_id: r.i64()?,
@@ -367,7 +354,7 @@ pub fn decode_checkpoint(buf: &[u8]) -> Option<(Offset, Offset)> {
         return None;
     }
     let (body, crc_bytes) = buf.split_at(20);
-    let stored_crc = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
+    let stored_crc = u32::from_le_bytes(crc_bytes.try_into().ok()?);
     if crc32(body) != stored_crc {
         return None;
     }
@@ -378,17 +365,11 @@ pub fn decode_checkpoint(buf: &[u8]) -> Option<(Offset, Offset)> {
     Some((r.i64()?, r.i64()?))
 }
 
-/// Sanity guard used by encoders: sequences must either be absent or
-/// non-negative; used in debug assertions only.
-#[allow(dead_code)]
-fn valid_sequence(seq: i64) -> bool {
-    seq >= 0 || seq == NO_SEQUENCE
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::batch::BatchMeta;
+    use crate::NO_SEQUENCE;
 
     fn sample_batch() -> StoredBatch {
         StoredBatch {
@@ -434,20 +415,6 @@ mod tests {
         let mut garbage = encode_batch(&sample_batch());
         garbage.push(0xFF);
         assert!(decode_batch(&garbage).is_none(), "trailing garbage must not decode");
-    }
-
-    #[test]
-    fn nonzero_record_header_count_is_a_corrupt_frame() {
-        let marker = StoredBatch {
-            meta: BatchMeta::control(3, 1, ControlType::Commit),
-            entries: vec![(42, Record { key: None, value: None, timestamp: 9 })].into(),
-        };
-        let mut enc = encode_batch(&marker);
-        // The single record's trailing count is the payload's last two bytes.
-        let at = enc.len() - 2;
-        assert_eq!(enc[at..], [0, 0]);
-        enc[at] = 1;
-        assert!(decode_batch(&enc).is_none(), "claimed headers must not be dropped silently");
     }
 
     #[test]

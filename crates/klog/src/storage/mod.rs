@@ -1,10 +1,10 @@
 //! Pluggable storage backends for the partition log.
 //!
 //! The default backend keeps everything in memory (the original behaviour of
-//! this reproduction); the [`disk`] backend mirrors every log mutation into
-//! real segment files with offset/time indexes, producer-state snapshots,
-//! and a `(log_start, high_watermark)` checkpoint — the durable substrate
-//! the paper's recovery story (§2.3, §5) assumes. Crash recovery then means
+//! this reproduction); the [`disk`] backend backs each in-memory segment with
+//! one real segment file, plus producer-state snapshots and a
+//! `(log_start, high_watermark)` checkpoint — the durable substrate the
+//! paper's recovery story (§2.3, §5) assumes. Crash recovery then means
 //! what it means in Kafka: re-reading segment files, CRC-validating each
 //! frame, truncating at the first torn write, and rebuilding producer state
 //! from the latest snapshot plus a suffix scan.
@@ -12,8 +12,8 @@
 //! Determinism rules (the backend is used inside the deterministic
 //! simulation):
 //!
-//! * no wall-clock reads — I/O *cost* is modeled from [`DiskConfig`] knobs
-//!   and fed into kobs histograms / ktrace spans in virtual microseconds,
+//! * no wall-clock reads — I/O *cost* is modeled and fed into kobs
+//!   histograms / ktrace spans in virtual microseconds,
 //! * directory entries are always iterated in sorted name order,
 //! * file contents are a pure function of the appended batches, so two runs
 //!   with the same seed produce byte-identical segment files.
@@ -21,7 +21,7 @@
 pub mod disk;
 pub mod format;
 
-pub use disk::{DiskLog, RecoveredLog};
+pub use disk::DiskLog;
 pub use format::{crc32, ProducerSnapshot};
 
 use std::path::PathBuf;
@@ -33,7 +33,7 @@ pub enum StorageMode {
     /// behaviour of this repo).
     #[default]
     Memory,
-    /// Mirror every mutation into segment files under the config's root
+    /// Back every log's segments with segment files under the config's root
     /// directory; crashes recover from disk.
     Disk(DiskConfig),
 }
@@ -45,52 +45,21 @@ impl StorageMode {
     }
 }
 
-/// When the disk backend calls `fsync` on the active segment file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FsyncPolicy {
-    /// Sync after every appended batch (slowest, max durability).
-    Always,
-    /// Sync when a segment rolls and on snapshot/checkpoint writes —
-    /// Kafka's practical default (recovery re-validates the tail).
-    #[default]
-    OnRoll,
-    /// Never sync explicitly; rely on the page cache (fastest).
-    Never,
-}
-
-/// Tuning knobs for the disk backend. The `*_cost_us` fields are *modeled*
-/// latencies: they never sleep, they only feed the `klog.disk.*` metric
-/// family and the `fsync` ktrace spans, keeping simulated time deterministic
-/// while still exposing an fsync/page-cache cost axis to experiments.
+/// Where the disk backend writes, and how large its segments grow.
 #[derive(Debug, Clone)]
 pub struct DiskConfig {
     /// Directory holding this log's segment files (one directory per
     /// partition replica).
     pub dir: PathBuf,
-    /// Records per segment before rolling to a new file. Mirrors the
-    /// in-memory [`crate::segment::SEGMENT_ROLL_RECORDS`] by default.
+    /// Records per segment before the log rolls to a new segment (and file).
+    /// Defaults to the in-memory [`crate::segment::SEGMENT_ROLL_RECORDS`].
     pub roll_records: usize,
-    /// Bytes of log data between sparse offset/time index entries.
-    pub index_interval_bytes: u64,
-    /// Fsync policy for the active segment.
-    pub fsync: FsyncPolicy,
-    /// Modeled cost of one fsync, in microseconds.
-    pub fsync_cost_us: i64,
-    /// Modeled write cost per KiB appended, in microseconds.
-    pub write_cost_us_per_kb: i64,
 }
 
 impl DiskConfig {
-    /// A config rooted at `dir` with Kafka-flavoured defaults.
+    /// A config rooted at `dir` with the default segment size.
     pub fn at(dir: impl Into<PathBuf>) -> Self {
-        Self {
-            dir: dir.into(),
-            roll_records: crate::segment::SEGMENT_ROLL_RECORDS,
-            index_interval_bytes: 4096,
-            fsync: FsyncPolicy::OnRoll,
-            fsync_cost_us: 120,
-            write_cost_us_per_kb: 3,
-        }
+        Self { dir: dir.into(), roll_records: crate::segment::SEGMENT_ROLL_RECORDS }
     }
 
     /// Derive the per-replica config for `broker`/`topic`/`partition` under
@@ -104,18 +73,6 @@ impl DiskConfig {
     /// Override the segment-roll threshold (tests use tiny segments).
     pub fn with_roll_records(mut self, records: usize) -> Self {
         self.roll_records = records.max(1);
-        self
-    }
-
-    /// Override the fsync policy.
-    pub fn with_fsync(mut self, policy: FsyncPolicy) -> Self {
-        self.fsync = policy;
-        self
-    }
-
-    /// Override the modeled fsync cost in microseconds.
-    pub fn with_fsync_cost_us(mut self, us: i64) -> Self {
-        self.fsync_cost_us = us;
         self
     }
 }

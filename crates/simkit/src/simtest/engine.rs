@@ -337,7 +337,7 @@ impl Engine {
                     if let Some(dead) =
                         (0..self.workload.brokers).find(|&b| !self.cluster.broker_alive(b))
                     {
-                        self.cluster.restore_broker(dead);
+                        self.restore_broker(dead);
                         self.events.broker_restores += 1;
                     }
                 }
@@ -457,7 +457,7 @@ impl Engine {
                 let dead: Vec<usize> =
                     (0..self.workload.brokers).filter(|&b| !self.cluster.broker_alive(b)).collect();
                 if !dead.is_empty() {
-                    self.cluster.restore_broker(dead[rng.index(dead.len())]);
+                    self.restore_broker(dead[rng.index(dead.len())]);
                     self.events.broker_restores += 1;
                 }
             }
@@ -547,7 +547,7 @@ impl Engine {
             if alive.len() >= 2 {
                 let b = alive[rng.index(alive.len())];
                 self.cluster.kill_broker(b);
-                self.cluster.restore_broker(b);
+                self.restore_broker(b);
                 self.events.durable_crashes += 1;
             }
         } else {
@@ -559,6 +559,13 @@ impl Engine {
                 self.slots[idx] = self.spawn_instance(idx);
                 self.events.durable_crashes += 1;
             }
+        }
+    }
+
+    /// Restore a broker; a storage error restoring it fails the run.
+    fn restore_broker(&mut self, broker: usize) {
+        if let Err(e) = self.cluster.restore_broker(broker) {
+            self.fail(format!("restore broker {broker}: {e}"));
         }
     }
 
@@ -577,7 +584,7 @@ impl Engine {
         self.plan.disable();
         for b in 0..self.workload.brokers {
             if !self.cluster.broker_alive(b) {
-                self.cluster.restore_broker(b);
+                self.restore_broker(b);
             }
         }
         // Drop every live instance abruptly, expire the whole (now silent)

@@ -229,7 +229,7 @@ fn broker_death_mid_rebalance_preserves_exactly_once() {
     }
 
     // The broker returns and traffic continues.
-    s.cluster.restore_broker(0);
+    s.cluster.restore_broker(0).unwrap();
     send_round(&s.cluster, 8, 2);
     for _ in 0..20 {
         a.step().unwrap();
