@@ -28,8 +28,7 @@
 //!
 //! `--quick` runs the smallest Part A cell plus the Part B gates (the CI
 //! smoke); `--json` emits one machine-readable object (committed as
-//! `results/BENCH_rebalance.json`, whose extra `eager` join row measured a
-//! since-removed mode and is not regenerated).
+//! `results/BENCH_rebalance.json`).
 
 use bytes::Bytes;
 use kbroker::{Cluster, Producer, ProducerConfig, TopicConfig};

@@ -258,10 +258,12 @@ mod tests {
             log.append(BatchMeta::plain(), vec![kv(&key, &format!("v{i}"), i)]).unwrap();
         }
         let stats = compact(&mut log, CompactionOptions::default()).unwrap();
-        assert_eq!(stats.records_after, 10);
+        assert_eq!((stats.records_before, stats.records_after), (100, 10));
         assert!(stats.reclaimed_fraction() > 0.8);
-        // Replay: last value per key matches the uncompacted history.
+        // Replay scans one record per key, and the last value per key
+        // matches the uncompacted history.
         let f = log.fetch(log.log_start(), 1000, IsolationLevel::ReadUncommitted).unwrap();
+        assert_eq!(f.count(), 10);
         let mut state = HashMap::new();
         for (_, r) in f.records() {
             state.insert(r.key.clone().unwrap(), r.value.clone().unwrap());

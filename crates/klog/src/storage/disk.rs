@@ -97,7 +97,7 @@ impl DiskLog {
     /// timestamps that sync.
     pub(crate) fn open_segment(&mut self, base: Offset, ts_ms: i64) -> Result<(), LogError> {
         if let Some(done) = self.active.take() {
-            fsync(&done, ts_ms);
+            fsync(&done, ts_ms)?;
             kobs::count("klog.disk.segment_rolls", 1);
         }
         let file = OpenOptions::new()
@@ -292,9 +292,11 @@ impl DiskLog {
 
 /// Sync `file` and account the modeled cost: counter, histogram, and —
 /// when inside a traced lifecycle — an `fsync` child span whose duration is
-/// the modeled cost in virtual microseconds, starting at `ts_ms`.
-fn fsync(file: &File, ts_ms: i64) {
-    let _ = file.sync_all();
+/// the modeled cost in virtual microseconds, starting at `ts_ms`. A failed
+/// sync is returned, never retried: the kernel may already have dropped the
+/// dirty pages it could not write.
+fn fsync(file: &File, ts_ms: i64) -> Result<(), LogError> {
+    file.sync_all().map_err(|e| io_err("fsync", &e))?;
     kobs::count("klog.disk.fsyncs", 1);
     kobs::observe("klog.disk.fsync_us", FSYNC_COST_US);
     if kobs::ktrace::in_span() {
@@ -309,6 +311,7 @@ fn fsync(file: &File, ts_ms: i64) {
         );
         kobs::ktrace::finish_span(h, start_us + FSYNC_COST_US);
     }
+    Ok(())
 }
 
 /// Read one segment file: all CRC-valid batches, the byte length of the
@@ -580,6 +583,13 @@ mod tests {
         let rec = crash_and_recover(log, &cfg);
         assert_eq!(rec.aborted_txns(), aborted.as_slice());
         let _ = fs::remove_dir_all(&cfg.dir);
+    }
+
+    #[test]
+    fn a_failed_fsync_is_returned() {
+        // Linux rejects fsync on a character device with EINVAL.
+        let dev_null = OpenOptions::new().write(true).open("/dev/null").unwrap();
+        assert!(matches!(fsync(&dev_null, 0), Err(LogError::Io(_))));
     }
 
     #[test]

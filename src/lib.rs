@@ -12,14 +12,11 @@
 //!   consumer groups, clients),
 //! * [`kstreams`] — the streams library (DSL, topology, tasks, state stores,
 //!   exactly-once, revision processing),
-//! * [`ksql_mini`] — a miniature ksqlDB: continuous SQL-ish queries
-//!   compiled to `kstreams` topologies (§3.2),
 //! * [`ckpt_baseline`] — the Flink-style aligned-checkpoint comparator,
 //! * [`simkit`] — clocks, fault injection, measurement.
 
 pub use ckpt_baseline;
 pub use kbroker;
 pub use klog;
-pub use ksql_mini;
 pub use kstreams;
 pub use simkit;

@@ -140,20 +140,26 @@ fn figure1_completeness_scenario_revises_incomplete_result() {
 
 #[test]
 fn zero_grace_drops_any_late_record() {
-    let s = setup();
-    let mut app = KafkaStreamsApp::new(
-        s.cluster.clone(),
-        windowed_count_topology(0, false),
-        StreamsConfig::new("nograce").with_commit_interval_ms(10),
-        "i0",
-    );
-    app.start().unwrap();
-    send(&s.cluster, 6_000); // window [5s,10s); stream time 6s
-    send(&s.cluster, 3_000); // window [0,5s) closed at stream time ≥ 5s
-    run_and_drain(&s, &mut app, 5);
-    assert_eq!(read_all(&s.cluster), vec![(5_000, 1)]);
-    assert_eq!(app.metrics().late_dropped, 1);
-    app.close().unwrap();
+    // The same late record is dropped with zero grace, and counted into its
+    // window by a grace that covers its lateness.
+    for (grace, expected, dropped) in
+        [(0, vec![(5_000, 1)], 1), (5_000, vec![(5_000, 1), (0, 1)], 0)]
+    {
+        let s = setup();
+        let mut app = KafkaStreamsApp::new(
+            s.cluster.clone(),
+            windowed_count_topology(grace, false),
+            StreamsConfig::new("nograce").with_commit_interval_ms(10),
+            "i0",
+        );
+        app.start().unwrap();
+        send(&s.cluster, 6_000); // window [5s,10s); stream time 6s
+        send(&s.cluster, 3_000); // window [0,5s) closes at stream time ≥ 5s + grace
+        run_and_drain(&s, &mut app, 5);
+        assert_eq!(read_all(&s.cluster), expected, "grace {grace}");
+        assert_eq!(app.metrics().late_dropped, dropped, "grace {grace}");
+        app.close().unwrap();
+    }
 }
 
 #[test]

@@ -1,29 +1,45 @@
 #!/usr/bin/env bash
-# Full verification gate for the workspace. Run from the repo root.
+# The verification gates: this header is their one list. Run from the repo
+# root; each CI job runs exactly one gate.
 #
-#   ./verify.sh          # everything (fmt, clippy, tests, static analysis demo,
-#                        # model check, perfbench tests and smoke run)
-#   ./verify.sh --quick  # skip the workspace test suite, keep the fast gates
-#   ./verify.sh storage  # the durable-storage gate: disk seed sweep, disk
-#                        # replay identity, storage batteries, recoverybench
+#   ./verify.sh                # full: fmt, clippy, workspace tests, kanalyze,
+#                              # detlint, kcheck --quick, perfbench tests and
+#                              # perfbench/run.sh --quick
+#   ./verify.sh --quick        # fmt, clippy, tier-1 tests, kanalyze, detlint
+#   ./verify.sh storage        # disk seed sweep, disk replay identity, storage
+#                              # batteries, recoverybench --quick
+#   ./verify.sh simtest        # seed sweeps (plain and cached), forced
+#                              # profiles
+#   ./verify.sh rebalancing    # rebalancebench --quick, rebalancing battery,
+#                              # churn sweep and churn replay identity
+#   ./verify.sh observability  # metric exports (simtest, fig5b, cachebench),
+#                              # kobs-off build and tier-1 tests, span
+#                              # determinism, chrome trace, critical path,
+#                              # flight recorder
+#   ./verify.sh docs           # cargo doc --no-deps under -D warnings
 #
-# Exits non-zero on the first failing gate.
+# Any other argument prints this list and exits 2. Otherwise exits non-zero
+# on the first failing step.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 step() { printf '\n==> %s\n' "$*"; }
+simtest() { cargo run -q --release -p simkit --bin simtest -- "$@"; }
+obs_check() { cargo run -q --release -p kobs --bin obs-check -- "$@"; }
+# A scratch directory for a gate's artifacts, removed on exit.
+scratch() {
+  out=$(mktemp -d)
+  trap 'rm -rf "$out"' EXIT
+}
 
-if [[ "${1:-}" == "storage" ]]; then
-  simtest() { cargo run -q --release -p simkit --bin simtest -- "$@"; }
-
+gate_storage() {
   step "simtest --sweep 0..20 --storage disk"
   simtest --sweep 0..20 --storage disk
 
   # I/O costs are virtual and directory iteration is name-ordered, so a disk
   # run must replay byte-identically — the same bar as memory mode.
   step "disk replay is byte-identical (two --profile runs, cmp)"
-  out=$(mktemp -d)
-  trap 'rm -rf "$out"' EXIT
+  scratch
   for run in a b; do
     simtest --seed 3 --steps 400 --storage disk --profile >"$out/$run.txt"
   done
@@ -38,47 +54,184 @@ if [[ "${1:-}" == "storage" ]]; then
   # spills must strictly reduce replay.
   step "recoverybench --quick"
   cargo run -q --release -p bench --bin recoverybench -- --quick
+}
 
-  step "storage gate passed"
-  exit 0
-fi
+gate_simtest() {
+  # Fixed-seed sweep: deterministic, so a red run is a one-line local repro
+  # (the failing report prints its own --seed command).
+  step "simtest --sweep 0..20"
+  simtest --sweep 0..20
 
-QUICK=0
-if [[ "${1:-}" == "--quick" ]]; then
-  QUICK=1
-fi
+  # Same seeds with record caches on: the oracles (and final revisions) must
+  # not be able to tell the cache sizes apart.
+  step "cached seed sweeps 0..20 (--cache 1, --cache 64)"
+  simtest --sweep 0..20 --cache 1
+  simtest --sweep 0..20 --cache 64
 
-step "cargo fmt --all --check"
-cargo fmt --all --check
+  step "forced-profile spot checks (count, windowed, suppressed)"
+  for profile in count windowed suppressed; do
+    simtest --seed 7 --profile "$profile"
+  done
+}
 
-step "cargo clippy --workspace --all-targets -- -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
+gate_rebalancing() {
+  # Assignor bounds (restart moves 0, join moves ≤ ⌈T/(N+1)⌉, ±1 balance)
+  # plus the live cooperative join cycle: revocations equal moves, incumbents
+  # commit during the transfer, dirty_closed = 0. The committed curve is
+  # results/BENCH_rebalance.json.
+  step "rebalancebench --quick"
+  cargo run -q --release -p bench --bin rebalancebench -- --quick
 
-if [[ "$QUICK" -eq 0 ]]; then
-  step "cargo test --workspace -q"
-  cargo test --workspace -q
-else
-  step "cargo test -q (tier-1 only, --quick)"
-  cargo test -q
-fi
+  # Rolling-restart battery, standby-promotion handover regression, and the
+  # N-simultaneous-join coalescing test.
+  step "rebalancing test battery"
+  cargo test -q --release --test rebalancing
 
-step "cargo run --bin kanalyze (topology static verifier demo)"
-cargo run -q --bin kanalyze
+  # Churn fault classes (debounced rolling restarts, fleet grow/shrink,
+  # forced rebalances): every oracle green and every report byte-identical
+  # on replay.
+  step "simtest --sweep 0..25 --churn"
+  simtest --sweep 0..25 --churn
 
-step "detlint (determinism lint over replay-critical crates)"
-cargo run -q --release -p kcheck --bin detlint
+  step "churn replay is byte-identical (two --profile runs, cmp)"
+  scratch
+  for run in a b; do
+    simtest --seed 3 --steps 400 --churn --profile >"$out/$run.txt"
+  done
+  cmp "$out/a.txt" "$out/b.txt"
+}
 
-if [[ "$QUICK" -eq 0 ]]; then
-  step "kcheck --quick (exhaustive model check of the EOS commit protocol)"
-  cargo run -q --release -p kcheck --bin kcheck -- --quick
+gate_observability() {
+  scratch
+  # Schema gate: the profiled JSON export must parse (with the in-repo
+  # parser, via obs-check) and carry the metric names the report contract
+  # promises — txn per-phase percentiles, commit cycle, LSO lag.
+  step "profiled simtest export carries the required metrics"
+  simtest --seed 7 --profile --json >"$out/simtest-profile.json"
+  obs_check \
+    kbroker.txn.phase.init_ms kbroker.txn.phase.add_partitions_ms \
+    kbroker.txn.phase.prepare_ms kbroker.txn.phase.markers_ms \
+    kbroker.txn.phase.complete_ms kstreams.commit_cycle_ms \
+    kbroker.lso_lag kbroker.lso_lag_peak \
+    kstreams.restore.records_replayed kbroker.group.rebalances \
+    <"$out/simtest-profile.json"
 
-  # perfbench is its own workspace: nothing above compiles it, yet it calls
-  # the crates' public API (Record, FetchResult, StreamTask, Producer).
-  step "perfbench tests"
-  cargo test --offline -q --manifest-path perfbench/Cargo.toml
+  # The profiled report must also carry the span-derived critical-path
+  # metric family next to the wall-phase timers.
+  step "critical-path metric family reaches the profiled export"
+  obs_check \
+    kobs.critical_path.total_ms kobs.critical_path.markers_ms \
+    kobs.critical_path.commit_ms kobs.critical_path.cycle_ms \
+    <"$out/simtest-profile.json"
 
-  step "perfbench/run.sh --quick (every workload once, outputs checked)"
-  perfbench/run.sh --quick
-fi
+  # Cached profiled run: the record-cache counters must reach the export.
+  step "cached simtest export carries the cache counters"
+  simtest --seed 7 --profile --cache 64 --json >"$out/simtest-cached.json"
+  obs_check \
+    kstreams.cache.hits kstreams.cache.misses \
+    kstreams.cache.flush_entries kstreams.cache.dirty_entries_peak \
+    kstreams.changelog_appends <"$out/simtest-cached.json"
 
-step "all gates passed"
+  step "fig5b smoke with metrics export"
+  cargo run -q --release -p bench --bin fig5b -- --quick --json >"$out/fig5b.json"
+  obs_check \
+    kbroker.txn.phase.markers_ms kstreams.commit_cycle_ms \
+    kbroker.txn.commits <"$out/fig5b.json"
+
+  # Cache dedup smoke: --quick asserts the ≥5× changelog-append reduction on
+  # the hot-key workload, and the JSON export must carry the cache metrics
+  # end to end.
+  step "cachebench smoke with metrics export"
+  cargo run -q --release -p bench --bin cachebench -- --quick --json >"$out/cachebench.json"
+  obs_check \
+    kstreams.cache.hits kstreams.cache.flush_entries \
+    kstreams.cache_hits kstreams.cache_evictions \
+    kstreams.changelog_appends kstreams.changelog_appends_per_1k_inputs \
+    <"$out/cachebench.json"
+
+  # The kill switch must keep compiling and keep tier-1 green (the span
+  # macros' no-op test included).
+  step "kobs-off build and tier-1 tests"
+  cargo build -q --release --features kobs-off
+  cargo test -q --features kobs-off
+
+  # Span determinism contract: same seed → byte-identical span trees.
+  step "span determinism tests"
+  cargo test -q --release --test observability
+
+  # The exported timeline must validate (nesting, durations, tids) and two
+  # same-seed runs must produce the identical artifact.
+  step "trace-out chrome export validates and replays byte-identically"
+  for run in a b; do
+    simtest --seed 7 --trace-out "$out/trace-$run.json"
+  done
+  cmp "$out/trace-a.json" "$out/trace-b.json"
+  obs_check --chrome <"$out/trace-a.json"
+
+  # An injected failure must dump the flight-recorder span trees next to the
+  # repro line (exit 1 is the expected oracle failure).
+  step "injected failure dumps flight-recorder span trees"
+  simtest --seed 7 --inject-failure >"$out/inject.txt" || true
+  grep -q "flight recorder" "$out/inject.txt"
+  grep -q "repro:" "$out/inject.txt"
+}
+
+gate_docs() {
+  # Every public item in the workspace must document cleanly; klog and kobs
+  # additionally deny missing docs at the crate level.
+  step "cargo doc --no-deps --workspace (-D warnings)"
+  RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
+}
+
+gate_full() {
+  local quick=$1
+
+  step "cargo fmt --all --check"
+  cargo fmt --all --check
+
+  step "cargo clippy --workspace --all-targets -- -D warnings"
+  cargo clippy --workspace --all-targets -- -D warnings
+
+  if [[ "$quick" -eq 0 ]]; then
+    step "cargo test --workspace -q"
+    cargo test --workspace -q
+  else
+    step "cargo test -q (tier-1 only, --quick)"
+    cargo test -q
+  fi
+
+  step "cargo run --bin kanalyze (topology static verifier demo)"
+  cargo run -q --bin kanalyze
+
+  step "detlint (determinism lint over replay-critical crates)"
+  cargo run -q --release -p kcheck --bin detlint
+
+  if [[ "$quick" -eq 0 ]]; then
+    # Fails on any invariant violation, on depth truncation, and when fewer
+    # than 100k distinct states were explored (vacuous models).
+    step "kcheck --quick (exhaustive model check of the EOS commit protocol)"
+    cargo run -q --release -p kcheck --bin kcheck -- --quick
+
+    # perfbench is its own workspace: nothing above compiles it, yet it calls
+    # the crates' public API (Record, FetchResult, StreamTask, Producer).
+    step "perfbench tests"
+    cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
+    step "perfbench/run.sh --quick (every workload once, outputs checked)"
+    perfbench/run.sh --quick
+  fi
+}
+
+gate="${1:-}"
+case "$gate" in
+  "") gate_full 0 ;;
+  --quick) gate_full 1 ;;
+  storage | simtest | rebalancing | observability | docs) "gate_$gate" ;;
+  *)
+    printf 'verify.sh: unknown gate %q\n\n' "$gate" >&2
+    sed -n '2,/^$/{/^#/s/^# \{0,1\}//p}' "$0" >&2
+    exit 2
+    ;;
+esac
+
+step "${gate:-full} gate passed"
