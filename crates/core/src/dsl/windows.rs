@@ -37,33 +37,23 @@ impl TimeWindows {
         self
     }
 
-    /// Window start offsets containing `ts`, earliest first.
-    pub fn windows_for(&self, ts: i64) -> Vec<i64> {
-        if ts < 0 {
-            return vec![];
-        }
-        let last_start = (ts / self.advance_ms) * self.advance_ms;
-        let mut starts = Vec::new();
-        let mut start = last_start;
-        loop {
-            if start + self.size_ms > ts {
-                starts.push(start);
-            } else {
-                break;
-            }
-            if start < self.advance_ms {
-                break;
-            }
-            start -= self.advance_ms;
-        }
-        starts.reverse();
-        starts
+    /// Window start offsets containing `ts`, earliest first; none for a
+    /// negative `ts`. A window ends at `start + size`, which may lie past
+    /// `i64::MAX`: the starts are found by subtracting from `ts`, never by
+    /// adding to a start.
+    pub fn windows_for(&self, ts: i64) -> impl Iterator<Item = i64> {
+        // The earliest start is the first multiple of `advance` above
+        // `ts - size`.
+        let first = ts.saturating_sub(self.size_ms - self.advance_ms).max(0) / self.advance_ms
+            * self.advance_ms;
+        (first..=ts).step_by(self.advance_ms as usize)
     }
 
     /// Whether the window starting at `start` is closed (no longer accepts
-    /// records) at the given stream time: `window_end + grace <= stream_time`.
+    /// records) at the given stream time: `window_end + grace <= stream_time`,
+    /// with a window that ends past `i64::MAX` never closing.
     pub fn is_closed(&self, start: i64, stream_time: i64) -> bool {
-        start + self.size_ms + self.grace_ms <= stream_time
+        stream_time.saturating_sub(start) >= self.size_ms.saturating_add(self.grace_ms)
     }
 }
 
@@ -150,21 +140,77 @@ impl<K: KSerde> KSerde for Windowed<K> {
 mod tests {
     use super::*;
 
+    fn starts(w: TimeWindows, ts: i64) -> Vec<i64> {
+        w.windows_for(ts).collect()
+    }
+
+    /// The non-negative multiples of `advance` whose window holds `ts`,
+    /// earliest first, checked in `i128` so that no window end overflows.
+    fn reference_starts(w: TimeWindows, ts: i64) -> Vec<i64> {
+        if ts < 0 {
+            return vec![];
+        }
+        let last = ts / w.advance_ms * w.advance_ms;
+        let mut starts: Vec<i64> = (0..=w.size_ms / w.advance_ms)
+            .map(|i| last - i * w.advance_ms)
+            .filter(|&start| start >= 0)
+            .filter(|&start| i128::from(start) + i128::from(w.size_ms) > i128::from(ts))
+            .collect();
+        starts.reverse();
+        starts
+    }
+
     #[test]
     fn tumbling_assigns_single_window() {
         let w = TimeWindows::of(5000);
-        assert_eq!(w.windows_for(0), vec![0]);
-        assert_eq!(w.windows_for(4999), vec![0]);
-        assert_eq!(w.windows_for(5000), vec![5000]);
-        assert_eq!(w.windows_for(12_345), vec![10_000]);
+        assert_eq!(starts(w, 0), vec![0]);
+        assert_eq!(starts(w, 4999), vec![0]);
+        assert_eq!(starts(w, 5000), vec![5000]);
+        assert_eq!(starts(w, 12_345), vec![10_000]);
     }
 
     #[test]
     fn hopping_assigns_multiple_windows() {
         let w = TimeWindows::of(10_000).advance_by(5000);
-        assert_eq!(w.windows_for(12_000), vec![5000, 10_000]);
-        assert_eq!(w.windows_for(3_000), vec![0]);
-        assert_eq!(w.windows_for(7_000), vec![0, 5000]);
+        assert_eq!(starts(w, 12_000), vec![5000, 10_000]);
+        assert_eq!(starts(w, 3_000), vec![0]);
+        assert_eq!(starts(w, 7_000), vec![0, 5000]);
+    }
+
+    #[test]
+    fn windows_match_the_reference_near_zero() {
+        for w in [
+            TimeWindows::of(1000),
+            TimeWindows::of(1000).advance_by(500),
+            TimeWindows::of(1000).advance_by(300),
+            TimeWindows::of(7).advance_by(1),
+        ] {
+            for ts in -10..5000 {
+                assert_eq!(starts(w, ts), reference_starts(w, ts), "{w:?} at {ts}");
+            }
+        }
+    }
+
+    #[test]
+    fn windows_near_i64_max_do_not_overflow() {
+        let tumbling = TimeWindows::of(1000).grace(2000);
+        let last = i64::MAX - i64::MAX % 1000;
+        for ts in [i64::MAX - 1, i64::MAX] {
+            assert_eq!(starts(tumbling, ts), vec![last]);
+            // The window ends past i64::MAX, so it never closes.
+            assert!(!tumbling.is_closed(last, ts));
+            assert!(!tumbling.is_closed(last, i64::MAX));
+        }
+        assert!(tumbling.is_closed(last - 3000, i64::MAX));
+
+        let hopping = TimeWindows::of(1000).advance_by(300);
+        for ts in [i64::MAX - 1, i64::MAX] {
+            // i64::MAX % 300 == 7.
+            let got = starts(hopping, ts);
+            assert_eq!(got, [907, 607, 307, 7].map(|back| i64::MAX - back));
+            assert_eq!(got, reference_starts(hopping, ts));
+            assert!(got.iter().all(|&start| !hopping.is_closed(start, ts)));
+        }
     }
 
     #[test]
@@ -184,7 +230,8 @@ mod tests {
 
     #[test]
     fn negative_ts_gets_no_window() {
-        assert!(TimeWindows::of(1000).windows_for(-5).is_empty());
+        assert!(starts(TimeWindows::of(1000), -5).is_empty());
+        assert!(starts(TimeWindows::of(1000).advance_by(10), i64::MIN).is_empty());
     }
 
     #[test]

@@ -73,11 +73,11 @@ impl<A: KSerde, B: KSerde> KSerde for (A, B) {
     fn to_bytes(&self) -> Bytes {
         let a = self.0.to_bytes();
         let b = self.1.to_bytes();
-        let mut out = Vec::with_capacity(4 + a.len() + b.len());
-        out.extend_from_slice(&(a.len() as u32).to_be_bytes());
-        out.extend_from_slice(&a);
-        out.extend_from_slice(&b);
-        Bytes::from(out)
+        let mut out = Encoder::with_capacity(4 + a.len() + b.len());
+        out.put(&(a.len() as u32).to_be_bytes());
+        out.put(&a);
+        out.put(&b);
+        out.finish()
     }
 
     fn from_bytes(bytes: &[u8]) -> Result<Self, StreamsError> {
@@ -92,15 +92,53 @@ impl<A: KSerde, B: KSerde> KSerde for (A, B) {
     }
 }
 
+/// Longest encoding assembled on the stack.
+const STACK_ENCODING: usize = 64;
+
+/// An encoding under construction, sized up front. A short one is assembled
+/// on the stack, so the `Bytes` it becomes is its only allocation, and there
+/// is none when `Bytes` holds it inline.
+enum Encoder {
+    Stack([u8; STACK_ENCODING], usize),
+    Heap(Vec<u8>),
+}
+
+impl Encoder {
+    fn with_capacity(len: usize) -> Self {
+        if len <= STACK_ENCODING {
+            Self::Stack([0; STACK_ENCODING], 0)
+        } else {
+            Self::Heap(Vec::with_capacity(len))
+        }
+    }
+
+    fn put(&mut self, part: &[u8]) {
+        match self {
+            Self::Stack(buf, len) => {
+                buf[*len..*len + part.len()].copy_from_slice(part);
+                *len += part.len();
+            }
+            Self::Heap(out) => out.extend_from_slice(part),
+        }
+    }
+
+    fn finish(self) -> Bytes {
+        match self {
+            Self::Stack(buf, len) => Bytes::copy_from_slice(&buf[..len]),
+            Self::Heap(out) => Bytes::from(out),
+        }
+    }
+}
+
 /// Encode an optional payload with a presence flag (used inside change
 /// encoding).
-fn encode_opt(out: &mut Vec<u8>, v: &Option<Bytes>) {
+fn encode_opt(out: &mut Encoder, v: &Option<Bytes>) {
     match v {
-        None => out.push(0),
+        None => out.put(&[0]),
         Some(b) => {
-            out.push(1);
-            out.extend_from_slice(&(b.len() as u32).to_be_bytes());
-            out.extend_from_slice(b);
+            out.put(&[1]);
+            out.put(&(b.len() as u32).to_be_bytes());
+            out.put(b);
         }
     }
 }
@@ -126,12 +164,12 @@ fn decode_opt(bytes: &[u8]) -> Result<(Option<Bytes>, &[u8]), StreamsError> {
 /// table-valued stream crosses an internal topic so downstream operators can
 /// retract the prior result (§5).
 pub fn encode_change(old: &Option<Bytes>, new: &Option<Bytes>) -> Bytes {
-    let mut out = Vec::with_capacity(
+    let mut out = Encoder::with_capacity(
         10 + old.as_ref().map_or(0, Bytes::len) + new.as_ref().map_or(0, Bytes::len),
     );
     encode_opt(&mut out, old);
     encode_opt(&mut out, new);
-    Bytes::from(out)
+    out.finish()
 }
 
 /// Decode a revision pair encoded by [`encode_change`].
@@ -147,12 +185,12 @@ pub fn decode_change(bytes: &[u8]) -> Result<(Option<Bytes>, Option<Bytes>), Str
 /// Encode a list of byte strings into one value (stream-stream join buffers
 /// hold every record sharing a `(key, timestamp)` slot).
 pub fn encode_list(items: &[Bytes]) -> Bytes {
-    let mut out = Vec::with_capacity(items.iter().map(|b| b.len() + 4).sum());
+    let mut out = Encoder::with_capacity(items.iter().map(|b| b.len() + 4).sum());
     for item in items {
-        out.extend_from_slice(&(item.len() as u32).to_be_bytes());
-        out.extend_from_slice(item);
+        out.put(&(item.len() as u32).to_be_bytes());
+        out.put(item);
     }
-    Bytes::from(out)
+    out.finish()
 }
 
 /// Decode a list encoded by [`encode_list`].
@@ -176,10 +214,10 @@ pub fn decode_list(bytes: &[u8]) -> Result<Vec<Bytes>, StreamsError> {
 /// Encode a windowed key `(key, window_start)`: raw key bytes followed by a
 /// big-endian window start, so records of the same key sort by window.
 pub fn encode_windowed_key(key: &[u8], window_start: i64) -> Bytes {
-    let mut out = Vec::with_capacity(key.len() + 8);
-    out.extend_from_slice(key);
-    out.extend_from_slice(&window_start.to_be_bytes());
-    Bytes::from(out)
+    let mut out = Encoder::with_capacity(key.len() + 8);
+    out.put(key);
+    out.put(&window_start.to_be_bytes());
+    out.finish()
 }
 
 /// Decode a windowed key encoded by [`encode_windowed_key`].
@@ -268,6 +306,21 @@ mod tests {
         let enc = encode_list(&[Bytes::from_static(b"abcdef")]);
         assert!(decode_list(&enc[..enc.len() - 1]).is_err());
         assert!(decode_list(&[0, 0]).is_err());
+    }
+
+    #[test]
+    fn encodings_round_trip_on_both_sides_of_the_stack_buffer() {
+        for n in [0, 1, 14, 15, 55, 56, 57, 60, 61, 64, 65, 200] {
+            let payload = Bytes::from(vec![7; n]);
+            let key = decode_windowed_key(&encode_windowed_key(&payload, -3)).unwrap();
+            assert_eq!(key, (payload.clone(), -3));
+            let some = Some(payload.clone());
+            assert_eq!(decode_change(&encode_change(&some, &some)).unwrap(), (some.clone(), some));
+            let items = [payload.clone(), payload.clone()];
+            assert_eq!(decode_list(&encode_list(&items)).unwrap(), items);
+            let tuple = (payload, n as i64);
+            assert_eq!(<(Bytes, i64)>::from_bytes(&tuple.to_bytes()).unwrap(), tuple);
+        }
     }
 
     #[test]

@@ -446,7 +446,7 @@ impl PartitionLog {
         });
         let stored = self.store_under_span(batch, trace.map(|(h, _)| h));
         if let Some((h, ts)) = trace {
-            kobs::ktrace::finish_span(h, ts * 1000);
+            kobs::ktrace::finish_span(h, ts.saturating_mul(1000));
         }
         stored
     }

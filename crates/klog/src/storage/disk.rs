@@ -301,7 +301,7 @@ fn fsync(file: &File, ts_ms: i64) -> Result<(), LogError> {
     kobs::observe("klog.disk.fsync_us", FSYNC_COST_US);
     if kobs::ktrace::in_span() {
         let bytes = file.metadata().map_or(0, |m| m.len());
-        let start_us = ts_ms * 1000;
+        let start_us = ts_ms.saturating_mul(1000);
         let h = kobs::ktrace::start_span(
             start_us,
             "klog",
@@ -309,7 +309,7 @@ fn fsync(file: &File, ts_ms: i64) -> Result<(), LogError> {
             "fsync",
             || vec![("bytes", kobs::trace::FieldValue::from(bytes as i64))],
         );
-        kobs::ktrace::finish_span(h, start_us + FSYNC_COST_US);
+        kobs::ktrace::finish_span(h, start_us.saturating_add(FSYNC_COST_US));
     }
     Ok(())
 }

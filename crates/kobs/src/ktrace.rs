@@ -504,7 +504,7 @@ pub fn clear() {
 macro_rules! span {
     ($ts_ms:expr, $track:expr, $name:expr $(, $key:ident = $val:expr)* $(,)?) => {
         $crate::ktrace::start_span(
-            ($ts_ms as i64) * 1000,
+            ($ts_ms as i64).saturating_mul(1000),
             $track,
             $crate::ktrace::Parent::Root,
             $name,
@@ -519,7 +519,7 @@ macro_rules! span {
 macro_rules! child_span {
     ($ts_ms:expr, $track:expr, $name:expr $(, $key:ident = $val:expr)* $(,)?) => {
         $crate::ktrace::start_span(
-            ($ts_ms as i64) * 1000,
+            ($ts_ms as i64).saturating_mul(1000),
             $track,
             $crate::ktrace::Parent::Current,
             $name,

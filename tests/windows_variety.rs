@@ -92,6 +92,36 @@ fn hopping_windows_count_into_overlapping_windows() {
 }
 
 #[test]
+fn windowed_count_near_i64_max_counts_the_record() {
+    // A record timestamp is producer input. One at i64::MAX - 1 lies in a
+    // window that ends past i64::MAX: it is counted, neither dropped as late
+    // nor a panic.
+    let s = setup();
+    let builder = StreamsBuilder::new();
+    builder
+        .stream::<String, String>("in")
+        .group_by_key()
+        .windowed_by(TimeWindows::of(1_000))
+        .count("edge-counts")
+        .to_stream()
+        .to("out");
+    let mut app = KafkaStreamsApp::new(
+        s.cluster.clone(),
+        Arc::new(builder.build().unwrap()),
+        StreamsConfig::new("edge").exactly_once().with_commit_interval_ms(10),
+        "i0",
+    );
+    app.start().unwrap();
+
+    send(&s.cluster, "k", i64::MAX - 1);
+    run(&s, &mut app, 5);
+    let start = i64::MAX - i64::MAX % 1_000;
+    assert_eq!(latest_windowed(&s.cluster), HashMap::from([(("k".into(), start), 1)]));
+    assert_eq!(app.metrics().late_dropped, 0);
+    app.close().unwrap();
+}
+
+#[test]
 fn session_windows_merge_and_gc() {
     let s = setup();
     let builder = StreamsBuilder::new();

@@ -5,7 +5,8 @@
 #   ./verify.sh                # full: fmt, clippy, workspace tests, kanalyze,
 #                              # detlint, kcheck --quick, perfbench tests and
 #                              # perfbench/run.sh --quick
-#   ./verify.sh --quick        # fmt, clippy, tier-1 tests, kanalyze, detlint
+#   ./verify.sh --quick        # fmt, clippy, tier-1 tests, bytes shim tests,
+#                              # kanalyze, detlint
 #   ./verify.sh storage        # disk seed sweep, disk replay identity, storage
 #                              # batteries, recoverybench --quick
 #   ./verify.sh simtest        # seed sweeps (plain and cached), forced
@@ -198,6 +199,11 @@ gate_full() {
   else
     step "cargo test -q (tier-1 only, --quick)"
     cargo test -q
+
+    # Tier-1 tests only the root package; the shim's representation tests
+    # (inline vs shared payloads) would otherwise run only in the full gate.
+    step "cargo test -q -p bytes"
+    cargo test -q -p bytes
   fi
 
   step "cargo run --bin kanalyze (topology static verifier demo)"
