@@ -223,19 +223,6 @@ impl KafkaStreamsApp {
         ids
     }
 
-    fn subscribed_topics(&self) -> Vec<String> {
-        let mut topics = Vec::new();
-        for st in &self.topology.subtopologies {
-            for t in &st.source_topics {
-                let physical = t.resolve(self.app_id());
-                if !topics.contains(&physical) {
-                    topics.push(physical);
-                }
-            }
-        }
-        topics
-    }
-
     /// Join the group, create internal topics, build and restore assigned
     /// tasks, and (in exactly-once mode) register the transactional
     /// producer — fencing any previous incarnation of this instance
@@ -265,12 +252,7 @@ impl KafkaStreamsApp {
                 .group_set_rebalance_debounce_ms(self.app_id(), self.config.rebalance_debounce_ms);
         }
         self.plan_partitions()?;
-        let view = self.cluster.group_join_with_metadata(
-            self.app_id(),
-            &self.instance_id,
-            &self.subscribed_topics(),
-            &[],
-        )?;
+        let view = self.cluster.group_join(self.app_id(), &self.instance_id, &[])?;
         self.generation = view.generation;
         let plan = self.compute_plan(&view)?;
         self.apply_assignment(&plan)?;
@@ -630,7 +612,7 @@ impl KafkaStreamsApp {
             self.retired_metrics.standby_records_applied += applied;
         }
         // Warming standbys for deferred transfers tail the same way; once
-        // one catches up to within `max_warmup_lag`, readiness is reported
+        // one catches up to within `MAX_WARMUP_LAG`, readiness is reported
         // and the transfer generation requested.
         for warmup in self.warmups.values_mut() {
             let applied = warmup.poll(&self.cluster, isolation)?;
@@ -669,6 +651,13 @@ impl KafkaStreamsApp {
         Ok(StepSummary { processed, committed })
     }
 
+    /// Maximum changelog replay lag (records) at which a warming standby is
+    /// reported *warm* and its deferred task transfer may proceed — the
+    /// KIP-441-style `acceptable.recovery.lag` analog. Until then the task
+    /// stays with its previous owner, which keeps processing and committing
+    /// it (cooperative rebalancing).
+    const MAX_WARMUP_LAG: i64 = 10_000;
+
     /// If the set of warm-enough warm-ups changed, publish it and — when
     /// something *became* warm — ask the coordinator for the transfer
     /// rebalance. The assignor recomputes the same sticky target on every
@@ -680,7 +669,7 @@ impl KafkaStreamsApp {
         let ready: BTreeSet<TaskId> = self
             .warmups
             .iter()
-            .filter(|(_, w)| w.replay_lag(&self.cluster) <= self.config.max_warmup_lag)
+            .filter(|(_, w)| w.replay_lag(&self.cluster) <= Self::MAX_WARMUP_LAG)
             .map(|(id, _)| *id)
             .collect();
         if ready == self.reported_warm {

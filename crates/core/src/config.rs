@@ -54,12 +54,6 @@ pub struct StreamsConfig {
     /// that survives full instance crashes. `None` (the default) keeps the
     /// seed behaviour: recovery replays changelogs from the beginning.
     pub state_dir: Option<std::path::PathBuf>,
-    /// Maximum changelog replay lag (records) at which a warming standby is
-    /// reported *warm* and its deferred task transfer may proceed — the
-    /// KIP-441-style `acceptable.recovery.lag` analog. Until then the task
-    /// stays with its previous owner, which keeps processing and committing
-    /// it (cooperative rebalancing).
-    pub max_warmup_lag: i64,
     /// Broker-side rebalance debounce window (virtual-clock ms): joins and
     /// warm-up transfer requests within the window coalesce into a single
     /// generation bump instead of N back-to-back re-assignments. `0`
@@ -79,7 +73,6 @@ impl StreamsConfig {
             cache_max_entries: 0,
             deny_rules: Vec::new(),
             state_dir: None,
-            max_warmup_lag: 10_000,
             rebalance_debounce_ms: 0,
         }
     }
@@ -140,14 +133,6 @@ impl StreamsConfig {
     /// warm-start recovery from those spills (bounded changelog replay).
     pub fn with_state_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.state_dir = Some(dir.into());
-        self
-    }
-
-    /// Replay-lag threshold (records) under which a warming standby is
-    /// considered warm enough to receive its task.
-    pub fn with_max_warmup_lag(mut self, lag: i64) -> Self {
-        assert!(lag >= 0);
-        self.max_warmup_lag = lag;
         self
     }
 

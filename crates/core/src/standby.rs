@@ -86,7 +86,7 @@ impl StandbyTask {
 
     /// Changelog records not yet applied: the distance between this
     /// standby's positions and the changelog log-end offsets. The warm-up
-    /// gate compares this against `StreamsConfig::max_warmup_lag` before
+    /// gate compares this against `KafkaStreamsApp::MAX_WARMUP_LAG` before
     /// allowing a deferred task transfer (KIP-441-style recovery lag).
     pub fn replay_lag(&self, cluster: &Cluster) -> i64 {
         let mut lag = 0;

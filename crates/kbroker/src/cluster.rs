@@ -14,7 +14,7 @@ use crate::topic::{partition_for_key, TopicConfig, TopicPartition};
 use crate::txn::TxnRegistry;
 use crate::{OFFSETS_TOPIC, TXN_TOPIC};
 use klog::batch::{BatchMeta, ControlType};
-use klog::compaction::{compact, CompactionOptions, CompactionStats};
+use klog::compaction::{compact, CompactionStats};
 use klog::{AppendOutcome, FetchResult, IsolationLevel, Offset, Record, StorageMode};
 use parking_lot::{Mutex, RwLock};
 use simkit::{FaultPlan, SharedClock, WallClock};
@@ -472,15 +472,6 @@ impl Cluster {
     /// so a later failover serves the same compacted log). Returns per-
     /// partition stats.
     pub fn compact_topic(&self, topic: &str) -> Result<Vec<CompactionStats>, BrokerError> {
-        self.compact_topic_with(topic, CompactionOptions::default())
-    }
-
-    /// Compaction with explicit options.
-    pub fn compact_topic_with(
-        &self,
-        topic: &str,
-        opts: CompactionOptions,
-    ) -> Result<Vec<CompactionStats>, BrokerError> {
         let parts = self.partitions_of(topic)?;
         let mut stats = Vec::with_capacity(parts.len());
         for tp in &parts {
@@ -488,7 +479,7 @@ impl Cluster {
             // Replica logs are identical, so running the same deterministic
             // pass on each yields identical compacted logs; report the
             // leader's stats.
-            stats.push(set.lock().for_each_log(|log| compact(log, opts))?);
+            stats.push(set.lock().for_each_log(compact)?);
         }
         Ok(stats)
     }

@@ -1,15 +1,17 @@
-//! The consumer client: subscriptions, polling, isolation levels, and
-//! group-coordinated progress.
+//! The consumer client: manually assigned partitions, polling, and
+//! isolation levels.
 //!
 //! A read-committed consumer (§4.2.3) only receives records whose
 //! transaction committed; the broker-side fetch path enforces this via the
 //! last-stable-offset bound and the aborted-transaction index, and the
 //! consumer's position transparently skips control markers and aborted
 //! data.
+//!
+//! The caller names the partitions to read: the group coordinator assigns
+//! nothing (see [`crate::group`]).
 
 use crate::cluster::Cluster;
 use crate::error::BrokerError;
-use crate::group::GroupView;
 use crate::topic::TopicPartition;
 use bytes::Bytes;
 use klog::{IsolationLevel, Offset};
@@ -17,40 +19,22 @@ use simkit::{FaultDecision, FaultPoint};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Upper bound on injected-fault retries for one `commit_sync` call; the
-/// fault plans used in tests cap scripted/probabilistic losses well below
-/// this.
-const MAX_COMMIT_ATTEMPTS: usize = 32;
-
 /// Consumer configuration.
 #[derive(Debug, Clone)]
 pub struct ConsumerConfig {
-    /// Group id for subscription mode (None ⇒ manual assignment only).
-    pub group: Option<String>,
     /// Isolation level for fetches.
     pub isolation: IsolationLevel,
     /// Max records returned by one `poll`.
     pub max_poll_records: usize,
-    /// Where to start on a partition with no committed offset.
-    pub start_at_earliest: bool,
 }
 
 impl Default for ConsumerConfig {
     fn default() -> Self {
-        Self {
-            group: None,
-            isolation: IsolationLevel::ReadUncommitted,
-            max_poll_records: 500,
-            start_at_earliest: true,
-        }
+        Self { isolation: IsolationLevel::ReadUncommitted, max_poll_records: 500 }
     }
 }
 
 impl ConsumerConfig {
-    pub fn grouped(group: impl Into<String>) -> Self {
-        Self { group: Some(group.into()), ..Self::default() }
-    }
-
     pub fn read_committed(mut self) -> Self {
         self.isolation = IsolationLevel::ReadCommitted;
         self
@@ -79,13 +63,33 @@ pub struct Consumer {
     cluster: Cluster,
     config: ConsumerConfig,
     member_id: String,
-    generation: i32,
     assignment: Vec<TopicPartition>,
+    /// Fetch position per assigned partition. A partition that was
+    /// leaderless when its position was first needed has none yet.
     positions: HashMap<TopicPartition, Offset>,
-    subscribed: Vec<String>,
     /// Round-robin cursor over assigned partitions so one busy partition
     /// cannot starve the others.
     next_partition: usize,
+}
+
+/// `tp`'s fetch position, starting it at the earliest retained offset when
+/// it has none. `None` while the partition is leaderless: the next poll
+/// tries again.
+fn resolve_position<'a>(
+    cluster: &Cluster,
+    positions: &'a mut HashMap<TopicPartition, Offset>,
+    tp: &TopicPartition,
+) -> Result<Option<&'a mut Offset>, BrokerError> {
+    if !positions.contains_key(tp) {
+        match cluster.earliest_offset(tp) {
+            Ok(start) => {
+                positions.insert(tp.clone(), start);
+            }
+            Err(BrokerError::NoLeader { .. }) => return Ok(None),
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(positions.get_mut(tp))
 }
 
 impl Consumer {
@@ -94,10 +98,8 @@ impl Consumer {
             cluster,
             config,
             member_id: member_id.into(),
-            generation: 0,
             assignment: Vec::new(),
             positions: HashMap::new(),
-            subscribed: Vec::new(),
             next_partition: 0,
         }
     }
@@ -106,86 +108,23 @@ impl Consumer {
         &self.member_id
     }
 
-    /// Current assignment (manual or group-assigned).
+    /// Current assignment.
     pub fn assignment(&self) -> &[TopicPartition] {
         &self.assignment
     }
 
-    /// Manually assign partitions (no group coordination).
+    /// Assign partitions, each starting at its earliest retained offset.
     pub fn assign(&mut self, partitions: Vec<TopicPartition>) -> Result<(), BrokerError> {
         self.assignment = partitions;
         self.positions.clear();
-        self.init_positions()?;
-        Ok(())
-    }
-
-    /// Subscribe to topics through the configured group; triggers a join
-    /// and adopts the group-assigned partitions.
-    pub fn subscribe(&mut self, topics: &[&str]) -> Result<(), BrokerError> {
-        let group = self.group()?.to_string();
-        self.subscribed = topics.iter().map(ToString::to_string).collect();
-        let view = self.cluster.group_join(&group, &self.member_id, &self.subscribed)?;
-        self.adopt(view)?;
-        Ok(())
-    }
-
-    fn group(&self) -> Result<&str, BrokerError> {
-        self.config
-            .group
-            .as_deref()
-            .ok_or_else(|| BrokerError::InvalidOperation("consumer has no group".into()))
-    }
-
-    fn adopt(&mut self, view: GroupView) -> Result<(), BrokerError> {
-        self.generation = view.generation;
-        self.assignment = view.assignment;
-        self.positions.clear();
-        self.init_positions()?;
-        Ok(())
-    }
-
-    fn init_positions(&mut self) -> Result<(), BrokerError> {
-        for tp in self.assignment.clone() {
-            let start = if let Some(group) = self.config.group.as_deref() {
-                self.cluster.group_committed_offset(group, &tp)?
-            } else {
-                None
-            };
-            let start = match start {
-                Some(off) => Some(off),
-                None => {
-                    let probe = if self.config.start_at_earliest {
-                        self.cluster.earliest_offset(&tp)
-                    } else {
-                        self.cluster.latest_offset(&tp)
-                    };
-                    match probe {
-                        Ok(off) => Some(off),
-                        // Momentarily leaderless: leave the position unset;
-                        // poll() will retry from offset 0 once a leader is
-                        // back.
-                        Err(BrokerError::NoLeader { .. }) => None,
-                        Err(e) => return Err(e),
-                    }
-                }
-            };
-            if let Some(start) = start {
-                self.positions.insert(tp, start);
-            }
+        for tp in &self.assignment {
+            resolve_position(&self.cluster, &mut self.positions, tp)?;
         }
         Ok(())
     }
 
-    /// Poll for records. In subscription mode this also heart-beats and
-    /// adopts any rebalanced assignment before fetching.
+    /// Poll for records from the assigned partitions.
     pub fn poll(&mut self) -> Result<Vec<ConsumerRecord>, BrokerError> {
-        if !self.subscribed.is_empty() {
-            let group = self.group()?.to_string();
-            let view = self.cluster.group_view(&group, &self.member_id)?;
-            if view.generation != self.generation {
-                self.adopt(view)?;
-            }
-        }
         let mut out = Vec::new();
         if self.assignment.is_empty() {
             return Ok(out);
@@ -197,12 +136,18 @@ impl Consumer {
                 break;
             }
             let tp = &self.assignment[(self.next_partition + i) % nparts];
-            let pos = *self.positions.get(tp).unwrap_or(&0);
-            let fetch = match self.cluster.fetch(tp, pos, budget - out.len(), self.config.isolation)
-            {
+            // The partition may be momentarily leaderless during a broker
+            // failure; skip and retry next poll.
+            let Some(position) = resolve_position(&self.cluster, &mut self.positions, tp)? else {
+                continue;
+            };
+            let fetch = match self.cluster.fetch(
+                tp,
+                *position,
+                budget - out.len(),
+                self.config.isolation,
+            ) {
                 Ok(f) => f,
-                // The partition may be momentarily leaderless during a
-                // broker failure; skip and retry next poll.
                 Err(BrokerError::NoLeader { .. }) => continue,
                 Err(e) => return Err(e),
             };
@@ -225,12 +170,7 @@ impl Consumer {
                     timestamp: rec.timestamp,
                 });
             }
-            match self.positions.get_mut(tp) {
-                Some(position) => *position = fetch.next_offset,
-                None => {
-                    self.positions.insert(tp.clone(), fetch.next_offset);
-                }
-            }
+            *position = fetch.next_offset;
         }
         self.next_partition = (self.next_partition + 1) % nparts;
         Ok(out)
@@ -239,81 +179,6 @@ impl Consumer {
     /// Current fetch position for a partition.
     pub fn position(&self, tp: &TopicPartition) -> Option<Offset> {
         self.positions.get(tp).copied()
-    }
-
-    /// Seek to an absolute offset.
-    pub fn seek(&mut self, tp: &TopicPartition, offset: Offset) {
-        self.positions.insert(tp.clone(), offset);
-    }
-
-    /// Seek to the earliest retained offset.
-    pub fn seek_to_beginning(&mut self, tp: &TopicPartition) -> Result<(), BrokerError> {
-        let off = self.cluster.earliest_offset(tp)?;
-        self.positions.insert(tp.clone(), off);
-        Ok(())
-    }
-
-    /// Seek to the log end (skip everything currently stored).
-    pub fn seek_to_end(&mut self, tp: &TopicPartition) -> Result<(), BrokerError> {
-        let off = self.cluster.latest_offset(tp)?;
-        self.positions.insert(tp.clone(), off);
-        Ok(())
-    }
-
-    /// Commit current positions through the group (at-least-once mode).
-    ///
-    /// Retries on an injected coordinator fault: offset commits are
-    /// last-write-wins per partition, so re-sending after a lost ack is
-    /// idempotent.
-    pub fn commit_sync(&mut self) -> Result<(), BrokerError> {
-        let group = self.group()?.to_string();
-        let offsets = self.current_offsets();
-        for _ in 0..MAX_COMMIT_ATTEMPTS {
-            match self.cluster.faults().decide(FaultPoint::OffsetCommitAckLost) {
-                FaultDecision::DropRequest => {}
-                FaultDecision::DropAck => {
-                    self.cluster.group_commit_offsets(
-                        &group,
-                        &self.member_id,
-                        self.generation,
-                        &offsets,
-                    )?;
-                }
-                FaultDecision::Deliver => {
-                    return self.cluster.group_commit_offsets(
-                        &group,
-                        &self.member_id,
-                        self.generation,
-                        &offsets,
-                    );
-                }
-            }
-        }
-        Err(BrokerError::InvalidOperation("offset commit retries exhausted".into()))
-    }
-
-    /// Positions of all assigned partitions (what a streams task feeds into
-    /// `send_offsets_to_transaction`), in deterministic partition order.
-    pub fn current_offsets(&self) -> Vec<(TopicPartition, Offset)> {
-        let mut offsets: Vec<(TopicPartition, Offset)> =
-            // detlint:allow[unordered-iter] collected then sorted below
-            self.positions.iter().map(|(tp, off)| (tp.clone(), *off)).collect();
-        offsets.sort_by(|a, b| a.0.cmp(&b.0));
-        offsets
-    }
-
-    /// The group generation this consumer currently holds.
-    pub fn generation(&self) -> i32 {
-        self.generation
-    }
-
-    /// Leave the group (clean shutdown).
-    pub fn close(&mut self) -> Result<(), BrokerError> {
-        if !self.subscribed.is_empty() {
-            let group = self.group()?.to_string();
-            self.cluster.group_leave(&group, &self.member_id)?;
-        }
-        Ok(())
     }
 }
 
@@ -372,31 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn group_subscribe_commit_resume() {
-        let c = cluster();
-        c.create_topic("t", TopicConfig::new(1)).unwrap();
-        produce_n(&c, "t", 10);
-        {
-            let mut cons = Consumer::new(
-                c.clone(),
-                "m1",
-                ConsumerConfig::grouped("g").with_max_poll_records(4),
-            );
-            cons.subscribe(&["t"]).unwrap();
-            let got = cons.poll().unwrap();
-            assert_eq!(got.len(), 4);
-            cons.commit_sync().unwrap();
-            cons.close().unwrap();
-        }
-        // A new member resumes from the committed offset.
-        let mut cons2 = Consumer::new(c, "m2", ConsumerConfig::grouped("g"));
-        cons2.subscribe(&["t"]).unwrap();
-        let got = cons2.poll().unwrap();
-        assert_eq!(got.len(), 6);
-        assert_eq!(got[0].offset, 4);
-    }
-
-    #[test]
     fn read_committed_waits_for_commit() {
         let c = cluster();
         c.create_topic("t", TopicConfig::new(1)).unwrap();
@@ -439,38 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn rebalance_detected_on_poll() {
-        let c = cluster();
-        c.create_topic("t", TopicConfig::new(2)).unwrap();
-        let mut a = Consumer::new(c.clone(), "a", ConsumerConfig::grouped("g"));
-        a.subscribe(&["t"]).unwrap();
-        assert_eq!(a.assignment().len(), 2);
-        let mut b = Consumer::new(c.clone(), "b", ConsumerConfig::grouped("g"));
-        b.subscribe(&["t"]).unwrap();
-        // a's next poll adopts the new generation and loses one partition.
-        a.poll().unwrap();
-        assert_eq!(a.assignment().len(), 1);
-        assert_eq!(b.assignment().len(), 1);
-        assert_eq!(a.generation(), b.generation());
-    }
-
-    #[test]
-    fn seek_to_beginning_and_end() {
-        let c = cluster();
-        c.create_topic("t", TopicConfig::new(1)).unwrap();
-        produce_n(&c, "t", 5);
-        let tp = TopicPartition::new("t", 0);
-        let mut cons = Consumer::new(c, "m", ConsumerConfig::default());
-        cons.assign(vec![tp.clone()]).unwrap();
-        cons.seek_to_end(&tp).unwrap();
-        assert!(cons.poll().unwrap().is_empty());
-        cons.seek_to_beginning(&tp).unwrap();
-        assert_eq!(cons.poll().unwrap().len(), 5);
-        cons.seek(&tp, 3);
-        assert_eq!(cons.poll().unwrap().len(), 2);
-    }
-
-    #[test]
     fn scripted_fetch_response_loss_redelivers_same_records() {
         // Script: the 1st fetch response is lost. The consumer must not
         // advance its position, so the next poll re-reads the same range.
@@ -490,30 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn scripted_offset_commit_ack_loss_is_idempotent() {
-        // Script: the 1st commit's ack is lost (request applied broker-side),
-        // the 2nd commit's request is lost entirely. commit_sync retries
-        // until delivery and the committed offset lands exactly once.
-        let plan = FaultPlan::seeded(11)
-            .script(FaultPoint::OffsetCommitAckLost, 1, FaultDecision::DropAck)
-            .script(FaultPoint::OffsetCommitAckLost, 2, FaultDecision::DropRequest);
-        let c = Cluster::builder().brokers(1).replication(1).faults(plan.clone()).build();
-        c.create_topic("t", TopicConfig::new(1)).unwrap();
-        produce_n(&c, "t", 6);
-        let mut cons = Consumer::new(c.clone(), "m1", ConsumerConfig::grouped("g"));
-        cons.subscribe(&["t"]).unwrap();
-        assert_eq!(cons.poll().unwrap().len(), 6);
-        cons.commit_sync().unwrap();
-        assert_eq!(plan.observed(FaultPoint::OffsetCommitAckLost), 3, "two faults + one delivery");
-        assert_eq!(plan.injected(FaultPoint::OffsetCommitAckLost), 2);
-        assert_eq!(
-            c.group_committed_offset("g", &TopicPartition::new("t", 0)).unwrap(),
-            Some(6),
-            "commit survives lost ack and lost request"
-        );
-    }
-
-    #[test]
     fn poll_skips_leaderless_partition() {
         let c = Cluster::builder().brokers(2).replication(1).build();
         c.create_topic("t", TopicConfig::new(2)).unwrap(); // p0→b0, p1→b1
@@ -525,5 +309,22 @@ mod tests {
         let got = cons.poll().unwrap();
         assert!(got.iter().all(|r| r.partition == 1));
         assert!(!got.is_empty());
+    }
+
+    #[test]
+    fn leaderless_at_assign_starts_at_log_start_once_led() {
+        let c = Cluster::builder().brokers(2).replication(1).build();
+        c.create_topic("t", TopicConfig::new(1)).unwrap();
+        let tp = TopicPartition::new("t", 0);
+        assert_eq!(c.leader_of(&tp).unwrap(), Some(0));
+        produce_n(&c, "t", 10);
+        c.delete_records(&tp, 5).unwrap();
+        c.kill_broker(0);
+        let mut cons = Consumer::new(c.clone(), "m", ConsumerConfig::default());
+        cons.assign(vec![tp.clone()]).unwrap();
+        assert_eq!(cons.position(&tp), None, "no position while leaderless");
+        c.restore_broker(0).unwrap();
+        let offsets: Vec<Offset> = cons.poll().unwrap().iter().map(|r| r.offset).collect();
+        assert_eq!(offsets, (5..=9).collect::<Vec<_>>(), "starts at log start, not 0");
     }
 }

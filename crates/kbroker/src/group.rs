@@ -1,8 +1,12 @@
-//! Consumer groups and durable progress tracking (§3.1, §4.2.3).
+//! Consumer groups: membership, generations and progress (§3.1, §4.2.3).
 //!
-//! "Kafka consumer groups handle task assignment, rebalancing due to
-//! membership changes, and durable progress tracking." Progress (committed
-//! offsets) is stored as appends to the internal `__consumer_offsets` topic.
+//! The coordinator tracks who is in a group and bumps its generation on
+//! every membership change. Each bump freezes the member list and each
+//! member's opaque metadata into the view every member reads. It computes
+//! no assignment: as in Kafka, the assignor is client code — here the
+//! Streams layer's sticky task assignor, run on every member from the same
+//! frozen view. Progress (committed offsets) is stored as appends to the
+//! internal `__consumer_offsets` topic.
 //! Because an offset commit is just a log append, a *transactional* offset
 //! commit participates in the producer's transaction: it only becomes
 //! visible when the transaction's commit marker lands, and rolls back with
@@ -22,7 +26,7 @@ use bytes::Bytes;
 use klog::batch::BatchMeta;
 use klog::{IsolationLevel, Offset, Record};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
 /// Default member session timeout: members that have not heartbeated (via
 /// [`Cluster::group_view`]) for this long are evicted by
@@ -31,34 +35,18 @@ pub const SESSION_TIMEOUT_MS: i64 = 30_000;
 
 #[derive(Debug, Clone)]
 struct MemberInfo {
-    subscribed: BTreeSet<String>,
     last_seen_ms: i64,
     /// Opaque client metadata (streams-layer assignors encode task
-    /// ownership and standby warm-up readiness here). Updated live via
-    /// [`Cluster::group_update_metadata`]; snapshotted into the frozen view
-    /// at each rebalance.
+    /// ownership and standby warm-up readiness here). Set at join, updated
+    /// live via [`Cluster::group_update_metadata`]; snapshotted into the
+    /// frozen view at each rebalance.
     metadata: Vec<String>,
-}
-
-/// Partition assignment strategy for a group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AssignmentStrategy {
-    /// Contiguous per-topic chunks in member order.
-    #[default]
-    Range,
-    /// Keep existing member→partition pairs where possible; only orphaned
-    /// partitions move, to the least-loaded members (minimizes state
-    /// migration for plain consumers, the same goal as §3.3's task
-    /// stickiness).
-    Sticky,
 }
 
 #[derive(Debug, Default)]
 struct GroupState {
     generation: i32,
     members: BTreeMap<String, MemberInfo>,
-    assignment: HashMap<String, Vec<TopicPartition>>,
-    strategy: AssignmentStrategy,
     /// Member ids frozen at the last generation bump. Views expose this
     /// snapshot (not the live set), so every member of generation G
     /// computes its assignment from identical inputs even while later
@@ -75,7 +63,8 @@ struct GroupState {
     pending_since: Option<i64>,
 }
 
-/// A member's view of its group after a join or poll-time check.
+/// A member's view of its group after a join or poll-time check: the same
+/// for every member of one generation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupView {
     pub generation: i32,
@@ -86,8 +75,6 @@ pub struct GroupView {
     /// input from which streams-layer assignors recover previous task
     /// ownership and warm-up readiness.
     pub member_metadata: BTreeMap<String, Vec<String>>,
-    /// Partitions assigned to *this* member.
-    pub assignment: Vec<TopicPartition>,
 }
 
 /// Broker-side group coordinator state plus the offsets materialization
@@ -151,108 +138,6 @@ fn decode_offset_key(key: &[u8]) -> Option<(String, TopicPartition)> {
     Some((group, TopicPartition::new(topic, partition)))
 }
 
-/// Sticky assignment: start from the previous assignment, drop entries for
-/// departed members and unsubscribed topics, then hand every unassigned
-/// partition to the least-loaded subscribed member.
-fn sticky_assign(
-    previous: &HashMap<String, Vec<TopicPartition>>,
-    members: &BTreeMap<String, MemberInfo>,
-    topics: &BTreeSet<String>,
-    partition_count: impl Fn(&str) -> Option<u32>,
-) -> HashMap<String, Vec<TopicPartition>> {
-    let mut assignment: HashMap<String, Vec<TopicPartition>> =
-        members.keys().map(|m| (m.clone(), Vec::new())).collect();
-    let mut taken: BTreeSet<TopicPartition> = BTreeSet::new();
-    // Phase 1: keep what survives.
-    // Prior assignments are disjoint per partition, so visit order cannot
-    // change which member keeps a partition.
-    // detlint:allow[unordered-iter] disjoint per partition; order-insensitive
-    for (member, parts) in previous {
-        let Some(info) = members.get(member) else { continue };
-        for tp in parts {
-            if info.subscribed.contains(&tp.topic) && !taken.contains(tp) {
-                assignment.get_mut(member).expect("initialized").push(tp.clone());
-                taken.insert(tp.clone());
-            }
-        }
-    }
-    // Phase 2: place orphans on the least-loaded subscribed member
-    // (member-id order breaks ties, so the result is deterministic).
-    for topic in topics {
-        let Some(nparts) = partition_count(topic) else { continue };
-        for p in 0..nparts {
-            let tp = TopicPartition::new(topic.as_str(), p);
-            if taken.contains(&tp) {
-                continue;
-            }
-            let target = members
-                .iter()
-                .filter(|(_, i)| i.subscribed.contains(topic))
-                .map(|(m, _)| m)
-                .min_by_key(|m| (assignment[m.as_str()].len(), m.as_str()))
-                .cloned();
-            if let Some(member) = target {
-                assignment.get_mut(&member).expect("initialized").push(tp.clone());
-                taken.insert(tp);
-            }
-        }
-    }
-    // Rebalance gross imbalance: move partitions from the most- to the
-    // least-loaded member until within one (stickiness yields to balance,
-    // same priority order Kafka's sticky assignor uses).
-    while let Some((max_m, max_n)) = assignment
-        .iter()
-        .max_by_key(|(m, v)| (v.len(), m.as_str()))
-        .map(|(m, v)| (m.clone(), v.len()))
-    {
-        let (min_m, min_n) = assignment
-            .iter()
-            .min_by_key(|(m, v)| (v.len(), m.as_str()))
-            .map(|(m, v)| (m.clone(), v.len()))
-            .expect("non-empty: a max exists");
-        if max_n <= min_n + 1 {
-            break;
-        }
-        let moved = assignment.get_mut(&max_m).expect("present").pop().expect("non-empty");
-        assignment.get_mut(&min_m).expect("present").push(moved);
-    }
-    assignment
-}
-
-/// Range assignment: per topic, contiguous partition chunks to subscribed
-/// members in member-id order.
-fn range_assign(
-    members: &BTreeMap<String, MemberInfo>,
-    topics: &BTreeSet<String>,
-    partition_count: impl Fn(&str) -> Option<u32>,
-) -> HashMap<String, Vec<TopicPartition>> {
-    let mut assignment: HashMap<String, Vec<TopicPartition>> =
-        members.keys().map(|m| (m.clone(), Vec::new())).collect();
-    for topic in topics {
-        let Some(nparts) = partition_count(topic) else { continue };
-        let subscribed: Vec<&String> =
-            members.iter().filter(|(_, i)| i.subscribed.contains(topic)).map(|(m, _)| m).collect();
-        if subscribed.is_empty() {
-            continue;
-        }
-        let n = subscribed.len() as u32;
-        let per = nparts / n;
-        let extra = nparts % n;
-        let mut next = 0u32;
-        for (i, member) in subscribed.iter().enumerate() {
-            let take = per + if (i as u32) < extra { 1 } else { 0 };
-            for p in next..next + take {
-                assignment
-                    .get_mut(*member)
-                    .expect("initialized above")
-                    .push(TopicPartition::new(topic.as_str(), p));
-            }
-            next += take;
-        }
-    }
-    assignment
-}
-
 impl Cluster {
     fn rebalance(&self, state: &mut GroupState) {
         state.generation += 1;
@@ -272,18 +157,6 @@ impl Cluster {
             generation = state.generation,
             members = state.members.len(),
         );
-        let topics: BTreeSet<String> =
-            state.members.values().flat_map(|m| m.subscribed.iter().cloned()).collect();
-        state.assignment = match state.strategy {
-            AssignmentStrategy::Range => {
-                range_assign(&state.members, &topics, |t| self.partition_count(t).ok())
-            }
-            AssignmentStrategy::Sticky => {
-                sticky_assign(&state.assignment, &state.members, &topics, |t| {
-                    self.partition_count(t).ok()
-                })
-            }
-        };
     }
 
     /// Register a debounced rebalance trigger (join or member request):
@@ -312,24 +185,16 @@ impl Cluster {
         }
     }
 
-    fn view_for(state: &GroupState, member: &str) -> GroupView {
+    fn view_of(state: &GroupState) -> GroupView {
         GroupView {
             generation: state.generation,
             members: state.frozen_members.clone(),
             member_metadata: state.frozen_metadata.clone(),
-            assignment: state.assignment.get(member).cloned().unwrap_or_default(),
         }
     }
 
-    /// Set a group's assignment strategy (takes effect on the next
-    /// rebalance). Creates the group if it does not exist yet.
-    pub fn group_set_strategy(&self, group: &str, strategy: AssignmentStrategy) {
-        let mut groups = self.inner.groups.stripe(group).lock();
-        groups.entry(group.to_string()).or_default().strategy = strategy;
-    }
-
     /// Force a rebalance of the group with its current membership: the
-    /// generation is bumped and partitions reassigned, so every member's
+    /// generation is bumped and the view re-frozen, so every member's
     /// next heartbeat observes membership churn (the simulation harness
     /// uses this as a cluster-level fault event). No-op on an unknown or
     /// empty group.
@@ -342,28 +207,18 @@ impl Cluster {
         self.rebalance(state);
     }
 
-    /// Join (or re-join) a group, triggering a rebalance (immediately, or
-    /// after the group's debounce window). Returns the member's view.
+    /// Join (or re-join) a group with the member's opaque `metadata`
+    /// (streams assignors encode previous task ownership here), triggering
+    /// a rebalance — immediately, or after the group's debounce window.
+    /// The metadata is frozen into the view at the next generation bump.
+    /// With a debounce window configured, back-to-back joins coalesce into
+    /// one bump; the view returned to a still-pending joiner carries the
+    /// *previous* generation's frozen membership (which may not include the
+    /// joiner yet).
     pub fn group_join(
         &self,
         group: &str,
         member: &str,
-        topics: &[String],
-    ) -> Result<GroupView, BrokerError> {
-        self.group_join_with_metadata(group, member, topics, &[])
-    }
-
-    /// [`Self::group_join`] carrying client metadata (streams assignors
-    /// encode previous task ownership here). With a debounce window
-    /// configured, back-to-back joins coalesce into one generation bump;
-    /// the view returned to a still-pending joiner carries the *previous*
-    /// generation's frozen membership (which may not include the joiner
-    /// yet).
-    pub fn group_join_with_metadata(
-        &self,
-        group: &str,
-        member: &str,
-        topics: &[String],
         metadata: &[String],
     ) -> Result<GroupView, BrokerError> {
         let now = self.now_ms();
@@ -371,19 +226,15 @@ impl Cluster {
         let state = groups.entry(group.to_string()).or_default();
         state.members.insert(
             member.to_string(),
-            MemberInfo {
-                subscribed: topics.iter().cloned().collect(),
-                last_seen_ms: now,
-                metadata: metadata.to_vec(),
-            },
+            MemberInfo { last_seen_ms: now, metadata: metadata.to_vec() },
         );
         self.trigger_rebalance(state, now);
-        Ok(Self::view_for(state, member))
+        Ok(Self::view_of(state))
     }
 
-    /// Update a member's metadata in place — no generation bump, no
-    /// re-assignment. The new metadata becomes visible to assignors at the
-    /// *next* rebalance, when it is frozen into the group view.
+    /// Update a member's metadata in place — no generation bump. The new
+    /// metadata becomes visible to assignors at the *next* rebalance, when
+    /// it is frozen into the group view.
     pub fn group_update_metadata(
         &self,
         group: &str,
@@ -467,7 +318,7 @@ impl Cluster {
         // Heartbeats drive the debounce clock: an overdue coalesced
         // rebalance fires on the next check-in.
         self.fire_pending_rebalance(state, now);
-        Ok(Self::view_for(state, member))
+        Ok(Self::view_of(state))
     }
 
     /// Evict members that have not checked in within the session timeout —
@@ -635,6 +486,10 @@ mod tests {
         Cluster::builder().brokers(3).replication(3).build()
     }
 
+    fn members(ids: &[&str]) -> Vec<String> {
+        ids.iter().map(ToString::to_string).collect()
+    }
+
     #[test]
     fn offset_key_round_trip() {
         let tp = TopicPartition::new("orders", 7);
@@ -643,62 +498,38 @@ mod tests {
     }
 
     #[test]
-    fn join_assigns_all_partitions_to_sole_member() {
+    fn first_join_bumps_to_generation_one() {
         let c = cluster();
-        c.create_topic("t", TopicConfig::new(4)).unwrap();
-        let v = c.group_join("g", "m1", &["t".to_string()]).unwrap();
+        let v = c.group_join("g", "m1", &[]).unwrap();
         assert_eq!(v.generation, 1);
-        assert_eq!(v.assignment.len(), 4);
-        assert_eq!(v.members, vec!["m1".to_string()]);
+        assert_eq!(v.members, members(&["m1"]));
     }
 
     #[test]
-    fn second_member_triggers_rebalance_and_splits() {
+    fn second_member_bumps_and_both_see_one_view() {
         let c = cluster();
-        c.create_topic("t", TopicConfig::new(4)).unwrap();
-        c.group_join("g", "m1", &["t".to_string()]).unwrap();
-        let v2 = c.group_join("g", "m2", &["t".to_string()]).unwrap();
+        c.group_join("g", "m1", &[]).unwrap();
+        let v2 = c.group_join("g", "m2", &[]).unwrap();
         assert_eq!(v2.generation, 2);
-        assert_eq!(v2.assignment.len(), 2);
-        let v1 = c.group_view("g", "m1").unwrap();
-        assert_eq!(v1.assignment.len(), 2);
-        // Disjoint and complete.
-        let mut all: Vec<TopicPartition> =
-            v1.assignment.iter().chain(v2.assignment.iter()).cloned().collect();
-        all.sort();
-        all.dedup();
-        assert_eq!(all.len(), 4);
+        assert_eq!(v2.members, members(&["m1", "m2"]));
+        assert_eq!(c.group_view("g", "m1").unwrap(), v2, "one frozen view per generation");
     }
 
     #[test]
-    fn uneven_split_gives_extra_to_first_members() {
+    fn leave_bumps_and_drops_the_member() {
         let c = cluster();
-        c.create_topic("t", TopicConfig::new(5)).unwrap();
-        c.group_join("g", "a", &["t".to_string()]).unwrap();
-        c.group_join("g", "b", &["t".to_string()]).unwrap();
-        let va = c.group_view("g", "a").unwrap();
-        let vb = c.group_view("g", "b").unwrap();
-        assert_eq!(va.assignment.len(), 3);
-        assert_eq!(vb.assignment.len(), 2);
-    }
-
-    #[test]
-    fn leave_redistributes() {
-        let c = cluster();
-        c.create_topic("t", TopicConfig::new(2)).unwrap();
-        c.group_join("g", "a", &["t".to_string()]).unwrap();
-        c.group_join("g", "b", &["t".to_string()]).unwrap();
+        c.group_join("g", "a", &[]).unwrap();
+        c.group_join("g", "b", &[]).unwrap();
         c.group_leave("g", "a").unwrap();
         let vb = c.group_view("g", "b").unwrap();
-        assert_eq!(vb.assignment.len(), 2);
         assert_eq!(vb.generation, 3);
+        assert_eq!(vb.members, members(&["b"]));
     }
 
     #[test]
     fn commit_and_fetch_offsets() {
         let c = cluster();
-        c.create_topic("t", TopicConfig::new(1)).unwrap();
-        let v = c.group_join("g", "m", &["t".to_string()]).unwrap();
+        let v = c.group_join("g", "m", &[]).unwrap();
         let tp = TopicPartition::new("t", 0);
         assert_eq!(c.group_committed_offset("g", &tp).unwrap(), None);
         c.group_commit_offsets("g", "m", v.generation, &[(tp.clone(), 42)]).unwrap();
@@ -710,9 +541,8 @@ mod tests {
     #[test]
     fn stale_generation_commit_rejected() {
         let c = cluster();
-        c.create_topic("t", TopicConfig::new(1)).unwrap();
-        let v1 = c.group_join("g", "m1", &["t".to_string()]).unwrap();
-        c.group_join("g", "m2", &["t".to_string()]).unwrap(); // bumps generation
+        let v1 = c.group_join("g", "m1", &[]).unwrap();
+        c.group_join("g", "m2", &[]).unwrap(); // bumps generation
         let tp = TopicPartition::new("t", 0);
         assert!(matches!(
             c.group_commit_offsets("g", "m1", v1.generation, &[(tp, 5)]),
@@ -723,8 +553,7 @@ mod tests {
     #[test]
     fn evicted_member_commit_rejected() {
         let c = cluster();
-        c.create_topic("t", TopicConfig::new(1)).unwrap();
-        let v = c.group_join("g", "m", &["t".to_string()]).unwrap();
+        let v = c.group_join("g", "m", &[]).unwrap();
         c.group_leave("g", "m").unwrap();
         let tp = TopicPartition::new("t", 0);
         assert!(matches!(
@@ -737,42 +566,40 @@ mod tests {
     fn session_timeout_evicts_silent_members() {
         let clock = simkit::ManualClock::new();
         let c = Cluster::builder().brokers(1).replication(1).clock(clock.shared()).build();
-        c.create_topic("t", TopicConfig::new(2)).unwrap();
-        c.group_join("g", "a", &["t".to_string()]).unwrap();
-        c.group_join("g", "b", &["t".to_string()]).unwrap();
+        c.group_join("g", "a", &[]).unwrap();
+        c.group_join("g", "b", &[]).unwrap();
         clock.advance(SESSION_TIMEOUT_MS / 2);
         c.group_view("g", "a").unwrap(); // a heartbeats, b stays silent
         clock.advance(SESSION_TIMEOUT_MS / 2 + 1);
         let evicted = c.group_expire_members("g");
-        assert_eq!(evicted, vec!["b".to_string()]);
+        assert_eq!(evicted, members(&["b"]));
         let va = c.group_view("g", "a").unwrap();
-        assert_eq!(va.assignment.len(), 2, "a inherits b's partitions");
+        assert_eq!(va.generation, 3, "eviction bumps the generation");
+        assert_eq!(va.members, members(&["a"]));
     }
 
     #[test]
     fn simultaneous_joins_coalesce_into_one_generation_bump() {
         let clock = simkit::ManualClock::new();
         let c = Cluster::builder().brokers(1).replication(1).clock(clock.shared()).build();
-        c.create_topic("t", TopicConfig::new(6)).unwrap();
         c.group_set_rebalance_debounce_ms("g", 50);
         // Three back-to-back joins inside the window: zero bumps yet.
         for m in ["a", "b", "c"] {
-            c.group_join("g", m, &["t".to_string()]).unwrap();
+            c.group_join("g", m, &[]).unwrap();
         }
         assert_eq!(c.group_generation("g"), 0, "joins are pending inside the window");
         clock.advance(50);
         let v = c.group_view("g", "a").unwrap();
         assert_eq!(v.generation, 1, "exactly one bump for the whole burst");
-        assert_eq!(v.members, vec!["a".to_string(), "b".to_string(), "c".to_string()]);
-        assert_eq!(v.assignment.len(), 2, "all three members were assigned together");
+        assert_eq!(v.members, members(&["a", "b", "c"]));
+        assert_eq!(c.group_view("g", "c").unwrap(), v, "all three were frozen together");
     }
 
     #[test]
     fn undebounced_group_keeps_immediate_rebalances() {
         let c = cluster();
-        c.create_topic("t", TopicConfig::new(4)).unwrap();
-        c.group_join("g", "a", &["t".to_string()]).unwrap();
-        let v = c.group_join("g", "b", &["t".to_string()]).unwrap();
+        c.group_join("g", "a", &[]).unwrap();
+        let v = c.group_join("g", "b", &[]).unwrap();
         assert_eq!(v.generation, 2, "no window configured: every join bumps");
     }
 
@@ -780,21 +607,19 @@ mod tests {
     fn leave_fires_immediately_even_with_debounce() {
         let clock = simkit::ManualClock::new();
         let c = Cluster::builder().brokers(1).replication(1).clock(clock.shared()).build();
-        c.create_topic("t", TopicConfig::new(2)).unwrap();
-        c.group_join("g", "a", &["t".to_string()]).unwrap();
-        c.group_join("g", "b", &["t".to_string()]).unwrap();
+        c.group_join("g", "a", &[]).unwrap();
+        c.group_join("g", "b", &[]).unwrap();
         c.group_set_rebalance_debounce_ms("g", 1000);
         c.group_leave("g", "b").unwrap();
         let v = c.group_view("g", "a").unwrap();
         assert_eq!(v.generation, 3, "leave is not debounced");
-        assert_eq!(v.members, vec!["a".to_string()]);
+        assert_eq!(v.members, members(&["a"]));
     }
 
     #[test]
     fn metadata_is_frozen_until_the_next_rebalance() {
         let c = cluster();
-        c.create_topic("t", TopicConfig::new(1)).unwrap();
-        c.group_join_with_metadata("g", "m", &["t".to_string()], &["o:0_0".to_string()]).unwrap();
+        c.group_join("g", "m", &["o:0_0".to_string()]).unwrap();
         c.group_update_metadata("g", "m", &["o:0_1".to_string()]).unwrap();
         let v = c.group_view("g", "m").unwrap();
         assert_eq!(
@@ -810,8 +635,7 @@ mod tests {
     #[test]
     fn member_requested_rebalance_bumps_generation() {
         let c = cluster();
-        c.create_topic("t", TopicConfig::new(1)).unwrap();
-        let v = c.group_join("g", "m", &["t".to_string()]).unwrap();
+        let v = c.group_join("g", "m", &[]).unwrap();
         c.group_request_rebalance("g", "m").unwrap();
         let v2 = c.group_view("g", "m").unwrap();
         assert_eq!(v2.generation, v.generation + 1);
@@ -866,94 +690,10 @@ mod tests {
     #[test]
     fn groups_are_isolated() {
         let c = cluster();
-        c.create_topic("t", TopicConfig::new(1)).unwrap();
-        let v1 = c.group_join("g1", "m", &["t".to_string()]).unwrap();
+        let v1 = c.group_join("g1", "m", &[]).unwrap();
         let tp = TopicPartition::new("t", 0);
         c.group_commit_offsets("g1", "m", v1.generation, &[(tp.clone(), 7)]).unwrap();
         assert_eq!(c.group_committed_offset("g2", &tp).unwrap(), None);
         assert_eq!(c.group_committed_offset("g1", &tp).unwrap(), Some(7));
-    }
-}
-
-#[cfg(test)]
-mod sticky_tests {
-    use super::*;
-    use crate::topic::TopicConfig;
-
-    fn cluster() -> Cluster {
-        Cluster::builder().brokers(1).replication(1).build()
-    }
-
-    fn assignment_of(c: &Cluster, group: &str, member: &str) -> Vec<TopicPartition> {
-        let mut a = c.group_view(group, member).unwrap().assignment;
-        a.sort();
-        a
-    }
-
-    #[test]
-    fn sticky_keeps_partitions_on_member_join() {
-        let c = cluster();
-        c.create_topic("t", TopicConfig::new(4)).unwrap();
-        c.group_set_strategy("g", AssignmentStrategy::Sticky);
-        c.group_join("g", "a", &["t".to_string()]).unwrap();
-        let before = assignment_of(&c, "g", "a");
-        assert_eq!(before.len(), 4);
-        // b joins: a must keep exactly 2 of its ORIGINAL partitions (sticky
-        // yields to balance but moves the minimum).
-        c.group_join("g", "b", &["t".to_string()]).unwrap();
-        let a_after = assignment_of(&c, "g", "a");
-        let b_after = assignment_of(&c, "g", "b");
-        assert_eq!(a_after.len(), 2);
-        assert_eq!(b_after.len(), 2);
-        assert!(a_after.iter().all(|tp| before.contains(tp)), "a kept its own partitions");
-    }
-
-    #[test]
-    fn sticky_moves_only_departed_members_partitions() {
-        let c = cluster();
-        c.create_topic("t", TopicConfig::new(6)).unwrap();
-        c.group_set_strategy("g", AssignmentStrategy::Sticky);
-        c.group_join("g", "a", &["t".to_string()]).unwrap();
-        c.group_join("g", "b", &["t".to_string()]).unwrap();
-        c.group_join("g", "c", &["t".to_string()]).unwrap();
-        let a_before = assignment_of(&c, "g", "a");
-        let b_before = assignment_of(&c, "g", "b");
-        c.group_leave("g", "c").unwrap();
-        let a_after = assignment_of(&c, "g", "a");
-        let b_after = assignment_of(&c, "g", "b");
-        assert!(a_before.iter().all(|tp| a_after.contains(tp)), "a kept everything it had");
-        assert!(b_before.iter().all(|tp| b_after.contains(tp)), "b kept everything it had");
-        assert_eq!(a_after.len() + b_after.len(), 6, "orphans redistributed");
-        assert!(a_after.len().abs_diff(b_after.len()) <= 1, "balanced");
-    }
-
-    #[test]
-    fn sticky_assignment_is_complete_and_disjoint() {
-        let c = cluster();
-        c.create_topic("t", TopicConfig::new(7)).unwrap();
-        c.group_set_strategy("g", AssignmentStrategy::Sticky);
-        for m in ["a", "b", "c"] {
-            c.group_join("g", m, &["t".to_string()]).unwrap();
-        }
-        let mut all: Vec<TopicPartition> =
-            ["a", "b", "c"].iter().flat_map(|m| assignment_of(&c, "g", m)).collect();
-        all.sort();
-        let len = all.len();
-        all.dedup();
-        assert_eq!(all.len(), len, "disjoint");
-        assert_eq!(all.len(), 7, "complete");
-    }
-
-    #[test]
-    fn range_remains_the_default() {
-        let c = cluster();
-        c.create_topic("t", TopicConfig::new(4)).unwrap();
-        c.group_join("g", "a", &["t".to_string()]).unwrap();
-        c.group_join("g", "b", &["t".to_string()]).unwrap();
-        // Range gives contiguous chunks.
-        assert_eq!(
-            assignment_of(&c, "g", "a"),
-            vec![TopicPartition::new("t", 0), TopicPartition::new("t", 1)]
-        );
     }
 }

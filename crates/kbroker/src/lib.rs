@@ -17,10 +17,11 @@
 //!   transaction log, then commit/abort markers fanned out to data
 //!   partitions), transaction timeouts, and coordinator failover by
 //!   replaying the transaction log.
-//! * **Consumer groups** (§3.1): membership, generation-fenced offset
-//!   commits, range/sticky assignment, and the `__consumer_offsets` topic —
-//!   including *transactional* offset commits whose visibility follows the
-//!   producer's transaction outcome (§4.2.3).
+//! * **Consumer groups** (§3.1): membership, generations, generation-fenced
+//!   offset commits and the `__consumer_offsets` topic — including
+//!   *transactional* offset commits whose visibility follows the producer's
+//!   transaction outcome (§4.2.3). The coordinator assigns nothing: the
+//!   Streams layer assigns tasks from each generation's frozen view.
 //! * **Clients**: [`producer::Producer`] and [`consumer::Consumer`] with
 //!   retry loops driven by `simkit` fault injection, so lost-ack/duplicate
 //!   scenarios (§2.1) exercise the real dedup and fencing paths.

@@ -570,11 +570,7 @@ mod tests {
                 }
             }
         };
-        klog::compaction::compact(
-            log_mut(&mut rs, 1),
-            klog::compaction::CompactionOptions::default(),
-        )
-        .unwrap();
+        klog::compaction::compact(log_mut(&mut rs, 1)).unwrap();
         assert_eq!(contents(log_mut(&mut rs, 1)).len(), 1, "one key survives compaction");
         others_unchanged(&rs, "compacting broker 1");
 

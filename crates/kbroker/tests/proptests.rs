@@ -1,13 +1,14 @@
 //! Property-based tests for the broker cluster: exactly-once under random
-//! fault injection, replication consistency across failovers, and group
-//! assignment invariants.
+//! fault injection, replication consistency across failovers, and the group
+//! coordinator's membership and generation contract.
 
 use bytes::Bytes;
+use kbroker::group::{GroupView, SESSION_TIMEOUT_MS};
 use kbroker::producer::{Producer, ProducerConfig};
 use kbroker::{Cluster, IsolationLevel, TopicConfig, TopicPartition};
 use proptest::prelude::*;
 use simkit::{FaultPlan, FaultPoint};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 fn all_records(cluster: &Cluster, topic: &str, iso: IsolationLevel) -> Vec<(Bytes, Bytes)> {
     let mut out = Vec::new();
@@ -151,31 +152,93 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
-    /// Group range assignment is a partition of the topic's partitions:
-    /// disjoint, complete, balanced within one.
+    /// The coordinator contract the leaderless Streams assignor relies on:
+    /// every member's view of one generation is the same frozen snapshot
+    /// of the live membership and metadata at that generation's bump;
+    /// generations never go back; a metadata update shows only at the next
+    /// bump; a leave or an expiry bumps at once, even inside a debounce
+    /// window.
     #[test]
-    fn group_assignment_is_a_partition(
-        parts in 1u32..20,
+    fn group_views_are_frozen_per_generation(
         members in 1usize..6,
+        debounce in 0usize..2,
+        ops in prop::collection::vec((0u8..8, 0usize..5, 0usize..3), 1..60),
     ) {
-        let cluster = Cluster::builder().brokers(1).replication(1).build();
-        cluster.create_topic("t", TopicConfig::new(parts)).unwrap();
-        for m in 0..members {
-            cluster.group_join("g", &format!("m{m}"), &["t".to_string()]).unwrap();
-        }
-        let mut counts: HashMap<TopicPartition, usize> = HashMap::new();
-        let mut sizes = Vec::new();
-        for m in 0..members {
-            let view = cluster.group_view("g", &format!("m{m}")).unwrap();
-            sizes.push(view.assignment.len());
-            for tp in view.assignment {
-                *counts.entry(tp).or_default() += 1;
+        let clock = simkit::ManualClock::new();
+        let cluster = Cluster::builder().brokers(1).replication(1).clock(clock.shared()).build();
+        cluster.group_set_rebalance_debounce_ms("g", [0, 50][debounce]);
+        // Live membership and metadata, as this test drove them.
+        let mut live: BTreeMap<String, Vec<String>> = BTreeMap::new();
+        // The first view observed at each generation.
+        let mut frozen: BTreeMap<i32, GroupView> = BTreeMap::new();
+        frozen.insert(0, GroupView { generation: 0, members: vec![], member_metadata: live.clone() });
+        for (kind, m, x) in ops {
+            let member = format!("m{}", m % members);
+            let tag = vec![format!("o:{x}")];
+            let before = cluster.group_generation("g");
+            let mut seen = Vec::new();
+            let mut must_bump = false;
+            match kind {
+                0 => {
+                    seen.push(cluster.group_join("g", &member, &tag).unwrap());
+                    live.insert(member, tag);
+                }
+                1 => {
+                    let left = cluster.group_leave("g", &member).is_ok();
+                    prop_assert_eq!(left, live.remove(&member).is_some());
+                    must_bump = left;
+                }
+                2 => {
+                    let asked = cluster.group_request_rebalance("g", &member).is_ok();
+                    prop_assert_eq!(asked, live.contains_key(&member));
+                }
+                3 => cluster.group_force_rebalance("g"),
+                4 => {
+                    let evicted = cluster.group_expire_members("g");
+                    for id in &evicted {
+                        prop_assert!(live.remove(id).is_some(), "evicted a non-member {id}");
+                    }
+                    must_bump = !evicted.is_empty();
+                }
+                5 => {
+                    let updated = cluster.group_update_metadata("g", &member, &tag).is_ok();
+                    prop_assert_eq!(updated, live.contains_key(&member));
+                    if updated {
+                        live.insert(member, tag);
+                    }
+                }
+                6 => {
+                    for id in live.keys() {
+                        seen.push(cluster.group_view("g", id).unwrap());
+                    }
+                }
+                _ => clock.advance([10, 50, SESSION_TIMEOUT_MS + 1][x]),
+            }
+            let after = cluster.group_generation("g");
+            prop_assert!(after == before || after == before + 1, "generation {before} -> {after}");
+            if must_bump {
+                prop_assert_eq!(after, before + 1, "leave and expire bump at once");
+            }
+            if kind == 5 {
+                prop_assert_eq!(after, before, "a metadata update never bumps");
+            }
+            if after > before {
+                // The bump froze the live membership and metadata as of now.
+                let expected = GroupView {
+                    generation: after,
+                    members: live.keys().cloned().collect(),
+                    member_metadata: live.clone(),
+                };
+                if let Some(id) = live.keys().next() {
+                    seen.push(cluster.group_view("g", id).unwrap());
+                }
+                prop_assert!(frozen.insert(after, expected).is_none(), "generation {after} reused");
+            }
+            for view in seen {
+                prop_assert_eq!(view.generation, after);
+                prop_assert_eq!(&view, &frozen[&after], "one view per generation");
             }
         }
-        prop_assert_eq!(counts.len(), parts as usize, "complete");
-        prop_assert!(counts.values().all(|&c| c == 1), "disjoint");
-        let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-        prop_assert!(max - min <= 1, "balanced: {sizes:?}");
     }
 
     /// Committed offsets always reflect the latest committed value per
@@ -189,9 +252,7 @@ proptest! {
         let tp = TopicPartition::new("t", 0);
         let mut gens = Vec::new();
         for g in 0..3 {
-            let v = cluster
-                .group_join(&format!("g{g}"), "m", &["t".to_string()])
-                .unwrap();
+            let v = cluster.group_join(&format!("g{g}"), "m", &[]).unwrap();
             gens.push(v.generation);
         }
         let mut latest: HashMap<usize, i64> = HashMap::new();

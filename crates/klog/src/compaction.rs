@@ -13,8 +13,8 @@
 //! * records of **aborted** transactions are removed outright,
 //! * control (marker) batches are retained,
 //! * keyless records are never compacted away,
-//! * tombstones (null values) are retained as the latest value for their key
-//!   unless `remove_tombstones` is set, in which case the key disappears.
+//! * tombstones (null values) are retained as the latest value for their
+//!   key (a pass never drops a key outright).
 
 use crate::batch::StoredBatch;
 use crate::error::LogError;
@@ -24,14 +24,6 @@ use crate::Offset;
 use bytes::Bytes;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Options controlling one compaction pass.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CompactionOptions {
-    /// Drop tombstones that are the latest record for their key (the
-    /// "delete retention elapsed" phase of Kafka's cleaner).
-    pub remove_tombstones: bool,
-}
 
 /// What a compaction pass did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,10 +51,7 @@ impl CompactionStats {
 
 /// Run one compaction pass over `log`. Fails only when the log's disk
 /// cannot be rewritten.
-pub fn compact(
-    log: &mut PartitionLog,
-    opts: CompactionOptions,
-) -> Result<CompactionStats, LogError> {
+pub fn compact(log: &mut PartitionLog) -> Result<CompactionStats, LogError> {
     let bound: Offset = log.high_watermark().min(log.last_stable_offset());
     let aborted = log.aborted_txns().to_vec();
     let is_aborted = |batch: &StoredBatch| {
@@ -115,10 +104,8 @@ pub fn compact(
             }
             match &rec.key {
                 None => true, // keyless records kept
-                // Superseded by a later record, or an expired tombstone?
-                Some(key) => {
-                    latest.get(key) == Some(off) && !(rec.is_tombstone() && opts.remove_tombstones)
-                }
+                // Superseded by a later record?
+                Some(key) => latest.get(key) == Some(off),
             }
         };
         if batch.entries.iter().all(keep) {
@@ -166,7 +153,7 @@ mod tests {
         log.append(BatchMeta::plain(), vec![kv("a", "1", 0), kv("b", "1", 1)]).unwrap();
         log.append(BatchMeta::plain(), vec![kv("a", "2", 2)]).unwrap();
         log.append(BatchMeta::plain(), vec![kv("a", "3", 3), kv("b", "2", 4)]).unwrap();
-        let stats = compact(&mut log, CompactionOptions::default()).unwrap();
+        let stats = compact(&mut log).unwrap();
         assert_eq!(stats.records_before, 5);
         assert_eq!(stats.records_after, 2);
         let f = log.fetch(0, 100, IsolationLevel::ReadUncommitted).unwrap();
@@ -182,7 +169,7 @@ mod tests {
         log.append(BatchMeta::plain(), vec![kv("a", "1", 0)]).unwrap();
         log.append(BatchMeta::plain(), vec![kv("a", "2", 1)]).unwrap();
         log.advance_high_watermark(1).unwrap(); // only offset 0 is clean
-        compact(&mut log, CompactionOptions::default()).unwrap();
+        compact(&mut log).unwrap();
         // Both records survive: offset 0 is latest *in the clean region*,
         // offset 1 is dirty.
         assert_eq!(log.record_count(), 2);
@@ -194,7 +181,7 @@ mod tests {
         log.append(BatchMeta::plain(), vec![kv("a", "1", 0)]).unwrap();
         log.append(BatchMeta::transactional(1, 0, 0), vec![kv("a", "2", 1)]).unwrap();
         // Txn open ⇒ LSO = 1 ⇒ only offset 0 clean; nothing superseded.
-        compact(&mut log, CompactionOptions::default()).unwrap();
+        compact(&mut log).unwrap();
         assert_eq!(log.record_count(), 2);
     }
 
@@ -204,7 +191,7 @@ mod tests {
         log.append(BatchMeta::plain(), vec![kv("a", "keep", 0)]).unwrap();
         log.append(BatchMeta::transactional(1, 0, 0), vec![kv("b", "gone", 1)]).unwrap();
         log.append_control(1, 0, ControlType::Abort, 2).unwrap();
-        let stats = compact(&mut log, CompactionOptions::default()).unwrap();
+        let stats = compact(&mut log).unwrap();
         assert_eq!(stats.records_after, 1);
         let f = log.fetch(0, 100, IsolationLevel::ReadUncommitted).unwrap();
         assert_eq!(f.count(), 1);
@@ -212,16 +199,13 @@ mod tests {
     }
 
     #[test]
-    fn tombstone_kept_by_default_removed_on_request() {
+    fn tombstone_kept_as_latest_value() {
         let mut log = PartitionLog::new();
         log.append(BatchMeta::plain(), vec![kv("a", "1", 0)]).unwrap();
         log.append(BatchMeta::plain(), vec![Record::tombstone(Bytes::from_static(b"a"), 1)])
             .unwrap();
-        let mut log2 = log.clone();
-        compact(&mut log, CompactionOptions::default()).unwrap();
+        compact(&mut log).unwrap();
         assert_eq!(log.record_count(), 1, "tombstone retained");
-        compact(&mut log2, CompactionOptions { remove_tombstones: true }).unwrap();
-        assert_eq!(log2.record_count(), 0, "tombstone dropped");
     }
 
     #[test]
@@ -231,7 +215,7 @@ mod tests {
             .unwrap();
         log.append(BatchMeta::plain(), vec![Record::new(None, Some(Bytes::from_static(b"y")), 1)])
             .unwrap();
-        compact(&mut log, CompactionOptions::default()).unwrap();
+        compact(&mut log).unwrap();
         assert_eq!(log.record_count(), 2);
     }
 
@@ -242,7 +226,7 @@ mod tests {
         log.append_control(1, 0, ControlType::Commit, 1).unwrap();
         log.append(BatchMeta::transactional(1, 0, 1), vec![kv("a", "2", 2)]).unwrap();
         log.append_control(1, 0, ControlType::Commit, 3).unwrap();
-        let stats = compact(&mut log, CompactionOptions::default()).unwrap();
+        let stats = compact(&mut log).unwrap();
         assert_eq!(stats.records_after, 1);
         let f = log.fetch(0, 100, IsolationLevel::ReadCommitted).unwrap();
         assert_eq!(f.records().next().unwrap().1.value.as_deref(), Some(b"2".as_slice()));
@@ -257,7 +241,7 @@ mod tests {
             let key = format!("k{}", i % 10);
             log.append(BatchMeta::plain(), vec![kv(&key, &format!("v{i}"), i)]).unwrap();
         }
-        let stats = compact(&mut log, CompactionOptions::default()).unwrap();
+        let stats = compact(&mut log).unwrap();
         assert_eq!((stats.records_before, stats.records_after), (100, 10));
         assert!(stats.reclaimed_fraction() > 0.8);
         // Replay scans one record per key, and the last value per key
@@ -282,7 +266,7 @@ mod tests {
         let mut log = PartitionLog::new();
         log.append(BatchMeta::idempotent(1, 0, 0), vec![kv("a", "1", 0)]).unwrap();
         log.append(BatchMeta::idempotent(1, 0, 1), vec![kv("a", "2", 1)]).unwrap();
-        compact(&mut log, CompactionOptions::default()).unwrap();
+        compact(&mut log).unwrap();
         let retry = log.append(BatchMeta::idempotent(1, 0, 1), vec![kv("a", "2", 1)]).unwrap();
         assert!(retry.duplicate, "producer table survives compaction");
     }

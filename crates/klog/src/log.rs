@@ -883,7 +883,7 @@ mod tests {
         assert!(io(log.advance_high_watermark(8)), "advance_high_watermark");
         assert!(io(log.truncate_prefix(3)), "truncate_prefix");
         assert!(io(log.truncate_suffix(5)), "truncate_suffix");
-        let compacted = crate::compaction::compact(&mut log, Default::default());
+        let compacted = crate::compaction::compact(&mut log);
         assert!(matches!(compacted, Err(LogError::Io(_))), "compact: {compacted:?}");
     }
 

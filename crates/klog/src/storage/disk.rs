@@ -531,7 +531,7 @@ mod tests {
         let mut log = disk_log(&cfg, 3);
         assert_eq!(bases(&log), vec![0, 2, 4]);
         // Every record shares one key: one survivor, one segment, one file.
-        crate::compaction::compact(&mut log, Default::default()).unwrap();
+        crate::compaction::compact(&mut log).unwrap();
         let rec = crash_and_recover(log, &cfg);
         assert_eq!(bases(&rec), vec![5]);
         assert_eq!(rec.record_count(), 1);

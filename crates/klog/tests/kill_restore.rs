@@ -29,13 +29,19 @@
 use bytes::Bytes;
 use klog::batch::{BatchMeta, ControlType};
 use klog::checks;
-use klog::compaction::{compact, CompactionOptions};
+use klog::compaction::compact;
 use klog::storage::format::{encode_batch, frame};
 use klog::{DiskConfig, DiskLog, IsolationLevel, Offset, PartitionLog, Record};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
+/// The invariant sink is process-global and the two properties run on
+/// parallel test threads; the second records violations on purpose (its
+/// oracle's rescan), so each case holds this lock while it uses the sink.
+static SINK_LOCK: Mutex<()> = Mutex::new(());
 
 /// One step of the randomized workload.
 #[derive(Debug, Clone)]
@@ -171,7 +177,7 @@ fn run_script(
                 }
             }
             Op::Compact => {
-                compact(&mut log, CompactionOptions::default()).unwrap();
+                compact(&mut log).unwrap();
             }
             Op::AdvanceHw(pct) => log.advance_high_watermark(at(&log, *pct)).unwrap(),
             Op::Resync => log.resync_disk(cfg.clone()).unwrap(),
@@ -260,6 +266,7 @@ proptest! {
         ops in prop::collection::vec(arb_op(), 1..40),
         managed in any::<bool>(),
     ) {
+        let _serial = SINK_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         checks::take_violations();
         let dir = case_dir();
         // roll=3 records: scripts of up to ~120 records cross many rolls.
@@ -289,6 +296,7 @@ proptest! {
         damage in (any::<bool>(), any::<u64>(), 1u8..255),
     ) {
         let (flip, at, xor) = damage;
+        let _serial = SINK_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         checks::take_violations();
         let dir = case_dir();
         let cfg = DiskConfig::at(&dir).with_roll_records(3);

@@ -2,7 +2,7 @@
 
 use bytes::Bytes;
 use klog::batch::{BatchMeta, ControlType};
-use klog::compaction::{compact, CompactionOptions};
+use klog::compaction::compact;
 use klog::producer_state::ProducerSnapshotEntry;
 use klog::storage::format::{
     crc32, decode_batch, decode_checkpoint, decode_snapshot, encode_batch, encode_checkpoint,
@@ -108,7 +108,7 @@ fn build_log(ops: &[LogOp]) -> PartitionLog {
                 }
             }
             LogOp::Compact => {
-                compact(&mut log, CompactionOptions::default()).unwrap();
+                compact(&mut log).unwrap();
             }
             LogOp::AdvanceHw(pct) => log.advance_high_watermark(log.log_end() * pct / 100).unwrap(),
         }
@@ -286,7 +286,7 @@ proptest! {
             log.append(BatchMeta::plain(), batch.clone()).unwrap();
         }
         let before = materialize(&log);
-        let stats = compact(&mut log, CompactionOptions::default()).unwrap();
+        let stats = compact(&mut log).unwrap();
         let after = materialize(&log);
         prop_assert_eq!(&before, &after);
         // And the compacted log holds at most one record per key.
@@ -300,9 +300,9 @@ proptest! {
         for batch in &batches {
             log.append(BatchMeta::plain(), batch.clone()).unwrap();
         }
-        compact(&mut log, CompactionOptions::default()).unwrap();
+        compact(&mut log).unwrap();
         let once = materialize(&log);
-        let stats = compact(&mut log, CompactionOptions::default()).unwrap();
+        let stats = compact(&mut log).unwrap();
         prop_assert_eq!(stats.records_before, stats.records_after);
         prop_assert_eq!(once, materialize(&log));
     }

@@ -29,21 +29,17 @@ pub enum FaultPoint {
     /// An AddPartitionsToTxn coordinator ack is lost after the partition was
     /// registered; the producer retries the (idempotent) registration.
     TxnAddPartitionsAckLost,
-    /// An offset-commit ack is lost; the consumer retries the (idempotent,
-    /// last-write-wins) commit.
-    OffsetCommitAckLost,
 }
 
 impl FaultPoint {
     /// Every fault point, in a fixed order (stable across runs, used by
     /// deterministic reports).
-    pub const ALL: [FaultPoint; 6] = [
+    pub const ALL: [FaultPoint; 5] = [
         FaultPoint::ProduceAckLost,
         FaultPoint::ProduceRequestLost,
         FaultPoint::FetchResponseLost,
         FaultPoint::TxnRpcAckLost,
         FaultPoint::TxnAddPartitionsAckLost,
-        FaultPoint::OffsetCommitAckLost,
     ];
 
     /// Stable display name.
@@ -54,7 +50,6 @@ impl FaultPoint {
             FaultPoint::FetchResponseLost => "FetchResponseLost",
             FaultPoint::TxnRpcAckLost => "TxnRpcAckLost",
             FaultPoint::TxnAddPartitionsAckLost => "TxnAddPartitionsAckLost",
-            FaultPoint::OffsetCommitAckLost => "OffsetCommitAckLost",
         }
     }
 }

@@ -6,7 +6,7 @@
 #                              # detlint, kcheck --quick, perfbench tests and
 #                              # perfbench/run.sh --quick
 #   ./verify.sh --quick        # fmt, clippy, tier-1 tests, bytes shim tests,
-#                              # kanalyze, detlint
+#                              # kbroker unit tests, kanalyze, detlint
 #   ./verify.sh storage        # disk seed sweep, disk replay identity, storage
 #                              # batteries, recoverybench --quick
 #   ./verify.sh simtest        # seed sweeps (plain and cached), forced
@@ -204,6 +204,10 @@ gate_full() {
     # (inline vs shared payloads) would otherwise run only in the full gate.
     step "cargo test -q -p bytes"
     cargo test -q -p bytes
+
+    # Likewise the group coordinator's and consumer client's unit tests.
+    step "cargo test -q -p kbroker --lib"
+    cargo test -q -p kbroker --lib
   fi
 
   step "cargo run --bin kanalyze (topology static verifier demo)"
