@@ -31,7 +31,6 @@ fn main() {
                 duration_ms: if quick { 1_000 } else { 3_000 },
                 key_space: 4096,
                 instances: 1,
-                ..RunSpec::default()
             };
             let label = format!("{} partitions={parts}", if eos { "EOS " } else { "ALOS" });
             let report = run_median(spec, repeats);

@@ -54,7 +54,6 @@ fn main() {
             duration_ms: (interval * 4).max(if quick { 1_000 } else { 3_000 }),
             key_space: 4096,
             instances: 1,
-            ..RunSpec::default()
         };
         let streams = run_median(spec.clone(), repeats);
         let flink = run_checkpoint_baseline(spec);

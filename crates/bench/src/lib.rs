@@ -161,8 +161,6 @@ pub struct RunSpec {
     pub key_space: usize,
     /// Number of application instances ("threads", §6.1).
     pub instances: usize,
-    /// Record-cache capacity per store (0 = write-through, no caching).
-    pub cache_max_entries: usize,
 }
 
 impl Default for RunSpec {
@@ -176,7 +174,6 @@ impl Default for RunSpec {
             duration_ms: 3_000,
             key_space: 1024,
             instances: 1,
-            cache_max_entries: 0,
         }
     }
 }
@@ -191,10 +188,6 @@ pub struct RunReport {
     pub records_generated: u64,
     pub records_processed: u64,
     pub transactions: u64,
-    /// Fleet-wide sum of the instances' `StreamsMetrics` counters — the
-    /// cache hit/eviction and changelog-append totals behind the record-cache
-    /// dedup ratios.
-    pub streams: kstreams::StreamsMetrics,
     /// kobs registry snapshot taken at the end of this run (the registry is
     /// reset at run start), carrying the txn per-phase latency histograms
     /// behind Figure 5's end-to-end numbers.
@@ -225,8 +218,7 @@ pub fn run(spec: RunSpec) -> RunReport {
     let mut config = StreamsConfig::new("bench-app")
         .with_commit_interval_ms(spec.commit_interval_ms)
         .with_max_poll_records(100_000)
-        .with_producer_batch_size(64)
-        .with_cache_max_entries(spec.cache_max_entries);
+        .with_producer_batch_size(64);
     if spec.exactly_once {
         config = config.exactly_once();
     }
@@ -299,7 +291,6 @@ pub fn run(spec: RunSpec) -> RunReport {
         records_generated: generator.produced(),
         records_processed: streams.records_processed,
         transactions: streams.transactions,
-        streams,
         obs: kobs::snapshot(),
         critical_path: kobs::ktrace::critical_path_summary(),
     }
@@ -370,7 +361,6 @@ pub fn run_checkpoint_baseline(spec: RunSpec) -> RunReport {
         records_generated: generator.produced(),
         records_processed: stats.records_processed,
         transactions: stats.checkpoints_completed,
-        streams: kstreams::StreamsMetrics::default(),
         obs: kobs::snapshot(),
         critical_path: kobs::ktrace::critical_path_summary(),
     }

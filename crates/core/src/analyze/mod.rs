@@ -8,10 +8,10 @@
 //! fails fast at build time instead of corrupting state at runtime.
 //!
 //! Entry points: [`Topology::verify`] (config-independent rules, cached at
-//! build time), [`Topology::verify_with`] (adds guarantee-dependent rules
-//! and applies the [`StreamsConfig::deny_rules`] escalation list), and the
-//! `kanalyze` binary in the workspace root, which pretty-prints diagnostics
-//! for example topologies.
+//! build time), [`Topology::verify_with`] (adds guarantee-dependent rules),
+//! and the `kanalyze` binary in the workspace root, which pretty-prints
+//! diagnostics for example topologies. A finding's severity is its rule's
+//! own ([`Rule::severity`]); an application refuses to start on any error.
 
 use crate::config::{ProcessingGuarantee, StreamsConfig};
 use crate::state::StoreKind;
@@ -23,8 +23,7 @@ use std::fmt;
 pub enum Severity {
     /// Likely misuse; the application still runs.
     Warning,
-    /// Definite defect; an application refuses to start (`deny_rules`
-    /// escalates warnings here).
+    /// Definite defect; an application refuses to start.
     Error,
 }
 
@@ -73,7 +72,7 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// Every rule, for deny-list construction.
+    /// Every rule.
     pub const ALL: [Rule; 8] = [
         Rule::NonCoPartitionedJoin,
         Rule::GraceExceedsRetention,
@@ -85,7 +84,7 @@ impl Rule {
         Rule::ChangelogDisabledUnderEos,
     ];
 
-    /// Stable kebab-case rule name (used in output and deny lists).
+    /// Stable kebab-case rule name (used in output).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -100,9 +99,9 @@ impl Rule {
         }
     }
 
-    /// Severity when the rule is not deny-listed.
+    /// Severity of every finding of this rule.
     #[must_use]
-    pub fn default_severity(self) -> Severity {
+    pub fn severity(self) -> Severity {
         match self {
             // These two cannot produce a correct run at all.
             Rule::UndeclaredStore | Rule::Cycle => Severity::Error,
@@ -152,9 +151,7 @@ pub fn render(diagnostics: &[Diagnostic]) -> String {
 
 /// Run every applicable rule over a built topology.
 ///
-/// Without `config`, guarantee-dependent rules are skipped and findings
-/// keep their default severities; with it, deny-listed rules escalate to
-/// [`Severity::Error`].
+/// Without `config`, guarantee-dependent rules are skipped.
 #[must_use]
 pub fn run(topology: &Topology, config: Option<&StreamsConfig>) -> Vec<Diagnostic> {
     let ctx = Ctx::new(topology);
@@ -168,11 +165,6 @@ pub fn run(topology: &Topology, config: Option<&StreamsConfig>) -> Vec<Diagnosti
     rule_sink_feeds_own_subtopology(&ctx, &mut out);
     if let Some(cfg) = config {
         rule_changelog_disabled_under_eos(&ctx, cfg, &mut out);
-        for d in &mut out {
-            if cfg.deny_rules.contains(&d.rule) {
-                d.severity = Severity::Error;
-            }
-        }
     }
     out
 }
@@ -229,7 +221,7 @@ fn rule_non_co_partitioned_join(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
         if let Some(&k) = upstream.iter().find(|&&u| ctx.t.nodes[u].tags.key_changing) {
             out.push(Diagnostic {
                 rule: Rule::NonCoPartitionedJoin,
-                severity: Rule::NonCoPartitionedJoin.default_severity(),
+                severity: Rule::NonCoPartitionedJoin.severity(),
                 node: Some(node.name.clone()),
                 message: format!(
                     "input passes through key-changing operator `{}` with no \
@@ -255,7 +247,7 @@ fn rule_non_co_partitioned_join(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
         if counts.len() > 1 && counts.iter().any(|(_, p)| *p != counts[0].1) {
             out.push(Diagnostic {
                 rule: Rule::NonCoPartitionedJoin,
-                severity: Rule::NonCoPartitionedJoin.default_severity(),
+                severity: Rule::NonCoPartitionedJoin.severity(),
                 node: Some(node.name.clone()),
                 message: format!(
                     "input topics have different partition counts ({}); joined \
@@ -282,7 +274,7 @@ fn rule_grace_exceeds_retention(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
                 if spec.changelog && grace > retention {
                     out.push(Diagnostic {
                         rule: Rule::GraceExceedsRetention,
-                        severity: Rule::GraceExceedsRetention.default_severity(),
+                        severity: Rule::GraceExceedsRetention.severity(),
                         node: Some(node.name.clone()),
                         message: format!(
                             "store `{s}` accepts records up to {grace} ms late but \
@@ -302,7 +294,7 @@ fn rule_suppress_zero_grace(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
         if node.tags.suppress && node.tags.grace_ms == Some(0) {
             out.push(Diagnostic {
                 rule: Rule::SuppressZeroGrace,
-                severity: Rule::SuppressZeroGrace.default_severity(),
+                severity: Rule::SuppressZeroGrace.severity(),
                 node: Some(node.name.clone()),
                 message: "suppress below a zero-grace window: the \"final\" result \
                           is emitted the instant the window ends and every late \
@@ -318,7 +310,7 @@ fn rule_unused_store(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
     for spec in &ctx.t.unused_stores {
         out.push(Diagnostic {
             rule: Rule::UnusedStore,
-            severity: Rule::UnusedStore.default_severity(),
+            severity: Rule::UnusedStore.severity(),
             node: None,
             message: format!(
                 "store `{}` is declared but no processor reads or writes it",
@@ -332,7 +324,7 @@ fn rule_undeclared_store(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
     for (store, node) in &ctx.t.undeclared_stores {
         out.push(Diagnostic {
             rule: Rule::UndeclaredStore,
-            severity: Rule::UndeclaredStore.default_severity(),
+            severity: Rule::UndeclaredStore.severity(),
             node: Some(ctx.t.nodes[*node].name.clone()),
             message: format!("references store `{store}` which was never declared"),
         });
@@ -372,7 +364,7 @@ fn rule_cycle(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
                             .collect();
                         out.push(Diagnostic {
                             rule: Rule::Cycle,
-                            severity: Rule::Cycle.default_severity(),
+                            severity: Rule::Cycle.severity(),
                             node: Some(ctx.t.nodes[child].name.clone()),
                             message: format!(
                                 "processor graph contains a cycle: {} -> {}",
@@ -399,7 +391,7 @@ fn rule_sink_feeds_own_subtopology(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
             if st.source_topics.iter().any(|src| src == topic) {
                 out.push(Diagnostic {
                     rule: Rule::SinkFeedsOwnSubtopology,
-                    severity: Rule::SinkFeedsOwnSubtopology.default_severity(),
+                    severity: Rule::SinkFeedsOwnSubtopology.severity(),
                     node: Some(ctx.t.nodes[ni].name.clone()),
                     message: format!(
                         "writes topic `{}` which the same sub-topology consumes; \
@@ -425,7 +417,7 @@ fn rule_changelog_disabled_under_eos(
         if !spec.changelog && !ctx.t.source_changelogs.contains_key(name) {
             out.push(Diagnostic {
                 rule: Rule::ChangelogDisabledUnderEos,
-                severity: Rule::ChangelogDisabledUnderEos.default_severity(),
+                severity: Rule::ChangelogDisabledUnderEos.severity(),
                 node: None,
                 message: format!(
                     "store `{name}` has changelogging disabled under \

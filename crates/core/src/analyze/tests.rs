@@ -247,21 +247,6 @@ fn source_changelog_store_is_exempt_under_eos() {
 }
 
 #[test]
-fn deny_list_escalates_warnings_to_errors() {
-    let mut b = InternalBuilder::new();
-    let src = b.add_source("src".into(), TopicRef::external("in"), ValueMode::Plain).unwrap();
-    b.add_store(StoreSpec::new("orphan", StoreKind::KeyValue)).unwrap();
-    b.add_processor("p".into(), nop(), &[src], vec![]).unwrap();
-    let t = b.build().unwrap();
-    assert_eq!(t.verify()[0].severity, Severity::Warning);
-    let cfg = StreamsConfig::new("app").deny_rule(Rule::UnusedStore);
-    assert_eq!(t.verify_with(&cfg)[0].severity, Severity::Error);
-    let all = StreamsConfig::new("app").deny_all_rules();
-    assert_eq!(all.deny_rules.len(), Rule::ALL.len());
-    assert_eq!(t.verify_with(&all)[0].severity, Severity::Error);
-}
-
-#[test]
 fn rule_names_are_stable_and_unique() {
     let names: Vec<&str> = Rule::ALL.iter().map(|r| r.name()).collect();
     let mut dedup = names.clone();

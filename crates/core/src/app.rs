@@ -229,8 +229,8 @@ impl KafkaStreamsApp {
     /// (§4.2.1).
     pub fn start(&mut self) -> Result<(), StreamsError> {
         // Static verification gate: refuse to run a topology with
-        // error-severity diagnostics (definite defects, plus any rule the
-        // config deny-lists — see `crate::analyze`).
+        // error-severity diagnostics (definite defects — see
+        // `crate::analyze`).
         let errors: Vec<String> = self
             .topology
             .verify_with(&self.config)

@@ -289,21 +289,31 @@ mod tests {
         a.iter().filter(|(t, m)| b.get(t).is_some_and(|prev| prev != *m)).count()
     }
 
+    /// (tasks, members) cells for the stickiness bounds, up to fleet scale
+    /// (100 members × 1000 tasks).
+    fn cells() -> impl Iterator<Item = (Vec<TaskId>, Vec<String>)> {
+        [1u32, 4, 7, 12, 20, 33, 100, 1000].into_iter().flat_map(|t| {
+            [1usize, 2, 3, 5, 8, 10, 50, 100]
+                .into_iter()
+                .map(move |n| ((0..t).map(|p| tid(0, p)).collect(), names(n)))
+        })
+    }
+
+    /// Every task is owned exactly once and loads differ by at most one.
+    fn assert_balanced_and_complete(a: &BTreeMap<String, Vec<TaskId>>, tasks: &[TaskId]) {
+        let mut all: Vec<TaskId> = a.values().flatten().copied().collect();
+        all.sort();
+        assert_eq!(all, tasks, "each task assigned exactly once");
+        let loads: Vec<usize> = a.values().map(Vec::len).collect();
+        let (min, max) = (loads.iter().min().unwrap(), loads.iter().max().unwrap());
+        assert!(max - min <= 1, "±1 balance: loads {min}..{max}");
+    }
+
     #[test]
     fn single_member_gets_all() {
         let tasks = vec![tid(0, 0), tid(0, 1), tid(1, 0)];
         let a = assign_tasks_sticky(&tasks, &["m1".into()], &BTreeMap::new());
         assert_eq!(a["m1"].len(), 3);
-    }
-
-    #[test]
-    fn balanced_within_one() {
-        let tasks: Vec<TaskId> = (0..7).map(|p| tid(0, p)).collect();
-        let a =
-            assign_tasks_sticky(&tasks, &["a".into(), "b".into(), "c".into()], &BTreeMap::new());
-        let counts: Vec<usize> = a.values().map(Vec::len).collect();
-        assert_eq!(counts.iter().sum::<usize>(), 7);
-        assert!(counts.iter().max().unwrap() - counts.iter().min().unwrap() <= 1);
     }
 
     #[test]
@@ -318,16 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn disjoint_and_complete() {
-        let tasks: Vec<TaskId> = (0..10).map(|p| tid(0, p)).collect();
-        let a =
-            assign_tasks_sticky(&tasks, &["x".into(), "y".into(), "z".into()], &BTreeMap::new());
-        let mut all: Vec<TaskId> = a.values().flatten().copied().collect();
-        all.sort();
-        assert_eq!(all, tasks);
-    }
-
-    #[test]
     fn empty_members_yields_empty_map() {
         let a = assign_tasks_sticky(&[tid(0, 0)], &[], &BTreeMap::new());
         assert!(a.is_empty());
@@ -335,11 +335,12 @@ mod tests {
 
     #[test]
     fn stable_when_membership_unchanged() {
-        let tasks: Vec<TaskId> = (0..6).map(|p| tid(0, p)).collect();
-        let members = vec!["a".to_string(), "b".to_string()];
-        let first = assign_tasks_sticky(&tasks, &members, &BTreeMap::new());
-        let again = assign_tasks_sticky(&tasks, &members, &first);
-        assert_eq!(first, again, "fixpoint: unchanged membership moves nothing");
+        for (tasks, members) in cells() {
+            let first = assign_tasks_sticky(&tasks, &members, &BTreeMap::new());
+            assert_balanced_and_complete(&first, &tasks);
+            let again = assign_tasks_sticky(&tasks, &members, &first);
+            assert_eq!(first, again, "fixpoint: unchanged membership moves nothing");
+        }
     }
 
     /// The pinned regression for the headline bug: round-robin moved ~all
@@ -347,50 +348,51 @@ mod tests {
     /// `ceil(tasks / new_member_count)`.
     #[test]
     fn one_member_delta_moves_at_most_ceil_tasks_over_members() {
-        for n_tasks in [1usize, 4, 7, 12, 20, 33] {
-            for n_members in [1usize, 2, 3, 5, 8] {
-                let tasks: Vec<TaskId> = (0..n_tasks as u32).map(|p| tid(0, p)).collect();
-                let members = names(n_members);
-                let before = assign_tasks_sticky(&tasks, &members, &BTreeMap::new());
+        for (tasks, members) in cells() {
+            let (n_tasks, n_members) = (tasks.len(), members.len());
+            let before = assign_tasks_sticky(&tasks, &members, &BTreeMap::new());
 
-                // Add one member.
-                let mut grown = members.clone();
-                grown.push(format!("m{n_members:03}"));
-                let after = assign_tasks_sticky(&tasks, &grown, &before);
-                let bound = n_tasks.div_ceil(grown.len());
+            // Add one member.
+            let mut grown = members.clone();
+            grown.push(format!("m{n_members:03}"));
+            let after = assign_tasks_sticky(&tasks, &grown, &before);
+            assert_balanced_and_complete(&after, &tasks);
+            let bound = n_tasks.div_ceil(grown.len());
+            assert!(
+                moved(&before, &after) <= bound,
+                "add: {n_tasks} tasks {n_members}→{} members moved {} > {bound}",
+                grown.len(),
+                moved(&before, &after),
+            );
+
+            // Remove one member.
+            if n_members > 1 {
+                let shrunk = members[..n_members - 1].to_vec();
+                let after = assign_tasks_sticky(&tasks, &shrunk, &before);
+                assert_balanced_and_complete(&after, &tasks);
+                let bound = n_tasks.div_ceil(shrunk.len());
                 assert!(
                     moved(&before, &after) <= bound,
-                    "add: {n_tasks} tasks {n_members}→{} members moved {} > {bound}",
-                    grown.len(),
+                    "remove: {n_tasks} tasks {n_members}→{} members moved {} > {bound}",
+                    shrunk.len(),
                     moved(&before, &after),
                 );
-
-                // Remove one member.
-                if n_members > 1 {
-                    let shrunk = members[..n_members - 1].to_vec();
-                    let after = assign_tasks_sticky(&tasks, &shrunk, &before);
-                    let bound = n_tasks.div_ceil(shrunk.len());
-                    assert!(
-                        moved(&before, &after) <= bound,
-                        "remove: {n_tasks} tasks {n_members}→{} members moved {} > {bound}",
-                        shrunk.len(),
-                        moved(&before, &after),
-                    );
-                }
             }
         }
     }
 
     #[test]
     fn survivors_keep_their_tasks_on_member_leave() {
-        let tasks: Vec<TaskId> = (0..9).map(|p| tid(0, p)).collect();
-        let members = names(3);
-        let before = assign_tasks_sticky(&tasks, &members, &BTreeMap::new());
-        let shrunk = members[..2].to_vec();
-        let after = assign_tasks_sticky(&tasks, &shrunk, &before);
-        for m in &shrunk {
-            for t in &before[m] {
-                assert!(after[m].contains(t), "{m} lost {t} it already owned");
+        for (tasks, members) in cells().filter(|(_, m)| m.len() > 1) {
+            let before = assign_tasks_sticky(&tasks, &members, &BTreeMap::new());
+            let departed = &members[members.len() / 2];
+            let shrunk: Vec<String> = members.iter().filter(|m| *m != departed).cloned().collect();
+            let after = assign_tasks_sticky(&tasks, &shrunk, &before);
+            assert_balanced_and_complete(&after, &tasks);
+            for m in &shrunk {
+                for t in &before[m] {
+                    assert!(after[m].contains(t), "{m} lost {t} it already owned");
+                }
             }
         }
     }

@@ -43,10 +43,6 @@ pub struct StreamsConfig {
     /// performance transform: final store contents and final revisions are
     /// identical either way, only intermediate revisions are consolidated.
     pub cache_max_entries: usize,
-    /// Verifier rules escalated from warnings to errors
-    /// (`Topology::verify_with`); an app refuses to start while a denied
-    /// rule fires (see `crate::analyze`).
-    pub deny_rules: Vec<crate::analyze::Rule>,
     /// When set, every successful commit also spills each task's store
     /// contents under `<state_dir>/<app_id>/<task_id>/` together with a
     /// changelog watermark, and task (re)creation loads the spill and
@@ -71,25 +67,9 @@ impl StreamsConfig {
             producer_batch_size: 16,
             num_standby_replicas: 0,
             cache_max_entries: 0,
-            deny_rules: Vec::new(),
             state_dir: None,
             rebalance_debounce_ms: 0,
         }
-    }
-
-    /// Escalate a verifier rule to error severity: `start()` refuses to run
-    /// a topology on which the rule fires.
-    pub fn deny_rule(mut self, rule: crate::analyze::Rule) -> Self {
-        if !self.deny_rules.contains(&rule) {
-            self.deny_rules.push(rule);
-        }
-        self
-    }
-
-    /// Escalate every verifier rule to error severity.
-    pub fn deny_all_rules(mut self) -> Self {
-        self.deny_rules = crate::analyze::Rule::ALL.to_vec();
-        self
     }
 
     /// Enable exactly-once processing (§4.3's single configuration switch).

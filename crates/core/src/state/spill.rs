@@ -76,7 +76,9 @@ fn decode(buf: &[u8]) -> Option<StoreSpill> {
     let watermark = i64::from_le_bytes(body[4..12].try_into().ok()?);
     let count = u32::from_le_bytes(body[12..16].try_into().ok()?) as usize;
     let mut pos = 16;
-    let mut pairs = Vec::with_capacity(count);
+    // The count is file content: reserve no more pairs than the body can
+    // hold (two 4-byte length prefixes each); a larger count fails below.
+    let mut pairs = Vec::with_capacity(count.min(body.len() / 8));
     let read = |pos: &mut usize| -> Option<Bytes> {
         let len = u32::from_le_bytes(body.get(*pos..*pos + 4)?.try_into().ok()?) as usize;
         *pos += 4;
@@ -165,6 +167,22 @@ mod tests {
         write_spill(&path, &spill()).unwrap();
         let buf = fs::read(&path).unwrap();
         fs::write(&path, &buf[..buf.len() - 3]).unwrap();
+        assert_eq!(read_spill(&path), None);
+        let _ = fs::remove_dir_all(&d);
+    }
+
+    #[test]
+    fn oversized_pair_count_is_discarded_without_reserving_it() {
+        let d = dir();
+        let path = spill_path(&d, "app", "0_1", "counts");
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&SPILL_MAGIC.to_le_bytes());
+        buf.extend_from_slice(&42i64.to_le_bytes());
+        buf.extend_from_slice(&u32::MAX.to_le_bytes());
+        let crc = crc32(&buf);
+        buf.extend_from_slice(&crc.to_le_bytes());
+        fs::create_dir_all(path.parent().unwrap()).unwrap();
+        fs::write(&path, &buf).unwrap();
         assert_eq!(read_spill(&path), None);
         let _ = fs::remove_dir_all(&d);
     }

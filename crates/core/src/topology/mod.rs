@@ -79,13 +79,13 @@ pub struct Topology {
 impl Topology {
     /// Run the static verifier (§4/§5 misuse lints) without application
     /// config: config-dependent rules (e.g. EOS changelog checks) are
-    /// skipped and every finding keeps its default severity.
+    /// skipped.
     pub fn verify(&self) -> Vec<Diagnostic> {
         self.diagnostics.clone()
     }
 
     /// Run the static verifier with application config: adds
-    /// guarantee-dependent rules and escalates deny-listed rules to errors.
+    /// guarantee-dependent rules.
     pub fn verify_with(&self, config: &StreamsConfig) -> Vec<Diagnostic> {
         crate::analyze::run(self, Some(config))
     }

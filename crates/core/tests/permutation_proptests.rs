@@ -180,6 +180,26 @@ fn run_cached_pipeline(events: &[(u8, i64)], commit_every: usize, cache: usize) 
     }
 }
 
+/// §6.2's headline: on hot keys a cache that holds the working set cuts
+/// changelog traffic by at least 5× — 8 keys, 100 updates per key between
+/// flushes, three flushes.
+#[test]
+fn cache_cuts_hot_key_changelog_appends_five_fold() {
+    const KEYS: usize = 8;
+    const PER_FLUSH: usize = KEYS * 100;
+    let events: Vec<(u8, i64)> = (0..3 * PER_FLUSH)
+        .map(|i| ((i % KEYS) as u8, (i / PER_FLUSH) as i64 * WINDOW_MS))
+        .collect();
+    let base = run_cached_pipeline(&events, PER_FLUSH, 0);
+    let cached = run_cached_pipeline(&events, PER_FLUSH, 1024);
+    assert!(
+        base.changelog_appends >= 5 * cached.changelog_appends,
+        "uncached {} appends vs cached {}",
+        base.changelog_appends,
+        cached.changelog_appends
+    );
+}
+
 proptest! {
     /// Caching is a pure performance transform: for ANY input permutation,
     /// ANY commit cadence, and cache capacity off / pathological / ample,

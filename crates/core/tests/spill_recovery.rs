@@ -3,10 +3,12 @@
 //! tagged with a changelog watermark. After a hard crash (drop without
 //! close), a fresh instance over the same state directory must rebuild
 //! byte-identical stores — and, because the spill carries the watermark, it
-//! must replay only the changelog *suffix*, not the whole changelog.
+//! must replay only the changelog *suffix*, not the whole changelog. The
+//! same holds when the broker crashes with the app and rebuilds its logs from
+//! segment files.
 
 use bytes::Bytes;
-use kbroker::{Cluster, Producer, ProducerConfig, TopicConfig};
+use kbroker::{Cluster, DiskConfig, Producer, ProducerConfig, StorageMode, TopicConfig};
 use kstreams::{KSerde, KafkaStreamsApp, StreamsBuilder, StreamsConfig};
 use simkit::ManualClock;
 use std::path::PathBuf;
@@ -30,15 +32,18 @@ fn temp_state_dir() -> PathBuf {
     std::env::temp_dir().join(format!("kstreams-spill-it-{}-{n}", std::process::id()))
 }
 
-/// Feed `records` keyed records, run one app instance to quiescence, and
-/// return the live app plus its cluster and clock.
+/// Feed `records` keyed records to a one-broker cluster on `storage`, run
+/// one app instance to quiescence, and return the live app plus its cluster
+/// and clock.
 fn run_to_quiescence(
+    storage: StorageMode,
     state_dir: Option<&PathBuf>,
     records: usize,
     keys: usize,
 ) -> (KafkaStreamsApp, Cluster, ManualClock) {
     let clock = ManualClock::new();
-    let cluster = Cluster::builder().brokers(1).replication(1).clock(clock.shared()).build();
+    let cluster =
+        Cluster::builder().brokers(1).replication(1).clock(clock.shared()).storage(storage).build();
     cluster.create_topic("events", TopicConfig::new(2)).unwrap();
     cluster.create_topic("out", TopicConfig::new(2)).unwrap();
     let mut p = Producer::new(cluster.clone(), ProducerConfig::default());
@@ -119,19 +124,36 @@ fn recover(
     (dump, replayed)
 }
 
-#[test]
-fn crash_recovery_from_spills_matches_and_bounds_replay() {
+/// With `disk`, each broker keeps its logs in segment files and dies with
+/// the app: `restore_broker` must rebuild every partition log from disk
+/// before the successor recovers.
+fn crash_recovery_matches_and_bounds_replay(disk: bool) {
     let dir = temp_state_dir();
-    let (app, cluster, clock) = run_to_quiescence(Some(&dir), 200, 7);
+    let storage = |broker: &str| {
+        if disk {
+            StorageMode::Disk(DiskConfig::at(dir.join(broker)))
+        } else {
+            StorageMode::Memory
+        }
+    };
+    let crash = |app: KafkaStreamsApp, cluster: &Cluster| {
+        app.crash();
+        if disk {
+            cluster.kill_broker(0);
+            cluster.restore_broker(0).unwrap();
+        }
+    };
+    let state_dir = dir.join("state");
+    let (app, cluster, clock) = run_to_quiescence(storage("broker"), Some(&state_dir), 200, 7);
     let before = app.dump_stores();
     assert!(!before.is_empty(), "stateful topology must have stores");
-    app.crash();
+    crash(app, &cluster);
 
     // Control: same workload on a cluster *without* spills — the successor
     // must rebuild purely by changelog replay.
-    let (ctrl_app, ctrl_cluster, ctrl_clock) = run_to_quiescence(None, 200, 7);
+    let (ctrl_app, ctrl_cluster, ctrl_clock) = run_to_quiescence(storage("control"), None, 200, 7);
     let ctrl_before = ctrl_app.dump_stores();
-    ctrl_app.crash();
+    crash(ctrl_app, &ctrl_cluster);
     let (ctrl_dump, ctrl_replayed) = recover(&ctrl_cluster, &ctrl_clock, None);
     assert_eq!(ctrl_dump, ctrl_before, "cold changelog replay must rebuild the store");
     assert!(ctrl_replayed > 0, "control run must actually replay the changelog");
@@ -139,7 +161,7 @@ fn crash_recovery_from_spills_matches_and_bounds_replay() {
     // Spill path: byte-identical stores, but (almost) nothing replayed —
     // the spill watermark bounds restoration to the post-commit suffix,
     // which is empty after a clean quiescent commit.
-    let (dump, replayed) = recover(&cluster, &clock, Some(&dir));
+    let (dump, replayed) = recover(&cluster, &clock, Some(&state_dir));
     assert_eq!(dump, before, "spill-warmed recovery must rebuild identical stores");
     assert_eq!(dump, ctrl_dump, "spill and replay recoveries must agree");
     assert!(
@@ -150,9 +172,19 @@ fn crash_recovery_from_spills_matches_and_bounds_replay() {
 }
 
 #[test]
+fn crash_recovery_from_spills_matches_and_bounds_replay() {
+    crash_recovery_matches_and_bounds_replay(false);
+}
+
+#[test]
+fn disk_broker_and_app_crash_recovery_matches_and_bounds_replay() {
+    crash_recovery_matches_and_bounds_replay(true);
+}
+
+#[test]
 fn corrupt_spill_falls_back_to_full_replay() {
     let dir = temp_state_dir();
-    let (app, cluster, clock) = run_to_quiescence(Some(&dir), 120, 5);
+    let (app, cluster, clock) = run_to_quiescence(StorageMode::Memory, Some(&dir), 120, 5);
     let before = app.dump_stores();
     app.crash();
 

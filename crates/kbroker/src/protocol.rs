@@ -627,7 +627,6 @@ mod tests {
         assert!(!offsets_legal(2, 7, 6));
     }
 
-    #[cfg(feature = "invariants")]
     #[test]
     fn illegal_transition_records_violation() {
         klog::checks::take_violations();

@@ -691,7 +691,6 @@ mod tests {
         assert_eq!(c.last_stable_offset(&tp).unwrap(), c.latest_offset(&tp).unwrap());
     }
 
-    #[cfg(feature = "invariants")]
     #[test]
     fn illegal_transition_records_violation() {
         klog::checks::take_violations();

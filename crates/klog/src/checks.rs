@@ -14,11 +14,10 @@
 //!   a `Prepare*` state and coordinator state only moves along legal edges
 //!   (§4.2.1, Figure 5).
 //!
-//! Production code asserts these with the [`crate::invariant!`] macro. When the
-//! (default-on) `invariants` feature is enabled, a failed check records a
-//! [`Violation`] in the process-global [sink](take_violations); tests drain
-//! the sink after fault-injection runs and assert it is empty. When the
-//! feature is disabled the checks compile to nothing. Recording instead of
+//! Production code asserts these with the [`crate::invariant!`] macro. A
+//! failed check records a [`Violation`] in the process-global
+//! [sink](take_violations); tests drain the sink after fault-injection runs
+//! and assert it is empty. Recording instead of
 //! panicking means a single violation does not mask others behind it and
 //! property tests can shrink on the *observable* outcome.
 
@@ -66,27 +65,12 @@ pub fn violation_count() -> usize {
 
 /// Assert a protocol invariant: when `cond` is false, record a
 /// [`Violation`] named `name` with a formatted context message.
-///
-/// Compiles to nothing unless the `invariants` feature is enabled (it is
-/// by default), so hot paths pay no cost in stripped builds.
-#[cfg(feature = "invariants")]
 #[macro_export]
 macro_rules! invariant {
     ($cond:expr, $name:expr, $($fmt:tt)+) => {
         if !($cond) {
             $crate::checks::record_violation($name, format!($($fmt)+));
         }
-    };
-}
-
-/// Disabled-feature form of [`crate::invariant!`]: evaluates nothing, but still
-/// "uses" the message arguments (inside a never-called closure) so call
-/// sites compile warning-free with the feature off.
-#[cfg(not(feature = "invariants"))]
-#[macro_export]
-macro_rules! invariant {
-    ($cond:expr, $name:expr, $($fmt:tt)+) => {
-        _ = || ($name, format_args!($($fmt)+));
     };
 }
 

@@ -417,7 +417,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "invariants")]
     #[test]
     fn out_of_order_append_records_violation() {
         let _serial =
@@ -431,7 +430,6 @@ mod tests {
         assert!(v.iter().any(|v| v.invariant == "sequence-monotonicity"), "{v:?}");
     }
 
-    #[cfg(feature = "invariants")]
     #[test]
     fn stale_epoch_append_records_violation() {
         let _serial =

@@ -6,7 +6,7 @@ use bytes::Bytes;
 use kbroker::{Cluster, Consumer, ConsumerConfig, Producer, ProducerConfig, TopicConfig};
 use kstreams::{KSerde, KafkaStreamsApp, StreamsBuilder, StreamsConfig};
 use simkit::ManualClock;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 fn counting_topology() -> Arc<kstreams::topology::Topology> {
@@ -437,6 +437,73 @@ fn standby_promotion_hands_store_over_without_full_restore() {
     assert_eq!(total, 48, "exactly once through the promotion");
     assert!(latest.values().all(|&v| v == 6), "{latest:?}");
     b.close().unwrap();
+}
+
+#[test]
+fn cooperative_join_under_load_moves_only_the_joiners_share() {
+    // §3.3's cooperative protocol: one instance joins two under sustained
+    // input. Only the joiner's ⌈12/3⌉ tasks leave the incumbents, nothing
+    // else is revoked or re-restored (a dirty-closed or revoked-and-readopted
+    // task would replay its changelog), and the incumbents keep committing
+    // through the transfer.
+    let s = setup(12);
+    let owned = |a: &KafkaStreamsApp| a.task_ids().into_iter().collect::<BTreeSet<_>>();
+    let mut incumbents = [app(&s, "a"), app(&s, "b")];
+    for a in incumbents.iter_mut() {
+        a.start().unwrap();
+    }
+    let mut rounds = 0;
+    for _ in 0..20 {
+        send_round(&s.cluster, 16, rounds);
+        rounds += 1;
+        for a in incumbents.iter_mut() {
+            a.step().unwrap();
+        }
+        s.clock.advance(10);
+    }
+    assert!(incumbents.iter().all(|a| a.task_ids().len() == 6), "incumbents settled 6/6");
+    let restores_before: Vec<u64> =
+        incumbents.iter().map(|a| a.metrics().restore_records).collect();
+    let commits_before: Vec<u64> = incumbents.iter().map(|a| a.metrics().commits).collect();
+
+    let mut joiner = app(&s, "c");
+    joiner.start().unwrap();
+    let mut prev: Vec<BTreeSet<_>> = incumbents.iter().map(owned).collect();
+    let mut revoked = BTreeSet::new();
+    let mut commits_during = None;
+    for _ in 0..40 {
+        send_round(&s.cluster, 16, rounds);
+        rounds += 1;
+        for (a, prev) in incumbents.iter_mut().zip(prev.iter_mut()) {
+            a.step().unwrap();
+            let now = owned(a);
+            assert!(now.is_subset(prev), "an incumbent gained tasks: {prev:?} -> {now:?}");
+            revoked.extend(prev.difference(&now).copied());
+            *prev = now;
+        }
+        joiner.step().unwrap();
+        s.clock.advance(10);
+        if commits_during.is_none() && joiner.task_ids().len() == 4 {
+            commits_during =
+                Some(incumbents.iter().map(|a| a.metrics().commits).collect::<Vec<_>>());
+        }
+    }
+    let commits_during = commits_during.expect("the joiner took over its share");
+    assert!(
+        commits_during.iter().zip(&commits_before).all(|(during, before)| during > before),
+        "incumbents must commit during the transfer: {commits_before:?} -> {commits_during:?}"
+    );
+    assert_eq!(revoked, owned(&joiner), "incumbents released exactly the joiner's tasks");
+    assert!(revoked.len() <= 4, "moved {} tasks > ⌈12/3⌉", revoked.len());
+    let restores: Vec<u64> = incumbents.iter().map(|a| a.metrics().restore_records).collect();
+    assert_eq!(restores, restores_before, "no incumbent task was closed and re-restored");
+
+    let (latest, total) = final_counts(&s.cluster);
+    assert_eq!(total, 16 * rounds as usize, "exactly once through the join");
+    assert!(latest.values().all(|&v| v == rounds), "{latest:?}");
+    for mut a in incumbents.into_iter().chain([joiner]) {
+        a.close().unwrap();
+    }
 }
 
 #[test]

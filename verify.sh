@@ -8,15 +8,14 @@
 #   ./verify.sh --quick        # fmt, clippy, tier-1 tests, bytes shim tests,
 #                              # kbroker unit tests, kanalyze, detlint
 #   ./verify.sh storage        # disk seed sweep, disk replay identity, storage
-#                              # batteries, recoverybench --quick
+#                              # batteries
 #   ./verify.sh simtest        # seed sweeps (plain and cached), forced
 #                              # profiles
-#   ./verify.sh rebalancing    # rebalancebench --quick, rebalancing battery,
+#   ./verify.sh rebalancing    # rebalancing battery, assignor unit tests,
 #                              # churn sweep and churn replay identity
-#   ./verify.sh observability  # metric exports (simtest, fig5b, cachebench),
-#                              # kobs-off build and tier-1 tests, span
-#                              # determinism, chrome trace, critical path,
-#                              # flight recorder
+#   ./verify.sh observability  # metric exports (simtest, fig5b), kobs-off
+#                              # build and tier-1 tests, span determinism,
+#                              # chrome trace, critical path, flight recorder
 #   ./verify.sh docs           # cargo doc --no-deps under -D warnings
 #
 # Any other argument prints this list and exits 2. Otherwise exits non-zero
@@ -46,15 +45,13 @@ gate_storage() {
   done
   cmp "$out/a.txt" "$out/b.txt"
 
+  # spill_recovery also crashes the app and the disk broker together: both
+  # recovery modes must rebuild the exact pre-crash store bytes from segment
+  # files, and spills must strictly reduce replay.
   step "storage batteries (kill_restore, spill_recovery, disk_scenarios)"
   cargo test -q --release -p klog --test kill_restore
   cargo test -q --release -p kstreams --test spill_recovery
   cargo test -q --release -p simkit --test disk_scenarios
-
-  # Both recovery modes must rebuild the exact pre-crash store bytes, and
-  # spills must strictly reduce replay.
-  step "recoverybench --quick"
-  cargo run -q --release -p bench --bin recoverybench -- --quick
 }
 
 gate_simtest() {
@@ -76,17 +73,14 @@ gate_simtest() {
 }
 
 gate_rebalancing() {
-  # Assignor bounds (restart moves 0, join moves ≤ ⌈T/(N+1)⌉, ±1 balance)
-  # plus the live cooperative join cycle: revocations equal moves, incumbents
-  # commit during the transfer, dirty_closed = 0. The committed curve is
-  # results/BENCH_rebalance.json.
-  step "rebalancebench --quick"
-  cargo run -q --release -p bench --bin rebalancebench -- --quick
-
-  # Rolling-restart battery, standby-promotion handover regression, and the
-  # N-simultaneous-join coalescing test.
-  step "rebalancing test battery"
+  # Rolling-restart battery, standby-promotion handover regression, the
+  # N-simultaneous-join coalescing test, and the cooperative join under load
+  # (only moved tasks leave an incumbent, incumbents commit through the
+  # transfer, nothing replays), plus the assignor's bounds at fleet scale
+  # (restart moves 0, join moves ≤ ⌈T/(N+1)⌉, leave moves only orphans).
+  step "rebalancing test battery and assignor unit tests"
   cargo test -q --release --test rebalancing
+  cargo test -q --release -p kstreams --lib assignment::
 
   # Churn fault classes (debounced rolling restarts, fleet grow/shrink,
   # forced rebalances): every oracle green and every report byte-identical
@@ -125,30 +119,22 @@ gate_observability() {
     kobs.critical_path.commit_ms kobs.critical_path.cycle_ms \
     <"$out/simtest-profile.json"
 
-  # Cached profiled run: the record-cache counters must reach the export.
+  # Cached profiled run: the record-cache counters and the changelog
+  # amplification gauge must reach the export.
   step "cached simtest export carries the cache counters"
   simtest --seed 7 --profile --cache 64 --json >"$out/simtest-cached.json"
   obs_check \
     kstreams.cache.hits kstreams.cache.misses \
     kstreams.cache.flush_entries kstreams.cache.dirty_entries_peak \
-    kstreams.changelog_appends <"$out/simtest-cached.json"
+    kstreams.cache_hits kstreams.cache_evictions \
+    kstreams.changelog_appends kstreams.changelog_appends_per_1k_inputs \
+    <"$out/simtest-cached.json"
 
   step "fig5b smoke with metrics export"
   cargo run -q --release -p bench --bin fig5b -- --quick --json >"$out/fig5b.json"
   obs_check \
     kbroker.txn.phase.markers_ms kstreams.commit_cycle_ms \
     kbroker.txn.commits <"$out/fig5b.json"
-
-  # Cache dedup smoke: --quick asserts the ≥5× changelog-append reduction on
-  # the hot-key workload, and the JSON export must carry the cache metrics
-  # end to end.
-  step "cachebench smoke with metrics export"
-  cargo run -q --release -p bench --bin cachebench -- --quick --json >"$out/cachebench.json"
-  obs_check \
-    kstreams.cache.hits kstreams.cache.flush_entries \
-    kstreams.cache_hits kstreams.cache_evictions \
-    kstreams.changelog_appends kstreams.changelog_appends_per_1k_inputs \
-    <"$out/cachebench.json"
 
   # The kill switch must keep compiling and keep tier-1 green (the span
   # macros' no-op test included).
