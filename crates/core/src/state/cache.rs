@@ -26,9 +26,15 @@
 //! forwarded, if registered) immediately, mid-interval. `max_entries == 0`
 //! disables caching entirely (every write flushes inline, the pre-cache
 //! behaviour).
+//!
+//! Recency is an index-linked list threaded through a slot vector: a hash
+//! map takes a key to its slot, and each slot links to the next older and
+//! next newer one. A rewrite relinks its slot to the tail, an eviction takes
+//! the head and hands its slot to the newcomer — every `put` is one probe
+//! plus O(1) relinking, however long the commit interval.
 
 use bytes::Bytes;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// One dirty (unflushed) store write.
 #[derive(Debug, Clone)]
@@ -44,8 +50,6 @@ pub struct DirtyEntry {
     pub ts: i64,
     /// Whether a downstream revision must be emitted on flush.
     pub forward: bool,
-    /// Recency stamp for LRU eviction.
-    seq: u64,
 }
 
 /// What one [`RecordCache::put`] did.
@@ -57,6 +61,20 @@ pub struct PutOutcome {
     pub evicted: Option<(Bytes, DirtyEntry)>,
 }
 
+/// The end of the recency list, in either direction.
+const NIL: usize = usize::MAX;
+
+/// One dirty entry and its place in the recency list.
+#[derive(Debug)]
+struct Slot {
+    key: Bytes,
+    entry: DirtyEntry,
+    /// The next older slot, or [`NIL`] at the head.
+    prev: usize,
+    /// The next newer slot, or [`NIL`] at the tail.
+    next: usize,
+}
+
 /// A bounded per-store dirty-entry map with LRU eviction.
 ///
 /// Keys are *changelog keys* (the store-shape-specific composite encoding),
@@ -64,12 +82,14 @@ pub struct PutOutcome {
 #[derive(Debug, Default)]
 pub struct RecordCache {
     max_entries: usize,
-    map: HashMap<Bytes, DirtyEntry>,
-    /// Lazy LRU queue of `(seq, key)`; stale pairs (seq no longer matching
-    /// the entry) are skipped at eviction time and compacted away whenever
-    /// the queue exceeds `2 * max_entries`, which bounds it.
-    order: VecDeque<(u64, Bytes)>,
-    next_seq: u64,
+    /// Key → its slot in `slots`.
+    index: HashMap<Bytes, usize>,
+    /// Every dirty entry; at most `max_entries`, all live.
+    slots: Vec<Slot>,
+    /// Least recently written slot.
+    head: usize,
+    /// Most recently written slot.
+    tail: usize,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -79,7 +99,7 @@ impl RecordCache {
     /// A cache holding at most `max_entries` dirty entries; `0` disables
     /// caching.
     pub fn new(max_entries: usize) -> Self {
-        Self { max_entries, ..Self::default() }
+        Self { max_entries, head: NIL, tail: NIL, ..Self::default() }
     }
 
     /// Whether writes should route through this cache at all.
@@ -94,11 +114,11 @@ impl RecordCache {
 
     /// Current dirty-entry count.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.slots.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.slots.is_empty()
     }
 
     /// `(hits, misses, evictions)` since creation.
@@ -122,62 +142,78 @@ impl RecordCache {
         forward: bool,
     ) -> PutOutcome {
         debug_assert!(self.enabled(), "put on a disabled cache");
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let hit = match self.map.get_mut(&key) {
-            Some(entry) => {
-                // Same key written again before flush: the repeated update
-                // the cache exists to absorb. Keep the earliest `old`,
-                // overwrite the rest.
-                self.hits += 1;
-                entry.new = new;
-                entry.ts = ts;
-                entry.forward |= forward;
-                entry.seq = seq;
-                true
+        if let Some(&at) = self.index.get(&key) {
+            // Same key written again before flush: the repeated update the
+            // cache exists to absorb. Keep the earliest `old`, overwrite the
+            // rest.
+            self.hits += 1;
+            let entry = &mut self.slots[at].entry;
+            entry.new = new;
+            entry.ts = ts;
+            entry.forward |= forward;
+            if at != self.tail {
+                self.unlink(at);
+                self.link_tail(at);
             }
-            None => {
-                self.misses += 1;
-                self.map
-                    .insert(key.clone(), DirtyEntry { old: old_if_first, new, ts, forward, seq });
-                false
-            }
-        };
-        self.order.push_back((seq, key));
-        // A rewritten key leaves its earlier pair behind. Eviction skips
-        // those, so dropping them changes no eviction order — it only keeps
-        // a hot key under a long commit interval from growing the queue by
-        // one pair per write.
-        if self.order.len() > 2 * self.max_entries {
-            let map = &self.map;
-            self.order.retain(|(seq, key)| map.get(key).is_some_and(|e| e.seq == *seq));
+            return PutOutcome { hit: true, evicted: None };
         }
-        PutOutcome { hit, evicted: self.evict_if_over() }
+        self.misses += 1;
+        let slot = Slot {
+            key: key.clone(),
+            entry: DirtyEntry { old: old_if_first, new, ts, forward },
+            prev: NIL,
+            next: NIL,
+        };
+        let (at, evicted) = if self.slots.len() < self.max_entries {
+            self.slots.push(slot);
+            (self.slots.len() - 1, None)
+        } else {
+            // Full: the least-recently-written entry leaves, and the
+            // newcomer — always the most recent — takes its slot.
+            let at = self.head;
+            self.unlink(at);
+            let out = std::mem::replace(&mut self.slots[at], slot);
+            self.index.remove(&out.key);
+            self.evictions += 1;
+            (at, Some((out.key, out.entry)))
+        };
+        self.index.insert(key, at);
+        self.link_tail(at);
+        PutOutcome { hit: false, evicted }
     }
 
-    /// Evict the least-recently-written entry when over capacity.
-    fn evict_if_over(&mut self) -> Option<(Bytes, DirtyEntry)> {
-        if self.map.len() <= self.max_entries {
-            return None;
+    /// Take slot `at` out of the recency list.
+    fn unlink(&mut self, at: usize) {
+        let Slot { prev, next, .. } = self.slots[at];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p].next = next,
         }
-        while let Some((seq, key)) = self.order.pop_front() {
-            // Skip stale queue pairs left behind by later writes to the key.
-            if self.map.get(&key).is_some_and(|e| e.seq == seq) {
-                let entry = self.map.remove(&key).expect("checked");
-                self.evictions += 1;
-                return Some((key, entry));
-            }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n].prev = prev,
         }
-        unreachable!("over-capacity cache with an exhausted LRU queue");
+    }
+
+    /// Append slot `at` to the recency list as the most recent write.
+    fn link_tail(&mut self, at: usize) {
+        self.slots[at].prev = self.tail;
+        self.slots[at].next = NIL;
+        match self.tail {
+            NIL => self.head = at,
+            t => self.slots[t].next = at,
+        }
+        self.tail = at;
     }
 
     /// Drain every dirty entry in ascending changelog-key order (the commit
     /// flush; key order keeps seed replays byte-identical regardless of
     /// write order).
     pub fn drain_sorted(&mut self) -> Vec<(Bytes, DirtyEntry)> {
-        self.order.clear();
-        // detlint:allow[unordered-iter] drained then sorted by key below
-        let mut out: Vec<(Bytes, DirtyEntry)> = self.map.drain().collect();
+        self.index.clear();
+        (self.head, self.tail) = (NIL, NIL);
+        let mut out: Vec<(Bytes, DirtyEntry)> =
+            self.slots.drain(..).map(|slot| (slot.key, slot.entry)).collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }
@@ -235,22 +271,28 @@ mod tests {
     }
 
     #[test]
-    fn lru_queue_stays_bounded_under_hot_keys() {
+    fn hot_keys_never_evict_under_capacity() {
         let mut c = RecordCache::new(4);
         for i in 0..10_000i64 {
             let key = b(["a", "b", "c"][i as usize % 3]);
             assert!(c.put(key, None, Some(b("v")), i, false).evicted.is_none());
-            assert!(c.order.len() <= 2 * c.max_entries(), "queue {} at write {i}", c.order.len());
         }
         assert_eq!(c.len(), 3);
         assert_eq!(c.stats(), (9_997, 3, 0));
+        // After any number of rewrites, recency is still the last write
+        // order: c, then a, then b once `a` and `b` are written again.
+        c.put(b("d"), None, Some(b("v")), 10_000, false);
+        c.put(b("a"), None, Some(b("v")), 10_001, false);
+        c.put(b("b"), None, Some(b("v")), 10_002, false);
+        let (key, _) = c.put(b("e"), None, Some(b("v")), 10_003, false).evicted.expect("over");
+        assert_eq!(key, b("c"));
     }
 
     #[test]
-    fn compaction_does_not_change_eviction_order() {
+    fn rewrites_do_not_change_eviction_order() {
         // Same recency order — c, d, a, b from least to most recent — reached
-        // with few rewrites of `a` (stale pairs still queued) and with many
-        // (queue compacted on the way): the same key must be evicted.
+        // with few rewrites of `a` and with many: the same keys must be
+        // evicted, in the same order.
         for rewrites in [2, 50] {
             let mut c = RecordCache::new(4);
             for (i, k) in ["a", "b", "c", "d"].into_iter().enumerate() {
@@ -260,13 +302,25 @@ mod tests {
                 c.put(b("a"), None, Some(b("v")), 9, false);
             }
             c.put(b("b"), None, Some(b("v")), 10, false);
-            let compacted = c.order.len() < 4 + rewrites + 1;
-            assert_eq!(compacted, rewrites == 50, "{rewrites} rewrites: queue {}", c.order.len());
-            let (key, _) = c.put(b("e"), None, Some(b("v")), 11, false).evicted.expect("over");
-            assert_eq!(key, b("c"), "least-recently-written entry, {rewrites} rewrites");
-            let (key, _) = c.put(b("f"), None, Some(b("v")), 12, false).evicted.expect("over");
-            assert_eq!(key, b("d"));
+            for (i, want) in ["c", "d", "a", "b"].into_iter().enumerate() {
+                let fresh = b(&format!("new{i}"));
+                let (key, _) = c.put(fresh, None, Some(b("v")), 11, false).evicted.expect("over");
+                assert_eq!(key, b(want), "eviction {i}, {rewrites} rewrites");
+            }
         }
+    }
+
+    #[test]
+    fn drain_resets_the_recency_list() {
+        let mut c = RecordCache::new(2);
+        c.put(b("a"), None, Some(b("1")), 0, false);
+        c.put(b("b"), None, Some(b("2")), 1, false);
+        assert_eq!(c.drain_sorted().len(), 2);
+        c.put(b("b"), None, Some(b("3")), 2, false);
+        c.put(b("a"), None, Some(b("4")), 3, false);
+        let (key, e) = c.put(b("z"), None, Some(b("5")), 4, false).evicted.expect("over");
+        assert_eq!((key, e.new), (b("b"), Some(b("3"))), "only writes since the drain count");
+        assert_eq!(c.stats(), (0, 5, 1));
     }
 
     #[test]

@@ -48,23 +48,7 @@ impl KvStore {
         key: Bytes,
         f: impl FnOnce(Option<&Bytes>) -> Option<Bytes>,
     ) -> (Option<Bytes>, Option<Bytes>) {
-        match self.map.entry(key) {
-            Entry::Occupied(mut slot) => {
-                let new = f(Some(slot.get()));
-                let old = match &new {
-                    Some(v) => slot.insert(v.clone()),
-                    None => slot.remove(),
-                };
-                (Some(old), new)
-            }
-            Entry::Vacant(slot) => {
-                let new = f(None);
-                if let Some(v) = &new {
-                    slot.insert(v.clone());
-                }
-                (None, new)
-            }
-        }
+        update_entry(&mut self.map, key, f)
     }
 
     /// Entries with keys in `[from, to)`, in key order.
@@ -99,6 +83,32 @@ impl KvStore {
 
     pub fn clear(&mut self) {
         self.map.clear();
+    }
+}
+
+/// [`KvStore::update`] on any hash map of keys to values — also a window
+/// store's per-window read-modify-write.
+pub(super) fn update_entry(
+    map: &mut HashMap<Bytes, Bytes>,
+    key: Bytes,
+    f: impl FnOnce(Option<&Bytes>) -> Option<Bytes>,
+) -> (Option<Bytes>, Option<Bytes>) {
+    match map.entry(key) {
+        Entry::Occupied(mut slot) => {
+            let new = f(Some(slot.get()));
+            let old = match &new {
+                Some(v) => slot.insert(v.clone()),
+                None => slot.remove(),
+            };
+            (Some(old), new)
+        }
+        Entry::Vacant(slot) => {
+            let new = f(None);
+            if let Some(v) = &new {
+                slot.insert(v.clone());
+            }
+            (None, new)
+        }
     }
 }
 

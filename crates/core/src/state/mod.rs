@@ -8,8 +8,10 @@
 //! Three store shapes cover the DSL:
 //! * [`kv::KvStore`] — plain key/value (non-windowed aggregates, table
 //!   materializations), hash-indexed, scans sorted by key,
-//! * [`window::WindowStore`] — `(key, window_start)` → value, with
-//!   stream-time-driven expiry implementing the grace period (§5),
+//! * [`window::WindowStore`] — `(window_start, key)` → value: a tree of
+//!   window starts, each with a hash bucket of keys, scans sorted by
+//!   `(start, key)`, with stream-time-driven expiry implementing the grace
+//!   period (§5),
 //! * [`session::SessionStore`] — variable-length session windows per key.
 
 pub mod cache;

@@ -1,17 +1,29 @@
 //! Windowed state store: `(window_start, key)` → value.
 //!
-//! Keyed by window start *first* so expiry (Figure 6.d's garbage collection
-//! of windows older than the grace period) is a cheap prefix removal, and
-//! per-key window scans are still efficient within the bounded window range.
+//! An ordered tree of window starts, each holding a hash bucket of that
+//! window's keys. Ordering by window start first keeps expiry (Figure 6.d's
+//! garbage collection of windows older than the grace period) a cheap
+//! prefix split; hashing keys within a window makes the per-record
+//! `fetch`/`put`/`update` one descent of a tree of a handful of live windows
+//! plus one hash probe, with no `(start, key)` tuple compares, and a
+//! per-key `fetch_range` one probe per window start in range.
+//!
+//! As in [`KvStore`](super::KvStore), the hasher is std's `RandomState` and
+//! hash order never leaves the store: every scan (`iter`, `iter_below`,
+//! `expire_before`) sorts each bucket by key, so callers see `(start, key)`
+//! order exactly as an ordered tree would give it.
 
+use super::kv::update_entry;
 use bytes::Bytes;
-use std::collections::btree_map::{BTreeMap, Entry};
-use std::ops::Bound;
+use std::collections::{BTreeMap, HashMap};
 
 /// An in-memory windowed store.
 #[derive(Debug, Default, Clone)]
 pub struct WindowStore {
-    map: BTreeMap<(i64, Bytes), Bytes>,
+    /// Window start → that window's entries. A bucket is dropped once it
+    /// is empty, so every start in the tree holds at least one entry.
+    windows: BTreeMap<i64, HashMap<Bytes, Bytes>>,
+    len: usize,
 }
 
 impl WindowStore {
@@ -21,101 +33,105 @@ impl WindowStore {
 
     /// Value for `key` in the window starting at `window_start`.
     pub fn fetch(&self, key: &[u8], window_start: i64) -> Option<Bytes> {
-        self.map.get(&(window_start, Bytes::copy_from_slice(key))).cloned()
+        self.windows.get(&window_start)?.get(key).cloned()
     }
 
     /// Insert or delete; returns the previous value.
     pub fn put(&mut self, key: Bytes, window_start: i64, value: Option<Bytes>) -> Option<Bytes> {
-        match value {
-            Some(v) => self.map.insert((window_start, key), v),
-            None => self.map.remove(&(window_start, key)),
-        }
+        self.update(key, window_start, |_| value).0
     }
 
-    /// Read-modify-write in one descent: `f` maps the window's current value
-    /// to the new one (`None` deletes, or leaves an absent window absent).
-    /// Returns `(old, new)` — what [`fetch`](Self::fetch) then
-    /// [`put`](Self::put) of `f`'s result would have returned and stored,
-    /// without `fetch`'s copy of the key.
+    /// Read-modify-write in one lookup of the window and one probe of its
+    /// bucket: `f` maps the window's current value to the new one (`None`
+    /// deletes, or leaves an absent window absent). Returns `(old, new)` —
+    /// what [`fetch`](Self::fetch) then [`put`](Self::put) of `f`'s result
+    /// would have returned and stored, without `fetch`'s clone of the value.
     pub fn update(
         &mut self,
         key: Bytes,
         window_start: i64,
         f: impl FnOnce(Option<&Bytes>) -> Option<Bytes>,
     ) -> (Option<Bytes>, Option<Bytes>) {
-        match self.map.entry((window_start, key)) {
-            Entry::Occupied(mut slot) => {
-                let new = f(Some(slot.get()));
-                let old = match &new {
-                    Some(v) => slot.insert(v.clone()),
-                    None => slot.remove(),
-                };
-                (Some(old), new)
-            }
-            Entry::Vacant(slot) => {
-                let new = f(None);
-                if let Some(v) = &new {
-                    slot.insert(v.clone());
-                }
-                (None, new)
-            }
+        let bucket = self.windows.entry(window_start).or_default();
+        let (old, new) = update_entry(bucket, key, f);
+        if bucket.is_empty() {
+            self.windows.remove(&window_start);
         }
+        self.len = self.len + usize::from(new.is_some()) - usize::from(old.is_some());
+        (old, new)
     }
 
     /// All `(window_start, value)` entries for `key` with window start in
-    /// `[from, to]` (inclusive), in window order. Used by stream-stream
-    /// joins to probe the other side's buffered records.
+    /// `[from, to]` (inclusive), in window order — one probe per window
+    /// start in range. Used by stream-stream joins to probe the other
+    /// side's buffered records.
     pub fn fetch_range(&self, key: &[u8], from: i64, to: i64) -> Vec<(i64, Bytes)> {
         if from > to {
             return Vec::new();
         }
-        let upper =
-            if to == i64::MAX { Bound::Unbounded } else { Bound::Excluded((to + 1, Bytes::new())) };
-        self.map
-            .range((Bound::Included((from, Bytes::new())), upper))
-            .filter(|((_, k), _)| k.as_ref() == key)
-            .map(|((start, _), v)| (*start, v.clone()))
+        self.windows
+            .range(from..=to)
+            .filter_map(|(start, bucket)| Some((*start, bucket.get(key)?.clone())))
             .collect()
     }
 
-    /// All entries with window start `< before`, removed and returned —
-    /// the grace-period GC (§5). The caller decides `before` from observed
-    /// stream time.
+    /// All entries with window start `< before`, removed and returned in
+    /// `(start, key)` order — the grace-period GC (§5). The caller decides
+    /// `before` from observed stream time.
     pub fn expire_before(&mut self, before: i64) -> Vec<(i64, Bytes, Bytes)> {
         // Operators call this once per record and almost always nothing is
         // due: leave the tree alone then.
         if self.earliest_window().is_none_or(|start| start >= before) {
             return Vec::new();
         }
-        let keep = self.map.split_off(&(before, Bytes::new()));
-        let expired = std::mem::replace(&mut self.map, keep);
-        expired.into_iter().map(|((start, k), v)| (start, k, v)).collect()
+        let keep = self.windows.split_off(&before);
+        let mut expired = Vec::new();
+        for (start, bucket) in std::mem::replace(&mut self.windows, keep) {
+            let from = expired.len();
+            // detlint:allow[unordered-iter] this bucket's run is sorted by key below
+            expired.extend(bucket.into_iter().map(|(k, v)| (start, k, v)));
+            expired[from..].sort_unstable_by(|a, b| a.1.cmp(&b.1));
+        }
+        self.len -= expired.len();
+        expired
     }
 
-    /// Iterate every entry as `(window_start, key, value)` in window order.
+    /// Iterate every entry as `(window_start, key, value)` in
+    /// `(start, key)` order.
     pub fn iter(&self) -> impl Iterator<Item = (i64, &Bytes, &Bytes)> {
-        self.map.iter().map(|((start, k), v)| (*start, k, v))
+        self.windows.iter().flat_map(|(start, bucket)| sorted(bucket).map(|(k, v)| (*start, k, v)))
     }
 
-    /// Iterate only entries with window start `< before`, in window order —
-    /// the bounded variant of [`iter`](Self::iter) for flush scans that must
-    /// not touch live windows above the horizon.
+    /// Iterate only entries with window start `< before`, in
+    /// `(start, key)` order — the bounded variant of [`iter`](Self::iter)
+    /// for flush scans that must not touch live windows above the horizon.
     pub fn iter_below(&self, before: i64) -> impl Iterator<Item = (i64, &Bytes, &Bytes)> {
-        self.map.range(..(before, Bytes::new())).map(|((start, k), v)| (*start, k, v))
+        self.windows
+            .range(..before)
+            .flat_map(|(start, bucket)| sorted(bucket).map(|(k, v)| (*start, k, v)))
     }
 
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len == 0
     }
 
     /// Earliest retained window start (tests).
     pub fn earliest_window(&self) -> Option<i64> {
-        self.map.keys().next().map(|(s, _)| *s)
+        self.windows.keys().next().copied()
     }
+}
+
+/// A bucket's entries in key order (keys are unique, so the result does not
+/// depend on the hash order they are collected in).
+fn sorted(bucket: &HashMap<Bytes, Bytes>) -> std::vec::IntoIter<(&Bytes, &Bytes)> {
+    // detlint:allow[unordered-iter] collected, then sorted by key below
+    let mut out: Vec<(&Bytes, &Bytes)> = bucket.iter().collect();
+    out.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    out.into_iter()
 }
 
 #[cfg(test)]

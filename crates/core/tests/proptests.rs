@@ -1,9 +1,9 @@
 //! Property-based tests for the streams layer: windowed aggregation
 //! equivalence against a batch oracle under arbitrary out-of-order input,
 //! store/changelog replay equivalence, the KV and window stores against an
-//! ordered-tree model (the hash-indexed store must be indistinguishable from
-//! it, scans included, whatever order it was filled in), and serde
-//! round-trips.
+//! ordered-tree model (the hash-indexed stores must be indistinguishable
+//! from it, scans included, whatever order they were filled in), the record
+//! cache against a plain reference LRU, and serde round-trips.
 
 use bytes::Bytes;
 use kstreams::dsl::ops::{KvAggregate, WindowAggregate};
@@ -13,7 +13,7 @@ use kstreams::processor::driver::TaskEnv;
 use kstreams::processor::{Processor, ProcessorContext, StoreEntry};
 use kstreams::record::FlowRecord;
 use kstreams::state::spill::{spill_path, write_spill, StoreSpill};
-use kstreams::state::{KvStore, Store, StoreKind, StoreSpec, WindowStore};
+use kstreams::state::{DirtyEntry, KvStore, RecordCache, Store, StoreKind, StoreSpec, WindowStore};
 use proptest::prelude::*;
 use simkit::DetRng;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -77,6 +77,34 @@ fn updated(current: Option<&[u8]>, v: u8) -> Option<Vec<u8>> {
 
 fn pairs<'a>(it: impl Iterator<Item = (&'a Bytes, &'a Bytes)>) -> Vec<(Vec<u8>, Vec<u8>)> {
     it.map(|(k, v)| (k.to_vec(), v.to_vec())).collect()
+}
+
+/// Window starts for the window-store model, both ends of `i64` included.
+const WINDOW_STARTS: [i64; 6] = [i64::MIN, -1_000, 0, 1_000, 5_000, i64::MAX];
+
+/// Twelve distinct keys of 0–30 bytes: the short ones live inside their
+/// `Bytes`, the long ones are shared, and key order is not length order.
+fn sized_key(k: u8) -> Vec<u8> {
+    vec![b'z' - k; usize::from(k) * 5 % 31]
+}
+
+type WindowEntry = (i64, Vec<u8>, Vec<u8>);
+
+fn window_entries<'a>(it: impl Iterator<Item = (i64, &'a Bytes, &'a Bytes)>) -> Vec<WindowEntry> {
+    it.map(|(s, k, v)| (s, k.to_vec(), v.to_vec())).collect()
+}
+
+fn window_entries_of<'a>(
+    it: impl Iterator<Item = (&'a (i64, Vec<u8>), &'a Vec<u8>)>,
+) -> Vec<WindowEntry> {
+    it.map(|((s, k), v)| (*s, k.clone(), v.clone())).collect()
+}
+
+/// A dirty cache entry as comparable data: `(key, old, new, ts, forward)`.
+type CacheRow = (Bytes, Option<Bytes>, Option<Bytes>, i64, bool);
+
+fn cache_row((key, e): (Bytes, DirtyEntry)) -> CacheRow {
+    (key, e.old, e.new, e.ts, e.forward)
 }
 
 /// In-place Fisher–Yates from an explicit seed.
@@ -251,6 +279,142 @@ proptest! {
         let a: Vec<_> = updated_store.iter().map(|(s, k, v)| (s, k.clone(), v.clone())).collect();
         let b: Vec<_> = reference.iter().map(|(s, k, v)| (s, k.clone(), v.clone())).collect();
         prop_assert_eq!(a, b);
+    }
+
+    /// The window store is indistinguishable from a tree keyed by
+    /// `(start, key)`: every operation returns what the model returns, in
+    /// the model's order, with window starts at both ends of `i64` and keys
+    /// of 0–30 bytes (inline and shared `Bytes` alike).
+    #[test]
+    fn window_store_matches_an_ordered_model(
+        ops in prop::collection::vec(
+            (0u8..10, 0u8..12, any::<u8>(), 0usize..6, 0usize..6),
+            1..150,
+        ),
+    ) {
+        let mut store = WindowStore::new();
+        let mut model: BTreeMap<(i64, Vec<u8>), Vec<u8>> = BTreeMap::new();
+        for (op, k, v, w, w2) in ops {
+            let (key, start, other) = (sized_key(k), WINDOW_STARTS[w], WINDOW_STARTS[w2]);
+            match op {
+                0 | 1 => {
+                    let value = Some(Bytes::from(vec![v]));
+                    let old = store.put(Bytes::from(key.clone()), start, value);
+                    prop_assert_eq!(old.map(|b| b.to_vec()), model.insert((start, key), vec![v]));
+                }
+                2 => {
+                    let old = store.put(Bytes::from(key.clone()), start, None);
+                    prop_assert_eq!(old.map(|b| b.to_vec()), model.remove(&(start, key)));
+                }
+                3 => {
+                    let (old, new) = store.update(Bytes::from(key.clone()), start, |cur| {
+                        updated(cur.map(AsRef::as_ref), v).map(Bytes::from)
+                    });
+                    let want_old = model.get(&(start, key.clone())).cloned();
+                    let want_new = updated(want_old.as_deref(), v);
+                    match &want_new {
+                        Some(n) => model.insert((start, key), n.clone()),
+                        None => model.remove(&(start, key)),
+                    };
+                    prop_assert_eq!(old.map(|b| b.to_vec()), want_old);
+                    prop_assert_eq!(new.map(|b| b.to_vec()), want_new);
+                }
+                4 => {
+                    let got = store.fetch(&key, start).map(|b| b.to_vec());
+                    prop_assert_eq!(got, model.get(&(start, key)).cloned());
+                }
+                5 => {
+                    let got: Vec<_> = store
+                        .fetch_range(&key, start, other)
+                        .into_iter()
+                        .map(|(s, v)| (s, v.to_vec()))
+                        .collect();
+                    let want: Vec<_> = model
+                        .range((start, Vec::new())..)
+                        .take_while(|((s, _), _)| *s <= other)
+                        .filter(|((_, mk), _)| *mk == key)
+                        .map(|((s, _), v)| (*s, v.clone()))
+                        .collect();
+                    prop_assert_eq!(got, want, "fetch_range {}..={}", start, other);
+                }
+                6 => {
+                    let expired = store.expire_before(start);
+                    let got: Vec<_> =
+                        expired.into_iter().map(|(s, k, v)| (s, k.to_vec(), v.to_vec())).collect();
+                    let keep = model.split_off(&(start, Vec::new()));
+                    let expired = std::mem::replace(&mut model, keep);
+                    let want: Vec<_> = expired.into_iter().map(|((s, k), v)| (s, k, v)).collect();
+                    prop_assert_eq!(got, want, "expire_before {}", start);
+                }
+                7 => {
+                    let want = window_entries_of(model.range(..));
+                    prop_assert_eq!(window_entries(store.iter()), want);
+                }
+                8 => {
+                    let got = window_entries(store.iter_below(start));
+                    prop_assert_eq!(got, window_entries_of(model.range(..(start, Vec::new()))));
+                }
+                _ => {
+                    let want = model.keys().next().map(|(s, _)| *s);
+                    prop_assert_eq!(store.earliest_window(), want);
+                }
+            }
+            prop_assert_eq!(store.len(), model.len());
+            prop_assert_eq!(store.is_empty(), model.is_empty());
+        }
+        prop_assert_eq!(window_entries(store.iter()), window_entries_of(model.range(..)));
+    }
+
+    /// The index-linked LRU is the obvious O(n) one: a `Vec` ordered by
+    /// last write, whose front is evicted. Every put reports the same hit
+    /// and the same evicted entry, and `stats()` and `drain_sorted()` agree,
+    /// across drains.
+    #[test]
+    fn record_cache_matches_a_reference_lru(
+        capacity in 1usize..9,
+        ops in prop::collection::vec(
+            (0u8..16, 0u8..12, prop::option::of(0u8..4), prop::option::of(0u8..4), any::<bool>()),
+            1..200,
+        ),
+    ) {
+        let mut cache = RecordCache::new(capacity);
+        // Least recently written first.
+        let mut lru: Vec<CacheRow> = Vec::new();
+        let (mut hits, mut misses, mut evictions) = (0, 0, 0);
+        for (ts, (op, k, old, new, forward)) in ops.into_iter().enumerate() {
+            if op == 0 {
+                let got: Vec<CacheRow> = cache.drain_sorted().into_iter().map(cache_row).collect();
+                lru.sort_by(|a, b| a.0.cmp(&b.0));
+                prop_assert_eq!(got, std::mem::take(&mut lru));
+                continue;
+            }
+            let (key, ts) = (Bytes::from(sized_key(k)), ts as i64);
+            let (old, new) = (old.map(|v| Bytes::from(vec![v])), new.map(|v| Bytes::from(vec![v])));
+            let outcome = cache.put(key.clone(), old.clone(), new.clone(), ts, forward);
+            let hit = match lru.iter().position(|row| row.0 == key) {
+                Some(at) => {
+                    let mut row = lru.remove(at);
+                    (row.2, row.3, row.4) = (new, ts, row.4 || forward);
+                    lru.push(row);
+                    hits += 1;
+                    true
+                }
+                None => {
+                    lru.push((key, old, new, ts, forward));
+                    misses += 1;
+                    false
+                }
+            };
+            let evicted = (lru.len() > capacity).then(|| lru.remove(0));
+            evictions += u64::from(evicted.is_some());
+            prop_assert_eq!(outcome.hit, hit);
+            prop_assert_eq!(outcome.evicted.map(cache_row), evicted);
+            prop_assert_eq!(cache.stats(), (hits, misses, evictions));
+            prop_assert_eq!(cache.len(), lru.len());
+        }
+        lru.sort_by(|a, b| a.0.cmp(&b.0));
+        let got: Vec<CacheRow> = cache.drain_sorted().into_iter().map(cache_row).collect();
+        prop_assert_eq!(got, lru);
     }
 
     /// Insertion order — and with it the hash map's layout — is invisible:

@@ -24,6 +24,7 @@ use crate::segment::{Placement, Segment, SegmentList};
 use crate::storage::format::ProducerSnapshot;
 use crate::storage::{DiskConfig, DiskLog};
 use crate::{Offset, ProducerEpoch, ProducerId, NO_TIMESTAMP};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Consumer isolation level (§4.2.3).
@@ -47,6 +48,44 @@ pub struct AbortedTxn {
     pub first_offset: Offset,
     /// Offset of the abort marker.
     pub marker_offset: Offset,
+}
+
+/// The aborted-transaction index: the list in marker order (what snapshots
+/// store and [`PartitionLog::aborted_txns`] shows) plus, per producer, its
+/// `(marker_offset, first_offset)` pairs in marker order, so finding the
+/// abort that covers a batch is one binary search, not a scan of every abort
+/// the partition ever saw.
+#[derive(Debug, Clone, Default)]
+struct AbortedIndex {
+    list: Vec<AbortedTxn>,
+    by_producer: BTreeMap<ProducerId, Vec<(Offset, Offset)>>,
+}
+
+impl AbortedIndex {
+    /// Record an abort whose marker lies above every indexed one.
+    fn push(&mut self, a: AbortedTxn) {
+        self.by_producer.entry(a.producer_id).or_default().push((a.marker_offset, a.first_offset));
+        self.list.push(a);
+    }
+
+    /// Whether an abort of `producer_id` covers `offset`. One producer's
+    /// transactions on a partition never overlap, so only its first abort
+    /// marker above `offset` can.
+    fn covers(&self, producer_id: ProducerId, offset: Offset) -> bool {
+        let Some(aborts) = self.by_producer.get(&producer_id) else { return false };
+        let above = aborts.partition_point(|&(marker, _)| marker <= offset);
+        aborts.get(above).is_some_and(|&(_, first)| first <= offset)
+    }
+}
+
+impl From<Vec<AbortedTxn>> for AbortedIndex {
+    fn from(list: Vec<AbortedTxn>) -> Self {
+        let mut index = Self::default();
+        for a in list {
+            index.push(a);
+        }
+        index
+    }
 }
 
 /// Result of an append.
@@ -103,7 +142,7 @@ pub struct PartitionLog {
     next_offset: Offset,
     high_watermark: Offset,
     producers: ProducerStateTable,
-    aborted: Vec<AbortedTxn>,
+    aborted: AbortedIndex,
     time_index: TimeIndex,
     max_timestamp: i64,
     /// When true (default), the high watermark tracks the log end — the
@@ -151,7 +190,7 @@ impl PartitionLog {
             next_offset: 0,
             high_watermark: 0,
             producers: ProducerStateTable::new(),
-            aborted: Vec::new(),
+            aborted: AbortedIndex::default(),
             time_index: TimeIndex::new(),
             max_timestamp: NO_TIMESTAMP,
             auto_advance_hw: true,
@@ -220,7 +259,7 @@ impl PartitionLog {
             next_offset: segments.last_offset().map_or(log_start.max(high_watermark), |o| o + 1),
             high_watermark,
             producers: ProducerStateTable::new(),
-            aborted: Vec::new(),
+            aborted: AbortedIndex::default(),
             time_index: TimeIndex::new(),
             max_timestamp: NO_TIMESTAMP,
             auto_advance_hw: true,
@@ -237,7 +276,7 @@ impl PartitionLog {
         // Snapshot fast path: seed the producer table and aborted index from
         // the snapshot, then replay only the suffix at or above its offset.
         log.producers = ProducerStateTable::from_snapshot_entries(snap.entries);
-        log.aborted = snap.aborted;
+        log.aborted = snap.aborted.into();
         let suffix = log.segments.iter_from(snap.snapshot_offset);
         for b in suffix.filter(|b| b.base_offset() >= snap.snapshot_offset) {
             if b.meta.control == Some(ControlType::Abort) {
@@ -275,7 +314,7 @@ impl PartitionLog {
         disk.write_snapshot(&ProducerSnapshot {
             snapshot_offset: self.next_offset,
             entries: self.producers.snapshot_entries(),
-            aborted: self.aborted.clone(),
+            aborted: self.aborted.list.clone(),
         })
     }
 
@@ -578,10 +617,7 @@ impl PartitionLog {
         if !batch.meta.transactional || batch.meta.is_control() {
             return false;
         }
-        let (pid, base) = (batch.meta.producer_id, batch.base_offset());
-        self.aborted
-            .iter()
-            .any(|a| a.producer_id == pid && a.first_offset <= base && base < a.marker_offset)
+        self.aborted.covers(batch.meta.producer_id, batch.base_offset())
     }
 
     fn visible_bound(&self, isolation: IsolationLevel) -> Offset {
@@ -626,7 +662,7 @@ impl PartitionLog {
     /// The aborted-transaction index (visible for tests and the consumer
     /// client simulation).
     pub fn aborted_txns(&self) -> &[AbortedTxn] {
-        &self.aborted
+        &self.aborted.list
     }
 
     /// Maximum record timestamp ever appended.
@@ -707,7 +743,7 @@ impl PartitionLog {
             .last_offset()
             .map_or_else(|| self.log_start.min(to.max(self.log_start)), |o| o + 1);
         self.high_watermark = self.high_watermark.min(self.next_offset);
-        self.aborted.retain(|a| a.marker_offset < self.next_offset);
+        // The rescan rebuilds the aborted index from the surviving markers.
         self.recover_producer_state();
         if let Some(d) = self.disk.as_mut() {
             d.truncate(&cut, &self.segments)?;
@@ -776,7 +812,7 @@ impl PartitionLog {
     pub fn recover_producer_state(&mut self) {
         let batches: Vec<&StoredBatch> = self.segments.iter_from(i64::MIN).collect();
         // Rebuild aborted index from markers.
-        let mut aborted = Vec::new();
+        let mut aborted = AbortedIndex::default();
         let mut open: std::collections::HashMap<ProducerId, Offset> =
             std::collections::HashMap::new();
         for b in &batches {
@@ -1096,6 +1132,57 @@ mod tests {
         // Dedup survives recovery: the same retry is still a duplicate.
         let retry = log.append(BatchMeta::idempotent(1, 0, 0), recs(2, 0)).unwrap();
         assert!(retry.duplicate);
+    }
+
+    /// A log holding `aborts` aborted one-record transactions of producer 7,
+    /// then a full segment of plain records, then one committed transaction
+    /// of 32 batches from the same producer in a fresh segment. Returns the
+    /// log and the offset that transaction starts at.
+    fn log_after_aborts(aborts: usize) -> (PartitionLog, Offset) {
+        let mut log = PartitionLog::new();
+        let mut seq = 0;
+        for _ in 0..aborts {
+            log.append(BatchMeta::transactional(7, 0, seq), recs(1, 0)).unwrap();
+            log.append_control(7, 0, ControlType::Abort, 0).unwrap();
+            seq += 1;
+        }
+        log.append(BatchMeta::plain(), recs(crate::segment::SEGMENT_ROLL_RECORDS, 0)).unwrap();
+        let start = log.log_end();
+        for _ in 0..32 {
+            log.append(BatchMeta::transactional(7, 0, seq), recs(2, 0)).unwrap();
+            seq += 2;
+        }
+        log.append_control(7, 0, ControlType::Commit, 0).unwrap();
+        assert_eq!(log.aborted_txns().len(), aborts);
+        (log, start)
+    }
+
+    /// Median wall time of a read-committed fetch of that transaction.
+    fn committed_fetch_ns(log: &PartitionLog, from: Offset) -> u128 {
+        let mut rounds: Vec<u128> = (0..301)
+            .map(|_| {
+                let started = std::time::Instant::now();
+                let fetched = log.fetch(from, 1_000, IsolationLevel::ReadCommitted).unwrap();
+                let ns = started.elapsed().as_nanos();
+                assert_eq!(fetched.count(), 64);
+                ns
+            })
+            .collect();
+        rounds.sort_unstable();
+        rounds[rounds.len() / 2]
+    }
+
+    #[test]
+    fn read_committed_fetch_cost_does_not_grow_with_abort_history() {
+        let (few, few_from) = log_after_aborts(10);
+        let (many, many_from) = log_after_aborts(100_000);
+        let (few_ns, many_ns) =
+            (committed_fetch_ns(&few, few_from), committed_fetch_ns(&many, many_from));
+        eprintln!("read-committed fetch: {few_ns} ns after 10 aborts, {many_ns} ns after 10^5");
+        assert!(
+            many_ns <= 3 * few_ns.max(1),
+            "fetch after 10^5 aborts took {many_ns} ns, after 10 aborts {few_ns} ns"
+        );
     }
 
     #[test]

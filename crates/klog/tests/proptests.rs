@@ -360,6 +360,55 @@ proptest! {
         }
     }
 
+    /// Over long random abort histories — four transactional producers,
+    /// commits, aborts, suffix and prefix truncation, producer-state rescans
+    /// — a read-committed fetch hides exactly the batches the linear scan
+    /// over `aborted_txns()` (`reference_fetch`) calls aborted.
+    #[test]
+    fn abort_lookup_matches_linear_scan(
+        ops in prop::collection::vec((0u8..12, 0i64..4, 1usize..3, 0i64..101), 1..160),
+        from_pct in 0i64..101,
+    ) {
+        let mut log = PartitionLog::new();
+        for (kind, p, n, pct) in ops {
+            let pid = 100 + p;
+            match kind {
+                0..=3 => {
+                    let seq = log.producer_state().last_sequence(pid).map_or(0, |s| s + 1);
+                    let records = (0..n).map(|i| Record::of_str("k", "v", i as i64)).collect();
+                    log.append(BatchMeta::transactional(pid, 0, seq), records).unwrap();
+                }
+                4 => {
+                    log.append_control(pid, 0, ControlType::Commit, 0).unwrap();
+                }
+                5 | 6 => {
+                    log.append_control(pid, 0, ControlType::Abort, 0).unwrap();
+                }
+                7 => {
+                    log.append(BatchMeta::plain(), vec![Record::of_str("k", "v", 0)]).unwrap();
+                }
+                8 => log.truncate_suffix(log.log_end() * pct / 100).unwrap(),
+                9 => log.truncate_prefix(log.log_end() * pct / 100).unwrap(),
+                10 => log.recover_producer_state(),
+                _ => {}
+            }
+        }
+        // Close every transaction so the whole log is below the LSO.
+        for pid in 100..104 {
+            log.append_control(pid, 0, ControlType::Abort, 0).unwrap();
+        }
+        prop_assert_eq!(log.last_stable_offset(), log.log_end());
+        let start = log.log_start();
+        for from in [start, start + (log.log_end() - start) * from_pct / 100] {
+            let got = log.fetch(from, usize::MAX, IsolationLevel::ReadCommitted).unwrap();
+            let (want, want_next) =
+                reference_fetch(&log, from, usize::MAX, IsolationLevel::ReadCommitted);
+            let flat: Vec<(Offset, Record)> = got.records().map(|(o, r)| (o, r.clone())).collect();
+            prop_assert_eq!(flat, want, "from {}", from);
+            prop_assert_eq!(got.next_offset, want_next);
+        }
+    }
+
     /// Prefix truncation only removes data below the cut, and watermarks
     /// stay consistent.
     #[test]

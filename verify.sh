@@ -6,7 +6,8 @@
 #                              # detlint, kcheck --quick, perfbench tests and
 #                              # perfbench/run.sh --quick
 #   ./verify.sh --quick        # fmt, clippy, tier-1 tests, bytes shim tests,
-#                              # kbroker unit tests, kanalyze, detlint
+#                              # kbroker unit tests, state-store unit tests
+#                              # and proptests, kanalyze, detlint
 #   ./verify.sh storage        # disk seed sweep, disk replay identity, storage
 #                              # batteries
 #   ./verify.sh simtest        # seed sweeps (plain and cached), forced
@@ -194,6 +195,14 @@ gate_full() {
     # Likewise the group coordinator's and consumer client's unit tests.
     step "cargo test -q -p kbroker --lib"
     cargo test -q -p kbroker --lib
+
+    # Likewise the state stores' unit tests and their model properties: the
+    # window store against an ordered tree, the record cache against a
+    # reference LRU.
+    step "cargo test -q -p kstreams --lib state::"
+    cargo test -q -p kstreams --lib state::
+    step "cargo test -q -p kstreams --test proptests"
+    cargo test -q -p kstreams --test proptests
   fi
 
   step "cargo run --bin kanalyze (topology static verifier demo)"
