@@ -36,9 +36,12 @@ fn fn_op_factory(body: FnOpBody) -> ProcessorFactory {
     Arc::new(move || Box::new(FnOp { body: body.clone() }))
 }
 
-fn de_key<K: KSerde>(key: &Option<Bytes>) -> K {
+/// Lend the record's decoded key to `f`: the user's closures only borrow
+/// it, so a key type may decode without allocating
+/// ([`KSerde::with_decoded`]).
+fn with_key<K: KSerde, R>(key: &Option<Bytes>, f: impl FnOnce(&K) -> R) -> R {
     let key = key.as_ref().expect("typed DSL operators require keyed records");
-    K::from_bytes(key).expect("key deserialization failed")
+    K::with_decoded(key, f).expect("key deserialization failed")
 }
 
 fn de_val<V: KSerde>(val: &Bytes) -> V {
@@ -151,7 +154,7 @@ impl<K: KSerde, V: KSerde> KStream<K, V> {
     pub fn filter(&self, f: impl Fn(&K, &V) -> bool + Send + Sync + 'static) -> KStream<K, V> {
         let body: FnOpBody = Arc::new(move |ctx, rec| {
             let Some(v) = &rec.new else { return };
-            if f(&de_key::<K>(&rec.key), &de_val::<V>(v)) {
+            if with_key::<K, _>(&rec.key, |k| f(k, &de_val::<V>(v))) {
                 ctx.forward(rec);
             }
         });
@@ -165,7 +168,7 @@ impl<K: KSerde, V: KSerde> KStream<K, V> {
     ) -> KStream<K, V2> {
         let body: FnOpBody = Arc::new(move |ctx, rec| {
             let Some(v) = &rec.new else { return };
-            let v2 = f(&de_key::<K>(&rec.key), &de_val::<V>(v));
+            let v2 = with_key::<K, _>(&rec.key, |k| f(k, &de_val::<V>(v)));
             ctx.forward(FlowRecord {
                 key: rec.key,
                 new: Some(v2.to_bytes()),
@@ -184,7 +187,7 @@ impl<K: KSerde, V: KSerde> KStream<K, V> {
     ) -> KStream<K2, V2> {
         let body: FnOpBody = Arc::new(move |ctx, rec| {
             let Some(v) = &rec.new else { return };
-            let (k2, v2) = f(&de_key::<K>(&rec.key), &de_val::<V>(v));
+            let (k2, v2) = with_key::<K, _>(&rec.key, |k| f(k, &de_val::<V>(v)));
             ctx.forward(FlowRecord {
                 key: Some(k2.to_bytes()),
                 new: Some(v2.to_bytes()),
@@ -204,7 +207,7 @@ impl<K: KSerde, V: KSerde> KStream<K, V> {
     ) -> KStream<K2, V> {
         let body: FnOpBody = Arc::new(move |ctx, rec| {
             let Some(v) = &rec.new else { return };
-            let k2 = f(&de_key::<K>(&rec.key), &de_val::<V>(v));
+            let k2 = with_key::<K, _>(&rec.key, |k| f(k, &de_val::<V>(v)));
             ctx.forward(FlowRecord { key: Some(k2.to_bytes()), ..rec });
         });
         let s = self.stateless("KSTREAM-SELECTKEY", body, true);
@@ -219,7 +222,7 @@ impl<K: KSerde, V: KSerde> KStream<K, V> {
     ) -> KStream<K, V2> {
         let body: FnOpBody = Arc::new(move |ctx, rec| {
             let Some(v) = &rec.new else { return };
-            for v2 in f(&de_key::<K>(&rec.key), &de_val::<V>(v)) {
+            for v2 in with_key::<K, _>(&rec.key, |k| f(k, &de_val::<V>(v))) {
                 ctx.forward(FlowRecord {
                     key: rec.key.clone(),
                     new: Some(v2.to_bytes()),
@@ -244,7 +247,7 @@ impl<K: KSerde, V: KSerde> KStream<K, V> {
     ) -> KStream<K2, V2> {
         let body: FnOpBody = Arc::new(move |ctx, rec| {
             let Some(v) = &rec.new else { return };
-            for (k2, v2) in f(&de_key::<K>(&rec.key), &de_val::<V>(v)) {
+            for (k2, v2) in with_key::<K, _>(&rec.key, |k| f(k, &de_val::<V>(v))) {
                 ctx.forward(FlowRecord {
                     key: Some(k2.to_bytes()),
                     new: Some(v2.to_bytes()),
@@ -296,7 +299,7 @@ impl<K: KSerde, V: KSerde> KStream<K, V> {
     pub fn peek(&self, f: impl Fn(&K, &V) + Send + Sync + 'static) -> KStream<K, V> {
         let body: FnOpBody = Arc::new(move |ctx, rec| {
             if let Some(v) = &rec.new {
-                f(&de_key::<K>(&rec.key), &de_val::<V>(v));
+                with_key::<K, _>(&rec.key, |k| f(k, &de_val::<V>(v)));
             }
             ctx.forward(rec);
         });
@@ -891,12 +894,12 @@ impl<K: KSerde, V: KSerde> KTable<K, V> {
     /// Filter the table; rows failing the predicate become deletions.
     pub fn filter(&self, f: impl Fn(&K, &V) -> bool + Send + Sync + 'static) -> KTable<K, V> {
         let body: FnOpBody = Arc::new(move |ctx, rec| {
-            let key = de_key::<K>(&rec.key);
-            let keep = |v: &Option<Bytes>| -> Option<Bytes> {
-                v.as_ref().filter(|b| f(&key, &de_val::<V>(b))).cloned()
-            };
-            let old = keep(&rec.old);
-            let new = keep(&rec.new);
+            let (old, new) = with_key::<K, _>(&rec.key, |key| {
+                let keep = |v: &Option<Bytes>| -> Option<Bytes> {
+                    v.as_ref().filter(|b| f(key, &de_val::<V>(b))).cloned()
+                };
+                (keep(&rec.old), keep(&rec.new))
+            });
             if old.is_none() && new.is_none() {
                 return;
             }
@@ -912,12 +915,12 @@ impl<K: KSerde, V: KSerde> KTable<K, V> {
         f: impl Fn(&K, &V) -> V2 + Send + Sync + 'static,
     ) -> KTable<K, V2> {
         let body: FnOpBody = Arc::new(move |ctx, rec| {
-            let key = de_key::<K>(&rec.key);
-            let map = |v: &Option<Bytes>| -> Option<Bytes> {
-                v.as_ref().map(|b| f(&key, &de_val::<V>(b)).to_bytes())
-            };
-            let old = map(&rec.old);
-            let new = map(&rec.new);
+            let (old, new) = with_key::<K, _>(&rec.key, |key| {
+                let map = |v: &Option<Bytes>| -> Option<Bytes> {
+                    v.as_ref().map(|b| f(key, &de_val::<V>(b)).to_bytes())
+                };
+                (map(&rec.old), map(&rec.new))
+            });
             ctx.forward(FlowRecord { key: rec.key, old, new, ts: rec.ts });
         });
         self.stateless_table("KTABLE-MAPVALUES", body)
@@ -1039,27 +1042,28 @@ impl<K: KSerde, V: KSerde> KTable<K, V> {
         let mut b = self.inner.borrow_mut();
         let name = b.next_name("KTABLE-GROUPBY");
         let body: FnOpBody = Arc::new(move |ctx, rec| {
-            let key = de_key::<K>(&rec.key);
-            // Old and new may map to *different* keys: send a retraction to
-            // the old key and an addition to the new key.
-            if let Some(old) = &rec.old {
-                let (k2, v2) = f(&key, &de_val::<V>(old));
-                ctx.forward(FlowRecord {
-                    key: Some(k2.to_bytes()),
-                    old: Some(v2.to_bytes()),
-                    new: None,
-                    ts: rec.ts,
-                });
-            }
-            if let Some(new) = &rec.new {
-                let (k2, v2) = f(&key, &de_val::<V>(new));
-                ctx.forward(FlowRecord {
-                    key: Some(k2.to_bytes()),
-                    old: None,
-                    new: Some(v2.to_bytes()),
-                    ts: rec.ts,
-                });
-            }
+            with_key::<K, _>(&rec.key, |key| {
+                // Old and new may map to *different* keys: send a retraction to
+                // the old key and an addition to the new key.
+                if let Some(old) = &rec.old {
+                    let (k2, v2) = f(key, &de_val::<V>(old));
+                    ctx.forward(FlowRecord {
+                        key: Some(k2.to_bytes()),
+                        old: Some(v2.to_bytes()),
+                        new: None,
+                        ts: rec.ts,
+                    });
+                }
+                if let Some(new) = &rec.new {
+                    let (k2, v2) = f(key, &de_val::<V>(new));
+                    ctx.forward(FlowRecord {
+                        key: Some(k2.to_bytes()),
+                        old: None,
+                        new: Some(v2.to_bytes()),
+                        ts: rec.ts,
+                    });
+                }
+            });
         });
         let node =
             b.add_processor(name, fn_op_factory(body), &[self.node], vec![]).expect("valid parent");

@@ -7,11 +7,30 @@
 
 use crate::error::StreamsError;
 use bytes::Bytes;
+use std::cell::Cell;
 
 /// A symmetric serializer/deserializer for one type.
 pub trait KSerde: Sized + Clone + 'static {
     fn to_bytes(&self) -> Bytes;
     fn from_bytes(bytes: &[u8]) -> Result<Self, StreamsError>;
+
+    /// Decode `bytes` and lend the value to `f`, for a caller that only
+    /// borrows it (a typed operator handing a key to the user's closure).
+    /// The default decodes with [`from_bytes`](Self::from_bytes); a type
+    /// whose decoding allocates may reuse a buffer instead.
+    fn with_decoded<R>(bytes: &[u8], f: impl FnOnce(&Self) -> R) -> Result<R, StreamsError> {
+        Ok(f(&Self::from_bytes(bytes)?))
+    }
+}
+
+thread_local! {
+    /// The buffer [`String`]'s `with_decoded` lends. A call takes it and
+    /// puts it back, so a nested call finds it empty and uses a fresh one.
+    static DECODED_STRING: Cell<String> = const { Cell::new(String::new()) };
+}
+
+fn utf8(bytes: &[u8]) -> Result<&str, StreamsError> {
+    std::str::from_utf8(bytes).map_err(|e| StreamsError::Serde(format!("invalid utf8: {e}")))
 }
 
 impl KSerde for String {
@@ -20,8 +39,19 @@ impl KSerde for String {
     }
 
     fn from_bytes(bytes: &[u8]) -> Result<Self, StreamsError> {
-        String::from_utf8(bytes.to_vec())
-            .map_err(|e| StreamsError::Serde(format!("invalid utf8: {e}")))
+        utf8(bytes).map(str::to_owned)
+    }
+
+    /// Validates into a reused thread-local buffer: no allocation once the
+    /// buffer has grown to the longest string decoded.
+    fn with_decoded<R>(bytes: &[u8], f: impl FnOnce(&Self) -> R) -> Result<R, StreamsError> {
+        let text = utf8(bytes)?;
+        let mut buf = DECODED_STRING.take();
+        buf.clear();
+        buf.push_str(text);
+        let out = f(&buf);
+        DECODED_STRING.set(buf);
+        Ok(out)
     }
 }
 
@@ -238,6 +268,19 @@ mod tests {
     fn string_round_trip() {
         let s = "hello".to_string();
         assert_eq!(String::from_bytes(&s.to_bytes()).unwrap(), s);
+    }
+
+    #[test]
+    fn lent_strings_survive_nesting() {
+        let outer = String::with_decoded(b"outer", |o| {
+            let inner = String::with_decoded(b"in", String::clone).unwrap();
+            (o.clone(), inner)
+        });
+        assert_eq!(outer.unwrap(), ("outer".to_string(), "in".to_string()));
+        // The buffer is reused, never stale: a shorter string reads whole.
+        assert_eq!(String::with_decoded(b"x", String::clone).unwrap(), "x");
+        assert!(String::with_decoded(&[0xff, 0xfe], |_| ()).is_err());
+        assert_eq!(i64::with_decoded(&7i64.to_bytes(), |v| *v).unwrap(), 7);
     }
 
     #[test]

@@ -36,8 +36,8 @@ struct Input {
     /// Next offset to commit (last processed + 1); `None` until a position
     /// is set or something is processed, and not committed until then.
     processed_position: Option<i64>,
-    /// Fetched-but-unprocessed batches: the allocations the log stores,
-    /// shared, not copies of their records.
+    /// Fetched-but-unprocessed batches: handles to the batches the log
+    /// stores, not copies of their records.
     fetched: VecDeque<StoredBatch>,
     /// The next unprocessed entry of `fetched`'s front batch.
     cursor: usize,

@@ -173,11 +173,11 @@ impl ReplicaSet {
     }
 
     /// Hand the batch the leader just stored to every in-sync follower. The
-    /// followers install the leader's batch itself — one allocation shared
-    /// by all replicas — instead of appending copies of its records: the
-    /// leader already decided the append (dedup, fencing, offsets), and an
-    /// install at the follower's log end moves its producer and transaction
-    /// state exactly as the leader's moved.
+    /// followers install the leader's batch itself — one stored batch, each
+    /// replica holding a pointer to it — instead of appending copies of its
+    /// records: the leader already decided the append (dedup, fencing,
+    /// offsets), and an install at the follower's log end moves its producer
+    /// and transaction state exactly as the leader's moved.
     ///
     /// A follower that cannot take the batch (its log end is not where the
     /// leader's was) fails the append with a typed error; the other
@@ -420,7 +420,6 @@ impl ReplicaSet {
 mod tests {
     use super::*;
     use klog::batch::BatchMeta;
-    use std::sync::Arc;
 
     fn tp() -> TopicPartition {
         TopicPartition::new("t", 0)
@@ -533,7 +532,7 @@ mod tests {
     }
 
     #[test]
-    fn every_isr_replica_holds_the_leaders_allocation() {
+    fn every_isr_replica_holds_the_leaders_batch() {
         let mut rs = ReplicaSet::new(tp(), vec![0, 1, 2]);
         rs.append(BatchMeta::transactional(9, 0, 0), recs(3)).unwrap();
         rs.append_control(9, 0, ControlType::Commit, 5).unwrap();
@@ -546,7 +545,7 @@ mod tests {
             assert_eq!(log.batches().count(), held);
             for (mine, leaders) in log.batches().zip(&leader) {
                 assert!(
-                    Arc::ptr_eq(&mine.entries, &leaders.entries),
+                    StoredBatch::ptr_eq(mine, leaders),
                     "broker {b} copied the batch at offset {}",
                     mine.base_offset()
                 );

@@ -10,6 +10,7 @@ use crate::record::Record;
 use crate::{
     Offset, ProducerEpoch, ProducerId, NO_OFFSET, NO_PRODUCER_ID, NO_SEQUENCE, NO_TIMESTAMP,
 };
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// Transaction control-marker type (§4.2.2). Control batches are written by
@@ -101,27 +102,51 @@ impl BatchMeta {
     }
 }
 
-/// A batch as stored in the log: metadata plus records with their assigned
-/// offsets.
+/// A batch as stored in the log: a handle to one shared, immutable
+/// [`BatchBody`] — metadata plus records with their assigned offsets.
 ///
 /// Offsets inside a batch are contiguous at append time, but compaction may
 /// later remove individual records, leaving gaps — Kafka preserves original
 /// offsets through compaction and so do we, hence per-record offsets.
 ///
-/// The entries are immutable and reference-counted: the leader log builds
-/// them once at append, and every follower replica, every fetch of the whole
-/// batch and every task buffering it holds the same allocation, so cloning a
-/// stored batch copies no record. Whatever needs different entries — a fetch
-/// cut by its bounds, compaction — builds a new batch.
+/// The leader log builds the body once at append, and every follower
+/// replica, every fetch of the whole batch and every task buffering it holds
+/// the same one, so a stored batch costs each further holder one pointer and
+/// cloning it copies neither a record nor the metadata. Whatever needs
+/// different entries — a fetch cut by its bounds, compaction — builds a new
+/// batch. `meta` and `entries` read through the handle (`Deref`).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StoredBatch {
+pub struct StoredBatch(Arc<BatchBody>);
+
+/// What a [`StoredBatch`] handle shares.
+#[derive(Debug, PartialEq, Eq)]
+pub struct BatchBody {
     /// Producer/transaction metadata stamped at append time.
     pub meta: BatchMeta,
     /// `(offset, record)` pairs in strictly increasing offset order.
-    pub entries: Arc<[(Offset, Record)]>,
+    pub entries: Box<[(Offset, Record)]>,
+}
+
+impl Deref for StoredBatch {
+    type Target = BatchBody;
+
+    fn deref(&self) -> &BatchBody {
+        &self.0
+    }
 }
 
 impl StoredBatch {
+    /// A batch of `entries`, stamped with `meta`.
+    pub fn new(meta: BatchMeta, entries: impl Into<Box<[(Offset, Record)]>>) -> Self {
+        Self(Arc::new(BatchBody { meta, entries: entries.into() }))
+    }
+
+    /// True when `a` and `b` are handles to the same stored batch, not
+    /// merely equal ones.
+    pub fn ptr_eq(a: &Self, b: &Self) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+
     /// First offset in the batch ([`NO_OFFSET`] for an empty batch, which
     /// the log never stores).
     pub fn base_offset(&self) -> Offset {
@@ -200,10 +225,10 @@ mod tests {
 
     #[test]
     fn stored_batch_offsets_and_sequences() {
-        let b = StoredBatch {
-            meta: BatchMeta::idempotent(1, 0, 5),
-            entries: vec![(100, rec(1)), (101, rec(3)), (102, rec(2))].into(),
-        };
+        let b = StoredBatch::new(
+            BatchMeta::idempotent(1, 0, 5),
+            vec![(100, rec(1)), (101, rec(3)), (102, rec(2))],
+        );
         assert_eq!(b.base_offset(), 100);
         assert_eq!(b.last_offset(), 102);
         assert_eq!(b.last_sequence(), 7);
@@ -213,13 +238,13 @@ mod tests {
 
     #[test]
     fn non_idempotent_batch_has_no_sequence() {
-        let b = StoredBatch { meta: BatchMeta::plain(), entries: vec![(0, rec(1))].into() };
+        let b = StoredBatch::new(BatchMeta::plain(), vec![(0, rec(1))]);
         assert_eq!(b.last_sequence(), NO_SEQUENCE);
     }
 
     #[test]
     fn approximate_size_includes_header() {
-        let b = StoredBatch { meta: BatchMeta::plain(), entries: vec![(0, rec(1))].into() };
+        let b = StoredBatch::new(BatchMeta::plain(), vec![(0, rec(1))]);
         assert!(b.approximate_size() > rec(1).approximate_size());
     }
 }

@@ -23,7 +23,6 @@ use crate::record::Record;
 use crate::Offset;
 use bytes::Bytes;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// What a compaction pass did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,7 +85,7 @@ pub fn compact(log: &mut PartitionLog) -> Result<CompactionStats, LogError> {
     }
 
     // Pass 2: rewrite batches. A batch that loses nothing is kept as stored
-    // (still the allocation its replicas and consumers share); one that
+    // (still the batch its replicas and consumers share); one that
     // loses records is rebuilt from copies of the survivors.
     let mut out: Vec<StoredBatch> = Vec::with_capacity(before.len());
     for batch in before {
@@ -112,10 +111,10 @@ pub fn compact(log: &mut PartitionLog) -> Result<CompactionStats, LogError> {
             out.push(batch);
             continue;
         }
-        let entries: Arc<[(Offset, Record)]> =
+        let entries: Box<[(Offset, Record)]> =
             batch.entries.iter().filter(|e| keep(e)).cloned().collect();
         if !entries.is_empty() {
-            out.push(StoredBatch { meta: batch.meta, entries });
+            out.push(StoredBatch::new(batch.meta.clone(), entries));
         }
     }
 

@@ -35,7 +35,7 @@ pub mod record;
 pub mod segment;
 pub mod storage;
 
-pub use batch::{BatchMeta, ControlType, StoredBatch};
+pub use batch::{BatchBody, BatchMeta, ControlType, StoredBatch};
 pub use error::LogError;
 pub use log::{AbortedTxn, AppendOutcome, FetchResult, IsolationLevel, PartitionLog};
 pub use producer_state::{ProducerStateTable, SequenceCheck};

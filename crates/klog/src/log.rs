@@ -25,7 +25,6 @@ use crate::storage::format::ProducerSnapshot;
 use crate::storage::{DiskConfig, DiskLog};
 use crate::{Offset, ProducerEpoch, ProducerId, NO_TIMESTAMP};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Consumer isolation level (§4.2.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -379,11 +378,11 @@ impl PartitionLog {
 
         let base_offset = self.next_offset;
         let last_offset = base_offset + records.len() as i64 - 1;
-        // The batch's one allocation: the producer's records move into it,
-        // and from here on every holder shares it.
-        let entries: Arc<[(Offset, Record)]> =
+        // The batch's entries: the producer's records move into them, and
+        // from here on every holder shares the one stored batch.
+        let entries: Box<[(Offset, Record)]> =
             records.into_iter().enumerate().map(|(i, r)| (base_offset + i as i64, r)).collect();
-        self.store(StoredBatch { meta, entries })?;
+        self.store(StoredBatch::new(meta, entries))?;
         Ok(AppendOutcome { base_offset, last_offset, duplicate: false })
     }
 
@@ -413,21 +412,21 @@ impl PartitionLog {
         }
         let marker_offset = self.next_offset;
         let marker_record = Record { key: None, value: None, timestamp };
-        self.store(StoredBatch {
-            meta: BatchMeta::control(producer_id, epoch, ctl),
-            entries: [(marker_offset, marker_record)].into(),
-        })?;
+        self.store(StoredBatch::new(
+            BatchMeta::control(producer_id, epoch, ctl),
+            [(marker_offset, marker_record)],
+        ))?;
         Ok(marker_offset)
     }
 
     /// Install a batch verbatim at its original offsets: how a follower
-    /// replica takes the batch its leader just stored (sharing the leader's
-    /// allocation), and how a recovered replica catches up on the suffix it
-    /// missed while down. The batch must start at the current log end;
-    /// producer/transaction state advances exactly as it did on the log the
-    /// batch was appended to — the append's sequence and fencing decisions
-    /// were made there and are not made again, only their invariants are
-    /// re-checked.
+    /// replica takes the batch its leader just stored (a handle to the
+    /// leader's batch, not a copy), and how a recovered replica catches up
+    /// on the suffix it missed while down. The batch must start at the
+    /// current log end; producer/transaction state advances exactly as it
+    /// did on the log the batch was appended to — the append's sequence and
+    /// fencing decisions were made there and are not made again, only their
+    /// invariants are re-checked.
     pub fn install_batch(&mut self, batch: StoredBatch) -> Result<(), LogError> {
         if batch.is_empty() {
             return Err(LogError::CorruptBatch("empty batch".into()));
@@ -580,7 +579,7 @@ impl PartitionLog {
                 continue;
             }
             // A batch the fetch covers whole is handed out as stored — the
-            // consumer shares the log's allocation. Only a batch cut by
+            // consumer shares the log's batch. Only a batch cut by
             // `from`, the visibility bound or the record budget is copied.
             let room = max_records - taken;
             let whole =
@@ -588,7 +587,7 @@ impl PartitionLog {
             let delivered = if whole {
                 batch.clone()
             } else {
-                let entries: Arc<[(Offset, Record)]> = batch
+                let entries: Box<[(Offset, Record)]> = batch
                     .entries
                     .iter()
                     .filter(|(o, _)| *o >= from && *o < bound)
@@ -598,7 +597,7 @@ impl PartitionLog {
                 if entries.is_empty() {
                     continue;
                 }
-                StoredBatch { meta: batch.meta.clone(), entries }
+                StoredBatch::new(batch.meta.clone(), entries)
             };
             taken += delivered.len();
             next_offset = next_offset.max(delivered.last_offset() + 1);
@@ -1157,14 +1156,19 @@ mod tests {
         (log, start)
     }
 
-    /// Median wall time of a read-committed fetch of that transaction.
-    fn committed_fetch_ns(log: &PartitionLog, from: Offset) -> u128 {
+    /// Median wall time of a fetch from `from` that returns `want` records.
+    fn median_fetch_ns(
+        log: &PartitionLog,
+        from: Offset,
+        isolation: IsolationLevel,
+        want: usize,
+    ) -> u128 {
         let mut rounds: Vec<u128> = (0..301)
             .map(|_| {
                 let started = std::time::Instant::now();
-                let fetched = log.fetch(from, 1_000, IsolationLevel::ReadCommitted).unwrap();
+                let fetched = log.fetch(from, 1_000, isolation).unwrap();
                 let ns = started.elapsed().as_nanos();
-                assert_eq!(fetched.count(), 64);
+                assert_eq!(fetched.count(), want);
                 ns
             })
             .collect();
@@ -1174,6 +1178,9 @@ mod tests {
 
     #[test]
     fn read_committed_fetch_cost_does_not_grow_with_abort_history() {
+        let committed_fetch_ns = |log: &PartitionLog, from| {
+            median_fetch_ns(log, from, IsolationLevel::ReadCommitted, 64)
+        };
         let (few, few_from) = log_after_aborts(10);
         let (many, many_from) = log_after_aborts(100_000);
         let (few_ns, many_ns) =
@@ -1182,6 +1189,39 @@ mod tests {
         assert!(
             many_ns <= 3 * few_ns.max(1),
             "fetch after 10^5 aborts took {many_ns} ns, after 10 aborts {few_ns} ns"
+        );
+    }
+
+    /// A log whose one (active) segment holds `fill` records in 2-record
+    /// batches. Returns the log and the offset its newest batch starts at.
+    fn log_with_active_fill(fill: usize) -> (PartitionLog, Offset) {
+        assert!(fill < crate::segment::SEGMENT_ROLL_RECORDS);
+        let mut log = PartitionLog::new();
+        for _ in 0..fill / 2 {
+            log.append(BatchMeta::plain(), recs(2, 0)).unwrap();
+        }
+        assert_eq!(log.segment_bases().count(), 1);
+        let newest = log.log_end() - 2;
+        (log, newest)
+    }
+
+    /// The paced read path fetches the newest small batch of a partition
+    /// over and over: positioning that walked the active segment made that
+    /// fetch grow with the segment's fill (from 100 to 4 000 records, ~21x
+    /// in a release build, ~27x in a debug build).
+    #[test]
+    fn fetch_cost_does_not_grow_with_segment_fill() {
+        let newest_fetch_ns = |log: &PartitionLog, from| {
+            median_fetch_ns(log, from, IsolationLevel::ReadUncommitted, 2)
+        };
+        let (sparse, sparse_from) = log_with_active_fill(100);
+        let (full, full_from) = log_with_active_fill(4_000);
+        let (sparse_ns, full_ns) =
+            (newest_fetch_ns(&sparse, sparse_from), newest_fetch_ns(&full, full_from));
+        eprintln!("newest-batch fetch: {sparse_ns} ns at 100 records, {full_ns} ns at 4000");
+        assert!(
+            full_ns <= 3 * sparse_ns.max(1),
+            "fetch at 4000 records took {full_ns} ns, at 100 records {sparse_ns} ns"
         );
     }
 

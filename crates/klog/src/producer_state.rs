@@ -391,19 +391,10 @@ mod tests {
     #[test]
     fn rebuild_from_log_matches_incremental() {
         let batches = vec![
-            StoredBatch {
-                meta: BatchMeta::idempotent(1, 0, 0),
-                entries: vec![(0, rec()), (1, rec())].into(),
-            },
-            StoredBatch {
-                meta: BatchMeta::transactional(2, 1, 0),
-                entries: vec![(2, rec())].into(),
-            },
-            StoredBatch { meta: BatchMeta::idempotent(1, 0, 2), entries: vec![(3, rec())].into() },
-            StoredBatch {
-                meta: BatchMeta::control(2, 1, ControlType::Commit),
-                entries: vec![(4, rec())].into(),
-            },
+            StoredBatch::new(BatchMeta::idempotent(1, 0, 0), vec![(0, rec()), (1, rec())]),
+            StoredBatch::new(BatchMeta::transactional(2, 1, 0), vec![(2, rec())]),
+            StoredBatch::new(BatchMeta::idempotent(1, 0, 2), vec![(3, rec())]),
+            StoredBatch::new(BatchMeta::control(2, 1, ControlType::Commit), vec![(4, rec())]),
         ];
         let t = ProducerStateTable::rebuild_from(&batches);
         assert_eq!(t.last_sequence(1), Some(2));
@@ -464,8 +455,7 @@ mod tests {
 
     #[test]
     fn rebuild_ignores_plain_batches() {
-        let batches =
-            vec![StoredBatch { meta: BatchMeta::plain(), entries: vec![(0, rec())].into() }];
+        let batches = vec![StoredBatch::new(BatchMeta::plain(), vec![(0, rec())])];
         let t = ProducerStateTable::rebuild_from(&batches);
         assert!(t.is_empty());
     }

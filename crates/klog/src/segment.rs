@@ -46,15 +46,22 @@ impl Segment {
         &self.batches
     }
 
-    fn last_offset(&self) -> Option<Offset> {
-        self.batches.last().map(StoredBatch::last_offset)
+    /// Last offset of the segment's last batch (a segment is never empty).
+    fn last_offset(&self) -> Offset {
+        self.batches.last().map_or(Offset::MIN, StoredBatch::last_offset)
     }
 
-    /// Keep only the batches `keep` accepts; true when any was dropped.
-    fn retain(&mut self, keep: impl FnMut(&StoredBatch) -> bool) -> bool {
+    /// Index of the first batch whose last offset is `>= from`: a binary
+    /// search, since batches are in offset order.
+    fn first_ending_at_or_after(&self, from: Offset) -> usize {
+        self.batches.partition_point(|b| b.last_offset() < from)
+    }
+
+    /// Drop the batches in `range`; true when any was dropped.
+    fn remove(&mut self, range: impl std::ops::RangeBounds<usize>) -> bool {
         let before = self.batches.len();
-        self.batches.retain(keep);
-        self.record_count = self.batches.iter().map(StoredBatch::len).sum();
+        let dropped: usize = self.batches.drain(range).map(|b| b.len()).sum();
+        self.record_count -= dropped;
         self.batches.len() != before
     }
 }
@@ -176,33 +183,36 @@ impl SegmentList {
         &self.segments
     }
 
+    /// Index of the first segment whose last offset is `>= from`.
+    fn first_segment_ending_at_or_after(&self, from: Offset) -> usize {
+        self.segments.partition_point(|s| s.last_offset() < from)
+    }
+
     /// Iterate batches whose last offset is `>= from`, in offset order.
+    ///
+    /// The start is found as Kafka's offset index finds it, by binary
+    /// search — the segment by its last offset, then the batch within it by
+    /// its last offset — so positioning a fetch costs O(log n), not a walk of
+    /// the segment's batches. Offsets increase along the list, so every
+    /// batch after the start qualifies too.
     pub fn iter_from(&self, from: Offset) -> impl Iterator<Item = &StoredBatch> {
-        // Skip whole segments below `from` first.
-        let start_seg = self
-            .segments
-            .iter()
-            .position(|s| s.last_offset().is_some_and(|lo| lo >= from))
-            .unwrap_or(self.segments.len());
-        self.segments[start_seg..]
-            .iter()
-            .flat_map(|s| s.batches.iter())
-            .filter(move |b| b.last_offset() >= from)
+        let seg = self.first_segment_ending_at_or_after(from);
+        let (head, rest) = match self.segments.get(seg) {
+            Some(s) => (&s.batches[s.first_ending_at_or_after(from)..], &self.segments[seg + 1..]),
+            None => (&[][..], &[][..]),
+        };
+        head.iter().chain(rest.iter().flat_map(|s| s.batches.iter()))
     }
 
     /// Drop whole batches entirely below `new_start`; whole segments are
     /// dropped in O(1) per segment.
     pub fn truncate_prefix(&mut self, new_start: Offset) -> Truncation {
-        let keep_from = self
-            .segments
-            .iter()
-            .position(|s| s.last_offset().is_some_and(|lo| lo >= new_start))
-            .unwrap_or(self.segments.len());
+        let keep_from = self.first_segment_ending_at_or_after(new_start);
         let dropped = self.segments.drain(..keep_from).map(|s| s.base).collect();
-        let trimmed = self
-            .segments
-            .first_mut()
-            .and_then(|head| head.retain(|b| b.last_offset() >= new_start).then_some(head.base));
+        let trimmed = self.segments.first_mut().and_then(|head| {
+            let cut = head.first_ending_at_or_after(new_start);
+            head.remove(..cut).then_some(head.base)
+        });
         Truncation { dropped, trimmed }
     }
 
@@ -210,16 +220,15 @@ impl SegmentList {
     /// straddling `to` are dropped whole (matches Kafka, which truncates at
     /// batch boundaries).
     pub fn truncate_suffix(&mut self, to: Offset) -> Truncation {
+        // A segment goes whole when its first batch reaches `to`.
         let cut_from = self
             .segments
-            .iter()
-            .position(|s| s.batches.first().is_some_and(|b| b.last_offset() >= to))
-            .unwrap_or(self.segments.len());
+            .partition_point(|s| s.batches.first().is_some_and(|b| b.last_offset() < to));
         let dropped = self.segments.drain(cut_from..).map(|s| s.base).collect();
-        let trimmed = self
-            .segments
-            .last_mut()
-            .and_then(|tail| tail.retain(|b| b.last_offset() < to).then_some(tail.base));
+        let trimmed = self.segments.last_mut().and_then(|tail| {
+            let cut = tail.first_ending_at_or_after(to);
+            tail.remove(cut..).then_some(tail.base)
+        });
         Truncation { dropped, trimmed }
     }
 }
@@ -231,10 +240,10 @@ mod tests {
     use crate::record::Record;
 
     fn batch(base: Offset, n: usize) -> StoredBatch {
-        StoredBatch {
-            meta: BatchMeta::plain(),
-            entries: (0..n).map(|i| (base + i as i64, Record::of_str("k", "v", 0))).collect(),
-        }
+        StoredBatch::new(
+            BatchMeta::plain(),
+            (0..n).map(|i| (base + i as i64, Record::of_str("k", "v", 0))).collect::<Vec<_>>(),
+        )
     }
 
     fn bases(l: &SegmentList) -> Vec<Offset> {
@@ -365,7 +374,7 @@ mod tests {
         assert_eq!(bases(&l), vec![0, n as i64]);
         // The new segment's first batch IS the rolled-in batch — its base
         // offset equals the previous log end, with no gap and no overlap.
-        assert_eq!(l.segments[0].last_offset(), Some(n as i64 - 1));
+        assert_eq!(l.segments[0].last_offset(), n as i64 - 1);
         assert_eq!(l.last_offset(), Some(n as i64));
     }
 
@@ -424,5 +433,145 @@ mod tests {
         // One before the boundary still includes the first segment's batch.
         let got: Vec<Offset> = l.iter_from(n - 1).map(StoredBatch::base_offset).collect();
         assert_eq!(got, vec![0, n]);
+    }
+
+    // ---- positioning by search == positioning by scan -------------------
+
+    use proptest::prelude::*;
+
+    /// What `iter_from` yielded while it scanned: skip whole segments with a
+    /// linear `position`, then `filter` every remaining batch. Kept here as
+    /// the reference the searches must match.
+    fn scan_from(l: &SegmentList, from: Offset) -> Vec<StoredBatch> {
+        let start =
+            l.segments.iter().position(|s| s.last_offset() >= from).unwrap_or(l.segments.len());
+        l.segments[start..]
+            .iter()
+            .flat_map(|s| s.batches.iter())
+            .filter(|b| b.last_offset() >= from)
+            .cloned()
+            .collect()
+    }
+
+    fn all_batches(l: &SegmentList) -> Vec<StoredBatch> {
+        scan_from(l, Offset::MIN)
+    }
+
+    /// A truncation's report, read off the list before and after it: the
+    /// segments that are gone, and the one that lost some batches.
+    fn observed_truncation(before: &SegmentList, after: &SegmentList) -> Truncation {
+        let mut t = Truncation::default();
+        for seg in before.segments() {
+            match after.segments().iter().find(|s| s.base == seg.base) {
+                None => t.dropped.push(seg.base),
+                Some(s) if s.batches.len() != seg.batches.len() => t.trimmed = Some(seg.base),
+                Some(_) => {}
+            }
+        }
+        t
+    }
+
+    /// Every segment non-empty, counted right, opened at or below its first
+    /// offset.
+    fn assert_well_formed(l: &SegmentList) {
+        for s in l.segments() {
+            assert!(!s.batches.is_empty(), "empty segment at {}", s.base);
+            assert_eq!(s.record_count, s.batches.iter().map(StoredBatch::len).sum::<usize>());
+            assert!(s.base <= s.batches[0].base_offset());
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// A batch of `len` records, `gap` offsets after the last one.
+        Append { len: usize, gap: i64 },
+        /// Cut below the offset `pct` percent of the way through the list.
+        TruncatePrefix { pct: i64 },
+        /// Cut at the offset `pct` percent of the way through the list.
+        TruncateSuffix { pct: i64 },
+        /// Compaction: drop each record whose bit in `mask` is clear (a
+        /// batch left empty goes), then re-form the list — offset gaps.
+        Compact { mask: u64 },
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        // Weighted choice: 6 appends / 1 prefix cut / 1 suffix cut / 1
+        // compaction.
+        (0u8..9, 1usize..8, 0i64..3, 0i64..101, any::<u64>()).prop_map(
+            |(w, len, gap, pct, mask)| match w {
+                0..=5 => Op::Append { len, gap },
+                6 => Op::TruncatePrefix { pct },
+                7 => Op::TruncateSuffix { pct },
+                _ => Op::Compact { mask },
+            },
+        )
+    }
+
+    /// The offset `pct` percent of the way from log start to one past the end.
+    fn offset_at(l: &SegmentList, pct: i64) -> Offset {
+        let (lo, hi) = (l.log_start().unwrap_or(0), l.last_offset().map_or(0, |o| o + 1));
+        lo + (hi - lo) * pct / 100
+    }
+
+    proptest! {
+        /// Over random batch sizes, roll thresholds, offset gaps, prefix and
+        /// suffix truncations and compactions, `iter_from` yields exactly
+        /// the batches the scan yields, from every offset, and each
+        /// truncation keeps exactly what the same scan says it keeps.
+        #[test]
+        fn search_positioning_matches_the_scan(
+            roll in 1usize..12,
+            ops in prop::collection::vec(arb_op(), 1..60),
+        ) {
+            let mut l = SegmentList::new();
+            l.set_roll_records(roll);
+            let mut next: Offset = 0;
+            for op in ops {
+                let before = l.clone();
+                match op {
+                    Op::Append { len, gap } => {
+                        next = next.max(l.last_offset().map_or(0, |o| o + 1)) + gap;
+                        l.append(batch(next, len));
+                        next += len as Offset;
+                    }
+                    Op::TruncatePrefix { pct } => {
+                        let cut = offset_at(&l, pct);
+                        let report = l.truncate_prefix(cut);
+                        prop_assert_eq!(all_batches(&l), scan_from(&before, cut));
+                        prop_assert_eq!(report, observed_truncation(&before, &l));
+                    }
+                    Op::TruncateSuffix { pct } => {
+                        let cut = offset_at(&l, pct);
+                        let report = l.truncate_suffix(cut);
+                        let mut kept = all_batches(&before);
+                        kept.truncate(kept.len() - scan_from(&before, cut).len());
+                        prop_assert_eq!(all_batches(&l), kept);
+                        prop_assert_eq!(report, observed_truncation(&before, &l));
+                    }
+                    Op::Compact { mask } => {
+                        let mut bit = 0;
+                        let mut keep = |_: &(Offset, Record)| {
+                            bit = (bit + 1) % 64;
+                            mask & (1 << bit) != 0
+                        };
+                        let compacted = all_batches(&l)
+                            .into_iter()
+                            .filter_map(|b| {
+                                let entries: Vec<_> =
+                                    b.entries.iter().filter(|e| keep(e)).cloned().collect();
+                                (!entries.is_empty()).then(|| StoredBatch::new(b.meta.clone(), entries))
+                            })
+                            .collect();
+                        l.rebuild(compacted);
+                    }
+                }
+                assert_well_formed(&l);
+                let (lo, hi) = (l.log_start().unwrap_or(0), l.last_offset().unwrap_or(0));
+                for from in lo - 2..=hi + 2 {
+                    let got: Vec<StoredBatch> = l.iter_from(from).cloned().collect();
+                    prop_assert_eq!(got, scan_from(&l, from), "from {}", from);
+                }
+            }
+        }
     }
 }

@@ -200,7 +200,7 @@ pub fn decode_batch(payload: &[u8]) -> Option<StoredBatch> {
     if !r.done() {
         return None;
     }
-    Some(StoredBatch { meta, entries: entries.into() })
+    Some(StoredBatch::new(meta, entries))
 }
 
 /// Frame a payload for appending to a segment file:
@@ -372,15 +372,14 @@ mod tests {
     use crate::NO_SEQUENCE;
 
     fn sample_batch() -> StoredBatch {
-        StoredBatch {
-            meta: BatchMeta::transactional(7, 2, 5),
-            entries: vec![
+        StoredBatch::new(
+            BatchMeta::transactional(7, 2, 5),
+            vec![
                 (10, Record::of_str("k1", "v1", 100)),
                 (11, Record::tombstone(Bytes::from_static(b"k2"), 101)),
                 (12, Record::new(None, Some(Bytes::from_static(b"v3")), 102)),
-            ]
-            .into(),
-        }
+            ],
+        )
     }
 
     #[test]
@@ -399,10 +398,10 @@ mod tests {
 
     #[test]
     fn control_batch_round_trips() {
-        let b = StoredBatch {
-            meta: BatchMeta::control(3, 1, ControlType::Abort),
-            entries: vec![(42, Record { key: None, value: None, timestamp: 9 })].into(),
-        };
+        let b = StoredBatch::new(
+            BatchMeta::control(3, 1, ControlType::Abort),
+            vec![(42, Record { key: None, value: None, timestamp: 9 })],
+        );
         let enc = encode_batch(&b);
         assert_eq!(decode_batch(&enc).expect("decodes"), b);
     }

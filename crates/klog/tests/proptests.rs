@@ -11,7 +11,6 @@ use klog::storage::format::{
 use klog::{AbortedTxn, IsolationLevel, Offset, PartitionLog, Record, StoredBatch};
 use proptest::prelude::*;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 fn arb_record() -> impl Strategy<Value = Record> {
     ("[a-d]{1,3}", "[a-z]{0,6}", 0i64..10_000).prop_map(|(k, v, ts)| {
@@ -195,7 +194,7 @@ proptest! {
                 .expect("a fetched batch comes from one stored batch");
             prop_assert_eq!(&fetched.meta, &stored.meta);
             prop_assert_eq!(
-                Arc::ptr_eq(&fetched.entries, &stored.entries),
+                StoredBatch::ptr_eq(fetched, stored),
                 fetched.len() == stored.len(),
                 "whole batches are shared, cut ones copied: fetched {:?} of stored {:?}",
                 (fetched.base_offset(), fetched.last_offset()),
@@ -461,7 +460,7 @@ fn arb_batch() -> impl Strategy<Value = StoredBatch> {
                 }
             };
             let entries = records.into_iter().enumerate().map(|(i, r)| (base + i as i64, r));
-            StoredBatch { meta, entries: entries.collect() }
+            StoredBatch::new(meta, entries.collect::<Vec<_>>())
         },
     )
 }

@@ -6,9 +6,9 @@
 //! replication-3 cluster on a `ManualClock`, `group_by_key().reduce()` over
 //! 4 input and 4 output partitions, exactly-once, `max_poll_records` 1000,
 //! producer batch 64 — with 20 000 preloaded records. A record batch is
-//! allocated once by the producer and once by the leader log and shared from
-//! there on (followers, fetch, task), and the kstreams hot path addresses
-//! topics, partitions and stores through handles resolved at task
+//! allocated once by the producer and stored once by the leader log, and
+//! shared from there on (followers, fetch, task), and the kstreams hot path
+//! addresses topics, partitions and stores through handles resolved at task
 //! construction. Keys and values of at most 22 bytes live inside their
 //! `Bytes`, so a record's own payload allocates nothing either: what is left
 //! is paid per batch, per step and per commit, not per record.
@@ -17,7 +17,10 @@
 //! short enough to be inline too, while the cache absorbs most appends and
 //! outputs. The third buffers every record in a stream-stream join's window
 //! store, which is keyed by record timestamp: it reports what a buffered
-//! record costs, in allocations and in allocated bytes.
+//! record costs, in allocations and in allocated bytes. The fourth is
+//! `passthrough_eos`'s typed `filter → map_values` chain. The fifth counts
+//! freed bytes too: it bounds the memory a stored 2-record transactional
+//! batch keeps on a 3-broker, replication-3 partition.
 //!
 //! This file is its own integration-test binary, so the
 //! `#[global_allocator]` below sees nothing but these workloads; each count
@@ -32,9 +35,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-/// Counts `alloc`/`alloc_zeroed`/`realloc` calls, and the bytes they ask
-/// for, made by a thread that has switched counting on; everything is
-/// forwarded to the system allocator.
+/// Counts `alloc`/`alloc_zeroed`/`realloc` calls, the bytes they ask for
+/// and the bytes freed, by a thread that has switched counting on;
+/// everything is forwarded to the system allocator.
 struct CountingAllocator;
 
 /// What a counted stretch of work allocated.
@@ -42,6 +45,15 @@ struct CountingAllocator;
 struct Allocated {
     calls: u64,
     bytes: u64,
+    /// Bytes released by `dealloc`, and the old size of every `realloc`.
+    freed: u64,
+}
+
+impl Allocated {
+    /// Bytes still allocated at the end of the stretch that it allocated.
+    fn net_bytes(&self) -> i64 {
+        self.bytes as i64 - self.freed as i64
+    }
 }
 
 thread_local! {
@@ -50,11 +62,17 @@ thread_local! {
     static COUNTED: Cell<Option<Allocated>> = const { Cell::new(None) };
 }
 
-fn note_allocation(bytes: usize) {
+fn note(update: impl FnOnce(Allocated) -> Allocated) {
     // `try_with`: the allocator also runs while a thread is being torn down.
-    let _ = COUNTED.try_with(|c| {
-        c.set(c.get().map(|a| Allocated { calls: a.calls + 1, bytes: a.bytes + bytes as u64 }));
-    });
+    let _ = COUNTED.try_with(|c| c.set(c.get().map(update)));
+}
+
+fn note_allocation(bytes: usize) {
+    note(|a| Allocated { calls: a.calls + 1, bytes: a.bytes + bytes as u64, ..a });
+}
+
+fn note_free(bytes: usize) {
+    note(|a| Allocated { freed: a.freed + bytes as u64, ..a });
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -72,10 +90,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note_allocation(new_size);
+        note_free(layout.size());
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note_free(layout.size());
         System.dealloc(ptr, layout);
     }
 }
@@ -238,4 +258,65 @@ fn join_buffer_allocations_are_reported() {
         left.join(&right, JoinWindows::of(1_000), |l, r| l.wrapping_add(*r)).to("out");
     });
     eprintln!("join buffer: {calls:.3} allocations and {bytes:.0} bytes per buffered record");
+}
+
+/// The typed stateless chain of perfbench's `passthrough_eos`: a `filter`
+/// and a `map_values` over `String` keys. Each hands the key to its closure
+/// by reference, decoded into a reused buffer, so neither pays a `String`
+/// per record (2.139 allocations per record while each decoded its own).
+#[test]
+fn typed_stateless_chain_stays_within_budget() {
+    /// 1.5 × the 0.218 measured when this budget was set.
+    const DRAIN_BUDGET: f64 = 0.33;
+    let (drain, _) = drain_allocations_per_record("alloc-budget-chain", 4096, 0, |builder| {
+        builder
+            .stream::<String, i64>("in")
+            .filter(|_, v| v % 16 != 0)
+            .map_values(|_, v| 2 * v + 1)
+            .to("out");
+    });
+    assert!(
+        drain <= DRAIN_BUDGET,
+        "drain made {drain:.3} allocations per input record, budget {DRAIN_BUDGET}"
+    );
+}
+
+/// What one stored 2-record transactional batch keeps allocated on a
+/// 3-broker, replication-3 partition: the batch itself, shared by the three
+/// replicas, plus each replica's handle to it in its segment. Keys and
+/// values are inline, so records own no heap block. Net bytes per batch:
+/// 317 while every replica held its own copy of the batch's metadata and
+/// entries handle, 259 measured when this budget was set.
+#[test]
+fn stored_batch_memory_stays_within_budget() {
+    /// 1.5 × the measured net bytes per batch.
+    const BYTES_PER_BATCH_BUDGET: f64 = 388.0;
+    const BATCHES: usize = 4_000;
+    let clock = ManualClock::new();
+    let cluster = Cluster::builder().brokers(3).replication(3).clock(clock.shared()).build();
+    cluster.create_topic("t", TopicConfig::new(1)).unwrap();
+    let mut producer = Producer::new(
+        cluster.clone(),
+        ProducerConfig::transactional("stored-batch").with_batch_size(2),
+    );
+    producer.init_transactions().unwrap();
+    producer.begin_transaction().unwrap();
+    let key = Bytes::from_static(b"k");
+    let ((), held) = allocations_during(|| {
+        for i in 0..2 * BATCHES as i64 {
+            producer.send("t", key.clone(), i.to_bytes(), i).unwrap();
+        }
+        producer.flush().unwrap();
+    });
+    producer.commit_transaction().unwrap();
+    let per_batch = held.net_bytes() as f64 / BATCHES as f64;
+    eprintln!(
+        "stored 2-record transactional batch: {per_batch:.0} net bytes per batch \
+         ({} allocations, {} bytes allocated, {} freed)",
+        held.calls, held.bytes, held.freed
+    );
+    assert!(
+        per_batch <= BYTES_PER_BATCH_BUDGET,
+        "a stored batch kept {per_batch:.0} bytes, budget {BYTES_PER_BATCH_BUDGET}"
+    );
 }

@@ -7,7 +7,8 @@
 #                              # perfbench/run.sh --quick
 #   ./verify.sh --quick        # fmt, clippy, tier-1 tests, bytes shim tests,
 #                              # kbroker unit tests, state-store unit tests
-#                              # and proptests, kanalyze, detlint
+#                              # and proptests, klog unit tests and
+#                              # proptests, kanalyze, detlint
 #   ./verify.sh storage        # disk seed sweep, disk replay identity, storage
 #                              # batteries
 #   ./verify.sh simtest        # seed sweeps (plain and cached), forced
@@ -203,6 +204,14 @@ gate_full() {
     cargo test -q -p kstreams --lib state::
     step "cargo test -q -p kstreams --test proptests"
     cargo test -q -p kstreams --test proptests
+
+    # Likewise the log's unit tests and properties: fetch positioning by
+    # binary search against the linear scan, fetch against a per-record
+    # filter, and the fetch-cost checks.
+    step "cargo test -q -p klog --lib"
+    cargo test -q -p klog --lib
+    step "cargo test -q -p klog --test proptests"
+    cargo test -q -p klog --test proptests
   fi
 
   step "cargo run --bin kanalyze (topology static verifier demo)"
