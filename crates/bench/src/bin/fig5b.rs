@@ -62,8 +62,8 @@ fn main() {
             rows.push(json_row("ckpt-baseline", interval, &flink));
         } else {
             println!("{}", report_row(&format!("Streams EOS  iv={interval}ms"), &streams));
-            // Phase breakdown: the commit wait dominates at long intervals,
-            // the marker fan-out at short ones.
+            // Phase breakdown: txn phase counts per interval; no broker
+            // phase advances the virtual clock.
             print!("{}", phase_breakdown(&streams));
             println!("{}", report_row(&format!("Ckpt(Flink)  iv={interval}ms"), &flink));
         }

@@ -16,9 +16,9 @@
 //! read-committed verification consumer each tick.
 //!
 //! * **End-to-end latency** is measured in *virtual* time — record create
-//!   tick → read-committed receive tick — so it faithfully reflects commit
-//!   intervals, marker waits, and checkpoint uploads (which advance the
-//!   virtual clock via the object-store cost model).
+//!   tick → read-committed receive tick — so it reflects commit intervals.
+//!   Broker work, marker writes included, takes no virtual time: its cost
+//!   shows in the wall-clock throughput.
 //! * **Throughput** is *real work per wall-clock second*: the broker-side
 //!   protocol costs (sequence checks, coordinator round-trips, txn-log
 //!   appends, marker fan-out) are all real computation here, so the
@@ -203,14 +203,7 @@ pub fn run(spec: RunSpec) -> RunReport {
     let _serial = OBS_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     kobs::reset();
     let clock = ManualClock::new();
-    let cluster = Cluster::builder()
-        .brokers(3)
-        .replication(3)
-        .clock(clock.shared())
-        // ~1 ms simulated RPC per commit marker: the fan-out cost behind
-        // Figure 5.a's latency growth with partition count.
-        .txn_marker_cost_ms(1.0)
-        .build();
+    let cluster = Cluster::builder().brokers(3).replication(3).clock(clock.shared()).build();
     cluster.create_topic("bench-in", TopicConfig::new(spec.input_partitions)).unwrap();
     cluster.create_topic("bench-out", TopicConfig::new(spec.output_partitions)).unwrap();
 
@@ -247,10 +240,7 @@ pub fn run(spec: RunSpec) -> RunReport {
     // work included), excluding the generator and probe.
     //
     // The loop runs a fixed number of 1 ms generator ticks so every
-    // configuration processes the same record count; protocol work that
-    // consumes virtual time (marker fan-out, snapshot uploads) stretches
-    // the virtual timeline — surfacing as latency — without changing the
-    // workload.
+    // configuration processes the same record count.
     let mut app_wall = std::time::Duration::ZERO;
     for _tick in 0..spec.duration_ms {
         generator.emit(spec.rate_per_ms, clock.now_ms());
@@ -263,8 +253,8 @@ pub fn run(spec: RunSpec) -> RunReport {
         clock.advance(1);
     }
     // Drain the tail: run until every generated record is processed and
-    // committed (bounded — marker sleeps advance the virtual clock, so the
-    // main loop may end with records still in flight).
+    // committed (bounded — the main loop may end with records still waiting
+    // for their commit).
     for _ in 0..200 {
         clock.advance(spec.commit_interval_ms.max(1));
         let t = Instant::now();

@@ -99,10 +99,6 @@ pub(crate) struct ClusterInner {
     pub groups: GroupsRegistry,
     /// Default transaction timeout for producers that do not override it.
     pub txn_timeout_ms: i64,
-    /// Simulated RPC cost, in ms, charged to the clock per transaction
-    /// marker written (models the coordinator→broker marker fan-out that
-    /// makes Figure 5.a's latency grow with partition count).
-    pub marker_rpc_cost_ms: f64,
     /// Storage backend new topics are created with.
     pub storage: StorageMode,
 }
@@ -121,7 +117,6 @@ pub struct ClusterBuilder {
     txn_partitions: u32,
     offsets_partitions: u32,
     txn_timeout_ms: i64,
-    marker_rpc_cost_ms: f64,
     clock: Option<SharedClock>,
     faults: FaultPlan,
     storage: StorageMode,
@@ -135,7 +130,6 @@ impl Default for ClusterBuilder {
             txn_partitions: 4,
             offsets_partitions: 4,
             txn_timeout_ms: 60_000,
-            marker_rpc_cost_ms: 0.0,
             clock: None,
             faults: FaultPlan::none(),
             storage: StorageMode::Memory,
@@ -176,16 +170,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Simulated per-marker RPC cost (ms) charged to the clock during the
-    /// second phase of a transaction commit/abort. Zero (the default)
-    /// disables the charge; benchmark harnesses set it so marker fan-out
-    /// latency scales with the number of registered partitions (§4.3).
-    pub fn txn_marker_cost_ms(mut self, ms: f64) -> Self {
-        assert!(ms >= 0.0);
-        self.marker_rpc_cost_ms = ms;
-        self
-    }
-
     /// Clock used for timestamps and transaction expiry.
     pub fn clock(mut self, clock: SharedClock) -> Self {
         self.clock = Some(clock);
@@ -221,7 +205,6 @@ impl ClusterBuilder {
                 txn: TxnRegistry::new(self.txn_partitions),
                 groups: GroupsRegistry::new(self.offsets_partitions),
                 txn_timeout_ms: self.txn_timeout_ms,
-                marker_rpc_cost_ms: self.marker_rpc_cost_ms,
                 storage: self.storage,
             }),
         };
@@ -276,8 +259,21 @@ impl Cluster {
     /// Create a topic. Replica assignment round-robins leaders across
     /// brokers so load spreads (leader of partition `p` is broker
     /// `p % num_brokers`).
+    ///
+    /// The name must match Kafka's `[A-Za-z0-9._-]{1,249}`: the transaction
+    /// log writes `topic:partition` lists joined by `;` and `|`, so a name
+    /// holding one of those would make a record failover cannot decode.
     pub fn create_topic(&self, name: &str, mut config: TopicConfig) -> Result<(), BrokerError> {
-        assert!(config.partitions > 0, "topics need at least one partition");
+        let invalid = |detail| Err(BrokerError::InvalidTopic { topic: name.to_string(), detail });
+        if name.is_empty() || name.len() > 249 {
+            return invalid("name must be 1 to 249 characters long");
+        }
+        if !name.bytes().all(|b| b.is_ascii_alphanumeric() || matches!(b, b'.' | b'_' | b'-')) {
+            return invalid("name may hold only ASCII letters, digits, '.', '_' and '-'");
+        }
+        if config.partitions == 0 {
+            return invalid("a topic needs at least one partition");
+        }
         if config.replication == 0 {
             config.replication = self.inner.default_replication;
         }
@@ -560,6 +556,34 @@ mod tests {
 
     fn recs(n: usize) -> Vec<Record> {
         (0..n).map(|i| Record::of_str(&format!("k{i}"), "v", i as i64)).collect()
+    }
+
+    #[test]
+    fn create_topic_rejects_names_the_txn_log_cannot_encode() {
+        let c = cluster();
+        let long = "x".repeat(250);
+        for name in ["a;b", "a|b", "a:b", "a b", "", "tōpic", long.as_str()] {
+            assert!(
+                matches!(
+                    c.create_topic(name, TopicConfig::new(1)),
+                    Err(BrokerError::InvalidTopic { ref topic, .. }) if topic == name
+                ),
+                "{name:?} must be rejected"
+            );
+            assert!(matches!(c.partitions_of(name), Err(BrokerError::UnknownTopic(_))));
+        }
+        c.create_topic(&"x".repeat(249), TopicConfig::new(1)).unwrap();
+        c.create_topic("Orders-v2.by_key", TopicConfig::new(1)).unwrap();
+    }
+
+    #[test]
+    fn create_topic_rejects_zero_partitions() {
+        let c = cluster();
+        assert!(matches!(
+            c.create_topic("t", TopicConfig::new(0)),
+            Err(BrokerError::InvalidTopic { .. })
+        ));
+        assert!(matches!(c.partitions_of("t"), Err(BrokerError::UnknownTopic(_))));
     }
 
     #[test]

@@ -8,6 +8,9 @@ use std::fmt;
 pub enum BrokerError {
     /// Topic does not exist.
     UnknownTopic(String),
+    /// A topic cannot be created as asked: its name is outside Kafka's
+    /// `[A-Za-z0-9._-]{1,249}`, or it has no partitions.
+    InvalidTopic { topic: String, detail: &'static str },
     /// Partition index out of range for the topic.
     UnknownPartition { topic: String, partition: u32 },
     /// The addressed broker is not alive.
@@ -37,6 +40,9 @@ impl fmt::Display for BrokerError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BrokerError::UnknownTopic(t) => write!(f, "unknown topic {t}"),
+            BrokerError::InvalidTopic { topic, detail } => {
+                write!(f, "invalid topic {topic:?}: {detail}")
+            }
             BrokerError::UnknownPartition { topic, partition } => {
                 write!(f, "unknown partition {topic}-{partition}")
             }

@@ -260,6 +260,9 @@ impl Producer {
     }
 
     fn flush_partition(&mut self, tp: &TopicPartition) -> Result<(), BrokerError> {
+        if self.is_transactional() && !self.registered.contains(tp) {
+            self.register_buffered()?;
+        }
         let records = match self.buffers.get_mut(tp) {
             // The next batch's buffer is sized like this one, so a
             // partition in a steady state grows its buffer once per batch.
@@ -269,9 +272,6 @@ impl Producer {
             }
             _ => return Ok(()),
         };
-        if self.is_transactional() && !self.registered.contains(tp) {
-            self.add_partition_with_retries(tp)?;
-        }
         let base_seq = if self.config.idempotent || self.is_transactional() {
             self.sequences.get(tp).copied().unwrap_or(0)
         } else {
@@ -302,41 +302,46 @@ impl Producer {
         Ok(())
     }
 
-    /// Register a partition with the transaction coordinator, retrying
+    /// Register every partition that holds unsent records and is not yet
+    /// part of the open transaction, in one AddPartitionsToTxn — so one
+    /// flush costs the coordinator one transaction-log record however many
+    /// partitions it first touches, as Kafka's client batches them.
+    fn register_buffered(&mut self) -> Result<(), BrokerError> {
+        let unregistered = |(tp, b): (&TopicPartition, &Vec<Record>)| {
+            (!b.is_empty() && !self.registered.contains(tp)).then(|| tp.clone())
+        };
+        let mut pending: Vec<TopicPartition> =
+            // detlint:allow[unordered-iter] collected then sorted below
+            self.buffers.iter().filter_map(unregistered).collect();
+        pending.sort();
+        self.register_with_retries(&pending)
+    }
+
+    /// Register partitions with the transaction coordinator, retrying
     /// through lost AddPartitionsToTxn acks. A `DropAck` retry re-registers
-    /// an already-registered partition — idempotent at the coordinator, so
-    /// the retry is harmless (§4.2).
-    fn add_partition_with_retries(&mut self, tp: &TopicPartition) -> Result<(), BrokerError> {
+    /// already-registered partitions — idempotent at the coordinator, so the
+    /// retry is harmless (§4.2).
+    fn register_with_retries(&mut self, partitions: &[TopicPartition]) -> Result<(), BrokerError> {
+        let Some(first) = partitions.first() else { return Ok(()) };
         let tid = self.tid()?.to_string();
         let mut attempts = 0;
         loop {
-            match self.cluster.faults().decide(FaultPoint::TxnAddPartitionsAckLost) {
-                FaultDecision::DropRequest => {} // never reached the coordinator
-                FaultDecision::DropAck => {
-                    self.cluster.txn_add_partitions(
-                        &tid,
-                        self.producer_id,
-                        self.epoch,
-                        std::slice::from_ref(tp),
-                    )?;
-                }
-                FaultDecision::Deliver => {
-                    self.cluster.txn_add_partitions(
-                        &tid,
-                        self.producer_id,
-                        self.epoch,
-                        std::slice::from_ref(tp),
-                    )?;
-                    self.registered.insert(tp.clone());
-                    return Ok(());
-                }
+            let decision = self.cluster.faults().decide(FaultPoint::TxnAddPartitionsAckLost);
+            // A dropped request never reaches the coordinator; a dropped ack
+            // registers the partitions without the client learning it.
+            if decision != FaultDecision::DropRequest {
+                self.cluster.txn_add_partitions(&tid, self.producer_id, self.epoch, partitions)?;
+            }
+            if decision == FaultDecision::Deliver {
+                self.registered.extend(partitions.iter().cloned());
+                return Ok(());
             }
             attempts += 1;
             self.stats.retries += 1;
             if attempts > self.config.max_retries {
                 return Err(BrokerError::RetriesExhausted {
-                    topic: tp.topic.clone(),
-                    partition: tp.partition,
+                    topic: first.topic.clone(),
+                    partition: first.partition,
                 });
             }
         }
@@ -402,7 +407,7 @@ impl Producer {
         }
         let offsets_tp = self.cluster.offsets_partition_for_group(group);
         if !self.registered.contains(&offsets_tp) {
-            self.add_partition_with_retries(&offsets_tp)?;
+            self.register_with_retries(std::slice::from_ref(&offsets_tp))?;
         }
         self.cluster.group_txn_commit_offsets(
             group,
@@ -479,9 +484,11 @@ impl Producer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{TxnMetadata, TxnState};
     use crate::topic::TopicConfig;
     use klog::IsolationLevel;
     use simkit::FaultPlan;
+    use std::collections::BTreeSet;
 
     fn cluster_with(faults: FaultPlan) -> Cluster {
         Cluster::builder().brokers(1).replication(1).faults(faults).build()
@@ -613,6 +620,96 @@ mod tests {
         assert_eq!(count(&c, "t", IsolationLevel::ReadCommitted), 1);
         assert_eq!(faults.observed(FaultPoint::TxnAddPartitionsAckLost), 3);
         assert_eq!(faults.injected(FaultPoint::TxnAddPartitionsAckLost), 2);
+    }
+
+    /// Every value in the transaction log, in log order (the tests use one
+    /// transactional id, so one txn-log partition holds them all).
+    fn txn_log(c: &Cluster) -> Vec<Bytes> {
+        let mut values = Vec::new();
+        for tp in c.partitions_of(crate::TXN_TOPIC).unwrap() {
+            let f = c.fetch(&tp, 0, 1_000_000, IsolationLevel::ReadUncommitted).unwrap();
+            values.extend(f.records().filter_map(|(_, r)| r.value.clone()));
+        }
+        values
+    }
+
+    /// Open a transaction on a fresh producer and send one record to each
+    /// of `t`'s partitions.
+    fn send_to_every_partition(c: &Cluster, partitions: u32) -> Producer {
+        let mut p = Producer::new(c.clone(), ProducerConfig::transactional("app"));
+        p.init_transactions().unwrap();
+        p.begin_transaction().unwrap();
+        for i in 0..partitions {
+            p.send_to_partition(&TopicPartition::new("t", i), Record::of_str("k", "v", 0)).unwrap();
+        }
+        p
+    }
+
+    #[test]
+    fn one_flush_registers_all_its_partitions_in_one_txn_log_record() {
+        const P: u32 = 1_000;
+        let c = cluster_with(FaultPlan::none());
+        c.create_topic("t", TopicConfig::new(P)).unwrap();
+        let mut p = send_to_every_partition(&c, P);
+        let before = txn_log(&c).len();
+        p.flush().unwrap();
+        p.commit_transaction().unwrap();
+        assert_eq!(count(&c, "t", IsolationLevel::ReadCommitted), P as usize);
+
+        let written = &txn_log(&c)[before..];
+        assert_eq!(written.len(), 3, "txn-log records for one transaction");
+        let states: Vec<TxnState> =
+            written.iter().map(|v| TxnMetadata::decode(v).unwrap().state).collect();
+        assert_eq!(
+            states,
+            [TxnState::Ongoing, TxnState::PrepareCommit, TxnState::CompleteCommit],
+            "one registration, the prepare barrier and the completion"
+        );
+        // Registering one partition per call logs the growing set once per
+        // partition: P records carrying O(P²) partition names.
+        let mut meta = TxnMetadata::decode(&written[0]).unwrap();
+        assert_eq!(meta.partitions.len(), P as usize);
+        let mut one_per_call = 0;
+        for tp in std::mem::take(&mut meta.partitions) {
+            meta.partitions.insert(tp);
+            one_per_call += meta.encode().len();
+        }
+        let bytes: usize = written.iter().map(Bytes::len).sum();
+        assert!(
+            bytes * 100 <= one_per_call,
+            "{bytes} B logged; one per call logs {one_per_call} B"
+        );
+    }
+
+    #[test]
+    fn lost_ack_on_a_multi_partition_registration_registers_each_partition_once() {
+        // Script: the coordinator registers all eight partitions but the ack
+        // is lost; the retry carries the same set and is acked.
+        const P: u32 = 8;
+        let faults = FaultPlan::none()
+            .script(FaultPoint::TxnAddPartitionsAckLost, 1, FaultDecision::DropAck)
+            .script(FaultPoint::TxnAddPartitionsAckLost, 2, FaultDecision::Deliver);
+        let c = cluster_with(faults.clone());
+        c.create_topic("t", TopicConfig::new(P)).unwrap();
+        let mut p = send_to_every_partition(&c, P);
+        p.commit_transaction().unwrap();
+        assert_eq!(faults.observed(FaultPoint::TxnAddPartitionsAckLost), 2);
+        assert_eq!(faults.injected(FaultPoint::TxnAddPartitionsAckLost), 1);
+        assert_eq!(p.stats().retries, 1);
+
+        let all: BTreeSet<TopicPartition> = c.partitions_of("t").unwrap().into_iter().collect();
+        let registrations: Vec<TxnMetadata> = txn_log(&c)
+            .iter()
+            .map(|v| TxnMetadata::decode(v).unwrap())
+            .filter(|m| m.state == TxnState::Ongoing)
+            .collect();
+        assert_eq!(registrations.len(), 2, "the lost-ack attempt and its retry");
+        assert!(registrations.iter().all(|m| m.partitions == all));
+        for tp in &all {
+            // The record, then exactly one commit marker.
+            assert_eq!(c.latest_offset(tp).unwrap(), 2, "{tp}");
+        }
+        assert_eq!(count(&c, "t", IsolationLevel::ReadCommitted), P as usize);
     }
 
     #[test]

@@ -137,9 +137,9 @@ impl TxnMetadata {
         }
     }
 
-    /// Serialize to the transaction-log record value. Assumes topic names
-    /// contain none of `| ; :` (enforced nowhere because topic names in this
-    /// simulation are plain identifiers).
+    /// Serialize to the transaction-log record value. Topic names contain
+    /// none of `| ; :`: `Cluster::create_topic` admits only
+    /// `[A-Za-z0-9._-]`.
     pub fn encode(&self) -> Bytes {
         let parts: Vec<String> =
             self.partitions.iter().map(|tp| format!("{}:{}", tp.topic, tp.partition)).collect();
@@ -211,8 +211,10 @@ pub fn validate_producer(
 }
 
 /// Register partitions with the current transaction (Figure 4.c), opening
-/// it if none is ongoing. Returns `true` when the metadata changed and must
-/// be persisted to the transaction log before the registration is acked.
+/// it if none is ongoing. On success the caller persists the metadata to
+/// the transaction log before acking — always, even when every partition
+/// was already registered: the metadata is mutated here, before the
+/// persist, so a retry after a failed persist must write it again.
 ///
 /// Fails when the transaction is already past its phase-1 barrier: a
 /// decided transaction can never grow.
@@ -221,7 +223,7 @@ pub fn register_partitions(
     meta: &mut TxnMetadata,
     partitions: &[TopicPartition],
     now_ms: i64,
-) -> Result<bool, TxnState> {
+) -> Result<(), TxnState> {
     match meta.state {
         TxnState::Empty | TxnState::CompleteCommit | TxnState::CompleteAbort => {
             apply_transition(tid, meta, TxnState::Ongoing);
@@ -231,9 +233,8 @@ pub fn register_partitions(
         TxnState::Ongoing => {}
         s @ (TxnState::PrepareCommit | TxnState::PrepareAbort) => return Err(s),
     }
-    let before = meta.partitions.len();
     meta.partitions.extend(partitions.iter().cloned());
-    Ok(meta.partitions.len() != before || meta.state == TxnState::Ongoing)
+    Ok(())
 }
 
 /// What an EndTxn(commit|abort) request requires in the current state
@@ -483,14 +484,15 @@ mod tests {
         fence("t", &mut meta, 1_000);
         let tp0 = TopicPartition::new("out", 0);
         let tp1 = TopicPartition::new("out", 1);
-        assert_eq!(register_partitions("t", &mut meta, std::slice::from_ref(&tp0), 5), Ok(true));
+        assert_eq!(register_partitions("t", &mut meta, std::slice::from_ref(&tp0), 5), Ok(()));
         assert_eq!(meta.state, TxnState::Ongoing);
         assert_eq!(meta.txn_start_ms, 5);
-        // Re-registering the same partition while Ongoing still persists
-        // (Ongoing branch reports true — retried registrations re-log).
-        assert_eq!(register_partitions("t", &mut meta, std::slice::from_ref(&tp0), 9), Ok(true));
+        // A retried registration of the same partition succeeds too, and its
+        // caller logs it again: the first attempt's persist may have failed
+        // after this metadata was already mutated.
+        assert_eq!(register_partitions("t", &mut meta, std::slice::from_ref(&tp0), 9), Ok(()));
         assert_eq!(meta.txn_start_ms, 5, "extend does not restart the txn clock");
-        assert_eq!(register_partitions("t", &mut meta, std::slice::from_ref(&tp1), 9), Ok(true));
+        assert_eq!(register_partitions("t", &mut meta, std::slice::from_ref(&tp1), 9), Ok(()));
         assert_eq!(meta.partitions.len(), 2);
         prepare("t", &mut meta, true);
         assert_eq!(

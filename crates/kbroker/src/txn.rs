@@ -12,7 +12,7 @@
 //! requires in each state, when markers may be written — lives as pure
 //! functions in [`crate::protocol`], shared with the `kcheck` model checker.
 //! This module only interleaves the effects between those pure steps: log
-//! persists, marker fan-out, clock charges, and metrics.
+//! persists, marker fan-out, and metrics.
 //!
 //! The two-phase commit of §4.2.2:
 //!
@@ -101,9 +101,7 @@ impl Cluster {
         Ok(())
     }
 
-    /// Write the second-phase markers to every registered partition,
-    /// charging the configured per-marker RPC cost to the clock — this is
-    /// why end-to-end latency grows with partition count in Figure 5.a.
+    /// Write the second-phase markers to every registered partition.
     fn txn_write_markers(
         &self,
         tid: &str,
@@ -121,10 +119,6 @@ impl Cluster {
         );
         for tp in &meta.partitions {
             self.append_control_marker(tp, meta.producer_id, meta.epoch, ctl)?;
-        }
-        let cost = self.inner.marker_rpc_cost_ms * meta.partitions.len() as f64;
-        if cost > 0.0 {
-            self.inner.clock.sleep_ms(cost.round() as i64);
         }
         Ok(())
     }
@@ -274,19 +268,13 @@ impl Cluster {
         let mut map = shard.lock();
         let now = self.now_ms();
         let meta = Self::txn_validated(&mut map, tid, pid, epoch)?;
-        match protocol::register_partitions(tid, meta, partitions, now) {
-            Ok(true) => {
-                let snapshot = meta.clone();
-                self.txn_persist(tid, &snapshot)?;
-            }
-            Ok(false) => {}
-            Err(s) => {
-                return Err(BrokerError::InvalidTxnTransition {
-                    transactional_id: tid.to_string(),
-                    detail: format!("cannot add partitions in state {}", s.as_str()),
-                });
-            }
+        if let Err(s) = protocol::register_partitions(tid, meta, partitions, now) {
+            return Err(BrokerError::InvalidTxnTransition {
+                transactional_id: tid.to_string(),
+                detail: format!("cannot add partitions in state {}", s.as_str()),
+            });
         }
+        self.txn_persist(tid, meta)?;
         kobs::observe("kbroker.txn.phase.add_partitions_ms", self.now_ms() - now);
         Ok(())
     }

@@ -48,7 +48,7 @@ fn open_txn(pid: i64, value: &str) -> (TxnMetadata, PartitionLog) {
     let mut meta = TxnMetadata::fresh(pid, TIMEOUT);
     protocol::fence(TID, &mut meta, TIMEOUT);
     let tp = TopicPartition::new("out", 0);
-    assert_eq!(protocol::register_partitions(TID, &mut meta, &[tp], 0), Ok(true));
+    assert_eq!(protocol::register_partitions(TID, &mut meta, &[tp], 0), Ok(()));
     let mut log = PartitionLog::new();
     log.append(BatchMeta::transactional(pid, meta.epoch, 0), vec![rec(value)])
         .expect("ongoing txn accepts the append");

@@ -426,8 +426,7 @@ impl Model {
                         let parts: Vec<TopicPartition> =
                             self.all_partitions().into_iter().collect();
                         match protocol::register_partitions(&tid(p), meta, &parts, 0) {
-                            Ok(true) => Self::persist(&mut s, p),
-                            Ok(false) => {}
+                            Ok(()) => Self::persist(&mut s, p),
                             Err(state) => violations.push(ModelViolation {
                                 invariant: "txn-state-machine".into(),
                                 detail: format!(

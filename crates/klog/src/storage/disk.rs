@@ -18,8 +18,8 @@
 //! the list already holds. Recovery is the one reader: it reads files in
 //! sorted name order, validates every frame's CRC, truncates the log at the
 //! first corrupt or torn frame, and discards any later segments — exactly
-//! Kafka's recovery contract. All I/O latency is *modeled* (virtual
-//! microseconds), never measured, so simulation runs stay deterministic.
+//! Kafka's recovery contract. I/O is counted, never timed, so simulation
+//! runs stay deterministic.
 
 use super::format::{self, ProducerSnapshot};
 use super::DiskConfig;
@@ -36,12 +36,6 @@ const CHECKPOINT_FILE: &str = "checkpoint";
 
 /// Name of the producer-state snapshot file.
 const SNAPSHOT_FILE: &str = "producer.snapshot";
-
-/// Modeled cost of one fsync, in virtual microseconds.
-const FSYNC_COST_US: i64 = 120;
-
-/// Modeled page-cache write cost per KiB appended, in virtual microseconds.
-const WRITE_COST_US_PER_KB: i64 = 3;
 
 fn io_err(context: &str, e: &std::io::Error) -> LogError {
     LogError::Io(format!("{context}: {e}"))
@@ -118,10 +112,6 @@ impl DiskLog {
         file.write_all(&frame).map_err(|e| io_err("append frame", &e))?;
         kobs::count("klog.disk.appends", 1);
         kobs::count("klog.disk.append_bytes", frame.len() as u64);
-        // Modeled page-cache write cost (virtual µs; fed to the histogram,
-        // never slept).
-        let write_us = ((frame.len() as i64 * WRITE_COST_US_PER_KB) + 1023) / 1024;
-        kobs::observe("klog.disk.write_us", write_us.max(1));
         Ok(())
     }
 
@@ -290,15 +280,14 @@ impl DiskLog {
     }
 }
 
-/// Sync `file` and account the modeled cost: counter, histogram, and —
-/// when inside a traced lifecycle — an `fsync` child span whose duration is
-/// the modeled cost in virtual microseconds, starting at `ts_ms`. A failed
+/// Sync `file` and count it; inside a traced lifecycle also record an
+/// `fsync` child span at `ts_ms`. The span has no length: the virtual clock
+/// does not move during the sync, and no cost is invented for it. A failed
 /// sync is returned, never retried: the kernel may already have dropped the
 /// dirty pages it could not write.
 fn fsync(file: &File, ts_ms: i64) -> Result<(), LogError> {
     file.sync_all().map_err(|e| io_err("fsync", &e))?;
     kobs::count("klog.disk.fsyncs", 1);
-    kobs::observe("klog.disk.fsync_us", FSYNC_COST_US);
     if kobs::ktrace::in_span() {
         let bytes = file.metadata().map_or(0, |m| m.len());
         let start_us = ts_ms.saturating_mul(1000);
@@ -309,7 +298,7 @@ fn fsync(file: &File, ts_ms: i64) -> Result<(), LogError> {
             "fsync",
             || vec![("bytes", kobs::trace::FieldValue::from(bytes as i64))],
         );
-        kobs::ktrace::finish_span(h, start_us.saturating_add(FSYNC_COST_US));
+        kobs::ktrace::finish_span(h, start_us);
     }
     Ok(())
 }

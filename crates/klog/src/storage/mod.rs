@@ -12,8 +12,8 @@
 //! Determinism rules (the backend is used inside the deterministic
 //! simulation):
 //!
-//! * no wall-clock reads — I/O *cost* is modeled and fed into kobs
-//!   histograms / ktrace spans in virtual microseconds,
+//! * no wall-clock reads — I/O is counted (appends, bytes, fsyncs), never
+//!   timed, and no cost is modeled for it,
 //! * directory entries are always iterated in sorted name order,
 //! * file contents are a pure function of the appended batches, so two runs
 //!   with the same seed produce byte-identical segment files.

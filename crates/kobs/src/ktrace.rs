@@ -193,8 +193,8 @@ thread_local! {
 /// thread that entered the parent, so they must tile it rather than
 /// overlap. Such a child is *moved*, not squeezed — [`finish_span`] shifts
 /// its end by the same amount — because the span timeline runs ahead of
-/// the clock its call sites stamp from (record-timestamped klog appends,
-/// modeled fsync costs), and squeezing would bill that lead to whichever
+/// the clock its call sites stamp from (record-timestamped klog appends),
+/// and squeezing would bill that lead to whichever
 /// span comes next. The `fields` closure only runs when tracing is
 /// compiled in.
 #[allow(unused_variables)]

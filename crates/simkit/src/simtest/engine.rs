@@ -71,9 +71,8 @@ pub struct SimConfig {
     /// Run brokers on the durable disk backend (`--storage disk`) and app
     /// instances with a state directory (post-commit spills). Segment files
     /// and spills live in a per-`(pid, seed)` temp directory that is wiped
-    /// before and after the run; all I/O costs are *virtual* (charged to
-    /// kobs histograms, never slept), so a disk run is still byte-identical
-    /// per seed. Also unlocks the durable-crash fault class: kill+restore a
+    /// before and after the run; I/O is counted, never timed, so a disk run
+    /// is still byte-identical per seed. Also unlocks the durable-crash fault class: kill+restore a
     /// broker in one scheduled action (recovery from its segment files), or
     /// crash+respawn an instance in one action (warm-start from spills).
     pub disk_storage: bool,
@@ -221,11 +220,6 @@ pub fn run(cfg: &SimConfig) -> SimReport {
         .clock(clock.shared())
         .storage(storage)
         .faults(plan.clone())
-        // Charge a small per-marker RPC cost so the txn-phase and
-        // commit-cycle histograms in `--profile` reports have the Figure 5
-        // shape (marker fan-out dominates, scaling with partition count)
-        // instead of collapsing to zero.
-        .txn_marker_cost_ms(2.0)
         .build();
     cluster.create_topic("events", TopicConfig::new(workload.partitions)).expect("fresh topic");
     cluster.create_topic("out", TopicConfig::new(workload.partitions)).expect("fresh topic");

@@ -147,12 +147,7 @@ fn commit_cycles_reach_the_registry_histogram() {
     kobs::reset();
 
     let clock = ManualClock::new();
-    let cluster = Cluster::builder()
-        .brokers(3)
-        .replication(3)
-        .clock(clock.shared())
-        .txn_marker_cost_ms(1.0)
-        .build();
+    let cluster = Cluster::builder().brokers(3).replication(3).clock(clock.shared()).build();
     cluster.create_topic("events", TopicConfig::new(2)).unwrap();
     cluster.create_topic("counts", TopicConfig::new(2)).unwrap();
     send_events(&cluster, 8, 0);
@@ -172,10 +167,6 @@ fn commit_cycles_reach_the_registry_histogram() {
         assert!(cycle.count >= 1, "at least one commit cycle observed");
         let markers = snap.hist("kbroker.txn.phase.markers_ms").expect("marker phase histogram");
         assert!(markers.count >= 1);
-        assert!(
-            markers.max_ms >= 1,
-            "marker fan-out must charge the virtual clock (cost 1 ms/partition)"
-        );
         assert!(
             snap.hist("kobs.critical_path.markers_ms").is_some(),
             "span-derived critical-path family observed alongside the phase timers"
