@@ -32,8 +32,8 @@ use crate::topology::{TaskId, Topology};
 use bytes::Bytes;
 use kbroker::group::GroupView;
 use kbroker::producer::{Producer, ProducerConfig};
-use kbroker::{Cluster, IsolationLevel, TopicConfig, TopicPartition};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use kbroker::{Cluster, IsolationLevel, TopicConfig};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// What one [`KafkaStreamsApp::step`] did.
@@ -55,22 +55,13 @@ pub struct KafkaStreamsApp {
     instance_id: String,
     producer: Producer,
     generation: i32,
-    // BTreeMaps, not HashMaps: task iteration order feeds processing,
-    // flush, and commit order, all of which must replay byte-identically.
-    tasks: BTreeMap<TaskId, StreamTask>,
-    /// Owned tasks whose changelog replay could not reach the log end — a
-    /// zombie producer's open transaction pins the last-stable offset below
-    /// committed records. Parked (no processing, no offsets contributed)
-    /// and retried every step until the replay catches up.
-    restoring: BTreeMap<TaskId, StreamTask>,
-    standbys: BTreeMap<TaskId, StandbyTask>,
-    /// Warming standbys for tasks this instance is the deferred-transfer
-    /// *target* of (cooperative rebalancing): tailed like standbys, promoted
-    /// once the transfer generation arrives.
-    warmups: BTreeMap<TaskId, StandbyTask>,
-    /// Warm-up tasks last reported warm to the group coordinator (via
-    /// membership metadata), so readiness is published exactly once.
-    reported_warm: BTreeSet<TaskId>,
+    /// Every task of the topology, in id order. Resolved once by `start`:
+    /// the cluster cannot add partitions to a topic.
+    task_set: Vec<TaskId>,
+    /// What this instance hosts, one role per task id. A BTreeMap, not a
+    /// HashMap: task iteration order feeds processing, flush, and commit
+    /// order, all of which must replay byte-identically.
+    tasks: BTreeMap<TaskId, Hosted>,
     /// A rebalance this instance wants (released a task, or a warm-up
     /// became ready). Fired at the end of the step, *after* the step's
     /// commit — a mid-cycle generation bump would abort our own in-flight
@@ -85,6 +76,54 @@ pub struct KafkaStreamsApp {
     transactions: u64,
     /// Process cycles run so far (the cycle span's `n`).
     cycles: u64,
+}
+
+/// An instance's one role for one task.
+enum Hosted {
+    /// Processing, and contributing its offsets to every commit.
+    Active(StreamTask),
+    /// Owned, but its changelog replay could not reach the log end — a
+    /// zombie producer's open transaction pins the last-stable offset below
+    /// committed records. Parked (no processing, no offsets contributed)
+    /// and retried every step until the replay catches up.
+    Restoring(StreamTask),
+    /// A replica tailing the task's changelogs: a configured standby
+    /// (`warmup: None`), or a warm-up for a deferred cooperative transfer
+    /// this instance is the target of, holding whether it was last reported
+    /// warm to the group coordinator.
+    Replica { task: StandbyTask, warmup: Option<bool> },
+}
+
+impl Hosted {
+    fn active(&self) -> Option<&StreamTask> {
+        match self {
+            Hosted::Active(task) => Some(task),
+            _ => None,
+        }
+    }
+
+    fn active_mut(&mut self) -> Option<&mut StreamTask> {
+        match self {
+            Hosted::Active(task) => Some(task),
+            _ => None,
+        }
+    }
+
+    /// The task, if this instance owns it (active or parked).
+    fn owned(&self) -> Option<&StreamTask> {
+        match self {
+            Hosted::Active(task) | Hosted::Restoring(task) => Some(task),
+            Hosted::Replica { .. } => None,
+        }
+    }
+}
+
+/// The role a plan gives this instance for a task.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    Active,
+    Warmup,
+    Standby,
 }
 
 impl KafkaStreamsApp {
@@ -117,11 +156,8 @@ impl KafkaStreamsApp {
             instance_id,
             producer,
             generation: 0,
+            task_set: Vec::new(),
             tasks: BTreeMap::new(),
-            restoring: BTreeMap::new(),
-            standbys: BTreeMap::new(),
-            warmups: BTreeMap::new(),
-            reported_warm: BTreeSet::new(),
             pending_rebalance_request: false,
             last_commit_ms: 0,
             txn_open: false,
@@ -144,7 +180,12 @@ impl KafkaStreamsApp {
 
     /// Task ids currently owned.
     pub fn task_ids(&self) -> Vec<TaskId> {
-        self.tasks.keys().copied().collect()
+        self.ids(|h| matches!(h, Hosted::Active(_)))
+    }
+
+    /// Ids of the hosted tasks whose entry satisfies `f`, in id order.
+    fn ids(&self, f: impl Fn(&Hosted) -> bool) -> Vec<TaskId> {
+        self.tasks.iter().filter(|(_, h)| f(h)).map(|(id, _)| *id).collect()
     }
 
     fn consume_isolation(&self) -> IsolationLevel {
@@ -156,18 +197,16 @@ impl KafkaStreamsApp {
         }
     }
 
-    /// Compute how many tasks (partitions) each sub-topology runs, resolving
-    /// internal topic partition counts in the process (§3.3).
-    fn plan_partitions(&self) -> Result<BTreeMap<usize, u32>, StreamsError> {
+    /// Every task of the topology in id order — one per partition of each
+    /// sub-topology's sources — creating internal topics in the process
+    /// (§3.3).
+    fn plan_tasks(&self) -> Result<Vec<TaskId>, StreamsError> {
         // Default partition count for repartition topics: the max partition
         // count among external source topics.
         let mut default_parts = 1;
-        for st in &self.topology.subtopologies {
-            for t in &st.source_topics {
-                if !t.internal {
-                    default_parts = default_parts.max(self.cluster.partition_count(&t.name)?);
-                }
-            }
+        let sources = self.topology.subtopologies.iter().flat_map(|st| &st.source_topics);
+        for t in sources.filter(|t| !t.internal) {
+            default_parts = default_parts.max(self.cluster.partition_count(&t.name)?);
         }
         // Create repartition topics first (they are sub-topology sources).
         for it in &self.topology.internal_topics {
@@ -186,17 +225,12 @@ impl KafkaStreamsApp {
         for (si, st) in self.topology.subtopologies.iter().enumerate() {
             let mut count: Option<u32> = None;
             for t in &st.source_topics {
-                let physical = t.resolve(self.app_id());
-                let parts = self.cluster.partition_count(&physical)?;
-                match count {
-                    None => count = Some(parts),
-                    Some(c) if c == parts => {}
-                    Some(c) => {
-                        return Err(StreamsError::InvalidTopology(format!(
-                            "sub-topology {si} reads co-partitioned topics with \
-                             mismatched partition counts ({c} vs {parts})"
-                        )));
-                    }
+                let parts = self.cluster.partition_count(&t.resolve(self.app_id()))?;
+                if let Some(c) = count.replace(parts).filter(|&c| c != parts) {
+                    return Err(StreamsError::InvalidTopology(format!(
+                        "sub-topology {si} reads co-partitioned topics with \
+                         mismatched partition counts ({c} vs {parts})"
+                    )));
                 }
             }
             counts.insert(si, count.expect("sub-topologies have sources"));
@@ -209,18 +243,10 @@ impl KafkaStreamsApp {
                 self.cluster.create_topic(&physical, TopicConfig::new(counts[si]).compacted())?;
             }
         }
-        Ok(counts)
-    }
-
-    fn all_task_ids(counts: &BTreeMap<usize, u32>) -> Vec<TaskId> {
-        let mut ids = Vec::new();
-        for (si, &parts) in counts {
-            for p in 0..parts {
-                ids.push(TaskId { subtopology: *si, partition: p });
-            }
-        }
-        ids.sort();
-        ids
+        let task = |(subtopology, parts)| {
+            (0..parts).map(move |partition| TaskId { subtopology, partition })
+        };
+        Ok(counts.into_iter().flat_map(task).collect())
     }
 
     /// Join the group, create internal topics, build and restore assigned
@@ -251,11 +277,11 @@ impl KafkaStreamsApp {
             self.cluster
                 .group_set_rebalance_debounce_ms(self.app_id(), self.config.rebalance_debounce_ms);
         }
-        self.plan_partitions()?;
+        self.task_set = self.plan_tasks()?;
         let view = self.cluster.group_join(self.app_id(), &self.instance_id, &[])?;
         self.generation = view.generation;
-        let plan = self.compute_plan(&view)?;
-        self.apply_assignment(&plan)?;
+        let plan = self.compute_plan(&view);
+        self.reconcile(&plan)?;
         self.last_commit_ms = self.cluster.now_ms();
         self.started = true;
         Ok(())
@@ -263,40 +289,68 @@ impl KafkaStreamsApp {
 
     /// Compute this generation's cooperative plan from the frozen group
     /// view (identical on every member — no leader election).
-    fn compute_plan(&self, view: &GroupView) -> Result<AssignmentPlan, StreamsError> {
-        let counts = self.plan_partitions()?;
-        let all = Self::all_task_ids(&counts);
+    fn compute_plan(&self, view: &GroupView) -> AssignmentPlan {
         let (previous, warm) = decode_group_metadata(&view.member_metadata);
-        Ok(plan_assignment(&all, &view.members, &previous, &warm))
+        plan_assignment(&self.task_set, &view.members, &previous, &warm)
     }
 
-    /// Adopt this instance's share of the plan: active tasks, warm-up
-    /// standbys, configured standby replicas. Tasks the plan tells us to
-    /// *release* (their destination is warm) are dropped — the commit that
-    /// preceded this call made them clean — and the handover generation is
-    /// requested at the end of the step. Publishes the resulting ownership
-    /// as membership metadata so the *next* generation's frozen view sees
-    /// it.
-    fn apply_assignment(&mut self, plan: &AssignmentPlan) -> Result<(), StreamsError> {
-        let mut mine = plan.active.get(&self.instance_id).cloned().unwrap_or_default();
-        let releases = plan.releases.get(&self.instance_id).cloned().unwrap_or_default();
+    /// Apply this instance's share of the plan to the task table. An id's
+    /// target role is active (unless *released*: its destination is warm),
+    /// else warm-up, else standby. Owned tasks without an active target
+    /// retire first; then, in id order, new actives activate and replicas
+    /// keep their stores (creating one has no effect outside the table).
+    /// Publishes the resulting ownership for the next generation's view.
+    fn reconcile(&mut self, plan: &AssignmentPlan) -> Result<(), StreamsError> {
+        let me = &self.instance_id;
+        let mine = |by_member: &BTreeMap<String, Vec<TaskId>>| by_member.get(me).cloned();
+        let releases = mine(&plan.releases).unwrap_or_default();
         if !releases.is_empty() {
-            mine.retain(|t| !releases.contains(t));
             kobs::count("kstreams.rebalance.tasks_released", releases.len() as u64);
             // The handover rebalance fires at the end of this step, after
             // the step's own commit — never mid-cycle.
             self.pending_rebalance_request = true;
         }
-        let my_warmups = plan.warmups.get(&self.instance_id).cloned().unwrap_or_default();
-        self.adopt_tasks(mine)?;
-        self.adopt_warmups(my_warmups)?;
-        let my_standbys = assign_standbys(&plan.active, self.config.num_standby_replicas)
-            .remove(&self.instance_id)
-            .unwrap_or_default();
-        self.adopt_standbys(my_standbys)?;
-        self.reported_warm.retain(|id| self.warmups.contains_key(id));
-        self.publish_metadata()?;
-        Ok(())
+        let standbys = assign_standbys(&plan.active, self.config.num_standby_replicas);
+        let mut target = BTreeMap::new();
+        target.extend(mine(&standbys).into_iter().flatten().map(|id| (id, Role::Standby)));
+        target.extend(mine(&plan.warmups).into_iter().flatten().map(|id| (id, Role::Warmup)));
+        let active = mine(&plan.active).into_iter().flatten().filter(|id| !releases.contains(id));
+        target.extend(active.map(|id| (id, Role::Active)));
+        for id in self.ids(|h| h.owned().is_some()) {
+            if target.get(&id) != Some(&Role::Active) {
+                self.retire(id, "kstreams.rebalance.tasks_revoked");
+            }
+        }
+        self.tasks.retain(|id, _| target.contains_key(id));
+        let mut kept = 0;
+        for (id, role) in target {
+            let hosted = match (role, self.tasks.remove(&id)) {
+                (Role::Active, Some(sticky)) if sticky.owned().is_some() => {
+                    kept += 1; // keep state and positions
+                    sticky
+                }
+                (Role::Active, held) => {
+                    kobs::count("kstreams.rebalance.tasks_moved_in", 1);
+                    self.activate(id, held)?
+                }
+                (Role::Warmup, Some(warmup @ Hosted::Replica { warmup: Some(_), .. })) => warmup,
+                (role, held) => {
+                    let task = match held {
+                        Some(Hosted::Replica { task, .. }) => task, // kept: a replica is warm
+                        _ => StandbyTask::new(&self.topology, id, self.app_id())?,
+                    };
+                    if role == Role::Warmup {
+                        kobs::count("kstreams.rebalance.warmups_started", 1);
+                    }
+                    Hosted::Replica { task, warmup: (role == Role::Warmup).then_some(false) }
+                }
+            };
+            self.tasks.insert(id, hosted);
+        }
+        if kept > 0 {
+            kobs::count("kstreams.rebalance.tasks_kept", kept);
+        }
+        self.publish_metadata()
     }
 
     /// Report current task ownership (and warm-up readiness) to the group
@@ -306,167 +360,70 @@ impl KafkaStreamsApp {
     fn publish_metadata(&self) -> Result<(), StreamsError> {
         // Restoring tasks are owned too — they are assigned to us, merely
         // not yet caught up; the assignor must keep them sticky.
-        let owned: Vec<TaskId> = self.tasks.keys().chain(self.restoring.keys()).copied().collect();
-        let warm: Vec<TaskId> = self.reported_warm.iter().copied().collect();
-        self.cluster.group_update_metadata(
-            self.app_id(),
-            &self.instance_id,
-            &encode_member_metadata(&owned, &warm),
-        )?;
-        Ok(())
+        let owned = self.ids(|h| h.owned().is_some());
+        let warm = self.ids(|h| matches!(h, Hosted::Replica { warmup: Some(true), .. }));
+        let metadata = encode_member_metadata(&owned, &warm);
+        Ok(self.cluster.group_update_metadata(self.app_id(), &self.instance_id, &metadata)?)
     }
 
-    fn adopt_standbys(&mut self, target: Vec<TaskId>) -> Result<(), StreamsError> {
-        self.standbys.retain(|id, _| target.contains(id));
-        for id in target {
-            if self.standbys.contains_key(&id)
-                || self.tasks.contains_key(&id)
-                || self.restoring.contains_key(&id)
-                || self.warmups.contains_key(&id)
-            {
-                continue;
-            }
-            self.standbys.insert(id, StandbyTask::new(&self.topology, id, self.app_id())?);
-        }
-        Ok(())
-    }
-
-    /// Host warming standbys for deferred-transfer targets. A configured
-    /// standby replica for the same task is re-used as the warm-up (it is
-    /// already warm); cancelled warm-ups are dropped.
-    fn adopt_warmups(&mut self, target: Vec<TaskId>) -> Result<(), StreamsError> {
-        self.warmups.retain(|id, _| target.contains(id));
-        for id in target {
-            if self.warmups.contains_key(&id)
-                || self.tasks.contains_key(&id)
-                || self.restoring.contains_key(&id)
-            {
-                continue;
-            }
-            let warmup = match self.standbys.remove(&id) {
-                Some(standby) => standby,
-                None => StandbyTask::new(&self.topology, id, self.app_id())?,
-            };
-            self.warmups.insert(id, warmup);
-            kobs::count("kstreams.rebalance.warmups_started", 1);
-        }
-        Ok(())
-    }
-
-    fn adopt_tasks(&mut self, target: Vec<TaskId>) -> Result<(), StreamsError> {
-        // Drop revoked tasks (their state is disposable; offsets/state were
-        // committed by the last commit cycle). Keep sticky ones.
-        let revoked: Vec<TaskId> = self
-            .tasks
-            .keys()
-            .chain(self.restoring.keys())
-            .filter(|id| !target.contains(id))
-            .copied()
-            .collect();
-        if !revoked.is_empty() {
-            kobs::count("kstreams.rebalance.tasks_revoked", revoked.len() as u64);
-        }
-        for id in revoked {
-            if let Some(task) = self.tasks.remove(&id) {
-                self.retired_metrics.merge(task.metrics());
-            }
-            if let Some(task) = self.restoring.remove(&id) {
-                self.retired_metrics.merge(task.metrics());
-            }
-        }
-        let kept = target
-            .iter()
-            .filter(|id| self.tasks.contains_key(id) || self.restoring.contains_key(id))
-            .count();
-        if kept > 0 {
-            kobs::count("kstreams.rebalance.tasks_kept", kept as u64);
-        }
-        let isolation = self.consume_isolation();
-        for id in target {
-            if self.tasks.contains_key(&id) || self.restoring.contains_key(&id) {
-                continue; // sticky: keep state and positions
-            }
-            kobs::count("kstreams.rebalance.tasks_moved_in", 1);
-            let mut task = StreamTask::with_cache(
-                &self.topology,
-                id,
-                self.app_id(),
-                self.config.cache_max_entries,
-            )?;
-            // Promote warm stores if we host them — a warming standby (the
-            // cooperative transfer path) or a configured standby replica:
-            // only the changelog suffix written after the standby's
-            // positions replays (§3.3).
-            if let Some(standby) = self.warmups.remove(&id).or_else(|| self.standbys.remove(&id)) {
-                let (stores, positions) = standby.into_parts();
-                task.adopt_warm_stores(stores, positions);
-            }
-            // Committed input offsets drive both the starting positions and
-            // the restore bound of source-as-changelog stores.
-            let mut starts = HashMap::new();
-            for tp in task.input_partitions() {
-                let committed = self.cluster.group_committed_offset(self.app_id(), &tp)?;
-                let start = match committed {
-                    Some(off) => off,
-                    None => self.cluster.earliest_offset(&tp).unwrap_or(0),
-                };
-                starts.insert(tp, start);
-            }
-            // Durable warm start: load post-commit spills (if configured)
-            // so restore replays only the changelog suffix above each
-            // spill's watermark.
-            if let Some(dir) = self.config.state_dir.clone() {
-                task.load_spills(&dir);
-            }
-            if task.restore(&self.cluster, isolation, &starts)? {
-                for (tp, start) in &starts {
-                    task.set_position(tp, *start);
+    /// The one activation path: load spills → committed starts → restore →
+    /// `Active`, or `Restoring` while the replay cannot reach the log end.
+    /// A parked restore (`held`) retries as it is — replay is an idempotent
+    /// upsert. Otherwise a new task adopts a held replica's warm stores, so
+    /// only the changelog suffix past its positions replays (§3.3).
+    fn activate(&self, id: TaskId, held: Option<Hosted>) -> Result<Hosted, StreamsError> {
+        let (mut task, parked) = match held {
+            Some(Hosted::Restoring(task)) => (task, true),
+            held => {
+                let cache = self.config.cache_max_entries;
+                let mut task = StreamTask::with_cache(&self.topology, id, self.app_id(), cache)?;
+                if let Some(Hosted::Replica { task: replica, .. }) = held {
+                    let (stores, positions) = replica.into_parts();
+                    task.adopt_warm_stores(stores, positions);
                 }
-                self.tasks.insert(id, task);
-            } else {
-                // The changelog has committed records the replay could not
-                // reach (LSO pinned by a zombie transaction). Activating now
-                // would process new input against stale state — park the
-                // task and retry once the pending transaction resolves.
+                // Durable warm start: load post-commit spills (if
+                // configured) so restore replays only the changelog suffix
+                // above each spill's watermark.
+                if let Some(dir) = &self.config.state_dir {
+                    task.load_spills(dir);
+                }
+                (task, false)
+            }
+        };
+        // Committed input offsets drive both the starting positions and
+        // the restore bound of source-as-changelog stores.
+        let mut starts = HashMap::new();
+        for tp in task.input_partitions() {
+            let committed = self.cluster.group_committed_offset(self.app_id(), &tp)?;
+            let start = committed.unwrap_or_else(|| self.cluster.earliest_offset(&tp).unwrap_or(0));
+            starts.insert(tp, start);
+        }
+        if !task.restore(&self.cluster, self.consume_isolation(), &starts)? {
+            // The changelog has committed records the replay could not
+            // reach (LSO pinned by a zombie transaction). Activating now
+            // would process new input against stale state — park the task
+            // and retry once the pending transaction resolves.
+            if !parked {
                 kobs::count("kstreams.restore.stalled", 1);
-                self.restoring.insert(id, task);
             }
+            return Ok(Hosted::Restoring(task));
         }
-        Ok(())
+        for (tp, start) in &starts {
+            task.set_position(tp, *start);
+        }
+        if parked {
+            kobs::count("kstreams.restore.resumed", 1);
+        }
+        Ok(Hosted::Active(task))
     }
 
-    /// Retry parked restores. Changelog replay is an idempotent upsert, so
-    /// each retry re-runs the remaining suffix from the same warm point; a
-    /// task activates only once its replay reaches the changelog log end
-    /// (i.e. the pinning transaction was fenced, aborted, or timed out).
-    fn try_finish_restores(&mut self) -> Result<(), StreamsError> {
-        if self.restoring.is_empty() {
-            return Ok(());
+    /// Drop an owned task, active or parked, keeping its metrics in the
+    /// instance's cumulative totals and counting the event under `counter`.
+    fn retire(&mut self, id: TaskId, counter: &str) {
+        if let Some(Hosted::Active(task) | Hosted::Restoring(task)) = self.tasks.remove(&id) {
+            self.retired_metrics.merge(task.metrics());
+            kobs::count(counter, 1);
         }
-        let isolation = self.consume_isolation();
-        let ids: Vec<TaskId> = self.restoring.keys().copied().collect();
-        for id in ids {
-            let mut task = self.restoring.remove(&id).expect("parked");
-            let mut starts = HashMap::new();
-            for tp in task.input_partitions() {
-                let committed = self.cluster.group_committed_offset(self.app_id(), &tp)?;
-                let start = match committed {
-                    Some(off) => off,
-                    None => self.cluster.earliest_offset(&tp).unwrap_or(0),
-                };
-                starts.insert(tp, start);
-            }
-            if task.restore(&self.cluster, isolation, &starts)? {
-                for (tp, start) in &starts {
-                    task.set_position(tp, *start);
-                }
-                kobs::count("kstreams.restore.resumed", 1);
-                self.tasks.insert(id, task);
-            } else {
-                self.restoring.insert(id, task);
-            }
-        }
-        Ok(())
     }
 
     /// Detect and apply a rebalance; returns true if membership changed.
@@ -477,7 +434,7 @@ impl KafkaStreamsApp {
         }
         let rebalance_start = self.cluster.now_ms();
         let from_generation = self.generation;
-        let plan = self.compute_plan(&view)?;
+        let plan = self.compute_plan(&view);
         // Commit what we have before adopting the new assignment. Two
         // cases:
         //
@@ -487,36 +444,23 @@ impl KafkaStreamsApp {
         //   no other member can own those tasks in the new generation, so
         //   we *rejoin first* (adopt the new generation number) and commit
         //   under it. Unaffected tasks never lose work to a rebalance.
-        //   Tasks that are leaving but clean are dropped before the commit
-        //   so their (possibly stale) offsets are not re-committed over a
-        //   new owner's progress.
+        //   Tasks that are leaving but clean — parked ones included — retire
+        //   before the commit so their (possibly stale) offsets are not
+        //   re-committed over a new owner's progress.
         //
         // * Some dirty task is leaving us (we were expelled and
         //   re-admitted). Its work cannot be committed — the commit
         //   carries our stale generation, the broker fences it, and every
         //   dirty task closes, rebuilding from committed changelogs and
         //   offsets so nothing half-processed leaks through.
-        let active: BTreeSet<TaskId> = plan
-            .active
-            .get(&self.instance_id)
-            .map(|v| v.iter().copied().collect())
-            .unwrap_or_default();
-        let leaving_clean: Vec<TaskId> = self
-            .tasks
-            .iter()
-            .filter(|(id, t)| !active.contains(id) && !t.is_dirty())
-            .map(|(id, _)| *id)
-            .collect();
-        for id in leaving_clean {
-            if let Some(task) = self.tasks.remove(&id) {
-                self.retired_metrics.merge(task.metrics());
+        let active = plan.active.get(&self.instance_id).cloned().unwrap_or_default();
+        let dirty = self.ids(|h| h.owned().is_some_and(StreamTask::is_dirty));
+        for id in self.ids(|h| h.owned().is_some()) {
+            if !active.contains(&id) && !dirty.contains(&id) {
+                self.retire(id, "kstreams.rebalance.tasks_revoked");
             }
-            kobs::count("kstreams.rebalance.tasks_revoked", 1);
         }
-        self.restoring.retain(|id, _| active.contains(id));
-        let dirty_retained =
-            self.tasks.iter().filter(|(_, t)| t.is_dirty()).all(|(id, _)| active.contains(id));
-        if dirty_retained {
+        if dirty.iter().all(|id| active.contains(id)) {
             self.generation = view.generation;
         }
         self.commit_or_dirty_close()?;
@@ -538,7 +482,7 @@ impl KafkaStreamsApp {
             to_generation = view.generation,
         );
         let entered = kobs::ktrace::enter(span);
-        let applied = self.apply_assignment(&plan);
+        let applied = self.reconcile(&plan);
         drop(entered);
         kobs::ktrace::finish_span(span, self.cluster.now_ms() * 1000);
         applied?;
@@ -575,7 +519,11 @@ impl KafkaStreamsApp {
     }
 
     fn step_inner(&mut self) -> Result<StepSummary, StreamsError> {
-        self.try_finish_restores()?;
+        // Parked restores retry first, so one that catches up runs now.
+        for id in self.ids(|h| matches!(h, Hosted::Restoring(_))) {
+            let parked = self.tasks.remove(&id);
+            self.tasks.insert(id, self.activate(id, parked)?);
+        }
         let isolation = self.consume_isolation();
         // Tasks run one after another in task-id order. A task's cycle
         // (fetch, process, punctuate) mutates only the task; if it
@@ -587,7 +535,7 @@ impl KafkaStreamsApp {
         let wall_ms = cluster.now_ms();
         let mut processed = 0;
         let mut first_error = None;
-        for task in tasks.values_mut() {
+        for task in tasks.values_mut().filter_map(Hosted::active_mut) {
             let cycled = task
                 .run_cycle(cluster, config.max_poll_records, isolation, wall_ms)
                 .and_then(|n| {
@@ -605,18 +553,15 @@ impl KafkaStreamsApp {
             return Err(e);
         }
         self.cycles += 1;
-        // Standby replicas tail their changelogs (pure replay; no output,
-        // no commit, no effect on semantics).
-        for standby in self.standbys.values_mut() {
-            let applied = standby.poll(&self.cluster, isolation)?;
-            self.retired_metrics.standby_records_applied += applied;
-        }
-        // Warming standbys for deferred transfers tail the same way; once
-        // one catches up to within `MAX_WARMUP_LAG`, readiness is reported
-        // and the transfer generation requested.
-        for warmup in self.warmups.values_mut() {
-            let applied = warmup.poll(&self.cluster, isolation)?;
-            self.retired_metrics.standby_records_applied += applied;
+        // Replicas tail their changelogs (pure replay; no output, no
+        // commit, no effect on semantics). Once a warm-up catches up to
+        // within `MAX_WARMUP_LAG`, readiness is reported and the transfer
+        // generation requested.
+        for hosted in self.tasks.values_mut() {
+            if let Hosted::Replica { task, .. } = hosted {
+                let applied = task.poll(&self.cluster, isolation)?;
+                self.retired_metrics.standby_records_applied += applied;
+            }
         }
         // Even an all-filtered cycle advances input offsets, which must be
         // committed through the transaction.
@@ -663,23 +608,20 @@ impl KafkaStreamsApp {
     /// rebalance. The assignor recomputes the same sticky target on every
     /// member; with the destination now warm, the deferred move applies.
     fn maybe_report_warmth(&mut self) -> Result<(), StreamsError> {
-        if self.warmups.is_empty() && self.reported_warm.is_empty() {
-            return Ok(());
+        let (mut changed, mut newly_ready) = (false, 0);
+        for hosted in self.tasks.values_mut() {
+            if let Hosted::Replica { task, warmup: Some(reported) } = hosted {
+                let ready = task.replay_lag(&self.cluster) <= Self::MAX_WARMUP_LAG;
+                changed |= ready != *reported;
+                newly_ready += u64::from(ready && !*reported);
+                *reported = ready;
+            }
         }
-        let ready: BTreeSet<TaskId> = self
-            .warmups
-            .iter()
-            .filter(|(_, w)| w.replay_lag(&self.cluster) <= Self::MAX_WARMUP_LAG)
-            .map(|(id, _)| *id)
-            .collect();
-        if ready == self.reported_warm {
-            return Ok(());
+        if changed {
+            self.publish_metadata()?;
         }
-        let newly_ready = ready.difference(&self.reported_warm).count();
-        self.reported_warm = ready;
-        self.publish_metadata()?;
         if newly_ready > 0 {
-            kobs::count("kstreams.rebalance.warmups_ready", newly_ready as u64);
+            kobs::count("kstreams.rebalance.warmups_ready", newly_ready);
             self.cluster.group_request_rebalance(self.app_id(), &self.instance_id)?;
         }
         Ok(())
@@ -755,19 +697,16 @@ impl KafkaStreamsApp {
         // the §6.2 caching layer).
         let now_ms = self.cluster.now_ms();
         let Self { tasks, producer, txn_open, config, cluster, .. } = self;
-        for task in tasks.values_mut() {
+        for task in tasks.values_mut().filter_map(Hosted::active_mut) {
             task.flush_caches(now_ms)?;
             Self::send_task_writes(producer, txn_open, config, cluster, task)?;
         }
-        let mut offsets: Vec<(TopicPartition, i64)> =
-            self.tasks.values().flat_map(StreamTask::committable_offsets).collect();
+        let active = self.tasks.values().filter_map(Hosted::active);
+        let mut offsets: Vec<_> = active.flat_map(StreamTask::committable_offsets).collect();
         offsets.sort_by(|a, b| a.0.cmp(&b.0));
         match self.config.guarantee {
             ProcessingGuarantee::ExactlyOnce => {
                 if self.txn_open {
-                    let group = self.config.application_id.clone();
-                    let member = self.instance_id.clone();
-                    let generation = self.generation;
                     let off_span = kobs::child_span!(
                         self.cluster.now_ms(),
                         "kstreams",
@@ -776,9 +715,9 @@ impl KafkaStreamsApp {
                     );
                     let entered = kobs::ktrace::enter(off_span);
                     let sent = self.producer.send_offsets_to_transaction(
-                        &group,
+                        &self.config.application_id,
                         &offsets,
-                        Some((&member, generation)),
+                        Some((&self.instance_id, self.generation)),
                     );
                     drop(entered);
                     kobs::ktrace::finish_span(off_span, self.cluster.now_ms() * 1000);
@@ -810,14 +749,14 @@ impl KafkaStreamsApp {
         // so a crash between here and the next commit warm-starts from this
         // point instead of replaying the changelog from the beginning.
         if let Some(dir) = self.config.state_dir.clone() {
-            for task in self.tasks.values() {
+            for task in self.tasks.values().filter_map(Hosted::active) {
                 task.spill_stores(&dir, &self.cluster)?;
             }
         }
         // Everything buffered is now durable: each task's in-memory state
         // equals its committed state, so a later aborted generation can keep
         // these tasks alive (see `commit_or_dirty_close`).
-        for task in self.tasks.values_mut() {
+        for task in self.tasks.values_mut().filter_map(Hosted::active_mut) {
             task.mark_clean();
         }
         self.commits += 1;
@@ -871,15 +810,8 @@ impl KafkaStreamsApp {
                     self.producer.abort_transaction()?;
                     self.txn_open = false;
                 }
-                let dirty: Vec<TaskId> =
-                    self.tasks.iter().filter(|(_, t)| t.is_dirty()).map(|(id, _)| *id).collect();
-                if !dirty.is_empty() {
-                    kobs::count("kstreams.rebalance.dirty_closed", dirty.len() as u64);
-                }
-                for id in dirty {
-                    if let Some(task) = self.tasks.remove(&id) {
-                        self.retired_metrics.merge(task.metrics());
-                    }
+                for id in self.ids(|h| h.owned().is_some_and(StreamTask::is_dirty)) {
+                    self.retire(id, "kstreams.rebalance.dirty_closed");
                 }
                 self.last_commit_ms = self.cluster.now_ms();
                 Ok(())
@@ -909,44 +841,49 @@ impl KafkaStreamsApp {
         // Nothing to do: dropping without commit/leave *is* the crash.
     }
 
-    /// Aggregated metrics across owned and retired tasks.
+    /// Aggregated metrics across owned (active or parked) and retired
+    /// tasks.
     pub fn metrics(&self) -> StreamsMetrics {
         let mut m = self.retired_metrics;
-        for t in self.tasks.values() {
+        for t in self.tasks.values().filter_map(Hosted::owned) {
             m.merge(t.metrics());
         }
         m.commits = self.commits;
         m.transactions = self.transactions;
-        m.active_tasks = self.tasks.len() as u64;
-        m.standby_tasks = self.standbys.len() as u64;
+        m.active_tasks = self.tasks.values().filter_map(Hosted::active).count() as u64;
+        m.standby_tasks = self.standby_ids().len() as u64;
         m
     }
 
     /// Task ids of hosted standby replicas.
     pub fn standby_ids(&self) -> Vec<TaskId> {
-        self.standbys.keys().copied().collect()
+        self.ids(|h| matches!(h, Hosted::Replica { warmup: None, .. }))
     }
 
     /// Task ids currently warming for a deferred cooperative transfer.
     pub fn warmup_ids(&self) -> Vec<TaskId> {
-        self.warmups.keys().copied().collect()
+        self.ids(|h| matches!(h, Hosted::Replica { warmup: Some(_), .. }))
     }
 
     /// Interactive query against a *standby* replica's KV store — the
     /// remote-queryable-replica pattern of the paper's future work (§8).
     pub fn query_standby_kv(&mut self, store: &str, key: &[u8]) -> Option<Bytes> {
-        self.standbys.values_mut().find_map(|s| s.query_kv(store, key))
+        self.tasks.values_mut().find_map(|h| match h {
+            Hosted::Replica { task, warmup: None } => task.query_kv(store, key),
+            _ => None,
+        })
     }
 
     /// Interactive query: read a key from any owned task's KV store
     /// (the §6.1 state-catalog pattern).
     pub fn query_kv(&mut self, store: &str, key: &[u8]) -> Option<Bytes> {
-        self.tasks.values_mut().find_map(|t| t.query_kv(store, key))
+        self.tasks.values_mut().filter_map(Hosted::active_mut).find_map(|t| t.query_kv(store, key))
     }
 
     /// Interactive query over a window store.
     pub fn query_window(&mut self, store: &str, key: &[u8], window_start: i64) -> Option<Bytes> {
-        self.tasks.values_mut().find_map(|t| t.query_window(store, key, window_start))
+        let mut active = self.tasks.values_mut().filter_map(Hosted::active_mut);
+        active.find_map(|t| t.query_window(store, key, window_start))
     }
 
     /// Producer-side stats (dedup counters etc. for benches).
@@ -959,7 +896,7 @@ impl KafkaStreamsApp {
     /// serial-vs-parallel equivalence tests.
     pub fn dump_stores(&self) -> BTreeMap<(TaskId, String), Vec<(Bytes, Bytes)>> {
         let mut out = BTreeMap::new();
-        for (id, task) in &self.tasks {
+        for (id, task) in self.tasks.iter().filter_map(|(id, h)| Some((id, h.active()?))) {
             for (store, entries) in task.dump_stores() {
                 out.insert((*id, store), entries);
             }
@@ -973,7 +910,7 @@ mod tests {
     use super::*;
     use crate::dsl::StreamsBuilder;
     use crate::topology::{TopicRef, ValueMode};
-    use kbroker::TopicConfig;
+    use kbroker::{TopicConfig, TopicPartition};
 
     fn cluster() -> Cluster {
         Cluster::builder().brokers(1).replication(1).build()
@@ -1071,13 +1008,17 @@ mod tests {
         let mut app = KafkaStreamsApp::new(cluster, topology.clone(), config, "i0");
         for partition in 0..tasks {
             let id = TaskId { subtopology: 0, partition };
-            app.tasks.insert(id, StreamTask::new(&topology, id, "app").unwrap());
+            app.tasks.insert(id, Hosted::Active(StreamTask::new(&topology, id, "app").unwrap()));
         }
         app
     }
 
     fn buffered_outputs(app: &mut KafkaStreamsApp) -> Vec<usize> {
-        app.tasks.values_mut().map(|task| task.take_outputs().len()).collect()
+        app.tasks
+            .values_mut()
+            .filter_map(Hosted::active_mut)
+            .map(|t| t.take_outputs().len())
+            .collect()
     }
 
     #[test]
@@ -1151,5 +1092,89 @@ mod tests {
             "{err:?}"
         );
         assert_eq!(buffered_outputs(&mut app), [0; 3], "each task was handed to the drain");
+    }
+
+    /// What an instance holds for `0_0` before a reconcile, by role name.
+    fn hosted(app: &KafkaStreamsApp, role: &str) -> Hosted {
+        let id = TaskId { subtopology: 0, partition: 0 };
+        let task = || StreamTask::new(&app.topology, id, "app").unwrap();
+        let mut replica = StandbyTask::new(&app.topology, id, "app").unwrap();
+        replica.poll(&app.cluster, IsolationLevel::ReadUncommitted).unwrap();
+        match role {
+            "active" => Hosted::Active(task()),
+            "restoring" => Hosted::Restoring(task()),
+            "standby" => Hosted::Replica { task: replica, warmup: None },
+            "warmup" => Hosted::Replica { task: replica, warmup: Some(true) },
+            _ => unreachable!("{role}"),
+        }
+    }
+
+    #[test]
+    fn reconcile_gives_each_task_its_target_role() {
+        // The changelog of `0_0` holds one record. A hand-placed task has
+        // replayed none of it and a hand-placed replica has applied it, so
+        // whether an entry kept its stores shows in its counters: a task
+        // built anew replays the record, a promoted replica does not.
+        use Role::{Active, Standby, Warmup};
+        let rows = [
+            // (held, plan's target, held after, stores kept)
+            (None, Some(Active), Some("active"), false),
+            (Some("active"), Some(Active), Some("active"), true),
+            (Some("restoring"), Some(Active), Some("restoring"), true),
+            (Some("standby"), Some(Active), Some("active"), true),
+            (Some("warmup"), Some(Active), Some("active"), true),
+            (Some("active"), None, None, false),
+            (Some("restoring"), None, None, false),
+            (Some("active"), Some(Warmup), Some("warmup"), false),
+            (None, Some(Warmup), Some("warmup"), false),
+            (Some("standby"), Some(Warmup), Some("warmup"), true),
+            (Some("warmup"), Some(Warmup), Some("warmup"), true),
+            (None, Some(Standby), Some("standby"), false),
+            (Some("standby"), Some(Standby), Some("standby"), true),
+            (Some("warmup"), Some(Standby), Some("standby"), true),
+            (Some("standby"), None, None, false),
+            (Some("warmup"), None, None, false),
+        ];
+        for (held, target, expected, expect_kept) in rows {
+            let cluster = cluster();
+            cluster.create_topic("in", TopicConfig::new(1)).unwrap();
+            let builder = StreamsBuilder::new();
+            builder.stream::<String, String>("in").group_by_key().count("counts");
+            let topology = Arc::new(builder.build().unwrap());
+            let config = StreamsConfig::new("app").with_standby_replicas(1);
+            let mut app = KafkaStreamsApp::new(cluster.clone(), topology, config, "i0");
+            app.plan_tasks().unwrap();
+            cluster.group_join("app", "i0", &[]).unwrap();
+            let changelog = format!("app-{}", Topology::changelog_topic("counts"));
+            let mut producer = Producer::new(cluster, ProducerConfig::default());
+            let record =
+                klog::Record { key: Some("k".into()), value: Some("1".into()), timestamp: 0 };
+            producer.send_to_partition(&TopicPartition::new(changelog, 0), record).unwrap();
+            producer.flush().unwrap();
+            let id = TaskId { subtopology: 0, partition: 0 };
+            if let Some(role) = held {
+                let entry = hosted(&app, role);
+                app.tasks.insert(id, entry);
+            }
+            let mut plan = AssignmentPlan::default();
+            let mine = |role| if target == Some(role) { vec![id] } else { vec![] };
+            plan.active.insert("i0".into(), mine(Active));
+            plan.warmups.insert("i0".into(), mine(Warmup));
+            // A standby lands on the member after the task's active owner.
+            plan.active.insert("other".into(), mine(Standby));
+            app.reconcile(&plan).unwrap();
+            let row = format!("{held:?} -> {target:?}");
+            let (role, kept) = match app.tasks.get(&id) {
+                None => (None, false),
+                Some(Hosted::Active(t)) => (Some("active"), t.metrics().restore_records == 0),
+                Some(Hosted::Restoring(t)) => (Some("restoring"), t.metrics().restore_records == 0),
+                Some(Hosted::Replica { task, warmup }) => {
+                    let role = if warmup.is_some() { "warmup" } else { "standby" };
+                    (Some(role), task.records_applied() == 1)
+                }
+            };
+            assert_eq!((role, kept), (expected, expect_kept), "{row}");
+            assert_eq!(app.tasks.len(), usize::from(expected.is_some()), "{row}");
+        }
     }
 }

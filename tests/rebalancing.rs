@@ -3,7 +3,10 @@
 //! across every membership change.
 
 use bytes::Bytes;
-use kbroker::{Cluster, Consumer, ConsumerConfig, Producer, ProducerConfig, TopicConfig};
+use kbroker::group::SESSION_TIMEOUT_MS;
+use kbroker::{
+    Cluster, Consumer, ConsumerConfig, Producer, ProducerConfig, TopicConfig, TopicPartition,
+};
 use kstreams::{KSerde, KafkaStreamsApp, StreamsBuilder, StreamsConfig};
 use simkit::ManualClock;
 use std::collections::{BTreeSet, HashMap};
@@ -270,7 +273,7 @@ fn instance_crash_mid_rebalance_recovers_exactly_once() {
     // survivor keeps heartbeating while virtual time passes, so only the
     // silent member expires.
     for _ in 0..4 {
-        s.clock.advance(kbroker::group::SESSION_TIMEOUT_MS / 3);
+        s.clock.advance(SESSION_TIMEOUT_MS / 3);
         a.step().unwrap();
     }
     s.cluster.group_expire_members("scale-app");
@@ -580,4 +583,99 @@ fn simultaneous_joins_coalesce_into_one_generation() {
     for mut j in joiners {
         j.close().unwrap();
     }
+}
+
+/// Input offsets the group has committed, summed over `events`' partitions.
+fn committed_inputs(s: &Setup, partitions: u32) -> i64 {
+    (0..partitions)
+        .map(|p| {
+            let tp = TopicPartition::new("events", p);
+            s.cluster.group_committed_offset("scale-app", &tp).unwrap().unwrap_or(0)
+        })
+        .sum()
+}
+
+/// A commits a round of 8 keys, processes a second round inside a
+/// transaction it never commits, and crashes. Once its session is expired,
+/// B starts and owns every task. Each changelog now holds committed records
+/// below the zombie's open transaction, so B's replay cannot reach the log
+/// end until that transaction resolves: B parks every task.
+fn parked_takeover(partitions: u32) -> (Setup, KafkaStreamsApp) {
+    let s = setup(partitions);
+    let mut a = app(&s, "a");
+    a.start().unwrap();
+    send_round(&s.cluster, 8, 0);
+    for _ in 0..5 {
+        a.step().unwrap();
+        s.clock.advance(10);
+    }
+    assert!(a.step().unwrap().committed);
+    send_round(&s.cluster, 8, 1);
+    let open = a.step().unwrap();
+    assert_eq!((open.processed, open.committed), (8, false), "round 1 stays uncommitted");
+    a.crash();
+    s.clock.advance(SESSION_TIMEOUT_MS + 1);
+    assert_eq!(s.cluster.group_expire_members("scale-app"), ["a"]);
+
+    let mut b = app(&s, "b");
+    b.start().unwrap();
+    for _ in 0..3 {
+        assert_eq!(b.step().unwrap().processed, 0, "a parked task processes nothing");
+        s.clock.advance(10);
+    }
+    assert!(b.task_ids().is_empty(), "parked tasks are not active");
+    assert_eq!(committed_inputs(&s, partitions), 8, "no offsets committed for parked tasks");
+    (s, b)
+}
+
+#[test]
+fn parked_restore_resumes_once_the_zombie_transaction_aborts() {
+    let (s, mut b) = parked_takeover(1);
+    s.clock.advance(s.cluster.default_txn_timeout_ms());
+    assert_eq!(s.cluster.abort_expired_transactions(), 1);
+    for _ in 0..10 {
+        b.step().unwrap();
+        s.clock.advance(10);
+    }
+    assert_eq!(b.task_ids().len(), 1, "the restore caught up and the task runs");
+    assert_eq!(committed_inputs(&s, 1), 16);
+    let (latest, total) = final_counts(&s.cluster);
+    assert_eq!(total, 16, "the zombie's round 1 is aborted and processed once by b");
+    assert!(latest.values().all(|&v| v == 2), "{latest:?}");
+    b.close().unwrap();
+}
+
+#[test]
+fn parked_task_released_to_a_joiner_keeps_its_replay_in_the_metrics() {
+    // b parks both tasks; c joins, warms one up (its replay lag is only the
+    // zombie's open records) and takes it over through a release while it
+    // is still parked. The replay b did for that task stays in b's totals.
+    let (s, mut b) = parked_takeover(2);
+    let mut replayed = b.metrics().restore_records;
+    assert!(replayed > 0, "metrics include the replay parked tasks have done");
+    let mut c = app(&s, "c");
+    c.start().unwrap();
+    for _ in 0..10 {
+        b.step().unwrap();
+        c.step().unwrap();
+        s.clock.advance(10);
+        let now = b.metrics().restore_records;
+        assert!(now >= replayed, "b's restore_records fell from {replayed} to {now}");
+        replayed = now;
+    }
+    assert!(b.task_ids().is_empty() && c.task_ids().is_empty(), "both tasks still parked");
+
+    s.clock.advance(s.cluster.default_txn_timeout_ms());
+    assert_eq!(s.cluster.abort_expired_transactions(), 1);
+    for _ in 0..10 {
+        b.step().unwrap();
+        c.step().unwrap();
+        s.clock.advance(10);
+    }
+    assert_eq!((b.task_ids().len(), c.task_ids().len()), (1, 1), "the parked task moved to c");
+    let (latest, total) = final_counts(&s.cluster);
+    assert_eq!(total, 16, "exactly once through the parked hand-over");
+    assert!(latest.values().all(|&v| v == 2), "{latest:?}");
+    b.close().unwrap();
+    c.close().unwrap();
 }

@@ -7,14 +7,16 @@
 #                              # perfbench/run.sh --quick
 #   ./verify.sh --quick        # fmt, clippy, tier-1 tests, bytes shim tests,
 #                              # kbroker unit tests, state-store unit tests
-#                              # and proptests, klog unit tests and
-#                              # proptests, kanalyze, detlint
+#                              # and proptests, instance and standby unit
+#                              # tests, klog unit tests and proptests,
+#                              # kanalyze, detlint
 #   ./verify.sh storage        # disk seed sweep, disk replay identity, storage
 #                              # batteries
 #   ./verify.sh simtest        # seed sweeps (plain and cached), forced
 #                              # profiles
-#   ./verify.sh rebalancing    # rebalancing battery, assignor unit tests,
-#                              # churn sweep and churn replay identity
+#   ./verify.sh rebalancing    # rebalancing battery, assignor, instance and
+#                              # standby unit tests, churn sweep and churn
+#                              # replay identity
 #   ./verify.sh observability  # metric exports (simtest, fig5b), kobs-off
 #                              # build and tier-1 tests, span determinism,
 #                              # chrome trace, critical path, flight recorder
@@ -78,11 +80,13 @@ gate_rebalancing() {
   # Rolling-restart battery, standby-promotion handover regression, the
   # N-simultaneous-join coalescing test, and the cooperative join under load
   # (only moved tasks leave an incumbent, incumbents commit through the
-  # transfer, nothing replays), plus the assignor's bounds at fleet scale
-  # (restart moves 0, join moves ≤ ⌈T/(N+1)⌉, leave moves only orphans).
-  step "rebalancing test battery and assignor unit tests"
+  # transfer, nothing replays), the parked-restore cases, plus the
+  # assignor's bounds at fleet scale (restart moves 0, join moves
+  # ≤ ⌈T/(N+1)⌉, leave moves only orphans) and the instance's task-table
+  # transitions.
+  step "rebalancing test battery, assignor, instance and standby unit tests"
   cargo test -q --release --test rebalancing
-  cargo test -q --release -p kstreams --lib assignment::
+  cargo test -q --release -p kstreams --lib -- assignment:: app:: standby::
 
   # Churn fault classes (debounced rolling restarts, fleet grow/shrink,
   # forced rebalances): every oracle green and every report byte-identical
@@ -202,6 +206,10 @@ gate_full() {
     # reference LRU.
     step "cargo test -q -p kstreams --lib state::"
     cargo test -q -p kstreams --lib state::
+    # Likewise the instance's task-table transitions and the standby
+    # replicas' unit tests.
+    step "cargo test -q -p kstreams --lib -- app:: standby::"
+    cargo test -q -p kstreams --lib -- app:: standby::
     step "cargo test -q -p kstreams --test proptests"
     cargo test -q -p kstreams --test proptests
 
