@@ -1,25 +1,25 @@
-//! ktrace — deterministic hierarchical spans over the virtual clock.
+//! ktrace — deterministic hierarchical spans over the virtual clock, kept
+//! with the events in one store.
 //!
 //! A [`Span`] is a named interval on a *track* (one row in the exported
 //! timeline: `kstreams`, `task`, `kbroker.txn`, `klog`), with an optional
-//! parent forming a causal tree per commit cycle. Span ids come from a
-//! per-run counter (reset by [`crate::reset`]), and every timestamp is
-//! virtual microseconds (the simulation clock's `now_ms` × 1000) — so a
-//! replayed seed produces byte-identical span trees and byte-identical
-//! chrome JSON.
+//! parent forming a causal tree per commit cycle; an event
+//! ([`crate::event!`]) is a zero-duration record of the same type. Ids come
+//! from one per-run counter (reset by [`crate::reset`]) and timestamps are
+//! virtual µs (the simulation clock's `now_ms` × 1000), so a replayed seed
+//! produces byte-identical trees and chrome JSON.
 //!
-//! Three consumers sit on top of the store:
+//! Finished records go to one bounded ring, in finish order; evictions
+//! count into `kobs.trace.dropped`. The rest reads the ring, or sums as
+//! spans finish:
 //!
-//! - the **critical-path analyzer**: at every commit-cycle root finish it
-//!   folds per-phase *self time* (duration minus direct-children duration)
-//!   into an aggregate summary and the `kobs.critical_path.*` histogram
-//!   family; self times tile the tree, so the per-phase breakdown sums
-//!   back to the cycle total.
-//! - the **flight recorder**: a bounded ring of the last
-//!   [`FLIGHT_RECORDER_TREES`] completed span trees, dumped next to the
-//!   repro line when a simtest oracle fails.
-//! - the **chrome exporter** ([`crate::trace_export::chrome_json`]) over
-//!   [`finished_spans`].
+//! - the **critical-path analyzer**: each span sums its finished children,
+//!   and a commit-cycle root folds the per-phase *self times* (duration
+//!   minus direct children) into a summary and the `kobs.critical_path.*`
+//!   histograms; self times tile the tree, so they sum to the cycle total.
+//! - the **flight recorder** ([`recent_trees`]), the events' [`tail`], and
+//!   the **chrome exporter** ([`crate::trace_export::chrome_json`] over
+//!   [`finished_spans`]).
 //!
 //! Under the `off` feature every entry point is a no-op, field closures
 //! never run, and the macros cost nothing.
@@ -28,38 +28,39 @@ use crate::trace::FieldValue;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
-use std::sync::Mutex;
+use std::sync::{LazyLock, Mutex};
 
-/// Finished spans retained for export; older spans are evicted FIFO and
-/// counted in `kobs.trace.spans_dropped`.
-pub const SPAN_CAPACITY: usize = 1 << 16;
+/// Finished spans and events retained; older records are evicted FIFO and
+/// counted in `kobs.trace.dropped`. A 300-step simtest run stays under a
+/// tenth of it; a benchmark run keeps only its tail, as resident memory.
+pub const SPAN_CAPACITY: usize = 1 << 15;
 
-/// Completed span trees kept by the flight recorder.
+/// How many of the newest span trees a flight-recorder dump reads.
 pub const FLIGHT_RECORDER_TREES: usize = 32;
 
-/// Spans retained per recorded tree (largest-id spans win; the cap keeps a
-/// pathological cycle from pinning the recorder).
-pub const TREE_SPAN_CAP: usize = 512;
-
-/// One completed (or in-flight) span.
+/// One completed (or in-flight) span, or an event.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Span {
-    /// Per-run monotone id (1-based; ids order spans by start).
+    /// Per-run monotone id (1-based; ids order records by start).
     pub id: u64,
     /// Direct parent span id, if any.
     pub parent: Option<u64>,
-    /// Root id of the tree this span belongs to (== `id` for roots).
+    /// Root id of the tree this record belongs to (== `id` for roots).
     pub root: u64,
-    /// Span name (`cycle`, `task`, `fetch`, `commit`, `markers`, ...).
+    /// Span name (`cycle`, `task`, `fetch`, `commit`, ...), or event kind.
     pub name: &'static str,
-    /// Timeline row: `kstreams`, `task`, `kbroker.txn`, `klog`.
+    /// Timeline row (`kstreams`, `task`, `kbroker.txn`, `klog`), or the
+    /// component that emitted the event.
     pub track: &'static str,
     /// Virtual start, microseconds.
     pub start_us: i64,
     /// Virtual end, microseconds (>= `start_us`).
     pub end_us: i64,
-    /// Structured fields attached at span start.
+    /// Structured fields attached at span start or event emission.
     pub fields: Vec<(&'static str, FieldValue)>,
+    /// An event: stamped at its own time, never a root, and no part of
+    /// its parent's timing or critical path.
+    pub event: bool,
 }
 
 impl Span {
@@ -87,11 +88,7 @@ impl SpanHandle {
 
     /// The raw span id (`None` for the disabled handle).
     pub fn id(self) -> Option<u64> {
-        if self.is_none() {
-            None
-        } else {
-            Some(self.id)
-        }
+        (!self.is_none()).then_some(self.id)
     }
 }
 
@@ -104,17 +101,9 @@ pub enum Parent {
     Current,
 }
 
-/// One completed span tree, root first, then the remaining spans in id
-/// order. Held by the flight recorder and rendered next to repro lines.
-#[derive(Debug, Clone)]
-pub struct SpanTree {
-    /// The root span of the tree.
-    pub root: Span,
-    /// Every span of the tree including the root, ascending id.
-    pub spans: Vec<Span>,
-    /// Spans discarded because the tree outgrew [`TREE_SPAN_CAP`].
-    pub truncated: usize,
-}
+/// One span tree read from the ring: its records still there, in id order,
+/// so the root comes first and events sit inline.
+pub type SpanTree = Vec<Span>;
 
 /// Aggregate critical-path accounting over every commit cycle of the run.
 #[derive(Debug, Clone, Default)]
@@ -142,6 +131,13 @@ struct Active {
     /// How far [`start_span`] moved the start past its earlier siblings;
     /// [`finish_span`] moves the end by as much.
     shift_us: i64,
+    /// Summed durations of the finished direct children.
+    child_us: i64,
+    /// The longest finished direct child: duration, id, name, and the
+    /// names below it on its longest chain.
+    longest: Option<(i64, u64, &'static str, Vec<&'static str>)>,
+    /// Roots only: `(name, self time)` of each finished span of the tree.
+    phases: Vec<(&'static str, i64)>,
 }
 
 #[derive(Default)]
@@ -149,38 +145,26 @@ struct Active {
 struct Store {
     next_id: u64,
     active: BTreeMap<u64, Active>,
-    /// Finished non-root spans, waiting for their root to close.
-    pending: BTreeMap<u64, Vec<Span>>,
-    /// Finished spans in finish order; drained sorted for export.
-    completed: VecDeque<Span>,
+    /// Finished spans and events, in finish order: the one trace store.
+    ring: VecDeque<Span>,
+    /// Records evicted from `ring`.
     dropped: u64,
-    trees: VecDeque<SpanTree>,
-    cp_cycles: u64,
-    cp_total_us: i64,
-    cp_phases: BTreeMap<&'static str, i64>,
-    cp_longest_us: i64,
-    cp_longest_chain: Vec<&'static str>,
+    cp: CriticalPathSummary,
 }
 
-fn store() -> &'static Mutex<Store> {
-    static STORE: Mutex<Store> = Mutex::new(Store {
-        next_id: 0,
-        active: BTreeMap::new(),
-        pending: BTreeMap::new(),
-        completed: VecDeque::new(),
-        dropped: 0,
-        trees: VecDeque::new(),
-        cp_cycles: 0,
-        cp_total_us: 0,
-        cp_phases: BTreeMap::new(),
-        cp_longest_us: 0,
-        cp_longest_chain: Vec::new(),
-    });
-    &STORE
+impl Store {
+    /// A new record's id, and its parent's entry if that is still active: a
+    /// dangling parent (entered but already finished) degrades to a root.
+    #[cfg(not(feature = "off"))]
+    fn place(&mut self, parent: Option<u64>) -> (u64, Option<&Active>) {
+        self.next_id += 1;
+        (self.next_id, parent.and_then(|p| self.active.get(&p)))
+    }
 }
 
 fn lock() -> std::sync::MutexGuard<'static, Store> {
-    store().lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    static STORE: LazyLock<Mutex<Store>> = LazyLock::new(Mutex::default);
+    STORE.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 thread_local! {
@@ -194,9 +178,8 @@ thread_local! {
 /// overlap. Such a child is *moved*, not squeezed — [`finish_span`] shifts
 /// its end by the same amount — because the span timeline runs ahead of
 /// the clock its call sites stamp from (record-timestamped klog appends),
-/// and squeezing would bill that lead to whichever
-/// span comes next. The `fields` closure only runs when tracing is
-/// compiled in.
+/// and squeezing would bill that lead to whichever span comes next. The
+/// `fields` closure only runs when tracing is compiled in.
 #[allow(unused_variables)]
 pub fn start_span<F>(
     start_us: i64,
@@ -215,33 +198,31 @@ where
             Parent::Current => current().id(),
         };
         let mut st = lock();
-        st.next_id += 1;
-        let id = st.next_id;
-        let (parent_id, root, floor) = match parent_id.and_then(|p| st.active.get(&p)) {
-            Some(pa) => (parent_id, pa.span.root, pa.min_end_us),
-            // A dangling parent (entered but already finished) degrades to
-            // a fresh root rather than a broken edge.
-            None => (None, id, start_us),
-        };
+        let (id, pa) = st.place(parent_id);
+        let (parent_id, root, floor) =
+            pa.map_or((None, id, start_us), |pa| (Some(pa.span.id), pa.span.root, pa.min_end_us));
         let shift_us = (floor - start_us).max(0);
         let start_us = start_us.max(floor);
-        st.active.insert(
+        let span = Span {
             id,
-            Active {
-                span: Span {
-                    id,
-                    parent: parent_id,
-                    root,
-                    name,
-                    track,
-                    start_us,
-                    end_us: start_us,
-                    fields: fields(),
-                },
-                min_end_us: start_us,
-                shift_us,
-            },
-        );
+            parent: parent_id,
+            root,
+            name,
+            track,
+            start_us,
+            end_us: start_us,
+            fields: fields(),
+            event: false,
+        };
+        let active = Active {
+            span,
+            min_end_us: start_us,
+            shift_us,
+            child_us: 0,
+            longest: None,
+            phases: Vec::new(),
+        };
+        st.active.insert(id, active);
         #[allow(clippy::needless_return)]
         return SpanHandle { id };
     }
@@ -252,129 +233,103 @@ where
 }
 
 /// Finish a span at `end_us` (virtual µs). The end is clamped so it never
-/// precedes the span's start or any finished child's end. Finishing a root
-/// assembles its tree: flight recorder, critical-path accounting, and the
-/// `kobs.critical_path.*` histograms all update here.
+/// precedes the span's start or any finished child's end. The span's
+/// duration and longest chain pass to its parent, its self time to its
+/// root; a root's finish folds a commit cycle into the critical path.
 #[allow(unused_variables)]
 pub fn finish_span(handle: SpanHandle, end_us: i64) {
     #[cfg(not(feature = "off"))]
     {
-        if handle.is_none() {
-            return;
-        }
         let mut st = lock();
-        let Some(active) = st.active.remove(&handle.id) else {
+        let Some(a) = st.active.remove(&handle.id) else {
             return;
         };
-        let mut span = active.span;
-        span.end_us = (end_us + active.shift_us).max(active.min_end_us).max(span.start_us);
-        if let Some(parent) = span.parent {
-            if let Some(pa) = st.active.get_mut(&parent) {
-                pa.min_end_us = pa.min_end_us.max(span.end_us);
-            }
-        }
+        let mut span = a.span;
+        span.end_us = (end_us + a.shift_us).max(a.min_end_us).max(span.start_us);
+        let dur = span.duration_us();
+        // The names below this span on its longest chain.
+        let below = a.longest.map_or_else(Vec::new, |(_, _, name, mut below)| {
+            below.insert(0, name);
+            below
+        });
+        let self_time = (span.name, dur - a.child_us);
         if span.id == span.root {
-            let mut spans = st.pending.remove(&span.root).unwrap_or_default();
-            spans.push(span.clone());
-            spans.sort_by_key(|s| s.id);
-            finish_root(&mut st, span.clone(), spans);
-        } else {
-            st.pending.entry(span.root).or_default().push(span.clone());
-        }
-        push_completed(&mut st, span);
-    }
-}
-
-#[cfg(not(feature = "off"))]
-fn push_completed(st: &mut Store, span: Span) {
-    if st.completed.len() == SPAN_CAPACITY {
-        st.completed.pop_front();
-        st.dropped += 1;
-        if st.dropped == 1 {
-            drop_marker();
-        }
-    }
-    st.completed.push_back(span);
-}
-
-/// Count span-store overflow once per run outside the store lock would
-/// race with `reset`; the registry mutex is independent so nesting the
-/// call here is deadlock-free.
-#[cfg(not(feature = "off"))]
-fn drop_marker() {
-    crate::count("kobs.trace.spans_dropped_runs", 1);
-}
-
-#[cfg(not(feature = "off"))]
-fn finish_root(st: &mut Store, root: Span, mut spans: Vec<Span>) {
-    let truncated = spans.len().saturating_sub(TREE_SPAN_CAP);
-    if truncated > 0 {
-        // Keep the newest spans (and always the root, which has the
-        // smallest id of its tree by construction).
-        let keep_from = spans.len() - TREE_SPAN_CAP;
-        let mut kept: Vec<Span> = spans.split_off(keep_from);
-        if !kept.iter().any(|s| s.id == root.id) {
-            kept.insert(0, root.clone());
-        }
-        spans = kept;
-    }
-    if st.trees.len() == FLIGHT_RECORDER_TREES {
-        st.trees.pop_front();
-    }
-    let tree = SpanTree { root, spans, truncated };
-    if tree.spans.iter().any(|s| s.name == "commit") {
-        account_critical_path(st, &tree);
-    }
-    st.trees.push_back(tree);
-}
-
-/// Per-phase self time: a span's duration minus its direct children's
-/// durations. Summed over a tree the child durations telescope, so the
-/// phase breakdown sums to the root duration *exactly*; self times are
-/// non-negative because [`start_span`] makes siblings tile their parent,
-/// so nothing is clamped here.
-#[cfg(not(feature = "off"))]
-fn account_critical_path(st: &mut Store, tree: &SpanTree) {
-    let mut child_total: BTreeMap<u64, i64> = BTreeMap::new();
-    for s in &tree.spans {
-        if let Some(p) = s.parent {
-            *child_total.entry(p).or_insert(0) += s.duration_us();
-        }
-    }
-    st.cp_cycles += 1;
-    st.cp_total_us += tree.root.duration_us();
-    for s in &tree.spans {
-        let self_us = s.duration_us() - child_total.get(&s.id).copied().unwrap_or(0);
-        *st.cp_phases.entry(s.name).or_insert(0) += self_us;
-        crate::observe(&format!("kobs.critical_path.{}_ms", s.name), self_us.max(0) / 1000);
-    }
-    crate::observe("kobs.critical_path.total_ms", tree.root.duration_us() / 1000);
-    if tree.root.duration_us() >= st.cp_longest_us {
-        st.cp_longest_us = tree.root.duration_us();
-        st.cp_longest_chain = longest_chain(tree);
-    }
-}
-
-/// The longest causal chain: from the root, repeatedly descend into the
-/// longest direct child (smallest id breaks ties deterministically).
-#[cfg(not(feature = "off"))]
-fn longest_chain(tree: &SpanTree) -> Vec<&'static str> {
-    let mut chain = vec![tree.root.name];
-    let mut at = tree.root.id;
-    loop {
-        let next = tree
-            .spans
-            .iter()
-            .filter(|s| s.parent == Some(at))
-            .max_by_key(|s| (s.duration_us(), std::cmp::Reverse(s.id)));
-        match next {
-            Some(s) => {
-                chain.push(s.name);
-                at = s.id;
+            let mut phases = a.phases;
+            phases.push(self_time);
+            if phases.iter().any(|(name, _)| *name == "commit") {
+                account_cycle(&mut st.cp, phases, span.name, dur, below);
             }
-            None => return chain,
+        } else {
+            if let Some(root) = st.active.get_mut(&span.root) {
+                root.phases.push(self_time);
+            }
+            if let Some(pa) = span.parent.and_then(|p| st.active.get_mut(&p)) {
+                pa.min_end_us = pa.min_end_us.max(span.end_us);
+                pa.child_us += dur;
+                // The longest child wins; the smallest id breaks ties.
+                if pa.longest.as_ref().is_none_or(|(d, id, ..)| (dur, *id) > (*d, span.id)) {
+                    pa.longest = Some((dur, span.id, span.name, below));
+                }
+            }
         }
+        push(&mut st, span);
     }
+}
+
+/// Fold one commit cycle into the summary. Summed over a tree the child
+/// durations telescope, so the phases sum to the root duration *exactly*;
+/// self times are non-negative because [`start_span`] makes siblings tile
+/// their parent, so nothing is clamped here.
+#[cfg(not(feature = "off"))]
+fn account_cycle(
+    cp: &mut CriticalPathSummary,
+    phases: Vec<(&'static str, i64)>,
+    root: &'static str,
+    total_us: i64,
+    mut chain: Vec<&'static str>,
+) {
+    cp.cycles += 1;
+    cp.total_us += total_us;
+    for (name, self_us) in phases {
+        match cp.phases.binary_search_by_key(&name, |(n, _)| *n) {
+            Ok(i) => cp.phases[i].1 += self_us,
+            Err(i) => cp.phases.insert(i, (name, self_us)),
+        }
+        crate::observe(&format!("kobs.critical_path.{name}_ms"), self_us.max(0) / 1000);
+    }
+    crate::observe("kobs.critical_path.total_ms", total_us / 1000);
+    if total_us >= cp.longest_cycle_us {
+        cp.longest_cycle_us = total_us;
+        chain.insert(0, root);
+        cp.longest_chain = chain;
+    }
+}
+
+#[cfg(not(feature = "off"))]
+fn push(st: &mut Store, record: Span) {
+    if st.ring.len() == SPAN_CAPACITY {
+        st.ring.pop_front();
+        st.dropped += 1;
+    }
+    st.ring.push_back(record);
+}
+
+/// Record an event at `ts_us` (virtual µs), under the calling thread's
+/// entered span if there is one.
+#[cfg(not(feature = "off"))]
+pub(crate) fn push_event(
+    ts_us: i64,
+    track: &'static str,
+    name: &'static str,
+    fields: Vec<(&'static str, FieldValue)>,
+) {
+    let parent = current().id();
+    let mut st = lock();
+    let (id, pa) = st.place(parent);
+    let (parent, root) = pa.map_or((None, id), |pa| (Some(pa.span.id), pa.span.root));
+    let span =
+        Span { id, parent, root, name, track, start_us: ts_us, end_us: ts_us, fields, event: true };
+    push(&mut st, span);
 }
 
 /// Enter guard: pops the thread-local current-span stack on drop.
@@ -413,13 +368,19 @@ pub fn in_span() -> bool {
     CURRENT.with(|c| !c.borrow().is_empty())
 }
 
-/// Every finished span of the run so far, ascending id (bounded by
-/// [`SPAN_CAPACITY`]; see [`dropped_spans`]).
+/// Every finished span still in the ring, ascending id.
 pub fn finished_spans() -> Vec<Span> {
-    let st = lock();
-    let mut spans: Vec<Span> = st.completed.iter().cloned().collect();
+    let mut spans: Vec<Span> = lock().ring.iter().filter(|r| !r.event).cloned().collect();
     spans.sort_by_key(|s| s.id);
     spans
+}
+
+/// The newest `n` events still in the ring, in emission order.
+pub fn tail(n: usize) -> Vec<Span> {
+    let st = lock();
+    let mut events: Vec<Span> = st.ring.iter().rev().filter(|r| r.event).take(n).cloned().collect();
+    events.reverse();
+    events
 }
 
 /// Every span started and not yet finished, ascending id. A lifecycle
@@ -428,38 +389,42 @@ pub fn active_spans() -> Vec<Span> {
     lock().active.values().map(|a| a.span.clone()).collect()
 }
 
-/// Finished spans evicted from the export buffer.
-pub fn dropped_spans() -> u64 {
+/// Spans and events evicted from the ring (`kobs.trace.dropped`).
+pub fn dropped() -> u64 {
     lock().dropped
 }
 
-/// The last `n` completed span trees, oldest first.
+/// The newest `n` span trees whose root is still in the ring, oldest
+/// first.
 pub fn recent_trees(n: usize) -> Vec<SpanTree> {
     let st = lock();
-    let skip = st.trees.len().saturating_sub(n);
-    st.trees.iter().skip(skip).cloned().collect()
+    let roots: Vec<&Span> =
+        st.ring.iter().rev().filter(|r| !r.event && r.id == r.root).take(n).collect();
+    let mut trees: BTreeMap<u64, Vec<Span>> = roots.iter().map(|r| (r.id, Vec::new())).collect();
+    for r in &st.ring {
+        if let Some(spans) = trees.get_mut(&r.root) {
+            spans.push(r.clone());
+        }
+    }
+    let tree = |root: &Span| {
+        let mut tree = trees.remove(&root.id).unwrap_or_default();
+        tree.sort_by_key(|s| s.id);
+        tree
+    };
+    roots.into_iter().rev().map(tree).collect()
 }
 
 /// Aggregate critical-path summary, `None` until a commit cycle finished.
 pub fn critical_path_summary() -> Option<CriticalPathSummary> {
     let st = lock();
-    if st.cp_cycles == 0 {
-        return None;
-    }
-    Some(CriticalPathSummary {
-        cycles: st.cp_cycles,
-        total_us: st.cp_total_us,
-        phases: st.cp_phases.iter().map(|(k, v)| (*k, *v)).collect(),
-        longest_chain: st.cp_longest_chain.clone(),
-        longest_cycle_us: st.cp_longest_us,
-    })
+    (st.cp.cycles > 0).then(|| st.cp.clone())
 }
 
 /// Render a span tree as indented text (flight-recorder dumps).
 pub fn render_tree(tree: &SpanTree) -> String {
     let mut out = String::new();
     let mut depth: BTreeMap<u64, usize> = BTreeMap::new();
-    for s in &tree.spans {
+    for s in tree {
         let d = s.parent.and_then(|p| depth.get(&p).copied()).map_or(0, |pd| pd + 1);
         depth.insert(s.id, d);
         let indent = "  ".repeat(d);
@@ -471,7 +436,7 @@ pub fn render_tree(tree: &SpanTree) -> String {
             s.end_us,
             s.duration_us()
         );
-        if s.track != tree.root.track {
+        if s.track != tree[0].track {
             let _ = write!(out, " track={}", s.track);
         }
         for (k, v) in &s.fields {
@@ -479,17 +444,13 @@ pub fn render_tree(tree: &SpanTree) -> String {
         }
         out.push('\n');
     }
-    if tree.truncated > 0 {
-        let _ = writeln!(out, "... {} earlier spans truncated", tree.truncated);
-    }
     out
 }
 
 /// Reset the store (run isolation; called from [`crate::reset`]). Ids
 /// restart at 1, so a replayed seed reproduces identical trees.
 pub fn clear() {
-    let mut st = lock();
-    *st = Store::default();
+    *lock() = Store::default();
 }
 
 /// Start a root span from virtual *milliseconds*.
@@ -529,13 +490,14 @@ macro_rules! child_span {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::{Mutex as TestMutex, MutexGuard};
 
     static TEST_LOCK: TestMutex<()> = TestMutex::new(());
 
-    fn isolated() -> MutexGuard<'static, ()> {
+    /// Serialize the tests that use the process-global store, and clear it.
+    pub(crate) fn isolated() -> MutexGuard<'static, ()> {
         let guard = TEST_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         clear();
         guard
@@ -652,10 +614,55 @@ mod tests {
             let r = crate::span!(i as i64, "kstreams", "cycle");
             finish_span(r, (i as i64 + 1) * 1000);
         }
-        let trees = recent_trees(usize::MAX);
+        // Trees are views of the ring, not a second bounded buffer: every
+        // root still in the ring is readable, newest last.
+        assert_eq!(recent_trees(usize::MAX).len(), FLIGHT_RECORDER_TREES + 3);
+        let trees = recent_trees(FLIGHT_RECORDER_TREES);
         assert_eq!(trees.len(), FLIGHT_RECORDER_TREES);
+        assert_eq!(trees.last().unwrap()[0].id, (FLIGHT_RECORDER_TREES + 3) as u64);
         let text = render_tree(trees.last().unwrap());
         assert!(text.contains("cycle ["), "{text}");
+    }
+
+    #[test]
+    fn ring_overflow_is_counted_in_the_registry() {
+        let _g = isolated();
+        if !crate::ENABLED {
+            return;
+        }
+        // The registry is process-global and other tests write to it, so
+        // assert on the delta rather than the absolute count.
+        let dropped = || crate::snapshot().counter("kobs.trace.dropped").unwrap_or(0);
+        let before = dropped();
+        // Four records per cycle, finishing in this order: an event inside
+        // the root, a child span, the root, an event outside any span.
+        let cycles = SPAN_CAPACITY / 4 + 1;
+        for i in 0..cycles as i64 {
+            let root = crate::span!(i, "kstreams", "cycle");
+            let entered = enter(root);
+            crate::event!(i, "kstreams", "inside", n = i);
+            finish_span(crate::child_span!(i, "task", "task"), i * 1000 + 1);
+            drop(entered);
+            finish_span(root, i * 1000 + 2);
+            crate::event!(i, "kstreams", "outside", n = i);
+        }
+        crate::event!(cycles as i64, "kstreams", "last");
+        crate::event!(cycles as i64, "kstreams", "last");
+        // SPAN_CAPACITY + 6 records: all of the first cycle and the second
+        // cycle's inside event and child are evicted.
+        assert_eq!(dropped() - before, 6, "each eviction must count one drop");
+        assert_eq!(super::dropped(), 6);
+
+        let trees = recent_trees(usize::MAX);
+        assert_eq!(trees.len(), cycles - 1, "the first cycle's root was evicted");
+        assert_eq!(trees[0][0].id, 5);
+        assert_eq!(trees[0].len(), 1, "only the second root is left of its tree");
+        assert!(trees[1..].iter().all(|t| t.len() == 3), "root, event, child");
+
+        let tail = tail(usize::MAX);
+        assert_eq!(tail.len(), 2 * cycles + 2 - 3);
+        assert!(tail.windows(2).all(|w| w[0].id < w[1].id), "tail in emission order");
+        assert_eq!(tail.last().unwrap().name, "last");
     }
 
     #[test]

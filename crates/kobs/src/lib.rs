@@ -7,15 +7,13 @@
 //!   behind a process-global [`Registry`], exported as ordered text or
 //!   JSON [`Snapshot`]s. Metric names follow `<crate>.<subsystem>.<metric>`
 //!   with an `_ms` suffix for virtual-time histograms.
-//! - [`trace`]: a bounded ring of structured [`Event`]s, emitted via the
-//!   [`event!`] macro. `simtest` dumps the ring tail next to the repro
-//!   command when an oracle fails. Ring overflow is surfaced as the
-//!   `kobs.trace.dropped` counter.
-//! - [`ktrace`] / [`trace_export`]: deterministic hierarchical spans
-//!   ([`span!`] / [`child_span!`]) over the virtual clock, with a
-//!   critical-path analyzer (`kobs.critical_path.*`), a flight recorder of
-//!   the last completed span trees, and a `chrome://tracing` / Perfetto
-//!   JSON exporter.
+//! - [`ktrace`] / [`trace`] / [`trace_export`]: one bounded ring of trace
+//!   records — deterministic hierarchical spans ([`span!`] /
+//!   [`child_span!`]) over the virtual clock and zero-duration structured
+//!   [`Event`]s ([`event!`]) — with a critical-path analyzer
+//!   (`kobs.critical_path.*`), the flight recorder and the `simtest` trace
+//!   tail as views of the ring, and a `chrome://tracing` / Perfetto JSON
+//!   exporter. Ring overflow is counted in `kobs.trace.dropped`.
 //! - [`hist`] / [`json`]: the shared [`LatencyHistogram`] (promoted from
 //!   `simprims::hist`) and a minimal JSON writer/parser used by the
 //!   exporters and the CI schema gate.
@@ -43,11 +41,10 @@ pub use ktrace::{CriticalPathSummary, Span, SpanHandle, SpanTree};
 pub use registry::{global, HistSnapshot, Registry, Snapshot, ENABLED};
 pub use trace::{Event, FieldValue};
 
-/// Reset the global registry, trace ring, and span store (run isolation
-/// in harnesses; span ids restart so replays are byte-identical).
+/// Reset the global registry and the trace store (run isolation in
+/// harnesses; record ids restart so replays are byte-identical).
 pub fn reset() {
     global().reset();
-    trace::clear();
     ktrace::clear();
 }
 
@@ -71,9 +68,17 @@ pub fn observe(name: &str, ms: i64) {
     global().observe(name, ms);
 }
 
-/// Convenience: snapshot the global registry.
+/// Convenience: snapshot the global registry, plus the trace store's
+/// eviction count as `kobs.trace.dropped` once it is non-zero.
 pub fn snapshot() -> Snapshot {
-    global().snapshot()
+    let mut snap = global().snapshot();
+    let dropped = ktrace::dropped();
+    if dropped > 0 {
+        let name = "kobs.trace.dropped";
+        let at = snap.counters.partition_point(|(n, _)| n.as_str() < name);
+        snap.counters.insert(at, (name.to_string(), dropped));
+    }
+    snap
 }
 
 #[cfg(test)]

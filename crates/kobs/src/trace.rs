@@ -1,26 +1,19 @@
-//! Structured trace events: a bounded ring of `Event { ts, component,
-//! kind, fields }` records cheap enough to stay on by default.
+//! Structured trace events, cheap enough to stay on by default: lifecycle
+//! transitions and anomalies (`segment_roll`, `isr_shrink`,
+//! `txn_complete`), never per-record work, from coarse components (`klog`,
+//! `kbroker.txn`, `kstreams`, ...), with small typed key/value fields — no
+//! format strings.
 //!
-//! Components are coarse subsystem names (`klog`, `kbroker.txn`,
-//! `kbroker.isr`, `kstreams`, ...); `kind` is a short verb-ish tag
-//! (`segment_roll`, `isr_shrink`, `txn_complete`). Events mark lifecycle
-//! transitions and anomalies, never per-record work. Fields are small typed
-//! key/values — no format strings.
-//!
-//! The ring keeps the last [`RING_CAPACITY`] events; `simtest` dumps the
-//! tail next to the `--seed` repro line when an oracle fails, which is
-//! usually enough to see the path into the failure. Under the `off`
-//! feature [`emit`] compiles to nothing.
+//! An event is a zero-duration record in the one [`ktrace`](crate::ktrace)
+//! ring, under the calling thread's entered span if there is one. `simtest`
+//! dumps the [`tail`] next to the `--seed` repro line when an oracle fails,
+//! which is usually enough to see the path into the failure. Under the
+//! `off` feature [`emit`] compiles to nothing.
 
 use crate::json::{self, Value};
-use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Mutex;
 
-/// Maximum events retained; older events are evicted FIFO.
-pub const RING_CAPACITY: usize = 4096;
-
-/// One typed field value on an event.
+/// One typed field value on a span or event.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FieldValue {
     /// A signed integer.
@@ -29,6 +22,17 @@ pub enum FieldValue {
     U64(u64),
     /// A string.
     Str(String),
+}
+
+impl FieldValue {
+    /// The value as JSON (report and chrome exports).
+    pub fn to_json(&self) -> Value {
+        match self {
+            FieldValue::I64(n) => json::num(*n as f64),
+            FieldValue::U64(n) => json::num(*n as f64),
+            FieldValue::Str(s) => json::str(s.clone()),
+        }
+    }
 }
 
 impl fmt::Display for FieldValue {
@@ -83,56 +87,31 @@ impl From<String> for FieldValue {
     }
 }
 
-/// One structured trace event.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Event {
-    /// Monotone sequence number within the process (survives ring eviction,
-    /// so gaps reveal how much was dropped).
-    pub seq: u64,
-    /// Virtual-clock timestamp (ms) at emission.
-    pub ts: i64,
-    /// Subsystem that emitted the event, e.g. `kbroker.txn`.
-    pub component: &'static str,
-    /// Short event tag, e.g. `txn_complete`.
-    pub kind: &'static str,
-    /// Structured fields attached at emit time.
-    pub fields: Vec<(&'static str, FieldValue)>,
-}
+/// One structured trace event: a [`Span`](crate::Span) record with
+/// `event` set, `start_us == end_us`, `track` the component and `name` the
+/// kind.
+pub type Event = crate::ktrace::Span;
 
 impl Event {
-    /// Field lookup by key (first match).
-    pub fn field(&self, key: &str) -> Option<&FieldValue> {
-        self.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
-    }
-
-    /// The event as a JSON object (profiled report export).
+    /// The event as a JSON object (profiled report export); `seq` is its
+    /// record id.
     pub fn to_json(&self) -> Value {
-        let mut pairs = vec![
-            ("seq", json::num(self.seq as f64)),
-            ("ts", json::num(self.ts as f64)),
-            ("component", json::str(self.component)),
-            ("kind", json::str(self.kind)),
-        ];
-        let fields: Vec<(String, Value)> = self
-            .fields
-            .iter()
-            .map(|(k, v)| {
-                let jv = match v {
-                    FieldValue::I64(n) => json::num(*n as f64),
-                    FieldValue::U64(n) => json::num(*n as f64),
-                    FieldValue::Str(s) => json::str(s.clone()),
-                };
-                (k.to_string(), jv)
-            })
-            .collect();
-        pairs.push(("fields", Value::Obj(fields)));
-        json::obj(pairs)
+        let fields = self.fields.iter().map(|(k, v)| (k.to_string(), v.to_json())).collect();
+        json::obj(vec![
+            ("seq", json::num(self.id as f64)),
+            ("ts", json::num((self.start_us / 1000) as f64)),
+            ("component", json::str(self.track)),
+            ("kind", json::str(self.name)),
+            ("fields", Value::Obj(fields)),
+        ])
     }
 }
 
+/// The one-line form the trace tail prints: virtual ms, component, kind,
+/// fields.
 impl fmt::Display for Event {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{:>8}] {:<14} {:<18}", self.ts, self.component, self.kind)?;
+        write!(f, "[{:>8}] {:<14} {:<18}", self.start_us / 1000, self.track, self.name)?;
         for (k, v) in &self.fields {
             write!(f, " {k}={v}")?;
         }
@@ -140,69 +119,25 @@ impl fmt::Display for Event {
     }
 }
 
-struct Ring {
-    events: VecDeque<Event>,
-    next_seq: u64,
-}
-
-fn ring() -> &'static Mutex<Ring> {
-    static RING: Mutex<Ring> = Mutex::new(Ring { events: VecDeque::new(), next_seq: 0 });
-    &RING
-}
-
-fn lock() -> std::sync::MutexGuard<'static, Ring> {
-    ring().lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Emit one event. The `fields` closure only runs when tracing is compiled
-/// in.
+/// Emit one event at `ts` (virtual ms). The `fields` closure only runs
+/// when tracing is compiled in.
 #[allow(unused_variables)]
 pub fn emit<F>(ts: i64, component: &'static str, kind: &'static str, fields: F)
 where
     F: FnOnce() -> Vec<(&'static str, FieldValue)>,
 {
     #[cfg(not(feature = "off"))]
-    {
-        let mut ring = lock();
-        let seq = ring.next_seq;
-        ring.next_seq += 1;
-        if ring.events.len() == RING_CAPACITY {
-            ring.events.pop_front();
-            // The registry mutex is independent of the ring's, so counting
-            // the eviction here cannot deadlock. Drops used to be silent;
-            // snapshots now carry `kobs.trace.dropped` so a trace tail
-            // with missing history says how much is missing.
-            crate::count("kobs.trace.dropped", 1);
-        }
-        ring.events.push_back(Event { seq, ts, component, kind, fields: fields() });
-    }
+    crate::ktrace::push_event(ts.saturating_mul(1000), component, kind, fields());
 }
 
-/// The last `n` events, oldest first.
-pub fn tail(n: usize) -> Vec<Event> {
-    let ring = lock();
-    let skip = ring.events.len().saturating_sub(n);
-    ring.events.iter().skip(skip).cloned().collect()
-}
+pub use crate::ktrace::tail;
 
-/// Total events emitted so far, including evicted ones.
-pub fn emitted() -> u64 {
-    lock().next_seq
-}
-
-/// Clear the ring (run isolation in simtest).
-pub fn clear() {
-    let mut ring = lock();
-    ring.events.clear();
-    ring.next_seq = 0;
-}
-
-/// Emit an event on the global ring.
+/// Emit an event into the trace ring.
 ///
 /// ```
 /// kobs::event!(17, "kbroker.txn", "txn_complete", pid = 4u64, partitions = 2usize);
 /// assert_eq!(kobs::trace::tail(1).len(), kobs::ENABLED as usize);
-/// # kobs::trace::clear();
+/// # kobs::ktrace::clear();
 /// ```
 #[macro_export]
 macro_rules! event {
@@ -216,16 +151,7 @@ macro_rules! event {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex as TestMutex, MutexGuard};
-
-    // The ring is process-global; serialize tests that touch it.
-    static TEST_LOCK: TestMutex<()> = TestMutex::new(());
-
-    fn isolated() -> MutexGuard<'static, ()> {
-        let guard = TEST_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        clear();
-        guard
-    }
+    use crate::ktrace::tests::isolated;
 
     #[test]
     fn emit_and_tail_round_trip() {
@@ -238,54 +164,58 @@ mod tests {
             return;
         }
         assert_eq!(tail.len(), 2);
-        assert_eq!(tail[0].kind, "txn_init");
-        assert_eq!(tail[1].ts, 9);
-        assert_eq!(tail[1].field("partitions"), Some(&FieldValue::U64(3)));
-        assert_eq!(tail[0].seq + 1, tail[1].seq);
+        assert_eq!(tail[0].name, "txn_init");
+        assert_eq!(tail[1].start_us, 9_000);
+        assert_eq!(tail[1].fields[1], ("partitions", FieldValue::U64(3)));
+        assert_eq!(tail[0].id + 1, tail[1].id);
     }
 
     #[test]
-    fn ring_evicts_oldest_but_seq_keeps_counting() {
+    fn events_nest_under_the_entered_span_without_moving_it() {
         let _g = isolated();
         if !crate::ENABLED {
             return;
         }
-        for i in 0..(RING_CAPACITY + 5) {
-            crate::event!(i as i64, "kstreams", "tick");
-        }
-        let t = tail(RING_CAPACITY + 10);
-        assert_eq!(t.len(), RING_CAPACITY);
-        assert_eq!(t.last().unwrap().seq, (RING_CAPACITY + 4) as u64);
-        assert_eq!(emitted(), (RING_CAPACITY + 5) as u64);
-    }
-
-    #[test]
-    fn ring_overflow_is_counted_in_the_registry() {
-        let _g = isolated();
-        if !crate::ENABLED {
-            return;
-        }
-        // The registry is process-global and other tests write to it, so
-        // assert on the delta rather than the absolute count.
-        let before = crate::snapshot().counter("kobs.trace.dropped").unwrap_or(0);
-        for i in 0..(RING_CAPACITY + 7) {
-            crate::event!(i as i64, "kstreams", "tick");
-        }
-        let after = crate::snapshot().counter("kobs.trace.dropped").unwrap_or(0);
-        assert_eq!(after - before, 7, "each eviction must count one drop");
+        let root = crate::span!(5, "kstreams", "cycle");
+        let entered = crate::ktrace::enter(root);
+        // Stamped after the span's finish time, and before its start: an
+        // event neither stretches nor is moved by the span it sits in.
+        crate::event!(9, "klog", "segment_roll");
+        crate::event!(4, "klog", "segment_roll");
+        drop(entered);
+        crate::ktrace::finish_span(root, 6_000);
+        crate::event!(7, "kstreams", "outside");
+        let spans = crate::ktrace::finished_spans();
+        assert_eq!((spans.len(), spans[0].start_us, spans[0].end_us), (1, 5_000, 6_000));
+        let tail = tail(10);
+        assert_eq!(tail.iter().map(|e| e.start_us).collect::<Vec<_>>(), vec![9_000, 4_000, 7_000]);
+        assert_eq!(
+            (tail[0].parent, tail[0].root),
+            (Some(root.id().unwrap()), tail[0].parent.unwrap())
+        );
+        assert_eq!(tail[2].parent, None);
+        let trees = crate::ktrace::recent_trees(usize::MAX);
+        assert_eq!(trees.len(), 1, "an event is never a tree root");
+        assert_eq!(trees[0].len(), 3, "the tree carries its events inline");
+        assert!(crate::ktrace::critical_path_summary().is_none());
     }
 
     #[test]
     fn event_json_and_display() {
         let e = Event {
-            seq: 3,
-            ts: 42,
-            component: "kbroker.isr",
-            kind: "isr_shrink",
+            id: 3,
+            parent: None,
+            root: 3,
+            name: "isr_shrink",
+            track: "kbroker.isr",
+            start_us: 42_000,
+            end_us: 42_000,
             fields: vec![("tp", FieldValue::Str("orders-0".into())), ("isr", FieldValue::U64(2))],
+            event: true,
         };
         let j = e.to_json();
         assert_eq!(j.get("kind").unwrap().as_str(), Some("isr_shrink"));
+        assert_eq!(j.get("ts").unwrap().as_f64(), Some(42.0));
         assert_eq!(j.get("fields").unwrap().get("isr").unwrap().as_f64(), Some(2.0));
         let text = e.to_string();
         assert!(text.contains("isr_shrink") && text.contains("tp=orders-0"), "{text}");

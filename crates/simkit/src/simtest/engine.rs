@@ -32,8 +32,8 @@ const MAX_FAILURES: usize = 20;
 /// Trailing trace-event window attached to profiled or failing reports.
 const TRACE_TAIL: usize = 32;
 
-/// Flight-recorder span trees rendered into a failing report (the ring
-/// retains [`kobs::ktrace::FLIGHT_RECORDER_TREES`]; dumping them all would
+/// Flight-recorder span trees rendered into a failing report (of the
+/// newest [`kobs::ktrace::FLIGHT_RECORDER_TREES`]; dumping them all would
 /// drown the repro line).
 const FLIGHT_DUMP_TREES: usize = 2;
 
@@ -691,7 +691,7 @@ impl Engine {
             // trivial single-span commit roots at the very end of every
             // run, which carry no timeline worth dumping.
             let all = kobs::ktrace::recent_trees(kobs::ktrace::FLIGHT_RECORDER_TREES);
-            let rich: Vec<&kobs::SpanTree> = all.iter().filter(|t| t.spans.len() > 1).collect();
+            let rich: Vec<&kobs::SpanTree> = all.iter().filter(|t| t.len() > 1).collect();
             let pick = if rich.is_empty() { all.iter().collect() } else { rich };
             pick.into_iter()
                 .rev()
@@ -700,6 +700,9 @@ impl Engine {
                 .map(kobs::ktrace::render_tree)
                 .collect()
         };
+        // Read after every kobs view above, so the digest's own topic reads
+        // cannot show up in the report's metrics or traces.
+        let committed_digest = self.committed_digest();
 
         SimReport {
             seed: self.cfg.seed,
@@ -722,6 +725,7 @@ impl Engine {
             feed_errors: self.feed_errors,
             input_records: input.len() as u64,
             output_records: output.len() as u64,
+            committed_digest,
             events: self.events,
             fault_counts: self.plan.injection_counts(),
             step_errors: self.step_errors,
@@ -732,6 +736,44 @@ impl Engine {
             flight,
             inject_failure: self.cfg.inject_failure,
         }
+    }
+
+    /// FNV-1a over `(topic, partition, offset, key, value, timestamp)` of
+    /// every read-committed record of `out` and of each changelog topic,
+    /// each partition in offset order: what the run committed, which
+    /// telemetry must not change.
+    fn committed_digest(&self) -> u64 {
+        let topology = self.workload.profile.topology();
+        let changelogs =
+            topology.internal_topics.iter().filter(|it| it.name.ends_with("-changelog"));
+        let topics = std::iter::once("out".to_string())
+            .chain(changelogs.map(|it| format!("{APP_ID}-{}", it.name)));
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut feed = |bytes: &[u8]| {
+            for &b in bytes {
+                hash ^= b as u64;
+                hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        };
+        for topic in topics.filter(|t| self.cluster.topic_exists(t)) {
+            let mut records = read_topic(&self.cluster, &topic);
+            records.sort_by_key(|r| (r.partition, r.offset));
+            feed(&(topic.len() as u64).to_le_bytes());
+            feed(topic.as_bytes());
+            for r in &records {
+                feed(&r.partition.to_le_bytes());
+                feed(&r.offset.to_le_bytes());
+                for part in [&r.key, &r.value] {
+                    // A length prefix, with u64::MAX for a null, keeps
+                    // adjacent fields from running into each other.
+                    let len = part.as_ref().map_or(u64::MAX, |b| b.len() as u64);
+                    feed(&len.to_le_bytes());
+                    feed(part.as_deref().unwrap_or_default());
+                }
+                feed(&r.timestamp.to_le_bytes());
+            }
+        }
+        hash
     }
 
     /// The reference model and the three consistency/completeness checks.

@@ -54,6 +54,10 @@ pub struct SimReport {
     pub input_records: u64,
     /// Committed records read from the output topic.
     pub output_records: u64,
+    /// Stable hash (FNV-1a) of the read-committed records of the output
+    /// and changelog topics. It must not change with telemetry compiled in
+    /// or out.
+    pub committed_digest: u64,
     pub events: EventCounts,
     /// `(point, observed, injected)` per fault point, in stable order.
     pub fault_counts: Vec<(FaultPoint, u64, u64)>,
@@ -65,15 +69,17 @@ pub struct SimReport {
     /// kobs metrics snapshot; present when the run was observability
     /// profiled (`--profile` with no topology argument).
     pub obs: Option<kobs::Snapshot>,
-    /// Trailing trace-event window; populated when profiled or when an
-    /// oracle failed (so the repro line comes with its context).
+    /// Trailing trace-event window (the newest events of the trace ring);
+    /// populated when profiled or when an oracle failed (so the repro line
+    /// comes with its context).
     pub trace: Vec<kobs::Event>,
     /// Commit-cycle critical-path breakdown (ktrace); present when the run
     /// was observability profiled and at least one commit cycle completed.
     pub critical_path: Option<kobs::CriticalPathSummary>,
-    /// Flight-recorder dump: the last completed span trees, rendered as
-    /// indented text. Populated only when an oracle failed, so the repro
-    /// line comes with the causal timeline leading up to it.
+    /// Flight-recorder dump: the newest span trees of the trace ring, with
+    /// their events inline, rendered as indented text. Populated only when
+    /// an oracle failed, so the repro line comes with the causal timeline
+    /// leading up to it.
     pub flight: Vec<String>,
     /// Whether this run carried an injected synthetic oracle failure
     /// (`--inject-failure`), used to exercise the flight-recorder dump.
@@ -138,6 +144,7 @@ impl SimReport {
             ("feed_errors", num(self.feed_errors as f64)),
             ("input_records", num(self.input_records as f64)),
             ("output_records", num(self.output_records as f64)),
+            ("committed_digest", jstr(format!("{:016x}", self.committed_digest))),
             ("passed", Value::Bool(self.passed())),
             ("failures", Value::Arr(self.failures.iter().map(|e| jstr(e.clone())).collect())),
             ("repro", jstr(self.repro())),
@@ -201,6 +208,7 @@ impl fmt::Display for SimReport {
             "  fed={} feed_errors={} input_records={} output_records={}",
             self.records_fed, self.feed_errors, self.input_records, self.output_records
         )?;
+        writeln!(f, "  committed_digest={:016x}", self.committed_digest)?;
         writeln!(
             f,
             "  events: broker_kills={} broker_restores={} instance_crashes={} instance_restarts={} forced_rebalances={} durable_crashes={} rolling_restarts={} instance_adds={} instance_removes={}",

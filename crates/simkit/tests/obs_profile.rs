@@ -23,7 +23,7 @@ fn profiled_report_carries_metrics_and_trace() {
         assert!(!report.trace.is_empty(), "profiled run attaches a trace tail");
         assert!(report.trace.len() <= 32, "trace tail is bounded");
         assert!(
-            report.trace.windows(2).all(|w| w[0].seq < w[1].seq),
+            report.trace.windows(2).all(|w| w[0].id < w[1].id),
             "trace tail is in emission order"
         );
 

@@ -18,8 +18,9 @@
 #                              # standby unit tests, churn sweep and churn
 #                              # replay identity
 #   ./verify.sh observability  # metric exports (simtest, fig5b), kobs-off
-#                              # build and tier-1 tests, span determinism,
-#                              # chrome trace, critical path, flight recorder
+#                              # build and tier-1 tests, kobs on/off
+#                              # identity, span determinism, chrome trace,
+#                              # critical path, flight recorder
 #   ./verify.sh docs           # cargo doc --no-deps under -D warnings
 #
 # Any other argument prints this list and exits 2. Otherwise exits non-zero
@@ -30,6 +31,19 @@ cd "$(dirname "$0")"
 step() { printf '\n==> %s\n' "$*"; }
 simtest() { cargo run -q --release -p simkit --bin simtest -- "$@"; }
 obs_check() { cargo run -q --release -p kobs --bin obs-check -- "$@"; }
+# simtest with kobs compiled out, in its own target directory so the two
+# builds do not rebuild each other.
+simtest_kobs_off() {
+  CARGO_TARGET_DIR=target/kobs-off \
+    cargo run -q --release -p simkit --features kobs-off --bin simtest -- "$@"
+}
+# A simtest report without its telemetry sections: metrics, critical path,
+# trace tail and flight recorder.
+untraced() {
+  awk '/^  (metrics|critical path|trace \(last|flight recorder)/ { skip = 1; next }
+       /^[^ ]|^  [^ ]/ { skip = 0 }
+       !skip'
+}
 # A scratch directory for a gate's artifacts, removed on exit.
 scratch() {
   out=$(mktemp -d)
@@ -147,6 +161,18 @@ gate_observability() {
   step "kobs-off build and tier-1 tests"
   cargo build -q --release --features kobs-off
   cargo test -q --features kobs-off
+
+  # Telemetry must not change what the simulation does: with kobs compiled
+  # in and out, every report line outside the telemetry sections must
+  # agree, committed_digest included.
+  step "kobs on/off identity (simtest --sweep 0..8 --profile: plain, churn, disk)"
+  for mode in "" --churn "--storage disk"; do
+    # shellcheck disable=SC2086 # $mode is zero, one or two words
+    simtest --sweep 0..8 --profile $mode | untraced >"$out/kobs-on.txt"
+    # shellcheck disable=SC2086
+    simtest_kobs_off --sweep 0..8 --profile $mode | untraced >"$out/kobs-off.txt"
+    cmp "$out/kobs-on.txt" "$out/kobs-off.txt"
+  done
 
   # Span determinism contract: same seed → byte-identical span trees.
   step "span determinism tests"
