@@ -82,11 +82,11 @@ fn run_mode(exactly_once: bool, rate_per_ms: usize, duration_ms: i64) -> Outcome
         clock.advance(1);
     }
     for _ in 0..3 {
-        clock.advance(100);
         for a in &mut apps {
             a.step().unwrap();
         }
         probe.drain(clock.now_ms());
+        clock.advance(100);
     }
     let wall = started.elapsed().as_secs_f64();
     let processed: u64 = apps.iter().map(|a| a.metrics().records_processed).sum();

@@ -90,10 +90,10 @@ fn run_platform(suppress: bool, duration_ms: i64) -> Outcome {
         clock.advance(1);
     }
     for _ in 0..4 {
-        clock.advance(1_500);
         enricher.step().unwrap();
         viewer.step().unwrap();
         probe.drain(clock.now_ms());
+        clock.advance(1_500);
     }
     let view_records = cluster.topic_record_count("views").unwrap() as u64;
     let out = Outcome {

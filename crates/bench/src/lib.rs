@@ -5,7 +5,7 @@
 //! | Paper artifact | Binary |
 //! |---|---|
 //! | Figure 5.a (EOS vs ALOS over #partitions) | `fig5a` |
-//! | Figure 5.b (commit interval sweep, Streams vs Flink-style) | `fig5b` |
+//! | Figure 5.b (commit interval sweep, Streams EOS) | `fig5b` |
 //! | §6.1 Bloomberg EOS overhead at 10–25 k msg/s | `bloomberg` |
 //! | §6.2 Expedia commit-interval / suppression configs | `expedia` |
 //!
@@ -254,9 +254,9 @@ pub fn run(spec: RunSpec) -> RunReport {
     }
     // Drain the tail: run until every generated record is processed and
     // committed (bounded — the main loop may end with records still waiting
-    // for their commit).
+    // for their commit). Each pass steps and drains before it advances the
+    // clock, so a record due at the next commit is not held an interval more.
     for _ in 0..200 {
-        clock.advance(spec.commit_interval_ms.max(1));
         let t = Instant::now();
         for app in &mut apps {
             app.step().expect("drain step");
@@ -267,6 +267,7 @@ pub fn run(spec: RunSpec) -> RunReport {
         if processed >= generator.produced() && probe.received() >= generator.produced() {
             break;
         }
+        clock.advance(spec.commit_interval_ms.max(1));
     }
     let wall = app_wall.as_secs_f64();
     let mut streams = kstreams::StreamsMetrics::default();
@@ -294,66 +295,6 @@ pub fn run_median(spec: RunSpec, repeats: usize) -> RunReport {
     let mut reports: Vec<RunReport> = (0..repeats).map(|_| run(spec.clone())).collect();
     reports.sort_by(|a, b| a.throughput_msg_per_sec.total_cmp(&b.throughput_msg_per_sec));
     reports.remove(reports.len() / 2)
-}
-
-/// Run the same workload through the Flink-style aligned-checkpoint
-/// baseline (`ckpt-baseline`), with the checkpoint interval standing in for
-/// the commit interval (Figure 5.b's comparison).
-pub fn run_checkpoint_baseline(spec: RunSpec) -> RunReport {
-    use ckpt_baseline::{CheckpointApp, CheckpointConfig};
-    let _serial = OBS_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    kobs::reset();
-    let clock = ManualClock::new();
-    let cluster = Cluster::builder().brokers(3).replication(3).clock(clock.shared()).build();
-    cluster.create_topic("bench-in", TopicConfig::new(spec.input_partitions)).unwrap();
-    cluster.create_topic("bench-out", TopicConfig::new(spec.output_partitions)).unwrap();
-
-    let reduce: ckpt_baseline::engine::ReduceFn = Arc::new(|cur, v| {
-        let c = cur.map_or(0, |b| i64::from_be_bytes(b.as_ref().try_into().expect("state")));
-        let x = i64::from_be_bytes(v.as_ref().try_into().expect("value"));
-        bytes::Bytes::copy_from_slice(&c.wrapping_add(x).to_be_bytes())
-    });
-    let config = CheckpointConfig::new("flink-bench", spec.commit_interval_ms);
-    let mut app = CheckpointApp::new(cluster.clone(), config, "bench-in", "bench-out", reduce)
-        .expect("checkpoint app");
-
-    let mut generator = LoadGenerator::new(&cluster, "bench-in", spec.key_space);
-    let mut probe = LatencyProbe::new(&cluster, "bench-out");
-
-    let mut app_wall = std::time::Duration::ZERO;
-    for _tick in 0..spec.duration_ms {
-        generator.emit(spec.rate_per_ms, clock.now_ms());
-        let t = Instant::now();
-        app.step().expect("ckpt step");
-        app_wall += t.elapsed();
-        probe.drain(clock.now_ms());
-        clock.advance(1);
-    }
-    for _ in 0..200 {
-        clock.advance(spec.commit_interval_ms.max(1));
-        let t = Instant::now();
-        app.step().expect("ckpt drain");
-        app.step().expect("ckpt drain");
-        app_wall += t.elapsed();
-        probe.drain(clock.now_ms());
-        if app.stats().records_processed >= generator.produced()
-            && probe.received() >= generator.produced()
-        {
-            break;
-        }
-    }
-    let wall = app_wall.as_secs_f64();
-    let stats = app.stats();
-    RunReport {
-        spec,
-        throughput_msg_per_sec: stats.records_processed as f64 / wall,
-        latency: probe.histogram,
-        records_generated: generator.produced(),
-        records_processed: stats.records_processed,
-        transactions: stats.checkpoints_completed,
-        obs: kobs::snapshot(),
-        critical_path: kobs::ktrace::critical_path_summary(),
-    }
 }
 
 /// Pretty row formatting used by the figure binaries.
@@ -444,9 +385,10 @@ mod tests {
     #[test]
     fn latency_tracks_commit_interval_for_eos() {
         // The core Figure 5.b relationship: longer commit interval ⇒ higher
-        // end-to-end latency (outputs wait for the transaction commit).
+        // end-to-end latency (outputs wait for the transaction commit), and
+        // no record waits longer than one interval, the run's tail included.
         let lat = |interval| {
-            run(RunSpec {
+            let latency = run(RunSpec {
                 input_partitions: 1,
                 output_partitions: 1,
                 commit_interval_ms: interval,
@@ -455,8 +397,13 @@ mod tests {
                 key_space: 8,
                 ..RunSpec::default()
             })
-            .latency
-            .mean_ms()
+            .latency;
+            assert!(
+                latency.max_ms() <= interval,
+                "{interval}ms interval: a record waited {}ms",
+                latency.max_ms()
+            );
+            latency.mean_ms()
         };
         let fast = lat(10);
         let slow = lat(200);

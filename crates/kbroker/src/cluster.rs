@@ -223,11 +223,6 @@ impl Cluster {
         ClusterBuilder::default()
     }
 
-    /// The cluster's clock.
-    pub fn clock(&self) -> &SharedClock {
-        &self.inner.clock
-    }
-
     /// Current time per the cluster's clock.
     pub fn now_ms(&self) -> i64 {
         self.inner.clock.now_ms()

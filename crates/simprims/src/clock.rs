@@ -15,12 +15,6 @@ use std::time::Instant;
 pub trait Clock: Send + Sync {
     /// Current time in milliseconds since the clock's epoch.
     fn now_ms(&self) -> i64;
-
-    /// Sleep (or virtually advance) for `ms` milliseconds.
-    ///
-    /// On a [`WallClock`] this parks the thread; on a [`ManualClock`] it
-    /// advances virtual time immediately, so tests never actually wait.
-    fn sleep_ms(&self, ms: i64);
 }
 
 /// A shareable, dynamically dispatched clock handle.
@@ -55,12 +49,6 @@ impl Default for WallClock {
 impl Clock for WallClock {
     fn now_ms(&self) -> i64 {
         self.start.elapsed().as_millis() as i64
-    }
-
-    fn sleep_ms(&self, ms: i64) {
-        if ms > 0 {
-            std::thread::sleep(std::time::Duration::from_millis(ms as u64));
-        }
     }
 }
 
@@ -113,12 +101,6 @@ impl Clock for ManualClock {
     fn now_ms(&self) -> i64 {
         *self.now.lock()
     }
-
-    fn sleep_ms(&self, ms: i64) {
-        if ms > 0 {
-            self.advance(ms);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -148,13 +130,6 @@ mod tests {
         assert_eq!(c2.now_ms(), 42);
         c2.advance(8);
         assert_eq!(c.now_ms(), 50);
-    }
-
-    #[test]
-    fn manual_clock_sleep_advances() {
-        let c = ManualClock::new();
-        c.sleep_ms(250);
-        assert_eq!(c.now_ms(), 250);
     }
 
     #[test]

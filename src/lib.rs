@@ -12,10 +12,8 @@
 //!   consumer groups, clients),
 //! * [`kstreams`] — the streams library (DSL, topology, tasks, state stores,
 //!   exactly-once, revision processing),
-//! * [`ckpt_baseline`] — the Flink-style aligned-checkpoint comparator,
 //! * [`simkit`] — clocks, fault injection, measurement.
 
-pub use ckpt_baseline;
 pub use kbroker;
 pub use klog;
 pub use kstreams;

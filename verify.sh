@@ -9,7 +9,7 @@
 #                              # kbroker unit tests, state-store unit tests
 #                              # and proptests, instance and standby unit
 #                              # tests, klog unit tests and proptests,
-#                              # kanalyze, detlint
+#                              # figure-driver unit tests, kanalyze, detlint
 #   ./verify.sh storage        # disk seed sweep, disk replay identity, storage
 #                              # batteries
 #   ./verify.sh simtest        # seed sweeps (plain and cached), forced
@@ -246,6 +246,11 @@ gate_full() {
     cargo test -q -p klog --lib
     step "cargo test -q -p klog --test proptests"
     cargo test -q -p klog --test proptests
+
+    # Likewise the figure driver's tests: a run processes and commits every
+    # record, and no EOS record waits longer than one commit interval.
+    step "cargo test -q -p bench --lib"
+    cargo test -q -p bench --lib
   fi
 
   step "cargo run --bin kanalyze (topology static verifier demo)"
