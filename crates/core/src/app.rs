@@ -72,7 +72,10 @@ pub struct KafkaStreamsApp {
     started: bool,
     /// Metrics of tasks that were revoked (so totals are cumulative).
     retired_metrics: StreamsMetrics,
-    commits: u64,
+    /// [`Self::metrics`] as of the last commit: how much of this
+    /// instance's counts the registry's `kstreams.*` counters have heard.
+    published: StreamsMetrics,
+    commit_cycles: u64,
     transactions: u64,
     /// Process cycles run so far (the cycle span's `n`).
     cycles: u64,
@@ -163,7 +166,8 @@ impl KafkaStreamsApp {
             txn_open: false,
             started: false,
             retired_metrics: StreamsMetrics::default(),
-            commits: 0,
+            published: StreamsMetrics::default(),
+            commit_cycles: 0,
             transactions: 0,
             cycles: 0,
         }
@@ -759,23 +763,15 @@ impl KafkaStreamsApp {
         for task in self.tasks.values_mut().filter_map(Hosted::active_mut) {
             task.mark_clean();
         }
-        self.commits += 1;
+        self.commit_cycles += 1;
         self.last_commit_ms = self.cluster.now_ms();
         // The commit cycle's duration on the cluster clock: real time on a
         // wall clock; 0 on a virtual clock, which nothing in the cycle
         // advances.
         kobs::observe("kstreams.commit_cycle_ms", self.last_commit_ms - commit_start);
-        kobs::count("kstreams.commit_cycles", 1);
         let m = self.metrics();
-        // Changelog amplification: appends per 1000 inputs. 1000 with
-        // caching off and one store write per input; drops as the cache
-        // dedups repeated keys.
-        if let Some(per_1k) =
-            m.changelog_appends.saturating_mul(1000).checked_div(m.records_processed)
-        {
-            kobs::gauge_set("kstreams.changelog_appends_per_1k_inputs", per_1k as i64);
-        }
-        m.publish();
+        m.count_since(&self.published, kobs::global());
+        self.published = m;
         Ok(())
     }
 
@@ -848,7 +844,7 @@ impl KafkaStreamsApp {
         for t in self.tasks.values().filter_map(Hosted::owned) {
             m.merge(t.metrics());
         }
-        m.commits = self.commits;
+        m.commit_cycles = self.commit_cycles;
         m.transactions = self.transactions;
         m.active_tasks = self.tasks.values().filter_map(Hosted::active).count() as u64;
         m.standby_tasks = self.standby_ids().len() as u64;
@@ -884,11 +880,6 @@ impl KafkaStreamsApp {
     pub fn query_window(&mut self, store: &str, key: &[u8], window_start: i64) -> Option<Bytes> {
         let mut active = self.tasks.values_mut().filter_map(Hosted::active_mut);
         active.find_map(|t| t.query_window(store, key, window_start))
-    }
-
-    /// Producer-side stats (dedup counters etc. for benches).
-    pub fn producer_stats(&self) -> kbroker::producer::ProducerStats {
-        self.producer.stats()
     }
 
     /// Deterministic dump of every owned task's stores, keyed by

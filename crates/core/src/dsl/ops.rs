@@ -506,7 +506,6 @@ impl Processor for Suppress {
         }
         // Occupancy before flushing: how many keys the buffer is holding
         // back (§6.2's consolidation working set).
-        kobs::gauge_set("kstreams.suppress.buffer_occupancy", buffered as i64);
         kobs::gauge_max("kstreams.suppress.buffer_occupancy_peak", buffered as i64);
         // Flush against the operator-observed stream time, not the task's:
         // see the `observed` field for why the two can differ under caching.

@@ -92,9 +92,6 @@ pub struct StreamTask {
     /// in-flight transaction can keep it alive — only dirty tasks need a
     /// close-and-rebuild.
     dirty: bool,
-    /// How much of `env.metrics`' cache hits, misses, evictions and late
-    /// drops the registry has seen ([`Self::publish_counters`]).
-    published: [u64; 4],
 }
 
 impl StreamTask {
@@ -170,29 +167,7 @@ impl StreamTask {
             restore_from: HashMap::new(),
             source_restore_tps,
             dirty: false,
-            published: [0; 4],
         })
-    }
-
-    /// Bring the registry's record-cache and late-drop counters up to this
-    /// task's own: operators count these per record in `env.metrics` alone,
-    /// and the registry — a global lock and a name lookup per call — hears
-    /// once per cycle and per cache flush. A counter that never moved is
-    /// never named, so a cache-off run still creates no `kstreams.cache.*`.
-    fn publish_counters(&mut self) {
-        let m = &self.env.metrics;
-        let counted = [
-            ("kstreams.cache.hits", m.cache_hits),
-            ("kstreams.cache.misses", m.cache_misses),
-            ("kstreams.cache.evictions", m.cache_evictions),
-            ("kstreams.late_drops", m.late_dropped),
-        ];
-        for ((name, now), published) in counted.into_iter().zip(&mut self.published) {
-            if now > *published {
-                kobs::count(name, now - *published);
-                *published = now;
-            }
-        }
     }
 
     /// Whether uncommitted work (processed input, pending output, or store
@@ -297,7 +272,6 @@ impl StreamTask {
             }
         }
         let replayed = self.env.metrics.restore_records - replayed_before;
-        kobs::count("kstreams.restore.records_replayed", replayed);
         if replayed > 0 {
             kobs::count("kstreams.restore.sessions", 1);
             kobs::event!(
@@ -338,7 +312,6 @@ impl StreamTask {
         let result = self
             .poll_and_process(cluster, max_records, isolation)
             .and_then(|processed| self.punctuate(wall_ms).map(|()| processed));
-        self.publish_counters();
         drop(entered);
         // The virtual clock stands still within a step; one microsecond per
         // cycle keeps the tasks of a step distinguishable on the timeline.
@@ -477,14 +450,12 @@ impl StreamTask {
             task = self.id.to_string(),
             dirty = dirty,
         );
-        kobs::gauge_set("kstreams.cache.dirty_entries", dirty as i64);
         kobs::gauge_max("kstreams.cache.dirty_entries_peak", dirty as i64);
         let result = self
             .driver
             .flush_caches(&mut self.env)
             .and_then(|()| self.driver.punctuate(&mut self.env, wall_time))
             .and_then(|()| self.driver.flush_caches(&mut self.env));
-        self.publish_counters();
         kobs::ktrace::finish_span(span, wall_time * 1000);
         result
     }
@@ -554,11 +525,6 @@ impl StreamTask {
             Store::Window(s) => s.fetch(key, window_start),
             _ => None,
         })
-    }
-
-    /// Number of entries in a store (tests).
-    pub fn store_len(&self, store: &str) -> Option<usize> {
-        self.env.stores.get(store).map(|e| e.store.len())
     }
 
     /// Deterministic dump of every store's contents as

@@ -167,11 +167,6 @@ impl InternalBuilder {
         }
     }
 
-    /// Number of nodes so far.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Build the immutable topology: compute connected components (sub-
     /// topologies), attach stores to the component of their users, and
     /// register changelog topics for changelogged stores.

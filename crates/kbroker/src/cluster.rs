@@ -385,15 +385,6 @@ impl Cluster {
         Ok(self.replica_set(tp)?.lock().leader_log()?.last_stable_offset())
     }
 
-    /// Earliest offset with timestamp `>= ts` on a partition.
-    pub fn offset_for_timestamp(
-        &self,
-        tp: &TopicPartition,
-        ts: i64,
-    ) -> Result<Option<Offset>, BrokerError> {
-        Ok(self.replica_set(tp)?.lock().leader_log()?.offset_for_timestamp(ts))
-    }
-
     // ------------------------------------------------------------------
     // Failure injection & recovery
     // ------------------------------------------------------------------
@@ -527,15 +518,6 @@ impl Cluster {
         let mut total = 0;
         for tp in self.partitions_of(topic)? {
             total += self.replica_set(&tp)?.lock().leader_log()?.record_count();
-        }
-        Ok(total)
-    }
-
-    /// Total retained bytes across all partitions of a topic.
-    pub fn topic_size_bytes(&self, topic: &str) -> Result<usize, BrokerError> {
-        let mut total = 0;
-        for tp in self.partitions_of(topic)? {
-            total += self.replica_set(&tp)?.lock().leader_log()?.size_bytes();
         }
         Ok(total)
     }

@@ -98,10 +98,6 @@ impl ReplicaSet {
         }
     }
 
-    pub fn topic_partition(&self) -> &TopicPartition {
-        &self.tp
-    }
-
     pub fn leader(&self) -> Option<usize> {
         self.leader
     }
@@ -234,10 +230,10 @@ impl ReplicaSet {
         // LSO lag: records visible to read-uncommitted but still pending a
         // transaction outcome (§4.2's read-committed wait). Open
         // transactions hold the LSO back, so a growing lag means markers
-        // are outstanding.
+        // are outstanding. The lag is per partition; the process-wide name
+        // keeps the worst any partition reached.
         if let Ok(log) = self.leader_log() {
             let lag = log.high_watermark() - log.last_stable_offset();
-            kobs::gauge_set("kbroker.lso_lag", lag);
             kobs::gauge_max("kbroker.lso_lag_peak", lag);
         }
         first_error.map_or(Ok(()), |e| Err(e.into()))

@@ -28,7 +28,6 @@ pub mod batch;
 pub mod checks;
 pub mod compaction;
 pub mod error;
-pub mod index;
 pub mod log;
 pub mod producer_state;
 pub mod record;

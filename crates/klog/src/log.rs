@@ -17,7 +17,6 @@
 
 use crate::batch::{BatchMeta, ControlType, StoredBatch};
 use crate::error::LogError;
-use crate::index::TimeIndex;
 use crate::producer_state::{ProducerStateTable, SequenceCheck};
 use crate::record::Record;
 use crate::segment::{Placement, Segment, SegmentList};
@@ -142,7 +141,6 @@ pub struct PartitionLog {
     high_watermark: Offset,
     producers: ProducerStateTable,
     aborted: AbortedIndex,
-    time_index: TimeIndex,
     max_timestamp: i64,
     /// When true (default), the high watermark tracks the log end — the
     /// single-replica behaviour. The replication layer switches this off and
@@ -172,7 +170,6 @@ impl Clone for PartitionLog {
             high_watermark: self.high_watermark,
             producers: self.producers.clone(),
             aborted: self.aborted.clone(),
-            time_index: self.time_index.clone(),
             max_timestamp: self.max_timestamp,
             auto_advance_hw: self.auto_advance_hw,
             disk: None,
@@ -190,7 +187,6 @@ impl PartitionLog {
             high_watermark: 0,
             producers: ProducerStateTable::new(),
             aborted: AbortedIndex::default(),
-            time_index: TimeIndex::new(),
             max_timestamp: NO_TIMESTAMP,
             auto_advance_hw: true,
             disk: None,
@@ -259,13 +255,12 @@ impl PartitionLog {
             high_watermark,
             producers: ProducerStateTable::new(),
             aborted: AbortedIndex::default(),
-            time_index: TimeIndex::new(),
             max_timestamp: NO_TIMESTAMP,
             auto_advance_hw: true,
             disk: Some(disk),
         };
         for b in segments.iter_from(i64::MIN) {
-            log.index_timestamp(b);
+            log.track_max_timestamp(b);
         }
         log.segments = segments;
         let Some(snap) = snapshot else {
@@ -441,16 +436,11 @@ impl PartitionLog {
         self.store(batch)
     }
 
-    /// A data batch's timestamps feed the time index; a control marker
-    /// carries its coordinator's clock, not event time, and does not.
-    fn index_timestamp(&mut self, batch: &StoredBatch) {
-        if batch.meta.is_control() {
-            return;
-        }
-        let max_ts = batch.max_timestamp();
-        if max_ts > self.max_timestamp {
-            self.max_timestamp = max_ts;
-            self.time_index.maybe_add(max_ts, batch.base_offset());
+    /// A data batch's timestamps advance the max timestamp; a control
+    /// marker carries its coordinator's clock, not event time, and does not.
+    fn track_max_timestamp(&mut self, batch: &StoredBatch) {
+        if !batch.meta.is_control() {
+            self.max_timestamp = self.max_timestamp.max(batch.max_timestamp());
         }
     }
 
@@ -458,11 +448,11 @@ impl PartitionLog {
     /// [`append`](Self::append), [`append_control`](Self::append_control)
     /// and [`install_batch`](Self::install_batch), so a leader and the
     /// followers installing its batches go through identical state
-    /// transitions (time index, segment file, aborted index, producer table,
+    /// transitions (max timestamp, segment file, aborted index, producer table,
     /// watermark, snapshot and checkpoint).
     fn store(&mut self, batch: StoredBatch) -> Result<(), LogError> {
         let (base_offset, last_offset) = (batch.base_offset(), batch.last_offset());
-        self.index_timestamp(&batch);
+        self.track_max_timestamp(&batch);
         // Span only inside a traced lifecycle (a commit cycle's produce or
         // marker path); harness-side feeder appends stay span-free. The disk
         // write runs *inside* the span so its `fsync` child nests.
@@ -667,12 +657,6 @@ impl PartitionLog {
     /// Maximum record timestamp ever appended.
     pub fn max_timestamp(&self) -> i64 {
         self.max_timestamp
-    }
-
-    /// Earliest offset whose batch max-timestamp is `>= ts` (time index
-    /// lookup; approximate exactly the way Kafka's is).
-    pub fn offset_for_timestamp(&self, ts: i64) -> Option<Offset> {
-        self.time_index.lookup(ts)
     }
 
     /// Direct record access (tests / state restore).
@@ -1223,18 +1207,6 @@ mod tests {
             full_ns <= 3 * sparse_ns.max(1),
             "fetch at 4000 records took {full_ns} ns, at 100 records {sparse_ns} ns"
         );
-    }
-
-    #[test]
-    fn offset_for_timestamp_lookup() {
-        let mut log = PartitionLog::new();
-        log.append(BatchMeta::plain(), vec![Record::of_str("k", "a", 100)]).unwrap();
-        log.append(BatchMeta::plain(), vec![Record::of_str("k", "b", 200)]).unwrap();
-        log.append(BatchMeta::plain(), vec![Record::of_str("k", "c", 300)]).unwrap();
-        assert_eq!(log.offset_for_timestamp(150), Some(1));
-        assert_eq!(log.offset_for_timestamp(300), Some(2));
-        assert_eq!(log.offset_for_timestamp(301), None);
-        assert_eq!(log.offset_for_timestamp(0), Some(0));
     }
 
     #[test]

@@ -38,13 +38,6 @@ pub enum StorageMode {
     Disk(DiskConfig),
 }
 
-impl StorageMode {
-    /// True for the disk-backed mode.
-    pub fn is_disk(&self) -> bool {
-        matches!(self, StorageMode::Disk(_))
-    }
-}
-
 /// Where the disk backend writes, and how large its segments grow.
 #[derive(Debug, Clone)]
 pub struct DiskConfig {

@@ -6,7 +6,7 @@
 //! each name given on the command line to be present:
 //!
 //! ```text
-//! simtest --seed 7 --profile --json | obs-check kstreams.commit_cycle_ms kbroker.lso_lag
+//! simtest --seed 7 --profile --json | obs-check kstreams.commit_cycle_ms kbroker.lso_lag_peak
 //! ```
 //!
 //! With `--chrome`, stdin is instead validated as a Chrome/Perfetto trace

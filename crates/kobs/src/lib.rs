@@ -3,10 +3,11 @@
 //!
 //! Three pieces:
 //!
-//! - [`registry`]: named counters, gauges, and log-bucketed histograms
-//!   behind a process-global [`Registry`], exported as ordered text or
-//!   JSON [`Snapshot`]s. Metric names follow `<crate>.<subsystem>.<metric>`
-//!   with an `_ms` suffix for virtual-time histograms.
+//! - [`registry`]: named counters, high-water-mark gauges, and
+//!   log-bucketed histograms behind a process-global [`Registry`], exported
+//!   as ordered text or JSON [`Snapshot`]s. Metric names follow
+//!   `<crate>.<subsystem>.<metric>` with an `_ms` suffix for virtual-time
+//!   histograms.
 //! - [`ktrace`] / [`trace`] / [`trace_export`]: one bounded ring of trace
 //!   records — deterministic hierarchical spans ([`span!`] /
 //!   [`child_span!`]) over the virtual clock and zero-duration structured
@@ -24,8 +25,10 @@
 //!
 //! Building with the `off` feature compiles every instrumentation entry
 //! point (`count`, `observe`, `emit`, ...) to a no-op; the data types stay
-//! functional so downstream code needs no `cfg`. Downstream crates forward
-//! it as `kobs-off`. [`ENABLED`] reports which way this build went.
+//! functional so downstream code needs no `cfg`. The two entry points, the
+//! root package and `simkit`, expose it as `kobs-off`; Cargo unifies
+//! features, so every crate in that build links the one `kobs` with `off`
+//! set. [`ENABLED`] reports which way this build went.
 
 #![deny(missing_docs)]
 
@@ -51,11 +54,6 @@ pub fn reset() {
 /// Convenience: add `n` to a global counter.
 pub fn count(name: &str, n: u64) {
     global().count(name, n);
-}
-
-/// Convenience: set a global gauge.
-pub fn gauge_set(name: &str, v: i64) {
-    global().gauge_set(name, v);
 }
 
 /// Convenience: raise a global high-water-mark gauge.
@@ -88,7 +86,6 @@ mod tests {
         // Other tests in this binary also touch the global registry; use
         // names no other test writes and avoid reset() here.
         super::count("libtest.hits", 2);
-        super::gauge_set("libtest.depth", 3);
         super::gauge_max("libtest.peak", 9);
         super::observe("libtest.lat_ms", 12);
         let s = super::snapshot();

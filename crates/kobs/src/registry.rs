@@ -1,5 +1,12 @@
-//! The metrics registry: named counters, gauges, and log-bucketed
-//! histograms behind one process-global handle.
+//! The metrics registry: named counters, high-water-mark gauges, and
+//! log-bucketed histograms behind one process-global handle.
+//!
+//! A name in the global registry has many writers: every instance,
+//! incarnation, task and partition in the process. So the registry keeps
+//! only the kinds that combine across writers — counters add, gauges only
+//! rise ([`Registry::gauge_max`]), histograms pool observations. There is
+//! no gauge *set*: one owner's level written to a process-wide name would
+//! hold whichever writer came last.
 //!
 //! Naming scheme: `<crate>.<subsystem>.<metric>[_ms]` — e.g.
 //! `kbroker.txn.phase.markers_ms`, `kstreams.commit_cycle_ms`,
@@ -69,21 +76,6 @@ impl Registry {
                 Some(c) => *c += n,
                 None => {
                     inner.counters.insert(name.to_string(), n);
-                }
-            }
-        }
-    }
-
-    /// Set the named gauge to `v`.
-    #[allow(unused_variables)]
-    pub fn gauge_set(&self, name: &str, v: i64) {
-        #[cfg(not(feature = "off"))]
-        {
-            let mut inner = self.lock();
-            match inner.gauges.get_mut(name) {
-                Some(g) => *g = v,
-                None => {
-                    inner.gauges.insert(name.to_string(), v);
                 }
             }
         }
@@ -294,7 +286,6 @@ mod tests {
         let r = Registry::new();
         r.count("a.hits", 2);
         r.count("a.hits", 3);
-        r.gauge_set("a.depth", 7);
         r.gauge_max("a.peak", 5);
         r.gauge_max("a.peak", 3);
         r.observe("a.lat_ms", 10);
@@ -305,7 +296,6 @@ mod tests {
             return;
         }
         assert_eq!(s.counter("a.hits"), Some(5));
-        assert_eq!(s.gauge("a.depth"), Some(7));
         assert_eq!(s.gauge("a.peak"), Some(5));
         let h = s.hist("a.lat_ms").unwrap();
         assert_eq!(h.count, 2);

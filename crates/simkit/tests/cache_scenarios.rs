@@ -60,7 +60,7 @@ fn cache_absorbs_repeated_key_traffic() {
     );
     if kobs::ENABLED {
         let obs = cached.obs.as_ref().expect("profiled run attaches a snapshot");
-        let hits = obs.counter("kstreams.cache.hits").unwrap_or(0);
+        let hits = obs.counter("kstreams.cache_hits").unwrap_or(0);
         assert!(hits > 0, "expected same-key coalescing on seed 7:\n{cached}");
         assert!(
             obs.counter("kstreams.cache.flush_entries").unwrap_or(0) > 0,
@@ -68,7 +68,7 @@ fn cache_absorbs_repeated_key_traffic() {
         );
         let un_obs = uncached.obs.as_ref().expect("profiled run attaches a snapshot");
         assert_eq!(
-            un_obs.counter("kstreams.cache.hits").unwrap_or(0),
+            un_obs.counter("kstreams.cache_hits").unwrap_or(0),
             0,
             "cache-off runs must not touch the cache:\n{uncached}"
         );

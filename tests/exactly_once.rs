@@ -396,7 +396,7 @@ fn metrics_reflect_processing() {
     assert_eq!(m.records_processed, 5);
     assert_eq!(m.records_emitted, 5);
     assert!(m.transactions >= 1);
-    assert!(m.commits >= m.transactions);
+    assert!(m.commit_cycles >= m.transactions);
     assert_eq!(m.active_tasks, 1);
     app.close().unwrap();
 }

@@ -1,7 +1,8 @@
 //! Observability consistency across crash + restore: state restoration must
 //! show up as `restore_records` (matching the committed changelog length)
 //! and must NOT be double-counted as processing work, in both the
-//! per-instance `StreamsMetrics` and the global kobs registry.
+//! per-instance `StreamsMetrics` and the global kobs registry, whose
+//! `kstreams.<field>` counters sum every instance and incarnation.
 //!
 //! Also home to the ktrace determinism contract: identical seeds produce
 //! byte-identical span trees and chrome JSON,
@@ -33,15 +34,14 @@ fn eos_config() -> StreamsConfig {
 }
 
 fn send_events(cluster: &Cluster, n: usize, ts0: i64) {
+    send_keyed_events(cluster, n, ts0, |_| "key".to_string());
+}
+
+fn send_keyed_events(cluster: &Cluster, n: usize, ts0: i64, key: impl Fn(usize) -> String) {
     let mut p = Producer::new(cluster.clone(), ProducerConfig::default());
     for i in 0..n {
-        p.send(
-            "events",
-            Some("key".to_string().to_bytes()),
-            Some(format!("e{i}").to_bytes()),
-            ts0 + i as i64,
-        )
-        .unwrap();
+        p.send("events", Some(key(i).to_bytes()), Some(format!("e{i}").to_bytes()), ts0 + i as i64)
+            .unwrap();
     }
     p.flush().unwrap();
 }
@@ -117,13 +117,13 @@ fn restore_counters_are_consistent_across_crash_and_restart() {
     assert_eq!(first_processed + m.records_processed, 8, "every input processed exactly once");
     app.close().unwrap();
 
-    // The global registry tells the same story: the replay counter sums the
-    // restores of both incarnations (0 + 5), and no processing gauge ever
-    // included replayed records.
+    // The global registry tells the same story over the whole run: the
+    // replay counter sums the restores of both incarnations (0 + 5), and the
+    // processing counter sums their processing (5 + 3) without the replay.
     if kobs::ENABLED {
         let snap = kobs::snapshot();
         assert_eq!(
-            snap.counter("kstreams.restore.records_replayed"),
+            snap.counter("kstreams.restore_records"),
             Some(changelog_len),
             "registry replay counter matches the changelog length"
         );
@@ -133,11 +133,57 @@ fn restore_counters_are_consistent_across_crash_and_restart() {
             "exactly one non-empty restore session"
         );
         assert_eq!(
-            snap.gauge("kstreams.records_processed"),
-            Some(3),
-            "last published processing gauge excludes replayed records"
+            snap.counter("kstreams.records_processed"),
+            Some(5 + 3),
+            "processing counter sums both incarnations and excludes replayed records"
         );
-        assert_eq!(snap.gauge("kstreams.restore_records"), Some(changelog_len as i64));
+    }
+}
+
+#[test]
+fn streams_counters_sum_every_instance() {
+    let _serial = OBS_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    kobs::reset();
+
+    let clock = ManualClock::new();
+    let cluster = Cluster::builder().brokers(3).replication(3).clock(clock.shared()).build();
+    cluster.create_topic("events", TopicConfig::new(4)).unwrap();
+    cluster.create_topic("counts", TopicConfig::new(4)).unwrap();
+    let mut apps: Vec<KafkaStreamsApp> = ["a", "b"]
+        .into_iter()
+        .map(|id| KafkaStreamsApp::new(cluster.clone(), counting_topology(), eos_config(), id))
+        .collect();
+    for app in &mut apps {
+        app.start().unwrap();
+    }
+    let step_all = |apps: &mut [KafkaStreamsApp]| {
+        for _ in 0..20 {
+            for app in apps.iter_mut() {
+                app.step().unwrap();
+            }
+            clock.advance(10);
+        }
+    };
+    // Let the group settle on a split assignment before any input arrives.
+    step_all(&mut apps);
+    let n = 40;
+    send_keyed_events(&cluster, n, 0, |i| format!("k{i}"));
+    step_all(&mut apps);
+    for app in &mut apps {
+        app.close().unwrap();
+    }
+    let per_instance: Vec<u64> = apps.iter().map(|a| a.metrics().records_processed).collect();
+    assert!(per_instance.iter().all(|&p| p > 0), "both instances did work: {per_instance:?}");
+    assert_eq!(per_instance.iter().sum::<u64>(), n as u64, "every input processed once");
+
+    if kobs::ENABLED {
+        let snap = kobs::snapshot();
+        assert_eq!(
+            snap.counter("kstreams.records_processed"),
+            Some(n as u64),
+            "the registry counter is the sum over instances, not the last writer's value"
+        );
+        assert_eq!(snap.gauge("kstreams.records_processed"), None, "no per-instance gauge");
     }
 }
 

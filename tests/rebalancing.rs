@@ -343,7 +343,8 @@ fn rolling_restart_battery_preserves_eos_and_unaffected_commits() {
         let idx = apps.iter().position(|(id, _)| id == victim).unwrap();
         let (vid, mut gone) = apps.remove(idx);
         gone.close().unwrap();
-        let commits_before: Vec<u64> = apps.iter().map(|(_, a)| a.metrics().commits).collect();
+        let commits_before: Vec<u64> =
+            apps.iter().map(|(_, a)| a.metrics().commit_cycles).collect();
         send_round(&s.cluster, 40, rounds);
         rounds += 1;
         for _ in 0..20 {
@@ -354,7 +355,7 @@ fn rolling_restart_battery_preserves_eos_and_unaffected_commits() {
         }
         for (i, (sid, a)) in apps.iter().enumerate() {
             assert!(
-                a.metrics().commits > commits_before[i],
+                a.metrics().commit_cycles > commits_before[i],
                 "survivor {sid} stopped committing while {victim} was rolled"
             );
         }
@@ -467,7 +468,7 @@ fn cooperative_join_under_load_moves_only_the_joiners_share() {
     assert!(incumbents.iter().all(|a| a.task_ids().len() == 6), "incumbents settled 6/6");
     let restores_before: Vec<u64> =
         incumbents.iter().map(|a| a.metrics().restore_records).collect();
-    let commits_before: Vec<u64> = incumbents.iter().map(|a| a.metrics().commits).collect();
+    let commits_before: Vec<u64> = incumbents.iter().map(|a| a.metrics().commit_cycles).collect();
 
     let mut joiner = app(&s, "c");
     joiner.start().unwrap();
@@ -488,7 +489,7 @@ fn cooperative_join_under_load_moves_only_the_joiners_share() {
         s.clock.advance(10);
         if commits_during.is_none() && joiner.task_ids().len() == 4 {
             commits_during =
-                Some(incumbents.iter().map(|a| a.metrics().commits).collect::<Vec<_>>());
+                Some(incumbents.iter().map(|a| a.metrics().commit_cycles).collect::<Vec<_>>());
         }
     }
     let commits_during = commits_during.expect("the joiner took over its share");

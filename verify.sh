@@ -19,8 +19,11 @@
 #                              # replay identity
 #   ./verify.sh observability  # metric exports (simtest, fig5b), kobs-off
 #                              # build and tier-1 tests, kobs on/off
-#                              # identity, span determinism, chrome trace,
-#                              # critical path, flight recorder
+#                              # identity, span determinism, kobs unit
+#                              # tests, StreamsMetrics counter path,
+#                              # profiled-simtest metric and cache tests,
+#                              # chrome trace, critical path, flight
+#                              # recorder
 #   ./verify.sh docs           # cargo doc --no-deps under -D warnings
 #
 # Any other argument prints this list and exits 2. Otherwise exits non-zero
@@ -127,8 +130,7 @@ gate_observability() {
     kbroker.txn.phase.init_ms kbroker.txn.phase.add_partitions_ms \
     kbroker.txn.phase.prepare_ms kbroker.txn.phase.markers_ms \
     kbroker.txn.phase.complete_ms kstreams.commit_cycle_ms \
-    kbroker.lso_lag kbroker.lso_lag_peak \
-    kstreams.restore.records_replayed kbroker.group.rebalances \
+    kbroker.lso_lag_peak kstreams.restore_records kbroker.group.rebalances \
     <"$out/simtest-profile.json"
 
   # The profiled report must also carry the span-derived critical-path
@@ -140,15 +142,13 @@ gate_observability() {
     <"$out/simtest-profile.json"
 
   # Cached profiled run: the record-cache counters and the changelog
-  # amplification gauge must reach the export.
+  # appends they save must reach the export.
   step "cached simtest export carries the cache counters"
   simtest --seed 7 --profile --cache 64 --json >"$out/simtest-cached.json"
   obs_check \
-    kstreams.cache.hits kstreams.cache.misses \
+    kstreams.cache_hits kstreams.cache_misses \
     kstreams.cache.flush_entries kstreams.cache.dirty_entries_peak \
-    kstreams.cache_hits kstreams.cache_evictions \
-    kstreams.changelog_appends kstreams.changelog_appends_per_1k_inputs \
-    <"$out/simtest-cached.json"
+    kstreams.changelog_appends <"$out/simtest-cached.json"
 
   step "fig5b smoke with metrics export"
   cargo run -q --release -p bench --bin fig5b -- --quick --json >"$out/fig5b.json"
@@ -174,9 +174,13 @@ gate_observability() {
     cmp "$out/kobs-on.txt" "$out/kobs-off.txt"
   done
 
-  # Span determinism contract: same seed → byte-identical span trees.
-  step "span determinism tests"
+  # Span determinism contract: same seed → byte-identical span trees; and
+  # every kstreams count reaches the registry once, summed over instances.
+  step "registry, metrics and span determinism tests"
   cargo test -q --release --test observability
+  cargo test -q --release -p kobs --lib
+  cargo test -q --release -p kstreams --lib metrics::
+  cargo test -q --release -p simkit --test obs_profile --test cache_scenarios
 
   # The exported timeline must validate (nesting, durations, tids) and two
   # same-seed runs must produce the identical artifact.
