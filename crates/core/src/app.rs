@@ -52,7 +52,8 @@ pub struct KafkaStreamsApp {
     cluster: Cluster,
     topology: Arc<Topology>,
     config: StreamsConfig,
-    instance_id: String,
+    /// Shared, so a trace field clones it without allocating.
+    instance_id: Arc<str>,
     producer: Producer,
     generation: i32,
     /// Every task of the topology, in id order. Resolved once by `start`:
@@ -136,7 +137,7 @@ impl KafkaStreamsApp {
         config: StreamsConfig,
         instance_id: impl Into<String>,
     ) -> Self {
-        let instance_id = instance_id.into();
+        let instance_id: Arc<str> = instance_id.into().into();
         let producer_config = match config.guarantee {
             ProcessingGuarantee::ExactlyOnce => {
                 // One transactional id per instance (EOS-v2). Includes the
@@ -305,7 +306,7 @@ impl KafkaStreamsApp {
     /// keep their stores (creating one has no effect outside the table).
     /// Publishes the resulting ownership for the next generation's view.
     fn reconcile(&mut self, plan: &AssignmentPlan) -> Result<(), StreamsError> {
-        let me = &self.instance_id;
+        let me = &*self.instance_id;
         let mine = |by_member: &BTreeMap<String, Vec<TaskId>>| by_member.get(me).cloned();
         let releases = mine(&plan.releases).unwrap_or_default();
         if !releases.is_empty() {
@@ -457,7 +458,7 @@ impl KafkaStreamsApp {
         //   carries our stale generation, the broker fences it, and every
         //   dirty task closes, rebuilding from committed changelogs and
         //   offsets so nothing half-processed leaks through.
-        let active = plan.active.get(&self.instance_id).cloned().unwrap_or_default();
+        let active = plan.active.get(&*self.instance_id).cloned().unwrap_or_default();
         let dirty = self.ids(|h| h.owned().is_some_and(StreamTask::is_dirty));
         for id in self.ids(|h| h.owned().is_some()) {
             if !active.contains(&id) && !dirty.contains(&id) {
@@ -518,7 +519,8 @@ impl KafkaStreamsApp {
         let entered = kobs::ktrace::enter(cycle_span);
         let result = self.step_inner();
         drop(entered);
-        kobs::ktrace::finish_span(cycle_span, self.cluster.now_ms() * 1000);
+        // A cycle that recorded nothing under its root leaves no tree.
+        kobs::ktrace::finish_or_discard(cycle_span, self.cluster.now_ms() * 1000);
         result
     }
 

@@ -68,6 +68,24 @@ struct Sink {
     partitions: Vec<TopicPartition>,
 }
 
+/// When one fetch-and-process pass ran, and what it did: what is needed
+/// to trace the pass after the fact.
+struct Polled {
+    fetch_ms: i64,
+    process_ms: i64,
+    end_ms: i64,
+    /// The fetch left records to process.
+    buffered: bool,
+    failed: bool,
+}
+
+impl Polled {
+    /// The pass did something worth a span: it had records, or failed.
+    fn worked(&self) -> bool {
+        self.buffered || self.failed
+    }
+}
+
 /// A runnable task instance.
 pub struct StreamTask {
     pub id: TaskId,
@@ -278,7 +296,7 @@ impl StreamTask {
                 cluster.now_ms(),
                 "kstreams",
                 "restore_replay",
-                task = self.id.to_string(),
+                task = self.id,
                 records = replayed,
                 elapsed_ms = cluster.now_ms() - restore_start_ms,
             );
@@ -296,10 +314,14 @@ impl StreamTask {
     }
 
     /// One process cycle — fetch, process up to `max_records`, then run the
-    /// time-driven operators at `wall_ms` — under a `task` span its
-    /// fetch/process/punctuate spans nest in. Returns the number of records
+    /// time-driven operators at `wall_ms`. Returns the number of records
     /// processed. Task-local mutation only: the writes it buffers are the
     /// caller's to send.
+    ///
+    /// The cycle is traced once it ran: a `task` span holding the
+    /// [`poll`](Self::poll)'s phases and a `punctuate` span if the
+    /// punctuation changed output or cache (or failed). A task whose cycle
+    /// did nothing records no span at all.
     pub(crate) fn run_cycle(
         &mut self,
         cluster: &Cluster,
@@ -307,41 +329,82 @@ impl StreamTask {
         isolation: IsolationLevel,
         wall_ms: i64,
     ) -> Result<usize, StreamsError> {
-        let span = kobs::child_span!(wall_ms, "task", "task", task = self.id.to_string());
-        let entered = kobs::ktrace::enter(span);
-        let result = self
-            .poll_and_process(cluster, max_records, isolation)
-            .and_then(|processed| self.punctuate(wall_ms).map(|()| processed));
-        drop(entered);
-        // The virtual clock stands still within a step; one microsecond per
-        // cycle keeps the tasks of a step distinguishable on the timeline.
-        kobs::ktrace::finish_span(span, wall_ms * 1000 + 1);
+        let (processed, polled) = self.poll(cluster, max_records, isolation);
+        // A punctuation that failed is traced like one that did something.
+        let (result, punctuated) = match processed {
+            Ok(n) => match self.punctuate(wall_ms) {
+                Ok(changed) => (Ok(n), changed),
+                Err(e) => (Err(e), true),
+            },
+            Err(e) => (Err(e), false),
+        };
+        if polled.worked() || punctuated || result.is_err() {
+            let span = kobs::child_span!(wall_ms, "task", "task", task = self.id);
+            let entered = kobs::ktrace::enter(span);
+            self.trace_poll(&polled);
+            if punctuated {
+                self.trace_phase("punctuate", wall_ms, wall_ms);
+            }
+            drop(entered);
+            // The virtual clock stands still within a step; one microsecond
+            // per cycle keeps the tasks of a step distinguishable on the
+            // timeline.
+            kobs::ktrace::finish_span(span, wall_ms * 1000 + 1);
+        }
         result
     }
 
     /// Fetch available records into per-partition buffers, then process up
     /// to `max_records` of them in timestamp order across inputs. Returns
-    /// the number processed.
+    /// the number processed. A pass that had records, or failed, records
+    /// its `fetch` and `process` spans under the current span.
     pub fn poll_and_process(
         &mut self,
         cluster: &Cluster,
         max_records: usize,
         isolation: IsolationLevel,
     ) -> Result<usize, StreamsError> {
-        let now_ms = cluster.now_ms();
-        let fetch_span = kobs::child_span!(now_ms, "task", "fetch", task = self.id.to_string());
-        let fetched = self.fetch_inputs(cluster, max_records, isolation);
-        kobs::ktrace::finish_span(fetch_span, cluster.now_ms() * 1000);
-        fetched?;
-        let process_span =
-            kobs::child_span!(cluster.now_ms(), "task", "process", task = self.id.to_string());
-        let processed = self.process_fetched(max_records);
-        kobs::ktrace::finish_span(process_span, cluster.now_ms() * 1000);
-        let processed = processed?;
-        if processed > 0 {
-            self.dirty = true;
+        let (processed, polled) = self.poll(cluster, max_records, isolation);
+        if polled.worked() {
+            self.trace_poll(&polled);
         }
-        Ok(processed)
+        processed
+    }
+
+    /// The fetch and process phases, untraced: the one implementation
+    /// behind [`run_cycle`](Self::run_cycle) and
+    /// [`poll_and_process`](Self::poll_and_process), which trace it after
+    /// the fact from the times it returns.
+    fn poll(
+        &mut self,
+        cluster: &Cluster,
+        max_records: usize,
+        isolation: IsolationLevel,
+    ) -> (Result<usize, StreamsError>, Polled) {
+        let fetch_ms = cluster.now_ms();
+        let fetched = self.fetch_inputs(cluster, max_records, isolation);
+        let process_ms = cluster.now_ms();
+        let buffered = fetched.is_ok() && self.inputs.iter().any(|input| input.head().is_some());
+        let processed = fetched.and_then(|()| self.process_fetched(max_records));
+        let failed = processed.is_err();
+        (processed, Polled { fetch_ms, process_ms, end_ms: cluster.now_ms(), buffered, failed })
+    }
+
+    /// Record a pass's phases under the current span: its `fetch`, and its
+    /// `process` if the fetch left records. Neither phase opens a span or
+    /// emits an event of its own, so recording them afterwards, with the
+    /// times they ran at, builds the tree recording them live would.
+    fn trace_poll(&self, polled: &Polled) {
+        self.trace_phase("fetch", polled.fetch_ms, polled.process_ms);
+        if polled.buffered {
+            self.trace_phase("process", polled.process_ms, polled.end_ms);
+        }
+    }
+
+    /// Record one finished phase of this task's cycle.
+    fn trace_phase(&self, name: &'static str, start_ms: i64, end_ms: i64) {
+        let span = kobs::child_span!(start_ms, "task", name, task = self.id);
+        kobs::ktrace::finish_span(span, end_ms * 1000);
     }
 
     /// Fetch phase: one fetch of up to `max_records` per input partition.
@@ -405,22 +468,24 @@ impl StreamTask {
             input.processed_position = Some(offset + 1);
             processed += 1;
         }
+        if processed > 0 {
+            self.dirty = true;
+        }
         Ok(processed)
     }
 
     /// Run time-driven operators (suppress flushes, join padding, GC).
-    pub fn punctuate(&mut self, wall_time: i64) -> Result<(), StreamsError> {
-        let span = kobs::child_span!(wall_time, "task", "punctuate", task = self.id.to_string());
+    /// Returns whether that changed the task's outputs, changelog or caches.
+    fn punctuate(&mut self, wall_time: i64) -> Result<bool, StreamsError> {
         let before = self.env.outputs.len() + self.env.changelog.len();
         let cache_before = self.env.cache_dirty_entries();
         let result = self.driver.punctuate(&mut self.env, wall_time);
-        if self.env.outputs.len() + self.env.changelog.len() != before
-            || self.env.cache_dirty_entries() != cache_before
-        {
+        let changed = self.env.outputs.len() + self.env.changelog.len() != before
+            || self.env.cache_dirty_entries() != cache_before;
+        if changed {
             self.dirty = true;
         }
-        kobs::ktrace::finish_span(span, wall_time * 1000);
-        result
+        result.map(|()| changed)
     }
 
     /// Write back every store's record cache (the commit-time flush): dirty
@@ -443,13 +508,8 @@ impl StreamTask {
         // from here until the commit lands this task is not at its
         // committed state.
         self.dirty = true;
-        let span = kobs::child_span!(
-            wall_time,
-            "kstreams",
-            "cache_flush",
-            task = self.id.to_string(),
-            dirty = dirty,
-        );
+        let span =
+            kobs::child_span!(wall_time, "kstreams", "cache_flush", task = self.id, dirty = dirty);
         kobs::gauge_max("kstreams.cache.dirty_entries_peak", dirty as i64);
         let result = self
             .driver

@@ -31,6 +31,13 @@ impl fmt::Display for TaskId {
     }
 }
 
+/// A task id as a trace field: two integers, shown as the id displays.
+impl From<TaskId> for kobs::FieldValue {
+    fn from(id: TaskId) -> Self {
+        kobs::FieldValue::Pair(id.subtopology as u32, id.partition)
+    }
+}
+
 /// One sub-topology: a connected group of nodes between shuffle boundaries.
 #[derive(Debug, Clone)]
 pub struct SubTopology {

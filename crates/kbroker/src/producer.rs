@@ -15,7 +15,7 @@ use bytes::Bytes;
 use klog::batch::BatchMeta;
 use klog::{Offset, Record, NO_SEQUENCE};
 use simkit::{FaultDecision, FaultPoint};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Producer configuration.
@@ -96,8 +96,9 @@ pub struct Producer {
     epoch: i32,
     /// Next sequence per partition (idempotent mode).
     sequences: HashMap<TopicPartition, i64>,
-    /// Per-partition record buffers.
-    buffers: HashMap<TopicPartition, Vec<Record>>,
+    /// Per-partition record buffers, in partition order: the order a
+    /// flush sends them in.
+    buffers: BTreeMap<TopicPartition, Vec<Record>>,
     /// Partitions registered with the current transaction.
     registered: HashSet<TopicPartition>,
     /// Each topic's partition addresses, built at the first `send` to it.
@@ -122,7 +123,7 @@ impl Producer {
             producer_id,
             epoch: 0,
             sequences: HashMap::new(),
-            buffers: HashMap::new(),
+            buffers: BTreeMap::new(),
             registered: HashSet::new(),
             topic_partitions: HashMap::new(),
             in_transaction: false,
@@ -245,33 +246,61 @@ impl Producer {
         Ok(())
     }
 
-    /// Flush all buffered records, in deterministic partition order (the
-    /// simulation harness replays byte-identically from a seed, so no
-    /// client may iterate a `HashMap` into an observable effect).
+    /// Flush all buffered records, in partition order (the simulation
+    /// harness replays byte-identically from a seed, so no client may
+    /// iterate a `HashMap` into an observable effect). A flush that finds
+    /// every buffer empty allocates nothing and clones no partition name.
     pub fn flush(&mut self) -> Result<(), BrokerError> {
-        let mut tps: Vec<TopicPartition> =
-            // detlint:allow[unordered-iter] collected then sorted below
-            self.buffers.iter().filter(|(_, b)| !b.is_empty()).map(|(tp, _)| tp.clone()).collect();
-        tps.sort();
-        for tp in tps {
-            self.flush_partition(&tp)?;
+        // The buffers leave `self` for the loop, so each batch is sent under
+        // its own key; they come back however the loop ends.
+        let mut buffers = std::mem::take(&mut self.buffers);
+        let flushed = self.flush_buffers(&mut buffers);
+        self.buffers = buffers;
+        flushed
+    }
+
+    fn flush_buffers(
+        &mut self,
+        buffers: &mut BTreeMap<TopicPartition, Vec<Record>>,
+    ) -> Result<(), BrokerError> {
+        // The unregistered partitions are registered in one request when
+        // the flush reaches the first of them, as `flush_partition` would.
+        let pending = if self.is_transactional() {
+            Self::unregistered(buffers, &self.registered)
+        } else {
+            Vec::new()
+        };
+        for (tp, buffer) in buffers.iter_mut().filter(|(_, b)| !b.is_empty()) {
+            if self.is_transactional() && !self.registered.contains(tp) {
+                self.register_with_retries(&pending)?;
+            }
+            let records = Self::take_batch(buffer);
+            self.send_batch(tp, records)?;
         }
         Ok(())
     }
 
     fn flush_partition(&mut self, tp: &TopicPartition) -> Result<(), BrokerError> {
         if self.is_transactional() && !self.registered.contains(tp) {
-            self.register_buffered()?;
+            let pending = Self::unregistered(&self.buffers, &self.registered);
+            self.register_with_retries(&pending)?;
         }
         let records = match self.buffers.get_mut(tp) {
-            // The next batch's buffer is sized like this one, so a
-            // partition in a steady state grows its buffer once per batch.
-            Some(b) if !b.is_empty() => {
-                let next = Vec::with_capacity(b.len());
-                std::mem::replace(b, next)
-            }
+            Some(b) if !b.is_empty() => Self::take_batch(b),
             _ => return Ok(()),
         };
+        self.send_batch(tp, records)
+    }
+
+    /// A buffer's records, leaving it empty. The next batch's buffer is
+    /// sized like this one, so a partition in a steady state grows its
+    /// buffer once per batch.
+    fn take_batch(buffer: &mut Vec<Record>) -> Vec<Record> {
+        let next = Vec::with_capacity(buffer.len());
+        std::mem::replace(buffer, next)
+    }
+
+    fn send_batch(&mut self, tp: &TopicPartition, records: Vec<Record>) -> Result<(), BrokerError> {
         let base_seq = if self.config.idempotent || self.is_transactional() {
             self.sequences.get(tp).copied().unwrap_or(0)
         } else {
@@ -302,19 +331,17 @@ impl Producer {
         Ok(())
     }
 
-    /// Register every partition that holds unsent records and is not yet
-    /// part of the open transaction, in one AddPartitionsToTxn — so one
-    /// flush costs the coordinator one transaction-log record however many
-    /// partitions it first touches, as Kafka's client batches them.
-    fn register_buffered(&mut self) -> Result<(), BrokerError> {
-        let unregistered = |(tp, b): (&TopicPartition, &Vec<Record>)| {
-            (!b.is_empty() && !self.registered.contains(tp)).then(|| tp.clone())
-        };
-        let mut pending: Vec<TopicPartition> =
-            // detlint:allow[unordered-iter] collected then sorted below
-            self.buffers.iter().filter_map(unregistered).collect();
-        pending.sort();
-        self.register_with_retries(&pending)
+    /// Every partition that holds unsent records and is not yet part of the
+    /// open transaction, in partition order: registered in one
+    /// AddPartitionsToTxn, so one flush costs the coordinator one
+    /// transaction-log record however many partitions it first touches, as
+    /// Kafka's client batches them.
+    fn unregistered(
+        buffers: &BTreeMap<TopicPartition, Vec<Record>>,
+        registered: &HashSet<TopicPartition>,
+    ) -> Vec<TopicPartition> {
+        let pending = buffers.iter().filter(|(tp, b)| !b.is_empty() && !registered.contains(*tp));
+        pending.map(|(tp, _)| tp.clone()).collect()
     }
 
     /// Register partitions with the transaction coordinator, retrying

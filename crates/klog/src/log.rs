@@ -375,9 +375,8 @@ impl PartitionLog {
         let last_offset = base_offset + records.len() as i64 - 1;
         // The batch's entries: the producer's records move into them, and
         // from here on every holder shares the one stored batch.
-        let entries: Box<[(Offset, Record)]> =
-            records.into_iter().enumerate().map(|(i, r)| (base_offset + i as i64, r)).collect();
-        self.store(StoredBatch::new(meta, entries))?;
+        let entries = records.into_iter().enumerate().map(|(i, r)| (base_offset + i as i64, r));
+        self.store_traced(StoredBatch::new(meta, entries))?;
         Ok(AppendOutcome { base_offset, last_offset, duplicate: false })
     }
 
@@ -407,7 +406,7 @@ impl PartitionLog {
         }
         let marker_offset = self.next_offset;
         let marker_record = Record { key: None, value: None, timestamp };
-        self.store(StoredBatch::new(
+        self.store_traced(StoredBatch::new(
             BatchMeta::control(producer_id, epoch, ctl),
             [(marker_offset, marker_record)],
         ))?;
@@ -433,7 +432,7 @@ impl PartitionLog {
                 self.next_offset
             )));
         }
-        self.store(batch)
+        self.store(batch, None)
     }
 
     /// A data batch's timestamps advance the max timestamp; a control
@@ -444,48 +443,52 @@ impl PartitionLog {
         }
     }
 
+    /// [`store`](Self::store) a batch the leader validated, under one
+    /// `append` or `append_control` span — only inside a traced lifecycle (a
+    /// commit cycle's produce or marker path), so harness-side feeder
+    /// appends stay span-free. A follower installing the batch records no
+    /// span of its own: one replicated append is one span.
+    fn store_traced(&mut self, batch: StoredBatch) -> Result<(), LogError> {
+        if !kobs::ktrace::in_span() {
+            return self.store(batch, None);
+        }
+        let (base_offset, last_offset) = (batch.base_offset(), batch.last_offset());
+        let (span, ts) = if batch.meta.is_control() {
+            let ts = batch.entries[0].1.timestamp;
+            (kobs::child_span!(ts, "klog", "append_control", offset = base_offset), ts)
+        } else {
+            let ts = batch.max_timestamp().max(0);
+            let records = last_offset - base_offset + 1;
+            (
+                kobs::child_span!(
+                    ts,
+                    "klog",
+                    "append",
+                    records = records,
+                    base_offset = base_offset
+                ),
+                ts,
+            )
+        };
+        let stored = self.store(batch, Some(span));
+        kobs::ktrace::finish_span(span, ts.saturating_mul(1000));
+        stored
+    }
+
     /// Store a validated batch at the log end: the one path behind
     /// [`append`](Self::append), [`append_control`](Self::append_control)
     /// and [`install_batch`](Self::install_batch), so a leader and the
     /// followers installing its batches go through identical state
     /// transitions (max timestamp, segment file, aborted index, producer table,
-    /// watermark, snapshot and checkpoint).
-    fn store(&mut self, batch: StoredBatch) -> Result<(), LogError> {
-        let (base_offset, last_offset) = (batch.base_offset(), batch.last_offset());
-        self.track_max_timestamp(&batch);
-        // Span only inside a traced lifecycle (a commit cycle's produce or
-        // marker path); harness-side feeder appends stay span-free. The disk
-        // write runs *inside* the span so its `fsync` child nests.
-        let trace = kobs::ktrace::in_span().then(|| {
-            if batch.meta.is_control() {
-                let ts = batch.entries[0].1.timestamp;
-                (kobs::child_span!(ts, "klog", "append_control", offset = base_offset), ts)
-            } else {
-                let ts = batch.max_timestamp().max(0);
-                let h = kobs::child_span!(
-                    ts,
-                    "klog",
-                    "append",
-                    records = last_offset - base_offset + 1,
-                    base_offset = base_offset,
-                );
-                (h, ts)
-            }
-        });
-        let stored = self.store_under_span(batch, trace.map(|(h, _)| h));
-        if let Some((h, ts)) = trace {
-            kobs::ktrace::finish_span(h, ts.saturating_mul(1000));
-        }
-        stored
-    }
-
-    /// [`store`](Self::store)'s state transitions, under its span (`None`
-    /// outside a traced lifecycle).
-    fn store_under_span(
+    /// watermark, snapshot and checkpoint). The disk write runs inside
+    /// `span`, if any, so its `fsync` child nests; without one it records
+    /// no span, so a follower's install is untraced like a feeder's append.
+    fn store(
         &mut self,
         batch: StoredBatch,
         span: Option<kobs::SpanHandle>,
     ) -> Result<(), LogError> {
+        self.track_max_timestamp(&batch);
         let (base_offset, last_offset) = (batch.base_offset(), batch.last_offset());
         // The frame reaches the file before the batch joins the list, so a
         // failed write leaves the log as it was. The list decides where it
@@ -493,7 +496,7 @@ impl PartitionLog {
         if let Some(d) = self.disk.as_mut() {
             let _in_append = span.map(kobs::ktrace::enter);
             if self.segments.placement() != Placement::Active {
-                d.open_segment(base_offset, batch.max_timestamp().max(0))?;
+                d.open_segment(base_offset, batch.max_timestamp().max(0), span.is_some())?;
             }
             d.append_batch(&batch)?;
         }

@@ -88,10 +88,15 @@ impl DiskLog {
 
     /// Start the file of a new segment opened at `base`. When the segment
     /// closes a full one (a roll), the finished file is synced; `ts_ms`
-    /// timestamps that sync.
-    pub(crate) fn open_segment(&mut self, base: Offset, ts_ms: i64) -> Result<(), LogError> {
+    /// timestamps that sync, and `traced` says whether it records a span.
+    pub(crate) fn open_segment(
+        &mut self,
+        base: Offset,
+        ts_ms: i64,
+        traced: bool,
+    ) -> Result<(), LogError> {
         if let Some(done) = self.active.take() {
-            fsync(&done, ts_ms)?;
+            fsync(&done, ts_ms, traced)?;
             kobs::count("klog.disk.segment_rolls", 1);
         }
         let file = OpenOptions::new()
@@ -280,25 +285,18 @@ impl DiskLog {
     }
 }
 
-/// Sync `file` and count it; inside a traced lifecycle also record an
-/// `fsync` child span at `ts_ms`. The span has no length: the virtual clock
+/// Sync `file` and count it; if `traced`, also record an `fsync` child of
+/// the current span at `ts_ms`. The span has no length: the virtual clock
 /// does not move during the sync, and no cost is invented for it. A failed
 /// sync is returned, never retried: the kernel may already have dropped the
 /// dirty pages it could not write.
-fn fsync(file: &File, ts_ms: i64) -> Result<(), LogError> {
+fn fsync(file: &File, ts_ms: i64, traced: bool) -> Result<(), LogError> {
     file.sync_all().map_err(|e| io_err("fsync", &e))?;
     kobs::count("klog.disk.fsyncs", 1);
-    if kobs::ktrace::in_span() {
+    if traced {
         let bytes = file.metadata().map_or(0, |m| m.len());
-        let start_us = ts_ms.saturating_mul(1000);
-        let h = kobs::ktrace::start_span(
-            start_us,
-            "klog",
-            kobs::ktrace::Parent::Current,
-            "fsync",
-            || vec![("bytes", kobs::trace::FieldValue::from(bytes as i64))],
-        );
-        kobs::ktrace::finish_span(h, start_us);
+        let h = kobs::child_span!(ts_ms, "klog", "fsync", bytes = bytes as i64);
+        kobs::ktrace::finish_span(h, ts_ms.saturating_mul(1000));
     }
     Ok(())
 }
@@ -578,7 +576,7 @@ mod tests {
     fn a_failed_fsync_is_returned() {
         // Linux rejects fsync on a character device with EINVAL.
         let dev_null = OpenOptions::new().write(true).open("/dev/null").unwrap();
-        assert!(matches!(fsync(&dev_null, 0), Err(LogError::Io(_))));
+        assert!(matches!(fsync(&dev_null, 0, false), Err(LogError::Io(_))));
     }
 
     #[test]

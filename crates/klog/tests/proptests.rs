@@ -465,6 +465,42 @@ fn arb_batch() -> impl Strategy<Value = StoredBatch> {
     )
 }
 
+proptest! {
+    /// A stored batch's one block reads back the metadata and entries it
+    /// was built from, at every length, through every handle: payloads of
+    /// 0..48 bytes cross the 22-byte line between inline and shared `Bytes`.
+    #[test]
+    fn stored_batch_round_trips_meta_and_entries(
+        len in 1usize..1_001,
+        kind in 0u8..4,
+        epoch in 0i32..4,
+        seq in 0i64..1_000,
+        salt in 0usize..48,
+    ) {
+        let meta = match kind {
+            0 => BatchMeta::plain(),
+            1 => BatchMeta::idempotent(7, epoch, seq),
+            2 => BatchMeta::transactional(7, epoch, seq),
+            _ => BatchMeta::control(7, epoch, ControlType::Abort),
+        };
+        let entries: Vec<(Offset, Record)> = (0..len)
+            .map(|i| {
+                let payload = vec![i as u8; (i * 7 + salt) % 48];
+                let key = (i % 3 != 0).then(|| Bytes::from(payload.clone()));
+                (seq + 2 * i as i64, Record::new(key, Some(Bytes::from(payload)), i as i64 - 5))
+            })
+            .collect();
+        let batch = StoredBatch::new(meta.clone(), entries.clone());
+        let shared = batch.clone();
+        drop(batch);
+        prop_assert_eq!(&shared.meta, &meta);
+        prop_assert_eq!(&shared.entries, &entries[..]);
+        prop_assert_eq!(shared.base_offset(), seq);
+        prop_assert_eq!(shared.last_offset(), seq + 2 * (len as i64 - 1));
+        prop_assert_eq!(shared.max_timestamp(), len as i64 - 6);
+    }
+}
+
 fn arb_snapshot() -> impl Strategy<Value = ProducerSnapshot> {
     let entry = (
         0i64..1_000,

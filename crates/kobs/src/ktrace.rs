@@ -9,14 +9,20 @@
 //! virtual µs (the simulation clock's `now_ms` × 1000), so a replayed seed
 //! produces byte-identical trees and chrome JSON.
 //!
-//! Finished records go to one bounded ring, in finish order; evictions
-//! count into `kobs.trace.dropped`. The rest reads the ring, or sums as
-//! spans finish:
+//! A tree is built on the thread that runs it — an instance runs on the
+//! thread that steps it — with no lock and, once the thread's buffers are
+//! warm, no allocation: open spans sit on a per-thread stack, and finished
+//! spans and events wait in a per-thread buffer until their root finishes.
+//! Then the whole tree reaches the one bounded ring under one lock, in
+//! finish order, or — for a root finished with [`finish_or_discard`] that
+//! holds no child span and no event — is dropped without touching it. Evictions from the
+//! ring count into `kobs.trace.dropped`. The rest reads the ring, or is
+//! summed once per tree as its root finishes:
 //!
-//! - the **critical-path analyzer**: each span sums its finished children,
-//!   and a commit-cycle root folds the per-phase *self times* (duration
-//!   minus direct children) into a summary and the `kobs.critical_path.*`
-//!   histograms; self times tile the tree, so they sum to the cycle total.
+//! - the **critical-path analyzer**: a commit-cycle tree folds its per-phase
+//!   *self times* (duration minus direct children) into a summary and the
+//!   `kobs.critical_path.*` histograms; self times tile the tree, so they
+//!   sum to the cycle total.
 //! - the **flight recorder** ([`recent_trees`]), the events' [`tail`], and
 //!   the **chrome exporter** ([`crate::trace_export::chrome_json`] over
 //!   [`finished_spans`]).
@@ -24,16 +30,18 @@
 //! Under the `off` feature every entry point is a no-op, field closures
 //! never run, and the macros cost nothing.
 
-use crate::trace::FieldValue;
+use crate::trace::Fields;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
-use std::sync::{LazyLock, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Finished spans and events retained; older records are evicted FIFO and
 /// counted in `kobs.trace.dropped`. A 300-step simtest run stays under a
-/// tenth of it; a benchmark run keeps only its tail, as resident memory.
-pub const SPAN_CAPACITY: usize = 1 << 15;
+/// tenth of it; a benchmark run keeps only its tail, as resident memory
+/// (176 bytes a record, 2.9 MB in all).
+pub const SPAN_CAPACITY: usize = 1 << 14;
 
 /// How many of the newest span trees a flight-recorder dump reads.
 pub const FLIGHT_RECORDER_TREES: usize = 32;
@@ -57,7 +65,7 @@ pub struct Span {
     /// Virtual end, microseconds (>= `start_us`).
     pub end_us: i64,
     /// Structured fields attached at span start or event emission.
-    pub fields: Vec<(&'static str, FieldValue)>,
+    pub fields: Fields,
     /// An event: stamped at its own time, never a root, and no part of
     /// its parent's timing or critical path.
     pub event: bool,
@@ -122,9 +130,22 @@ pub struct CriticalPathSummary {
     pub longest_cycle_us: i64,
 }
 
+/// A record of a tree still being built: the span, and once it finished,
+/// its self time and longest direct child.
 #[cfg_attr(feature = "off", allow(dead_code))]
-struct Active {
+struct Slot {
     span: Span,
+    /// Duration minus the direct children's (0 for an event).
+    self_us: i64,
+    /// Slot of the longest finished direct child.
+    longest: Option<u32>,
+}
+
+/// A started span's place and running totals on its thread's open stack.
+#[cfg_attr(feature = "off", allow(dead_code))]
+struct Open {
+    id: u64,
+    slot: u32,
     /// Raised by finishing children so a parent can never end before the
     /// intervals nested inside it.
     min_end_us: i64,
@@ -133,42 +154,143 @@ struct Active {
     shift_us: i64,
     /// Summed durations of the finished direct children.
     child_us: i64,
-    /// The longest finished direct child: duration, id, name, and the
-    /// names below it on its longest chain.
-    longest: Option<(i64, u64, &'static str, Vec<&'static str>)>,
-    /// Roots only: `(name, self time)` of each finished span of the tree.
-    phases: Vec<(&'static str, i64)>,
+    /// The longest finished direct child: duration, id and slot.
+    longest: Option<(i64, u64, u32)>,
 }
 
+/// The calling thread's trees: every record started since no span was
+/// last open, in start order (a delivered record leaves an empty slot), the
+/// open stack, the entered stack, and the finished slots in finish order.
+/// Slots never move while a span is open, and all are cleared at once when
+/// none is, so a thread's buffers stop growing once warm.
+#[cfg_attr(feature = "off", allow(dead_code))]
+struct Local {
+    slots: Vec<Option<Slot>>,
+    open: Vec<Open>,
+    entered: Vec<u64>,
+    finished: Vec<u32>,
+}
+
+#[cfg_attr(feature = "off", allow(dead_code))]
+impl Local {
+    const fn new() -> Self {
+        Self { slots: Vec::new(), open: Vec::new(), entered: Vec::new(), finished: Vec::new() }
+    }
+
+    fn open(&mut self, id: u64) -> Option<&mut Open> {
+        self.open.iter_mut().rev().find(|o| o.id == id)
+    }
+
+    fn span(&self, slot: u32) -> Option<&Span> {
+        self.slots[slot as usize].as_ref().map(|s| &s.span)
+    }
+
+    /// Id, parent and root of a new record under `parent` — if that is
+    /// still open: an entered span that already finished degrades it to a
+    /// root — and the earliest start the parent's finished children leave
+    /// it (`None` for a root).
+    fn place(&mut self, parent: Option<u64>) -> (u64, Option<u64>, u64, Option<i64>) {
+        let id = NEXT_ID.fetch_add(1, Ordering::Relaxed) + 1;
+        let Some(pa) = parent.and_then(|p| self.open(p)) else {
+            return (id, None, id, None);
+        };
+        let (parent, slot, floor) = (pa.id, pa.slot, pa.min_end_us);
+        let root = self.span(slot).map_or(parent, |pa| pa.root);
+        (id, Some(parent), root, Some(floor))
+    }
+
+    /// The finished records of the tree rooted at span `root`, in finish
+    /// order.
+    fn finished_in(&self, root: u64) -> impl Iterator<Item = &Slot> {
+        let slots = self.finished.iter().filter_map(|&at| self.slots[at as usize].as_ref());
+        slots.filter(move |s| s.span.root == root)
+    }
+
+    /// Store a new record in the next slot.
+    fn push(&mut self, span: Span) -> u32 {
+        let slot = self.slots.len() as u32;
+        self.slots.push(Some(Slot { span, self_us: 0, longest: None }));
+        slot
+    }
+
+    /// A finished record whose root has finished too (or, for an event,
+    /// that has no parent) goes to the ring alone: nothing else will
+    /// deliver it.
+    fn deliver_if_orphan(&mut self, slot: u32) {
+        let root = self.span(slot).map_or(0, |s| s.root);
+        if self.open(root).is_none() {
+            if let Some(record) = self.slots[slot as usize].take() {
+                lock().push(record.span);
+            }
+            self.settle();
+        }
+    }
+
+    /// Empty the buffers once no span is open.
+    fn settle(&mut self) {
+        if self.open.is_empty() {
+            self.slots.clear();
+            self.finished.clear();
+        }
+    }
+}
+
+/// The shared half: the ring and what is summed over whole trees.
 #[derive(Default)]
 #[cfg_attr(feature = "off", allow(dead_code))]
 struct Store {
-    next_id: u64,
-    active: BTreeMap<u64, Active>,
     /// Finished spans and events, in finish order: the one trace store.
     ring: VecDeque<Span>,
     /// Records evicted from `ring`.
     dropped: u64,
     cp: CriticalPathSummary,
+    /// `kobs.critical_path.<phase>_ms` by phase, built once per name.
+    phase_metrics: Vec<(&'static str, String)>,
 }
 
+#[cfg_attr(feature = "off", allow(dead_code))]
 impl Store {
-    /// A new record's id, and its parent's entry if that is still active: a
-    /// dangling parent (entered but already finished) degrades to a root.
-    #[cfg(not(feature = "off"))]
-    fn place(&mut self, parent: Option<u64>) -> (u64, Option<&Active>) {
-        self.next_id += 1;
-        (self.next_id, parent.and_then(|p| self.active.get(&p)))
+    fn push(&mut self, record: Span) {
+        if self.ring.len() == SPAN_CAPACITY {
+            self.ring.pop_front();
+            self.dropped += 1;
+        }
+        self.ring.push_back(record);
+    }
+
+    fn phase_metric(&mut self, name: &'static str) -> &str {
+        let at = match self.phase_metrics.binary_search_by_key(&name, |(n, _)| n) {
+            Ok(at) => at,
+            Err(at) => {
+                self.phase_metrics.insert(at, (name, format!("kobs.critical_path.{name}_ms")));
+                at
+            }
+        };
+        &self.phase_metrics[at].1
     }
 }
 
-fn lock() -> std::sync::MutexGuard<'static, Store> {
-    static STORE: LazyLock<Mutex<Store>> = LazyLock::new(Mutex::default);
-    STORE.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+/// Ids of the current run; [`clear`] restarts them at 1.
+static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+
+fn lock() -> MutexGuard<'static, Store> {
+    static STORE: Mutex<Store> = Mutex::new(Store {
+        ring: VecDeque::new(),
+        dropped: 0,
+        cp: CriticalPathSummary {
+            cycles: 0,
+            total_us: 0,
+            phases: Vec::new(),
+            longest_chain: Vec::new(),
+            longest_cycle_us: 0,
+        },
+        phase_metrics: Vec::new(),
+    });
+    STORE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 thread_local! {
-    static CURRENT: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    static LOCAL: RefCell<Local> = const { RefCell::new(Local::new()) };
 }
 
 /// Start a span. `start_us` is virtual microseconds. A child starts no
@@ -189,42 +311,43 @@ pub fn start_span<F>(
     fields: F,
 ) -> SpanHandle
 where
-    F: FnOnce() -> Vec<(&'static str, FieldValue)>,
+    F: FnOnce() -> Fields,
 {
     #[cfg(not(feature = "off"))]
     {
-        let parent_id = match parent {
-            Parent::Root => None,
-            Parent::Current => current().id(),
-        };
-        let mut st = lock();
-        let (id, pa) = st.place(parent_id);
-        let (parent_id, root, floor) =
-            pa.map_or((None, id, start_us), |pa| (Some(pa.span.id), pa.span.root, pa.min_end_us));
-        let shift_us = (floor - start_us).max(0);
-        let start_us = start_us.max(floor);
-        let span = Span {
-            id,
-            parent: parent_id,
-            root,
-            name,
-            track,
-            start_us,
-            end_us: start_us,
-            fields: fields(),
-            event: false,
-        };
-        let active = Active {
-            span,
-            min_end_us: start_us,
-            shift_us,
-            child_us: 0,
-            longest: None,
-            phases: Vec::new(),
-        };
-        st.active.insert(id, active);
         #[allow(clippy::needless_return)]
-        return SpanHandle { id };
+        return LOCAL.with_borrow_mut(|local| {
+            let parent = match parent {
+                Parent::Root => None,
+                Parent::Current => local.entered.last().copied(),
+            };
+            let (id, parent, root, floor) = local.place(parent);
+            let floor = floor.unwrap_or(start_us);
+            let shift_us = (floor - start_us).max(0);
+            let start_us = start_us.max(floor);
+            let fields = fields();
+            let span = Span {
+                id,
+                parent,
+                root,
+                name,
+                track,
+                start_us,
+                end_us: start_us,
+                fields,
+                event: false,
+            };
+            let slot = local.push(span);
+            local.open.push(Open {
+                id,
+                slot,
+                min_end_us: start_us,
+                shift_us,
+                child_us: 0,
+                longest: None,
+            });
+            SpanHandle { id }
+        });
     }
     #[cfg(feature = "off")]
     {
@@ -234,46 +357,75 @@ where
 
 /// Finish a span at `end_us` (virtual µs). The end is clamped so it never
 /// precedes the span's start or any finished child's end. The span's
-/// duration and longest chain pass to its parent, its self time to its
-/// root; a root's finish folds a commit cycle into the critical path.
+/// duration passes to its parent; a root's finish delivers its tree to the
+/// ring and folds a commit cycle into the critical path.
 #[allow(unused_variables)]
 pub fn finish_span(handle: SpanHandle, end_us: i64) {
     #[cfg(not(feature = "off"))]
-    {
-        let mut st = lock();
-        let Some(a) = st.active.remove(&handle.id) else {
+    finish(handle, end_us, true);
+}
+
+/// Finish a root as [`finish_span`] does, except that a tree holding
+/// nothing but its root — no child span, no event — is dropped without
+/// reaching the ring: a cycle that did nothing leaves no trace.
+#[allow(unused_variables)]
+pub fn finish_or_discard(handle: SpanHandle, end_us: i64) {
+    #[cfg(not(feature = "off"))]
+    finish(handle, end_us, false);
+}
+
+#[cfg(not(feature = "off"))]
+fn finish(handle: SpanHandle, end_us: i64, keep: bool) {
+    LOCAL.with_borrow_mut(|local| {
+        let Some(at) = local.open.iter().rposition(|o| o.id == handle.id) else {
             return;
         };
-        let mut span = a.span;
-        span.end_us = (end_us + a.shift_us).max(a.min_end_us).max(span.start_us);
+        let open = local.open.remove(at);
+        let slot = local.slots[open.slot as usize].as_mut().expect("an open span keeps its slot");
+        let span = &mut slot.span;
+        span.end_us = (end_us + open.shift_us).max(open.min_end_us).max(span.start_us);
         let dur = span.duration_us();
-        // The names below this span on its longest chain.
-        let below = a.longest.map_or_else(Vec::new, |(_, _, name, mut below)| {
-            below.insert(0, name);
-            below
-        });
-        let self_time = (span.name, dur - a.child_us);
-        if span.id == span.root {
-            let mut phases = a.phases;
-            phases.push(self_time);
-            if phases.iter().any(|(name, _)| *name == "commit") {
-                account_cycle(&mut st.cp, phases, span.name, dur, below);
-            }
-        } else {
-            if let Some(root) = st.active.get_mut(&span.root) {
-                root.phases.push(self_time);
-            }
-            if let Some(pa) = span.parent.and_then(|p| st.active.get_mut(&p)) {
-                pa.min_end_us = pa.min_end_us.max(span.end_us);
-                pa.child_us += dur;
-                // The longest child wins; the smallest id breaks ties.
-                if pa.longest.as_ref().is_none_or(|(d, id, ..)| (dur, *id) > (*d, span.id)) {
-                    pa.longest = Some((dur, span.id, span.name, below));
-                }
+        slot.self_us = dur - open.child_us;
+        slot.longest = open.longest.map(|(.., child)| child);
+        let (id, root, parent, end_us) = (span.id, span.root, span.parent, span.end_us);
+        local.finished.push(open.slot);
+        if id == root {
+            deliver(local, open.slot, keep);
+            return;
+        }
+        if let Some(pa) = parent.and_then(|p| local.open(p)) {
+            pa.min_end_us = pa.min_end_us.max(end_us);
+            pa.child_us += dur;
+            // The longest child wins; the smallest id breaks ties.
+            if pa.longest.is_none_or(|(d, longest, _)| (dur, longest) > (d, id)) {
+                pa.longest = Some((dur, id, open.slot));
             }
         }
-        push(&mut st, span);
+        local.deliver_if_orphan(open.slot);
+    });
+}
+
+/// Deliver the tree rooted in `root`: its finished records go to the ring
+/// under one lock, in finish order, and a commit cycle is folded into the
+/// critical path. Unless `keep`, a tree of the root alone is dropped
+/// instead. Once no span is open on the thread, its buffers are emptied.
+#[cfg(not(feature = "off"))]
+fn deliver(local: &mut Local, root: u32, keep: bool) {
+    let id = local.span(root).map_or(0, |s| s.id);
+    if keep || local.finished_in(id).nth(1).is_some() {
+        let mut st = lock();
+        if local.finished_in(id).any(|s| s.span.name == "commit" && !s.span.event) {
+            account_cycle(&mut st, local, root);
+        }
+        for &at in &local.finished {
+            if let Some(slot) = local.slots[at as usize].take_if(|s| s.span.root == id) {
+                st.push(slot.span);
+            }
+        }
+    } else {
+        local.slots[root as usize] = None;
     }
+    local.settle();
 }
 
 /// Fold one commit cycle into the summary. Summed over a tree the child
@@ -281,55 +433,44 @@ pub fn finish_span(handle: SpanHandle, end_us: i64) {
 /// self times are non-negative because [`start_span`] makes siblings tile
 /// their parent, so nothing is clamped here.
 #[cfg(not(feature = "off"))]
-fn account_cycle(
-    cp: &mut CriticalPathSummary,
-    phases: Vec<(&'static str, i64)>,
-    root: &'static str,
-    total_us: i64,
-    mut chain: Vec<&'static str>,
-) {
-    cp.cycles += 1;
-    cp.total_us += total_us;
-    for (name, self_us) in phases {
-        match cp.phases.binary_search_by_key(&name, |(n, _)| *n) {
-            Ok(i) => cp.phases[i].1 += self_us,
-            Err(i) => cp.phases.insert(i, (name, self_us)),
+fn account_cycle(st: &mut Store, local: &Local, root: u32) {
+    let Some(root) = local.slots[root as usize].as_ref() else { return };
+    for s in local.finished_in(root.span.id).filter(|s| !s.span.event) {
+        let (name, self_us) = (s.span.name, s.self_us);
+        match st.cp.phases.binary_search_by_key(&name, |(n, _)| *n) {
+            Ok(i) => st.cp.phases[i].1 += self_us,
+            Err(i) => st.cp.phases.insert(i, (name, self_us)),
         }
-        crate::observe(&format!("kobs.critical_path.{name}_ms"), self_us.max(0) / 1000);
+        crate::observe(st.phase_metric(name), self_us.max(0) / 1000);
     }
+    let total_us = root.span.duration_us();
+    st.cp.cycles += 1;
+    st.cp.total_us += total_us;
     crate::observe("kobs.critical_path.total_ms", total_us / 1000);
-    if total_us >= cp.longest_cycle_us {
-        cp.longest_cycle_us = total_us;
-        chain.insert(0, root);
-        cp.longest_chain = chain;
+    if total_us >= st.cp.longest_cycle_us {
+        st.cp.longest_cycle_us = total_us;
+        let chain = &mut st.cp.longest_chain;
+        chain.clear();
+        let mut next = Some(root);
+        while let Some(s) = next {
+            chain.push(s.span.name);
+            next = s.longest.and_then(|c| local.slots[c as usize].as_ref());
+        }
     }
-}
-
-#[cfg(not(feature = "off"))]
-fn push(st: &mut Store, record: Span) {
-    if st.ring.len() == SPAN_CAPACITY {
-        st.ring.pop_front();
-        st.dropped += 1;
-    }
-    st.ring.push_back(record);
 }
 
 /// Record an event at `ts_us` (virtual µs), under the calling thread's
-/// entered span if there is one.
+/// entered span if there is one: it then travels with that span's tree.
 #[cfg(not(feature = "off"))]
-pub(crate) fn push_event(
-    ts_us: i64,
-    track: &'static str,
-    name: &'static str,
-    fields: Vec<(&'static str, FieldValue)>,
-) {
-    let parent = current().id();
-    let mut st = lock();
-    let (id, pa) = st.place(parent);
-    let (parent, root) = pa.map_or((None, id), |pa| (Some(pa.span.id), pa.span.root));
-    let span =
-        Span { id, parent, root, name, track, start_us: ts_us, end_us: ts_us, fields, event: true };
-    push(&mut st, span);
+pub(crate) fn push_event(ts_us: i64, track: &'static str, name: &'static str, fields: Fields) {
+    LOCAL.with_borrow_mut(|local| {
+        let (id, parent, root, _) = local.place(local.entered.last().copied());
+        let (start_us, end_us) = (ts_us, ts_us);
+        let span = Span { id, parent, root, name, track, start_us, end_us, fields, event: true };
+        let slot = local.push(span);
+        local.finished.push(slot);
+        local.deliver_if_orphan(slot);
+    });
 }
 
 /// Enter guard: pops the thread-local current-span stack on drop.
@@ -340,9 +481,7 @@ pub struct EnterGuard {
 impl Drop for EnterGuard {
     fn drop(&mut self) {
         if self.pushed {
-            CURRENT.with(|c| {
-                c.borrow_mut().pop();
-            });
+            LOCAL.with_borrow_mut(|local| local.entered.pop());
         }
     }
 }
@@ -353,19 +492,21 @@ pub fn enter(handle: SpanHandle) -> EnterGuard {
     if handle.is_none() {
         return EnterGuard { pushed: false };
     }
-    CURRENT.with(|c| c.borrow_mut().push(handle.id));
+    LOCAL.with_borrow_mut(|local| local.entered.push(handle.id));
     EnterGuard { pushed: true }
 }
 
 /// The calling thread's innermost entered span.
 pub fn current() -> SpanHandle {
-    CURRENT.with(|c| c.borrow().last().map_or(SpanHandle::NONE, |id| SpanHandle { id: *id }))
+    LOCAL.with_borrow(|local| {
+        local.entered.last().map_or(SpanHandle::NONE, |id| SpanHandle { id: *id })
+    })
 }
 
 /// Cheap check used by high-frequency probes (klog appends) to skip span
 /// creation outside any traced lifecycle.
 pub fn in_span() -> bool {
-    CURRENT.with(|c| !c.borrow().is_empty())
+    LOCAL.with_borrow(|local| !local.entered.is_empty())
 }
 
 /// Every finished span still in the ring, ascending id.
@@ -383,10 +524,15 @@ pub fn tail(n: usize) -> Vec<Span> {
     events
 }
 
-/// Every span started and not yet finished, ascending id. A lifecycle
-/// that has returned — with or without an error — has none left here.
+/// Every span the calling thread started and has not finished, ascending
+/// id. A lifecycle that has returned — with or without an error — has none
+/// left here.
 pub fn active_spans() -> Vec<Span> {
-    lock().active.values().map(|a| a.span.clone()).collect()
+    let mut spans: Vec<Span> = LOCAL.with_borrow(|local| {
+        local.open.iter().filter_map(|o| local.span(o.slot)).cloned().collect()
+    });
+    spans.sort_by_key(|s| s.id);
+    spans
 }
 
 /// Spans and events evicted from the ring (`kobs.trace.dropped`).
@@ -439,7 +585,7 @@ pub fn render_tree(tree: &SpanTree) -> String {
         if s.track != tree[0].track {
             let _ = write!(out, " track={}", s.track);
         }
-        for (k, v) in &s.fields {
+        for (k, v) in s.fields.iter() {
             let _ = write!(out, " {k}={v}");
         }
         out.push('\n');
@@ -447,10 +593,13 @@ pub fn render_tree(tree: &SpanTree) -> String {
     out
 }
 
-/// Reset the store (run isolation; called from [`crate::reset`]). Ids
-/// restart at 1, so a replayed seed reproduces identical trees.
+/// Reset the store and the calling thread's spans (run isolation; called
+/// from [`crate::reset`]). Ids restart at 1, so a replayed seed reproduces
+/// identical trees.
 pub fn clear() {
     *lock() = Store::default();
+    NEXT_ID.store(0, Ordering::Relaxed);
+    LOCAL.with_borrow_mut(|local| *local = Local::new());
 }
 
 /// Start a root span from virtual *milliseconds*.
@@ -469,7 +618,7 @@ macro_rules! span {
             $track,
             $crate::ktrace::Parent::Root,
             $name,
-            || vec![$((stringify!($key), $crate::trace::FieldValue::from($val))),*],
+            || $crate::fields!($($key = $val),*),
         )
     };
 }
@@ -484,7 +633,7 @@ macro_rules! child_span {
             $track,
             $crate::ktrace::Parent::Current,
             $name,
-            || vec![$((stringify!($key), $crate::trace::FieldValue::from($val))),*],
+            || $crate::fields!($($key = $val),*),
         )
     };
 }
@@ -498,7 +647,7 @@ pub(crate) mod tests {
 
     /// Serialize the tests that use the process-global store, and clear it.
     pub(crate) fn isolated() -> MutexGuard<'static, ()> {
-        let guard = TEST_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let guard = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         clear();
         guard
     }
@@ -605,6 +754,84 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_tree_reaches_the_ring_when_its_root_finishes() {
+        let _g = isolated();
+        if !crate::ENABLED {
+            return;
+        }
+        let root = crate::span!(1, "kstreams", "cycle");
+        let entered = enter(root);
+        finish_span(crate::child_span!(1, "task", "task"), 1_500);
+        crate::event!(1, "kstreams", "inside");
+        assert!(finished_spans().is_empty() && tail(8).is_empty(), "nothing before the root");
+        assert_eq!(active_spans().len(), 1);
+        drop(entered);
+        finish_span(root, 2_000);
+        let names: Vec<_> = finished_spans().iter().map(|s| s.name).collect();
+        assert_eq!(names, ["cycle", "task"]);
+        assert_eq!(tail(8).len(), 1);
+        assert!(active_spans().is_empty());
+    }
+
+    #[test]
+    fn a_bare_root_is_dropped_and_any_record_keeps_its_tree() {
+        let _g = isolated();
+        if !crate::ENABLED {
+            return;
+        }
+        let idle = crate::span!(1, "kstreams", "cycle", n = 1u64);
+        let entered = enter(idle);
+        drop(entered);
+        finish_or_discard(idle, 1_000);
+        assert!(finished_spans().is_empty(), "a bare root never reaches the ring");
+
+        let with_child = crate::span!(2, "kstreams", "cycle", n = 2u64);
+        let entered = enter(with_child);
+        finish_span(crate::child_span!(2, "task", "punctuate"), 2_000);
+        drop(entered);
+        finish_or_discard(with_child, 2_000);
+
+        let with_event = crate::span!(3, "kstreams", "cycle", n = 3u64);
+        let entered = enter(with_event);
+        crate::event!(3, "klog", "segment_roll");
+        drop(entered);
+        finish_or_discard(with_event, 3_000);
+
+        let trees = recent_trees(usize::MAX);
+        let names: Vec<Vec<_>> = trees.iter().map(|t| t.iter().map(|s| s.name).collect()).collect();
+        assert_eq!(names, [["cycle", "punctuate"], ["cycle", "segment_roll"]]);
+        // Ids keep counting through a dropped tree: they stay per-run.
+        assert_eq!(trees[0][0].id, 2);
+        assert!(critical_path_summary().is_none());
+    }
+
+    #[test]
+    fn a_span_left_open_past_its_root_goes_to_the_ring_alone() {
+        let _g = isolated();
+        if !crate::ENABLED {
+            return;
+        }
+        for keep in [true, false] {
+            clear();
+            let root = crate::span!(1, "kstreams", "cycle");
+            let entered = enter(root);
+            let straggler = crate::child_span!(1, "task", "task");
+            drop(entered);
+            if keep {
+                finish_span(root, 2_000);
+            } else {
+                // The open straggler is no record yet: the root is bare.
+                finish_or_discard(root, 2_000);
+            }
+            finish_span(straggler, 3_000);
+            let names: Vec<_> = finished_spans().iter().map(|s| s.name).collect();
+            let expected: &[&str] = if keep { &["cycle", "task"] } else { &["task"] };
+            assert_eq!(names, expected, "keep={keep}");
+            assert!(active_spans().is_empty());
+        }
+    }
+
+    #[test]
     fn flight_recorder_keeps_last_trees() {
         let _g = isolated();
         if !crate::ENABLED {
@@ -689,7 +916,7 @@ pub(crate) mod tests {
         let mut ran = false;
         let h = start_span(0, "kstreams", Parent::Root, "cycle", || {
             ran = true;
-            vec![]
+            Fields::new()
         });
         assert!(h.is_none());
         assert!(!ran, "field closure must not run under kobs-off");

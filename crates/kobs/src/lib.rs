@@ -42,7 +42,7 @@ pub mod trace_export;
 pub use hist::LatencyHistogram;
 pub use ktrace::{CriticalPathSummary, Span, SpanHandle, SpanTree};
 pub use registry::{global, HistSnapshot, Registry, Snapshot, ENABLED};
-pub use trace::{Event, FieldValue};
+pub use trace::{Event, FieldValue, Fields};
 
 /// Reset the global registry and the trace store (run isolation in
 /// harnesses; record ids restart so replays are byte-identical).

@@ -5,23 +5,29 @@
 //! format strings.
 //!
 //! An event is a zero-duration record in the one [`ktrace`](crate::ktrace)
-//! ring, under the calling thread's entered span if there is one. `simtest`
+//! ring, under the calling thread's entered span if there is one — then it
+//! reaches the ring with that span's tree, and keeps an idle tree. `simtest`
 //! dumps the [`tail`] next to the `--seed` repro line when an oracle fails,
 //! which is usually enough to see the path into the failure. Under the
 //! `off` feature [`emit`] compiles to nothing.
 
 use crate::json::{self, Value};
 use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
-/// One typed field value on a span or event.
+/// One typed field value on a span or event. None but a string made from a
+/// borrowed `&str` allocates.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FieldValue {
     /// A signed integer.
     I64(i64),
     /// An unsigned integer.
     U64(u64),
-    /// A string.
-    Str(String),
+    /// A string, shared: cloning an `Arc<str>` into a field copies nothing.
+    Str(Arc<str>),
+    /// Two numbers shown as `<a>_<b>`, such as a task id.
+    Pair(u32, u32),
 }
 
 impl FieldValue {
@@ -30,7 +36,8 @@ impl FieldValue {
         match self {
             FieldValue::I64(n) => json::num(*n as f64),
             FieldValue::U64(n) => json::num(*n as f64),
-            FieldValue::Str(s) => json::str(s.clone()),
+            FieldValue::Str(s) => json::str(&**s),
+            FieldValue::Pair(..) => json::str(self.to_string()),
         }
     }
 }
@@ -41,8 +48,90 @@ impl fmt::Display for FieldValue {
             FieldValue::I64(v) => write!(f, "{v}"),
             FieldValue::U64(v) => write!(f, "{v}"),
             FieldValue::Str(s) => write!(f, "{s}"),
+            FieldValue::Pair(a, b) => write!(f, "{a}_{b}"),
         }
     }
+}
+
+/// Fields held inline; every hot-path span carries at most this many.
+const INLINE_FIELDS: usize = 2;
+
+const NO_FIELD: (&str, FieldValue) = ("", FieldValue::U64(0));
+
+/// A record's `(name, value)` fields, read as a slice: up to two inline,
+/// so a span with few fields allocates nothing, and more in one `Vec`.
+#[derive(Clone)]
+pub struct Fields(FieldsRepr);
+
+#[derive(Clone)]
+enum FieldsRepr {
+    Inline(u8, [(&'static str, FieldValue); INLINE_FIELDS]),
+    Heap(Vec<(&'static str, FieldValue)>),
+}
+
+impl Fields {
+    /// No fields.
+    pub const fn new() -> Self {
+        Self(FieldsRepr::Inline(0, [NO_FIELD; INLINE_FIELDS]))
+    }
+
+    /// Append one field.
+    pub fn push(&mut self, name: &'static str, value: FieldValue) {
+        match &mut self.0 {
+            FieldsRepr::Inline(len, items) if usize::from(*len) < INLINE_FIELDS => {
+                items[usize::from(*len)] = (name, value);
+                *len += 1;
+            }
+            FieldsRepr::Inline(_, items) => {
+                let mut spilled = Vec::with_capacity(2 * INLINE_FIELDS);
+                spilled.extend(std::mem::replace(items, [NO_FIELD; INLINE_FIELDS]));
+                spilled.push((name, value));
+                self.0 = FieldsRepr::Heap(spilled);
+            }
+            FieldsRepr::Heap(items) => items.push((name, value)),
+        }
+    }
+}
+
+impl Default for Fields {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Deref for Fields {
+    type Target = [(&'static str, FieldValue)];
+
+    fn deref(&self) -> &Self::Target {
+        match &self.0 {
+            FieldsRepr::Inline(len, items) => &items[..usize::from(*len)],
+            FieldsRepr::Heap(items) => items,
+        }
+    }
+}
+
+impl PartialEq for Fields {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for Fields {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Build [`Fields`] from `name = value` pairs (the span and event macros'
+/// field lists).
+#[macro_export]
+macro_rules! fields {
+    ($($key:ident = $val:expr),* $(,)?) => {{
+        #[allow(unused_mut)]
+        let mut fields = $crate::trace::Fields::new();
+        $(fields.push(stringify!($key), $crate::trace::FieldValue::from($val));)*
+        fields
+    }};
 }
 
 impl From<i64> for FieldValue {
@@ -77,12 +166,18 @@ impl From<usize> for FieldValue {
 
 impl From<&str> for FieldValue {
     fn from(v: &str) -> Self {
-        FieldValue::Str(v.to_string())
+        FieldValue::Str(v.into())
     }
 }
 
 impl From<String> for FieldValue {
     fn from(v: String) -> Self {
+        FieldValue::Str(v.into())
+    }
+}
+
+impl From<Arc<str>> for FieldValue {
+    fn from(v: Arc<str>) -> Self {
         FieldValue::Str(v)
     }
 }
@@ -112,7 +207,7 @@ impl Event {
 impl fmt::Display for Event {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[{:>8}] {:<14} {:<18}", self.start_us / 1000, self.track, self.name)?;
-        for (k, v) in &self.fields {
+        for (k, v) in self.fields.iter() {
             write!(f, " {k}={v}")?;
         }
         Ok(())
@@ -124,7 +219,7 @@ impl fmt::Display for Event {
 #[allow(unused_variables)]
 pub fn emit<F>(ts: i64, component: &'static str, kind: &'static str, fields: F)
 where
-    F: FnOnce() -> Vec<(&'static str, FieldValue)>,
+    F: FnOnce() -> Fields,
 {
     #[cfg(not(feature = "off"))]
     crate::ktrace::push_event(ts.saturating_mul(1000), component, kind, fields());
@@ -142,9 +237,7 @@ pub use crate::ktrace::tail;
 #[macro_export]
 macro_rules! event {
     ($ts:expr, $component:expr, $kind:expr $(, $key:ident = $val:expr)* $(,)?) => {
-        $crate::trace::emit($ts, $component, $kind, || {
-            vec![$((stringify!($key), $crate::trace::FieldValue::from($val))),*]
-        })
+        $crate::trace::emit($ts, $component, $kind, || $crate::fields!($($key = $val),*))
     };
 }
 
@@ -201,6 +294,18 @@ mod tests {
     }
 
     #[test]
+    fn fields_past_the_inline_two_spill_in_order() {
+        let two = crate::fields!(a = 1u64, b = "x");
+        let four = crate::fields!(a = 1u64, b = "x", c = -3i64, d = 4usize);
+        assert_eq!(two.len(), 2);
+        assert_eq!(&four[..2], &two[..]);
+        let names: Vec<_> = four.iter().map(|(k, _)| *k).collect();
+        assert_eq!(names, ["a", "b", "c", "d"]);
+        assert_eq!(four[2].1, FieldValue::I64(-3));
+        assert_eq!(format!("{two:?}"), r#"[("a", U64(1)), ("b", Str("x"))]"#);
+    }
+
+    #[test]
     fn event_json_and_display() {
         let e = Event {
             id: 3,
@@ -210,7 +315,7 @@ mod tests {
             track: "kbroker.isr",
             start_us: 42_000,
             end_us: 42_000,
-            fields: vec![("tp", FieldValue::Str("orders-0".into())), ("isr", FieldValue::U64(2))],
+            fields: crate::fields!(tp = "orders-0", isr = 2u64),
             event: true,
         };
         let j = e.to_json();

@@ -140,7 +140,6 @@ pub fn validate_chrome_json(text: &str) -> Result<usize, String> {
 mod tests {
     use super::*;
     use crate::ktrace;
-    use crate::trace::FieldValue;
 
     fn span(id: u64, parent: Option<u64>, name: &'static str, start: i64, end: i64) -> Span {
         Span {
@@ -151,7 +150,7 @@ mod tests {
             track: "kstreams",
             start_us: start,
             end_us: end,
-            fields: vec![("step", FieldValue::U64(4))],
+            fields: crate::fields!(step = 4u64),
             event: false,
         }
     }

@@ -5,11 +5,16 @@
 //! `kstreams.<field>` counters sum every instance and incarnation.
 //!
 //! Also home to the ktrace determinism contract: identical seeds produce
-//! byte-identical span trees and chrome JSON,
-//! and the `kobs-off` feature compiles the span macros to true no-ops
+//! byte-identical span trees and chrome JSON, and an idle cycle leaves no
+//! tree; and the `kobs-off` feature compiles the span macros to true no-ops
 //! (run with `--features kobs-off` to exercise the disabled branches).
 
-use kbroker::{Cluster, Consumer, ConsumerConfig, Producer, ProducerConfig, TopicConfig};
+use kbroker::{
+    Cluster, Consumer, ConsumerConfig, DiskConfig, Producer, ProducerConfig, StorageMode,
+    TopicConfig,
+};
+use kstreams::processor::{Processor, ProcessorContext};
+use kstreams::record::FlowRecord;
 use kstreams::{KSerde, KafkaStreamsApp, StreamsBuilder, StreamsConfig};
 use simkit::ManualClock;
 use std::sync::{Arc, Mutex};
@@ -276,4 +281,184 @@ fn span_macros_are_noops_when_disabled() {
             .expect("disabled export is still a well-formed empty trace");
         assert_eq!(events, 0, "disabled export carries no span events");
     }
+}
+
+/// The span names of `tree` as `name<parent name`, root first.
+fn tree_shape(tree: &kobs::SpanTree) -> Vec<String> {
+    let name_of = |id: u64| tree.iter().find(|s| s.id == id).map_or("?", |s| s.name);
+    tree.iter().map(|s| format!("{}<{}", s.name, s.parent.map_or("", name_of))).collect()
+}
+
+/// Forwards one record from its punctuator once wall time reaches `at`,
+/// whatever its input: output from a cycle that processed nothing.
+struct Alarm {
+    at: i64,
+    fired: bool,
+}
+
+impl Processor for Alarm {
+    fn process(&mut self, ctx: &mut ProcessorContext<'_>, record: FlowRecord) {
+        ctx.forward(record);
+    }
+
+    fn punctuate(&mut self, ctx: &mut ProcessorContext<'_>, _stream_time: i64, wall: i64) {
+        if wall >= self.at && !self.fired {
+            self.fired = true;
+            let value = Some("alarm".to_string().to_bytes());
+            ctx.forward(FlowRecord { key: None, new: value, old: None, ts: wall });
+        }
+    }
+}
+
+/// A cycle that records nothing under its root — no record processed, no
+/// commit, no punctuation output, no event — leaves nothing in the trace
+/// ring; a working cycle keeps its whole tree, with one `append` span per
+/// replicated append (the leader's, not one per replica) and no span for a
+/// task that had nothing to do.
+#[test]
+fn idle_cycles_leave_no_trace() {
+    let _serial = OBS_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    kobs::reset();
+    let clock = ManualClock::new();
+    let cluster = Cluster::builder().brokers(3).replication(3).clock(clock.shared()).build();
+    cluster.create_topic("events", TopicConfig::new(2)).unwrap();
+    cluster.create_topic("counts", TopicConfig::new(2)).unwrap();
+    let mut app =
+        KafkaStreamsApp::new(cluster.clone(), counting_topology(), eos_config(), "instance-0");
+    app.start().unwrap();
+    app.step().unwrap();
+    clock.advance(10);
+    app.step().unwrap();
+
+    let ring = || (kobs::ktrace::finished_spans(), kobs::trace::tail(usize::MAX));
+    let before = ring();
+    let trees_before = kobs::ktrace::recent_trees(usize::MAX).len();
+    for _ in 0..20 {
+        let idle = app.step().unwrap();
+        assert_eq!((idle.processed, idle.committed), (0, false));
+    }
+    assert!(ring() == before, "an idle cycle reached the ring");
+    assert_eq!(kobs::ktrace::recent_trees(usize::MAX).len(), trees_before);
+    if !kobs::ENABLED {
+        return;
+    }
+
+    // Every event has the same key: one of the two tasks has work.
+    send_events(&cluster, 3, 0);
+    assert_eq!(app.step().unwrap().processed, 3);
+    let trees = kobs::ktrace::recent_trees(usize::MAX);
+    assert_eq!(trees.len(), trees_before + 1);
+    assert_eq!(
+        tree_shape(trees.last().unwrap()),
+        [
+            "cycle<",
+            "task<cycle",
+            "fetch<task",
+            "process<task",
+            "add_partitions<cycle",
+            "append<add_partitions",
+            "append<cycle",
+            "append<cycle",
+        ]
+    );
+
+    clock.advance(10);
+    assert!(app.step().unwrap().committed);
+    let trees = kobs::ktrace::recent_trees(usize::MAX);
+    assert_eq!(
+        tree_shape(trees.last().unwrap()),
+        [
+            "cycle<",
+            "commit<cycle",
+            "offset_commit<commit",
+            "add_partitions<offset_commit",
+            "append<add_partitions",
+            "append<offset_commit",
+            "prepare<commit",
+            "append<prepare",
+            "markers<commit",
+            "append_control<markers",
+            "append_control<markers",
+            "append_control<markers",
+            "complete<commit",
+            "append<complete",
+            "txn_commit<commit",
+        ]
+    );
+
+    // A cycle that processes nothing but punctuates output is kept whole.
+    cluster.create_topic("ticks", TopicConfig::new(1)).unwrap();
+    cluster.create_topic("alarms", TopicConfig::new(1)).unwrap();
+    let at = cluster.now_ms() + 50;
+    let builder = StreamsBuilder::new();
+    builder
+        .stream::<String, String>("ticks")
+        .process::<String, String>(
+            Arc::new(move || Box::new(Alarm { at, fired: false })),
+            Vec::new(),
+        )
+        .to("alarms");
+    let config = StreamsConfig::new("alarm-app").with_commit_interval_ms(1_000_000);
+    let mut alarm =
+        KafkaStreamsApp::new(cluster.clone(), Arc::new(builder.build().unwrap()), config, "i-1");
+    alarm.start().unwrap();
+    alarm.step().unwrap();
+    let trees_before = kobs::ktrace::recent_trees(usize::MAX).len();
+    for _ in 0..3 {
+        assert_eq!(alarm.step().unwrap().processed, 0);
+    }
+    assert_eq!(kobs::ktrace::recent_trees(usize::MAX).len(), trees_before);
+    clock.advance(50);
+    let fired = alarm.step().unwrap();
+    assert_eq!((fired.processed, fired.committed), (0, false));
+    let trees = kobs::ktrace::recent_trees(usize::MAX);
+    assert_eq!(trees.len(), trees_before + 1);
+    assert_eq!(
+        tree_shape(trees.last().unwrap()),
+        ["cycle<", "task<cycle", "fetch<task", "punctuate<task", "append<cycle"]
+    );
+}
+
+/// On disk a replicated append is still one span: the leader's `append`,
+/// holding the `fsync` of the segment it rolled. A follower's install
+/// records no span, so its sync lands nowhere in the tree; a roll is an
+/// event of each replica that rolls, under the thread's current span like
+/// every event.
+#[test]
+fn a_replicated_disk_append_is_one_span_holding_its_fsync() {
+    let _serial = OBS_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    kobs::reset();
+    let dir = std::env::temp_dir().join(format!("obs-disk-append-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cluster = Cluster::builder()
+        .brokers(3)
+        .replication(3)
+        .storage(StorageMode::Disk(DiskConfig::at(&dir).with_roll_records(2)))
+        .build();
+    cluster.create_topic("events", TopicConfig::new(1)).unwrap();
+    let mut producer = Producer::new(cluster.clone(), ProducerConfig::default());
+    let root = kobs::span!(0, "kstreams", "cycle");
+    let entered = kobs::ktrace::enter(root);
+    for i in 0..5 {
+        producer.send("events", None, Some(format!("e{i}").to_bytes()), i).unwrap();
+        producer.flush().unwrap();
+    }
+    drop(entered);
+    kobs::ktrace::finish_span(root, 1_000);
+    drop(cluster);
+    std::fs::remove_dir_all(&dir).unwrap();
+    if !kobs::ENABLED {
+        return;
+    }
+    // Two records per segment: the appends of offsets 2 and 4 roll.
+    let roll = ["append<cycle", "fsync<append"]
+        .into_iter()
+        .chain(["segment_roll<cycle"; 3])
+        .collect::<Vec<_>>();
+    let mut expected = vec!["cycle<", "append<cycle", "append<cycle"];
+    expected.extend(&roll);
+    expected.push("append<cycle");
+    expected.extend(&roll);
+    let tree = kobs::ktrace::recent_trees(1).pop().unwrap();
+    assert_eq!(tree_shape(&tree), expected);
 }
