@@ -665,7 +665,7 @@ impl KafkaStreamsApp {
         for out in outputs {
             let tp = task.sink_partition(cluster, out.sink, out.key.as_deref())?;
             producer.send_to_partition(
-                tp,
+                &tp,
                 klog::Record { key: out.key, value: out.value, timestamp: out.ts },
             )?;
         }
@@ -709,7 +709,7 @@ impl KafkaStreamsApp {
         }
         let active = self.tasks.values().filter_map(Hosted::active);
         let mut offsets: Vec<_> = active.flat_map(StreamTask::committable_offsets).collect();
-        offsets.sort_by(|a, b| a.0.cmp(&b.0));
+        offsets.sort_by_key(|(tp, _)| *tp);
         match self.config.guarantee {
             ProcessingGuarantee::ExactlyOnce => {
                 if self.txn_open {

@@ -15,7 +15,6 @@ use crate::topology::Topology;
 use bytes::Bytes;
 use kbroker::TopicPartition;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::Arc;
 
 /// One record bound for a sink topic.
 #[derive(Debug, Clone)]
@@ -38,9 +37,10 @@ pub struct TaskEnv {
     /// Records produced to sinks this cycle.
     pub outputs: Vec<SinkOutput>,
     /// Captured store mutations: `(changelog partition, changelog key,
-    /// value)`. The partition is the writing store's shared handle
-    /// ([`StoreEntry::changelog`]), so capturing a write allocates nothing.
-    pub changelog: Vec<(Arc<TopicPartition>, Bytes, Option<Bytes>)>,
+    /// value)`. The partition is the writing store's `Copy` changelog
+    /// address ([`StoreEntry::changelog`]), so capturing a write allocates
+    /// nothing.
+    pub changelog: Vec<(TopicPartition, Bytes, Option<Bytes>)>,
     pub metrics: StreamsMetrics,
     /// Max record timestamp observed by this task (§5's stream time).
     pub stream_time: i64,
@@ -79,9 +79,9 @@ impl TaskEnv {
         kobs::count("kstreams.cache.flush_entries", drained.len() as u64);
         let mut forwards = Vec::new();
         for (key, e) in drained {
-            if let Some(changelog) = &entry.changelog {
+            if let Some(changelog) = entry.changelog {
                 self.metrics.changelog_appends += 1;
-                self.changelog.push((changelog.clone(), key.clone(), e.new.clone()));
+                self.changelog.push((changelog, key.clone(), e.new.clone()));
             }
             if e.forward {
                 forwards.push(FlowRecord { key: Some(key), old: e.old, new: e.new, ts: e.ts });

@@ -17,7 +17,6 @@ use crate::topology::Topology;
 use bytes::Bytes;
 use kbroker::TopicPartition;
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// A stream processor: receives one record at a time, may read/write stores
 /// and forward records downstream.
@@ -45,11 +44,10 @@ pub struct StoreEntry {
     /// side effects are buffered here until commit.
     pub cache: RecordCache,
     /// Where this store's writes are logged, `None` for a store without a
-    /// changelog. Every captured write carries a clone of this handle, so
-    /// the partition is named once per store instead of once per write. An
+    /// changelog. Every captured write carries a copy of this address. An
     /// entry starts with the store's logical changelog topic; the task that
     /// owns it substitutes its own physical changelog partition.
-    pub changelog: Option<Arc<TopicPartition>>,
+    pub changelog: Option<TopicPartition>,
 }
 
 impl StoreEntry {
@@ -61,9 +59,8 @@ impl StoreEntry {
     /// Entry buffering up to `cache_max_entries` dirty entries between
     /// commits.
     pub fn with_cache(store: Store, spec: StoreSpec, cache_max_entries: usize) -> Self {
-        let changelog = spec
-            .changelog
-            .then(|| Arc::new(TopicPartition::new(Topology::changelog_topic(&spec.name), 0)));
+        let changelog =
+            spec.changelog.then(|| TopicPartition::new(Topology::changelog_topic(&spec.name), 0));
         Self { store, spec, cache: RecordCache::new(cache_max_entries), changelog }
     }
 }
@@ -169,7 +166,7 @@ impl<'a> ProcessorContext<'a> {
         forward: bool,
     ) {
         let entry = self.entry(store);
-        let changelog = entry.changelog.clone();
+        let changelog = entry.changelog;
         if changelog.is_none() && !forward {
             return;
         }

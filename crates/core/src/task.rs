@@ -19,12 +19,11 @@ use crate::state::{spill, Store};
 use crate::topology::{TaskId, Topology};
 use bytes::Bytes;
 use kbroker::topic::default_partition;
-use kbroker::{Cluster, IsolationLevel, TopicPartition};
+use kbroker::{Cluster, IsolationLevel, Topic, TopicPartition};
 use klog::{Record, StoredBatch};
 use simkit::{FaultDecision, FaultPoint};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::Path;
-use std::sync::Arc;
 
 /// One input partition of a task, and how far the task has read it.
 struct Input {
@@ -61,13 +60,6 @@ impl Input {
     }
 }
 
-/// One sink of the task's sub-topology: its physical topic, and that
-/// topic's partition addresses once the first output has looked them up.
-struct Sink {
-    topic: String,
-    partitions: Vec<TopicPartition>,
-}
-
 /// When one fetch-and-process pass ran, and what it did: what is needed
 /// to trace the pass after the fact.
 struct Polled {
@@ -95,8 +87,10 @@ pub struct StreamTask {
     /// The input partitions, in the sub-topology's source order (which
     /// breaks timestamp ties between inputs).
     inputs: Vec<Input>,
-    /// The sub-topology's sinks, indexed as [`SinkOutput::sink`].
-    sinks: Vec<Sink>,
+    /// The sub-topology's sinks, indexed as [`SinkOutput::sink`]: each
+    /// physical topic, and its partition count once the first output has
+    /// looked it up (0 until then).
+    sinks: Vec<(Topic, u32)>,
     /// Where restore should begin per store (set when promoted from a
     /// standby replica; default is the changelog's earliest offset).
     restore_from: HashMap<String, i64>,
@@ -144,7 +138,7 @@ impl StreamTask {
                 StoreEntry::with_cache(Store::new(spec.kind), spec.clone(), cache_max_entries);
             if spec.changelog {
                 let topic = format!("{app_id}-{}", Topology::changelog_topic(store_name));
-                entry.changelog = Some(Arc::new(TopicPartition::new(topic, id.partition)));
+                entry.changelog = Some(TopicPartition::new(topic, id.partition));
             } else if let Some(source) = topology.source_changelogs.get(store_name) {
                 source_restore_tps.insert(
                     store_name.clone(),
@@ -170,11 +164,8 @@ impl StreamTask {
                 })
             })
             .collect::<Result<Vec<Input>, StreamsError>>()?;
-        let sinks = driver
-            .sink_topics()
-            .iter()
-            .map(|t| Sink { topic: t.resolve(app_id), partitions: Vec::new() })
-            .collect();
+        let sinks =
+            driver.sink_topics().iter().map(|t| (Topic::new(&t.resolve(app_id)), 0)).collect();
         Ok(Self {
             id,
             app_id: app_id.to_string(),
@@ -222,7 +213,7 @@ impl StreamTask {
 
     /// The physical input partitions this task consumes.
     pub fn input_partitions(&self) -> Vec<TopicPartition> {
-        self.inputs.iter().map(|input| input.tp.clone()).collect()
+        self.inputs.iter().map(|input| input.tp).collect()
     }
 
     /// The application id this task belongs to.
@@ -277,7 +268,7 @@ impl StreamTask {
             }
         }
         for (store_name, entry) in stores.iter_mut() {
-            let Some(tp) = entry.changelog.as_deref() else { continue };
+            let Some(tp) = &entry.changelog else { continue };
             if !cluster.topic_exists(&tp.topic) {
                 continue;
             }
@@ -525,27 +516,25 @@ impl StreamTask {
         std::mem::take(&mut self.env.outputs)
     }
 
-    /// Drain this cycle's changelog appends as `(partition, key, value)`,
-    /// the partition being the writing store's shared handle.
-    pub fn take_changelog(&mut self) -> Vec<(Arc<TopicPartition>, Bytes, Option<Bytes>)> {
+    /// Drain this cycle's changelog appends as `(partition, key, value)`.
+    pub fn take_changelog(&mut self) -> Vec<(TopicPartition, Bytes, Option<Bytes>)> {
         std::mem::take(&mut self.env.changelog)
     }
 
     /// The partition of sink `sink`'s topic a record with `key` goes to: the
-    /// producer's [`default_partition`] over partition addresses looked up
+    /// producer's [`default_partition`] over a partition count looked up
     /// once per sink, at its first output.
     pub(crate) fn sink_partition(
         &mut self,
         cluster: &Cluster,
         sink: usize,
         key: Option<&[u8]>,
-    ) -> Result<&TopicPartition, StreamsError> {
-        let sink = &mut self.sinks[sink];
-        if sink.partitions.is_empty() {
-            sink.partitions = cluster.partitions_of(&sink.topic)?;
+    ) -> Result<TopicPartition, StreamsError> {
+        let (topic, partitions) = &mut self.sinks[sink];
+        if *partitions == 0 {
+            *partitions = cluster.partition_count(topic)?;
         }
-        let partition = default_partition(key, sink.partitions.len() as u32);
-        Ok(&sink.partitions[partition as usize])
+        Ok(TopicPartition { topic: *topic, partition: default_partition(key, *partitions) })
     }
 
     /// Offsets to commit: next unprocessed offset per input partition, in
@@ -554,9 +543,9 @@ impl StreamTask {
         let mut offsets: Vec<(TopicPartition, i64)> = self
             .inputs
             .iter()
-            .filter_map(|input| Some((input.tp.clone(), input.processed_position?)))
+            .filter_map(|input| Some((input.tp, input.processed_position?)))
             .collect();
-        offsets.sort_by(|a, b| a.0.cmp(&b.0));
+        offsets.sort_by_key(|(tp, _)| *tp);
         offsets
     }
 
@@ -774,7 +763,7 @@ mod tests {
         let isolation = IsolationLevel::ReadUncommitted;
         assert_eq!(task.poll_and_process(&cluster, 100, isolation).unwrap(), 0);
         assert!(output_values(&mut task).is_empty(), "the lost response delivered nothing");
-        assert_eq!(task.committable_offsets(), vec![(input.clone(), 0)], "and moved nothing");
+        assert_eq!(task.committable_offsets(), vec![(input, 0)], "and moved nothing");
         assert!(!task.is_dirty());
 
         assert_eq!(task.poll_and_process(&cluster, 100, isolation).unwrap(), 5);

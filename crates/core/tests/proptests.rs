@@ -184,7 +184,7 @@ proptest! {
         // Replay the captured changelog into a fresh store.
         let mut restored = Store::new(StoreKind::Window);
         for (changelog, key, value) in &env.changelog {
-            prop_assert_eq!(changelog.topic.as_str(), "w-changelog");
+            prop_assert_eq!(&*changelog.topic, "w-changelog");
             restored.apply_changelog(key, value.clone());
         }
         let Store::Window(original) = &env.stores.get("w").unwrap().store else { unreachable!() };

@@ -10,7 +10,7 @@
 use crate::error::BrokerError;
 use crate::group::GroupsRegistry;
 use crate::replica::ReplicaSet;
-use crate::topic::{partition_for_key, TopicConfig, TopicPartition};
+use crate::topic::{partition_for_key, Topic, TopicConfig, TopicPartition};
 use crate::txn::TxnRegistry;
 use crate::{OFFSETS_TOPIC, TXN_TOPIC};
 use klog::batch::{BatchMeta, ControlType};
@@ -37,7 +37,7 @@ const TOPIC_STRIPES: u32 = 16;
 /// `Arc`ed: a lookup clones the handle out and drops the stripe lock, so
 /// the data path never holds registry and partition locks together.
 pub(crate) struct TopicRegistry {
-    stripes: Vec<RwLock<HashMap<String, Arc<TopicMeta>>>>,
+    stripes: Vec<RwLock<HashMap<Topic, Arc<TopicMeta>>>>,
 }
 
 impl TopicRegistry {
@@ -45,16 +45,15 @@ impl TopicRegistry {
         Self { stripes: (0..TOPIC_STRIPES).map(|_| RwLock::new(HashMap::new())).collect() }
     }
 
-    fn stripe(&self, name: &str) -> &RwLock<HashMap<String, Arc<TopicMeta>>> {
+    fn stripe(&self, name: &str) -> &RwLock<HashMap<Topic, Arc<TopicMeta>>> {
         &self.stripes[partition_for_key(name.as_bytes(), TOPIC_STRIPES) as usize]
     }
 
-    pub(crate) fn get(&self, name: &str) -> Option<Arc<TopicMeta>> {
-        self.stripe(name).read().get(name).cloned()
-    }
-
-    fn contains(&self, name: &str) -> bool {
-        self.stripe(name).read().contains_key(name)
+    /// The topic named `name`, as the registry holds it (no interning), and
+    /// its metadata.
+    fn get(&self, name: &str) -> Option<(Topic, Arc<TopicMeta>)> {
+        let stripe = self.stripe(name).read();
+        stripe.get_key_value(name).map(|(topic, meta)| (*topic, meta.clone()))
     }
 
     /// Insert unless present (idempotent topic creation); returns whether
@@ -63,24 +62,25 @@ impl TopicRegistry {
     fn insert_if_absent(
         &self,
         name: &str,
-        build: impl FnOnce() -> Result<TopicMeta, BrokerError>,
+        build: impl FnOnce(Topic) -> Result<TopicMeta, BrokerError>,
     ) -> Result<(), BrokerError> {
         let mut stripe = self.stripe(name).write();
         if !stripe.contains_key(name) {
-            stripe.insert(name.to_string(), Arc::new(build()?));
+            let topic = Topic::new(name);
+            stripe.insert(topic, Arc::new(build(topic)?));
         }
         Ok(())
     }
 
     /// Every `(name, meta)` pair in name order — whole-cluster sweeps
     /// (failure propagation, retention) stay deterministic for seed replay.
-    fn metas_sorted(&self) -> Vec<(String, Arc<TopicMeta>)> {
-        let mut out: Vec<(String, Arc<TopicMeta>)> = Vec::new();
+    fn metas_sorted(&self) -> Vec<(Topic, Arc<TopicMeta>)> {
+        let mut out: Vec<(Topic, Arc<TopicMeta>)> = Vec::new();
         for stripe in &self.stripes {
             // detlint:allow[unordered-iter] collected then sorted below
-            out.extend(stripe.read().iter().map(|(k, v)| (k.clone(), v.clone())));
+            out.extend(stripe.read().iter().map(|(k, v)| (*k, v.clone())));
         }
-        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out.sort_by_key(|(topic, _)| *topic);
         out
     }
 }
@@ -209,10 +209,10 @@ impl ClusterBuilder {
             }),
         };
         cluster
-            .create_topic(TXN_TOPIC, TopicConfig::new(self.txn_partitions).compacted())
+            .create_topic(&TXN_TOPIC, TopicConfig::new(self.txn_partitions).compacted())
             .expect("internal topic");
         cluster
-            .create_topic(OFFSETS_TOPIC, TopicConfig::new(self.offsets_partitions).compacted())
+            .create_topic(&OFFSETS_TOPIC, TopicConfig::new(self.offsets_partitions).compacted())
             .expect("internal topic");
         cluster
     }
@@ -275,14 +275,14 @@ impl Cluster {
         config.replication = config.replication.min(self.inner.num_brokers);
         // Idempotent creation: insert_if_absent holds the stripe lock across
         // check and insert, so racing creators agree on one TopicMeta.
-        self.inner.topics.insert_if_absent(name, || {
+        self.inner.topics.insert_if_absent(name, |topic| {
             let partitions = (0..config.partitions)
                 .map(|p| {
                     let brokers: Vec<usize> = (0..config.replication)
                         .map(|i| (p as usize + i) % self.inner.num_brokers)
                         .collect();
                     let set = ReplicaSet::new_with_storage(
-                        TopicPartition::new(name, p),
+                        TopicPartition { topic, partition: p },
                         brokers,
                         self.inner.storage.clone(),
                     )?;
@@ -295,36 +295,39 @@ impl Cluster {
 
     /// Partition count of a topic.
     pub fn partition_count(&self, topic: &str) -> Result<u32, BrokerError> {
-        self.inner
-            .topics
-            .get(topic)
-            .map(|m| m.config.partitions)
-            .ok_or_else(|| BrokerError::UnknownTopic(topic.to_string()))
+        Ok(self.topic(topic)?.1)
+    }
+
+    /// A topic and its partition count.
+    pub fn topic(&self, name: &str) -> Result<(Topic, u32), BrokerError> {
+        let (topic, meta) = self.meta(name)?;
+        Ok((topic, meta.config.partitions))
+    }
+
+    fn meta(&self, name: &str) -> Result<(Topic, Arc<TopicMeta>), BrokerError> {
+        self.inner.topics.get(name).ok_or_else(|| BrokerError::UnknownTopic(name.to_string()))
     }
 
     /// Whether a topic exists.
     pub fn topic_exists(&self, topic: &str) -> bool {
-        self.inner.topics.contains(topic)
+        self.inner.topics.get(topic).is_some()
     }
 
     /// All partitions of a topic.
     pub fn partitions_of(&self, topic: &str) -> Result<Vec<TopicPartition>, BrokerError> {
-        let n = self.partition_count(topic)?;
-        Ok((0..n).map(|p| TopicPartition::new(topic, p)).collect())
+        let (topic, n) = self.topic(topic)?;
+        Ok((0..n).map(|partition| TopicPartition { topic, partition }).collect())
     }
 
     pub(crate) fn replica_set(
         &self,
         tp: &TopicPartition,
     ) -> Result<Arc<Mutex<ReplicaSet>>, BrokerError> {
-        let meta = self
-            .inner
-            .topics
-            .get(&tp.topic)
-            .ok_or_else(|| BrokerError::UnknownTopic(tp.topic.clone()))?;
-        meta.partitions.get(tp.partition as usize).cloned().ok_or_else(|| {
-            BrokerError::UnknownPartition { topic: tp.topic.clone(), partition: tp.partition }
-        })
+        let (_, meta) = self.meta(&tp.topic)?;
+        meta.partitions
+            .get(tp.partition as usize)
+            .cloned()
+            .ok_or(BrokerError::UnknownPartition { topic: tp.topic, partition: tp.partition })
     }
 
     // ------------------------------------------------------------------
@@ -454,16 +457,10 @@ impl Cluster {
     /// so a later failover serves the same compacted log). Returns per-
     /// partition stats.
     pub fn compact_topic(&self, topic: &str) -> Result<Vec<CompactionStats>, BrokerError> {
-        let parts = self.partitions_of(topic)?;
-        let mut stats = Vec::with_capacity(parts.len());
-        for tp in &parts {
-            let set = self.replica_set(tp)?;
-            // Replica logs are identical, so running the same deterministic
-            // pass on each yields identical compacted logs; report the
-            // leader's stats.
-            stats.push(set.lock().for_each_log(compact)?);
-        }
-        Ok(stats)
+        // Replica logs are identical, so running the same deterministic pass
+        // on each yields identical compacted logs; report the leader's stats.
+        let (_, meta) = self.meta(topic)?;
+        meta.partitions.iter().map(|set| set.lock().for_each_log(compact)).collect()
     }
 
     /// Delete records below `before` on a partition (repartition-topic
@@ -482,25 +479,15 @@ impl Cluster {
         let now = self.now_ms();
         let mut trimmed = 0;
         // Name order (not hash order): trim events replay deterministically.
-        let topics: Vec<(String, Option<i64>, Option<usize>, bool)> = self
-            .inner
-            .topics
-            .metas_sorted()
-            .into_iter()
-            .map(|(name, meta)| {
-                (name, meta.config.retention_ms, meta.config.retention_bytes, meta.config.compacted)
-            })
-            .collect();
-        for (topic, ret_ms, ret_bytes, compacted) in topics {
-            if compacted || (ret_ms.is_none() && ret_bytes.is_none()) {
+        for (_, meta) in self.inner.topics.metas_sorted() {
+            let TopicConfig { retention_ms, retention_bytes, compacted, .. } = meta.config;
+            if compacted || (retention_ms.is_none() && retention_bytes.is_none()) {
                 continue;
             }
-            let Ok(parts) = self.partitions_of(&topic) else { continue };
-            for tp in parts {
-                let Ok(set) = self.replica_set(&tp) else { continue };
+            for set in &meta.partitions {
                 let mut set = set.lock();
                 let cutoff = match set.leader_log() {
-                    Ok(log) => log.retention_cutoff(now, ret_ms, ret_bytes),
+                    Ok(log) => log.retention_cutoff(now, retention_ms, retention_bytes),
                     Err(_) => None,
                 };
                 if let Some(cutoff) = cutoff {
@@ -515,11 +502,8 @@ impl Cluster {
     /// Total retained data-record count across all partitions of a topic
     /// (metrics for benches: suppression/compaction I/O savings).
     pub fn topic_record_count(&self, topic: &str) -> Result<usize, BrokerError> {
-        let mut total = 0;
-        for tp in self.partitions_of(topic)? {
-            total += self.replica_set(&tp)?.lock().leader_log()?.record_count();
-        }
-        Ok(total)
+        let (_, meta) = self.meta(topic)?;
+        meta.partitions.iter().map(|set| Ok(set.lock().leader_log()?.record_count())).sum()
     }
 }
 
@@ -717,8 +701,8 @@ mod tests {
     #[test]
     fn internal_topics_exist() {
         let c = cluster();
-        assert!(c.topic_exists(TXN_TOPIC));
-        assert!(c.topic_exists(OFFSETS_TOPIC));
+        assert!(c.topic_exists(&TXN_TOPIC));
+        assert!(c.topic_exists(&OFFSETS_TOPIC));
     }
 
     #[test]

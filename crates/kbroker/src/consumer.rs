@@ -12,12 +12,11 @@
 
 use crate::cluster::Cluster;
 use crate::error::BrokerError;
-use crate::topic::TopicPartition;
+use crate::topic::{Topic, TopicPartition};
 use bytes::Bytes;
 use klog::{IsolationLevel, Offset};
 use simkit::{FaultDecision, FaultPoint};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Consumer configuration.
 #[derive(Debug, Clone)]
@@ -49,8 +48,7 @@ impl ConsumerConfig {
 /// One record as delivered to the application.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConsumerRecord {
-    /// Shared by every record one fetch delivered.
-    pub topic: Arc<str>,
+    pub topic: Topic,
     pub partition: u32,
     pub offset: Offset,
     pub key: Option<Bytes>,
@@ -83,7 +81,7 @@ fn resolve_position<'a>(
     if !positions.contains_key(tp) {
         match cluster.earliest_offset(tp) {
             Ok(start) => {
-                positions.insert(tp.clone(), start);
+                positions.insert(*tp, start);
             }
             Err(BrokerError::NoLeader { .. }) => return Ok(None),
             Err(e) => return Err(e),
@@ -159,10 +157,9 @@ impl Consumer {
             {
                 continue;
             }
-            let topic: Arc<str> = Arc::from(tp.topic.as_str());
             for (offset, rec) in fetch.records() {
                 out.push(ConsumerRecord {
-                    topic: topic.clone(),
+                    topic: tp.topic,
                     partition: tp.partition,
                     offset,
                     key: rec.key.clone(),
@@ -321,7 +318,7 @@ mod tests {
         c.delete_records(&tp, 5).unwrap();
         c.kill_broker(0);
         let mut cons = Consumer::new(c.clone(), "m", ConsumerConfig::default());
-        cons.assign(vec![tp.clone()]).unwrap();
+        cons.assign(vec![tp]).unwrap();
         assert_eq!(cons.position(&tp), None, "no position while leaderless");
         c.restore_broker(0).unwrap();
         let offsets: Vec<Offset> = cons.poll().unwrap().iter().map(|r| r.offset).collect();

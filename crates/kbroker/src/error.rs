@@ -1,5 +1,6 @@
 //! Broker-level errors, wrapping the storage-level [`klog::LogError`].
 
+use crate::topic::Topic;
 use klog::LogError;
 use std::fmt;
 
@@ -12,11 +13,11 @@ pub enum BrokerError {
     /// `[A-Za-z0-9._-]{1,249}`, or it has no partitions.
     InvalidTopic { topic: String, detail: &'static str },
     /// Partition index out of range for the topic.
-    UnknownPartition { topic: String, partition: u32 },
+    UnknownPartition { topic: Topic, partition: u32 },
     /// The addressed broker is not alive.
     BrokerDown(usize),
     /// No replica is alive to lead this partition.
-    NoLeader { topic: String, partition: u32 },
+    NoLeader { topic: Topic, partition: u32 },
     /// Underlying log rejected the operation.
     Log(LogError),
     /// Transactional producer is fenced by a newer epoch (zombie, §4.2.1).
@@ -31,7 +32,7 @@ pub enum BrokerError {
     /// Member is not part of the group.
     UnknownMember { group: String, member: String },
     /// Producer retried past its retry budget without an acknowledgement.
-    RetriesExhausted { topic: String, partition: u32 },
+    RetriesExhausted { topic: Topic, partition: u32 },
     /// Client-side misuse (e.g. transactional send before begin).
     InvalidOperation(String),
 }

@@ -27,6 +27,7 @@ use klog::batch::BatchMeta;
 use klog::{IsolationLevel, Offset, Record};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// Default member session timeout: members that have not heartbeated (via
 /// [`Cluster::group_view`]) for this long are evicted by
@@ -45,15 +46,13 @@ struct MemberInfo {
 
 #[derive(Debug, Default)]
 struct GroupState {
-    generation: i32,
     members: BTreeMap<String, MemberInfo>,
-    /// Member ids frozen at the last generation bump. Views expose this
+    /// The view frozen at the last generation bump. Members read this
     /// snapshot (not the live set), so every member of generation G
     /// computes its assignment from identical inputs even while later
-    /// joins are being debounced.
-    frozen_members: Vec<String>,
-    /// Member metadata frozen alongside `frozen_members`.
-    frozen_metadata: BTreeMap<String, Vec<String>>,
+    /// joins are being debounced; a check-in hands out the handle, not a
+    /// copy.
+    view: Arc<GroupView>,
     /// Coalescing window for join/request-triggered rebalances (0 = bump
     /// immediately, the historical behavior). Leaves and expirations always
     /// rebalance immediately.
@@ -65,7 +64,7 @@ struct GroupState {
 
 /// A member's view of its group after a join or poll-time check: the same
 /// for every member of one generation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GroupView {
     pub generation: i32,
     /// Member ids frozen at this generation's rebalance, sorted
@@ -125,6 +124,19 @@ impl GroupsRegistry {
     }
 }
 
+/// Group ids are written unescaped into `\0`-separated offset keys, so a
+/// group id holding a `\0` would commit records that no reader can decode.
+fn check_group_id(group: &str) -> Result<(), BrokerError> {
+    if group.contains('\0') {
+        return Err(BrokerError::InvalidOperation(format!("group id {group:?} holds a NUL")));
+    }
+    Ok(())
+}
+
+fn unknown_member(group: &str, member: &str) -> BrokerError {
+    BrokerError::UnknownMember { group: group.to_string(), member: member.to_string() }
+}
+
 fn encode_offset_key(group: &str, tp: &TopicPartition) -> Bytes {
     Bytes::from(format!("{group}\u{0}{}\u{0}{}", tp.topic, tp.partition))
 }
@@ -140,21 +152,23 @@ fn decode_offset_key(key: &[u8]) -> Option<(String, TopicPartition)> {
 
 impl Cluster {
     fn rebalance(&self, state: &mut GroupState) {
-        state.generation += 1;
         state.pending_since = None;
         // Freeze the membership and metadata for this generation: every
         // member's view of generation G carries this exact snapshot, so
         // leaderless assignors compute from identical inputs even while
         // later joins are still being debounced.
-        state.frozen_members = state.members.keys().cloned().collect();
-        state.frozen_metadata =
-            state.members.iter().map(|(m, i)| (m.clone(), i.metadata.clone())).collect();
+        let members = &state.members;
+        state.view = Arc::new(GroupView {
+            generation: state.view.generation + 1,
+            members: members.keys().cloned().collect(),
+            member_metadata: members.iter().map(|(m, i)| (m.clone(), i.metadata.clone())).collect(),
+        });
         kobs::count("kbroker.group.rebalances", 1);
         kobs::event!(
             self.now_ms(),
             "kbroker.group",
             "rebalance",
-            generation = state.generation,
+            generation = state.view.generation,
             members = state.members.len(),
         );
     }
@@ -185,14 +199,6 @@ impl Cluster {
         }
     }
 
-    fn view_of(state: &GroupState) -> GroupView {
-        GroupView {
-            generation: state.generation,
-            members: state.frozen_members.clone(),
-            member_metadata: state.frozen_metadata.clone(),
-        }
-    }
-
     /// Force a rebalance of the group with its current membership: the
     /// generation is bumped and the view re-frozen, so every member's
     /// next heartbeat observes membership churn (the simulation harness
@@ -220,7 +226,8 @@ impl Cluster {
         group: &str,
         member: &str,
         metadata: &[String],
-    ) -> Result<GroupView, BrokerError> {
+    ) -> Result<Arc<GroupView>, BrokerError> {
+        check_group_id(group)?;
         let now = self.now_ms();
         let mut groups = self.inner.groups.stripe(group).lock();
         let state = groups.entry(group.to_string()).or_default();
@@ -229,7 +236,7 @@ impl Cluster {
             MemberInfo { last_seen_ms: now, metadata: metadata.to_vec() },
         );
         self.trigger_rebalance(state, now);
-        Ok(Self::view_of(state))
+        Ok(state.view.clone())
     }
 
     /// Update a member's metadata in place — no generation bump. The new
@@ -242,14 +249,8 @@ impl Cluster {
         metadata: &[String],
     ) -> Result<(), BrokerError> {
         let mut groups = self.inner.groups.stripe(group).lock();
-        let state = groups.get_mut(group).ok_or_else(|| BrokerError::UnknownMember {
-            group: group.to_string(),
-            member: member.to_string(),
-        })?;
-        let info = state.members.get_mut(member).ok_or_else(|| BrokerError::UnknownMember {
-            group: group.to_string(),
-            member: member.to_string(),
-        })?;
+        let state = groups.get_mut(group).ok_or_else(|| unknown_member(group, member))?;
+        let info = state.members.get_mut(member).ok_or_else(|| unknown_member(group, member))?;
         info.metadata = metadata.to_vec();
         Ok(())
     }
@@ -260,15 +261,9 @@ impl Cluster {
     pub fn group_request_rebalance(&self, group: &str, member: &str) -> Result<(), BrokerError> {
         let now = self.now_ms();
         let mut groups = self.inner.groups.stripe(group).lock();
-        let state = groups.get_mut(group).ok_or_else(|| BrokerError::UnknownMember {
-            group: group.to_string(),
-            member: member.to_string(),
-        })?;
+        let state = groups.get_mut(group).ok_or_else(|| unknown_member(group, member))?;
         if !state.members.contains_key(member) {
-            return Err(BrokerError::UnknownMember {
-                group: group.to_string(),
-                member: member.to_string(),
-            });
+            return Err(unknown_member(group, member));
         }
         self.trigger_rebalance(state, now);
         Ok(())
@@ -286,15 +281,9 @@ impl Cluster {
     /// Leave a group, triggering a rebalance.
     pub fn group_leave(&self, group: &str, member: &str) -> Result<(), BrokerError> {
         let mut groups = self.inner.groups.stripe(group).lock();
-        let state = groups.get_mut(group).ok_or_else(|| BrokerError::UnknownMember {
-            group: group.to_string(),
-            member: member.to_string(),
-        })?;
+        let state = groups.get_mut(group).ok_or_else(|| unknown_member(group, member))?;
         if state.members.remove(member).is_none() {
-            return Err(BrokerError::UnknownMember {
-                group: group.to_string(),
-                member: member.to_string(),
-            });
+            return Err(unknown_member(group, member));
         }
         self.rebalance(state);
         Ok(())
@@ -303,22 +292,16 @@ impl Cluster {
     /// Poll-time check-in: refreshes the member's heartbeat and returns the
     /// current view (the consumer compares generations to detect a
     /// rebalance). Errors if the member was evicted.
-    pub fn group_view(&self, group: &str, member: &str) -> Result<GroupView, BrokerError> {
+    pub fn group_view(&self, group: &str, member: &str) -> Result<Arc<GroupView>, BrokerError> {
         let now = self.now_ms();
         let mut groups = self.inner.groups.stripe(group).lock();
-        let state = groups.get_mut(group).ok_or_else(|| BrokerError::UnknownMember {
-            group: group.to_string(),
-            member: member.to_string(),
-        })?;
-        let info = state.members.get_mut(member).ok_or_else(|| BrokerError::UnknownMember {
-            group: group.to_string(),
-            member: member.to_string(),
-        })?;
+        let state = groups.get_mut(group).ok_or_else(|| unknown_member(group, member))?;
+        let info = state.members.get_mut(member).ok_or_else(|| unknown_member(group, member))?;
         info.last_seen_ms = now;
         // Heartbeats drive the debounce clock: an overdue coalesced
         // rebalance fires on the next check-in.
         self.fire_pending_rebalance(state, now);
-        Ok(Self::view_of(state))
+        Ok(state.view.clone())
     }
 
     /// Evict members that have not checked in within the session timeout —
@@ -345,7 +328,7 @@ impl Cluster {
 
     /// Current generation of a group (0 if the group does not exist yet).
     pub fn group_generation(&self, group: &str) -> i32 {
-        self.inner.groups.stripe(group).lock().get(group).map_or(0, |s| s.generation)
+        self.inner.groups.stripe(group).lock().get(group).map_or(0, |s| s.view.generation)
     }
 
     fn check_generation(
@@ -355,36 +338,35 @@ impl Cluster {
         generation: i32,
     ) -> Result<(), BrokerError> {
         let groups = self.inner.groups.stripe(group).lock();
-        let state = groups.get(group).ok_or_else(|| BrokerError::UnknownMember {
-            group: group.to_string(),
-            member: member.to_string(),
-        })?;
+        let state = groups.get(group).ok_or_else(|| unknown_member(group, member))?;
         if !state.members.contains_key(member) {
-            return Err(BrokerError::UnknownMember {
-                group: group.to_string(),
-                member: member.to_string(),
-            });
+            return Err(unknown_member(group, member));
         }
-        if state.generation != generation {
+        if state.view.generation != generation {
             return Err(BrokerError::IllegalGeneration {
                 group: group.to_string(),
-                expected: state.generation,
+                expected: state.view.generation,
                 got: generation,
             });
         }
         Ok(())
     }
 
-    fn offset_records(&self, group: &str, offsets: &[(TopicPartition, Offset)]) -> Vec<Record> {
+    fn offset_records(
+        &self,
+        group: &str,
+        offsets: &[(TopicPartition, Offset)],
+    ) -> Result<Vec<Record>, BrokerError> {
+        check_group_id(group)?;
         let ts = self.now_ms();
-        offsets
+        Ok(offsets
             .iter()
             .map(|(tp, off)| Record {
                 key: Some(encode_offset_key(group, tp)),
                 value: Some(Bytes::from(off.to_string())),
                 timestamp: ts,
             })
-            .collect()
+            .collect())
     }
 
     /// Plain (at-least-once mode) offset commit: generation-fenced, then
@@ -400,8 +382,8 @@ impl Cluster {
         if offsets.is_empty() {
             return Ok(());
         }
-        let tp = TopicPartition::new(OFFSETS_TOPIC, self.inner.groups.offsets_partition_for(group));
-        self.produce(&tp, BatchMeta::plain(), self.offset_records(group, offsets))?;
+        let records = self.offset_records(group, offsets)?;
+        self.produce(&self.offsets_partition_for_group(group), BatchMeta::plain(), records)?;
         Ok(())
     }
 
@@ -423,7 +405,7 @@ impl Cluster {
         if offsets.is_empty() {
             return Ok(());
         }
-        let tp = TopicPartition::new(OFFSETS_TOPIC, self.inner.groups.offsets_partition_for(group));
+        let records = self.offset_records(group, offsets)?;
         let meta = BatchMeta {
             producer_id,
             producer_epoch,
@@ -431,14 +413,17 @@ impl Cluster {
             transactional: true,
             control: None,
         };
-        self.produce(&tp, meta, self.offset_records(group, offsets))?;
+        self.produce(&self.offsets_partition_for_group(group), meta, records)?;
         Ok(())
     }
 
     /// The offsets-topic partition a group's commits land on (needed by the
     /// producer client to register it in the transaction).
     pub fn offsets_partition_for_group(&self, group: &str) -> TopicPartition {
-        TopicPartition::new(OFFSETS_TOPIC, self.inner.groups.offsets_partition_for(group))
+        TopicPartition {
+            topic: OFFSETS_TOPIC,
+            partition: self.inner.groups.offsets_partition_for(group),
+        }
     }
 
     /// Latest committed offset for `(group, tp)`, materialized from the
@@ -452,7 +437,7 @@ impl Cluster {
         tp: &TopicPartition,
     ) -> Result<Option<Offset>, BrokerError> {
         let part = self.inner.groups.offsets_partition_for(group);
-        let log_tp = TopicPartition::new(OFFSETS_TOPIC, part);
+        let log_tp = TopicPartition { topic: OFFSETS_TOPIC, partition: part };
         // Per-partition cache shard: readers of groups on different offsets
         // partitions materialize concurrently without sharing a lock.
         let mut cache = self.inner.groups.cache[part as usize].lock();
@@ -473,7 +458,7 @@ impl Cluster {
             pos = fetch.next_offset;
         }
         cache.position = pos;
-        Ok(cache.offsets.get(&(group.to_string(), tp.clone())).copied())
+        Ok(cache.offsets.get(&(group.to_string(), *tp)).copied())
     }
 }
 
@@ -495,6 +480,25 @@ mod tests {
         let tp = TopicPartition::new("orders", 7);
         let key = encode_offset_key("g1", &tp);
         assert_eq!(decode_offset_key(&key), Some(("g1".to_string(), tp)));
+    }
+
+    /// A NUL in a group id would end its group field early in the offset
+    /// key: the commit would land and then never be read back, and a restart
+    /// would re-read its input from the earliest offset.
+    #[test]
+    fn group_ids_holding_a_nul_are_rejected() {
+        fn rejected<T>(result: Result<T, BrokerError>) -> bool {
+            matches!(result, Err(BrokerError::InvalidOperation(_)))
+        }
+        let c = cluster();
+        let tp = TopicPartition::new("t", 0);
+        assert!(rejected(c.group_join("g\0x", "m", &[])));
+        assert!(rejected(c.group_txn_commit_offsets("g\0x", &[(tp, 5)], 1, 0, None)));
+        // The plain path builds its records the same way.
+        assert!(rejected(c.offset_records("g\0x", &[(tp, 5)])));
+        let v = c.group_join("g", "m", &[]).unwrap();
+        c.group_commit_offsets("g", "m", v.generation, &[(tp, 5)]).unwrap();
+        assert_eq!(c.group_committed_offset("g", &tp).unwrap(), Some(5));
     }
 
     #[test]
@@ -532,9 +536,9 @@ mod tests {
         let v = c.group_join("g", "m", &[]).unwrap();
         let tp = TopicPartition::new("t", 0);
         assert_eq!(c.group_committed_offset("g", &tp).unwrap(), None);
-        c.group_commit_offsets("g", "m", v.generation, &[(tp.clone(), 42)]).unwrap();
+        c.group_commit_offsets("g", "m", v.generation, &[(tp, 42)]).unwrap();
         assert_eq!(c.group_committed_offset("g", &tp).unwrap(), Some(42));
-        c.group_commit_offsets("g", "m", v.generation, &[(tp.clone(), 100)]).unwrap();
+        c.group_commit_offsets("g", "m", v.generation, &[(tp, 100)]).unwrap();
         assert_eq!(c.group_committed_offset("g", &tp).unwrap(), Some(100));
     }
 
@@ -654,7 +658,7 @@ mod tests {
         let (pid, epoch) = c.txn_init_producer("app", 60_000).unwrap();
         let offsets_tp = c.offsets_partition_for_group("g");
         c.txn_add_partitions("app", pid, epoch, &[offsets_tp]).unwrap();
-        c.group_txn_commit_offsets("g", &[(src.clone(), 10)], pid, epoch, None).unwrap();
+        c.group_txn_commit_offsets("g", &[(src, 10)], pid, epoch, None).unwrap();
         assert_eq!(
             c.group_committed_offset("g", &src).unwrap(),
             None,
@@ -673,12 +677,12 @@ mod tests {
         let offsets_tp = c.offsets_partition_for_group("g");
         // First, a committed offset at 5.
         c.txn_add_partitions("app", pid, epoch, std::slice::from_ref(&offsets_tp)).unwrap();
-        c.group_txn_commit_offsets("g", &[(src.clone(), 5)], pid, epoch, None).unwrap();
+        c.group_txn_commit_offsets("g", &[(src, 5)], pid, epoch, None).unwrap();
         // Completion bumps the epoch; the next transaction adopts it.
         let epoch = c.txn_end("app", pid, epoch, true).unwrap();
         // Then an aborted attempt at 10.
         c.txn_add_partitions("app", pid, epoch, &[offsets_tp]).unwrap();
-        c.group_txn_commit_offsets("g", &[(src.clone(), 10)], pid, epoch, None).unwrap();
+        c.group_txn_commit_offsets("g", &[(src, 10)], pid, epoch, None).unwrap();
         c.txn_end("app", pid, epoch, false).unwrap();
         assert_eq!(
             c.group_committed_offset("g", &src).unwrap(),
@@ -692,7 +696,7 @@ mod tests {
         let c = cluster();
         let v1 = c.group_join("g1", "m", &[]).unwrap();
         let tp = TopicPartition::new("t", 0);
-        c.group_commit_offsets("g1", "m", v1.generation, &[(tp.clone(), 7)]).unwrap();
+        c.group_commit_offsets("g1", "m", v1.generation, &[(tp, 7)]).unwrap();
         assert_eq!(c.group_committed_offset("g2", &tp).unwrap(), None);
         assert_eq!(c.group_committed_offset("g1", &tp).unwrap(), Some(7));
     }

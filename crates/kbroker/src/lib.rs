@@ -41,10 +41,10 @@ pub use consumer::{Consumer, ConsumerConfig, ConsumerRecord};
 pub use error::BrokerError;
 pub use klog::{DiskConfig, IsolationLevel, StorageMode};
 pub use producer::{Producer, ProducerConfig};
-pub use topic::{TopicConfig, TopicPartition};
+pub use topic::{Topic, TopicConfig, TopicPartition};
 
-/// Name of the internal consumer-offsets topic.
-pub const OFFSETS_TOPIC: &str = "__consumer_offsets";
+/// The internal consumer-offsets topic.
+pub const OFFSETS_TOPIC: Topic = Topic::from_static("__consumer_offsets");
 
-/// Name of the internal transaction-state topic.
-pub const TXN_TOPIC: &str = "__transaction_state";
+/// The internal transaction-state topic.
+pub const TXN_TOPIC: Topic = Topic::from_static("__transaction_state");

@@ -10,13 +10,12 @@
 
 use crate::cluster::Cluster;
 use crate::error::BrokerError;
-use crate::topic::{default_partition, TopicPartition};
+use crate::topic::{default_partition, Topic, TopicPartition};
 use bytes::Bytes;
 use klog::batch::BatchMeta;
 use klog::{Offset, Record, NO_SEQUENCE};
 use simkit::{FaultDecision, FaultPoint};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::Arc;
 
 /// Producer configuration.
 #[derive(Debug, Clone)]
@@ -101,10 +100,10 @@ pub struct Producer {
     buffers: BTreeMap<TopicPartition, Vec<Record>>,
     /// Partitions registered with the current transaction.
     registered: HashSet<TopicPartition>,
-    /// Each topic's partition addresses, built at the first `send` to it.
+    /// Each topic's partition count, looked up at the first `send` to it.
     /// Topics are create-only with a fixed partition count, so an entry
     /// never goes stale.
-    topic_partitions: HashMap<String, Arc<[TopicPartition]>>,
+    topic_partitions: HashMap<Topic, u32>,
     in_transaction: bool,
     txn_inited: bool,
     stats: ProducerStats,
@@ -199,21 +198,19 @@ impl Producer {
         timestamp: i64,
     ) -> Result<(), BrokerError> {
         let key = key.into();
-        let partitions = self.partitions_of(topic)?;
-        let partition = default_partition(key.as_deref(), partitions.len() as u32);
+        let (topic, partitions) = match self.topic_partitions.get_key_value(topic) {
+            Some((&topic, &partitions)) => (topic, partitions),
+            None => {
+                let (topic, partitions) = self.cluster.topic(topic)?;
+                self.topic_partitions.insert(topic, partitions);
+                (topic, partitions)
+            }
+        };
+        let partition = default_partition(key.as_deref(), partitions);
         self.send_to_partition(
-            &partitions[partition as usize],
+            &TopicPartition { topic, partition },
             Record { key, value: value.into(), timestamp },
         )
-    }
-
-    fn partitions_of(&mut self, topic: &str) -> Result<Arc<[TopicPartition]>, BrokerError> {
-        if let Some(partitions) = self.topic_partitions.get(topic) {
-            return Ok(partitions.clone());
-        }
-        let partitions: Arc<[TopicPartition]> = self.cluster.partitions_of(topic)?.into();
-        self.topic_partitions.insert(topic.to_string(), partitions.clone());
-        Ok(partitions)
     }
 
     /// Send a pre-built record to an explicit partition.
@@ -228,18 +225,9 @@ impl Producer {
             ));
         }
         self.stats.records_sent += 1;
-        // The partition's buffer is found by reference; only the first
-        // record ever sent to a partition pays for an owned key.
-        let buffered = match self.buffers.get_mut(tp) {
-            Some(buf) => {
-                buf.push(record);
-                buf.len()
-            }
-            None => {
-                self.buffers.insert(tp.clone(), vec![record]);
-                1
-            }
-        };
+        let buffer = self.buffers.entry(*tp).or_default();
+        buffer.push(record);
+        let buffered = buffer.len();
         if buffered >= self.config.batch_size {
             self.flush_partition(tp)?;
         }
@@ -316,12 +304,7 @@ impl Producer {
         let n = records.len() as i64;
         let outcome = self.send_with_retries(tp, meta, records)?;
         if base_seq != NO_SEQUENCE {
-            match self.sequences.get_mut(tp) {
-                Some(next) => *next = base_seq + n,
-                None => {
-                    self.sequences.insert(tp.clone(), base_seq + n);
-                }
-            }
+            self.sequences.insert(*tp, base_seq + n);
         }
         if outcome.duplicate {
             self.stats.duplicates_acked += 1;
@@ -341,7 +324,7 @@ impl Producer {
         registered: &HashSet<TopicPartition>,
     ) -> Vec<TopicPartition> {
         let pending = buffers.iter().filter(|(tp, b)| !b.is_empty() && !registered.contains(*tp));
-        pending.map(|(tp, _)| tp.clone()).collect()
+        pending.map(|(tp, _)| *tp).collect()
     }
 
     /// Register partitions with the transaction coordinator, retrying
@@ -360,14 +343,14 @@ impl Producer {
                 self.cluster.txn_add_partitions(&tid, self.producer_id, self.epoch, partitions)?;
             }
             if decision == FaultDecision::Deliver {
-                self.registered.extend(partitions.iter().cloned());
+                self.registered.extend(partitions);
                 return Ok(());
             }
             attempts += 1;
             self.stats.retries += 1;
             if attempts > self.config.max_retries {
                 return Err(BrokerError::RetriesExhausted {
-                    topic: first.topic.clone(),
+                    topic: first.topic,
                     partition: first.partition,
                 });
             }
@@ -416,7 +399,7 @@ impl Producer {
         // If an append actually landed but every ack was dropped, the data
         // is in the log while the client sees an error — the fundamental
         // ambiguity of §2.1.
-        Err(BrokerError::RetriesExhausted { topic: tp.topic.clone(), partition: tp.partition })
+        Err(BrokerError::RetriesExhausted { topic: tp.topic, partition: tp.partition })
     }
 
     /// Add the group's consumed offsets to the current transaction
@@ -653,7 +636,7 @@ mod tests {
     /// transactional id, so one txn-log partition holds them all).
     fn txn_log(c: &Cluster) -> Vec<Bytes> {
         let mut values = Vec::new();
-        for tp in c.partitions_of(crate::TXN_TOPIC).unwrap() {
+        for tp in c.partitions_of(&crate::TXN_TOPIC).unwrap() {
             let f = c.fetch(&tp, 0, 1_000_000, IsolationLevel::ReadUncommitted).unwrap();
             values.extend(f.records().filter_map(|(_, r)| r.value.clone()));
         }
@@ -924,7 +907,7 @@ mod tests {
         p.init_transactions().unwrap();
         p.begin_transaction().unwrap();
         p.send("out", Some(Bytes::from_static(b"k")), Some(Bytes::from_static(b"v")), 0).unwrap();
-        p.send_offsets_to_transaction("g", &[(src.clone(), 7)], None).unwrap();
+        p.send_offsets_to_transaction("g", &[(src, 7)], None).unwrap();
         assert_eq!(c.group_committed_offset("g", &src).unwrap(), None);
         p.commit_transaction().unwrap();
         assert_eq!(c.group_committed_offset("g", &src).unwrap(), Some(7));
@@ -941,7 +924,7 @@ mod tests {
         p.init_transactions().unwrap();
         p.begin_transaction().unwrap();
         p.send("out", Some(Bytes::from_static(b"k")), Some(Bytes::from_static(b"v")), 0).unwrap();
-        p.send_offsets_to_transaction("g", &[(src.clone(), 7)], None).unwrap();
+        p.send_offsets_to_transaction("g", &[(src, 7)], None).unwrap();
         p.abort_transaction().unwrap();
         assert_eq!(c.group_committed_offset("g", &src).unwrap(), None);
         assert_eq!(count(&c, "out", IsolationLevel::ReadCommitted), 0);

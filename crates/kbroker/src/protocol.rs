@@ -233,7 +233,7 @@ pub fn register_partitions(
         TxnState::Ongoing => {}
         s @ (TxnState::PrepareCommit | TxnState::PrepareAbort) => return Err(s),
     }
-    meta.partitions.extend(partitions.iter().cloned());
+    meta.partitions.extend(partitions);
     Ok(())
 }
 

@@ -116,7 +116,7 @@ impl ReplicaSet {
     }
 
     fn no_leader(&self) -> BrokerError {
-        BrokerError::NoLeader { topic: self.tp.topic.clone(), partition: self.tp.partition }
+        BrokerError::NoLeader { topic: self.tp.topic, partition: self.tp.partition }
     }
 
     fn leader_log_mut(&mut self) -> Result<&mut PartitionLog, BrokerError> {

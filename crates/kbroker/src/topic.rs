@@ -1,18 +1,78 @@
 //! Topic naming, partition addressing, and per-topic configuration (§3.1).
 
+use std::borrow::Borrow;
+use std::collections::BTreeSet;
 use std::fmt;
+use std::ops::Deref;
+use std::sync::{Mutex, PoisonError};
+
+/// A topic's name, interned: one process-wide copy per distinct name, so
+/// the name is a `Copy` pointer that no layer clones or allocates. The lock
+/// is taken only when a name enters (topic creation, client setup, decoding
+/// a log record), never to compare or hash one: equality, order and hash
+/// are the name's, so maps keyed by a topic iterate in name order and hash
+/// as a `String` key did.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Topic(&'static str);
+
+impl Topic {
+    /// The interned copy of `name`, made on its first use. The interner
+    /// keeps every name it is given for the life of the process.
+    pub fn new(name: &str) -> Self {
+        static NAMES: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+        let mut names = NAMES.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(&interned) = names.get(name) {
+            return Self(interned);
+        }
+        let interned: &'static str = Box::leak(name.into());
+        names.insert(interned);
+        Self(interned)
+    }
+
+    /// A name the program already holds for its whole life (the internal
+    /// topics), taken without the interner.
+    pub(crate) const fn from_static(name: &'static str) -> Self {
+        Self(name)
+    }
+}
+
+impl Deref for Topic {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.0
+    }
+}
+
+impl Borrow<str> for Topic {
+    fn borrow(&self) -> &str {
+        self.0
+    }
+}
+
+impl fmt::Debug for Topic {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.0, f)
+    }
+}
+
+impl fmt::Display for Topic {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.0, f)
+    }
+}
 
 /// Address of one partition of one topic — the unit of ordering, leadership,
 /// replication, and parallelism.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TopicPartition {
-    pub topic: String,
+    pub topic: Topic,
     pub partition: u32,
 }
 
 impl TopicPartition {
-    pub fn new(topic: impl Into<String>, partition: u32) -> Self {
-        Self { topic: topic.into(), partition }
+    pub fn new(topic: impl AsRef<str>, partition: u32) -> Self {
+        Self { topic: Topic::new(topic.as_ref()), partition }
     }
 }
 

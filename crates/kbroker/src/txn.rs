@@ -87,7 +87,7 @@ fn check_error(tid: &str, e: ProducerCheckError) -> BrokerError {
 
 impl Cluster {
     fn txn_log_tp(&self, tid: &str) -> TopicPartition {
-        TopicPartition::new(TXN_TOPIC, self.inner.txn.shard_of(tid))
+        TopicPartition { topic: TXN_TOPIC, partition: self.inner.txn.shard_of(tid) }
     }
 
     /// Persist a metadata transition to the transaction log.
@@ -396,7 +396,7 @@ impl Cluster {
     /// path (§4.2.1). Invoked by broker kill/restore.
     pub(crate) fn txn_recover_all(&self) {
         for (i, shard) in self.inner.txn.shards.iter().enumerate() {
-            let tp = TopicPartition::new(TXN_TOPIC, i as u32);
+            let tp = TopicPartition { topic: TXN_TOPIC, partition: i as u32 };
             // Unavailable txn-log partition ⇒ coordinator unavailable; its
             // ids simply cannot make progress until brokers return.
             let Ok(Some(_)) = self.leader_of(&tp) else { continue };
@@ -462,7 +462,7 @@ mod tests {
         assert_eq!(epoch, 0);
         let tp0 = TopicPartition::new("out", 0);
         let tp1 = TopicPartition::new("out", 1);
-        c.txn_add_partitions("app-1", pid, epoch, &[tp0.clone(), tp1.clone()]).unwrap();
+        c.txn_add_partitions("app-1", pid, epoch, &[tp0, tp1]).unwrap();
         assert_eq!(c.txn_state("app-1"), Some(TxnState::Ongoing));
         c.produce(&tp0, BatchMeta::transactional(pid, epoch, 0), vec![rec("k", "v")]).unwrap();
         assert_eq!(committed_count(&c, &tp0), 0, "invisible before commit");
@@ -643,7 +643,7 @@ mod tests {
             producer_id: pid,
             epoch,
             state: TxnState::PrepareCommit,
-            partitions: [tp.clone()].into_iter().collect(),
+            partitions: [tp].into_iter().collect(),
             txn_start_ms: 0,
             timeout_ms: 60_000,
         };
@@ -667,7 +667,7 @@ mod tests {
             producer_id: pid,
             epoch,
             state: TxnState::PrepareAbort,
-            partitions: [tp.clone()].into_iter().collect(),
+            partitions: [tp].into_iter().collect(),
             txn_start_ms: 0,
             timeout_ms: 60_000,
         };

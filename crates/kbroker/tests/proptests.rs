@@ -5,10 +5,12 @@
 use bytes::Bytes;
 use kbroker::group::{GroupView, SESSION_TIMEOUT_MS};
 use kbroker::producer::{Producer, ProducerConfig};
-use kbroker::{Cluster, IsolationLevel, TopicConfig, TopicPartition};
+use kbroker::{Cluster, IsolationLevel, Topic, TopicConfig, TopicPartition};
 use proptest::prelude::*;
 use simkit::{FaultPlan, FaultPoint};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{Hash, Hasher};
 
 fn all_records(cluster: &Cluster, topic: &str, iso: IsolationLevel) -> Vec<(Bytes, Bytes)> {
     let mut out = Vec::new();
@@ -236,7 +238,7 @@ proptest! {
             }
             for view in seen {
                 prop_assert_eq!(view.generation, after);
-                prop_assert_eq!(&view, &frozen[&after], "one view per generation");
+                prop_assert_eq!(&*view, &frozen[&after], "one view per generation");
             }
         }
     }
@@ -258,7 +260,7 @@ proptest! {
         let mut latest: HashMap<usize, i64> = HashMap::new();
         for (g, off) in commits {
             cluster
-                .group_commit_offsets(&format!("g{g}"), "m", gens[g], &[(tp.clone(), off)])
+                .group_commit_offsets(&format!("g{g}"), "m", gens[g], &[(tp, off)])
                 .unwrap();
             latest.insert(g, off);
         }
@@ -267,6 +269,64 @@ proptest! {
                 cluster.group_committed_offset(&format!("g{g}"), &tp).unwrap(),
                 Some(off)
             );
+        }
+    }
+
+    /// A partition address is its topic name and partition number: it
+    /// compares, hashes and prints as the `(String, u32)` it replaced, so
+    /// maps keyed by it iterate in the same order and every hash-derived
+    /// value replays as before.
+    #[test]
+    fn topic_partition_agrees_with_its_name(
+        a in ("[A-Za-z0-9._-]{1,8}", 0u32..4),
+        b in ("[ab._-]{1,3}", 0u32..4),
+    ) {
+        let new = |(name, p): &(String, u32)| TopicPartition::new(name, *p);
+        for (x, y) in [(&a, &b), (&b, &a), (&a, &a), (&b, &b)] {
+            prop_assert_eq!(new(x).cmp(&new(y)), x.cmp(y));
+            prop_assert_eq!(new(x) == new(y), x == y);
+        }
+        for x in [&a, &b] {
+            prop_assert_eq!(hash_of(&new(x)), hash_of(x));
+            prop_assert_eq!(new(x).to_string(), format!("{}-{}", x.0, x.1));
+            prop_assert_eq!(format!("{:?}", new(x).topic), format!("{:?}", x.0));
+            prop_assert_eq!(
+                format!("{:?}", new(x)),
+                format!("TopicPartition {{ topic: {:?}, partition: {} }}", x.0, x.1)
+            );
+        }
+    }
+}
+
+fn hash_of(value: &impl Hash) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    value.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// Partition addresses are copied, never cloned.
+const _: fn() = || {
+    fn copy<T: Copy>() {}
+    copy::<Topic>();
+    copy::<TopicPartition>();
+};
+
+/// Threads interning the same names at once get equal topics, each the one
+/// copy of its name that the process keeps.
+#[test]
+fn threads_interning_the_same_names_get_one_copy_each() {
+    let names: Vec<String> = (0..64).map(|i| format!("interned-{i}")).collect();
+    let interned: Vec<Vec<Topic>> = std::thread::scope(|s| {
+        let threads: Vec<_> = (0..4)
+            .map(|_| s.spawn(|| names.iter().map(|n| Topic::new(n)).collect::<Vec<_>>()))
+            .collect();
+        threads.into_iter().map(|t| t.join().unwrap()).collect()
+    });
+    for topics in &interned {
+        assert_eq!(topics, &interned[0]);
+        for ((topic, first), name) in topics.iter().zip(&interned[0]).zip(&names) {
+            assert_eq!(&**topic, name.as_str());
+            assert!(std::ptr::eq(topic.as_ptr(), first.as_ptr()), "{name} interned twice");
         }
     }
 }

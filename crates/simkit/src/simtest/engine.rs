@@ -623,7 +623,7 @@ impl Engine {
         let input_tps = self.cluster.partitions_of("events").expect("input topic exists");
         let targets: Vec<(TopicPartition, i64)> = input_tps
             .iter()
-            .map(|tp| (tp.clone(), self.cluster.latest_offset(tp).expect("healed cluster")))
+            .map(|tp| (*tp, self.cluster.latest_offset(tp).expect("healed cluster")))
             .collect();
         let mut converged = false;
         for _ in 0..MAX_DRAIN_ITERS {

@@ -22,7 +22,7 @@
 //! freed bytes too: it bounds the memory a stored 2-record transactional
 //! batch keeps on a 3-broker, replication-3 partition. The rest count what
 //! a stored batch's payloads, a producer flush and nested trace spans
-//! allocate and free.
+//! allocate and free, and that an idle instance's `step` allocates nothing.
 //!
 //! This file is its own integration-test binary, so the
 //! `#[global_allocator]` below sees nothing but these workloads; each count
@@ -419,6 +419,44 @@ fn producer_flush_allocates_only_its_batches() {
         per_batch <= ALLOCATIONS_PER_BATCH_BUDGET,
         "a flushed batch made {per_batch:.2} allocations, budget {ALLOCATIONS_PER_BATCH_BUDGET}"
     );
+}
+
+/// An idle instance — every partition read to its end, no record arriving,
+/// no commit due — allocates nothing per `step`: the group check-in hands
+/// back the generation's frozen view as a shared handle instead of a copy of
+/// its member list and metadata, and an idle task fetches and traces
+/// without allocating (4 allocations per step while the check-in copied the
+/// view).
+#[test]
+fn idle_steps_allocate_nothing() {
+    const STEPS: usize = 10_000;
+    let clock = ManualClock::new();
+    let cluster = Cluster::builder().brokers(3).replication(3).clock(clock.shared()).build();
+    for topic in ["in", "out"] {
+        cluster.create_topic(topic, TopicConfig::new(PARTITIONS)).unwrap();
+    }
+    let builder = StreamsBuilder::new();
+    builder
+        .stream::<String, i64>("in")
+        .group_by_key()
+        .reduce("sums", |a, b| a.wrapping_add(*b))
+        .to_stream()
+        .to("out");
+    let topology = Arc::new(builder.build().unwrap());
+    let config = StreamsConfig::new("alloc-budget-idle").exactly_once();
+    let mut app = KafkaStreamsApp::new(cluster, topology, config, "instance-0");
+    app.start().unwrap();
+    // Adopt the assignment and warm every buffer an idle step touches.
+    for _ in 0..10 {
+        app.step().unwrap();
+    }
+    let ((), idle) = allocations_during(|| {
+        for _ in 0..STEPS {
+            assert_eq!(app.step().unwrap().processed, 0);
+        }
+    });
+    eprintln!("idle step: {} allocations in {STEPS} steps", idle.calls);
+    assert_eq!(idle.calls, 0, "{STEPS} idle steps allocated {idle:?}");
 }
 
 /// Spans are built on the thread that runs them: once its buffers are

@@ -9,7 +9,8 @@
 #                              # kbroker unit tests, state-store unit tests
 #                              # and proptests, instance and standby unit
 #                              # tests, klog unit tests and proptests,
-#                              # figure-driver unit tests, kanalyze, detlint
+#                              # figure-driver unit tests, perfbench type
+#                              # check, kanalyze, detlint
 #   ./verify.sh storage        # disk seed sweep, disk replay identity, storage
 #                              # batteries
 #   ./verify.sh simtest        # seed sweeps (plain and cached), forced
@@ -255,6 +256,12 @@ gate_full() {
     # record, and no EOS record waits longer than one commit interval.
     step "cargo test -q -p bench --lib"
     cargo test -q -p bench --lib
+
+    # perfbench is its own workspace and calls the crates' public API: a
+    # change to that API must not wait for the full gate to break it.
+    # --locked: the check may not rewrite perfbench/Cargo.lock.
+    step "cargo check perfbench (all targets)"
+    cargo check -q --offline --locked --all-targets --manifest-path perfbench/Cargo.toml
   fi
 
   step "cargo run --bin kanalyze (topology static verifier demo)"
