@@ -95,7 +95,7 @@ fn run_mode(exactly_once: bool, rate_per_ms: usize, duration_ms: i64) -> Outcome
     }
     Outcome {
         throughput: processed as f64 / wall,
-        mean_latency_ms: probe.histogram.mean_ms(),
+        mean_latency_ms: probe.latencies.mean_ms(),
         processed,
     }
 }

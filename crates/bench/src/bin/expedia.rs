@@ -97,8 +97,8 @@ fn run_platform(suppress: bool, duration_ms: i64) -> Outcome {
     }
     let view_records = cluster.topic_record_count("views").unwrap() as u64;
     let out = Outcome {
-        enriched_mean_latency_ms: probe.histogram.mean_ms(),
-        enriched_p99_ms: probe.histogram.percentile_ms(0.99),
+        enriched_mean_latency_ms: probe.latencies.mean_ms(),
+        enriched_p99_ms: probe.latencies.percentile_ms(0.99),
         view_records_emitted: view_records,
         inputs: generator.produced(),
     };

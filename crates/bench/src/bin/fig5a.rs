@@ -12,7 +12,7 @@
 //! latency is the commit interval plus real work; the marker fan-out's cost
 //! shows only in the wall-clock throughput column.
 
-use bench::{phase_breakdown, report_header, report_row, run_median, RunSpec};
+use bench::{report_header, report_row, run_median, txn_log_summary, RunSpec};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -39,10 +39,9 @@ fn main() {
             let label = format!("{} partitions={parts}", if eos { "EOS " } else { "ALOS" });
             let report = run_median(spec, repeats);
             println!("{}", report_row(&label, &report));
-            // The txn phases' counts (`add_partitions`: one per flush that
-            // adds partitions); their virtual durations stay 0, since no
-            // broker phase advances the clock.
-            print!("{}", phase_breakdown(&report));
+            // What the coordinator wrote to the transaction log: one record
+            // per init fence, AddPartitions request, prepare and complete.
+            print!("{}", txn_log_summary(&report));
         }
     }
     println!();

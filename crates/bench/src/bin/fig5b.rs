@@ -12,13 +12,14 @@
 //!
 //! With `--json`, emits a single machine-readable object instead of the
 //! table (used by the CI observability smoke): one row per configuration
-//! with the run's kobs metrics snapshot embedded.
+//! with the run's kobs metrics snapshot and commit-cycle critical path
+//! embedded.
 
-use bench::{phase_breakdown, report_header, report_row, run_median, RunReport, RunSpec};
+use bench::{report_header, report_row, run_median, txn_log_summary, RunReport, RunSpec};
 use kobs::json::{num, obj, str as jstr, Value};
 
 fn json_row(label: &str, interval: i64, r: &RunReport) -> Value {
-    obj(vec![
+    let mut row = vec![
         ("label", jstr(label.to_string())),
         ("commit_interval_ms", num(interval as f64)),
         ("throughput_msg_per_sec", num(r.throughput_msg_per_sec)),
@@ -26,7 +27,11 @@ fn json_row(label: &str, interval: i64, r: &RunReport) -> Value {
         ("latency_p99_ms", num(r.latency.percentile_ms(0.99) as f64)),
         ("records_processed", num(r.records_processed as f64)),
         ("metrics", r.obs.to_json()),
-    ])
+    ];
+    if let Some(cp) = &r.critical_path {
+        row.push(("critical_path", cp.to_json()));
+    }
+    obj(row)
 }
 
 fn main() {
@@ -57,9 +62,8 @@ fn main() {
             rows.push(json_row("streams-eos", interval, &streams));
         } else {
             println!("{}", report_row(&format!("Streams EOS  iv={interval}ms"), &streams));
-            // Phase breakdown: txn phase counts per interval; no broker
-            // phase advances the virtual clock.
-            print!("{}", phase_breakdown(&streams));
+            // The transaction log's records and bytes per interval.
+            print!("{}", txn_log_summary(&streams));
         }
     }
     if json {

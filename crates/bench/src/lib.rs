@@ -27,7 +27,6 @@
 //!   is the reproduction target.
 
 use kbroker::{Cluster, Consumer, ConsumerConfig, Producer, ProducerConfig, TopicConfig};
-use kobs::LatencyHistogram;
 use kstreams::{KSerde, KafkaStreamsApp, StreamsBuilder, StreamsConfig};
 use simkit::{Clock, ManualClock};
 use std::sync::{Arc, Mutex};
@@ -109,12 +108,48 @@ impl LoadGenerator {
     }
 }
 
+/// Create→receive latencies in virtual milliseconds, one sample per
+/// record received. Percentiles follow the nearest-rank rule, as
+/// perfbench's do: each is a latency some record actually had.
+#[derive(Debug, Clone, Default)]
+pub struct Latencies {
+    samples: Vec<i64>,
+}
+
+impl Latencies {
+    /// Number of samples.
+    pub fn count(&self) -> usize {
+        self.samples.len()
+    }
+
+    /// Mean latency (0 when empty).
+    pub fn mean_ms(&self) -> f64 {
+        if self.samples.is_empty() {
+            return 0.0;
+        }
+        self.samples.iter().sum::<i64>() as f64 / self.samples.len() as f64
+    }
+
+    /// The `q`-quantile (`0.0..=1.0`): the smallest sample with at least
+    /// `q` of the samples at or below it (0 when empty).
+    pub fn percentile_ms(&self, q: f64) -> i64 {
+        let mut sorted = self.samples.clone();
+        sorted.sort_unstable();
+        let rank = ((q * sorted.len() as f64).ceil() as usize).max(1);
+        sorted.get(rank - 1).copied().unwrap_or(0)
+    }
+
+    /// Largest latency (0 when empty).
+    pub fn max_ms(&self) -> i64 {
+        self.samples.iter().copied().max().unwrap_or(0)
+    }
+}
+
 /// Read-committed verification consumer measuring create→receive latency
 /// in virtual time (the paper's per-record end-to-end latency, §4.3).
 pub struct LatencyProbe {
     consumer: Consumer,
-    pub histogram: LatencyHistogram,
-    received: u64,
+    pub latencies: Latencies,
 }
 
 impl LatencyProbe {
@@ -125,7 +160,7 @@ impl LatencyProbe {
             ConsumerConfig::default().read_committed().with_max_poll_records(100_000),
         );
         consumer.assign(cluster.partitions_of(topic).expect("topic")).expect("assign");
-        Self { consumer, histogram: LatencyHistogram::new(), received: 0 }
+        Self { consumer, latencies: Latencies::default() }
     }
 
     /// Drain available committed records, recording latencies.
@@ -135,15 +170,14 @@ impl LatencyProbe {
             if batch.is_empty() {
                 return;
             }
-            for rec in batch {
-                self.histogram.record(now_ms - rec.timestamp);
-                self.received += 1;
-            }
+            // A record stamped ahead of the clock counts as received at once.
+            let latencies = batch.into_iter().map(|rec| (now_ms - rec.timestamp).max(0));
+            self.latencies.samples.extend(latencies);
         }
     }
 
     pub fn received(&self) -> u64 {
-        self.received
+        self.latencies.count() as u64
     }
 }
 
@@ -184,13 +218,13 @@ pub struct RunReport {
     /// Records fully processed by the app per wall-clock second.
     pub throughput_msg_per_sec: f64,
     /// Virtual-time end-to-end latency.
-    pub latency: LatencyHistogram,
+    pub latency: Latencies,
     pub records_generated: u64,
     pub records_processed: u64,
     pub transactions: u64,
     /// kobs registry snapshot taken at the end of this run (the registry is
-    /// reset at run start), carrying the txn per-phase latency histograms
-    /// behind Figure 5's end-to-end numbers.
+    /// reset at run start): the commit and txn-log counts behind Figure 5's
+    /// end-to-end numbers.
     pub obs: kobs::Snapshot,
     /// Commit-cycle critical-path breakdown from the ktrace span store
     /// (`None` when no commit cycle completed or tracing is compiled out).
@@ -278,7 +312,7 @@ pub fn run(spec: RunSpec) -> RunReport {
     RunReport {
         spec,
         throughput_msg_per_sec: streams.records_processed as f64 / wall,
-        latency: probe.histogram,
+        latency: probe.latencies,
         records_generated: generator.produced(),
         records_processed: streams.records_processed,
         transactions: streams.transactions,
@@ -316,19 +350,16 @@ pub fn report_header() -> String {
     )
 }
 
-/// Per-phase transaction latency breakdown for one run (comment-prefixed so
-/// figure output stays copy-paste friendly): where the end-to-end latency
-/// of Figure 5 is actually spent. Empty when the run recorded no phase
-/// histograms (ALOS runs, or `kobs-off` builds).
-pub fn phase_breakdown(r: &RunReport) -> String {
+/// The transaction log's cost for one run (comment-prefixed so figure
+/// output stays copy-paste friendly): records and key-plus-value bytes the
+/// coordinator wrote. Empty when the run wrote none (ALOS runs, or
+/// `kobs-off` builds).
+pub fn txn_log_summary(r: &RunReport) -> String {
     let mut out = String::new();
-    for h in r.obs.hists.iter().filter(|h| {
-        h.name.starts_with("kbroker.txn.phase.") || h.name == "kstreams.commit_cycle_ms"
-    }) {
-        out.push_str(&format!(
-            "#   {:<34} count={:<6} p50={:<5} p90={:<5} p99={:<5} max={}\n",
-            h.name, h.count, h.p50_ms, h.p90_ms, h.p99_ms, h.max_ms
-        ));
+    for name in ["kbroker.txn.log_records", "kbroker.txn.log_bytes"] {
+        if let Some(n) = r.obs.counter(name) {
+            out.push_str(&format!("#   {name:<34} {n}\n"));
+        }
     }
     out
 }
@@ -358,12 +389,26 @@ mod tests {
         assert!(report.transactions > 0);
         if kobs::ENABLED {
             // The run's own snapshot (not the live global registry, which a
-            // later run may have reset) carries the phase breakdown.
-            let markers = report.obs.hist("kbroker.txn.phase.markers_ms");
-            assert!(markers.is_some_and(|h| h.count > 0), "markers phase unrecorded");
-            assert!(report.obs.hist("kstreams.commit_cycle_ms").is_some());
-            assert!(!phase_breakdown(&report).is_empty());
+            // later run may have reset) carries the txn-log counts, and the
+            // critical path the commit phases.
+            assert!(report.obs.counter("kbroker.txn.log_bytes").is_some_and(|n| n > 0));
+            assert!(!txn_log_summary(&report).is_empty());
+            let cp = report.critical_path.as_ref().expect("commit cycles were traced");
+            assert!(cp.phases.iter().any(|(name, _)| *name == "markers"), "{:?}", cp.phases);
         }
+    }
+
+    #[test]
+    fn latency_percentiles_are_nearest_rank_samples() {
+        let empty = Latencies::default();
+        assert_eq!((empty.mean_ms(), empty.percentile_ms(0.99), empty.max_ms()), (0.0, 0, 0));
+        let l = Latencies { samples: (1..=1000).rev().collect() };
+        assert_eq!(l.count(), 1000);
+        assert_eq!(l.mean_ms(), 500.5);
+        assert_eq!(l.percentile_ms(0.5), 500);
+        // p99 leaves exactly ten samples beyond it.
+        assert_eq!(l.percentile_ms(0.99), 990);
+        assert_eq!((l.percentile_ms(0.0), l.percentile_ms(1.0), l.max_ms()), (1, 1000, 1000));
     }
 
     #[test]

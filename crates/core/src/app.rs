@@ -491,11 +491,6 @@ impl KafkaStreamsApp {
         drop(entered);
         kobs::ktrace::finish_span(span, self.cluster.now_ms() * 1000);
         applied?;
-        // Pause time this instance spent applying the rebalance (commit/
-        // abort + restore of moved-in tasks); unaffected tasks resume in the
-        // same step, so under cooperative rebalancing this stays near the
-        // plain commit cost.
-        kobs::observe("kstreams.rebalance.pause_ms", self.cluster.now_ms() - rebalance_start);
         Ok(true)
     }
 
@@ -695,7 +690,6 @@ impl KafkaStreamsApp {
     }
 
     fn commit_inner(&mut self) -> Result<(), StreamsError> {
-        let commit_start = self.cluster.now_ms();
         // Write back record caches first: the flushed changelog appends,
         // coalesced revisions, and any sink outputs they produce must enter
         // the transaction *before* its offsets are sent, so they commit
@@ -767,10 +761,6 @@ impl KafkaStreamsApp {
         }
         self.commit_cycles += 1;
         self.last_commit_ms = self.cluster.now_ms();
-        // The commit cycle's duration on the cluster clock: real time on a
-        // wall clock; 0 on a virtual clock, which nothing in the cycle
-        // advances.
-        kobs::observe("kstreams.commit_cycle_ms", self.last_commit_ms - commit_start);
         let m = self.metrics();
         m.count_since(&self.published, kobs::global());
         self.published = m;

@@ -33,6 +33,12 @@ pub(crate) struct TopicMeta {
 /// concurrent create/lookup of an unrelated topic holds.
 const TOPIC_STRIPES: u32 = 16;
 
+/// Partition count of the internal transaction log.
+const TXN_PARTITIONS: u32 = 4;
+
+/// Partition count of the internal offsets topic.
+const OFFSETS_PARTITIONS: u32 = 4;
+
 /// The cluster's topic table, striped by topic-name hash. Values are
 /// `Arc`ed: a lookup clones the handle out and drops the stripe lock, so
 /// the data path never holds registry and partition locks together.
@@ -97,8 +103,6 @@ pub(crate) struct ClusterInner {
     pub pid_counter: AtomicI64,
     pub txn: TxnRegistry,
     pub groups: GroupsRegistry,
-    /// Default transaction timeout for producers that do not override it.
-    pub txn_timeout_ms: i64,
     /// Storage backend new topics are created with.
     pub storage: StorageMode,
 }
@@ -114,9 +118,6 @@ pub struct Cluster {
 pub struct ClusterBuilder {
     brokers: usize,
     replication: usize,
-    txn_partitions: u32,
-    offsets_partitions: u32,
-    txn_timeout_ms: i64,
     clock: Option<SharedClock>,
     faults: FaultPlan,
     storage: StorageMode,
@@ -127,9 +128,6 @@ impl Default for ClusterBuilder {
         Self {
             brokers: 3,
             replication: 3,
-            txn_partitions: 4,
-            offsets_partitions: 4,
-            txn_timeout_ms: 60_000,
             clock: None,
             faults: FaultPlan::none(),
             storage: StorageMode::Memory,
@@ -149,24 +147,6 @@ impl ClusterBuilder {
     pub fn replication(mut self, r: usize) -> Self {
         assert!(r >= 1);
         self.replication = r;
-        self
-    }
-
-    /// Partition count of the internal transaction log.
-    pub fn txn_partitions(mut self, n: u32) -> Self {
-        self.txn_partitions = n;
-        self
-    }
-
-    /// Partition count of the internal offsets topic.
-    pub fn offsets_partitions(mut self, n: u32) -> Self {
-        self.offsets_partitions = n;
-        self
-    }
-
-    /// Default transaction timeout.
-    pub fn txn_timeout_ms(mut self, ms: i64) -> Self {
-        self.txn_timeout_ms = ms;
         self
     }
 
@@ -202,17 +182,16 @@ impl ClusterBuilder {
                 broker_alive: (0..self.brokers).map(|_| AtomicBool::new(true)).collect(),
                 topics: TopicRegistry::new(),
                 pid_counter: AtomicI64::new(0),
-                txn: TxnRegistry::new(self.txn_partitions),
-                groups: GroupsRegistry::new(self.offsets_partitions),
-                txn_timeout_ms: self.txn_timeout_ms,
+                txn: TxnRegistry::new(TXN_PARTITIONS),
+                groups: GroupsRegistry::new(OFFSETS_PARTITIONS),
                 storage: self.storage,
             }),
         };
         cluster
-            .create_topic(&TXN_TOPIC, TopicConfig::new(self.txn_partitions).compacted())
+            .create_topic(&TXN_TOPIC, TopicConfig::new(TXN_PARTITIONS).compacted())
             .expect("internal topic");
         cluster
-            .create_topic(&OFFSETS_TOPIC, TopicConfig::new(self.offsets_partitions).compacted())
+            .create_topic(&OFFSETS_TOPIC, TopicConfig::new(OFFSETS_PARTITIONS).compacted())
             .expect("internal topic");
         cluster
     }
@@ -240,11 +219,6 @@ impl Cluster {
     /// Allocate a fresh producer id (idempotent producers, §4.1).
     pub fn alloc_producer_id(&self) -> i64 {
         self.inner.pid_counter.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Cluster-default transaction timeout.
-    pub fn default_txn_timeout_ms(&self) -> i64 {
-        self.inner.txn_timeout_ms
     }
 
     // ------------------------------------------------------------------

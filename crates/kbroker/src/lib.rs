@@ -48,3 +48,7 @@ pub const OFFSETS_TOPIC: Topic = Topic::from_static("__consumer_offsets");
 
 /// The internal transaction-state topic.
 pub const TXN_TOPIC: Topic = Topic::from_static("__transaction_state");
+
+/// The transaction timeout a producer registers unless it sets its own
+/// ([`ProducerConfig::txn_timeout_ms`]).
+pub const DEFAULT_TXN_TIMEOUT_MS: i64 = 60_000;

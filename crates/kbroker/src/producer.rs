@@ -39,7 +39,7 @@ impl Default for ProducerConfig {
             transactional_id: None,
             batch_size: 16,
             max_retries: 10,
-            txn_timeout_ms: 60_000,
+            txn_timeout_ms: crate::DEFAULT_TXN_TIMEOUT_MS,
         }
     }
 }

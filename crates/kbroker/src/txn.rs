@@ -90,14 +90,20 @@ impl Cluster {
         TopicPartition { topic: TXN_TOPIC, partition: self.inner.txn.shard_of(tid) }
     }
 
-    /// Persist a metadata transition to the transaction log.
+    /// Persist a metadata transition to the transaction log, counted in
+    /// `kbroker.txn.log_records` and `kbroker.txn.log_bytes` (key plus
+    /// value).
     fn txn_persist(&self, tid: &str, meta: &TxnMetadata) -> Result<(), BrokerError> {
+        let value = meta.encode();
+        let bytes = tid.len() + value.len();
         let rec = Record {
             key: Some(Bytes::copy_from_slice(tid.as_bytes())),
-            value: Some(meta.encode()),
+            value: Some(value),
             timestamp: self.now_ms(),
         };
         self.produce(&self.txn_log_tp(tid), BatchMeta::plain(), vec![rec])?;
+        kobs::count("kbroker.txn.log_records", 1);
+        kobs::count("kbroker.txn.log_bytes", bytes as u64);
         Ok(())
     }
 
@@ -151,7 +157,6 @@ impl Cluster {
         let t1 = self.now_ms();
         kobs::ktrace::finish_span(markers_span, t1 * 1000);
         wrote?;
-        kobs::observe("kbroker.txn.phase.markers_ms", t1 - t0);
         protocol::complete(tid, &mut meta);
         let complete_span = kobs::child_span!(t1, "kbroker.txn", "complete");
         let entered = kobs::ktrace::enter(complete_span);
@@ -159,7 +164,6 @@ impl Cluster {
         drop(entered);
         kobs::ktrace::finish_span(complete_span, self.now_ms() * 1000);
         persisted?;
-        kobs::observe("kbroker.txn.phase.complete_ms", self.now_ms() - t1);
         match meta.state {
             TxnState::CompleteCommit => kobs::count("kbroker.txn.commits", 1),
             _ => kobs::count("kbroker.txn.aborts", 1),
@@ -192,7 +196,6 @@ impl Cluster {
     }
 
     fn txn_init_inner(&self, tid: &str, timeout_ms: i64) -> Result<(i64, i32), BrokerError> {
-        let init_start = self.now_ms();
         let shard = self.inner.txn.shard(tid);
         let mut map = shard.lock();
         let mut meta = match map.get(tid).cloned() {
@@ -211,7 +214,6 @@ impl Cluster {
         };
         let result = protocol::fence(tid, &mut meta, timeout_ms);
         self.txn_persist(tid, &meta)?;
-        kobs::observe("kbroker.txn.phase.init_ms", self.now_ms() - init_start);
         kobs::event!(
             self.now_ms(),
             "kbroker.txn",
@@ -274,9 +276,7 @@ impl Cluster {
                 detail: format!("cannot add partitions in state {}", s.as_str()),
             });
         }
-        self.txn_persist(tid, meta)?;
-        kobs::observe("kbroker.txn.phase.add_partitions_ms", self.now_ms() - now);
-        Ok(())
+        self.txn_persist(tid, meta)
     }
 
     /// Commit or abort the producer's current transaction (Figure 4.e/f).
@@ -297,8 +297,7 @@ impl Cluster {
             map.get_mut(tid).ok_or_else(|| BrokerError::UnknownTransactionalId(tid.to_string()))?;
         match protocol::end_request(meta, pid, epoch, commit).map_err(|e| check_error(tid, e))? {
             EndDecision::Prepare => {
-                let prepare_start = self.now_ms();
-                let prepare_span = kobs::child_span!(prepare_start, "kbroker.txn", "prepare");
+                let prepare_span = kobs::child_span!(self.now_ms(), "kbroker.txn", "prepare");
                 let entered = kobs::ktrace::enter(prepare_span);
                 protocol::prepare(tid, meta, commit);
                 // Phase 1: the barrier — once this lands in the txn log the
@@ -308,7 +307,6 @@ impl Cluster {
                 drop(entered);
                 kobs::ktrace::finish_span(prepare_span, self.now_ms() * 1000);
                 persisted?;
-                kobs::observe("kbroker.txn.phase.prepare_ms", self.now_ms() - prepare_start);
                 // Phase 2: markers + completion.
                 let finished = self.txn_finish(tid, snapshot)?;
                 let new_epoch = finished.epoch;

@@ -448,30 +448,23 @@ impl PartitionLog {
     /// commit cycle's produce or marker path), so harness-side feeder
     /// appends stay span-free. A follower installing the batch records no
     /// span of its own: one replicated append is one span.
+    ///
+    /// The log has no clock, and a record's timestamp is event time, not
+    /// the time of the append: the span is stamped 0 at both ends, which
+    /// places it, with no length, at its parent's cursor.
     fn store_traced(&mut self, batch: StoredBatch) -> Result<(), LogError> {
         if !kobs::ktrace::in_span() {
             return self.store(batch, None);
         }
         let (base_offset, last_offset) = (batch.base_offset(), batch.last_offset());
-        let (span, ts) = if batch.meta.is_control() {
-            let ts = batch.entries[0].1.timestamp;
-            (kobs::child_span!(ts, "klog", "append_control", offset = base_offset), ts)
+        let span = if batch.meta.is_control() {
+            kobs::child_span!(0, "klog", "append_control", offset = base_offset)
         } else {
-            let ts = batch.max_timestamp().max(0);
             let records = last_offset - base_offset + 1;
-            (
-                kobs::child_span!(
-                    ts,
-                    "klog",
-                    "append",
-                    records = records,
-                    base_offset = base_offset
-                ),
-                ts,
-            )
+            kobs::child_span!(0, "klog", "append", records = records, base_offset = base_offset)
         };
         let stored = self.store(batch, Some(span));
-        kobs::ktrace::finish_span(span, ts.saturating_mul(1000));
+        kobs::ktrace::finish_span(span, 0);
         stored
     }
 
@@ -496,7 +489,7 @@ impl PartitionLog {
         if let Some(d) = self.disk.as_mut() {
             let _in_append = span.map(kobs::ktrace::enter);
             if self.segments.placement() != Placement::Active {
-                d.open_segment(base_offset, batch.max_timestamp().max(0), span.is_some())?;
+                d.open_segment(base_offset, span.is_some())?;
             }
             d.append_batch(&batch)?;
         }

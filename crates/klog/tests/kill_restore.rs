@@ -207,7 +207,7 @@ impl Observed {
     }
 }
 
-fn observe(log: &PartitionLog) -> Observed {
+fn observed(log: &PartitionLog) -> Observed {
     let batches: Vec<_> = log.batches().cloned().collect();
     let encoded = batches.iter().map(encode_batch).collect();
     let fetched = log.fetch(log.log_start(), usize::MAX, IsolationLevel::ReadCommitted).unwrap();
@@ -272,7 +272,7 @@ proptest! {
         // roll=3 records: scripts of up to ~120 records cross many rolls.
         let cfg = DiskConfig::at(&dir).with_roll_records(3);
         let (log, last) = run_script(&ops, &cfg, managed);
-        let before = observe(&log);
+        let before = observed(&log);
         let files: Vec<Offset> = segment_files(&dir).into_iter().map(|(base, _)| base).collect();
         prop_assert_eq!(&files, &before.segment_bases, "one file per segment, named by its base");
 
@@ -281,7 +281,7 @@ proptest! {
         drop(log);
 
         let mut recovered = PartitionLog::recover(cfg).unwrap();
-        prop_assert_eq!(&before, &observe(&recovered));
+        prop_assert_eq!(&before, &observed(&recovered));
         assert_dedups(&mut recovered, &last)?;
 
         let violations = checks::take_violations();
@@ -339,7 +339,7 @@ proptest! {
         // may not: the cut clone rebuilt its producer table by a rescan,
         // recovery seeds it from the snapshot when one survives, and the two
         // differ for a transaction whose data lies below the log start.
-        prop_assert_eq!(observe(&expected).contents(), observe(&recovered).contents());
+        prop_assert_eq!(observed(&expected).contents(), observed(&recovered).contents());
         assert_dedups(&mut recovered, &last)?;
 
         let violations = checks::take_violations();

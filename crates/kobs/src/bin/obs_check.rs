@@ -1,26 +1,26 @@
 //! CI schema gate for observability exports.
 //!
 //! Reads a JSON document from stdin, verifies it parses, collects every
-//! metric name it contains (keys of any `counters`/`gauges` object and the
-//! `name` field of any `histograms` array entry, at any depth), and requires
-//! each name given on the command line to be present:
+//! name it contains (keys of any `counters`/`gauges` object — metrics — and
+//! of a `critical_path`'s `phases` object — span names — at any depth), and
+//! requires each name given on the command line to be present:
 //!
 //! ```text
-//! simtest --seed 7 --profile --json | obs-check kstreams.commit_cycle_ms kbroker.lso_lag_peak
+//! simtest --seed 7 --profile --json | obs-check markers kbroker.lso_lag_peak
 //! ```
 //!
 //! With `--chrome`, stdin is instead validated as a Chrome/Perfetto trace
 //! (the `simtest --trace-out` artifact): it must parse, every complete
 //! event needs a name, non-negative `dur`, and a positive `tid`, and every
 //! `parent` edge must point at an exported span whose interval contains
-//! the child:
+//! the child. The names collected are then the complete events' names:
 //!
 //! ```text
-//! simtest --seed 7 --trace-out trace.json && obs-check --chrome < trace.json
+//! simtest --seed 7 --trace-out trace.json && obs-check --chrome init < trace.json
 //! ```
 //!
-//! Exit code 0 iff the document parses and every required name was found
-//! (or, under `--chrome`, the trace validates).
+//! Exit code 0 iff the document parses (under `--chrome`, validates) and
+//! every required name was found.
 
 use kobs::json::{parse, Value};
 use std::collections::BTreeSet;
@@ -28,23 +28,17 @@ use std::io::Read;
 use std::process::ExitCode;
 
 /// Walk the document, harvesting metric names from every snapshot-shaped
-/// subtree (`--json` reports may nest snapshots arbitrarily deep).
+/// subtree and phase names from every critical path (`--json` reports may
+/// nest them arbitrarily deep).
 fn collect_names(value: &Value, names: &mut BTreeSet<String>) {
     if let Value::Obj(pairs) = value {
         for (key, child) in pairs {
-            match (key.as_str(), child) {
-                ("counters" | "gauges", Value::Obj(metrics)) => {
-                    names.extend(metrics.iter().map(|(name, _)| name.clone()));
-                }
-                ("histograms", Value::Arr(hists)) => {
-                    for h in hists {
-                        if let Some(name) = h.get("name").and_then(Value::as_str) {
-                            names.insert(name.to_string());
-                        }
-                    }
-                }
-                _ => {}
-            }
+            let metrics = match (key.as_str(), child) {
+                ("counters" | "gauges", Value::Obj(metrics)) => Some(&metrics[..]),
+                ("critical_path", _) => child.get("phases").and_then(Value::as_obj),
+                _ => None,
+            };
+            names.extend(metrics.into_iter().flatten().map(|(name, _)| name.clone()));
             collect_names(child, names);
         }
     } else if let Value::Arr(items) = value {
@@ -65,16 +59,13 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     if chrome {
-        return match kobs::trace_export::validate_chrome_json(&input) {
-            Ok(events) => {
-                println!("obs-check: OK — chrome trace valid, {events} complete events");
-                ExitCode::SUCCESS
-            }
+        match kobs::trace_export::validate_chrome_json(&input) {
+            Ok(events) => println!("obs-check: OK — chrome trace valid, {events} complete events"),
             Err(e) => {
                 eprintln!("obs-check: invalid chrome trace: {e}");
-                ExitCode::FAILURE
+                return ExitCode::FAILURE;
             }
-        };
+        }
     }
     let doc = match parse(&input) {
         Ok(doc) => doc,
@@ -84,17 +75,23 @@ fn main() -> ExitCode {
         }
     };
     let mut names = BTreeSet::new();
-    collect_names(&doc, &mut names);
+    if chrome {
+        let events = doc.get("traceEvents").and_then(Value::as_arr).into_iter().flatten();
+        let spans = events.filter(|ev| ev.get("ph").and_then(Value::as_str) == Some("X"));
+        names.extend(spans.filter_map(|ev| Some(ev.get("name")?.as_str()?.to_string())));
+    } else {
+        collect_names(&doc, &mut names);
+    }
     let missing: Vec<&String> = required.iter().filter(|r| !names.contains(*r)).collect();
     if missing.is_empty() {
         println!(
-            "obs-check: OK — {} metric names exported, {} required present",
+            "obs-check: OK — {} names exported, {} required present",
             names.len(),
             required.len()
         );
         ExitCode::SUCCESS
     } else {
-        eprintln!("obs-check: {} required metric(s) missing:", missing.len());
+        eprintln!("obs-check: {} required name(s) missing:", missing.len());
         for name in missing {
             eprintln!("  - {name}");
         }

@@ -20,9 +20,9 @@
 //! summed once per tree as its root finishes:
 //!
 //! - the **critical-path analyzer**: a commit-cycle tree folds its per-phase
-//!   *self times* (duration minus direct children) into a summary and the
-//!   `kobs.critical_path.*` histograms; self times tile the tree, so they
-//!   sum to the cycle total.
+//!   *self times* (duration minus direct children) into one
+//!   [`CriticalPathSummary`]; self times tile the tree, so they sum to the
+//!   cycle total.
 //! - the **flight recorder** ([`recent_trees`]), the events' [`tail`], and
 //!   the **chrome exporter** ([`crate::trace_export::chrome_json`] over
 //!   [`finished_spans`]).
@@ -30,6 +30,7 @@
 //! Under the `off` feature every entry point is a no-op, field closures
 //! never run, and the macros cost nothing.
 
+use crate::json::{self, Value};
 use crate::trace::Fields;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -128,6 +129,22 @@ pub struct CriticalPathSummary {
     pub longest_chain: Vec<&'static str>,
     /// Duration of that longest cycle, µs.
     pub longest_cycle_us: i64,
+}
+
+impl CriticalPathSummary {
+    /// JSON export: the cycle count and totals, `phases` as a
+    /// `{name: self_us}` object, and the longest chain.
+    pub fn to_json(&self) -> Value {
+        let phases = self.phases.iter().map(|(name, us)| (*name, json::num(*us as f64)));
+        let chain = self.longest_chain.iter().map(|n| json::str(*n));
+        json::obj(vec![
+            ("cycles", json::num(self.cycles as f64)),
+            ("total_us", json::num(self.total_us as f64)),
+            ("phases", json::obj(phases.collect())),
+            ("longest_chain", Value::Arr(chain.collect())),
+            ("longest_cycle_us", json::num(self.longest_cycle_us as f64)),
+        ])
+    }
 }
 
 /// A record of a tree still being built: the span, and once it finished,
@@ -244,8 +261,6 @@ struct Store {
     /// Records evicted from `ring`.
     dropped: u64,
     cp: CriticalPathSummary,
-    /// `kobs.critical_path.<phase>_ms` by phase, built once per name.
-    phase_metrics: Vec<(&'static str, String)>,
 }
 
 #[cfg_attr(feature = "off", allow(dead_code))]
@@ -256,17 +271,6 @@ impl Store {
             self.dropped += 1;
         }
         self.ring.push_back(record);
-    }
-
-    fn phase_metric(&mut self, name: &'static str) -> &str {
-        let at = match self.phase_metrics.binary_search_by_key(&name, |(n, _)| n) {
-            Ok(at) => at,
-            Err(at) => {
-                self.phase_metrics.insert(at, (name, format!("kobs.critical_path.{name}_ms")));
-                at
-            }
-        };
-        &self.phase_metrics[at].1
     }
 }
 
@@ -284,7 +288,6 @@ fn lock() -> MutexGuard<'static, Store> {
             longest_chain: Vec::new(),
             longest_cycle_us: 0,
         },
-        phase_metrics: Vec::new(),
     });
     STORE.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -294,14 +297,13 @@ thread_local! {
 }
 
 /// Start a span. `start_us` is virtual microseconds. A child starts no
-/// earlier than its parent's latest finished child (which is no earlier
-/// than the parent's own start): siblings run one after another on the
-/// thread that entered the parent, so they must tile it rather than
-/// overlap. Such a child is *moved*, not squeezed — [`finish_span`] shifts
-/// its end by the same amount — because the span timeline runs ahead of
-/// the clock its call sites stamp from (record-timestamped klog appends),
-/// and squeezing would bill that lead to whichever span comes next. The
-/// `fields` closure only runs when tracing is compiled in.
+/// earlier than its parent's *cursor* — its latest finished child's end,
+/// or its own start: siblings run one after another on the thread that
+/// entered the parent, so they must tile it rather than overlap. Such a
+/// child is *moved*, not squeezed — [`finish_span`] shifts its end by the
+/// same amount — so a caller with no clock (klog) stamps 0 at both ends
+/// and gets a span of no length at its parent's cursor. The `fields`
+/// closure only runs when tracing is compiled in.
 #[allow(unused_variables)]
 pub fn start_span<F>(
     start_us: i64,
@@ -441,12 +443,10 @@ fn account_cycle(st: &mut Store, local: &Local, root: u32) {
             Ok(i) => st.cp.phases[i].1 += self_us,
             Err(i) => st.cp.phases.insert(i, (name, self_us)),
         }
-        crate::observe(st.phase_metric(name), self_us.max(0) / 1000);
     }
     let total_us = root.span.duration_us();
     st.cp.cycles += 1;
     st.cp.total_us += total_us;
-    crate::observe("kobs.critical_path.total_ms", total_us / 1000);
     if total_us >= st.cp.longest_cycle_us {
         st.cp.longest_cycle_us = total_us;
         let chain = &mut st.cp.longest_chain;

@@ -157,26 +157,7 @@ impl SimReport {
                 .push(("trace", Value::Arr(self.trace.iter().map(kobs::Event::to_json).collect())));
         }
         if let Some(cp) = &self.critical_path {
-            fields.push((
-                "critical_path",
-                obj(vec![
-                    ("cycles", num(cp.cycles as f64)),
-                    ("total_us", num(cp.total_us as f64)),
-                    (
-                        "phases",
-                        obj(cp
-                            .phases
-                            .iter()
-                            .map(|(name, us)| (*name, num(*us as f64)))
-                            .collect::<Vec<_>>()),
-                    ),
-                    (
-                        "longest_chain",
-                        Value::Arr(cp.longest_chain.iter().map(|n| jstr(n.to_string())).collect()),
-                    ),
-                    ("longest_cycle_us", num(cp.longest_cycle_us as f64)),
-                ]),
-            ));
+            fields.push(("critical_path", cp.to_json()));
         }
         if !self.flight.is_empty() {
             fields.push((

@@ -11,11 +11,13 @@ fn profiled_report_carries_metrics_and_trace() {
     report.assert_passed();
     let obs = report.obs.as_ref().expect("profiled run attaches a snapshot");
     if kobs::ENABLED {
-        // The acceptance surface: txn per-phase latency percentiles, the
-        // commit-cycle histogram, and the worst LSO lag.
-        let markers = obs.hist("kbroker.txn.phase.markers_ms").expect("markers phase");
-        assert!(markers.count > 0, "no marker phase observed:\n{report}");
-        assert!(obs.hist("kstreams.commit_cycle_ms").is_some(), "commit cycle:\n{report}");
+        // The acceptance surface: the commit cycle's phases as spans on its
+        // critical path, the commit and txn-log counts, and the worst LSO
+        // lag.
+        let cp = report.critical_path.as_ref().expect("profiled run attaches the critical path");
+        assert!(cp.phases.iter().any(|(name, _)| *name == "markers"), "markers:\n{report}");
+        assert!(obs.counter("kstreams.commit_cycles").is_some(), "commit cycles:\n{report}");
+        assert!(obs.counter("kbroker.txn.log_bytes").is_some(), "txn log:\n{report}");
         assert!(obs.gauge("kbroker.lso_lag_peak").is_some(), "LSO lag peak:\n{report}");
         assert!(obs.counter("kstreams.restore_records").is_some());
 
@@ -44,7 +46,11 @@ fn report_json_round_trips_through_the_kobs_parser() {
     assert_eq!(doc.get("passed"), Some(&Value::Bool(true)));
     let metrics = doc.get("metrics").expect("profiled JSON embeds the snapshot");
     assert!(metrics.get("counters").is_some());
-    assert!(metrics.get("histograms").is_some());
+    assert!(metrics.get("gauges").is_some());
+    if kobs::ENABLED {
+        let phases = doc.get("critical_path").and_then(|cp| cp.get("phases"));
+        assert!(phases.and_then(|p| p.get("commit")).is_some(), "critical path phases");
+    }
 }
 
 #[test]

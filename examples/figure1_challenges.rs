@@ -14,7 +14,7 @@
 
 use kstream_repro::kbroker::{
     group::SESSION_TIMEOUT_MS, Cluster, Consumer, ConsumerConfig, Producer, ProducerConfig,
-    TopicConfig,
+    TopicConfig, DEFAULT_TXN_TIMEOUT_MS,
 };
 use kstream_repro::kstreams::topology::Topology;
 use kstream_repro::kstreams::{
@@ -67,7 +67,7 @@ fn crash_scenario(guarantee: ProcessingGuarantee) -> i64 {
 
     // The platform cleans up: group session expires, dangling transaction
     // times out and is aborted by the coordinator.
-    clock.advance(SESSION_TIMEOUT_MS.max(cluster.default_txn_timeout_ms()) + 1);
+    clock.advance(SESSION_TIMEOUT_MS.max(DEFAULT_TXN_TIMEOUT_MS) + 1);
     cluster.group_expire_members("fig1");
     cluster.abort_expired_transactions();
 

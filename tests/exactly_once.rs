@@ -7,7 +7,10 @@
 //! does not.
 
 use bytes::Bytes;
-use kbroker::{Cluster, Consumer, ConsumerConfig, Producer, ProducerConfig, TopicConfig};
+use kbroker::{
+    Cluster, Consumer, ConsumerConfig, Producer, ProducerConfig, TopicConfig,
+    DEFAULT_TXN_TIMEOUT_MS,
+};
 use kstreams::{KSerde, KafkaStreamsApp, StreamsBuilder, StreamsConfig, StreamsError};
 use simkit::{FaultDecision, FaultPlan, FaultPoint, ManualClock};
 use std::collections::HashMap;
@@ -158,7 +161,7 @@ fn figure1_eos_crash_is_exactly_once() {
     // would fence it instantly, but here a *different* instance takes over,
     // so the coordinator aborts it on timeout (§4.2.2), and the dead
     // member's group session expires.
-    s.clock.advance(s.cluster.default_txn_timeout_ms() + 1);
+    s.clock.advance(DEFAULT_TXN_TIMEOUT_MS + 1);
     assert_eq!(s.cluster.abort_expired_transactions(), 1);
     s.cluster.group_expire_members("counter-app");
 

@@ -192,8 +192,10 @@ fn streams_counters_sum_every_instance() {
     }
 }
 
+/// A commit is counted in the registry, and its phases are spans: the
+/// registry holds no duration.
 #[test]
-fn commit_cycles_reach_the_registry_histogram() {
+fn commit_cycles_reach_the_registry_counters() {
     let _serial = OBS_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     kobs::reset();
 
@@ -214,15 +216,51 @@ fn commit_cycles_reach_the_registry_histogram() {
 
     if kobs::ENABLED {
         let snap = kobs::snapshot();
-        let cycle = snap.hist("kstreams.commit_cycle_ms").expect("commit cycle histogram");
-        assert!(cycle.count >= 1, "at least one commit cycle observed");
-        let markers = snap.hist("kbroker.txn.phase.markers_ms").expect("marker phase histogram");
-        assert!(markers.count >= 1);
-        assert!(
-            snap.hist("kobs.critical_path.markers_ms").is_some(),
-            "span-derived critical-path family observed alongside the phase timers"
-        );
+        let counted = |name| snap.counter(name).is_some_and(|n| n >= 1);
+        assert!(counted("kstreams.commit_cycles"), "at least one commit cycle counted");
+        assert!(counted("kbroker.txn.commits") && counted("kbroker.txn.log_records"));
+        let cp = kobs::ktrace::critical_path_summary().expect("commit cycles were traced");
+        assert!(cp.phases.iter().any(|(name, _)| *name == "markers"), "{:?}", cp.phases);
     }
+}
+
+/// A span is never stamped from a record's event time: records stamped a
+/// minute ahead of the cluster clock append under a commit cycle that
+/// takes no virtual time, so its tree's root lasts (well) under a
+/// millisecond.
+#[test]
+fn event_time_ahead_of_the_clock_does_not_stretch_a_cycle() {
+    let _serial = OBS_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    kobs::reset();
+    let clock = ManualClock::new();
+    let cluster = Cluster::builder().brokers(3).replication(3).clock(clock.shared()).build();
+    cluster.create_topic("events", TopicConfig::new(2)).unwrap();
+    cluster.create_topic("counts", TopicConfig::new(2)).unwrap();
+    send_events(&cluster, 8, 60_000);
+
+    let mut app =
+        KafkaStreamsApp::new(cluster.clone(), counting_topology(), eos_config(), "instance-0");
+    app.start().unwrap();
+    clock.advance(10);
+    let step = app.step().unwrap();
+    assert_eq!((step.processed, step.committed), (8, true));
+    app.close().unwrap();
+    if !kobs::ENABLED {
+        return;
+    }
+
+    let trees = kobs::ktrace::recent_trees(usize::MAX);
+    let cycles: Vec<_> = trees.iter().filter(|t| t[0].name == "cycle").collect();
+    assert_eq!(cycles.len(), 1, "one step, one kept cycle");
+    let tree = cycles[0];
+    assert!(tree.iter().any(|s| s.name == "commit"), "{}", kobs::ktrace::render_tree(tree));
+    assert!(tree.iter().any(|s| s.name == "append"), "{}", kobs::ktrace::render_tree(tree));
+    assert!(
+        tree[0].duration_us() < 1_000,
+        "the cycle root lasts {} virtual µs:\n{}",
+        tree[0].duration_us(),
+        kobs::ktrace::render_tree(tree)
+    );
 }
 
 /// One simtest run's complete trace identity: every flight-recorder tree

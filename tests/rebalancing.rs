@@ -6,6 +6,7 @@ use bytes::Bytes;
 use kbroker::group::SESSION_TIMEOUT_MS;
 use kbroker::{
     Cluster, Consumer, ConsumerConfig, Producer, ProducerConfig, TopicConfig, TopicPartition,
+    DEFAULT_TXN_TIMEOUT_MS,
 };
 use kstreams::{KSerde, KafkaStreamsApp, StreamsBuilder, StreamsConfig};
 use simkit::ManualClock;
@@ -632,7 +633,7 @@ fn parked_takeover(partitions: u32) -> (Setup, KafkaStreamsApp) {
 #[test]
 fn parked_restore_resumes_once_the_zombie_transaction_aborts() {
     let (s, mut b) = parked_takeover(1);
-    s.clock.advance(s.cluster.default_txn_timeout_ms());
+    s.clock.advance(DEFAULT_TXN_TIMEOUT_MS);
     assert_eq!(s.cluster.abort_expired_transactions(), 1);
     for _ in 0..10 {
         b.step().unwrap();
@@ -666,7 +667,7 @@ fn parked_task_released_to_a_joiner_keeps_its_replay_in_the_metrics() {
     }
     assert!(b.task_ids().is_empty() && c.task_ids().is_empty(), "both tasks still parked");
 
-    s.clock.advance(s.cluster.default_txn_timeout_ms());
+    s.clock.advance(DEFAULT_TXN_TIMEOUT_MS);
     assert_eq!(s.cluster.abort_expired_transactions(), 1);
     for _ in 0..10 {
         b.step().unwrap();

@@ -2,7 +2,10 @@
 //! topic uses that topic as its changelog — no duplicate internal topic, and
 //! restore replays the source up to the committed offset only.
 
-use kbroker::{group::SESSION_TIMEOUT_MS, Cluster, Producer, ProducerConfig, TopicConfig};
+use kbroker::{
+    group::SESSION_TIMEOUT_MS, Cluster, Producer, ProducerConfig, TopicConfig,
+    DEFAULT_TXN_TIMEOUT_MS,
+};
 use kstreams::{KSerde, KafkaStreamsApp, StreamsBuilder, StreamsConfig};
 use simkit::ManualClock;
 use std::sync::Arc;
@@ -136,7 +139,7 @@ fn table_semantics_survive_crash_with_source_restore() {
         }
         app.crash();
     }
-    s.clock.advance(SESSION_TIMEOUT_MS.max(s.cluster.default_txn_timeout_ms()) + 1);
+    s.clock.advance(SESSION_TIMEOUT_MS.max(DEFAULT_TXN_TIMEOUT_MS) + 1);
     s.cluster.abort_expired_transactions();
     s.cluster.group_expire_members("opt-app");
     upsert(&s.cluster, "alice", "lisbon", 2);

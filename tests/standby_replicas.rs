@@ -3,7 +3,10 @@
 //! near-zero-restore promotion on failover, and standby queries.
 
 use bytes::Bytes;
-use kbroker::{group::SESSION_TIMEOUT_MS, Cluster, Producer, ProducerConfig, TopicConfig};
+use kbroker::{
+    group::SESSION_TIMEOUT_MS, Cluster, Producer, ProducerConfig, TopicConfig,
+    DEFAULT_TXN_TIMEOUT_MS,
+};
 use kstreams::{KSerde, KafkaStreamsApp, StreamsBuilder, StreamsConfig};
 use simkit::ManualClock;
 use std::sync::Arc;
@@ -191,7 +194,7 @@ fn promoted_task_continues_counting_correctly() {
         s.clock.advance(10);
     }
     a.crash();
-    s.clock.advance(SESSION_TIMEOUT_MS.max(s.cluster.default_txn_timeout_ms()) + 1);
+    s.clock.advance(SESSION_TIMEOUT_MS.max(DEFAULT_TXN_TIMEOUT_MS) + 1);
     b.step().unwrap(); // b heartbeats; only the crashed instance is stale
     s.cluster.abort_expired_transactions();
     s.cluster.group_expire_members("sb-app");
