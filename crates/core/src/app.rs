@@ -576,7 +576,9 @@ impl KafkaStreamsApp {
         // outputs stay invisible until the commit marker regardless.
         self.producer.flush()?;
         let now = self.cluster.now_ms();
-        let committed = if now - self.last_commit_ms >= self.config.commit_interval_ms {
+        let committed = if now - self.last_commit_ms < self.config.commit_interval_ms {
+            false
+        } else if self.commit_needed() {
             // A concurrent member join can bump the generation between this
             // step's rebalance check and the commit; treat it like any
             // overtaken commit (abort + dirty close; the next step adopts
@@ -584,6 +586,10 @@ impl KafkaStreamsApp {
             self.commit_or_dirty_close()?;
             true
         } else {
+            // Nothing to commit: the interval restarts as a commit would
+            // restart it (Kafka Streams' `maybeCommit` skips tasks that need
+            // no commit and still resets its timer).
+            self.last_commit_ms = now;
             false
         };
         // Warm-up readiness and release handovers trigger rebalances only
@@ -626,6 +632,14 @@ impl KafkaStreamsApp {
             self.cluster.group_request_rebalance(self.app_id(), &self.instance_id)?;
         }
         Ok(())
+    }
+
+    /// Whether an interval commit would write anything: an open
+    /// transaction, or an active task with work or input progress since
+    /// the last commit. [`Self::commit`] called directly commits anyway.
+    fn commit_needed(&self) -> bool {
+        self.txn_open
+            || self.tasks.values().filter_map(Hosted::active).any(StreamTask::commit_needed)
     }
 
     fn begin_txn_if_needed(

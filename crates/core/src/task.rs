@@ -19,7 +19,7 @@ use crate::state::{spill, Store};
 use crate::topology::{TaskId, Topology};
 use bytes::Bytes;
 use kbroker::topic::default_partition;
-use kbroker::{Cluster, IsolationLevel, Topic, TopicPartition};
+use kbroker::{Cluster, IsolationLevel, PartitionHandle, Topic, TopicPartition};
 use klog::{Record, StoredBatch};
 use simkit::{FaultDecision, FaultPoint};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -28,6 +28,9 @@ use std::path::Path;
 /// One input partition of a task, and how far the task has read it.
 struct Input {
     tp: TopicPartition,
+    /// `tp` resolved at the first fetch (a task is built before it meets
+    /// its cluster).
+    handle: Option<PartitionHandle>,
     /// The driver's source node for this input's topic.
     source: usize,
     /// Next offset to fetch.
@@ -35,6 +38,8 @@ struct Input {
     /// Next offset to commit (last processed + 1); `None` until a position
     /// is set or something is processed, and not committed until then.
     processed_position: Option<i64>,
+    /// `processed_position` as of the last commit that covered this task.
+    committed_position: Option<i64>,
     /// Fetched-but-unprocessed batches: handles to the batches the log
     /// stores, not copies of their records.
     fetched: VecDeque<StoredBatch>,
@@ -63,9 +68,7 @@ impl Input {
 /// When one fetch-and-process pass ran, and what it did: what is needed
 /// to trace the pass after the fact.
 struct Polled {
-    fetch_ms: i64,
-    process_ms: i64,
-    end_ms: i64,
+    now_ms: i64,
     /// The fetch left records to process.
     buffered: bool,
     failed: bool,
@@ -156,9 +159,11 @@ impl StreamTask {
                 })?;
                 Ok(Input {
                     tp: TopicPartition::new(t.resolve(app_id), id.partition),
+                    handle: None,
                     source,
                     fetch_position: 0,
                     processed_position: None,
+                    committed_position: None,
                     fetched: VecDeque::new(),
                     cursor: 0,
                 })
@@ -189,6 +194,18 @@ impl StreamTask {
     /// covering this task's work succeeds.
     pub fn mark_clean(&mut self) {
         self.dirty = false;
+        for input in &mut self.inputs {
+            input.committed_position = input.processed_position;
+        }
+    }
+
+    /// Whether a commit would write anything for this task: it is dirty, or
+    /// one of its [`committable_offsets`](Self::committable_offsets) moved
+    /// since the last [`mark_clean`](Self::mark_clean) (a fetch that only
+    /// skipped markers moves an offset without dirtying the task).
+    pub fn commit_needed(&self) -> bool {
+        self.dirty
+            || self.inputs.iter().any(|input| input.processed_position != input.committed_position)
     }
 
     /// Adopt the warm stores of a standby replica (§3.3): restore will then
@@ -320,7 +337,7 @@ impl StreamTask {
         isolation: IsolationLevel,
         wall_ms: i64,
     ) -> Result<usize, StreamsError> {
-        let (processed, polled) = self.poll(cluster, max_records, isolation);
+        let (processed, polled) = self.poll(cluster, max_records, isolation, wall_ms);
         // A punctuation that failed is traced like one that did something.
         let (result, punctuated) = match processed {
             Ok(n) => match self.punctuate(wall_ms) {
@@ -334,7 +351,7 @@ impl StreamTask {
             let entered = kobs::ktrace::enter(span);
             self.trace_poll(&polled);
             if punctuated {
-                self.trace_phase("punctuate", wall_ms, wall_ms);
+                self.trace_phase("punctuate", wall_ms);
             }
             drop(entered);
             // The virtual clock stands still within a step; one microsecond
@@ -355,7 +372,7 @@ impl StreamTask {
         max_records: usize,
         isolation: IsolationLevel,
     ) -> Result<usize, StreamsError> {
-        let (processed, polled) = self.poll(cluster, max_records, isolation);
+        let (processed, polled) = self.poll(cluster, max_records, isolation, cluster.now_ms());
         if polled.worked() {
             self.trace_poll(&polled);
         }
@@ -365,37 +382,37 @@ impl StreamTask {
     /// The fetch and process phases, untraced: the one implementation
     /// behind [`run_cycle`](Self::run_cycle) and
     /// [`poll_and_process`](Self::poll_and_process), which trace it after
-    /// the fact from the times it returns.
+    /// the fact. Both phases are stamped `now_ms`, the caller's one clock
+    /// read: a virtual clock stands still within a step.
     fn poll(
         &mut self,
         cluster: &Cluster,
         max_records: usize,
         isolation: IsolationLevel,
+        now_ms: i64,
     ) -> (Result<usize, StreamsError>, Polled) {
-        let fetch_ms = cluster.now_ms();
         let fetched = self.fetch_inputs(cluster, max_records, isolation);
-        let process_ms = cluster.now_ms();
         let buffered = fetched.is_ok() && self.inputs.iter().any(|input| input.head().is_some());
         let processed = fetched.and_then(|()| self.process_fetched(max_records));
         let failed = processed.is_err();
-        (processed, Polled { fetch_ms, process_ms, end_ms: cluster.now_ms(), buffered, failed })
+        (processed, Polled { now_ms, buffered, failed })
     }
 
     /// Record a pass's phases under the current span: its `fetch`, and its
     /// `process` if the fetch left records. Neither phase opens a span or
-    /// emits an event of its own, so recording them afterwards, with the
-    /// times they ran at, builds the tree recording them live would.
+    /// emits an event of its own, so recording them afterwards, at the time
+    /// they ran at, builds the tree recording them live would.
     fn trace_poll(&self, polled: &Polled) {
-        self.trace_phase("fetch", polled.fetch_ms, polled.process_ms);
+        self.trace_phase("fetch", polled.now_ms);
         if polled.buffered {
-            self.trace_phase("process", polled.process_ms, polled.end_ms);
+            self.trace_phase("process", polled.now_ms);
         }
     }
 
-    /// Record one finished phase of this task's cycle.
-    fn trace_phase(&self, name: &'static str, start_ms: i64, end_ms: i64) {
-        let span = kobs::child_span!(start_ms, "task", name, task = self.id);
-        kobs::ktrace::finish_span(span, end_ms * 1000);
+    /// Record one finished phase of this task's cycle, run at `at_ms`.
+    fn trace_phase(&self, name: &'static str, at_ms: i64) {
+        let span = kobs::child_span!(at_ms, "task", name, task = self.id);
+        kobs::ktrace::finish_span(span, at_ms * 1000);
     }
 
     /// Fetch phase: one fetch of up to `max_records` per input partition.
@@ -407,7 +424,11 @@ impl StreamTask {
     ) -> Result<(), StreamsError> {
         for input in &mut self.inputs {
             let pos = input.fetch_position;
-            let fetch = match cluster.fetch(&input.tp, pos, max_records, isolation) {
+            let handle = match &input.handle {
+                Some(handle) => handle,
+                None => input.handle.insert(cluster.partition_handle(&input.tp)?),
+            };
+            let fetch = match handle.fetch(pos, max_records, isolation) {
                 Ok(f) => f,
                 // Transient unavailability (broker failover in progress).
                 Err(kbroker::BrokerError::NoLeader { .. }) => continue,
@@ -663,8 +684,12 @@ pub(crate) fn replay_changelog(
     applied: &mut u64,
 ) -> Result<(), kbroker::BrokerError> {
     let until = until.unwrap_or(i64::MAX);
+    if *pos >= until {
+        return Ok(());
+    }
+    let handle = cluster.partition_handle(tp)?;
     while *pos < until {
-        let fetch = cluster.fetch(tp, *pos, 4096, isolation)?;
+        let fetch = handle.fetch(*pos, 4096, isolation)?;
         if fetch.count() == 0 && fetch.next_offset == *pos {
             break;
         }

@@ -107,6 +107,65 @@ pub(crate) struct ClusterInner {
     pub storage: StorageMode,
 }
 
+/// One partition of a cluster, resolved once by
+/// [`Cluster::partition_handle`]: the partition's replica set itself, so a
+/// produce or fetch through it takes the partition lock and nothing else —
+/// no topic-registry stripe, no name hash.
+///
+/// A handle never goes stale. Topics are create-only, so the replica set a
+/// handle holds is the one the cluster holds for as long as the cluster
+/// lives; and leadership, the ISR and (in disk mode) a replica's rebuilt
+/// log all change *inside* that replica set, so a produce or fetch through
+/// a handle taken before a failover reaches the new leader, as one by name
+/// does.
+#[derive(Clone)]
+pub struct PartitionHandle {
+    tp: TopicPartition,
+    set: Arc<Mutex<ReplicaSet>>,
+}
+
+impl PartitionHandle {
+    /// The partition this handle addresses.
+    pub fn partition(&self) -> TopicPartition {
+        self.tp
+    }
+
+    /// Append a batch through the partition's leader, replicated to the ISR
+    /// before the call returns ([`Cluster::produce`]).
+    pub fn produce(
+        &self,
+        meta: BatchMeta,
+        records: Vec<Record>,
+    ) -> Result<AppendOutcome, BrokerError> {
+        kobs::counter!("kbroker.produce.batches").add(1);
+        kobs::counter!("kbroker.produce.records").add(records.len() as u64);
+        self.set.lock().append(meta, records)
+    }
+
+    /// Fetch from the partition's leader ([`Cluster::fetch`]).
+    pub fn fetch(
+        &self,
+        from: Offset,
+        max_records: usize,
+        isolation: IsolationLevel,
+    ) -> Result<FetchResult, BrokerError> {
+        let result = self.set.lock().fetch(from, max_records, isolation)?;
+        kobs::counter!("kbroker.fetch.requests").add(1);
+        kobs::counter!("kbroker.fetch.records").add(result.count() as u64);
+        Ok(result)
+    }
+
+    /// Earliest retained offset ([`Cluster::earliest_offset`]).
+    pub fn earliest_offset(&self) -> Result<Offset, BrokerError> {
+        Ok(self.set.lock().leader_log()?.log_start())
+    }
+
+    /// High watermark ([`Cluster::latest_offset`]).
+    pub fn latest_offset(&self) -> Result<Offset, BrokerError> {
+        Ok(self.set.lock().leader_log()?.high_watermark())
+    }
+}
+
 /// Handle to the simulated cluster. Cheap to clone; all clones address the
 /// same brokers.
 #[derive(Clone)]
@@ -293,15 +352,22 @@ impl Cluster {
         Ok((0..n).map(|partition| TopicPartition { topic, partition }).collect())
     }
 
+    /// A partition resolved once: what [`PartitionHandle::produce`] and
+    /// [`PartitionHandle::fetch`] need, with no topic lookup left per call.
+    pub fn partition_handle(&self, tp: &TopicPartition) -> Result<PartitionHandle, BrokerError> {
+        let (_, meta) = self.meta(&tp.topic)?;
+        let set =
+            meta.partitions.get(tp.partition as usize).cloned().ok_or(
+                BrokerError::UnknownPartition { topic: tp.topic, partition: tp.partition },
+            )?;
+        Ok(PartitionHandle { tp: *tp, set })
+    }
+
     pub(crate) fn replica_set(
         &self,
         tp: &TopicPartition,
     ) -> Result<Arc<Mutex<ReplicaSet>>, BrokerError> {
-        let (_, meta) = self.meta(&tp.topic)?;
-        meta.partitions
-            .get(tp.partition as usize)
-            .cloned()
-            .ok_or(BrokerError::UnknownPartition { topic: tp.topic, partition: tp.partition })
+        Ok(self.partition_handle(tp)?.set)
     }
 
     // ------------------------------------------------------------------
@@ -316,9 +382,7 @@ impl Cluster {
         meta: BatchMeta,
         records: Vec<Record>,
     ) -> Result<AppendOutcome, BrokerError> {
-        kobs::count("kbroker.produce.batches", 1);
-        kobs::count("kbroker.produce.records", records.len() as u64);
-        self.replica_set(tp)?.lock().append(meta, records)
+        self.partition_handle(tp)?.produce(meta, records)
     }
 
     /// Append a transaction control marker (coordinator-only path, §4.2.2).
@@ -341,20 +405,17 @@ impl Cluster {
         max_records: usize,
         isolation: IsolationLevel,
     ) -> Result<FetchResult, BrokerError> {
-        let result = self.replica_set(tp)?.lock().fetch(from, max_records, isolation)?;
-        kobs::count("kbroker.fetch.requests", 1);
-        kobs::count("kbroker.fetch.records", result.count() as u64);
-        Ok(result)
+        self.partition_handle(tp)?.fetch(from, max_records, isolation)
     }
 
     /// Earliest retained offset of a partition.
     pub fn earliest_offset(&self, tp: &TopicPartition) -> Result<Offset, BrokerError> {
-        Ok(self.replica_set(tp)?.lock().leader_log()?.log_start())
+        self.partition_handle(tp)?.earliest_offset()
     }
 
     /// High watermark (exclusive upper bound of readable offsets).
     pub fn latest_offset(&self, tp: &TopicPartition) -> Result<Offset, BrokerError> {
-        Ok(self.replica_set(tp)?.lock().leader_log()?.high_watermark())
+        self.partition_handle(tp)?.latest_offset()
     }
 
     /// Last stable offset (read-committed bound).
@@ -374,7 +435,7 @@ impl Cluster {
         if !self.inner.broker_alive[broker].swap(false, Ordering::AcqRel) {
             return;
         }
-        kobs::count("kbroker.broker_kills", 1);
+        kobs::counter!("kbroker.broker_kills").add(1);
         let now = self.now_ms();
         // Name order, not hash order: the per-partition ISR/leader events
         // this emits must replay byte-identically for a fixed seed.
@@ -397,7 +458,7 @@ impl Cluster {
     pub fn restore_broker(&self, broker: usize) -> Result<(), BrokerError> {
         // swap returns the previous liveness: false means it was dead.
         if !self.inner.broker_alive[broker].swap(true, Ordering::AcqRel) {
-            kobs::count("kbroker.broker_restores", 1);
+            kobs::counter!("kbroker.broker_restores").add(1);
         }
         let now = self.now_ms();
         let mut first_error = None;
@@ -620,6 +681,56 @@ mod tests {
         assert_eq!(c.replica_set(&tp).unwrap().lock().isr(), &[0, 1]);
         c.kill_broker(0);
         assert_eq!(c.fetch(&tp, 0, 100, IsolationLevel::ReadUncommitted).unwrap().count(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A handle resolved before its partition's leader dies addresses the
+    /// partition, not the leader: through the failover and after the
+    /// restore it produces and fetches exactly what the calls by name do,
+    /// in memory and on disk (where the dead replica's log is rebuilt from
+    /// its files inside the same replica set).
+    #[test]
+    fn a_handle_resolved_before_a_failover_keeps_working() {
+        let dir = std::env::temp_dir().join(format!("kbroker-handle-{}", std::process::id()));
+        for storage in [StorageMode::Memory, StorageMode::Disk(klog::DiskConfig::at(&dir))] {
+            let c = Cluster::builder().brokers(3).replication(3).storage(storage).build();
+            c.create_topic("t", TopicConfig::new(2)).unwrap();
+            let tp = TopicPartition::new("t", 1);
+            let handle = c.partition_handle(&tp).unwrap();
+            assert_eq!(handle.partition(), tp);
+            let leader = c.leader_of(&tp).unwrap().unwrap();
+            // One batch through the handle, one by name; both reads agree.
+            let round = |expected_end: Offset| {
+                let by_handle = handle.produce(BatchMeta::plain(), recs(2)).unwrap();
+                let by_name = c.produce(&tp, BatchMeta::plain(), recs(1)).unwrap();
+                assert_eq!(by_name.base_offset, by_handle.base_offset + 2);
+                for isolation in [IsolationLevel::ReadUncommitted, IsolationLevel::ReadCommitted] {
+                    let read = |f: FetchResult| {
+                        let records: Vec<_> = f.records().map(|(o, r)| (o, r.clone())).collect();
+                        (f.next_offset, f.high_watermark, records)
+                    };
+                    let by_handle = read(handle.fetch(0, 100, isolation).unwrap());
+                    assert_eq!(by_handle, read(c.fetch(&tp, 0, 100, isolation).unwrap()));
+                    assert_eq!(by_handle.0, expected_end);
+                }
+                assert_eq!(handle.latest_offset().unwrap(), c.latest_offset(&tp).unwrap());
+                assert_eq!(handle.earliest_offset().unwrap(), c.earliest_offset(&tp).unwrap());
+            };
+            round(3);
+            c.kill_broker(leader);
+            assert_ne!(c.leader_of(&tp).unwrap(), Some(leader), "a new leader was elected");
+            round(6);
+            c.restore_broker(leader).unwrap();
+            round(9);
+            // The restored replica leads again once the others die, and the
+            // handle reads what it wrote through the first leader too.
+            for broker in (0..3).filter(|&b| b != leader) {
+                c.kill_broker(broker);
+            }
+            assert_eq!(c.leader_of(&tp).unwrap(), Some(leader));
+            let f = handle.fetch(0, 100, IsolationLevel::ReadUncommitted).unwrap();
+            assert_eq!((f.count(), f.next_offset), (9, 9));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -10,13 +10,12 @@
 //! The caller names the partitions to read: the group coordinator assigns
 //! nothing (see [`crate::group`]).
 
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, PartitionHandle};
 use crate::error::BrokerError;
 use crate::topic::{Topic, TopicPartition};
 use bytes::Bytes;
 use klog::{IsolationLevel, Offset};
 use simkit::{FaultDecision, FaultPoint};
-use std::collections::HashMap;
 
 /// Consumer configuration.
 #[derive(Debug, Clone)]
@@ -62,32 +61,30 @@ pub struct Consumer {
     config: ConsumerConfig,
     member_id: String,
     assignment: Vec<TopicPartition>,
-    /// Fetch position per assigned partition. A partition that was
-    /// leaderless when its position was first needed has none yet.
-    positions: HashMap<TopicPartition, Offset>,
+    /// Per assigned partition, in `assignment` order: its handle, and its
+    /// fetch position. A partition that was leaderless when its position
+    /// was first needed has none yet.
+    positions: Vec<(PartitionHandle, Option<Offset>)>,
     /// Round-robin cursor over assigned partitions so one busy partition
     /// cannot starve the others.
     next_partition: usize,
 }
 
-/// `tp`'s fetch position, starting it at the earliest retained offset when
-/// it has none. `None` while the partition is leaderless: the next poll
-/// tries again.
-fn resolve_position<'a>(
-    cluster: &Cluster,
-    positions: &'a mut HashMap<TopicPartition, Offset>,
-    tp: &TopicPartition,
-) -> Result<Option<&'a mut Offset>, BrokerError> {
-    if !positions.contains_key(tp) {
-        match cluster.earliest_offset(tp) {
-            Ok(start) => {
-                positions.insert(*tp, start);
-            }
+/// A partition's fetch position, starting it at the earliest retained
+/// offset when it has none. `None` while the partition is leaderless: the
+/// next poll tries again.
+fn resolve_position(
+    handle: &PartitionHandle,
+    position: &mut Option<Offset>,
+) -> Result<Option<Offset>, BrokerError> {
+    if position.is_none() {
+        match handle.earliest_offset() {
+            Ok(start) => *position = Some(start),
             Err(BrokerError::NoLeader { .. }) => return Ok(None),
             Err(e) => return Err(e),
         }
     }
-    Ok(positions.get_mut(tp))
+    Ok(*position)
 }
 
 impl Consumer {
@@ -97,7 +94,7 @@ impl Consumer {
             config,
             member_id: member_id.into(),
             assignment: Vec::new(),
-            positions: HashMap::new(),
+            positions: Vec::new(),
             next_partition: 0,
         }
     }
@@ -113,11 +110,15 @@ impl Consumer {
 
     /// Assign partitions, each starting at its earliest retained offset.
     pub fn assign(&mut self, partitions: Vec<TopicPartition>) -> Result<(), BrokerError> {
-        self.assignment = partitions;
+        self.assignment.clear();
         self.positions.clear();
-        for tp in &self.assignment {
-            resolve_position(&self.cluster, &mut self.positions, tp)?;
+        for tp in &partitions {
+            let handle = self.cluster.partition_handle(tp)?;
+            let mut position = None;
+            resolve_position(&handle, &mut position)?;
+            self.positions.push((handle, position));
         }
+        self.assignment = partitions;
         Ok(())
     }
 
@@ -133,18 +134,13 @@ impl Consumer {
             if out.len() >= budget {
                 break;
             }
-            let tp = &self.assignment[(self.next_partition + i) % nparts];
+            let (handle, position) = &mut self.positions[(self.next_partition + i) % nparts];
             // The partition may be momentarily leaderless during a broker
             // failure; skip and retry next poll.
-            let Some(position) = resolve_position(&self.cluster, &mut self.positions, tp)? else {
+            let Some(from) = resolve_position(handle, position)? else {
                 continue;
             };
-            let fetch = match self.cluster.fetch(
-                tp,
-                *position,
-                budget - out.len(),
-                self.config.isolation,
-            ) {
+            let fetch = match handle.fetch(from, budget - out.len(), self.config.isolation) {
                 Ok(f) => f,
                 Err(BrokerError::NoLeader { .. }) => continue,
                 Err(e) => return Err(e),
@@ -157,6 +153,7 @@ impl Consumer {
             {
                 continue;
             }
+            let tp = handle.partition();
             for (offset, rec) in fetch.records() {
                 out.push(ConsumerRecord {
                     topic: tp.topic,
@@ -167,7 +164,7 @@ impl Consumer {
                     timestamp: rec.timestamp,
                 });
             }
-            *position = fetch.next_offset;
+            *position = Some(fetch.next_offset);
         }
         self.next_partition = (self.next_partition + 1) % nparts;
         Ok(out)
@@ -175,7 +172,8 @@ impl Consumer {
 
     /// Current fetch position for a partition.
     pub fn position(&self, tp: &TopicPartition) -> Option<Offset> {
-        self.positions.get(tp).copied()
+        let at = self.assignment.iter().position(|assigned| assigned == tp)?;
+        self.positions[at].1
     }
 }
 

@@ -163,7 +163,7 @@ impl Cluster {
             members: members.keys().cloned().collect(),
             member_metadata: members.iter().map(|(m, i)| (m.clone(), i.metadata.clone())).collect(),
         });
-        kobs::count("kbroker.group.rebalances", 1);
+        kobs::counter!("kbroker.group.rebalances").add(1);
         kobs::event!(
             self.now_ms(),
             "kbroker.group",
@@ -185,7 +185,7 @@ impl Cluster {
         }
         if state.pending_since.is_none() {
             state.pending_since = Some(now);
-            kobs::count("kbroker.group.rebalances_deferred", 1);
+            kobs::counter!("kbroker.group.rebalances_deferred").add(1);
         }
         self.fire_pending_rebalance(state, now);
     }

@@ -36,7 +36,7 @@ pub mod replica;
 pub mod topic;
 pub mod txn;
 
-pub use cluster::{Cluster, ClusterBuilder};
+pub use cluster::{Cluster, ClusterBuilder, PartitionHandle};
 pub use consumer::{Consumer, ConsumerConfig, ConsumerRecord};
 pub use error::BrokerError;
 pub use klog::{DiskConfig, IsolationLevel, StorageMode};

@@ -8,14 +8,13 @@
 //! what the paper's §4.3 calls the "few extra numeric fields" overhead, and
 //! tests flip it off to demonstrate the duplicates it prevents.
 
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, PartitionHandle};
 use crate::error::BrokerError;
 use crate::topic::{default_partition, Topic, TopicPartition};
 use bytes::Bytes;
 use klog::batch::BatchMeta;
 use klog::{Offset, Record, NO_SEQUENCE};
 use simkit::{FaultDecision, FaultPoint};
-use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Producer configuration.
 #[derive(Debug, Clone)]
@@ -87,23 +86,39 @@ pub struct ProducerStats {
     pub duplicates_acked: u64,
 }
 
+/// What the producer keeps for one partition of a topic it has written to:
+/// resolved once, with the topic's other partitions, at the first record
+/// (or offset commit) for the topic.
+struct PartitionEntry {
+    handle: PartitionHandle,
+    /// Records not yet sent.
+    buffer: Vec<Record>,
+    /// Next sequence number (idempotent mode).
+    next_sequence: i64,
+    /// Registered with the open transaction.
+    registered: bool,
+}
+
+impl PartitionEntry {
+    /// Holds unsent records the open transaction does not cover yet.
+    fn unregistered(&self) -> bool {
+        !self.buffer.is_empty() && !self.registered
+    }
+}
+
 /// A Kafka-like producer client bound to one cluster.
 pub struct Producer {
     cluster: Cluster,
     config: ProducerConfig,
     producer_id: i64,
     epoch: i32,
-    /// Next sequence per partition (idempotent mode).
-    sequences: HashMap<TopicPartition, i64>,
-    /// Per-partition record buffers, in partition order: the order a
-    /// flush sends them in.
-    buffers: BTreeMap<TopicPartition, Vec<Record>>,
-    /// Partitions registered with the current transaction.
-    registered: HashSet<TopicPartition>,
-    /// Each topic's partition count, looked up at the first `send` to it.
-    /// Topics are create-only with a fixed partition count, so an entry
-    /// never goes stale.
-    topic_partitions: HashMap<Topic, u32>,
+    /// One entry per partition of every topic written to, in partition
+    /// order: the order a flush sends them in.
+    partitions: Vec<PartitionEntry>,
+    /// Every topic written to: where its partitions start in `partitions`,
+    /// and how many it has. Topics are create-only with a fixed partition
+    /// count, so an entry never goes stale.
+    topics: Vec<(Topic, usize, u32)>,
     in_transaction: bool,
     txn_inited: bool,
     stats: ProducerStats,
@@ -121,10 +136,8 @@ impl Producer {
             config,
             producer_id,
             epoch: 0,
-            sequences: HashMap::new(),
-            buffers: BTreeMap::new(),
-            registered: HashSet::new(),
-            topic_partitions: HashMap::new(),
+            partitions: Vec::new(),
+            topics: Vec::new(),
             in_transaction: false,
             txn_inited: false,
             stats: ProducerStats::default(),
@@ -161,8 +174,10 @@ impl Producer {
         let (pid, epoch) = self.cluster.txn_init_producer(&tid, self.config.txn_timeout_ms)?;
         self.producer_id = pid;
         self.epoch = epoch;
-        self.sequences.clear();
-        self.registered.clear();
+        for entry in &mut self.partitions {
+            entry.next_sequence = 0;
+            entry.registered = false;
+        }
         self.in_transaction = false;
         self.txn_inited = true;
         Ok(())
@@ -181,7 +196,7 @@ impl Producer {
             return Err(BrokerError::InvalidOperation("transaction already open".into()));
         }
         self.in_transaction = true;
-        self.registered.clear();
+        self.clear_registrations();
         Ok(())
     }
 
@@ -198,19 +213,9 @@ impl Producer {
         timestamp: i64,
     ) -> Result<(), BrokerError> {
         let key = key.into();
-        let (topic, partitions) = match self.topic_partitions.get_key_value(topic) {
-            Some((&topic, &partitions)) => (topic, partitions),
-            None => {
-                let (topic, partitions) = self.cluster.topic(topic)?;
-                self.topic_partitions.insert(topic, partitions);
-                (topic, partitions)
-            }
-        };
+        let (first, partitions) = self.topic_entries(topic)?;
         let partition = default_partition(key.as_deref(), partitions);
-        self.send_to_partition(
-            &TopicPartition { topic, partition },
-            Record { key, value: value.into(), timestamp },
-        )
+        self.push(first + partition as usize, Record { key, value: value.into(), timestamp })
     }
 
     /// Send a pre-built record to an explicit partition.
@@ -219,19 +224,69 @@ impl Producer {
         tp: &TopicPartition,
         record: Record,
     ) -> Result<(), BrokerError> {
+        let at = self.entry_index(tp)?;
+        self.push(at, record)
+    }
+
+    /// Buffer `record` in entry `at`, sending the buffer once it is full.
+    fn push(&mut self, at: usize, record: Record) -> Result<(), BrokerError> {
         if self.is_transactional() && !self.in_transaction {
             return Err(BrokerError::InvalidOperation(
                 "transactional producer must begin_transaction before send".into(),
             ));
         }
         self.stats.records_sent += 1;
-        let buffer = self.buffers.entry(*tp).or_default();
+        let buffer = &mut self.partitions[at].buffer;
         buffer.push(record);
-        let buffered = buffer.len();
-        if buffered >= self.config.batch_size {
-            self.flush_partition(tp)?;
+        if buffer.len() >= self.config.batch_size {
+            self.flush_partition(at)?;
         }
         Ok(())
+    }
+
+    /// The position of `tp`'s entry.
+    fn entry_index(&mut self, tp: &TopicPartition) -> Result<usize, BrokerError> {
+        let (first, partitions) = self.topic_entries(&tp.topic)?;
+        if tp.partition >= partitions {
+            return Err(BrokerError::UnknownPartition { topic: tp.topic, partition: tp.partition });
+        }
+        Ok(first + tp.partition as usize)
+    }
+
+    /// Where the topic named `name` starts in `partitions`, and its
+    /// partition count. The first time the producer addresses a topic, an
+    /// entry for each of its partitions is resolved and inserted in
+    /// partition order. A lookup compares the few topic names the producer
+    /// writes to: no search over partitions, no hash.
+    fn topic_entries(&mut self, name: &str) -> Result<(usize, u32), BrokerError> {
+        if let Some(&(_, first, partitions)) = self.topics.iter().find(|(t, ..)| **t == *name) {
+            return Ok((first, partitions));
+        }
+        let (topic, partitions) = self.cluster.topic(name)?;
+        let entries = (0..partitions)
+            .map(|partition| {
+                let handle = self.cluster.partition_handle(&TopicPartition { topic, partition })?;
+                Ok(PartitionEntry {
+                    handle,
+                    buffer: Vec::new(),
+                    next_sequence: 0,
+                    registered: false,
+                })
+            })
+            .collect::<Result<Vec<_>, BrokerError>>()?;
+        let first = self.partitions.partition_point(|e| e.handle.partition().topic < topic);
+        self.partitions.splice(first..first, entries);
+        for (_, later, _) in self.topics.iter_mut().filter(|(_, at, _)| *at >= first) {
+            *later += partitions as usize;
+        }
+        self.topics.push((topic, first, partitions));
+        Ok((first, partitions))
+    }
+
+    fn clear_registrations(&mut self) {
+        for entry in &mut self.partitions {
+            entry.registered = false;
+        }
     }
 
     /// Flush all buffered records, in partition order (the simulation
@@ -239,72 +294,68 @@ impl Producer {
     /// iterate a `HashMap` into an observable effect). A flush that finds
     /// every buffer empty allocates nothing and clones no partition name.
     pub fn flush(&mut self) -> Result<(), BrokerError> {
-        // The buffers leave `self` for the loop, so each batch is sent under
-        // its own key; they come back however the loop ends.
-        let mut buffers = std::mem::take(&mut self.buffers);
-        let flushed = self.flush_buffers(&mut buffers);
-        self.buffers = buffers;
+        // The entries leave `self` for the loop, so each batch is sent
+        // through its own entry; they come back however the loop ends.
+        let mut partitions = std::mem::take(&mut self.partitions);
+        let flushed =
+            (0..partitions.len()).try_for_each(|at| self.flush_entry(&mut partitions, at));
+        self.partitions = partitions;
         flushed
     }
 
-    fn flush_buffers(
+    fn flush_partition(&mut self, at: usize) -> Result<(), BrokerError> {
+        let mut partitions = std::mem::take(&mut self.partitions);
+        let flushed = self.flush_entry(&mut partitions, at);
+        self.partitions = partitions;
+        flushed
+    }
+
+    /// Send entry `at`'s buffered records as one batch. In a transaction, a
+    /// partition not yet part of it is registered first — together with
+    /// every other partition holding unsent records outside it, in one
+    /// AddPartitionsToTxn, so one flush costs the coordinator one
+    /// transaction-log record however many partitions it first touches, as
+    /// Kafka's client batches them.
+    fn flush_entry(
         &mut self,
-        buffers: &mut BTreeMap<TopicPartition, Vec<Record>>,
+        partitions: &mut [PartitionEntry],
+        at: usize,
     ) -> Result<(), BrokerError> {
-        // The unregistered partitions are registered in one request when
-        // the flush reaches the first of them, as `flush_partition` would.
-        let pending = if self.is_transactional() {
-            Self::unregistered(buffers, &self.registered)
-        } else {
-            Vec::new()
-        };
-        for (tp, buffer) in buffers.iter_mut().filter(|(_, b)| !b.is_empty()) {
-            if self.is_transactional() && !self.registered.contains(tp) {
-                self.register_with_retries(&pending)?;
-            }
-            let records = Self::take_batch(buffer);
-            self.send_batch(tp, records)?;
+        if partitions[at].buffer.is_empty() {
+            return Ok(());
         }
-        Ok(())
-    }
-
-    fn flush_partition(&mut self, tp: &TopicPartition) -> Result<(), BrokerError> {
-        if self.is_transactional() && !self.registered.contains(tp) {
-            let pending = Self::unregistered(&self.buffers, &self.registered);
+        if self.is_transactional() && !partitions[at].registered {
+            let pending: Vec<TopicPartition> = partitions
+                .iter()
+                .filter(|e| e.unregistered())
+                .map(|e| e.handle.partition())
+                .collect();
             self.register_with_retries(&pending)?;
+            for entry in partitions.iter_mut().filter(|e| e.unregistered()) {
+                entry.registered = true;
+            }
         }
-        let records = match self.buffers.get_mut(tp) {
-            Some(b) if !b.is_empty() => Self::take_batch(b),
-            _ => return Ok(()),
-        };
-        self.send_batch(tp, records)
+        self.send_batch(&mut partitions[at])
     }
 
-    /// A buffer's records, leaving it empty. The next batch's buffer is
-    /// sized like this one, so a partition in a steady state grows its
+    /// Send an entry's buffer as one batch. The buffer for the next batch
+    /// is sized like this one, so a partition in a steady state grows its
     /// buffer once per batch.
-    fn take_batch(buffer: &mut Vec<Record>) -> Vec<Record> {
-        let next = Vec::with_capacity(buffer.len());
-        std::mem::replace(buffer, next)
-    }
-
-    fn send_batch(&mut self, tp: &TopicPartition, records: Vec<Record>) -> Result<(), BrokerError> {
-        let base_seq = if self.config.idempotent || self.is_transactional() {
-            self.sequences.get(tp).copied().unwrap_or(0)
-        } else {
-            NO_SEQUENCE
-        };
+    fn send_batch(&mut self, entry: &mut PartitionEntry) -> Result<(), BrokerError> {
+        let next = Vec::with_capacity(entry.buffer.len());
+        let records = std::mem::replace(&mut entry.buffer, next);
+        let sequenced = self.config.idempotent || self.is_transactional();
         let meta = BatchMeta {
             producer_id: self.producer_id,
             producer_epoch: self.epoch,
-            base_sequence: base_seq,
+            base_sequence: if sequenced { entry.next_sequence } else { NO_SEQUENCE },
             transactional: self.is_transactional(),
             control: None,
         };
         let n = records.len() as i64;
-        let outcome = self.send_with_retries(tp, meta, records)?;
-        if base_seq != NO_SEQUENCE {
-            self.sequences.insert(*tp, base_seq + n);
+        let outcome = self.send_with_retries(entry, meta, records)?;
+        if sequenced {
+            entry.next_sequence += n;
         }
         if outcome.duplicate {
             self.stats.duplicates_acked += 1;
@@ -312,19 +363,6 @@ impl Producer {
             self.stats.batches_appended += 1;
         }
         Ok(())
-    }
-
-    /// Every partition that holds unsent records and is not yet part of the
-    /// open transaction, in partition order: registered in one
-    /// AddPartitionsToTxn, so one flush costs the coordinator one
-    /// transaction-log record however many partitions it first touches, as
-    /// Kafka's client batches them.
-    fn unregistered(
-        buffers: &BTreeMap<TopicPartition, Vec<Record>>,
-        registered: &HashSet<TopicPartition>,
-    ) -> Vec<TopicPartition> {
-        let pending = buffers.iter().filter(|(tp, b)| !b.is_empty() && !registered.contains(*tp));
-        pending.map(|(tp, _)| *tp).collect()
     }
 
     /// Register partitions with the transaction coordinator, retrying
@@ -343,7 +381,6 @@ impl Producer {
                 self.cluster.txn_add_partitions(&tid, self.producer_id, self.epoch, partitions)?;
             }
             if decision == FaultDecision::Deliver {
-                self.registered.extend(partitions);
                 return Ok(());
             }
             attempts += 1;
@@ -362,7 +399,7 @@ impl Producer {
     /// sequence numbers). Returns the final acknowledged outcome.
     fn send_with_retries(
         &mut self,
-        tp: &TopicPartition,
+        entry: &PartitionEntry,
         meta: BatchMeta,
         records: Vec<Record>,
     ) -> Result<klog::AppendOutcome, BrokerError> {
@@ -385,20 +422,21 @@ impl Producer {
                     // learns — it must retry the identical batch, so this
                     // is the one attempt that sends a copy and keeps the
                     // original.
-                    self.cluster.produce(tp, meta.clone(), records.clone())?;
+                    entry.handle.produce(meta.clone(), records.clone())?;
                 }
                 FaultDecision::Deliver => {
                     // The batch moves into the attempt that is acknowledged.
                     // A retry of an earlier DropAck attempt is flagged as a
                     // duplicate only when idempotence is on; without it the
                     // broker really re-appended.
-                    return self.cluster.produce(tp, meta, records);
+                    return entry.handle.produce(meta, records);
                 }
             }
         }
         // If an append actually landed but every ack was dropped, the data
         // is in the log while the client sees an error — the fundamental
         // ambiguity of §2.1.
+        let tp = entry.handle.partition();
         Err(BrokerError::RetriesExhausted { topic: tp.topic, partition: tp.partition })
     }
 
@@ -416,8 +454,10 @@ impl Producer {
             return Err(BrokerError::InvalidOperation("no open transaction".into()));
         }
         let offsets_tp = self.cluster.offsets_partition_for_group(group);
-        if !self.registered.contains(&offsets_tp) {
+        let at = self.entry_index(&offsets_tp)?;
+        if !self.partitions[at].registered {
             self.register_with_retries(std::slice::from_ref(&offsets_tp))?;
+            self.partitions[at].registered = true;
         }
         self.cluster.group_txn_commit_offsets(
             group,
@@ -448,12 +488,14 @@ impl Producer {
         if commit {
             self.flush()?;
         } else {
-            self.buffers.clear();
+            for entry in &mut self.partitions {
+                entry.buffer.clear();
+            }
         }
         // A transaction that never registered a partition (nothing sent, no
         // offsets) has nothing at the coordinator to end — real Kafka skips
         // the EndTxn RPC in this case.
-        if self.registered.is_empty() {
+        if !self.partitions.iter().any(|entry| entry.registered) {
             self.in_transaction = false;
             return Ok(());
         }
@@ -472,7 +514,9 @@ impl Producer {
                         self.cluster.txn_end(&tid, self.producer_id, self.epoch, commit)?;
                     if new_epoch != self.epoch {
                         self.epoch = new_epoch;
-                        self.sequences.clear();
+                        for entry in &mut self.partitions {
+                            entry.next_sequence = 0;
+                        }
                     }
                     break;
                 }
@@ -486,7 +530,7 @@ impl Producer {
             }
         }
         self.in_transaction = false;
-        self.registered.clear();
+        self.clear_registrations();
         Ok(())
     }
 }

@@ -234,7 +234,7 @@ impl ReplicaSet {
         // keeps the worst any partition reached.
         if let Ok(log) = self.leader_log() {
             let lag = log.high_watermark() - log.last_stable_offset();
-            kobs::gauge_max("kbroker.lso_lag_peak", lag);
+            kobs::gauge!("kbroker.lso_lag_peak").max(lag);
         }
         first_error.map_or(Ok(()), |e| Err(e.into()))
     }
@@ -292,7 +292,7 @@ impl ReplicaSet {
         let was_member = self.isr.contains(&broker);
         self.isr.retain(|&b| b != broker);
         if was_member {
-            kobs::count("kbroker.isr.shrinks", 1);
+            kobs::counter!("kbroker.isr.shrinks").add(1);
             kobs::event!(
                 now_ms,
                 "kbroker.isr",
@@ -362,14 +362,14 @@ impl ReplicaSet {
                             rec.install_batch(b)?;
                         }
                         rec.advance_high_watermark(leader_log.high_watermark())?;
-                        kobs::count("kbroker.disk.suffix_catchups", 1);
+                        kobs::counter!("kbroker.disk.suffix_catchups").add(1);
                         rec
                     } else {
                         // Divergence (compaction/retention while down): the
                         // only safe repair is a full re-clone + disk resync.
                         let mut log = leader_log;
                         log.resync_disk(cfg)?;
-                        kobs::count("kbroker.disk.full_resyncs", 1);
+                        kobs::counter!("kbroker.disk.full_resyncs").add(1);
                         log
                     }
                 }
@@ -399,7 +399,7 @@ impl ReplicaSet {
                 None => self.leader_log_mut().expect("just elected").recover_producer_state(),
             }
         }
-        kobs::count("kbroker.isr.expands", 1);
+        kobs::counter!("kbroker.isr.expands").add(1);
         kobs::event!(
             now_ms,
             "kbroker.isr",

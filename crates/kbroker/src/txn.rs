@@ -102,8 +102,8 @@ impl Cluster {
             timestamp: self.now_ms(),
         };
         self.produce(&self.txn_log_tp(tid), BatchMeta::plain(), vec![rec])?;
-        kobs::count("kbroker.txn.log_records", 1);
-        kobs::count("kbroker.txn.log_bytes", bytes as u64);
+        kobs::counter!("kbroker.txn.log_records").add(1);
+        kobs::counter!("kbroker.txn.log_bytes").add(bytes as u64);
         Ok(())
     }
 
@@ -165,8 +165,8 @@ impl Cluster {
         kobs::ktrace::finish_span(complete_span, self.now_ms() * 1000);
         persisted?;
         match meta.state {
-            TxnState::CompleteCommit => kobs::count("kbroker.txn.commits", 1),
-            _ => kobs::count("kbroker.txn.aborts", 1),
+            TxnState::CompleteCommit => kobs::counter!("kbroker.txn.commits").add(1),
+            _ => kobs::counter!("kbroker.txn.aborts").add(1),
         }
         kobs::event!(
             self.now_ms(),
@@ -373,7 +373,7 @@ impl Cluster {
                     continue; // coordinator log unavailable; retry later
                 }
                 if let Ok(finished) = self.txn_finish(&tid, meta) {
-                    kobs::count("kbroker.txn.expired", 1);
+                    kobs::counter!("kbroker.txn.expired").add(1);
                     kobs::event!(
                         now,
                         "kbroker.txn",

@@ -123,8 +123,8 @@ pub fn compact(log: &mut PartitionLog) -> Result<CompactionStats, LogError> {
     let bytes_after: usize = out.iter().map(StoredBatch::approximate_size).sum();
     log.replace_batches(out)?;
     let stats = CompactionStats { records_before, records_after, bytes_before, bytes_after };
-    kobs::count("klog.compaction.passes", 1);
-    kobs::count("klog.compaction.records_removed", (records_before - records_after) as u64);
+    kobs::counter!("klog.compaction.passes").add(1);
+    kobs::counter!("klog.compaction.records_removed").add((records_before - records_after) as u64);
     kobs::event!(
         log.max_timestamp(),
         "klog",

@@ -344,7 +344,7 @@ impl PartitionLog {
                 records.len(),
             )? {
                 SequenceCheck::Duplicate { base_offset, last_offset } => {
-                    kobs::count("klog.dedup_hits", 1);
+                    kobs::counter!("klog.dedup_hits").add(1);
                     kobs::event!(
                         records.iter().map(|r| r.timestamp).max().unwrap_or(0),
                         "klog",

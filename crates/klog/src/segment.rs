@@ -144,7 +144,7 @@ impl SegmentList {
         debug_assert!(!batch.is_empty());
         let placement = self.placement();
         if placement == Placement::Roll {
-            kobs::count("klog.segment_rolls", 1);
+            kobs::counter!("klog.segment_rolls").add(1);
             kobs::event!(
                 batch.max_timestamp(),
                 "klog",

@@ -92,7 +92,7 @@ impl DiskLog {
     pub(crate) fn open_segment(&mut self, base: Offset, traced: bool) -> Result<(), LogError> {
         if let Some(done) = self.active.take() {
             fsync(&done, traced)?;
-            kobs::count("klog.disk.segment_rolls", 1);
+            kobs::counter!("klog.disk.segment_rolls").add(1);
         }
         let file = OpenOptions::new()
             .create(true)
@@ -110,8 +110,8 @@ impl DiskLog {
         };
         let frame = format::frame(&format::encode_batch(batch));
         file.write_all(&frame).map_err(|e| io_err("append frame", &e))?;
-        kobs::count("klog.disk.appends", 1);
-        kobs::count("klog.disk.append_bytes", frame.len() as u64);
+        kobs::counter!("klog.disk.appends").add(1);
+        kobs::counter!("klog.disk.append_bytes").add(frame.len() as u64);
         Ok(())
     }
 
@@ -140,7 +140,7 @@ impl DiskLog {
     /// Persist a producer-state snapshot (atomically).
     pub(crate) fn write_snapshot(&mut self, snapshot: &ProducerSnapshot) -> Result<(), LogError> {
         write_atomic(&self.path_for(SNAPSHOT_FILE), &format::encode_snapshot(snapshot))?;
-        kobs::count("klog.disk.snapshot_writes", 1);
+        kobs::counter!("klog.disk.snapshot_writes").add(1);
         Ok(())
     }
 
@@ -161,7 +161,7 @@ impl DiskLog {
             self.remove_segment(base)?;
         }
         if let Some(seg) = segments.segments().iter().find(|s| Some(s.base()) == cut.trimmed) {
-            kobs::count("klog.disk.truncate_rewrites", 1);
+            kobs::counter!("klog.disk.truncate_rewrites").add(1);
             self.write_segment(seg)?;
         }
         self.open_active(segments.segments().last())
@@ -179,7 +179,7 @@ impl DiskLog {
         for &base in old_bases {
             self.remove_segment(base)?;
         }
-        kobs::count("klog.disk.truncate_rewrites", 1);
+        kobs::counter!("klog.disk.truncate_rewrites").add(1);
         for seg in segments.segments() {
             self.write_segment(seg)?;
         }
@@ -260,10 +260,10 @@ impl DiskLog {
             segments.push(Segment::new(base, batches));
         }
         disk.open_active(segments.last())?;
-        kobs::count("klog.disk.recoveries", 1);
+        kobs::counter!("klog.disk.recoveries").add(1);
         let batches = segments.iter().map(|s| s.batches().len()).sum::<usize>();
-        kobs::count("klog.disk.recovered_batches", batches as u64);
-        kobs::count("klog.disk.recovered_bytes", recovered_bytes);
+        kobs::counter!("klog.disk.recovered_batches").add(batches as u64);
+        kobs::counter!("klog.disk.recovered_bytes").add(recovered_bytes);
         Ok((disk, segments))
     }
 
@@ -288,7 +288,7 @@ impl DiskLog {
 /// could not write.
 fn fsync(file: &File, traced: bool) -> Result<(), LogError> {
     file.sync_all().map_err(|e| io_err("fsync", &e))?;
-    kobs::count("klog.disk.fsyncs", 1);
+    kobs::counter!("klog.disk.fsyncs").add(1);
     if traced {
         let bytes = file.metadata().map_or(0, |m| m.len());
         let h = kobs::child_span!(0, "klog", "fsync", bytes = bytes as i64);

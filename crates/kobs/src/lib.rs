@@ -6,6 +6,8 @@
 //! - [`registry`]: named counters and high-water-mark gauges behind a
 //!   process-global [`Registry`], exported as ordered text or JSON
 //!   [`Snapshot`]s. Metric names follow `<crate>.<subsystem>.<metric>`.
+//!   Hot call sites hold a [`Counter`] or [`Gauge`] handle ([`counter!`],
+//!   [`gauge!`]) instead of naming the metric on every bump.
 //! - [`ktrace`] / [`trace`] / [`trace_export`]: one bounded ring of trace
 //!   records — deterministic hierarchical spans ([`span!`] /
 //!   [`child_span!`]) over the virtual clock and zero-duration structured
@@ -37,7 +39,7 @@ pub mod trace;
 pub mod trace_export;
 
 pub use ktrace::{CriticalPathSummary, Span, SpanHandle, SpanTree};
-pub use registry::{global, Registry, Snapshot, ENABLED};
+pub use registry::{global, Counter, Gauge, Registry, Snapshot, ENABLED};
 pub use trace::{Event, FieldValue, Fields};
 
 /// Reset the global registry and the trace store (run isolation in

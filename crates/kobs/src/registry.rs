@@ -15,18 +15,146 @@
 //! All maps are `BTreeMap`s: snapshots render in stable name order, which
 //! keeps `simtest` reports byte-identical across replays of one seed.
 //!
+//! A hot call site resolves its metric once, as a [`Counter`] or [`Gauge`]
+//! handle in a `static` ([`crate::counter!`], [`crate::gauge!`]), and bumps
+//! it with one relaxed atomic. A handle joins the global registry at its
+//! first bump; a snapshot reads it under the name it carries, summed with
+//! (or, for a gauge, maxed against) any by-name writes of that name, so a
+//! handle and [`Registry::count`] are two ways to write one metric.
+//!
 //! With the `off` feature every mutation below compiles to a no-op and
 //! snapshots are empty; callers need no `cfg` of their own.
 
 use crate::json::{self, Value};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 #[derive(Default)]
 struct Inner {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, i64>,
+    /// Every handle bumped since the process started, in first-bump order.
+    counter_handles: Vec<&'static Counter>,
+    gauge_handles: Vec<&'static Gauge>,
+}
+
+/// The bit of [`Counter::value`] that says the counter was bumped since the
+/// last reset: a counter bumped by 0 is in the snapshot, as a by-name
+/// `count(name, 0)` is.
+const TOUCHED: u64 = 1 << 63;
+
+/// A counter resolved once: a `static` per call site, bumped with one
+/// relaxed atomic. Declare it with [`crate::counter!`].
+pub struct Counter {
+    name: &'static str,
+    /// The count, with [`TOUCHED`] set once bumped since the last reset.
+    value: AtomicU64,
+}
+
+impl Counter {
+    /// A counter named `name`, not yet in any snapshot.
+    pub const fn new(name: &'static str) -> Self {
+        Self { name, value: AtomicU64::new(0) }
+    }
+
+    /// Add `n`. The first bump after a reset joins the snapshot.
+    #[inline]
+    #[allow(unused_variables)]
+    pub fn add(&'static self, n: u64) {
+        #[cfg(not(feature = "off"))]
+        if self.value.fetch_add(n, Ordering::Relaxed) & TOUCHED == 0 {
+            self.touch();
+        }
+    }
+
+    #[cold]
+    #[cfg_attr(feature = "off", allow(dead_code))]
+    fn touch(&'static self) {
+        let mut inner = global().lock();
+        self.value.fetch_or(TOUCHED, Ordering::Relaxed);
+        if !inner.counter_handles.iter().any(|c| std::ptr::eq(*c, self)) {
+            inner.counter_handles.push(self);
+        }
+    }
+
+    /// What this handle counted since the last reset (by-name writes of the
+    /// same name not included).
+    pub fn get(&self) -> u64 {
+        self.value.load(Ordering::Relaxed) & !TOUCHED
+    }
+
+    /// The count, if bumped since the last reset.
+    fn touched(&self) -> Option<u64> {
+        let v = self.value.load(Ordering::Relaxed);
+        (v & TOUCHED != 0).then_some(v & !TOUCHED)
+    }
+}
+
+/// A high-water-mark gauge resolved once: a `static` per call site, raised
+/// with one relaxed atomic. Declare it with [`crate::gauge!`].
+pub struct Gauge {
+    name: &'static str,
+    value: AtomicI64,
+    /// Raised since the last reset: a snapshot lists it.
+    touched: AtomicBool,
+}
+
+impl Gauge {
+    /// A gauge named `name`, not yet in any snapshot.
+    pub const fn new(name: &'static str) -> Self {
+        Self { name, value: AtomicI64::new(i64::MIN), touched: AtomicBool::new(false) }
+    }
+
+    /// Raise the gauge to `v` if larger. The first raise after a reset
+    /// joins the snapshot.
+    #[inline]
+    #[allow(unused_variables)]
+    pub fn max(&'static self, v: i64) {
+        #[cfg(not(feature = "off"))]
+        {
+            self.value.fetch_max(v, Ordering::Relaxed);
+            if !self.touched.load(Ordering::Relaxed) {
+                self.touch();
+            }
+        }
+    }
+
+    #[cold]
+    #[cfg_attr(feature = "off", allow(dead_code))]
+    fn touch(&'static self) {
+        let mut inner = global().lock();
+        self.touched.store(true, Ordering::Relaxed);
+        if !inner.gauge_handles.iter().any(|g| std::ptr::eq(*g, self)) {
+            inner.gauge_handles.push(self);
+        }
+    }
+
+    /// The peak, if raised since the last reset.
+    fn touched(&self) -> Option<i64> {
+        self.touched.load(Ordering::Relaxed).then(|| self.value.load(Ordering::Relaxed))
+    }
+}
+
+/// A [`Counter`] for this call site, resolved once:
+/// `kobs::counter!("kbroker.fetch.requests").add(1)`.
+#[macro_export]
+macro_rules! counter {
+    ($name:literal) => {{
+        static COUNTER: $crate::Counter = $crate::Counter::new($name);
+        &COUNTER
+    }};
+}
+
+/// A [`Gauge`] for this call site, resolved once:
+/// `kobs::gauge!("kbroker.lso_lag_peak").max(lag)`.
+#[macro_export]
+macro_rules! gauge {
+    ($name:literal) => {{
+        static GAUGE: $crate::Gauge = $crate::Gauge::new($name);
+        &GAUGE
+    }};
 }
 
 /// A metrics registry. Most code uses the process-global [`global()`]
@@ -49,7 +177,14 @@ pub fn global() -> &'static Registry {
 impl Registry {
     /// Create an empty registry.
     pub const fn new() -> Self {
-        Self { inner: Mutex::new(Inner { counters: BTreeMap::new(), gauges: BTreeMap::new() }) }
+        Self {
+            inner: Mutex::new(Inner {
+                counters: BTreeMap::new(),
+                gauges: BTreeMap::new(),
+                counter_handles: Vec::new(),
+                gauge_handles: Vec::new(),
+            }),
+        }
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
@@ -86,19 +221,41 @@ impl Registry {
         }
     }
 
-    /// Drop every metric (run isolation in the simulation harness).
+    /// Drop every metric (run isolation in the simulation harness): the
+    /// handles read 0 and leave the snapshot until bumped again.
     pub fn reset(&self) {
         let mut inner = self.lock();
         inner.counters.clear();
         inner.gauges.clear();
+        for counter in &inner.counter_handles {
+            counter.value.store(0, Ordering::Relaxed);
+        }
+        for gauge in &inner.gauge_handles {
+            gauge.value.store(i64::MIN, Ordering::Relaxed);
+            gauge.touched.store(false, Ordering::Relaxed);
+        }
     }
 
     /// A point-in-time copy of every metric, in stable name order.
     pub fn snapshot(&self) -> Snapshot {
         let inner = self.lock();
+        let mut counters: BTreeMap<&str, u64> =
+            inner.counters.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+        for counter in &inner.counter_handles {
+            if let Some(v) = counter.touched() {
+                *counters.entry(counter.name).or_default() += v;
+            }
+        }
+        let mut gauges: BTreeMap<&str, i64> =
+            inner.gauges.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+        for gauge in &inner.gauge_handles {
+            if let Some(v) = gauge.touched() {
+                gauges.entry(gauge.name).and_modify(|g| *g = (*g).max(v)).or_insert(v);
+            }
+        }
         Snapshot {
-            counters: inner.counters.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-            gauges: inner.gauges.iter().map(|(k, v)| (k.clone(), *v)).collect(),
+            counters: counters.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
+            gauges: gauges.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
         }
     }
 }

@@ -10,6 +10,7 @@
 use crate::rng::DetRng;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Where in the protocol a fault may be injected.
@@ -33,7 +34,8 @@ pub enum FaultPoint {
 
 impl FaultPoint {
     /// Every fault point, in a fixed order (stable across runs, used by
-    /// deterministic reports).
+    /// deterministic reports): the declaration order, so a point's
+    /// discriminant is its position here.
     pub const ALL: [FaultPoint; 5] = [
         FaultPoint::ProduceAckLost,
         FaultPoint::ProduceRequestLost,
@@ -74,31 +76,54 @@ struct PointPlan {
     /// Scripted one-shot faults: operation counter values (1-based) at which
     /// to force a decision.
     scripted: HashMap<u64, FaultDecision>,
-    /// Number of operations observed at this point so far.
-    count: u64,
     /// Number of non-`Deliver` decisions handed out at this point.
     injected: u64,
 }
 
 /// A shareable, seeded fault plan consulted by the simulated RPC layer.
 ///
-/// A default-constructed plan injects no faults, so production-path code pays
-/// only a cheap check.
+/// A plan that was never given a probability or a script is *unarmed*: it
+/// answers `Deliver` from an atomic flag and counts the operation in an
+/// atomic, taking no lock, so the production path pays two relaxed atomics.
+/// Giving it a probability (zero included) or a script arms it for good;
+/// counts stay one sequence across the switch, so a script's `nth` counts
+/// the operations observed before it too.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    inner: Arc<Mutex<FaultPlanInner>>,
+    inner: Arc<Shared>,
+}
+
+#[derive(Debug, Default)]
+struct Shared {
+    /// Set once a probability or a script was given; until then `decide`
+    /// never takes the lock. Stored with `Release` after the plan is
+    /// written and loaded with `Acquire`: a `decide` that sees it set then
+    /// locks the plan and reads what was armed.
+    armed: AtomicBool,
+    /// Set by [`FaultPlan::disable`]: decisions are `Deliver` and uncounted.
+    disabled: AtomicBool,
+    /// Operations observed per point, indexed by [`FaultPoint::index`].
+    observed: [AtomicU64; FaultPoint::ALL.len()],
+    armed_plan: Mutex<ArmedPlan>,
 }
 
 #[derive(Debug)]
-struct FaultPlanInner {
+struct ArmedPlan {
     rng: DetRng,
-    points: HashMap<FaultPoint, PointPlan>,
-    enabled: bool,
+    /// Per point, indexed by [`FaultPoint::index`].
+    points: [PointPlan; FaultPoint::ALL.len()],
 }
 
-impl Default for FaultPlanInner {
+impl Default for ArmedPlan {
     fn default() -> Self {
-        Self { rng: DetRng::new(0), points: HashMap::new(), enabled: true }
+        Self { rng: DetRng::new(0), points: Default::default() }
+    }
+}
+
+impl FaultPoint {
+    /// This point's position in [`FaultPoint::ALL`].
+    fn index(self) -> usize {
+        self as usize
     }
 }
 
@@ -111,98 +136,174 @@ impl FaultPlan {
     /// A plan with a given RNG seed for probabilistic faults.
     pub fn seeded(seed: u64) -> Self {
         let plan = Self::default();
-        plan.inner.lock().rng = DetRng::new(seed);
+        plan.inner.armed_plan.lock().rng = DetRng::new(seed);
         plan
+    }
+
+    /// Change `point`'s plan and arm the plan.
+    fn arm(self, point: FaultPoint, change: impl FnOnce(&mut PointPlan)) -> Self {
+        change(&mut self.inner.armed_plan.lock().points[point.index()]);
+        self.inner.armed.store(true, Ordering::Release);
+        self
     }
 
     /// Set the probability that operations at `point` lose their ack.
     pub fn with_ack_loss(self, point: FaultPoint, prob: f64) -> Self {
         assert!((0.0..=1.0).contains(&prob));
-        self.inner.lock().points.entry(point).or_default().ack_loss_prob = prob;
-        self
+        self.arm(point, |plan| plan.ack_loss_prob = prob)
     }
 
     /// Set the probability that operations at `point` are dropped entirely.
     pub fn with_request_loss(self, point: FaultPoint, prob: f64) -> Self {
         assert!((0.0..=1.0).contains(&prob));
-        self.inner.lock().points.entry(point).or_default().request_loss_prob = prob;
-        self
+        self.arm(point, |plan| plan.request_loss_prob = prob)
     }
 
     /// Script a one-shot fault: the `nth` (1-based) operation observed at
     /// `point` gets `decision`.
     pub fn script(self, point: FaultPoint, nth: u64, decision: FaultDecision) -> Self {
         assert!(nth >= 1, "operation counters are 1-based");
-        self.inner.lock().points.entry(point).or_default().scripted.insert(nth, decision);
-        self
+        self.arm(point, |plan| {
+            plan.scripted.insert(nth, decision);
+        })
     }
 
     /// Disable all fault injection (e.g. during a recovery phase of a test).
     pub fn disable(&self) {
-        self.inner.lock().enabled = false;
+        self.inner.disabled.store(true, Ordering::Release);
     }
 
     /// Re-enable fault injection.
     pub fn enable(&self) {
-        self.inner.lock().enabled = true;
+        self.inner.disabled.store(false, Ordering::Release);
+    }
+
+    /// Whether a probability or a script was ever given.
+    fn is_armed(&self) -> bool {
+        self.inner.armed.load(Ordering::Acquire)
     }
 
     /// Consult the plan for the next operation at `point`.
     pub fn decide(&self, point: FaultPoint) -> FaultDecision {
-        let mut inner = self.inner.lock();
-        if !inner.enabled {
+        let shared = &*self.inner;
+        if shared.disabled.load(Ordering::Acquire) {
             return FaultDecision::Deliver;
         }
-        // Split borrow: take what we need from the map entry first.
-        let plan = inner.points.entry(point).or_default();
-        plan.count += 1;
-        let count = plan.count;
-        if let Some(&d) = plan.scripted.get(&count) {
-            if d != FaultDecision::Deliver {
-                plan.injected += 1;
+        let observed = &shared.observed[point.index()];
+        if !shared.armed.load(Ordering::Acquire) {
+            observed.fetch_add(1, Ordering::Relaxed);
+            return FaultDecision::Deliver;
+        }
+        let mut guard = shared.armed_plan.lock();
+        let ArmedPlan { rng, points } = &mut *guard;
+        let plan = &mut points[point.index()];
+        let count = observed.fetch_add(1, Ordering::Relaxed) + 1;
+        let decision = match plan.scripted.get(&count) {
+            Some(&d) => d,
+            None if plan.request_loss_prob > 0.0 && rng.chance(plan.request_loss_prob) => {
+                FaultDecision::DropRequest
             }
-            return d;
+            None if plan.ack_loss_prob > 0.0 && rng.chance(plan.ack_loss_prob) => {
+                FaultDecision::DropAck
+            }
+            None => FaultDecision::Deliver,
+        };
+        if decision != FaultDecision::Deliver {
+            plan.injected += 1;
         }
-        let (alp, rlp) = (plan.ack_loss_prob, plan.request_loss_prob);
-        if rlp > 0.0 && inner.rng.chance(rlp) {
-            inner.points.get_mut(&point).expect("entry above").injected += 1;
-            return FaultDecision::DropRequest;
-        }
-        if alp > 0.0 && inner.rng.chance(alp) {
-            inner.points.get_mut(&point).expect("entry above").injected += 1;
-            return FaultDecision::DropAck;
-        }
-        FaultDecision::Deliver
+        decision
     }
 
     /// Number of operations observed so far at `point`.
     pub fn observed(&self, point: FaultPoint) -> u64 {
-        self.inner.lock().points.get(&point).map_or(0, |p| p.count)
+        self.inner.observed[point.index()].load(Ordering::Relaxed)
     }
 
     /// Number of faults actually injected (non-`Deliver` decisions) at
     /// `point`.
     pub fn injected(&self, point: FaultPoint) -> u64 {
-        self.inner.lock().points.get(&point).map_or(0, |p| p.injected)
+        if !self.is_armed() {
+            return 0;
+        }
+        self.inner.armed_plan.lock().points[point.index()].injected
     }
 
     /// `(point, observed, injected)` for every fault point, in the stable
     /// [`FaultPoint::ALL`] order — byte-identical across identical runs.
     pub fn injection_counts(&self) -> Vec<(FaultPoint, u64, u64)> {
-        let inner = self.inner.lock();
-        FaultPoint::ALL
-            .iter()
-            .map(|&p| {
-                let (o, i) = inner.points.get(&p).map_or((0, 0), |pp| (pp.count, pp.injected));
-                (p, o, i)
-            })
-            .collect()
+        FaultPoint::ALL.iter().map(|&p| (p, self.observed(p), self.injected(p))).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// One call a caller can make on a shared plan.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Decide(usize),
+        Disable,
+        Enable,
+    }
+
+    /// Mostly decisions, with a disable or an enable one time in ten each.
+    fn op() -> impl Strategy<Value = Op> {
+        (0..10usize).prop_map(|n| match n {
+            0 => Op::Disable,
+            1 => Op::Enable,
+            n => Op::Decide(n % FaultPoint::ALL.len()),
+        })
+    }
+
+    /// Every decision of `ops`, then the counts.
+    fn replay(plan: &FaultPlan, ops: &[Op]) -> (Vec<FaultDecision>, Vec<(FaultPoint, u64, u64)>) {
+        let mut decisions = Vec::new();
+        for op in ops {
+            match *op {
+                Op::Decide(point) => decisions.push(plan.decide(FaultPoint::ALL[point])),
+                Op::Disable => plan.disable(),
+                Op::Enable => plan.enable(),
+            }
+        }
+        (decisions, plan.injection_counts())
+    }
+
+    proptest! {
+        /// The unarmed plan's lock-free path decides and counts exactly as
+        /// the locked path of a plan armed with nothing to inject.
+        #[test]
+        fn unarmed_plan_matches_a_plan_armed_with_zero_probabilities(
+            seed in any::<u64>(),
+            ops in proptest::collection::vec(op(), 0..200),
+        ) {
+            let unarmed = FaultPlan::seeded(seed);
+            let armed = FaultPoint::ALL.iter().fold(FaultPlan::seeded(seed), |plan, &point| {
+                plan.with_ack_loss(point, 0.0).with_request_loss(point, 0.0)
+            });
+            prop_assert!(!unarmed.is_armed() && armed.is_armed());
+            let (decisions, counts) = replay(&unarmed, &ops);
+            prop_assert!(decisions.iter().all(|d| *d == FaultDecision::Deliver));
+            prop_assert_eq!((decisions, counts), replay(&armed, &ops));
+        }
+    }
+
+    #[test]
+    fn fault_points_index_their_position_in_all() {
+        for (i, point) in FaultPoint::ALL.iter().enumerate() {
+            assert_eq!(point.index(), i, "{point:?}");
+        }
+    }
+
+    #[test]
+    fn a_script_counts_operations_observed_before_the_plan_was_armed() {
+        let plan = FaultPlan::none();
+        plan.decide(FaultPoint::ProduceAckLost);
+        let plan = plan.script(FaultPoint::ProduceAckLost, 2, FaultDecision::DropAck);
+        assert_eq!(plan.decide(FaultPoint::ProduceAckLost), FaultDecision::DropAck);
+        assert_eq!(plan.injection_counts()[0], (FaultPoint::ProduceAckLost, 2, 1));
+    }
 
     #[test]
     fn default_plan_always_delivers() {

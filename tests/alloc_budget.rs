@@ -22,7 +22,8 @@
 //! freed bytes too: it bounds the memory a stored 2-record transactional
 //! batch keeps on a 3-broker, replication-3 partition. The rest count what
 //! a stored batch's payloads, a producer flush and nested trace spans
-//! allocate and free, and that an idle instance's `step` allocates nothing.
+//! allocate and free, that an idle instance's `step` allocates nothing, and
+//! what single-record broker produces and fetches allocate.
 //!
 //! This file is its own integration-test binary, so the
 //! `#[global_allocator]` below sees nothing but these workloads; each count
@@ -497,5 +498,47 @@ fn nested_spans_allocate_nothing_once_warm() {
         let (root, nested) = allocations_during(|| tree(n, true));
         assert_eq!(nested.calls, 0, "spans under a kept root allocated {nested:?}");
         kobs::ktrace::finish_span(root, 2_000);
+    }
+}
+
+/// Single-record produces and fetches through a 3-replica partition: a
+/// produce allocates its record vector and the batch the leader stores, a
+/// fetch the vector of batches it returns. Resolving the partition,
+/// counting the call and consulting the fault plan allocate nothing, by
+/// name or through a handle.
+#[test]
+fn single_record_produce_and_fetch_allocate_only_their_batches() {
+    use klog::{BatchMeta, IsolationLevel, Record};
+    const CALLS: i64 = 10_000;
+    /// What `CALLS` pairs by name allocated before partition handles.
+    const PARENT_ALLOCATIONS: u64 = 30_110;
+    let cluster = Cluster::builder().brokers(3).replication(3).build();
+    cluster.create_topic("t", TopicConfig::new(2)).unwrap();
+    let key = Bytes::from_static(b"k");
+    let record = |at: i64| Record::new(Some(key.clone()), Some(at.to_bytes()), at);
+    let (named, handle) =
+        (kbroker::TopicPartition::new("t", 0), kbroker::TopicPartition::new("t", 1));
+    let by_name = |at: i64| {
+        cluster.produce(&named, BatchMeta::plain(), vec![record(at)]).unwrap();
+        let fetched = cluster.fetch(&named, at, 1, IsolationLevel::ReadUncommitted).unwrap();
+        assert_eq!(fetched.count(), 1);
+    };
+    let handle = cluster.partition_handle(&handle).unwrap();
+    let by_handle = |at: i64| {
+        handle.produce(BatchMeta::plain(), vec![record(at)]).unwrap();
+        let fetched = handle.fetch(at, 1, IsolationLevel::ReadUncommitted).unwrap();
+        assert_eq!(fetched.count(), 1);
+    };
+    by_name(0);
+    by_handle(0);
+    let ((), by_name) = allocations_during(|| (1..=CALLS).for_each(by_name));
+    let ((), by_handle) = allocations_during(|| (1..=CALLS).for_each(by_handle));
+    for (path, allocated) in [("by name", by_name), ("through a handle", by_handle)] {
+        let per_pair = allocated.calls as f64 / CALLS as f64;
+        eprintln!("produce + fetch {path}: {per_pair:.3} allocations per pair");
+        assert!(
+            allocated.calls <= PARENT_ALLOCATIONS,
+            "{CALLS} pairs {path} made {allocated:?}, budget {PARENT_ALLOCATIONS} calls"
+        );
     }
 }

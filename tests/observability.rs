@@ -224,6 +224,53 @@ fn commit_cycles_reach_the_registry_counters() {
     }
 }
 
+/// An interval with nothing new commits nothing: after one real commit,
+/// ten idle commit intervals add no commit cycle, no `commit` span tree and
+/// no store spill (each used to walk every task, keep a commit tree and
+/// rewrite every spill file unchanged). A direct `commit` still commits.
+#[test]
+fn idle_intervals_commit_nothing() {
+    let _serial = OBS_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    kobs::reset();
+    let dir = std::env::temp_dir().join(format!("obs-idle-commit-{}", std::process::id()));
+    let clock = ManualClock::new();
+    let cluster = Cluster::builder().brokers(3).replication(3).clock(clock.shared()).build();
+    cluster.create_topic("events", TopicConfig::new(2)).unwrap();
+    cluster.create_topic("counts", TopicConfig::new(2)).unwrap();
+    send_events(&cluster, 8, 0);
+    let config = eos_config().with_state_dir(&dir);
+    let mut app = KafkaStreamsApp::new(cluster.clone(), counting_topology(), config, "instance-0");
+    app.start().unwrap();
+    clock.advance(10);
+    let step = app.step().unwrap();
+    assert_eq!((step.processed, step.committed), (8, true));
+
+    let commit_trees = || {
+        let trees = kobs::ktrace::recent_trees(usize::MAX);
+        trees.iter().filter(|tree| tree.iter().any(|s| s.name == "commit")).count()
+    };
+    let counter = |name| kobs::snapshot().counter(name);
+    let before = (counter("kstreams.commit_cycles"), counter("kstreams.spill.writes"));
+    let trees = commit_trees();
+    for _ in 0..10 {
+        clock.advance(10);
+        assert!(!app.step().unwrap().committed, "an idle interval commits nothing");
+    }
+    assert_eq!(app.metrics().commit_cycles, 1);
+    assert_eq!((counter("kstreams.commit_cycles"), counter("kstreams.spill.writes")), before);
+    assert_eq!(commit_trees(), trees);
+    if kobs::ENABLED {
+        assert_eq!(before.0, Some(1));
+        assert!(before.1.is_some_and(|n| n > 0), "the real commit spilled its store");
+        assert_eq!(trees, 1, "the real commit kept its tree");
+    }
+
+    app.commit().unwrap();
+    assert_eq!(app.metrics().commit_cycles, 2, "a direct commit still commits");
+    app.close().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A span is never stamped from a record's event time: records stamped a
 /// minute ahead of the cluster clock append under a commit cycle that
 /// takes no virtual time, so its tree's root lasts (well) under a

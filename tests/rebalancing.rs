@@ -611,7 +611,10 @@ fn parked_takeover(partitions: u32) -> (Setup, KafkaStreamsApp) {
         a.step().unwrap();
         s.clock.advance(10);
     }
-    assert!(a.step().unwrap().committed);
+    // Round 0 is committed; an interval with nothing new commits nothing
+    // and restarts the interval.
+    assert_eq!(committed_inputs(&s, partitions), 8, "round 0 is committed");
+    assert!(!a.step().unwrap().committed, "an idle interval commits nothing");
     send_round(&s.cluster, 8, 1);
     let open = a.step().unwrap();
     assert_eq!((open.processed, open.committed), (8, false), "round 1 stays uncommitted");

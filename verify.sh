@@ -6,11 +6,14 @@
 #                              # detlint, kcheck --quick, perfbench tests and
 #                              # perfbench/run.sh --quick
 #   ./verify.sh --quick        # fmt, clippy, tier-1 tests, bytes shim tests,
-#                              # kbroker unit tests, state-store unit tests
-#                              # and proptests, instance and standby unit
-#                              # tests, klog unit tests and proptests,
-#                              # figure-driver unit tests, perfbench type
-#                              # check, kanalyze, detlint
+#                              # kbroker unit tests, fault-plan unit tests
+#                              # and proptest, kobs handle test, no by-name
+#                              # counts on the broker data path (grep),
+#                              # state-store unit tests and proptests,
+#                              # instance and standby unit tests, klog unit
+#                              # tests and proptests, figure-driver unit
+#                              # tests, perfbench type check, kanalyze,
+#                              # detlint
 #   ./verify.sh storage        # disk seed sweep, disk replay identity, storage
 #                              # batteries
 #   ./verify.sh simtest        # seed sweeps (plain and cached), forced
@@ -223,9 +226,25 @@ gate_full() {
     step "cargo test -q -p bytes"
     cargo test -q -p bytes
 
-    # Likewise the group coordinator's and consumer client's unit tests.
+    # Likewise the group coordinator's and consumer client's unit tests,
+    # and a partition handle taken before a failover.
     step "cargo test -q -p kbroker --lib"
     cargo test -q -p kbroker --lib
+
+    # The fault plan's lock-free unarmed path against its locked path, and
+    # kobs counter/gauge handles against the by-name registry calls.
+    step "cargo test -q -p simprims --lib; cargo test -q -p kobs --test handles"
+    cargo test -q -p simprims --lib
+    cargo test -q -p kobs --test handles
+
+    # The broker's data path counts through handles resolved once per call
+    # site: no registry lock and name lookup per produce or fetch.
+    step "no by-name kobs counts in kbroker's cluster, replica, producer, consumer"
+    if grep -nE 'kobs::(count|gauge_max)\("' \
+      crates/kbroker/src/{cluster,replica,producer,consumer}.rs; then
+      echo "use kobs::counter!/kobs::gauge! handles on the broker data path" >&2
+      exit 1
+    fi
 
     # Likewise the state stores' unit tests and their model properties: the
     # window store against an ordered tree, the record cache against a
