@@ -1,11 +1,13 @@
 //! Executes one sub-topology's operator graph for one task.
 //!
-//! Records enter at a source node and are pushed through fused operators in
-//! FIFO order; sink nodes emit into the task's output buffer, which the task
-//! later sends through the (possibly transactional) producer. This is the
+//! Records enter at a source node and run depth-first through the fused
+//! operators, as in Kafka Streams: a child runs its whole subtree before its
+//! next sibling starts, which in a linear chain is the order a FIFO queue
+//! would give. Sink nodes emit into the task's output buffer, which the task
+//! later sends through the (possibly transactional) producer — the
 //! "read-process" half of the read-process-write cycle (§4).
 
-use super::{enqueue, Processor, ProcessorContext, StoreEntry};
+use super::{Downstream, Processor, ProcessorContext, StoreEntry};
 use crate::error::StreamsError;
 use crate::kserde::{decode_change, encode_change};
 use crate::metrics::StreamsMetrics;
@@ -14,7 +16,7 @@ use crate::topology::node::{NodeKind, TopicRef, ValueMode};
 use crate::topology::Topology;
 use bytes::Bytes;
 use kbroker::TopicPartition;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 
 /// One record bound for a sink topic.
 #[derive(Debug, Clone)]
@@ -93,19 +95,65 @@ impl TaskEnv {
 
 enum RuntimeKind {
     Source { mode: ValueMode },
-    Proc(Option<Box<dyn Processor>>),
+    Proc,
     Sink { sink: usize, mode: ValueMode },
 }
 
-struct RuntimeNode {
-    kind: RuntimeKind,
-    children: Vec<usize>,
+/// A node's processor: `None` for sources and sinks, and while it runs.
+pub(crate) type Slot = Option<Box<dyn Processor>>;
+
+/// A sub-topology's fixed shape. Processors live apart, in the driver's
+/// slots: a hop borrows the graph and takes only the processor it runs.
+pub(crate) struct Graph {
+    kinds: Vec<RuntimeKind>,
+    /// Each node's children; no edge enters a source.
+    children: Vec<Vec<usize>>,
+}
+
+impl Graph {
+    /// Hand `record` to every child of `node`, each running its subtree to
+    /// completion before the next starts: cloned for all but the last child,
+    /// moved into the last.
+    pub(crate) fn forward(
+        &self,
+        procs: &mut [Slot],
+        env: &mut TaskEnv,
+        node: usize,
+        record: FlowRecord,
+    ) {
+        let Some((&last, rest)) = self.children[node].split_last() else { return };
+        for &child in rest {
+            self.run(procs, env, child, record.clone());
+        }
+        self.run(procs, env, last, record);
+    }
+
+    /// Run one node on `record`: a sink emits it, a processor processes it.
+    fn run(&self, procs: &mut [Slot], env: &mut TaskEnv, node: usize, record: FlowRecord) {
+        match self.kinds[node] {
+            RuntimeKind::Sink { sink, mode } => {
+                let value = match mode {
+                    ValueMode::Plain => record.new,
+                    ValueMode::Change => Some(encode_change(&record.old, &record.new)),
+                };
+                env.metrics.records_emitted += 1;
+                env.outputs.push(SinkOutput { sink, key: record.key, value, ts: record.ts });
+            }
+            RuntimeKind::Proc => {
+                let mut p = procs[node].take().expect("processor present");
+                let downstream = Downstream::Run { graph: self, procs, node };
+                p.process(&mut ProcessorContext { downstream, env }, record);
+                procs[node] = Some(p);
+            }
+            RuntimeKind::Source { .. } => unreachable!("the driver refuses edges into a source"),
+        }
+    }
 }
 
 /// An instantiated sub-topology graph for one task.
 pub struct SubTopologyDriver {
-    /// Dense local nodes (re-indexed from the global topology).
-    nodes: Vec<RuntimeNode>,
+    graph: Graph,
+    procs: Vec<Slot>,
     /// Logical source-topic name → local source node.
     sources: HashMap<String, usize>,
     /// The topic of every sink node, in node order; a [`SinkOutput`] names
@@ -115,12 +163,11 @@ pub struct SubTopologyDriver {
     /// (first declaring processor; `None` for stores no node declared).
     /// Cache flushes forward through the owner's children.
     store_owners: Vec<(Option<usize>, String)>,
-    queue: VecDeque<(usize, FlowRecord)>,
 }
 
 impl SubTopologyDriver {
     /// Instantiate the given sub-topology: fresh processor instances per
-    /// task (§3.3).
+    /// task (§3.3). An edge into a source node is refused.
     pub fn new(topology: &Topology, subtopology: usize) -> Result<Self, StreamsError> {
         let st = topology
             .subtopologies
@@ -130,7 +177,8 @@ impl SubTopologyDriver {
         for (li, &gi) in st.nodes.iter().enumerate() {
             global_to_local.insert(gi, li);
         }
-        let mut nodes = Vec::with_capacity(st.nodes.len());
+        let mut graph = Graph { kinds: Vec::new(), children: Vec::new() };
+        let mut procs = Vec::with_capacity(st.nodes.len());
         let mut sources = HashMap::new();
         let mut sinks = Vec::new();
         let mut store_owners: Vec<(Option<usize>, String)> = Vec::new();
@@ -148,10 +196,10 @@ impl SubTopologyDriver {
                     })
                 })
                 .collect::<Result<Vec<usize>, _>>()?;
-            let kind = match &node.kind {
+            let (kind, proc) = match &node.kind {
                 NodeKind::Source { topic, mode } => {
                     sources.insert(topic.name.clone(), li);
-                    RuntimeKind::Source { mode: *mode }
+                    (RuntimeKind::Source { mode: *mode }, None)
                 }
                 NodeKind::Processor { factory, stores } => {
                     for s in stores {
@@ -159,14 +207,23 @@ impl SubTopologyDriver {
                             store_owners.push((Some(li), s.clone()));
                         }
                     }
-                    RuntimeKind::Proc(Some(factory()))
+                    (RuntimeKind::Proc, Some(factory()))
                 }
                 NodeKind::Sink { topic, mode } => {
                     sinks.push(topic.clone());
-                    RuntimeKind::Sink { sink: sinks.len() - 1, mode: *mode }
+                    (RuntimeKind::Sink { sink: sinks.len() - 1, mode: *mode }, None)
                 }
             };
-            nodes.push(RuntimeNode { kind, children });
+            graph.kinds.push(kind);
+            graph.children.push(children);
+            procs.push(proc);
+        }
+        let is_source = |&&c: &&usize| matches!(graph.kinds[c], RuntimeKind::Source { .. });
+        if let Some(&li) = graph.children.iter().flatten().find(is_source) {
+            return Err(StreamsError::InvalidTopology(format!(
+                "edge into source node {}",
+                topology.nodes[st.nodes[li]].name
+            )));
         }
         // Stores attached to the sub-topology but declared by no node still
         // need their caches flushed (changelog only, nothing to forward).
@@ -175,7 +232,7 @@ impl SubTopologyDriver {
                 store_owners.push((None, s.clone()));
             }
         }
-        Ok(Self { nodes, sources, sinks, store_owners, queue: VecDeque::new() })
+        Ok(Self { graph, procs, sources, sinks, store_owners })
     }
 
     /// The source node reading the logical topic `topic`, if there is one.
@@ -201,7 +258,7 @@ impl SubTopologyDriver {
         ts: i64,
     ) -> Result<(), StreamsError> {
         // Decode according to the source's value mode.
-        let record = match self.nodes.get(source).map(|n| &n.kind) {
+        let record = match self.graph.kinds.get(source) {
             Some(RuntimeKind::Source { mode: ValueMode::Plain }) => {
                 FlowRecord { key, new: value, old: None, ts }
             }
@@ -222,106 +279,49 @@ impl SubTopologyDriver {
             env.stream_time = ts;
         }
         env.metrics.records_processed += 1;
-        enqueue(&mut self.queue, &self.nodes[source].children, record);
-        self.drain(env)
+        self.graph.forward(&mut self.procs, env, source, record);
+        Ok(())
     }
 
-    /// Run all processors' punctuators (time-driven output: suppress
-    /// flushes, outer-join padding, GC).
-    pub fn punctuate(&mut self, env: &mut TaskEnv, wall_time: i64) -> Result<(), StreamsError> {
+    /// Run all processors' punctuators in node order (suppress flushes,
+    /// join padding, GC). Their forwards run downstream at once, ahead of
+    /// the downstream operators' own punctuators.
+    pub fn punctuate(&mut self, env: &mut TaskEnv, wall_time: i64) {
         let stream_time = env.stream_time;
-        for i in 0..self.nodes.len() {
-            if matches!(self.nodes[i].kind, RuntimeKind::Proc(_)) {
-                let mut p = match &mut self.nodes[i].kind {
-                    RuntimeKind::Proc(slot) => slot.take().expect("processor present"),
-                    _ => unreachable!(),
-                };
-                let children = std::mem::take(&mut self.nodes[i].children);
-                {
-                    let mut ctx =
-                        ProcessorContext { children: &children, queue: &mut self.queue, env };
-                    p.punctuate(&mut ctx, stream_time, wall_time);
-                }
-                self.nodes[i].children = children;
-                match &mut self.nodes[i].kind {
-                    RuntimeKind::Proc(slot) => *slot = Some(p),
-                    _ => unreachable!(),
-                }
-            }
+        for node in 0..self.procs.len() {
+            let Some(mut p) = self.procs[node].take() else { continue };
+            let downstream = Downstream::Run { graph: &self.graph, procs: &mut self.procs, node };
+            p.punctuate(&mut ProcessorContext { downstream, env }, stream_time, wall_time);
+            self.procs[node] = Some(p);
         }
-        self.drain(env)
     }
 
     /// Flush every store's record cache through the operator graph (the
     /// commit-time write-back): dirty entries become changelog appends, and
     /// revisions registered for forwarding travel to the owning node's
-    /// children like any processed record. A flushed revision may dirty a
-    /// *downstream* store's cache (e.g. a suppress buffer absorbing it), so
-    /// passes repeat until the graph is clean — bounded by graph depth,
-    /// because forwards only flow down the DAG.
+    /// children like any processed record. A pass flushes every cache before
+    /// it forwards anything, so a revision dirtying a *downstream* cache
+    /// (e.g. a suppress buffer's) waits for the next pass. Passes repeat
+    /// until the graph is clean — bounded by graph depth in a DAG.
     pub fn flush_caches(&mut self, env: &mut TaskEnv) -> Result<(), StreamsError> {
-        for _ in 0..=self.nodes.len() {
-            let mut forwarded = false;
-            for oi in 0..self.store_owners.len() {
-                let (owner, store) = self.store_owners[oi].clone();
-                let records = env.flush_cache(&store);
-                if records.is_empty() {
-                    continue;
-                }
-                let Some(owner) = owner else { continue };
-                forwarded = true;
-                for record in records {
-                    enqueue(&mut self.queue, &self.nodes[owner].children, record);
+        for _ in 0..=self.procs.len() {
+            let mut flushed = Vec::new();
+            for (owner, store) in &self.store_owners {
+                let records = env.flush_cache(store);
+                if let (Some(owner), false) = (*owner, records.is_empty()) {
+                    flushed.push((owner, records));
                 }
             }
-            if !forwarded {
+            if flushed.is_empty() {
                 return Ok(());
             }
-            self.drain(env)?;
-        }
-        // A DAG hands dirtiness strictly downstream, so depth-many passes
-        // always suffice; running out means the graph is not a DAG.
-        Err(StreamsError::InvalidOperation("record-cache flush did not converge".into()))
-    }
-
-    fn drain(&mut self, env: &mut TaskEnv) -> Result<(), StreamsError> {
-        while let Some((ni, record)) = self.queue.pop_front() {
-            match &mut self.nodes[ni].kind {
-                RuntimeKind::Source { .. } => {
-                    return Err(StreamsError::InvalidTopology(
-                        "record forwarded into a source node".into(),
-                    ));
-                }
-                RuntimeKind::Sink { sink, mode } => {
-                    let value = match mode {
-                        ValueMode::Plain => record.new,
-                        ValueMode::Change => Some(encode_change(&record.old, &record.new)),
-                    };
-                    env.metrics.records_emitted += 1;
-                    env.outputs.push(SinkOutput {
-                        sink: *sink,
-                        key: record.key,
-                        value,
-                        ts: record.ts,
-                    });
-                }
-                RuntimeKind::Proc(slot) => {
-                    let mut p = slot.take().expect("processor present");
-                    let children = std::mem::take(&mut self.nodes[ni].children);
-                    {
-                        let mut ctx =
-                            ProcessorContext { children: &children, queue: &mut self.queue, env };
-                        p.process(&mut ctx, record);
-                    }
-                    self.nodes[ni].children = children;
-                    match &mut self.nodes[ni].kind {
-                        RuntimeKind::Proc(slot) => *slot = Some(p),
-                        _ => unreachable!(),
-                    }
+            for (owner, records) in flushed {
+                for record in records {
+                    self.graph.forward(&mut self.procs, env, owner, record);
                 }
             }
         }
-        Ok(())
+        Err(StreamsError::InvalidOperation("record-cache flush did not converge".into()))
     }
 }
 
@@ -542,6 +542,92 @@ mod tests {
         assert_eq!(driver.source("other"), None);
         let not_a_source = driver.source("in").unwrap() + 1;
         assert!(driver.process(&mut env, not_a_source, None, None, 0).is_err());
+    }
+
+    /// Forwards every record twice, values 1 and 2.
+    struct Twice;
+    impl Processor for Twice {
+        fn process(&mut self, ctx: &mut ProcessorContext<'_>, record: FlowRecord) {
+            for n in [1, 2] {
+                ctx.forward(FlowRecord { new: Some(i64b(n)), ..record.clone() });
+            }
+        }
+    }
+
+    /// Forwards the number of records the task had emitted when it ran.
+    struct EmittedSoFar;
+    impl Processor for EmittedSoFar {
+        fn process(&mut self, ctx: &mut ProcessorContext<'_>, record: FlowRecord) {
+            let emitted = ctx.metrics().records_emitted as i64;
+            ctx.forward(FlowRecord { new: Some(i64b(emitted)), ..record });
+        }
+    }
+
+    #[test]
+    fn a_forward_runs_the_whole_subtree_of_a_child_before_the_next_child() {
+        // source → {A → one, B → two}: A's two records reach its sink
+        // before B runs, so B sees them emitted. A FIFO queue would run B
+        // before either reached `one`, and B would read 0.
+        let mut b = InternalBuilder::new();
+        let src = b.add_source("s".into(), TopicRef::external("in"), ValueMode::Plain).unwrap();
+        let a = b.add_processor("a".into(), Arc::new(|| Box::new(Twice)), &[src], vec![]).unwrap();
+        let bp = b
+            .add_processor("b".into(), Arc::new(|| Box::new(EmittedSoFar)), &[src], vec![])
+            .unwrap();
+        b.add_sink("one".into(), TopicRef::external("one"), ValueMode::Plain, &[a]).unwrap();
+        b.add_sink("two".into(), TopicRef::external("two"), ValueMode::Plain, &[bp]).unwrap();
+        let t = b.build().unwrap();
+        let mut driver = SubTopologyDriver::new(&t, 0).unwrap();
+        let mut env = TaskEnv::new(0);
+        let key = Some(Bytes::from_static(b"k"));
+        process_in(&mut driver, &mut env, key.clone(), Some(i64b(0)), 5).unwrap();
+        let want = vec![
+            ("one".to_string(), key.clone(), Some(i64b(1)), 5),
+            ("one".to_string(), key.clone(), Some(i64b(2)), 5),
+            ("two".to_string(), key, Some(i64b(2)), 5),
+        ];
+        assert_eq!(outputs_by_topic(&driver, &env), want);
+    }
+
+    #[test]
+    fn an_edge_into_a_source_is_refused_at_build() {
+        let mut b = InternalBuilder::new();
+        let src = b.add_source("s".into(), TopicRef::external("in"), ValueMode::Plain).unwrap();
+        let p =
+            b.add_processor("d".into(), Arc::new(|| Box::new(Doubler)), &[src], vec![]).unwrap();
+        let back =
+            b.add_source("back".into(), TopicRef::external("back"), ValueMode::Plain).unwrap();
+        b.connect(&[p], back).unwrap();
+        let t = b.build().unwrap();
+        match SubTopologyDriver::new(&t, 0) {
+            Err(StreamsError::InvalidTopology(msg)) => assert!(msg.contains("back"), "{msg}"),
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("a graph forwarding into a source must be refused"),
+        }
+    }
+
+    #[test]
+    fn a_long_chain_fits_a_default_thread_stack() {
+        // Depth-first dispatch recurses once per hop: 256 typed
+        // `map_values` in a row must run on a 2 MiB stack, unoptimized.
+        const HOPS: i64 = 256;
+        let run = || {
+            let builder = crate::StreamsBuilder::new();
+            let mut stream = builder.stream::<String, i64>("in");
+            for _ in 0..HOPS {
+                stream = stream.map_values(|_, v| v + 1);
+            }
+            stream.to("out");
+            let t = builder.build().unwrap();
+            let mut driver = SubTopologyDriver::new(&t, 0).unwrap();
+            let mut env = TaskEnv::new(0);
+            let key = Some(crate::KSerde::to_bytes(&"k".to_string()));
+            process_in(&mut driver, &mut env, key, Some(crate::KSerde::to_bytes(&0i64)), 0)
+                .unwrap();
+            env.outputs[0].value.clone()
+        };
+        let out = std::thread::Builder::new().stack_size(2 << 20).spawn(run).unwrap();
+        assert_eq!(out.join().unwrap(), Some(crate::KSerde::to_bytes(&HOPS)));
     }
 
     #[test]

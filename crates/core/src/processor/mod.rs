@@ -1,11 +1,11 @@
 //! The low-level Processor API and per-record execution context.
 //!
-//! Operators within a sub-topology are fused (§3.2): an upstream operator
-//! hands records directly to downstream operators in memory via
-//! [`ProcessorContext::forward`], with no network hop. The context also
-//! mediates all state-store access so every write is captured for the
-//! store's changelog topic (§3.2, §4) — this is what turns "state update"
-//! into "log append" and lets transactions cover it.
+//! Operators within a sub-topology are fused (§3.2): [`ProcessorContext::forward`]
+//! runs each downstream operator in place, depth-first as in Kafka Streams,
+//! with no queue and no network hop. The context also mediates all
+//! state-store access so every write is captured for the store's changelog
+//! topic (§3.2, §4) — this is what turns "state update" into "log append"
+//! and lets transactions cover it.
 
 pub mod driver;
 
@@ -15,8 +15,9 @@ use crate::record::FlowRecord;
 use crate::state::{RecordCache, Store, StoreSpec};
 use crate::topology::Topology;
 use bytes::Bytes;
+use driver::{Graph, Slot};
 use kbroker::TopicPartition;
-use std::collections::VecDeque;
+use std::collections::BTreeMap;
 
 /// A stream processor: receives one record at a time, may read/write stores
 /// and forward records downstream.
@@ -65,47 +66,36 @@ impl StoreEntry {
     }
 }
 
-/// Queue `record` for each of `children`: a record has one owner per hop, so
-/// it is cloned for every child but the last and moved into the last.
-pub(crate) fn enqueue(
-    queue: &mut VecDeque<(usize, FlowRecord)>,
-    children: &[usize],
-    record: FlowRecord,
-) {
-    let Some((&last, rest)) = children.split_last() else { return };
-    for &c in rest {
-        queue.push_back((c, record.clone()));
-    }
-    queue.push_back((last, record));
+/// Where a context's forwards go.
+enum Downstream<'a> {
+    /// Inside a driver: a forward runs the children of `node` in place;
+    /// `procs` holds every processor but the running one.
+    Run { graph: &'a Graph, procs: &'a mut [Slot], node: usize },
+    /// Outside a graph: forwards collect in the caller's buffer.
+    Collect(&'a mut Vec<FlowRecord>),
 }
 
-/// The context a processor sees while handling one record.
-///
-/// Borrows the task's environment: stores, output buffers, metrics, and the
-/// forward queue of the driver.
+/// The context a processor sees while handling one record: the task's
+/// environment (stores, outputs, metrics, time) and where forwards go.
 pub struct ProcessorContext<'a> {
-    /// Children of the currently executing node.
-    pub(crate) children: &'a [usize],
-    /// The driver's pending-record queue.
-    pub(crate) queue: &'a mut VecDeque<(usize, FlowRecord)>,
-    /// Task environment: stores, outputs, metrics, time.
-    pub(crate) env: &'a mut TaskEnv,
+    downstream: Downstream<'a>,
+    env: &'a mut TaskEnv,
 }
 
 impl<'a> ProcessorContext<'a> {
-    /// Build a context directly — for driving a single [`Processor`]
-    /// outside a task (unit tests, microbenchmarks).
-    pub fn new(
-        children: &'a [usize],
-        queue: &'a mut VecDeque<(usize, FlowRecord)>,
-        env: &'a mut TaskEnv,
-    ) -> Self {
-        Self { children, queue, env }
+    /// Build a context outside any graph, to drive a single [`Processor`]
+    /// (unit tests, microbenchmarks): forwards collect in `forwarded`.
+    pub fn new(forwarded: &'a mut Vec<FlowRecord>, env: &'a mut TaskEnv) -> Self {
+        Self { downstream: Downstream::Collect(forwarded), env }
     }
 
-    /// Forward a record to all downstream operators of the current node.
+    /// Forward a record to all downstream operators of the current node,
+    /// each running its subtree to completion before this returns.
     pub fn forward(&mut self, record: FlowRecord) {
-        enqueue(self.queue, self.children, record);
+        match &mut self.downstream {
+            Downstream::Run { graph, procs, node } => graph.forward(procs, self.env, *node, record),
+            Downstream::Collect(forwarded) => forwarded.push(record),
+        }
     }
 
     /// Current task stream time: the maximum record timestamp observed so
@@ -141,61 +131,58 @@ impl<'a> ProcessorContext<'a> {
     // ---------------------------------------------------------------
 
     fn entry(&mut self, store: &str) -> &mut StoreEntry {
-        self.env
-            .stores
-            .get_mut(store)
-            .unwrap_or_else(|| panic!("processor accessed undeclared store {store}"))
+        entry(&mut self.env.stores, store)
     }
 
-    /// Record one write's side effects. `changelog_key` is the store-shape
-    /// composite key (also the forwarded record key); `old` is the store
-    /// value before this write and becomes the revision's retraction half
-    /// when `forward` is set.
+    /// Apply `write` to `store`, looked up once, and record its side
+    /// effects. `write` returns its result, the changelog key (also the
+    /// forwarded record key), the new value and the old one, which becomes
+    /// the revision's retraction half when `forward` is set.
     ///
     /// With a cache enabled the write coalesces into a dirty entry that the
     /// task flushes at commit; an entry evicted by the capacity bound is
     /// flushed here, through the current node — safe because revisions are
     /// only registered by the single operator that owns the store.
-    fn record_write(
+    fn write<R>(
         &mut self,
         store: &str,
-        changelog_key: Bytes,
-        value: Option<Bytes>,
-        old: Option<Bytes>,
         ts: i64,
         forward: bool,
-    ) {
-        let entry = self.entry(store);
+        write: impl FnOnce(&mut Store) -> (R, Bytes, Option<Bytes>, Option<Bytes>),
+    ) -> R {
+        let TaskEnv { stores, changelog: log, metrics, .. } = &mut *self.env;
+        let entry = entry(stores, store);
+        let (result, key, value, old) = write(&mut entry.store);
         let changelog = entry.changelog;
         if changelog.is_none() && !forward {
-            return;
+            return result;
         }
-        if !entry.cache.enabled() {
-            if let Some(changelog) = changelog {
-                self.env.metrics.changelog_appends += 1;
-                self.env.changelog.push((changelog, changelog_key.clone(), value.clone()));
+        let revision = if entry.cache.enabled() {
+            let outcome = entry.cache.put(key, old, value, ts, forward);
+            if outcome.hit {
+                metrics.cache_hits += 1;
+            } else {
+                metrics.cache_misses += 1;
             }
-            if forward {
-                self.forward(FlowRecord { key: Some(changelog_key), old, new: value, ts });
-            }
-            return;
-        }
-        let outcome = entry.cache.put(changelog_key, old, value, ts, forward);
-        if outcome.hit {
-            self.env.metrics.cache_hits += 1;
+            outcome.evicted.and_then(|(key, e)| {
+                metrics.cache_evictions += 1;
+                if let Some(changelog) = changelog {
+                    metrics.changelog_appends += 1;
+                    log.push((changelog, key.clone(), e.new.clone()));
+                }
+                e.forward.then_some(FlowRecord { key: Some(key), old: e.old, new: e.new, ts: e.ts })
+            })
         } else {
-            self.env.metrics.cache_misses += 1;
-        }
-        if let Some((key, e)) = outcome.evicted {
-            self.env.metrics.cache_evictions += 1;
             if let Some(changelog) = changelog {
-                self.env.metrics.changelog_appends += 1;
-                self.env.changelog.push((changelog, key.clone(), e.new.clone()));
+                metrics.changelog_appends += 1;
+                log.push((changelog, key.clone(), value.clone()));
             }
-            if e.forward {
-                self.forward(FlowRecord { key: Some(key), old: e.old, new: e.new, ts: e.ts });
-            }
+            forward.then_some(FlowRecord { key: Some(key), old, new: value, ts })
+        };
+        if let Some(revision) = revision {
+            self.forward(revision);
         }
+        result
     }
 
     /// Key/value get.
@@ -205,10 +192,10 @@ impl<'a> ProcessorContext<'a> {
 
     /// Key/value put (None deletes); returns the prior value.
     pub fn kv_put(&mut self, store: &str, key: Bytes, value: Option<Bytes>) -> Option<Bytes> {
-        let old = self.entry(store).store.as_kv().put(key.clone(), value.clone());
         let ts = self.env.stream_time;
-        self.record_write(store, key, value, None, ts, false);
-        old
+        self.write(store, ts, false, |s| {
+            (s.as_kv().put(key.clone(), value.clone()), key, value, None)
+        })
     }
 
     /// Key/value read-modify-write in one probe of the store: `f` maps the
@@ -224,8 +211,10 @@ impl<'a> ProcessorContext<'a> {
         ts: i64,
         f: impl FnOnce(Option<&Bytes>) -> Option<Bytes>,
     ) {
-        let (old, new) = self.entry(store).store.as_kv().update(key.clone(), f);
-        self.record_write(store, key, new, old, ts, true);
+        self.write(store, ts, true, |s| {
+            let (old, new) = s.as_kv().update(key.clone(), f);
+            ((), key, new, old)
+        });
     }
 
     /// Number of entries in a KV store (suppress occupancy, index checks).
@@ -263,11 +252,11 @@ impl<'a> ProcessorContext<'a> {
         window_start: i64,
         value: Option<Bytes>,
     ) -> Option<Bytes> {
-        let old = self.entry(store).store.as_window().put(key.clone(), window_start, value.clone());
         let ck = Store::windowed_changelog_key(&key, window_start);
         let ts = self.env.stream_time;
-        self.record_write(store, ck, value, None, ts, false);
-        old
+        self.write(store, ts, false, |s| {
+            (s.as_window().put(key, window_start, value.clone()), ck, value, None)
+        })
     }
 
     /// Windowed read-modify-write in one descent of the store: `f` maps the
@@ -284,8 +273,10 @@ impl<'a> ProcessorContext<'a> {
         f: impl FnOnce(Option<&Bytes>) -> Option<Bytes>,
     ) {
         let ck = Store::windowed_changelog_key(&key, window_start);
-        let (old, new) = self.entry(store).store.as_window().update(key, window_start, f);
-        self.record_write(store, ck, new, old, ts, true);
+        self.write(store, ts, true, |s| {
+            let (old, new) = s.as_window().update(key, window_start, f);
+            ((), ck, new, old)
+        });
     }
 
     /// Windowed range fetch for one key.
@@ -344,18 +335,22 @@ impl<'a> ProcessorContext<'a> {
 
     /// Store a session.
     pub fn session_put(&mut self, store: &str, key: Bytes, start: i64, end: i64, value: Bytes) {
-        self.entry(store).store.as_session().put(key.clone(), start, end, value.clone());
         let ck = crate::state::session::encode_session_key(&key, start, end);
         let ts = self.env.stream_time;
-        self.record_write(store, ck, Some(value), None, ts, false);
+        self.write(store, ts, false, |s| {
+            s.as_session().put(key, start, end, value.clone());
+            ((), ck, Some(value), None)
+        });
     }
 
     /// Remove a session.
     pub fn session_remove(&mut self, store: &str, key: &[u8], start: i64, end: i64) {
-        self.entry(store).store.as_session().remove(key, start, end);
         let ck = crate::state::session::encode_session_key(key, start, end);
         let ts = self.env.stream_time;
-        self.record_write(store, ck, None, None, ts, false);
+        self.write(store, ts, false, |s| {
+            s.as_session().remove(key, start, end);
+            ((), ck, None, None)
+        });
     }
 
     /// Expire sessions ended before `horizon` (grace GC; not changelogged,
@@ -369,4 +364,9 @@ impl<'a> ProcessorContext<'a> {
     ) -> Vec<(Bytes, crate::state::session::SessionEntry)> {
         self.entry(store).store.as_session().expire_before(horizon)
     }
+}
+
+/// `store`'s entry: a processor touching a store it did not declare is a bug.
+fn entry<'s>(stores: &'s mut BTreeMap<String, StoreEntry>, store: &str) -> &'s mut StoreEntry {
+    stores.get_mut(store).unwrap_or_else(|| panic!("processor accessed undeclared store {store}"))
 }

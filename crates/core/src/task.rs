@@ -328,8 +328,8 @@ impl StreamTask {
     ///
     /// The cycle is traced once it ran: a `task` span holding the
     /// [`poll`](Self::poll)'s phases and a `punctuate` span if the
-    /// punctuation changed output or cache (or failed). A task whose cycle
-    /// did nothing records no span at all.
+    /// punctuation changed output or cache. A task whose cycle did nothing
+    /// records no span at all.
     pub(crate) fn run_cycle(
         &mut self,
         cluster: &Cluster,
@@ -338,12 +338,8 @@ impl StreamTask {
         wall_ms: i64,
     ) -> Result<usize, StreamsError> {
         let (processed, polled) = self.poll(cluster, max_records, isolation, wall_ms);
-        // A punctuation that failed is traced like one that did something.
         let (result, punctuated) = match processed {
-            Ok(n) => match self.punctuate(wall_ms) {
-                Ok(changed) => (Ok(n), changed),
-                Err(e) => (Err(e), true),
-            },
+            Ok(n) => (Ok(n), self.punctuate(wall_ms)),
             Err(e) => (Err(e), false),
         };
         if polled.worked() || punctuated || result.is_err() {
@@ -488,16 +484,16 @@ impl StreamTask {
 
     /// Run time-driven operators (suppress flushes, join padding, GC).
     /// Returns whether that changed the task's outputs, changelog or caches.
-    fn punctuate(&mut self, wall_time: i64) -> Result<bool, StreamsError> {
+    fn punctuate(&mut self, wall_time: i64) -> bool {
         let before = self.env.outputs.len() + self.env.changelog.len();
         let cache_before = self.env.cache_dirty_entries();
-        let result = self.driver.punctuate(&mut self.env, wall_time);
+        self.driver.punctuate(&mut self.env, wall_time);
         let changed = self.env.outputs.len() + self.env.changelog.len() != before
             || self.env.cache_dirty_entries() != cache_before;
         if changed {
             self.dirty = true;
         }
-        result.map(|()| changed)
+        changed
     }
 
     /// Write back every store's record cache (the commit-time flush): dirty
@@ -523,11 +519,10 @@ impl StreamTask {
         let span =
             kobs::child_span!(wall_time, "kstreams", "cache_flush", task = self.id, dirty = dirty);
         kobs::gauge_max("kstreams.cache.dirty_entries_peak", dirty as i64);
-        let result = self
-            .driver
-            .flush_caches(&mut self.env)
-            .and_then(|()| self.driver.punctuate(&mut self.env, wall_time))
-            .and_then(|()| self.driver.flush_caches(&mut self.env));
+        let result = self.driver.flush_caches(&mut self.env).and_then(|()| {
+            self.driver.punctuate(&mut self.env, wall_time);
+            self.driver.flush_caches(&mut self.env)
+        });
         kobs::ktrace::finish_span(span, wall_time * 1000);
         result
     }

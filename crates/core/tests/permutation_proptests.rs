@@ -17,13 +17,8 @@ use kstreams::topology::builder::InternalBuilder;
 use kstreams::topology::node::{TopicRef, ValueMode};
 use proptest::prelude::*;
 use simkit::DetRng;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-
-/// A single dummy child node id: `ProcessorContext::forward` only enqueues
-/// when the current node has children, so tests that inspect forwarded
-/// records must supply one.
-const CHILD: &[usize] = &[0];
 
 const WINDOW_MS: i64 = 1_000;
 /// Timestamps are drawn from `[0, SPAN_MS)`.
@@ -76,23 +71,23 @@ fn oracle(events: &[(u8, i64)]) -> HashMap<(u8, i64), i64> {
 
 fn run_window_aggregate(
     events: &[(u8, i64)],
-) -> (TaskEnv, VecDeque<FlowRecord>, HashMap<(u8, i64), i64>) {
+) -> (TaskEnv, Vec<FlowRecord>, HashMap<(u8, i64), i64>) {
     let windows = TimeWindows::of(WINDOW_MS).grace(GRACE_MS);
     let mut agg = WindowAggregate { store: "w".into(), windows, agg: count_agg() };
     let mut env = env_with(&[("w", StoreKind::Window)]);
-    let mut forwarded = VecDeque::new();
+    let mut forwarded = Vec::new();
     let mut finals: HashMap<(u8, i64), i64> = HashMap::new();
     for (k, ts) in events {
         let rec =
             FlowRecord::stream(Some(Bytes::from(vec![*k])), Some(Bytes::from_static(b"v")), *ts);
-        let mut queue = VecDeque::new();
-        let mut ctx = ProcessorContext::new(CHILD, &mut queue, &mut env);
+        let mut revisions = Vec::new();
+        let mut ctx = ProcessorContext::new(&mut revisions, &mut env);
         agg.process(&mut ctx, rec);
-        for (_, out) in queue {
+        for out in revisions {
             let (key, start) = decode_windowed_key(out.key.as_ref().unwrap()).unwrap();
             let value = i64::from_bytes(out.new.as_ref().unwrap()).unwrap();
             finals.insert((key[0], start), value);
-            forwarded.push_back(out);
+            forwarded.push(out);
         }
     }
     (env, forwarded, finals)
@@ -299,17 +294,17 @@ proptest! {
                 Some(Bytes::from_static(b"v")),
                 *ts,
             );
-            let mut queue = VecDeque::new();
-            let mut ctx = ProcessorContext::new(CHILD, &mut queue, &mut env);
+            let mut forwarded = Vec::new();
+            let mut ctx = ProcessorContext::new(&mut forwarded, &mut env);
             agg.process(&mut ctx, rec);
             // Pipe the aggregate's revisions into the suppress buffer, as
             // the task driver would.
-            for (_, revision) in std::mem::take(&mut queue) {
-                let mut ctx = ProcessorContext::new(CHILD, &mut queue, &mut env);
+            for revision in std::mem::take(&mut forwarded) {
+                let mut ctx = ProcessorContext::new(&mut forwarded, &mut env);
                 suppress.process(&mut ctx, revision);
             }
             // Nothing may escape the buffer before its window closes.
-            prop_assert!(queue.is_empty(), "suppress leaked an early revision");
+            prop_assert!(forwarded.is_empty(), "suppress leaked an early revision");
         }
 
         // Close every data window: a closer record (key 255, outside the
@@ -318,25 +313,25 @@ proptest! {
         // Its own revision stays buffered (its window never closes) and is
         // excluded from the comparison below.
         let close_all = SPAN_MS + WINDOW_MS + GRACE_MS;
-        let mut queue = VecDeque::new();
+        let mut forwarded = Vec::new();
         {
             let closer = FlowRecord::stream(
                 Some(Bytes::from(vec![255u8])),
                 Some(Bytes::from_static(b"v")),
                 close_all,
             );
-            let mut ctx = ProcessorContext::new(CHILD, &mut queue, &mut env);
+            let mut ctx = ProcessorContext::new(&mut forwarded, &mut env);
             agg.process(&mut ctx, closer);
         }
-        for (_, revision) in std::mem::take(&mut queue) {
-            let mut ctx = ProcessorContext::new(CHILD, &mut queue, &mut env);
+        for revision in std::mem::take(&mut forwarded) {
+            let mut ctx = ProcessorContext::new(&mut forwarded, &mut env);
             suppress.process(&mut ctx, revision);
         }
-        let mut ctx = ProcessorContext::new(CHILD, &mut queue, &mut env);
+        let mut ctx = ProcessorContext::new(&mut forwarded, &mut env);
         suppress.punctuate(&mut ctx, close_all, 0);
 
         let mut got: HashMap<(u8, i64), i64> = HashMap::new();
-        for (_, out) in queue {
+        for out in forwarded {
             let (key, start) = decode_windowed_key(out.key.as_ref().unwrap()).unwrap();
             let value = i64::from_bytes(out.new.as_ref().unwrap()).unwrap();
             let dup = got.insert((key[0], start), value);

@@ -16,7 +16,7 @@ use kstreams::state::spill::{spill_path, write_spill, StoreSpill};
 use kstreams::state::{DirtyEntry, KvStore, RecordCache, Store, StoreKind, StoreSpec, WindowStore};
 use proptest::prelude::*;
 use simkit::DetRng;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 fn count_agg() -> kstreams::dsl::ops::AggFn {
@@ -134,16 +134,16 @@ proptest! {
         let windows = TimeWindows::of(1_000).grace(i64::MAX / 4);
         let mut agg = WindowAggregate { store: "w".into(), windows, agg: count_agg() };
         let mut env = window_env();
-        let mut queue = VecDeque::new();
+        let mut forwarded = Vec::new();
         for (k, ts) in &events {
             let rec = FlowRecord::stream(
                 Some(Bytes::from(vec![*k])),
                 Some(Bytes::from_static(b"v")),
                 *ts,
             );
-            let mut ctx = ProcessorContext::new(&[], &mut queue, &mut env);
+            let mut ctx = ProcessorContext::new(&mut forwarded, &mut env);
             agg.process(&mut ctx, rec);
-            queue.clear();
+            forwarded.clear();
         }
         prop_assert_eq!(env.metrics.late_dropped, 0, "infinite grace drops nothing");
         // Batch oracle.
@@ -170,16 +170,16 @@ proptest! {
         let windows = TimeWindows::of(1_000).grace(i64::MAX / 4);
         let mut agg = WindowAggregate { store: "w".into(), windows, agg: count_agg() };
         let mut env = window_env();
-        let mut queue = VecDeque::new();
+        let mut forwarded = Vec::new();
         for (k, ts) in &events {
             let rec = FlowRecord::stream(
                 Some(Bytes::from(vec![*k])),
                 Some(Bytes::from_static(b"v")),
                 *ts,
             );
-            let mut ctx = ProcessorContext::new(&[], &mut queue, &mut env);
+            let mut ctx = ProcessorContext::new(&mut forwarded, &mut env);
             agg.process(&mut ctx, rec);
-            queue.clear();
+            forwarded.clear();
         }
         // Replay the captured changelog into a fresh store.
         let mut restored = Store::new(StoreKind::Window);
@@ -432,8 +432,8 @@ proptest! {
             let mut order: Vec<(u8, u8)> = unique.iter().map(|(k, v)| (*k, *v)).collect();
             permute(&mut order, seed);
             let mut env = kv_env();
-            let mut queue = VecDeque::new();
-            let mut ctx = ProcessorContext::new(&[], &mut queue, &mut env);
+            let mut forwarded = Vec::new();
+            let mut ctx = ProcessorContext::new(&mut forwarded, &mut env);
             for (k, v) in order {
                 ctx.kv_put("s", Bytes::from(store_key(k)), Some(Bytes::from(vec![v])));
             }
@@ -463,7 +463,7 @@ proptest! {
         });
         let mut agg = KvAggregate { store: "s".into(), add, sub };
         let mut env = kv_env();
-        let mut queue = VecDeque::new();
+        let mut forwarded = Vec::new();
         // All events share one output key ("total") but carry per-source
         // revisions: old = prior value of that source key.
         let mut current: HashMap<u8, i64> = HashMap::new();
@@ -475,9 +475,9 @@ proptest! {
                 old: old.map(|o| o.to_bytes()),
                 ts: 0,
             };
-            let mut ctx = ProcessorContext::new(&[], &mut queue, &mut env);
+            let mut ctx = ProcessorContext::new(&mut forwarded, &mut env);
             agg.process(&mut ctx, rec);
-            queue.clear();
+            forwarded.clear();
         }
         let want: i64 = current.values().sum();
         let got = match &mut env.stores.get_mut("s").unwrap().store {

@@ -15,10 +15,7 @@ use kstreams::dsl::windows::JoinWindows;
 use kstreams::processor::driver::TaskEnv;
 use kstreams::processor::{Processor, ProcessorContext, StoreEntry};
 use kstreams::state::{Store, StoreKind, StoreSpec};
-use std::collections::VecDeque;
 use std::sync::Arc;
-
-const CHILD: &[usize] = &[0];
 
 fn env_with(stores: &[(&str, StoreKind)]) -> TaskEnv {
     let mut env = TaskEnv::new(0);
@@ -37,8 +34,8 @@ fn env_with(stores: &[(&str, StoreKind)]) -> TaskEnv {
 #[test]
 fn window_entries_below_materializes_only_the_due_prefix() {
     let mut env = env_with(&[("w", StoreKind::Window)]);
-    let mut queue = VecDeque::new();
-    let mut ctx = ProcessorContext::new(CHILD, &mut queue, &mut env);
+    let mut forwarded = Vec::new();
+    let mut ctx = ProcessorContext::new(&mut forwarded, &mut env);
     // 3 due windows below the horizon, 500 live ones above it.
     for start in [0i64, 100, 999] {
         ctx.window_put("w", Bytes::from(format!("due-{start}")), start, Some(Bytes::from("v")));
@@ -78,9 +75,9 @@ fn join_padding_flush_leaves_live_windows_alone() {
         ("lp", StoreKind::Window),
         ("rp", StoreKind::Window),
     ]);
-    let mut queue = VecDeque::new();
+    let mut forwarded = Vec::new();
     {
-        let mut ctx = ProcessorContext::new(CHILD, &mut queue, &mut env);
+        let mut ctx = ProcessorContext::new(&mut forwarded, &mut env);
         // Two unmatched records whose pad deadline (ts + after + grace < now)
         // has passed, and many that are still within reach of a future match.
         for (i, ts) in [0i64, 40].into_iter().enumerate() {
@@ -102,10 +99,10 @@ fn join_padding_flush_leaves_live_windows_alone() {
         let stream_time = 250; // pad horizon = 250 - 100 - 50 = 100 > {0, 40}
         join.punctuate(&mut ctx, stream_time, 0);
     }
-    let padded: Vec<_> = queue.drain(..).collect();
+    let padded = std::mem::take(&mut forwarded);
     assert_eq!(padded.len(), 2, "exactly the expired pendings are padded");
-    assert!(padded.iter().all(|(_, r)| r.ts < 100));
-    let mut ctx = ProcessorContext::new(CHILD, &mut queue, &mut env);
+    assert!(padded.iter().all(|r| r.ts < 100));
+    let mut ctx = ProcessorContext::new(&mut forwarded, &mut env);
     let remaining = ctx.window_entries("lp");
     assert_eq!(remaining.len(), 200, "live pending windows survive the flush");
     assert!(remaining.iter().all(|(start, _, _)| *start >= 500));
@@ -116,8 +113,8 @@ fn join_padding_flush_leaves_live_windows_alone() {
 #[test]
 fn session_expire_returns_evictions_like_window_expire() {
     let mut env = env_with(&[("s", StoreKind::Session), ("w", StoreKind::Window)]);
-    let mut queue = VecDeque::new();
-    let mut ctx = ProcessorContext::new(CHILD, &mut queue, &mut env);
+    let mut forwarded = Vec::new();
+    let mut ctx = ProcessorContext::new(&mut forwarded, &mut env);
 
     ctx.session_put("s", Bytes::from("a"), 0, 50, Bytes::from("s1"));
     ctx.session_put("s", Bytes::from("a"), 200, 260, Bytes::from("s2"));

@@ -3,7 +3,9 @@
 //! stream-table enrichment.
 
 use kbroker::{Cluster, Consumer, ConsumerConfig, Producer, ProducerConfig, TopicConfig};
-use kstreams::{JoinWindows, KSerde, KafkaStreamsApp, StreamsBuilder, StreamsConfig};
+use kstreams::{
+    JoinWindows, KSerde, KafkaStreamsApp, StreamsBuilder, StreamsConfig, TimeWindows, Windowed,
+};
 use simkit::ManualClock;
 use std::sync::Arc;
 
@@ -195,6 +197,64 @@ fn outer_join_pads_both_sides() {
     let out = read_out(&s.cluster);
     assert!(out.contains(&("a".into(), "l1|null".into())), "{out:?}");
     assert!(out.contains(&("b".into(), "null|r1".into())), "{out:?}");
+    app.close().unwrap();
+}
+
+#[test]
+fn left_join_padding_reaches_a_downstream_suppress_once() {
+    // The join's punctuation forwards its padding into a windowed count
+    // and a suppress buffer in the same sub-topology: each padded record is
+    // counted once, and each window emits one final result once the
+    // suppress has seen a record past its close — the held padding of the
+    // tests above, the single final of `revision_processing`'s suppress.
+    let s = setup(&["left", "right"]);
+    let builder = StreamsBuilder::new();
+    let left = builder.stream::<String, String>("left");
+    let right = builder.stream::<String, String>("right");
+    left.left_join(&right, JoinWindows::of(1_000).grace(2_000), |l, r| {
+        format!("{l}+{}", r.map_or("null", String::as_str))
+    })
+    .group_by_key()
+    .windowed_by(TimeWindows::of(5_000).grace(20_000))
+    .count("padded-counts")
+    .suppress_until_window_close()
+    .to_stream()
+    .to("out");
+    let mut app = app_with(&s, builder.build().unwrap(), "ssj-suppress");
+    let finals = |cluster: &Cluster| -> Vec<(String, i64, i64)> {
+        let mut c =
+            Consumer::new(cluster.clone(), "verify", ConsumerConfig::default().read_committed());
+        c.assign(cluster.partitions_of("out").unwrap()).unwrap();
+        let mut out = Vec::new();
+        loop {
+            let batch = c.poll().unwrap();
+            if batch.is_empty() {
+                break;
+            }
+            for rec in batch {
+                let wk = Windowed::<String>::from_bytes(rec.key.as_ref().unwrap()).unwrap();
+                let count = i64::from_bytes(rec.value.as_ref().unwrap()).unwrap();
+                out.push((wk.key, wk.window_start, count));
+            }
+        }
+        out
+    };
+
+    // No right record ever arrives: each left record pads once stream time
+    // passes its ts + 1s + 2s.
+    send(&s.cluster, "left", "a", "1", 1_000);
+    send(&s.cluster, "left", "b", "2", 4_100); // pads a
+    run(&s, &mut app, 5);
+    send(&s.cluster, "left", "c", "3", 10_000); // pads b
+    run(&s, &mut app, 5);
+    assert_eq!(finals(&s.cluster), vec![], "window [0, 5s) is open until 25s");
+
+    // A match reaches the suppress with ts 30s: its stream time passes
+    // [0, 5s)'s close at 5s + 20s.
+    send(&s.cluster, "left", "d", "4", 30_000); // pads c
+    send(&s.cluster, "right", "d", "x", 30_000);
+    run(&s, &mut app, 5);
+    assert_eq!(finals(&s.cluster), vec![("a".into(), 0, 1), ("b".into(), 0, 1)]);
     app.close().unwrap();
 }
 

@@ -10,7 +10,9 @@
 #                              # and proptest, kobs handle test, no by-name
 #                              # counts on the broker data path (grep),
 #                              # state-store unit tests and proptests,
-#                              # instance and standby unit tests, klog unit
+#                              # operator-graph unit tests, operator
+#                              # permutation and scan tests, instance and
+#                              # standby unit tests, klog unit
 #                              # tests and proptests, figure-driver unit
 #                              # tests, perfbench type check, kanalyze,
 #                              # detlint
@@ -257,6 +259,13 @@ gate_full() {
     cargo test -q -p kstreams --lib -- app:: standby::
     step "cargo test -q -p kstreams --test proptests"
     cargo test -q -p kstreams --test proptests
+    # Likewise the operator graph's dispatch (depth-first order, edge
+    # validation, a long chain on a default stack) and the operators
+    # driven through a context outside any graph.
+    step "cargo test -q -p kstreams --lib processor::"
+    cargo test -q -p kstreams --lib processor::
+    step "cargo test -q -p kstreams --test permutation_proptests --test store_scan_regressions"
+    cargo test -q -p kstreams --test permutation_proptests --test store_scan_regressions
 
     # Likewise the log's unit tests and properties: fetch positioning by
     # binary search against the linear scan, fetch against a per-record
