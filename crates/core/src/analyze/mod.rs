@@ -56,8 +56,8 @@ pub enum Rule {
     SuppressZeroGrace,
     /// A store is declared but no processor reads or writes it.
     UnusedStore,
-    /// A processor references a store that was never declared; it will
-    /// fault at runtime when it first touches the store.
+    /// A processor references a store that was never declared; building a
+    /// task from the topology fails.
     UndeclaredStore,
     /// The processor graph contains a directed cycle; a record entering it
     /// would be forwarded forever within one task.

@@ -14,7 +14,7 @@ impl crate::processor::Processor for Nop {
 }
 
 fn nop() -> ProcessorFactory {
-    Arc::new(|| Box::new(Nop))
+    Arc::new(|_| Box::new(Nop))
 }
 
 fn rules_of(diags: &[Diagnostic]) -> Vec<Rule> {

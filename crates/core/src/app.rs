@@ -383,8 +383,7 @@ impl KafkaStreamsApp {
                 let cache = self.config.cache_max_entries;
                 let mut task = StreamTask::with_cache(&self.topology, id, self.app_id(), cache)?;
                 if let Some(Hosted::Replica { task: replica, .. }) = held {
-                    let (stores, positions) = replica.into_parts();
-                    task.adopt_warm_stores(stores, positions);
+                    task.adopt_warm_stores(replica.into_stores());
                 }
                 // Durable warm start: load post-commit spills (if
                 // configured) so restore replays only the changelog suffix

@@ -33,7 +33,7 @@ use windows::{JoinWindows, SessionWindows, TimeWindows, Windowed};
 type SharedBuilder = Rc<RefCell<InternalBuilder>>;
 
 fn fn_op_factory(body: FnOpBody) -> ProcessorFactory {
-    Arc::new(move || Box::new(FnOp { body: body.clone() }))
+    Arc::new(move |_| Box::new(FnOp { body: body.clone() }))
 }
 
 /// Lend the record's decoded key to `f`: the user's closures only borrow
@@ -89,9 +89,8 @@ impl StreamsBuilder {
         b.add_store(StoreSpec::new(store, StoreKind::KeyValue)).expect("unique store name");
         b.set_source_changelog(store, TopicRef::external(topic)).expect("store just added");
         let name = b.next_name("KTABLE-MATERIALIZE");
-        let store_name = store.to_string();
         let factory: ProcessorFactory =
-            Arc::new(move || Box::new(ops::TableMaterialize { store: store_name.clone() }));
+            Arc::new(|s| Box::new(ops::TableMaterialize { store: s[0] }));
         let node =
             b.add_processor(name, factory, &[src], vec![store.to_string()]).expect("valid parent");
         KTable {
@@ -280,9 +279,8 @@ impl<K: KSerde, V: KSerde> KStream<K, V> {
         let mut b = self.inner.borrow_mut();
         b.add_store(StoreSpec::new(store, StoreKind::KeyValue)).expect("unique store name");
         let name = b.next_name("KSTREAM-TOTABLE");
-        let store_name = store.to_string();
         let factory: ProcessorFactory =
-            Arc::new(move || Box::new(ops::TableMaterialize { store: store_name.clone() }));
+            Arc::new(|s| Box::new(ops::TableMaterialize { store: s[0] }));
         let node = b
             .add_processor(name, factory, &[self.node], vec![store.to_string()])
             .expect("valid parent");
@@ -407,10 +405,9 @@ impl<K: KSerde, V: KSerde> KStream<K, V> {
         });
         let mut b = self.inner.borrow_mut();
         let name = b.next_name("KSTREAM-JOIN-TABLE");
-        let store = table_store.clone();
-        let factory: ProcessorFactory = Arc::new(move || {
+        let factory: ProcessorFactory = Arc::new(move |s| {
             Box::new(ops::StreamTableJoin {
-                table_store: store.clone(),
+                table_store: s[0],
                 joiner: joiner.clone(),
                 left: !inner_join,
             })
@@ -497,52 +494,37 @@ impl<K: KSerde, V: KSerde> KStream<K, V> {
             b.add_store(StoreSpec::new(p, StoreKind::Window).with_retention_ms(retention))
                 .expect("unique");
         }
-        let mut left_stores = vec![buf_l.clone(), buf_r.clone()];
-        left_stores.extend(pend_l.iter().cloned());
-        left_stores.extend(pend_r.iter().cloned());
-        let right_stores = left_stores.clone();
-
-        let (jl, jr) = {
-            let (buf_l2, buf_r2) = (buf_l.clone(), buf_r.clone());
-            let (pl, pr) = (pend_l.clone(), pend_r.clone());
-            let joiner_l = joiner.clone();
-            let left_factory: ProcessorFactory = Arc::new(move || {
+        // Both sides declare `[left buffer, right buffer, left pending?,
+        // right pending?]`.
+        let mut stores = vec![buf_l, buf_r];
+        stores.extend(pend_l);
+        stores.extend(pend_r);
+        let side = move |this_is_left: bool| -> ProcessorFactory {
+            let joiner = joiner.clone();
+            Arc::new(move |s| {
+                let pending = &s[2..];
+                let left = (s[0], left_pads.then(|| pending[0]));
+                let right = (s[1], right_pads.then(|| pending[usize::from(left_pads)]));
+                let (mine, other) = if this_is_left { (left, right) } else { (right, left) };
                 Box::new(ops::StreamStreamJoin {
-                    my_buffer: buf_l2.clone(),
-                    other_buffer: buf_r2.clone(),
-                    my_pending: pl.clone(),
-                    other_pending: pr.clone(),
+                    my_buffer: mine.0,
+                    other_buffer: other.0,
+                    my_pending: mine.1,
+                    other_pending: other.1,
                     window,
-                    joiner: joiner_l.clone(),
-                    this_is_left: true,
+                    joiner: joiner.clone(),
+                    this_is_left,
                 })
-            });
-            let (buf_l3, buf_r3) = (buf_l.clone(), buf_r.clone());
-            let (pl2, pr2) = (pend_l.clone(), pend_r.clone());
-            let joiner_r = joiner.clone();
-            let right_factory: ProcessorFactory = Arc::new(move || {
-                Box::new(ops::StreamStreamJoin {
-                    my_buffer: buf_r3.clone(),
-                    other_buffer: buf_l3.clone(),
-                    my_pending: pr2.clone(),
-                    other_pending: pl2.clone(),
-                    window,
-                    joiner: joiner_r.clone(),
-                    this_is_left: false,
-                })
-            });
-            let name_l = b.next_name("KSTREAM-JOINTHIS");
-            let name_r = b.next_name("KSTREAM-JOINOTHER");
-            let jl = b
-                .add_processor(name_l, left_factory, &[self.node], left_stores)
-                .expect("valid parent");
-            let jr = b
-                .add_processor(name_r, right_factory, &[other.node], right_stores)
-                .expect("valid parent");
-            b.tag_grace(jl, window.grace_ms);
-            b.tag_grace(jr, window.grace_ms);
-            (jl, jr)
+            })
         };
+        let name_l = b.next_name("KSTREAM-JOINTHIS");
+        let name_r = b.next_name("KSTREAM-JOINOTHER");
+        let jl = b
+            .add_processor(name_l, side(true), &[self.node], stores.clone())
+            .expect("valid parent");
+        let jr = b.add_processor(name_r, side(false), &[other.node], stores).expect("valid parent");
+        b.tag_grace(jl, window.grace_ms);
+        b.tag_grace(jr, window.grace_ms);
         let merge_name = b.next_name("KSTREAM-JOINMERGE");
         // The closure is required: a bare `ProcessorContext::forward` method
         // path cannot generalize over the context lifetime (HRTB).
@@ -588,13 +570,8 @@ impl<K: KSerde, V: KSerde> KGroupedStream<K, V> {
         let node = self.partitioned_node(&mut b, ValueMode::Plain);
         b.add_store(StoreSpec::new(store, StoreKind::KeyValue)).expect("unique store name");
         let name = b.next_name("KSTREAM-AGGREGATE");
-        let store_name = store.to_string();
-        let factory: ProcessorFactory = Arc::new(move || {
-            Box::new(ops::KvAggregate {
-                store: store_name.clone(),
-                add: add.clone(),
-                sub: sub.clone(),
-            })
+        let factory: ProcessorFactory = Arc::new(move |s| {
+            Box::new(ops::KvAggregate { store: s[0], add: add.clone(), sub: sub.clone() })
         });
         let n =
             b.add_processor(name, factory, &[node], vec![store.to_string()]).expect("valid parent");
@@ -701,10 +678,9 @@ impl<K: KSerde, V: KSerde> TimeWindowedKStream<K, V> {
         b.add_store(StoreSpec::new(store, StoreKind::Window).with_retention_ms(retention))
             .expect("unique store name");
         let name = b.next_name("KSTREAM-WINDOW-AGGREGATE");
-        let store_name = store.to_string();
         let windows = self.windows;
-        let factory: ProcessorFactory = Arc::new(move || {
-            Box::new(ops::WindowAggregate { store: store_name.clone(), windows, agg: agg.clone() })
+        let factory: ProcessorFactory = Arc::new(move |s| {
+            Box::new(ops::WindowAggregate { store: s[0], windows, agg: agg.clone() })
         });
         let n =
             b.add_processor(name, factory, &[node], vec![store.to_string()]).expect("valid parent");
@@ -806,11 +782,10 @@ impl<K: KSerde, V: KSerde> SessionWindowedKStream<K, V> {
         b.add_store(StoreSpec::new(store, StoreKind::Session).with_retention_ms(retention))
             .expect("unique store name");
         let name = b.next_name("KSTREAM-SESSION-AGGREGATE");
-        let store_name = store.to_string();
         let windows = self.windows;
-        let factory: ProcessorFactory = Arc::new(move || {
+        let factory: ProcessorFactory = Arc::new(move |s| {
             Box::new(ops::SessionAggregate {
-                store: store_name.clone(),
+                store: s[0],
                 windows,
                 agg: agg.clone(),
                 merge: merge.clone(),
@@ -869,9 +844,8 @@ impl<K: KSerde, V: KSerde> KTable<K, V> {
         let store = b.next_name("KTABLE-STORE");
         b.add_store(StoreSpec::new(&store, StoreKind::KeyValue)).expect("unique store name");
         let name = b.next_name("KTABLE-MATERIALIZE");
-        let store_name = store.clone();
         let factory: ProcessorFactory =
-            Arc::new(move || Box::new(ops::TableMaterialize { store: store_name.clone() }));
+            Arc::new(|s| Box::new(ops::TableMaterialize { store: s[0] }));
         let node = b
             .add_processor(name, factory, &[self.node], vec![store.clone()])
             .expect("valid parent");
@@ -997,30 +971,21 @@ impl<K: KSerde, V: KSerde> KTable<K, V> {
         let (left_node, left_store) = self.materialized();
         let (right_node, right_store) = other.materialized();
         let mut b = self.inner.borrow_mut();
-        let stores = vec![left_store.clone(), right_store.clone()];
-        let (rs, j) = (right_store.clone(), joiner.clone());
-        let left_factory: ProcessorFactory = Arc::new(move || {
-            Box::new(ops::TableTableJoin {
-                other_store: rs.clone(),
-                joiner: j.clone(),
-                this_is_left: true,
+        // Both sides declare `[left store, right store]` and read the other.
+        let stores = vec![left_store, right_store];
+        let side = |this_is_left: bool| -> ProcessorFactory {
+            let joiner = joiner.clone();
+            Arc::new(move |s| {
+                let other_store = s[usize::from(this_is_left)];
+                Box::new(ops::TableTableJoin { other_store, joiner: joiner.clone(), this_is_left })
             })
-        });
-        let (ls2, j2) = (left_store, joiner);
-        let right_factory: ProcessorFactory = Arc::new(move || {
-            Box::new(ops::TableTableJoin {
-                other_store: ls2.clone(),
-                joiner: j2.clone(),
-                this_is_left: false,
-            })
-        });
+        };
         let name_l = b.next_name("KTABLE-JOINTHIS");
         let name_r = b.next_name("KTABLE-JOINOTHER");
         let jl = b
-            .add_processor(name_l, left_factory, &[left_node], stores.clone())
+            .add_processor(name_l, side(true), &[left_node], stores.clone())
             .expect("valid parent");
-        let jr =
-            b.add_processor(name_r, right_factory, &[right_node], stores).expect("valid parent");
+        let jr = b.add_processor(name_r, side(false), &[right_node], stores).expect("valid parent");
         let merge = b.next_name("KTABLE-JOINMERGE");
         // The closure is required: a bare `ProcessorContext::forward` method
         // path cannot generalize over the context lifetime (HRTB).
@@ -1095,13 +1060,11 @@ impl<K: KSerde, V: KSerde> KTable<K, V> {
         let store = format!("{}-buffer", b.next_name("KTABLE-SUPPRESS"));
         b.add_store(StoreSpec::new(&store, StoreKind::KeyValue)).expect("unique store name");
         let name = b.next_name("KTABLE-SUPPRESS");
-        let store_name = store.clone();
         let upstream_grace = match mode {
             ops::SuppressMode::WindowClose { grace_ms, .. } => Some(grace_ms),
             ops::SuppressMode::TimeLimit { .. } => None,
         };
-        let factory: ProcessorFactory =
-            Arc::new(move || Box::new(ops::Suppress::new(store_name.clone(), mode)));
+        let factory: ProcessorFactory = Arc::new(move |s| Box::new(ops::Suppress::new(s[0], mode)));
         let node = b.add_processor(name, factory, &[self.node], vec![store]).expect("valid parent");
         b.tag_suppress(node, upstream_grace);
         KTable {
@@ -1141,13 +1104,8 @@ impl<K: KSerde, V: KSerde> KGroupedTable<K, V> {
             .expect("unique name");
         b.add_store(StoreSpec::new(store, StoreKind::KeyValue)).expect("unique store name");
         let name = b.next_name("KTABLE-AGGREGATE");
-        let store_name = store.to_string();
-        let factory: ProcessorFactory = Arc::new(move || {
-            Box::new(ops::KvAggregate {
-                store: store_name.clone(),
-                add: add.clone(),
-                sub: sub.clone(),
-            })
+        let factory: ProcessorFactory = Arc::new(move |s| {
+            Box::new(ops::KvAggregate { store: s[0], add: add.clone(), sub: sub.clone() })
         });
         let n =
             b.add_processor(name, factory, &[src], vec![store.to_string()]).expect("valid parent");

@@ -17,7 +17,7 @@
 
 use crate::dsl::windows::{JoinWindows, SessionWindows, TimeWindows};
 use crate::kserde::{decode_list, decode_windowed_key, encode_list, KSerde};
-use crate::processor::{Processor, ProcessorContext};
+use crate::processor::{Processor, ProcessorContext, StoreId};
 use crate::record::FlowRecord;
 use bytes::Bytes;
 use std::sync::Arc;
@@ -58,7 +58,7 @@ impl Processor for FnOp {
 /// closed windows are dropped and counted (§5). Expired windows are
 /// garbage-collected from the store (Figure 6.d).
 pub struct WindowAggregate {
-    pub store: String,
+    pub store: StoreId,
     pub windows: TimeWindows,
     pub agg: AggFn,
 }
@@ -77,7 +77,7 @@ impl Processor for WindowAggregate {
             // one descent of the store, and the record cache can coalesce
             // repeated updates of the same window (§6.2).
             let mut revises = false;
-            ctx.window_update(&self.store, key.clone(), start, ts, |current| {
+            ctx.window_update(self.store, key.clone(), start, ts, |current| {
                 revises = current.is_some();
                 (self.agg)(current.cloned(), &value)
             });
@@ -90,7 +90,7 @@ impl Processor for WindowAggregate {
             .saturating_sub(self.windows.size_ms)
             .saturating_sub(self.windows.grace_ms)
             .saturating_add(1);
-        ctx.window_expire(&self.store, horizon);
+        ctx.window_expire(self.store, horizon);
     }
 
     fn punctuate(&mut self, ctx: &mut ProcessorContext<'_>, stream_time: i64, _wall: i64) {
@@ -98,7 +98,7 @@ impl Processor for WindowAggregate {
             .saturating_sub(self.windows.size_ms)
             .saturating_sub(self.windows.grace_ms)
             .saturating_add(1);
-        ctx.window_expire(&self.store, horizon);
+        ctx.window_expire(self.store, horizon);
     }
 }
 
@@ -110,7 +110,7 @@ impl Processor for WindowAggregate {
 /// (`old` present) by retracting through `sub` before accumulating through
 /// `add` — the downstream half of §5's revision protocol.
 pub struct KvAggregate {
-    pub store: String,
+    pub store: StoreId,
     pub add: AggFn,
     /// Retraction step; identity for stream-only inputs that never retract.
     pub sub: AggFn,
@@ -128,7 +128,7 @@ impl Processor for KvAggregate {
         }
         // Read, retract, accumulate, write and forward the revision in one
         // probe of the store (cache-coalescible, §6.2).
-        ctx.table_update(&self.store, key, ts, |current| {
+        ctx.table_update(self.store, key, ts, |current| {
             let mut agg = current.cloned();
             if let Some(old) = &old {
                 agg = (self.sub)(agg, old);
@@ -145,14 +145,14 @@ impl Processor for KvAggregate {
 /// into revisions (`old` = the overwritten value). Used by `builder.table()`
 /// and implicit KTable materializations.
 pub struct TableMaterialize {
-    pub store: String,
+    pub store: StoreId,
 }
 
 impl Processor for TableMaterialize {
     fn process(&mut self, ctx: &mut ProcessorContext<'_>, record: FlowRecord) {
         let FlowRecord { key: Some(key), new, ts, .. } = record else { return };
         ctx.observe_ts(ts);
-        ctx.table_update(&self.store, key, ts, |_| new);
+        ctx.table_update(self.store, key, ts, |_| new);
     }
 }
 
@@ -164,7 +164,7 @@ impl Processor for TableMaterialize {
 /// one session; merging retracts the absorbed sessions (revisions) and emits
 /// the fused aggregate.
 pub struct SessionAggregate {
-    pub store: String,
+    pub store: StoreId,
     pub windows: SessionWindows,
     pub agg: AggFn,
     /// Fuses two session aggregates when sessions merge.
@@ -182,7 +182,7 @@ impl Processor for SessionAggregate {
             ctx.metrics().late_dropped += 1;
             return;
         }
-        let overlapping = ctx.session_find(&self.store, &key, record.ts, self.windows.gap_ms);
+        let overlapping = ctx.session_find(self.store, &key, record.ts, self.windows.gap_ms);
         let mut start = record.ts;
         let mut end = record.ts;
         let mut agg = (self.agg)(None, &value);
@@ -194,7 +194,7 @@ impl Processor for SessionAggregate {
             } else {
                 agg = Some(session.value.clone());
             }
-            ctx.session_remove(&self.store, &key, session.start, session.end);
+            ctx.session_remove(self.store, &key, session.start, session.end);
             // Retract the absorbed session downstream.
             ctx.metrics().revisions_emitted += 1;
             ctx.forward(FlowRecord {
@@ -205,7 +205,7 @@ impl Processor for SessionAggregate {
             });
         }
         let Some(agg) = agg else { return };
-        ctx.session_put(&self.store, key.clone(), start, end, agg.clone());
+        ctx.session_put(self.store, key.clone(), start, end, agg.clone());
         ctx.forward(FlowRecord {
             key: Some(crate::state::Store::windowed_changelog_key(&key, start)),
             old: None,
@@ -218,9 +218,9 @@ impl Processor for SessionAggregate {
         // Sessions whose end fell behind gap + grace can no longer change.
         let horizon =
             stream_time.saturating_sub(self.windows.gap_ms).saturating_sub(self.windows.grace_ms);
-        let evicted = ctx.session_expire(&self.store, horizon);
+        let evicted = ctx.session_expire(self.store, horizon);
         if !evicted.is_empty() {
-            kobs::count("kstreams.session.expired", evicted.len() as u64);
+            kobs::counter!("kstreams.session.expired").add(evicted.len() as u64);
         }
     }
 }
@@ -232,7 +232,7 @@ impl Processor for SessionAggregate {
 /// Stream-table join: each stream record looks up the table's current value
 /// for its key.
 pub struct StreamTableJoin {
-    pub table_store: String,
+    pub table_store: StoreId,
     pub joiner: JoinFn,
     /// Left join: emit with `None` table value on miss.
     pub left: bool,
@@ -244,7 +244,7 @@ impl Processor for StreamTableJoin {
             return;
         };
         ctx.observe_ts(record.ts);
-        let table_value = ctx.kv_get(&self.table_store, &key);
+        let table_value = ctx.kv_get(self.table_store, &key);
         if table_value.is_none() && !self.left {
             return;
         }
@@ -259,7 +259,7 @@ impl Processor for StreamTableJoin {
 /// table, so out-of-order updates are safely amended downstream (§5's
 /// table-table example).
 pub struct TableTableJoin {
-    pub other_store: String,
+    pub other_store: StoreId,
     /// Oriented joiner: first operand is always the *left* table's value.
     pub joiner: JoinFn,
     pub this_is_left: bool,
@@ -272,7 +272,7 @@ impl Processor for TableTableJoin {
         // The upstream materialization already applied this revision to my
         // store; its prior value travels on the record.
         let my_old = record.old.clone();
-        let other = ctx.kv_get(&self.other_store, &key);
+        let other = ctx.kv_get(self.other_store, &key);
         let (old_join, new_join) = if self.this_is_left {
             (
                 (self.joiner)(my_old.as_ref(), other.as_ref()),
@@ -302,13 +302,13 @@ impl Processor for TableTableJoin {
 /// is an append-only stream and a premature `(a, null)` could never be
 /// revoked (§5).
 pub struct StreamStreamJoin {
-    pub my_buffer: String,
-    pub other_buffer: String,
+    pub my_buffer: StoreId,
+    pub other_buffer: StoreId,
     /// Pending-unmatched store for *my* side (present iff my side pads).
-    pub my_pending: Option<String>,
+    pub my_pending: Option<StoreId>,
     /// Pending-unmatched store of the *other* side, to cancel its padding
     /// when my record matches it.
-    pub other_pending: Option<String>,
+    pub other_pending: Option<StoreId>,
     pub window: JoinWindows,
     /// Oriented joiner: first operand is the left stream's value.
     pub joiner: JoinFn,
@@ -348,14 +348,14 @@ impl Processor for StreamStreamJoin {
         };
         ctx.observe_ts(record.ts);
         // Buffer my record (records sharing (key, ts) accumulate in a list).
-        let slot = ctx.window_fetch(&self.my_buffer, &key, record.ts);
+        let slot = ctx.window_fetch(self.my_buffer, &key, record.ts);
         let mut list = slot.as_deref().map(|b| decode_list(b).expect("buffer")).unwrap_or_default();
         list.push(value.clone());
-        ctx.window_put(&self.my_buffer, key.clone(), record.ts, Some(encode_list(&list)));
+        ctx.window_put(self.my_buffer, key.clone(), record.ts, Some(encode_list(&list)));
 
         // Probe the other side's buffer.
         let (lo, hi) = self.probe_range(record.ts);
-        let matches = ctx.window_fetch_range(&self.other_buffer, &key, lo, hi);
+        let matches = ctx.window_fetch_range(self.other_buffer, &key, lo, hi);
         let mut matched = false;
         for (other_ts, packed) in &matches {
             for other_val in decode_list(packed).expect("buffer") {
@@ -369,39 +369,38 @@ impl Processor for StreamStreamJoin {
                 });
             }
             // The other record is matched now: cancel its pending padding.
-            if let Some(op) = self.other_pending.clone() {
-                ctx.window_put(&op, key.clone(), *other_ts, None);
+            if let Some(op) = self.other_pending {
+                ctx.window_put(op, key.clone(), *other_ts, None);
             }
         }
         if !matched {
-            if let Some(mp) = &self.my_pending {
+            if let Some(mp) = self.my_pending {
                 let slot = ctx.window_fetch(mp, &key, record.ts);
                 let mut pend =
                     slot.as_deref().map(|b| decode_list(b).expect("buffer")).unwrap_or_default();
                 pend.push(value);
-                let mp = mp.clone();
-                ctx.window_put(&mp, key.clone(), record.ts, Some(encode_list(&pend)));
+                ctx.window_put(mp, key.clone(), record.ts, Some(encode_list(&pend)));
             }
         }
         // GC my buffer: records no other side can reach any more.
         let max_reach = self.window.before_ms.max(self.window.after_ms) + self.window.grace_ms;
         let horizon = ctx.stream_time().saturating_sub(max_reach);
-        ctx.window_expire(&self.my_buffer, horizon);
+        ctx.window_expire(self.my_buffer, horizon);
     }
 
     fn punctuate(&mut self, ctx: &mut ProcessorContext<'_>, stream_time: i64, _wall: i64) {
-        let Some(mp) = self.my_pending.clone() else { return };
+        let Some(mp) = self.my_pending else { return };
         // Emit null-padded results for records whose match window (plus
         // grace) has fully elapsed — the §5 hold-then-pad rule. The scan is
         // bounded to the flush horizon: live pending windows above it are
         // never materialized.
-        let entries = ctx.window_entries_below(&mp, self.pad_horizon(stream_time));
+        let entries = ctx.window_entries_below(mp, self.pad_horizon(stream_time));
         for (ts, key, packed) in entries {
             for val in decode_list(&packed).expect("buffer") {
                 let joined = self.oriented(Some(&val), None);
                 ctx.forward(FlowRecord { key: Some(key.clone()), old: None, new: joined, ts });
             }
-            ctx.window_put(mp.as_str(), key, ts, None);
+            ctx.window_put(mp, key, ts, None);
         }
     }
 }
@@ -425,7 +424,7 @@ pub enum SuppressMode {
 /// Buffers intermediate revisions of an evolving table so "multiple
 /// revisions of the same key \[are\] consolidated as a single record" (§5).
 pub struct Suppress {
-    store: String,
+    store: StoreId,
     mode: SuppressMode,
     /// Due-time index over the buffered keys: `(due_ts, key)`. A flush scan
     /// walks only the due prefix instead of the whole store. Rebuilt lazily
@@ -443,13 +442,8 @@ pub struct Suppress {
 }
 
 impl Suppress {
-    pub fn new(store: impl Into<String>, mode: SuppressMode) -> Self {
-        Self {
-            store: store.into(),
-            mode,
-            due: std::collections::BTreeSet::new(),
-            observed: i64::MIN,
-        }
+    pub fn new(store: StoreId, mode: SuppressMode) -> Self {
+        Self { store, mode, due: std::collections::BTreeSet::new(), observed: i64::MIN }
     }
 
     /// Stream time at which the buffered entry for `key` becomes due.
@@ -471,7 +465,7 @@ impl Suppress {
     /// Re-derive the due index from the store contents.
     fn rebuild_index(&mut self, ctx: &mut ProcessorContext<'_>) {
         self.due.clear();
-        for (key, buf) in ctx.kv_entries(&self.store) {
+        for (key, buf) in ctx.kv_entries(self.store) {
             let (first_ts, _) = <(i64, Bytes)>::from_bytes(&buf).expect("suppress buffer");
             self.due.insert((self.due_ts(&key, first_ts), key));
         }
@@ -483,7 +477,7 @@ impl Processor for Suppress {
         let Some(key) = record.key.clone() else { return };
         ctx.observe_ts(record.ts);
         self.observed = self.observed.max(record.ts);
-        let existing = ctx.kv_get(&self.store, &key);
+        let existing = ctx.kv_get(self.store, &key);
         let first_ts = match &existing {
             Some(buf) => {
                 ctx.metrics().suppressed += 1;
@@ -496,17 +490,17 @@ impl Processor for Suppress {
         }
         let payload = crate::kserde::encode_change(&record.old, &record.new);
         let buf = (first_ts, payload).to_bytes();
-        ctx.kv_put(&self.store, key, Some(buf));
+        ctx.kv_put(self.store, key, Some(buf));
     }
 
     fn punctuate(&mut self, ctx: &mut ProcessorContext<'_>, _stream_time: i64, _wall: i64) {
-        let buffered = ctx.kv_len(&self.store);
+        let buffered = ctx.kv_len(self.store);
         if self.due.len() != buffered {
             self.rebuild_index(ctx);
         }
         // Occupancy before flushing: how many keys the buffer is holding
         // back (§6.2's consolidation working set).
-        kobs::gauge_max("kstreams.suppress.buffer_occupancy_peak", buffered as i64);
+        kobs::gauge!("kstreams.suppress.buffer_occupancy_peak").max(buffered as i64);
         // Flush against the operator-observed stream time, not the task's:
         // see the `observed` field for why the two can differ under caching.
         // Only the due prefix of the index is visited; live entries above
@@ -519,10 +513,10 @@ impl Processor for Suppress {
             self.due.range((std::ops::Bound::Unbounded, upper)).cloned().collect();
         for (due_ts, key) in due {
             self.due.remove(&(due_ts, key.clone()));
-            let Some(buf) = ctx.kv_get(&self.store, &key) else { continue };
+            let Some(buf) = ctx.kv_get(self.store, &key) else { continue };
             let (first_ts, payload) = <(i64, Bytes)>::from_bytes(&buf).expect("suppress buffer");
             let (old, new) = crate::kserde::decode_change(&payload).expect("suppress buffer");
-            ctx.kv_put(&self.store, key.clone(), None);
+            ctx.kv_put(self.store, key.clone(), None);
             ctx.forward(FlowRecord { key: Some(key), old, new, ts: first_ts });
         }
     }

@@ -7,7 +7,7 @@
 //! later sends through the (possibly transactional) producer — the
 //! "read-process" half of the read-process-write cycle (§4).
 
-use super::{Downstream, Processor, ProcessorContext, StoreEntry};
+use super::{Downstream, Processor, ProcessorContext, StoreEntry, StoreId};
 use crate::error::StreamsError;
 use crate::kserde::{decode_change, encode_change};
 use crate::metrics::StreamsMetrics;
@@ -16,7 +16,7 @@ use crate::topology::node::{NodeKind, TopicRef, ValueMode};
 use crate::topology::Topology;
 use bytes::Bytes;
 use kbroker::TopicPartition;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// One record bound for a sink topic.
 #[derive(Debug, Clone)]
@@ -33,9 +33,8 @@ pub struct SinkOutput {
 
 /// Mutable task state shared with processors during execution.
 pub struct TaskEnv {
-    // BTreeMap: store iteration order feeds cache-flush and changelog
-    // append order, which must replay byte-identically.
-    pub stores: BTreeMap<String, StoreEntry>,
+    /// The sub-topology's stores, indexed by [`StoreId`]: in name order.
+    pub stores: Vec<StoreEntry>,
     /// Records produced to sinks this cycle.
     pub outputs: Vec<SinkOutput>,
     /// Captured store mutations: `(changelog partition, changelog key,
@@ -53,7 +52,7 @@ pub struct TaskEnv {
 impl TaskEnv {
     pub fn new(partition: u32) -> Self {
         Self {
-            stores: BTreeMap::new(),
+            stores: Vec::new(),
             outputs: Vec::new(),
             changelog: Vec::new(),
             metrics: StreamsMetrics::default(),
@@ -62,9 +61,16 @@ impl TaskEnv {
         }
     }
 
+    /// Add a store at the next position, returning its id: how a caller
+    /// driving processors without a driver gives them stores.
+    pub fn add_store(&mut self, entry: StoreEntry) -> StoreId {
+        self.stores.push(entry);
+        StoreId(self.stores.len() - 1)
+    }
+
     /// Total dirty record-cache entries across this task's stores.
     pub fn cache_dirty_entries(&self) -> usize {
-        self.stores.values().map(|e| e.cache.len()).sum()
+        self.stores.iter().map(|e| e.cache.len()).sum()
     }
 
     /// Flush one store's record cache: every dirty entry becomes a changelog
@@ -72,13 +78,13 @@ impl TaskEnv {
     /// forwarding are returned — in changelog-key order, so seed replays are
     /// byte-identical regardless of write order — for the caller to route to
     /// the owning node's children.
-    pub fn flush_cache(&mut self, store: &str) -> Vec<FlowRecord> {
-        let Some(entry) = self.stores.get_mut(store) else { return Vec::new() };
+    pub fn flush_cache(&mut self, store: StoreId) -> Vec<FlowRecord> {
+        let entry = &mut self.stores[store.0];
         if entry.cache.is_empty() {
             return Vec::new();
         }
         let drained = entry.cache.drain_sorted();
-        kobs::count("kstreams.cache.flush_entries", drained.len() as u64);
+        kobs::counter!("kstreams.cache.flush_entries").add(drained.len() as u64);
         let mut forwards = Vec::new();
         for (key, e) in drained {
             if let Some(changelog) = entry.changelog {
@@ -159,15 +165,16 @@ pub struct SubTopologyDriver {
     /// The topic of every sink node, in node order; a [`SinkOutput`] names
     /// its sink by position here.
     sinks: Vec<TopicRef>,
-    /// Every store of this sub-topology with the local node that owns it
-    /// (first declaring processor; `None` for stores no node declared).
-    /// Cache flushes forward through the owner's children.
-    store_owners: Vec<(Option<usize>, String)>,
+    /// The order cache flushes visit the stores in: as the nodes first
+    /// declare them, then the stores no node declares.
+    flush_order: Vec<StoreId>,
 }
 
 impl SubTopologyDriver {
     /// Instantiate the given sub-topology: fresh processor instances per
-    /// task (§3.3). An edge into a source node is refused.
+    /// task (§3.3), each handed the [`StoreId`]s of the stores it declares,
+    /// in declaration order. An edge into a source node, and a declared
+    /// store the sub-topology does not hold, are refused.
     pub fn new(topology: &Topology, subtopology: usize) -> Result<Self, StreamsError> {
         let st = topology
             .subtopologies
@@ -181,7 +188,7 @@ impl SubTopologyDriver {
         let mut procs = Vec::with_capacity(st.nodes.len());
         let mut sources = HashMap::new();
         let mut sinks = Vec::new();
-        let mut store_owners: Vec<(Option<usize>, String)> = Vec::new();
+        let mut flush_order = Vec::new();
         for (li, &gi) in st.nodes.iter().enumerate() {
             let node = &topology.nodes[gi];
             let children = node
@@ -202,12 +209,18 @@ impl SubTopologyDriver {
                     (RuntimeKind::Source { mode: *mode }, None)
                 }
                 NodeKind::Processor { factory, stores } => {
-                    for s in stores {
-                        if !store_owners.iter().any(|(_, name)| name == s) {
-                            store_owners.push((Some(li), s.clone()));
-                        }
-                    }
-                    (RuntimeKind::Proc, Some(factory()))
+                    let resolve = |name: &String| {
+                        let id = st.stores.iter().position(|s| s == name).map(StoreId);
+                        id.ok_or_else(|| {
+                            StreamsError::InvalidTopology(format!(
+                                "{} declares store {name}, which was never added",
+                                node.name
+                            ))
+                        })
+                    };
+                    let ids = stores.iter().map(resolve).collect::<Result<Vec<_>, _>>()?;
+                    flush_order.extend(&ids);
+                    (RuntimeKind::Proc, Some(factory(&ids)))
                 }
                 NodeKind::Sink { topic, mode } => {
                     sinks.push(topic.clone());
@@ -227,12 +240,11 @@ impl SubTopologyDriver {
         }
         // Stores attached to the sub-topology but declared by no node still
         // need their caches flushed (changelog only, nothing to forward).
-        for s in &st.stores {
-            if !store_owners.iter().any(|(_, name)| name == s) {
-                store_owners.push((None, s.clone()));
-            }
-        }
-        Ok(Self { graph, procs, sources, sinks, store_owners })
+        // Each store is flushed where it first appears.
+        flush_order.extend((0..st.stores.len()).map(StoreId));
+        let mut seen = vec![false; st.stores.len()];
+        flush_order.retain(|id| !std::mem::replace(&mut seen[id.0], true));
+        Ok(Self { graph, procs, sources, sinks, flush_order })
     }
 
     /// The source node reading the logical topic `topic`, if there is one.
@@ -306,9 +318,9 @@ impl SubTopologyDriver {
     pub fn flush_caches(&mut self, env: &mut TaskEnv) -> Result<(), StreamsError> {
         for _ in 0..=self.procs.len() {
             let mut flushed = Vec::new();
-            for (owner, store) in &self.store_owners {
+            for &store in &self.flush_order {
                 let records = env.flush_cache(store);
-                if let (Some(owner), false) = (*owner, records.is_empty()) {
+                if let (Some(owner), false) = (env.stores[store.0].owner, records.is_empty()) {
                     flushed.push((owner, records));
                 }
             }
@@ -328,8 +340,9 @@ impl SubTopologyDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::{Store, StoreKind, StoreSpec};
+    use crate::state::{StoreKind, StoreSpec};
     use crate::topology::builder::InternalBuilder;
+    use crate::topology::{ProcessorFactory, TaskId};
     use std::sync::Arc;
 
     /// Doubles the numeric value and forwards.
@@ -346,7 +359,7 @@ mod tests {
 
     /// Counts records per key in a KV store.
     struct Counter {
-        store: &'static str,
+        store: StoreId,
     }
     impl Processor for Counter {
         fn process(&mut self, ctx: &mut ProcessorContext<'_>, record: FlowRecord) {
@@ -359,12 +372,12 @@ mod tests {
         }
     }
 
-    fn env_with_store(name: &str, kind: StoreKind) -> TaskEnv {
+    /// The environment of task 0 of `t`'s first sub-topology, its store
+    /// caches holding up to `cache` entries.
+    fn task_env(t: &Topology, cache: usize) -> TaskEnv {
         let mut env = TaskEnv::new(0);
-        env.stores.insert(
-            name.to_string(),
-            StoreEntry::new(Store::new(kind), StoreSpec::new(name, kind)),
-        );
+        let id = TaskId { subtopology: 0, partition: 0 };
+        env.stores = StoreEntry::table(t, id, "app", cache).unwrap();
         env
     }
 
@@ -389,7 +402,7 @@ mod tests {
         let mut b = InternalBuilder::new();
         let src = b.add_source("s".into(), TopicRef::external("in"), ValueMode::Plain).unwrap();
         let p =
-            b.add_processor("d".into(), Arc::new(|| Box::new(Doubler)), &[src], vec![]).unwrap();
+            b.add_processor("d".into(), Arc::new(|_| Box::new(Doubler)), &[src], vec![]).unwrap();
         b.add_sink("k".into(), TopicRef::external("out"), ValueMode::Plain, &[p]).unwrap();
         let t = b.build().unwrap();
         let mut driver = SubTopologyDriver::new(&t, 0).unwrap();
@@ -412,7 +425,7 @@ mod tests {
         let p = b
             .add_processor(
                 "cnt".into(),
-                Arc::new(|| Box::new(Counter { store: "c" })),
+                Arc::new(|s| Box::new(Counter { store: s[0] })),
                 &[src],
                 vec!["c".into()],
             )
@@ -420,14 +433,14 @@ mod tests {
         b.add_sink("k".into(), TopicRef::external("out"), ValueMode::Plain, &[p]).unwrap();
         let t = b.build().unwrap();
         let mut driver = SubTopologyDriver::new(&t, 0).unwrap();
-        let mut env = env_with_store("c", StoreKind::KeyValue);
+        let mut env = task_env(&t, 0);
         for i in 0..3 {
             process_in(&mut driver, &mut env, Some(Bytes::from_static(b"k")), Some(i64b(0)), i)
                 .unwrap();
         }
         assert_eq!(env.changelog.len(), 3, "every state update captured as a log append");
         assert_eq!(env.outputs.last().unwrap().value, Some(i64b(3)));
-        assert_eq!(env.stores["c"].store.len(), 1);
+        assert_eq!(env.stores[0].store.len(), 1);
     }
 
     #[test]
@@ -466,7 +479,7 @@ mod tests {
             let mut b = InternalBuilder::new();
             let src = b.add_source("s".into(), TopicRef::external("in"), ValueMode::Plain).unwrap();
             let p = b
-                .add_processor("d".into(), Arc::new(|| Box::new(Doubler)), &[src], vec![])
+                .add_processor("d".into(), Arc::new(|_| Box::new(Doubler)), &[src], vec![])
                 .unwrap();
             for i in 0..fanout {
                 let (raw, doubled) = (format!("raw{i}"), format!("doubled{i}"));
@@ -501,7 +514,7 @@ mod tests {
         let owner = b
             .add_processor(
                 "table".into(),
-                Arc::new(|| Box::new(crate::dsl::ops::TableMaterialize { store: "t".into() })),
+                Arc::new(|s| Box::new(crate::dsl::ops::TableMaterialize { store: s[0] })),
                 &[src],
                 vec!["t".into()],
             )
@@ -511,10 +524,7 @@ mod tests {
         }
         let t = b.build().unwrap();
         let mut driver = SubTopologyDriver::new(&t, 0).unwrap();
-        let mut env = TaskEnv::new(0);
-        let spec = StoreSpec::new("t", StoreKind::KeyValue);
-        env.stores
-            .insert("t".into(), StoreEntry::with_cache(Store::new(StoreKind::KeyValue), spec, 8));
+        let mut env = task_env(&t, 8);
         let key = Some(Bytes::from_static(b"k"));
         for (ts, v) in [(1, 10), (2, 11), (3, 12)] {
             process_in(&mut driver, &mut env, key.clone(), Some(i64b(v)), ts).unwrap();
@@ -570,9 +580,9 @@ mod tests {
         // before either reached `one`, and B would read 0.
         let mut b = InternalBuilder::new();
         let src = b.add_source("s".into(), TopicRef::external("in"), ValueMode::Plain).unwrap();
-        let a = b.add_processor("a".into(), Arc::new(|| Box::new(Twice)), &[src], vec![]).unwrap();
+        let a = b.add_processor("a".into(), Arc::new(|_| Box::new(Twice)), &[src], vec![]).unwrap();
         let bp = b
-            .add_processor("b".into(), Arc::new(|| Box::new(EmittedSoFar)), &[src], vec![])
+            .add_processor("b".into(), Arc::new(|_| Box::new(EmittedSoFar)), &[src], vec![])
             .unwrap();
         b.add_sink("one".into(), TopicRef::external("one"), ValueMode::Plain, &[a]).unwrap();
         b.add_sink("two".into(), TopicRef::external("two"), ValueMode::Plain, &[bp]).unwrap();
@@ -594,7 +604,7 @@ mod tests {
         let mut b = InternalBuilder::new();
         let src = b.add_source("s".into(), TopicRef::external("in"), ValueMode::Plain).unwrap();
         let p =
-            b.add_processor("d".into(), Arc::new(|| Box::new(Doubler)), &[src], vec![]).unwrap();
+            b.add_processor("d".into(), Arc::new(|_| Box::new(Doubler)), &[src], vec![]).unwrap();
         let back =
             b.add_source("back".into(), TopicRef::external("back"), ValueMode::Plain).unwrap();
         b.connect(&[p], back).unwrap();
@@ -628,6 +638,58 @@ mod tests {
         };
         let out = std::thread::Builder::new().stack_size(2 << 20).spawn(run).unwrap();
         assert_eq!(out.join().unwrap(), Some(crate::KSerde::to_bytes(&HOPS)));
+    }
+
+    #[test]
+    fn an_undeclared_store_is_refused_at_build() {
+        let mut b = InternalBuilder::new();
+        let src = b.add_source("s".into(), TopicRef::external("in"), ValueMode::Plain).unwrap();
+        b.add_store(StoreSpec::new("c", StoreKind::KeyValue)).unwrap();
+        let factory: ProcessorFactory = Arc::new(|s| Box::new(Counter { store: s[1] }));
+        b.add_processor("cnt".into(), factory, &[src], vec!["c".into(), "ghost".into()]).unwrap();
+        let t = b.build().unwrap();
+        match SubTopologyDriver::new(&t, 0) {
+            Err(StreamsError::InvalidTopology(msg)) => assert!(msg.contains("ghost"), "{msg}"),
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("a processor declaring a store never added must be refused"),
+        }
+        let id = TaskId { subtopology: 0, partition: 0 };
+        assert!(matches!(
+            crate::task::StreamTask::new(&t, id, "app"),
+            Err(StreamsError::InvalidTopology(_))
+        ));
+    }
+
+    /// Records the store ids it was built with as its output values.
+    struct Ids(Vec<StoreId>);
+    impl Processor for Ids {
+        fn process(&mut self, ctx: &mut ProcessorContext<'_>, record: FlowRecord) {
+            for id in &self.0 {
+                ctx.forward(FlowRecord { new: Some(i64b(id.index() as i64)), ..record.clone() });
+            }
+        }
+    }
+
+    #[test]
+    fn a_processor_gets_its_store_ids_in_declaration_order() {
+        let mut b = InternalBuilder::new();
+        let src = b.add_source("s".into(), TopicRef::external("in"), ValueMode::Plain).unwrap();
+        for name in ["a", "b", "c"] {
+            b.add_store(StoreSpec::new(name, StoreKind::KeyValue)).unwrap();
+        }
+        let ids: ProcessorFactory = Arc::new(|s| Box::new(Ids(s.to_vec())));
+        let p = b
+            .add_processor("p".into(), ids, &[src], vec!["c".into(), "a".into(), "b".into()])
+            .unwrap();
+        b.add_sink("k".into(), TopicRef::external("out"), ValueMode::Plain, &[p]).unwrap();
+        let t = b.build().unwrap();
+        let mut driver = SubTopologyDriver::new(&t, 0).unwrap();
+        let mut env = task_env(&t, 0);
+        let names: Vec<&str> = env.stores.iter().map(|e| e.spec.name.as_str()).collect();
+        assert_eq!(names, ["a", "b", "c"], "the store table is in name order");
+        process_in(&mut driver, &mut env, None, None, 0).unwrap();
+        let got: Vec<_> = env.outputs.iter().map(|o| o.value.clone().unwrap()).collect();
+        assert_eq!(got, [i64b(2), i64b(0), i64b(1)], "ids in declaration order");
     }
 
     #[test]

@@ -11,13 +11,13 @@ pub mod driver;
 
 pub use driver::{SinkOutput, SubTopologyDriver, TaskEnv};
 
+use crate::error::StreamsError;
 use crate::record::FlowRecord;
 use crate::state::{RecordCache, Store, StoreSpec};
-use crate::topology::Topology;
+use crate::topology::{NodeKind, TaskId, Topology};
 use bytes::Bytes;
 use driver::{Graph, Slot};
 use kbroker::TopicPartition;
-use std::collections::BTreeMap;
 
 /// A stream processor: receives one record at a time, may read/write stores
 /// and forward records downstream.
@@ -35,7 +35,23 @@ pub trait Processor: Send {
     fn punctuate(&mut self, _ctx: &mut ProcessorContext<'_>, _stream_time: i64, _wall_time: i64) {}
 }
 
-/// A store instance plus its changelogging flag, owned by a task.
+/// A store's identity within its sub-topology: its position in the
+/// sub-topology's store list, which is sorted by name. The driver resolves
+/// every name a processor declares into one when it is built (a name that
+/// does not resolve is [`StreamsError::InvalidTopology`] there), and from
+/// then on a store call indexes [`TaskEnv::stores`] with it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StoreId(usize);
+
+impl StoreId {
+    /// The store's position in [`TaskEnv::stores`].
+    pub fn index(self) -> usize {
+        self.0
+    }
+}
+
+/// A store instance owned by a task or a standby, with everything resolved
+/// for it once.
 pub struct StoreEntry {
     pub store: Store,
     pub spec: StoreSpec,
@@ -45,10 +61,19 @@ pub struct StoreEntry {
     /// side effects are buffered here until commit.
     pub cache: RecordCache,
     /// Where this store's writes are logged, `None` for a store without a
-    /// changelog. Every captured write carries a copy of this address. An
-    /// entry starts with the store's logical changelog topic; the task that
-    /// owns it substitutes its own physical changelog partition.
+    /// changelog. Every captured write carries a copy of this address.
     pub changelog: Option<TopicPartition>,
+    /// The local node that owns the store, the first processor to declare
+    /// it: cache flushes forward its revisions through that node's
+    /// children. `None` for a store no node declares.
+    pub owner: Option<usize>,
+    /// Where restore replays the store from: its changelog partition, or the
+    /// source partition when the source topic is the changelog (§3.3).
+    /// `None` for a store that cannot be rebuilt.
+    pub restore: Option<TopicPartition>,
+    /// Next offset of `restore` to replay; replay starts no lower than the
+    /// log start. Moved by replay, a standby promotion or a loaded spill.
+    pub position: i64,
 }
 
 impl StoreEntry {
@@ -58,11 +83,52 @@ impl StoreEntry {
     }
 
     /// Entry buffering up to `cache_max_entries` dirty entries between
-    /// commits.
+    /// commits, logging to the store's logical changelog topic.
     pub fn with_cache(store: Store, spec: StoreSpec, cache_max_entries: usize) -> Self {
         let changelog =
             spec.changelog.then(|| TopicPartition::new(Topology::changelog_topic(&spec.name), 0));
-        Self { store, spec, cache: RecordCache::new(cache_max_entries), changelog }
+        let cache = RecordCache::new(cache_max_entries);
+        Self { store, spec, cache, changelog, owner: None, restore: changelog, position: 0 }
+    }
+
+    /// The store table of task `id`: one empty entry per store of its
+    /// sub-topology, each at its [`StoreId`], with its physical changelog
+    /// partition, restore source and owner node. A task and its standby
+    /// both build theirs here, so a promotion moves entries by position.
+    pub fn table(
+        topology: &Topology,
+        id: TaskId,
+        app_id: &str,
+        cache_max_entries: usize,
+    ) -> Result<Vec<Self>, StreamsError> {
+        let st = topology
+            .subtopologies
+            .get(id.subtopology)
+            .ok_or_else(|| StreamsError::InvalidTopology("unknown sub-topology".into()))?;
+        let partition = |topic: String| TopicPartition::new(topic, id.partition);
+        let declares = |node: &usize, name: &String| match &topology.nodes[*node].kind {
+            NodeKind::Processor { stores, .. } => stores.contains(name),
+            _ => false,
+        };
+        let entry = |name: &String| {
+            let (spec, _) = &topology.stores[name];
+            let mut entry =
+                Self::with_cache(Store::new(spec.kind), spec.clone(), cache_max_entries);
+            entry.changelog = spec
+                .changelog
+                .then(|| partition(format!("{app_id}-{}", Topology::changelog_topic(name))));
+            let source = topology.source_changelogs.get(name).map(|t| partition(t.resolve(app_id)));
+            entry.restore = entry.changelog.or(source);
+            entry.owner = st.nodes.iter().position(|node| declares(node, name));
+            entry
+        };
+        Ok(st.stores.iter().map(entry).collect())
+    }
+
+    /// Whether restore replays this store from its source topic, up to the
+    /// committed input offset, rather than from a changelog to its end.
+    pub fn source_backed(&self) -> bool {
+        self.changelog.is_none() && self.restore.is_some()
     }
 }
 
@@ -130,14 +196,14 @@ impl<'a> ProcessorContext<'a> {
     // is always written through, so reads never consult the cache.
     // ---------------------------------------------------------------
 
-    fn entry(&mut self, store: &str) -> &mut StoreEntry {
-        entry(&mut self.env.stores, store)
+    fn entry(&mut self, store: StoreId) -> &mut StoreEntry {
+        &mut self.env.stores[store.0]
     }
 
-    /// Apply `write` to `store`, looked up once, and record its side
-    /// effects. `write` returns its result, the changelog key (also the
-    /// forwarded record key), the new value and the old one, which becomes
-    /// the revision's retraction half when `forward` is set.
+    /// Apply `write` to `store` and record its side effects. `write`
+    /// returns its result, the changelog key (also the forwarded record
+    /// key), the new value and the old one, which becomes the revision's
+    /// retraction half when `forward` is set.
     ///
     /// With a cache enabled the write coalesces into a dirty entry that the
     /// task flushes at commit; an entry evicted by the capacity bound is
@@ -145,13 +211,13 @@ impl<'a> ProcessorContext<'a> {
     /// only registered by the single operator that owns the store.
     fn write<R>(
         &mut self,
-        store: &str,
+        store: StoreId,
         ts: i64,
         forward: bool,
         write: impl FnOnce(&mut Store) -> (R, Bytes, Option<Bytes>, Option<Bytes>),
     ) -> R {
         let TaskEnv { stores, changelog: log, metrics, .. } = &mut *self.env;
-        let entry = entry(stores, store);
+        let entry = &mut stores[store.0];
         let (result, key, value, old) = write(&mut entry.store);
         let changelog = entry.changelog;
         if changelog.is_none() && !forward {
@@ -186,12 +252,12 @@ impl<'a> ProcessorContext<'a> {
     }
 
     /// Key/value get.
-    pub fn kv_get(&mut self, store: &str, key: &[u8]) -> Option<Bytes> {
+    pub fn kv_get(&mut self, store: StoreId, key: &[u8]) -> Option<Bytes> {
         self.entry(store).store.as_kv().get(key)
     }
 
     /// Key/value put (None deletes); returns the prior value.
-    pub fn kv_put(&mut self, store: &str, key: Bytes, value: Option<Bytes>) -> Option<Bytes> {
+    pub fn kv_put(&mut self, store: StoreId, key: Bytes, value: Option<Bytes>) -> Option<Bytes> {
         let ts = self.env.stream_time;
         self.write(store, ts, false, |s| {
             (s.as_kv().put(key.clone(), value.clone()), key, value, None)
@@ -206,7 +272,7 @@ impl<'a> ProcessorContext<'a> {
     /// first of them.
     pub fn table_update(
         &mut self,
-        store: &str,
+        store: StoreId,
         key: Bytes,
         ts: i64,
         f: impl FnOnce(Option<&Bytes>) -> Option<Bytes>,
@@ -218,13 +284,13 @@ impl<'a> ProcessorContext<'a> {
     }
 
     /// Number of entries in a KV store (suppress occupancy, index checks).
-    pub fn kv_len(&mut self, store: &str) -> usize {
+    pub fn kv_len(&mut self, store: StoreId) -> usize {
         self.entry(store).store.as_kv().len()
     }
 
     /// Ordered scan of a KV store over `[from, to)` (interactive queries,
     /// table scans).
-    pub fn kv_range(&mut self, store: &str, from: &[u8], to: &[u8]) -> Vec<(Bytes, Bytes)> {
+    pub fn kv_range(&mut self, store: StoreId, from: &[u8], to: &[u8]) -> Vec<(Bytes, Bytes)> {
         self.entry(store)
             .store
             .as_kv()
@@ -235,19 +301,19 @@ impl<'a> ProcessorContext<'a> {
 
     /// All entries of a KV store (suppress-buffer flush scans, interactive
     /// queries).
-    pub fn kv_entries(&mut self, store: &str) -> Vec<(Bytes, Bytes)> {
+    pub fn kv_entries(&mut self, store: StoreId) -> Vec<(Bytes, Bytes)> {
         self.entry(store).store.as_kv().iter().map(|(k, v)| (k.clone(), v.clone())).collect()
     }
 
     /// Windowed fetch.
-    pub fn window_fetch(&mut self, store: &str, key: &[u8], window_start: i64) -> Option<Bytes> {
+    pub fn window_fetch(&mut self, store: StoreId, key: &[u8], window_start: i64) -> Option<Bytes> {
         self.entry(store).store.as_window().fetch(key, window_start)
     }
 
     /// Windowed put; returns the prior value (the `old` of a revision).
     pub fn window_put(
         &mut self,
-        store: &str,
+        store: StoreId,
         key: Bytes,
         window_start: i64,
         value: Option<Bytes>,
@@ -266,7 +332,7 @@ impl<'a> ProcessorContext<'a> {
     /// enabled.
     pub fn window_update(
         &mut self,
-        store: &str,
+        store: StoreId,
         key: Bytes,
         window_start: i64,
         ts: i64,
@@ -282,7 +348,7 @@ impl<'a> ProcessorContext<'a> {
     /// Windowed range fetch for one key.
     pub fn window_fetch_range(
         &mut self,
-        store: &str,
+        store: StoreId,
         key: &[u8],
         from: i64,
         to: i64,
@@ -294,14 +360,14 @@ impl<'a> ProcessorContext<'a> {
     /// Evictions are *not* changelogged: the changelog bounds its growth via
     /// compaction and restore-side re-expiry instead, mirroring Kafka's
     /// retention-based windowed changelogs.
-    pub fn window_expire(&mut self, store: &str, before: i64) -> Vec<(i64, Bytes, Bytes)> {
+    pub fn window_expire(&mut self, store: StoreId, before: i64) -> Vec<(i64, Bytes, Bytes)> {
         self.entry(store).store.as_window().expire_before(before)
     }
 
     /// Iterate all windowed entries (interactive queries; flush scans should
     /// use [`window_entries_below`](Self::window_entries_below) instead so
     /// they don't materialize live windows).
-    pub fn window_entries(&mut self, store: &str) -> Vec<(i64, Bytes, Bytes)> {
+    pub fn window_entries(&mut self, store: StoreId) -> Vec<(i64, Bytes, Bytes)> {
         self.entry(store)
             .store
             .as_window()
@@ -313,7 +379,11 @@ impl<'a> ProcessorContext<'a> {
     /// Windowed entries with window start `< before`, in window order — the
     /// bounded flush scan: only windows at-or-below the flush horizon are
     /// cloned, not the whole store.
-    pub fn window_entries_below(&mut self, store: &str, before: i64) -> Vec<(i64, Bytes, Bytes)> {
+    pub fn window_entries_below(
+        &mut self,
+        store: StoreId,
+        before: i64,
+    ) -> Vec<(i64, Bytes, Bytes)> {
         self.entry(store)
             .store
             .as_window()
@@ -325,7 +395,7 @@ impl<'a> ProcessorContext<'a> {
     /// Sessions of `key` overlapping `ts ± gap`.
     pub fn session_find(
         &mut self,
-        store: &str,
+        store: StoreId,
         key: &[u8],
         ts: i64,
         gap: i64,
@@ -334,7 +404,7 @@ impl<'a> ProcessorContext<'a> {
     }
 
     /// Store a session.
-    pub fn session_put(&mut self, store: &str, key: Bytes, start: i64, end: i64, value: Bytes) {
+    pub fn session_put(&mut self, store: StoreId, key: Bytes, start: i64, end: i64, value: Bytes) {
         let ck = crate::state::session::encode_session_key(&key, start, end);
         let ts = self.env.stream_time;
         self.write(store, ts, false, |s| {
@@ -344,7 +414,7 @@ impl<'a> ProcessorContext<'a> {
     }
 
     /// Remove a session.
-    pub fn session_remove(&mut self, store: &str, key: &[u8], start: i64, end: i64) {
+    pub fn session_remove(&mut self, store: StoreId, key: &[u8], start: i64, end: i64) {
         let ck = crate::state::session::encode_session_key(key, start, end);
         let ts = self.env.stream_time;
         self.write(store, ts, false, |s| {
@@ -359,14 +429,9 @@ impl<'a> ProcessorContext<'a> {
     /// that emit final results or metrics on eviction get to observe them.
     pub fn session_expire(
         &mut self,
-        store: &str,
+        store: StoreId,
         horizon: i64,
     ) -> Vec<(Bytes, crate::state::session::SessionEntry)> {
         self.entry(store).store.as_session().expire_before(horizon)
     }
-}
-
-/// `store`'s entry: a processor touching a store it did not declare is a bug.
-fn entry<'s>(stores: &'s mut BTreeMap<String, StoreEntry>, store: &str) -> &'s mut StoreEntry {
-    stores.get_mut(store).unwrap_or_else(|| panic!("processor accessed undeclared store {store}"))
 }

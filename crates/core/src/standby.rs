@@ -15,19 +15,17 @@
 
 use crate::error::StreamsError;
 use crate::processor::StoreEntry;
-use crate::state::Store;
-use crate::task::replay_changelog;
+use crate::task::{query_kv, replay_stores};
 use crate::topology::{TaskId, Topology};
-use kbroker::{Cluster, IsolationLevel, TopicPartition};
-use std::collections::BTreeMap;
+use kbroker::{Cluster, IsolationLevel};
+use std::collections::{BTreeMap, HashMap};
 
 /// A warm replica of one task's stores, fed by changelog tailing.
 pub struct StandbyTask {
     pub id: TaskId,
-    // BTreeMaps: poll order over stores must be deterministic for replay.
-    stores: BTreeMap<String, StoreEntry>,
-    /// Next changelog offset to apply, per store.
-    positions: BTreeMap<String, (TopicPartition, i64)>,
+    /// The task's store table ([`StoreEntry::table`]), each store's
+    /// position the next changelog offset to apply.
+    stores: Vec<StoreEntry>,
     /// Changelog records applied so far (metrics/tests).
     records_applied: u64,
 }
@@ -35,46 +33,19 @@ pub struct StandbyTask {
 impl StandbyTask {
     /// Create an empty standby for `id` with the sub-topology's stores.
     pub fn new(topology: &Topology, id: TaskId, app_id: &str) -> Result<Self, StreamsError> {
-        let st = topology
-            .subtopologies
-            .get(id.subtopology)
-            .ok_or_else(|| StreamsError::InvalidTopology("unknown sub-topology".into()))?;
-        let mut stores = BTreeMap::new();
-        let mut positions = BTreeMap::new();
-        for store_name in &st.stores {
-            let (spec, _) = &topology.stores[store_name];
-            if !spec.changelog {
-                continue; // nothing to tail — the store cannot be replicated
-            }
-            stores.insert(store_name.clone(), StoreEntry::new(Store::new(spec.kind), spec.clone()));
-            let topic = format!("{app_id}-{}", Topology::changelog_topic(store_name));
-            positions.insert(store_name.clone(), (TopicPartition::new(topic, id.partition), 0));
-        }
-        Ok(Self { id, stores, positions, records_applied: 0 })
+        Ok(Self { id, stores: StoreEntry::table(topology, id, app_id, 0)?, records_applied: 0 })
     }
 
     /// Tail the changelogs: apply all newly committed records. Returns how
-    /// many were applied.
+    /// many were applied. A standby knows no committed input offsets, so
+    /// it replays changelog-backed stores only.
     pub fn poll(
         &mut self,
         cluster: &Cluster,
         isolation: IsolationLevel,
     ) -> Result<u64, StreamsError> {
         let mut applied = 0;
-        for (store_name, (tp, pos)) in self.positions.iter_mut() {
-            if !cluster.topic_exists(&tp.topic) {
-                continue;
-            }
-            if *pos == 0 {
-                *pos = cluster.earliest_offset(tp)?;
-            }
-            let store = &mut self.stores.get_mut(store_name).expect("store exists").store;
-            match replay_changelog(cluster, tp, pos, None, isolation, store, &mut applied) {
-                // A partition without a leader makes no progress this poll.
-                Ok(()) | Err(kbroker::BrokerError::NoLeader { .. }) => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
+        replay_stores(&mut self.stores, cluster, isolation, &HashMap::new(), true, &mut applied)?;
         self.records_applied += applied;
         Ok(applied)
     }
@@ -90,34 +61,29 @@ impl StandbyTask {
     /// allowing a deferred task transfer (KIP-441-style recovery lag).
     pub fn replay_lag(&self, cluster: &Cluster) -> i64 {
         let mut lag = 0;
-        for (tp, pos) in self.positions.values() {
-            if !cluster.topic_exists(&tp.topic) {
+        for entry in &self.stores {
+            let Some(tp) = entry.changelog.filter(|tp| cluster.topic_exists(&tp.topic)) else {
                 continue;
-            }
-            let start = if *pos == 0 { cluster.earliest_offset(tp).unwrap_or(0) } else { *pos };
-            if let Ok(end) = cluster.latest_offset(tp) {
+            };
+            let start = entry.position.max(cluster.earliest_offset(&tp).unwrap_or(0));
+            if let Ok(end) = cluster.latest_offset(&tp) {
                 lag += (end - start).max(0);
             }
         }
         lag
     }
 
-    /// Hand the warm stores (and their changelog positions) to a task being
-    /// promoted to active. The promotion replays only the suffix written
-    /// after `positions`.
-    pub fn into_parts(
-        self,
-    ) -> (BTreeMap<String, StoreEntry>, BTreeMap<String, (TopicPartition, i64)>) {
-        (self.stores, self.positions)
+    /// Hand the warm store table to a task being promoted to active
+    /// ([`StreamTask::adopt_warm_stores`](crate::task::StreamTask::adopt_warm_stores)).
+    /// The promotion replays only the suffix past each store's position.
+    pub fn into_stores(self) -> Vec<StoreEntry> {
+        self.stores
     }
 
     /// Read a key from a standby KV store (remote-queryable replicas — the
     /// §8 future-work pattern).
     pub fn query_kv(&mut self, store: &str, key: &[u8]) -> Option<bytes::Bytes> {
-        self.stores.get_mut(store).and_then(|e| match &mut e.store {
-            Store::Kv(s) => s.get(key),
-            _ => None,
-        })
+        query_kv(&mut self.stores, store, key)
     }
 }
 

@@ -94,13 +94,6 @@ pub struct StreamTask {
     /// physical topic, and its partition count once the first output has
     /// looked it up (0 until then).
     sinks: Vec<(Topic, u32)>,
-    /// Where restore should begin per store (set when promoted from a
-    /// standby replica; default is the changelog's earliest offset).
-    restore_from: HashMap<String, i64>,
-    /// Stores restored from a *source topic* instead of a changelog (§3.3
-    /// optimization): store → source partition. Ordered, as restore walks
-    /// it.
-    source_restore_tps: BTreeMap<String, TopicPartition>,
     /// Whether this task has processed input, produced output, or mutated
     /// state since the last successful commit. A clean task's in-memory
     /// state equals its committed state, so a rebalance that aborts the
@@ -120,8 +113,8 @@ impl StreamTask {
     /// up to `cache_max_entries` dirty entries (0 = off).
     ///
     /// Everything the hot path addresses by name elsewhere is resolved here,
-    /// once: each input's source node, each sink's physical topic, each
-    /// store's physical changelog partition.
+    /// once: each input's source node, each sink's physical topic, and the
+    /// store table ([`StoreEntry::table`]) its processors index.
     pub fn with_cache(
         topology: &Topology,
         id: TaskId,
@@ -134,22 +127,7 @@ impl StreamTask {
             .ok_or_else(|| StreamsError::InvalidTopology("unknown sub-topology".into()))?;
         let driver = SubTopologyDriver::new(topology, id.subtopology)?;
         let mut env = TaskEnv::new(id.partition);
-        let mut source_restore_tps = BTreeMap::new();
-        for store_name in &st.stores {
-            let (spec, _) = &topology.stores[store_name];
-            let mut entry =
-                StoreEntry::with_cache(Store::new(spec.kind), spec.clone(), cache_max_entries);
-            if spec.changelog {
-                let topic = format!("{app_id}-{}", Topology::changelog_topic(store_name));
-                entry.changelog = Some(TopicPartition::new(topic, id.partition));
-            } else if let Some(source) = topology.source_changelogs.get(store_name) {
-                source_restore_tps.insert(
-                    store_name.clone(),
-                    TopicPartition::new(source.resolve(app_id), id.partition),
-                );
-            }
-            env.stores.insert(store_name.clone(), entry);
-        }
+        env.stores = StoreEntry::table(topology, id, app_id, cache_max_entries)?;
         let inputs = st
             .source_topics
             .iter()
@@ -171,17 +149,7 @@ impl StreamTask {
             .collect::<Result<Vec<Input>, StreamsError>>()?;
         let sinks =
             driver.sink_topics().iter().map(|t| (Topic::new(&t.resolve(app_id)), 0)).collect();
-        Ok(Self {
-            id,
-            app_id: app_id.to_string(),
-            driver,
-            env,
-            inputs,
-            sinks,
-            restore_from: HashMap::new(),
-            source_restore_tps,
-            dirty: false,
-        })
+        Ok(Self { id, app_id: app_id.to_string(), driver, env, inputs, sinks, dirty: false })
     }
 
     /// Whether uncommitted work (processed input, pending output, or store
@@ -208,23 +176,15 @@ impl StreamTask {
             || self.inputs.iter().any(|input| input.processed_position != input.committed_position)
     }
 
-    /// Adopt the warm stores of a standby replica (§3.3): restore will then
-    /// replay only the changelog suffix written after the standby's
-    /// positions, instead of the full changelog.
-    pub fn adopt_warm_stores(
-        &mut self,
-        stores: BTreeMap<String, StoreEntry>,
-        positions: BTreeMap<String, (TopicPartition, i64)>,
-    ) {
-        for (name, warm) in stores {
-            // Only the contents are the standby's: the cache (a standby has
-            // none) and the changelog handle stay this task's own.
-            if let Some(entry) = self.env.stores.get_mut(&name) {
-                entry.store = warm.store;
-            }
-        }
-        for (name, (_tp, pos)) in positions {
-            self.restore_from.insert(name, pos);
+    /// Adopt the warm stores of a standby replica (§3.3), whose table was
+    /// built for the same task: restore will then replay only the changelog
+    /// suffix past each store's position, instead of the full changelog.
+    pub fn adopt_warm_stores(&mut self, warm: Vec<StoreEntry>) {
+        // Only the contents and positions are the standby's: the cache (a
+        // standby has none) stays this task's own.
+        for (entry, warm) in self.env.stores.iter_mut().zip(warm) {
+            entry.store = warm.store;
+            entry.position = warm.position;
         }
     }
 
@@ -264,39 +224,12 @@ impl StreamTask {
     ) -> Result<bool, StreamsError> {
         let restore_start_ms = cluster.now_ms();
         let replayed_before = self.env.metrics.restore_records;
-        let mut caught_up = true;
+        // A loaded spill (or warm standby) already reflects the prefix below
+        // each store's position; replay only the rest. The positions stay
+        // put, so a parked restore retries from them.
         let TaskEnv { stores, metrics, .. } = &mut self.env;
-        // Source-as-changelog stores: replay the source prefix we already
-        // processed (per committed offsets).
-        for (store_name, tp) in &self.source_restore_tps {
-            let Some(&bound) = committed.get(tp) else { continue };
-            if !cluster.topic_exists(&tp.topic) {
-                continue;
-            }
-            // A loaded spill (or warm standby) already reflects the prefix
-            // below its watermark; replay only the rest.
-            let warm = self.restore_from.get(store_name).copied().unwrap_or(0);
-            let mut pos = warm.max(cluster.earliest_offset(tp)?);
-            let store = &mut stores.get_mut(store_name).expect("store exists").store;
-            let applied = &mut metrics.restore_records;
-            replay_changelog(cluster, tp, &mut pos, Some(bound), isolation, store, applied)?;
-            if pos < bound {
-                caught_up = false;
-            }
-        }
-        for (store_name, entry) in stores.iter_mut() {
-            let Some(tp) = &entry.changelog else { continue };
-            if !cluster.topic_exists(&tp.topic) {
-                continue;
-            }
-            let warm = self.restore_from.get(store_name).copied().unwrap_or(0);
-            let mut pos = warm.max(cluster.earliest_offset(tp)?);
-            let applied = &mut metrics.restore_records;
-            replay_changelog(cluster, tp, &mut pos, None, isolation, &mut entry.store, applied)?;
-            if pos < cluster.latest_offset(tp)? {
-                caught_up = false;
-            }
-        }
+        let applied = &mut metrics.restore_records;
+        let caught_up = replay_stores(stores, cluster, isolation, committed, false, applied)?;
         let replayed = self.env.metrics.restore_records - replayed_before;
         if replayed > 0 {
             kobs::count("kstreams.restore.sessions", 1);
@@ -578,15 +511,13 @@ impl StreamTask {
     /// Read a value from a local KV store (interactive queries — the
     /// Bloomberg state-catalog pattern, §6.1).
     pub fn query_kv(&mut self, store: &str, key: &[u8]) -> Option<Bytes> {
-        self.env.stores.get_mut(store).and_then(|e| match &mut e.store {
-            Store::Kv(s) => s.get(key),
-            _ => None,
-        })
+        query_kv(&mut self.env.stores, store, key)
     }
 
     /// Read a windowed value from a local window store.
     pub fn query_window(&mut self, store: &str, key: &[u8], window_start: i64) -> Option<Bytes> {
-        self.env.stores.get_mut(store).and_then(|e| match &mut e.store {
+        let entry = self.env.stores.iter_mut().find(|e| e.spec.name == store);
+        entry.and_then(|e| match &mut e.store {
             Store::Window(s) => s.fetch(key, window_start),
             _ => None,
         })
@@ -596,7 +527,7 @@ impl StreamTask {
     /// `store → (changelog key, value)` pairs in key order (the
     /// serial-vs-parallel equivalence oracle).
     pub fn dump_stores(&self) -> BTreeMap<String, Vec<(Bytes, Bytes)>> {
-        self.env.stores.iter().map(|(name, e)| (name.clone(), e.store.dump())).collect()
+        self.env.stores.iter().map(|e| (e.spec.name.clone(), e.store.dump())).collect()
     }
 
     // ------------------------------------------------------------------
@@ -610,19 +541,18 @@ impl StreamTask {
     /// stores — the committed input offset.
     pub fn spill_stores(&self, state_dir: &Path, cluster: &Cluster) -> Result<(), StreamsError> {
         let task_id = self.id.to_string();
-        for (store_name, entry) in &self.env.stores {
-            let watermark = if let Some(tp) = &entry.changelog {
-                if !cluster.topic_exists(&tp.topic) {
-                    continue;
-                }
-                cluster.latest_offset(tp)?
-            } else if let Some(tp) = self.source_restore_tps.get(store_name) {
-                let input = self.inputs.iter().find(|input| input.tp == *tp);
+        for entry in &self.env.stores {
+            // No restore source: the store is ephemeral by design.
+            let Some(tp) = entry.restore else { continue };
+            let watermark = if entry.source_backed() {
+                let input = self.inputs.iter().find(|input| input.tp == tp);
                 input.and_then(|input| input.processed_position).unwrap_or(0)
+            } else if cluster.topic_exists(&tp.topic) {
+                cluster.latest_offset(&tp)?
             } else {
-                continue; // no changelog: the store is ephemeral by design
+                continue;
             };
-            let path = spill::spill_path(state_dir, &self.app_id, &task_id, store_name);
+            let path = spill::spill_path(state_dir, &self.app_id, &task_id, &entry.spec.name);
             let data = spill::StoreSpill { watermark, pairs: entry.store.dump() };
             spill::write_spill(&path, &data).map_err(|e| {
                 StreamsError::InvalidOperation(format!("spill write {path:?}: {e}"))
@@ -639,14 +569,13 @@ impl StreamTask {
     pub fn load_spills(&mut self, state_dir: &Path) {
         let task_id = self.id.to_string();
         let mut loaded = 0u64;
-        for (store_name, entry) in &mut self.env.stores {
-            if entry.changelog.is_none() && !self.source_restore_tps.contains_key(store_name) {
+        for entry in &mut self.env.stores {
+            if entry.restore.is_none() {
                 continue;
             }
-            let path = spill::spill_path(state_dir, &self.app_id, &task_id, store_name);
+            let path = spill::spill_path(state_dir, &self.app_id, &task_id, &entry.spec.name);
             let Some(data) = spill::read_spill(&path) else { continue };
-            let warm = self.restore_from.get(store_name).copied().unwrap_or(0);
-            if data.watermark < warm {
+            if data.watermark < entry.position {
                 continue; // the adopted standby state is fresher
             }
             // Replace, not merge: the spill is a complete dump at its
@@ -656,7 +585,7 @@ impl StreamTask {
             for (k, v) in &data.pairs {
                 entry.store.apply_changelog(k, Some(v.clone()));
             }
-            self.restore_from.insert(store_name.clone(), data.watermark);
+            entry.position = data.watermark;
             loaded += 1;
         }
         if loaded > 0 {
@@ -665,11 +594,75 @@ impl StreamTask {
     }
 }
 
+/// Read `key` from the KV store named `name` (interactive queries, where a
+/// human names the store).
+pub(crate) fn query_kv(stores: &mut [StoreEntry], name: &str, key: &[u8]) -> Option<Bytes> {
+    stores.iter_mut().find(|e| e.spec.name == name).and_then(|e| match &mut e.store {
+        Store::Kv(s) => s.get(key),
+        _ => None,
+    })
+}
+
+/// Replay `stores` from their positions: the one loop behind a task's
+/// restore and a standby's tailing. Source-backed stores go first, each up
+/// to its source partition's offset in `committed` (one with none is
+/// skipped: a standby passes no offsets, so it tails changelogs only), then
+/// changelog-backed stores to the end the fetch under `isolation` reaches;
+/// each group in [`StoreId`](crate::processor::StoreId) order. With
+/// `resume`, each store's position moves to where its replay stopped.
+///
+/// Returns whether every replay caught up. A partition without a leader
+/// makes no progress this pass, and the pass has not caught up.
+pub(crate) fn replay_stores(
+    stores: &mut [StoreEntry],
+    cluster: &Cluster,
+    isolation: IsolationLevel,
+    committed: &HashMap<TopicPartition, i64>,
+    resume: bool,
+    applied: &mut u64,
+) -> Result<bool, StreamsError> {
+    let mut caught_up = true;
+    for source_backed in [true, false] {
+        for entry in stores.iter_mut().filter(|e| e.source_backed() == source_backed) {
+            let Some(tp) = entry.restore else { continue };
+            let until = if source_backed {
+                let Some(&bound) = committed.get(&tp) else { continue };
+                Some(bound)
+            } else {
+                None
+            };
+            if !cluster.topic_exists(&tp.topic) {
+                continue;
+            }
+            let mut pos = entry.position;
+            let replayed = cluster.earliest_offset(&tp).and_then(|start| {
+                pos = pos.max(start);
+                let store = &mut entry.store;
+                replay_changelog(cluster, &tp, &mut pos, until, isolation, store, applied)?;
+                let end = match until {
+                    Some(bound) => bound,
+                    None => cluster.latest_offset(&tp)?,
+                };
+                Ok(pos >= end)
+            });
+            match replayed {
+                Ok(done) => caught_up &= done,
+                Err(kbroker::BrokerError::NoLeader { .. }) => caught_up = false,
+                Err(e) => return Err(e.into()),
+            }
+            if resume {
+                entry.position = pos;
+            }
+        }
+    }
+    Ok(caught_up)
+}
+
 /// Replay a changelog partition into `store`: apply every keyed record from
 /// `*pos` up to `until` (exclusive), or — with no bound — until a fetch under
 /// `isolation` returns nothing further. `*pos` and `*applied` advance fetch
 /// by fetch, so what was replayed before a failing fetch stays accounted.
-pub(crate) fn replay_changelog(
+fn replay_changelog(
     cluster: &Cluster,
     tp: &TopicPartition,
     pos: &mut i64,

@@ -93,10 +93,10 @@ impl InternalBuilder {
         parents: &[usize],
         stores: Vec<String>,
     ) -> Result<usize, StreamsError> {
-        // A reference to an undeclared store is *not* rejected here: the
+        // A reference to an undeclared store is not rejected here: the
         // verifier (`crate::analyze`, rule `undeclared-store`) reports it as
-        // an error-severity diagnostic on the built topology, so all
-        // topology defects surface through one channel.
+        // an error-severity diagnostic on the built topology, and the
+        // driver refuses it when a task is built from that topology.
         let idx = self.insert(name, NodeKind::Processor { factory, stores: stores.clone() })?;
         for s in stores {
             self.store_users.entry(s).or_default().push(idx);
@@ -306,7 +306,7 @@ mod tests {
     }
 
     fn nop_factory() -> ProcessorFactory {
-        Arc::new(|| Box::new(Nop))
+        Arc::new(|_| Box::new(Nop))
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Topology nodes: sources, processors, sinks.
 
-use crate::processor::Processor;
+use crate::processor::{Processor, StoreId};
 use std::sync::Arc;
 
 /// Creates a fresh processor instance for each task (§3.3: tasks execute
-/// independently, each with its own operator instances and state).
-pub type ProcessorFactory = Arc<dyn Fn() -> Box<dyn Processor> + Send + Sync>;
+/// independently, each with its own operator instances and state), handed
+/// the ids of the stores its node declares, in declaration order.
+pub type ProcessorFactory = Arc<dyn Fn(&[StoreId]) -> Box<dyn Processor> + Send + Sync>;
 
 /// How record values cross a topic boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

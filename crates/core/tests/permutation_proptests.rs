@@ -10,11 +10,12 @@ use kstreams::dsl::ops::{Suppress, SuppressMode, WindowAggregate};
 use kstreams::dsl::windows::TimeWindows;
 use kstreams::kserde::{decode_windowed_key, KSerde};
 use kstreams::processor::driver::{SubTopologyDriver, TaskEnv};
-use kstreams::processor::{Processor, ProcessorContext, StoreEntry};
+use kstreams::processor::{Processor, ProcessorContext, StoreEntry, StoreId};
 use kstreams::record::FlowRecord;
 use kstreams::state::{Store, StoreKind, StoreSpec};
 use kstreams::topology::builder::InternalBuilder;
 use kstreams::topology::node::{TopicRef, ValueMode};
+use kstreams::topology::TaskId;
 use proptest::prelude::*;
 use simkit::DetRng;
 use std::collections::{BTreeMap, HashMap};
@@ -35,15 +36,14 @@ fn count_agg() -> kstreams::dsl::ops::AggFn {
     })
 }
 
-fn env_with(stores: &[(&str, StoreKind)]) -> TaskEnv {
+/// A task environment holding one empty store per `(name, kind)`, and
+/// their ids.
+fn env_with<const N: usize>(stores: [(&str, StoreKind); N]) -> (TaskEnv, [StoreId; N]) {
     let mut env = TaskEnv::new(0);
-    for (name, kind) in stores {
-        env.stores.insert(
-            (*name).to_string(),
-            StoreEntry::new(Store::new(*kind), StoreSpec::new(*name, *kind)),
-        );
-    }
-    env
+    let ids = stores.map(|(name, kind)| {
+        env.add_store(StoreEntry::new(Store::new(kind), StoreSpec::new(name, kind)))
+    });
+    (env, ids)
 }
 
 /// In-place Fisher–Yates from an explicit seed (the proptest shim has no
@@ -73,8 +73,8 @@ fn run_window_aggregate(
     events: &[(u8, i64)],
 ) -> (TaskEnv, Vec<FlowRecord>, HashMap<(u8, i64), i64>) {
     let windows = TimeWindows::of(WINDOW_MS).grace(GRACE_MS);
-    let mut agg = WindowAggregate { store: "w".into(), windows, agg: count_agg() };
-    let mut env = env_with(&[("w", StoreKind::Window)]);
+    let (mut env, [w]) = env_with([("w", StoreKind::Window)]);
+    let mut agg = WindowAggregate { store: w, windows, agg: count_agg() };
     let mut forwarded = Vec::new();
     let mut finals: HashMap<(u8, i64), i64> = HashMap::new();
     for (k, ts) in events {
@@ -116,9 +116,9 @@ fn run_cached_pipeline(events: &[(u8, i64)], commit_every: usize, cache: usize) 
     let p = b
         .add_processor(
             "agg".into(),
-            Arc::new(move || {
+            Arc::new(move |s| {
                 let windows = TimeWindows::of(WINDOW_MS).grace(GRACE_MS);
-                Box::new(WindowAggregate { store: "w".into(), windows, agg: count_agg() })
+                Box::new(WindowAggregate { store: s[0], windows, agg: count_agg() })
             }),
             &[src],
             vec!["w".into()],
@@ -128,14 +128,8 @@ fn run_cached_pipeline(events: &[(u8, i64)], commit_every: usize, cache: usize) 
     let t = b.build().unwrap();
     let mut driver = SubTopologyDriver::new(&t, 0).unwrap();
     let mut env = TaskEnv::new(0);
-    env.stores.insert(
-        "w".into(),
-        StoreEntry::with_cache(
-            Store::new(StoreKind::Window),
-            StoreSpec::new("w", StoreKind::Window),
-            cache,
-        ),
-    );
+    env.stores =
+        StoreEntry::table(&t, TaskId { subtopology: 0, partition: 0 }, "app", cache).unwrap();
     let source = driver.source("in").unwrap();
     for (i, (k, ts)) in events.iter().enumerate() {
         driver
@@ -153,7 +147,7 @@ fn run_cached_pipeline(events: &[(u8, i64)], commit_every: usize, cache: usize) 
     }
     driver.flush_caches(&mut env).unwrap();
 
-    let store_dump = match &env.stores["w"].store {
+    let store_dump = match &env.stores[0].store {
         Store::Window(s) => s.iter().map(|(st, k, v)| (st, k.clone(), v.clone())).collect(),
         _ => unreachable!(),
     };
@@ -281,12 +275,12 @@ proptest! {
         permute(&mut events, perm_seed);
 
         let windows = TimeWindows::of(WINDOW_MS).grace(GRACE_MS);
-        let mut agg = WindowAggregate { store: "w".into(), windows, agg: count_agg() };
+        let (mut env, [w, buf]) = env_with([("w", StoreKind::Window), ("buf", StoreKind::KeyValue)]);
+        let mut agg = WindowAggregate { store: w, windows, agg: count_agg() };
         let mut suppress = Suppress::new(
-            "buf",
+            buf,
             SuppressMode::WindowClose { window_size_ms: WINDOW_MS, grace_ms: GRACE_MS },
         );
-        let mut env = env_with(&[("w", StoreKind::Window), ("buf", StoreKind::KeyValue)]);
 
         for (k, ts) in &events {
             let rec = FlowRecord::stream(

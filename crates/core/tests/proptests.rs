@@ -10,7 +10,7 @@ use kstreams::dsl::ops::{KvAggregate, WindowAggregate};
 use kstreams::dsl::windows::TimeWindows;
 use kstreams::kserde::{decode_change, encode_change, KSerde};
 use kstreams::processor::driver::TaskEnv;
-use kstreams::processor::{Processor, ProcessorContext, StoreEntry};
+use kstreams::processor::{Processor, ProcessorContext, StoreEntry, StoreId};
 use kstreams::record::FlowRecord;
 use kstreams::state::spill::{spill_path, write_spill, StoreSpill};
 use kstreams::state::{DirtyEntry, KvStore, RecordCache, Store, StoreKind, StoreSpec, WindowStore};
@@ -26,22 +26,19 @@ fn count_agg() -> kstreams::dsl::ops::AggFn {
     })
 }
 
-fn window_env() -> TaskEnv {
+/// A task environment holding one empty store named `name`, and its id.
+fn env_with(name: &str, kind: StoreKind) -> (TaskEnv, StoreId) {
     let mut env = TaskEnv::new(0);
-    env.stores.insert(
-        "w".into(),
-        StoreEntry::new(Store::new(StoreKind::Window), StoreSpec::new("w", StoreKind::Window)),
-    );
-    env
+    let id = env.add_store(StoreEntry::new(Store::new(kind), StoreSpec::new(name, kind)));
+    (env, id)
 }
 
-fn kv_env() -> TaskEnv {
-    let mut env = TaskEnv::new(0);
-    env.stores.insert(
-        "s".into(),
-        StoreEntry::new(Store::new(StoreKind::KeyValue), StoreSpec::new("s", StoreKind::KeyValue)),
-    );
-    env
+fn window_env() -> (TaskEnv, StoreId) {
+    env_with("w", StoreKind::Window)
+}
+
+fn kv_env() -> (TaskEnv, StoreId) {
+    env_with("s", StoreKind::KeyValue)
 }
 
 fn arb_keyed_events() -> impl Strategy<Value = Vec<(u8, i64)>> {
@@ -132,8 +129,8 @@ proptest! {
     #[test]
     fn windowed_count_converges_to_batch_oracle(events in arb_keyed_events()) {
         let windows = TimeWindows::of(1_000).grace(i64::MAX / 4);
-        let mut agg = WindowAggregate { store: "w".into(), windows, agg: count_agg() };
-        let mut env = window_env();
+        let (mut env, w) = window_env();
+        let mut agg = WindowAggregate { store: w, windows, agg: count_agg() };
         let mut forwarded = Vec::new();
         for (k, ts) in &events {
             let rec = FlowRecord::stream(
@@ -152,7 +149,7 @@ proptest! {
             *oracle.entry((*k, (ts / 1000) * 1000)).or_default() += 1;
         }
         for ((k, start), want) in oracle {
-            let got = match &mut env.stores.get_mut("w").unwrap().store {
+            let got = match &mut env.stores[w.index()].store {
                 Store::Window(s) => {
                     s.fetch(&[k], start).map_or(0, |b| i64::from_bytes(&b).unwrap())
                 }
@@ -168,8 +165,8 @@ proptest! {
     #[test]
     fn changelog_replay_reconstructs_window_store(events in arb_keyed_events()) {
         let windows = TimeWindows::of(1_000).grace(i64::MAX / 4);
-        let mut agg = WindowAggregate { store: "w".into(), windows, agg: count_agg() };
-        let mut env = window_env();
+        let (mut env, w) = window_env();
+        let mut agg = WindowAggregate { store: w, windows, agg: count_agg() };
         let mut forwarded = Vec::new();
         for (k, ts) in &events {
             let rec = FlowRecord::stream(
@@ -187,7 +184,7 @@ proptest! {
             prop_assert_eq!(&*changelog.topic, "w-changelog");
             restored.apply_changelog(key, value.clone());
         }
-        let Store::Window(original) = &env.stores.get("w").unwrap().store else { unreachable!() };
+        let Store::Window(original) = &env.stores[w.index()].store else { unreachable!() };
         let Store::Window(restored) = &restored else { unreachable!() };
         let a: Vec<_> = original.iter().map(|(s, k, v)| (s, k.clone(), v.clone())).collect();
         let b: Vec<_> = restored.iter().map(|(s, k, v)| (s, k.clone(), v.clone())).collect();
@@ -431,14 +428,14 @@ proptest! {
         let fill = |seed: u64| {
             let mut order: Vec<(u8, u8)> = unique.iter().map(|(k, v)| (*k, *v)).collect();
             permute(&mut order, seed);
-            let mut env = kv_env();
+            let (mut env, s) = kv_env();
             let mut forwarded = Vec::new();
             let mut ctx = ProcessorContext::new(&mut forwarded, &mut env);
             for (k, v) in order {
-                ctx.kv_put("s", Bytes::from(store_key(k)), Some(Bytes::from(vec![v])));
+                ctx.kv_put(s, Bytes::from(store_key(k)), Some(Bytes::from(vec![v])));
             }
-            let entries = ctx.kv_entries("s");
-            (env.stores.remove("s").unwrap().store, entries)
+            let entries = ctx.kv_entries(s);
+            (env.stores.swap_remove(s.index()).store, entries)
         };
         let (a, a_entries) = fill(seeds.0);
         let (b, b_entries) = fill(seeds.1);
@@ -461,8 +458,8 @@ proptest! {
             let c = cur.map_or(0, |b| i64::from_bytes(&b).unwrap());
             Some((c - i64::from_bytes(v).unwrap()).to_bytes())
         });
-        let mut agg = KvAggregate { store: "s".into(), add, sub };
-        let mut env = kv_env();
+        let (mut env, s) = kv_env();
+        let mut agg = KvAggregate { store: s, add, sub };
         let mut forwarded = Vec::new();
         // All events share one output key ("total") but carry per-source
         // revisions: old = prior value of that source key.
@@ -480,7 +477,7 @@ proptest! {
             forwarded.clear();
         }
         let want: i64 = current.values().sum();
-        let got = match &mut env.stores.get_mut("s").unwrap().store {
+        let got = match &mut env.stores[s.index()].store {
             Store::Kv(s) => i64::from_bytes(&s.get(b"total").unwrap()).unwrap(),
             _ => unreachable!(),
         };

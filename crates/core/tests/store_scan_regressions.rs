@@ -13,19 +13,18 @@ use bytes::Bytes;
 use kstreams::dsl::ops::StreamStreamJoin;
 use kstreams::dsl::windows::JoinWindows;
 use kstreams::processor::driver::TaskEnv;
-use kstreams::processor::{Processor, ProcessorContext, StoreEntry};
+use kstreams::processor::{Processor, ProcessorContext, StoreEntry, StoreId};
 use kstreams::state::{Store, StoreKind, StoreSpec};
 use std::sync::Arc;
 
-fn env_with(stores: &[(&str, StoreKind)]) -> TaskEnv {
+/// A task environment holding one empty store per `(name, kind)`, and
+/// their ids.
+fn env_with<const N: usize>(stores: [(&str, StoreKind); N]) -> (TaskEnv, [StoreId; N]) {
     let mut env = TaskEnv::new(0);
-    for (name, kind) in stores {
-        env.stores.insert(
-            (*name).to_string(),
-            StoreEntry::new(Store::new(*kind), StoreSpec::new(*name, *kind)),
-        );
-    }
-    env
+    let ids = stores.map(|(name, kind)| {
+        env.add_store(StoreEntry::new(Store::new(kind), StoreSpec::new(name, kind)))
+    });
+    (env, ids)
 }
 
 /// The bounded scan returns exactly the windows strictly below the horizon
@@ -33,22 +32,22 @@ fn env_with(stores: &[(&str, StoreKind)]) -> TaskEnv {
 /// live windows vastly outnumber due ones.
 #[test]
 fn window_entries_below_materializes_only_the_due_prefix() {
-    let mut env = env_with(&[("w", StoreKind::Window)]);
+    let (mut env, [w]) = env_with([("w", StoreKind::Window)]);
     let mut forwarded = Vec::new();
     let mut ctx = ProcessorContext::new(&mut forwarded, &mut env);
     // 3 due windows below the horizon, 500 live ones above it.
     for start in [0i64, 100, 999] {
-        ctx.window_put("w", Bytes::from(format!("due-{start}")), start, Some(Bytes::from("v")));
+        ctx.window_put(w, Bytes::from(format!("due-{start}")), start, Some(Bytes::from("v")));
     }
     for i in 0..500i64 {
         let start = 1_000 + i * 10;
-        ctx.window_put("w", Bytes::from(format!("live-{i}")), start, Some(Bytes::from("v")));
+        ctx.window_put(w, Bytes::from(format!("live-{i}")), start, Some(Bytes::from("v")));
     }
-    let scanned = ctx.window_entries_below("w", 1_000);
+    let scanned = ctx.window_entries_below(w, 1_000);
     assert_eq!(scanned.len(), 3, "only the due prefix is cloned");
     assert!(scanned.iter().all(|(start, _, _)| *start < 1_000));
     assert_eq!(
-        ctx.window_entries("w").len(),
+        ctx.window_entries(w).len(),
         503,
         "the bounded scan reads without evicting; the full-scan API still sees everything"
     );
@@ -60,21 +59,21 @@ fn window_entries_below_materializes_only_the_due_prefix() {
 #[test]
 fn join_padding_flush_leaves_live_windows_alone() {
     let window = JoinWindows::of(100).grace(50);
-    let mut join = StreamStreamJoin {
-        my_buffer: "lb".into(),
-        other_buffer: "rb".into(),
-        my_pending: Some("lp".into()),
-        other_pending: Some("rp".into()),
-        window,
-        joiner: Arc::new(|l: Option<&Bytes>, _r: Option<&Bytes>| l.cloned()),
-        this_is_left: true,
-    };
-    let mut env = env_with(&[
+    let (mut env, [lb, rb, lp, rp]) = env_with([
         ("lb", StoreKind::Window),
         ("rb", StoreKind::Window),
         ("lp", StoreKind::Window),
         ("rp", StoreKind::Window),
     ]);
+    let mut join = StreamStreamJoin {
+        my_buffer: lb,
+        other_buffer: rb,
+        my_pending: Some(lp),
+        other_pending: Some(rp),
+        window,
+        joiner: Arc::new(|l: Option<&Bytes>, _r: Option<&Bytes>| l.cloned()),
+        this_is_left: true,
+    };
     let mut forwarded = Vec::new();
     {
         let mut ctx = ProcessorContext::new(&mut forwarded, &mut env);
@@ -82,7 +81,7 @@ fn join_padding_flush_leaves_live_windows_alone() {
         // has passed, and many that are still within reach of a future match.
         for (i, ts) in [0i64, 40].into_iter().enumerate() {
             ctx.window_put(
-                "lp",
+                lp,
                 Bytes::from(format!("old-{i}")),
                 ts,
                 Some(kstreams::kserde::encode_list(&[Bytes::from("v")])),
@@ -90,7 +89,7 @@ fn join_padding_flush_leaves_live_windows_alone() {
         }
         for i in 0..200i64 {
             ctx.window_put(
-                "lp",
+                lp,
                 Bytes::from(format!("new-{i}")),
                 500 + i,
                 Some(kstreams::kserde::encode_list(&[Bytes::from("v")])),
@@ -103,7 +102,7 @@ fn join_padding_flush_leaves_live_windows_alone() {
     assert_eq!(padded.len(), 2, "exactly the expired pendings are padded");
     assert!(padded.iter().all(|r| r.ts < 100));
     let mut ctx = ProcessorContext::new(&mut forwarded, &mut env);
-    let remaining = ctx.window_entries("lp");
+    let remaining = ctx.window_entries(lp);
     assert_eq!(remaining.len(), 200, "live pending windows survive the flush");
     assert!(remaining.iter().all(|(start, _, _)| *start >= 500));
 }
@@ -112,14 +111,14 @@ fn join_padding_flush_leaves_live_windows_alone() {
 /// evicted entries and actually remove them from the store.
 #[test]
 fn session_expire_returns_evictions_like_window_expire() {
-    let mut env = env_with(&[("s", StoreKind::Session), ("w", StoreKind::Window)]);
+    let (mut env, [s, w]) = env_with([("s", StoreKind::Session), ("w", StoreKind::Window)]);
     let mut forwarded = Vec::new();
     let mut ctx = ProcessorContext::new(&mut forwarded, &mut env);
 
-    ctx.session_put("s", Bytes::from("a"), 0, 50, Bytes::from("s1"));
-    ctx.session_put("s", Bytes::from("a"), 200, 260, Bytes::from("s2"));
-    ctx.session_put("s", Bytes::from("b"), 10, 80, Bytes::from("s3"));
-    let evicted = ctx.session_expire("s", 100);
+    ctx.session_put(s, Bytes::from("a"), 0, 50, Bytes::from("s1"));
+    ctx.session_put(s, Bytes::from("a"), 200, 260, Bytes::from("s2"));
+    ctx.session_put(s, Bytes::from("b"), 10, 80, Bytes::from("s3"));
+    let evicted = ctx.session_expire(s, 100);
     let mut labels: Vec<(Bytes, i64, i64, Bytes)> =
         evicted.iter().map(|(k, e)| (k.clone(), e.start, e.end, e.value.clone())).collect();
     labels.sort();
@@ -132,7 +131,7 @@ fn session_expire_returns_evictions_like_window_expire() {
         "every expired session is handed back to the caller"
     );
     assert_eq!(
-        ctx.session_find("s", b"a", 230, 0),
+        ctx.session_find(s, b"a", 230, 0),
         vec![kstreams::state::session::SessionEntry {
             start: 200,
             end: 260,
@@ -141,9 +140,9 @@ fn session_expire_returns_evictions_like_window_expire() {
         "live sessions survive"
     );
 
-    ctx.window_put("w", Bytes::from("a"), 0, Some(Bytes::from("w1")));
-    ctx.window_put("w", Bytes::from("a"), 200, Some(Bytes::from("w2")));
-    let w_evicted = ctx.window_expire("w", 100);
+    ctx.window_put(w, Bytes::from("a"), 0, Some(Bytes::from("w1")));
+    ctx.window_put(w, Bytes::from("a"), 200, Some(Bytes::from("w2")));
+    let w_evicted = ctx.window_expire(w, 100);
     assert_eq!(w_evicted, vec![(0, Bytes::from("a"), Bytes::from("w1"))]);
-    assert_eq!(ctx.window_entries("w"), vec![(200, Bytes::from("a"), Bytes::from("w2"))]);
+    assert_eq!(ctx.window_entries(w), vec![(200, Bytes::from("a"), Bytes::from("w2"))]);
 }

@@ -78,7 +78,7 @@ fn main() {
         .expect("unique");
     ib.add_processor(
         "cache".into(),
-        std::sync::Arc::new(|| Box::new(Nop)),
+        std::sync::Arc::new(|_| Box::new(Nop)),
         &[src],
         vec!["session-cache".into()],
     )
@@ -99,7 +99,7 @@ fn main() {
     let p = ib
         .add_processor(
             "enrich".into(),
-            std::sync::Arc::new(|| Box::new(Nop)),
+            std::sync::Arc::new(|_| Box::new(Nop)),
             &[src],
             vec!["ghost".into()],
         )

@@ -479,7 +479,7 @@ fn idle_cycles_leave_no_trace() {
     builder
         .stream::<String, String>("ticks")
         .process::<String, String>(
-            Arc::new(move || Box::new(Alarm { at, fired: false })),
+            Arc::new(move |_| Box::new(Alarm { at, fired: false })),
             Vec::new(),
         )
         .to("alarms");

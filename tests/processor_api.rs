@@ -4,7 +4,7 @@
 //! "boilerplate" on (§6.1).
 
 use kbroker::{Cluster, Consumer, ConsumerConfig, Producer, ProducerConfig, TopicConfig};
-use kstreams::processor::{Processor, ProcessorContext};
+use kstreams::processor::{Processor, ProcessorContext, StoreId};
 use kstreams::record::FlowRecord;
 use kstreams::state::{StoreKind, StoreSpec};
 use kstreams::{KSerde, KafkaStreamsApp, StreamsBuilder, StreamsConfig};
@@ -14,7 +14,7 @@ use std::sync::Arc;
 /// Emits an alert when a key's value jumps by more than `threshold`
 /// relative to the last seen value — a miniature outlier-signal detector.
 struct JumpDetector {
-    store: &'static str,
+    store: StoreId,
     threshold: i64,
 }
 
@@ -103,7 +103,7 @@ fn custom_stateful_processor_detects_jumps() {
     builder
         .stream::<String, i64>("in")
         .process::<String, String>(
-            Arc::new(|| Box::new(JumpDetector { store: "last-seen", threshold: 100 })),
+            Arc::new(|s| Box::new(JumpDetector { store: s[0], threshold: 100 })),
             vec![StoreSpec::new("last-seen", StoreKind::KeyValue)],
         )
         .to("out");
@@ -133,7 +133,7 @@ fn custom_processor_state_restores_after_crash() {
         builder
             .stream::<String, i64>("in")
             .process::<String, String>(
-                Arc::new(|| Box::new(JumpDetector { store: "last-seen", threshold: 100 })),
+                Arc::new(|s| Box::new(JumpDetector { store: s[0], threshold: 100 })),
                 vec![StoreSpec::new("last-seen", StoreKind::KeyValue)],
             )
             .to("out");
@@ -178,7 +178,7 @@ fn punctuation_fires_each_poll_round() {
     let builder = StreamsBuilder::new();
     builder
         .stream::<String, i64>("in")
-        .process::<String, String>(Arc::new(|| Box::new(Heartbeat { beats: 0 })), vec![])
+        .process::<String, String>(Arc::new(|_| Box::new(Heartbeat { beats: 0 })), vec![])
         .filter(|k, _| k == "heartbeat")
         .to("out");
     let mut app = KafkaStreamsApp::new(

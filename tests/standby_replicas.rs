@@ -7,11 +7,13 @@ use kbroker::{
     group::SESSION_TIMEOUT_MS, Cluster, Producer, ProducerConfig, TopicConfig,
     DEFAULT_TXN_TIMEOUT_MS,
 };
+use kstreams::dsl::windows::JoinWindows;
+use kstreams::topology::{NodeKind, Topology};
 use kstreams::{KSerde, KafkaStreamsApp, StreamsBuilder, StreamsConfig};
 use simkit::ManualClock;
 use std::sync::Arc;
 
-fn counting_topology() -> Arc<kstreams::topology::Topology> {
+fn counting_topology() -> Arc<Topology> {
     let builder = StreamsBuilder::new();
     builder.stream::<String, String>("events").group_by_key().count("counts").to_stream().to("out");
     Arc::new(builder.build().unwrap())
@@ -223,4 +225,111 @@ fn single_instance_hosts_no_standbys() {
     assert_eq!(a.task_ids().len(), 2);
     assert!(a.standby_ids().is_empty(), "nowhere else to host replicas");
     a.close().unwrap();
+}
+
+/// A windowed left join whose sub-topology holds three changelogged stores
+/// (both join buffers and the left side's pending padding) that its join
+/// nodes declare in an order other than name order. Records of one key
+/// are 10 ms apart, so a record matches at most one partner; the grace
+/// period outlasts the test, so nothing pads or expires.
+fn left_join_topology() -> Arc<Topology> {
+    let builder = StreamsBuilder::new();
+    let right = builder.stream::<String, String>("right");
+    builder
+        .stream::<String, String>("left")
+        .left_join(&right, JoinWindows::of(5).grace(1_000_000), |l, r: Option<&String>| {
+            format!("{l}+{}", r.map_or("-", String::as_str))
+        })
+        .to("joined");
+    Arc::new(builder.build().unwrap())
+}
+
+#[test]
+fn promotion_over_several_stores_matches_a_cold_restore() {
+    let clock = ManualClock::new();
+    let s = Setup {
+        cluster: Cluster::builder().brokers(3).replication(3).clock(clock.shared()).build(),
+        clock,
+    };
+    for topic in ["left", "right", "joined"] {
+        s.cluster.create_topic(topic, TopicConfig::new(2)).unwrap();
+    }
+    let topology = left_join_topology();
+    let declared = topology.nodes.iter().find_map(|n| match &n.kind {
+        NodeKind::Processor { stores, .. } if !stores.is_empty() => Some(stores.clone()),
+        _ => None,
+    });
+    let declared = declared.expect("the join declares its stores");
+    let mut by_name = declared.clone();
+    by_name.sort();
+    assert_eq!(declared.len(), 3);
+    assert_ne!(declared, by_name, "declaration order differs from name order");
+    let app = |id: &str, standbys: usize| {
+        let config = StreamsConfig::new("sbj-app")
+            .exactly_once()
+            .with_commit_interval_ms(10)
+            .with_standby_replicas(standbys);
+        KafkaStreamsApp::new(s.cluster.clone(), topology.clone(), config, id)
+    };
+
+    let mut a = app("a", 1);
+    let mut b = app("b", 1);
+    a.start().unwrap();
+    b.start().unwrap();
+    let send = |records: std::ops::Range<i64>| {
+        let mut p = Producer::new(s.cluster.clone(), ProducerConfig::default());
+        for i in records {
+            let key = format!("k{}", i % 10).to_bytes();
+            p.send("left", Some(key.clone()), Some(format!("l{i}").to_bytes()), i).unwrap();
+            // Odd keys never match: their left records wait in the pending
+            // store.
+            if i % 2 == 0 {
+                p.send("right", Some(key), Some(format!("r{i}").to_bytes()), i).unwrap();
+            }
+        }
+        p.flush().unwrap();
+    };
+    send(0..200);
+    for _ in 0..30 {
+        a.step().unwrap();
+        b.step().unwrap();
+        s.clock.advance(10);
+    }
+    assert_eq!((a.standby_ids().len(), b.standby_ids().len()), (1, 1));
+    // a commits a last round that b's standby has not tailed, and leaves:
+    // b promotes its standby of a's task, replaying that round's suffix.
+    send(200..220);
+    a.step().unwrap();
+    a.close().unwrap();
+    let restore_before = b.metrics().restore_records;
+    for _ in 0..10 {
+        b.step().unwrap();
+        s.clock.advance(10);
+    }
+    assert_eq!(b.task_ids().len(), 2, "b owns everything now");
+    let promoted = b.metrics().restore_records - restore_before;
+    let warm = b.dump_stores();
+    b.close().unwrap();
+
+    // A fresh instance with no standby replays every changelog in full.
+    let mut c = app("c", 0);
+    c.start().unwrap();
+    for _ in 0..10 {
+        c.step().unwrap();
+        s.clock.advance(10);
+    }
+    assert_eq!(c.task_ids().len(), 2, "c owns everything now");
+    let cold = c.metrics().restore_records;
+    let cold_dump = c.dump_stores();
+    for name in &declared {
+        let rows: usize =
+            cold_dump.iter().filter(|((_, store), _)| store == name).map(|(_, v)| v.len()).sum();
+        assert!(rows > 0, "store {name} holds state");
+    }
+    assert_eq!(warm, cold_dump, "the promoted stores equal a cold restore's");
+    assert!(
+        promoted > 0 && promoted * 10 < cold,
+        "promotion replays only the suffix: {promoted} records against {cold} cold"
+    );
+    c.close().unwrap();
 }

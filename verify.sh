@@ -8,7 +8,8 @@
 #   ./verify.sh --quick        # fmt, clippy, tier-1 tests, bytes shim tests,
 #                              # kbroker unit tests, fault-plan unit tests
 #                              # and proptest, kobs handle test, no by-name
-#                              # counts on the broker data path (grep),
+#                              # counts on the broker data path or in the
+#                              # operator graph and operators (grep),
 #                              # state-store unit tests and proptests,
 #                              # operator-graph unit tests, operator
 #                              # permutation and scan tests, instance and
@@ -239,12 +240,14 @@ gate_full() {
     cargo test -q -p simprims --lib
     cargo test -q -p kobs --test handles
 
-    # The broker's data path counts through handles resolved once per call
-    # site: no registry lock and name lookup per produce or fetch.
-    step "no by-name kobs counts in kbroker's cluster, replica, producer, consumer"
+    # The broker's data path, the operator graph and the operators count
+    # through handles resolved once per call site: no registry lock and
+    # name lookup per produce, fetch, cache flush or task cycle.
+    step "no by-name kobs counts in kbroker's data path, kstreams' processor/ and dsl/ops.rs"
     if grep -nE 'kobs::(count|gauge_max)\("' \
-      crates/kbroker/src/{cluster,replica,producer,consumer}.rs; then
-      echo "use kobs::counter!/kobs::gauge! handles on the broker data path" >&2
+      crates/kbroker/src/{cluster,replica,producer,consumer}.rs \
+      crates/core/src/processor/*.rs crates/core/src/dsl/ops.rs; then
+      echo "use kobs::counter!/kobs::gauge! handles on the data path" >&2
       exit 1
     fi
 
