@@ -10,20 +10,23 @@
 //! as *repartition required*; the next key-based operator inserts an
 //! internal repartition topic, exactly as §3.2 describes for the
 //! `map → groupByKey` pair of the running example.
+//!
+//! Bytes cross into user types at one decode point (`decoded`); one that
+//! does not decode fails its task ([`ProcessorContext::fail`]).
 
 pub mod ops;
 pub mod windows;
 
 use crate::error::StreamsError;
 use crate::kserde::KSerde;
-
+use crate::processor::{Processor, ProcessorContext, StoreId};
 use crate::record::FlowRecord;
 use crate::state::{StoreKind, StoreSpec};
 use crate::topology::builder::InternalBuilder;
 use crate::topology::node::{ProcessorFactory, TopicRef, ValueMode};
 use crate::topology::{InternalTopic, Topology};
 use bytes::Bytes;
-use ops::{AggFn, FnOp, FnOpBody, JoinFn, MergeFn};
+use ops::{AggFn, FnOp, FnOpBody, JoinFn};
 use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::rc::Rc;
@@ -32,20 +35,150 @@ use windows::{JoinWindows, SessionWindows, TimeWindows, Windowed};
 
 type SharedBuilder = Rc<RefCell<InternalBuilder>>;
 
-fn fn_op_factory(body: FnOpBody) -> ProcessorFactory {
+/// The typed DSL's one decode point: lend a record's key and its `old` and
+/// `new` values, decoded, to `f`. The key decodes through
+/// [`KSerde::with_decoded`], so a `String` key borrows a reused buffer and
+/// allocates nothing. A record with neither value lends nothing and gives
+/// `None`; a record without a key, or bytes that do not decode, is a
+/// [`StreamsError::Serde`].
+fn decoded<K: KSerde, V: KSerde, R>(
+    key: &Option<Bytes>,
+    old: Option<&Bytes>,
+    new: Option<&Bytes>,
+    f: impl FnOnce(&K, Option<V>, Option<V>) -> R,
+) -> Result<Option<R>, StreamsError> {
+    if old.is_none() && new.is_none() {
+        return Ok(None);
+    }
+    let key = key.as_ref().ok_or_else(|| StreamsError::Serde("a record without a key".into()))?;
+    let (old, new) = (value(old)?, value(new)?);
+    K::with_decoded(key, |k| f(k, old, new)).map(Some)
+}
+
+/// The value-only decode beside [`decoded`]: an absent operand stays `None`.
+fn value<V: KSerde>(bytes: Option<&Bytes>) -> Result<Option<V>, StreamsError> {
+    bytes.map(|b| V::from_bytes(b)).transpose()
+}
+
+/// The one fold behind every reduce, aggregate and count: `step` folds a
+/// decoded value into the decoded aggregate, `None` before the first.
+fn fold<V: KSerde, VA: KSerde>(
+    step: impl Fn(Option<VA>, V) -> VA + Send + Sync + 'static,
+) -> AggFn {
+    Arc::new(move |agg, v| {
+        let (agg, v) = (value::<VA>(agg.as_ref())?, value::<V>(Some(v))?);
+        Ok(v.map(|v| step(agg, v).to_bytes()))
+    })
+}
+
+/// Reduce: the first value is the aggregate, `f` combines each later one
+/// into it. The same fold merges two sessions.
+fn reducer<V: KSerde>(f: impl Fn(&V, &V) -> V + Send + Sync + 'static) -> AggFn {
+    fold(move |agg: Option<V>, v: V| match agg {
+        Some(agg) => f(&agg, &v),
+        None => v,
+    })
+}
+
+/// Aggregate: `init` starts the aggregate, `f` folds each value into it.
+fn aggregator<V: KSerde, VA: KSerde>(
+    init: impl Fn() -> VA + Send + Sync + 'static,
+    f: impl Fn(&V, VA) -> VA + Send + Sync + 'static,
+) -> AggFn {
+    fold(move |agg, v: V| f(&v, agg.unwrap_or_else(&init)))
+}
+
+/// Count: each record moves the count by `by` (a retraction by −1).
+fn counter(by: i64) -> AggFn {
+    fold(move |n: Option<i64>, (): ()| n.unwrap_or(0) + by)
+}
+
+/// The joiner behind every typed join, stream or table: `f` on the decoded
+/// operands, run only when the operands present are ones `emits` joins.
+fn joiner<V1: KSerde, V2: KSerde, VR: KSerde>(
+    emits: fn(bool, bool) -> bool,
+    f: impl Fn(Option<&V1>, Option<&V2>) -> Option<VR> + Send + Sync + 'static,
+) -> JoinFn {
+    Arc::new(move |l, r| {
+        if !emits(l.is_some(), r.is_some()) {
+            return Ok(None);
+        }
+        let (l, r) = (value::<V1>(l)?, value::<V2>(r)?);
+        Ok(f(l.as_ref(), r.as_ref()).map(|joined| joined.to_bytes()))
+    })
+}
+
+/// An inner join joins when both sides are present.
+fn inner_joiner<V1: KSerde, V2: KSerde, VR: KSerde>(
+    f: impl Fn(&V1, &V2) -> VR + Send + Sync + 'static,
+) -> JoinFn {
+    joiner(|l, r| l && r, move |l, r| Some(f(l?, r?)))
+}
+
+/// A left join joins whenever the left side is present.
+fn left_joiner<V1: KSerde, V2: KSerde, VR: KSerde>(
+    f: impl Fn(&V1, Option<&V2>) -> VR + Send + Sync + 'static,
+) -> JoinFn {
+    joiner(|l, _| l, move |l, r| Some(f(l?, r)))
+}
+
+/// An outer join joins whenever either side is present.
+fn outer_joiner<V1: KSerde, V2: KSerde, VR: KSerde>(
+    f: impl Fn(Option<&V1>, Option<&V2>) -> VR + Send + Sync + 'static,
+) -> JoinFn {
+    joiner(|l, r| l || r, move |l, r| Some(f(l, r)))
+}
+
+/// A stateless operator running `body` on each record.
+fn fn_op(body: FnOpBody) -> ProcessorFactory {
     Arc::new(move |_| Box::new(FnOp { body: body.clone() }))
 }
 
-/// Lend the record's decoded key to `f`: the user's closures only borrow
-/// it, so a key type may decode without allocating
-/// ([`KSerde::with_decoded`]).
-fn with_key<K: KSerde, R>(key: &Option<Bytes>, f: impl FnOnce(&K) -> R) -> R {
-    let key = key.as_ref().expect("typed DSL operators require keyed records");
-    K::with_decoded(key, f).expect("key deserialization failed")
+/// An operator forwarding every record as it is (the merge of two inputs).
+fn pass_through() -> ProcessorFactory {
+    fn_op(Arc::new(|ctx, rec| {
+        ctx.forward(rec);
+        Ok(())
+    }))
 }
 
-fn de_val<V: KSerde>(val: &Bytes) -> V {
-    V::from_bytes(val).expect("value deserialization failed")
+/// Add a processor named after `role` below `parents`, declaring `stores`.
+fn add_node(
+    b: &mut InternalBuilder,
+    role: &str,
+    factory: ProcessorFactory,
+    parents: &[usize],
+    stores: Vec<String>,
+) -> usize {
+    let name = b.next_name(role);
+    b.add_processor(name, factory, parents, stores).expect("generated names and valid parents")
+}
+
+/// Declare a store: a name already taken fails [`StreamsBuilder::build`].
+fn add_store(b: &mut InternalBuilder, spec: StoreSpec) {
+    let added = b.add_store(spec);
+    b.defer(added);
+}
+
+/// Materialize `parent`'s records into the key-value store `store`, through
+/// a node named after `role`.
+fn materialize(b: &mut InternalBuilder, role: &str, parent: usize, store: &str) -> usize {
+    add_store(b, StoreSpec::new(store, StoreKind::KeyValue));
+    let factory: ProcessorFactory = Arc::new(|s| Box::new(ops::TableMaterialize { store: s[0] }));
+    add_node(b, role, factory, &[parent], vec![store.to_string()])
+}
+
+/// Route `node`'s records through a new repartition topic (§3.2): a grouped
+/// stream's records as they are, a grouped table's revisions
+/// change-encoded. Returns the node reading the topic back.
+fn repartition(b: &mut InternalBuilder, node: usize, mode: ValueMode) -> usize {
+    let kind = if mode == ValueMode::Plain { "KSTREAM" } else { "KTABLE" };
+    let topic = format!("{}-repartition", b.next_name(&format!("{kind}-AGGREGATE")));
+    b.add_internal_topic(InternalTopic { name: topic.clone(), compacted: false, partitions: None });
+    let sink = b.next_name(&format!("{kind}-REPARTITION-SINK"));
+    b.add_sink(sink, TopicRef::internal(topic.clone()), mode, &[node]).expect("valid parent");
+    let source = b.next_name(&format!("{kind}-REPARTITION-SOURCE"));
+    b.add_source(source, TopicRef::internal(topic), mode).expect("generated names are unique")
 }
 
 /// Entry point: declare sources, then [`build`](Self::build) the topology.
@@ -64,14 +197,16 @@ impl StreamsBuilder {
         Self { inner: Rc::new(RefCell::new(InternalBuilder::new())) }
     }
 
+    fn source(&self, role: &str, topic: &str) -> usize {
+        let mut b = self.inner.borrow_mut();
+        let name = b.next_name(role);
+        let source = b.add_source(name, TopicRef::external(topic), ValueMode::Plain);
+        source.expect("generated names are unique")
+    }
+
     /// A record stream from `topic` (Figure 2's `builder.stream(…)`).
     pub fn stream<K: KSerde, V: KSerde>(&self, topic: &str) -> KStream<K, V> {
-        let mut b = self.inner.borrow_mut();
-        let name = b.next_name("KSTREAM-SOURCE");
-        let node = b
-            .add_source(name, TopicRef::external(topic), ValueMode::Plain)
-            .expect("generated names are unique");
-        KStream { inner: self.inner.clone(), node, repartition_required: false, _pd: PhantomData }
+        KStream::new(&self.inner, self.source("KSTREAM-SOURCE", topic), false)
     }
 
     /// An evolving table from `topic`: the topic is interpreted as a
@@ -81,29 +216,17 @@ impl StreamsBuilder {
     /// a changelog of the table, so no separate changelog topic is created —
     /// restore replays the source up to the committed offset instead.
     pub fn table<K: KSerde, V: KSerde>(&self, topic: &str, store: &str) -> KTable<K, V> {
+        let src = self.source("KTABLE-SOURCE", topic);
         let mut b = self.inner.borrow_mut();
-        let src_name = b.next_name("KTABLE-SOURCE");
-        let src = b
-            .add_source(src_name, TopicRef::external(topic), ValueMode::Plain)
-            .expect("generated names are unique");
-        b.add_store(StoreSpec::new(store, StoreKind::KeyValue)).expect("unique store name");
-        b.set_source_changelog(store, TopicRef::external(topic)).expect("store just added");
-        let name = b.next_name("KTABLE-MATERIALIZE");
-        let factory: ProcessorFactory =
-            Arc::new(|s| Box::new(ops::TableMaterialize { store: s[0] }));
-        let node =
-            b.add_processor(name, factory, &[src], vec![store.to_string()]).expect("valid parent");
-        KTable {
-            inner: self.inner.clone(),
-            node,
-            store: Some(store.to_string()),
-            windows: None,
-            _pd: PhantomData,
-        }
+        let node = materialize(&mut b, "KTABLE-MATERIALIZE", src, store);
+        b.set_source_changelog(store, TopicRef::external(topic)).expect("store just declared");
+        KTable::new(&self.inner, node, Some(store.to_string()))
     }
 
     /// Compile into an immutable topology. Outstanding `KStream`/`KTable`
-    /// handles become inert (the builder is consumed).
+    /// handles become inert (the builder is consumed). A DSL call that
+    /// declared an invalid topology (a store name taken twice, a window
+    /// suppress without a window) fails here.
     pub fn build(self) -> Result<Topology, StreamsError> {
         self.inner.replace(InternalBuilder::new()).build()
     }
@@ -119,45 +242,57 @@ pub struct KStream<K, V> {
     _pd: PhantomData<fn() -> (K, V)>,
 }
 
+impl<K, V> KStream<K, V> {
+    fn new(inner: &SharedBuilder, node: usize, repartition_required: bool) -> Self {
+        Self { inner: inner.clone(), node, repartition_required, _pd: PhantomData }
+    }
+}
+
 impl<K, V> Clone for KStream<K, V> {
     fn clone(&self) -> Self {
-        Self {
-            inner: self.inner.clone(),
-            node: self.node,
-            repartition_required: self.repartition_required,
-            _pd: PhantomData,
-        }
+        Self::new(&self.inner, self.node, self.repartition_required)
     }
 }
 
 impl<K: KSerde, V: KSerde> KStream<K, V> {
-    fn stateless<K2: KSerde, V2: KSerde>(
+    /// Add the stateless operator `role`. One that `rekeys` marks the stream
+    /// as needing repartitioning.
+    fn stateless<K2, V2>(&self, role: &str, rekeys: bool, op: ProcessorFactory) -> KStream<K2, V2> {
+        let mut b = self.inner.borrow_mut();
+        let node = add_node(&mut b, role, op, &[self.node], vec![]);
+        if rekeys {
+            b.tag_key_changing(node);
+        }
+        KStream::new(&self.inner, node, rekeys || self.repartition_required)
+    }
+
+    /// A stateless operator handing `emit` what `f` makes of each record's
+    /// decoded key and value; a tombstone is dropped.
+    fn transform<K2, V2, R>(
         &self,
         role: &str,
-        body: FnOpBody,
-        repartition: bool,
+        rekeys: bool,
+        f: impl Fn(&K, &V) -> R + Send + Sync + 'static,
+        emit: impl Fn(&mut ProcessorContext<'_>, FlowRecord, R) + Send + Sync + 'static,
     ) -> KStream<K2, V2> {
-        let mut b = self.inner.borrow_mut();
-        let name = b.next_name(role);
-        let node =
-            b.add_processor(name, fn_op_factory(body), &[self.node], vec![]).expect("valid parent");
-        KStream {
-            inner: self.inner.clone(),
-            node,
-            repartition_required: repartition,
-            _pd: PhantomData,
-        }
+        let op = fn_op(Arc::new(move |ctx, rec| {
+            let out =
+                decoded(&rec.key, None, rec.new.as_ref(), |k, _, v: Option<V>| v.map(|v| f(k, &v)));
+            if let Some(out) = out?.flatten() {
+                emit(ctx, rec, out);
+            }
+            Ok(())
+        }));
+        self.stateless(role, rekeys, op)
     }
 
     /// Keep records satisfying the predicate.
     pub fn filter(&self, f: impl Fn(&K, &V) -> bool + Send + Sync + 'static) -> KStream<K, V> {
-        let body: FnOpBody = Arc::new(move |ctx, rec| {
-            let Some(v) = &rec.new else { return };
-            if with_key::<K, _>(&rec.key, |k| f(k, &de_val::<V>(v))) {
+        self.transform("KSTREAM-FILTER", false, f, |ctx, rec, keep| {
+            if keep {
                 ctx.forward(rec);
             }
-        });
-        self.stateless("KSTREAM-FILTER", body, self.repartition_required)
+        })
     }
 
     /// Transform values only (key unchanged ⇒ no repartition, §3.2).
@@ -165,17 +300,9 @@ impl<K: KSerde, V: KSerde> KStream<K, V> {
         &self,
         f: impl Fn(&K, &V) -> V2 + Send + Sync + 'static,
     ) -> KStream<K, V2> {
-        let body: FnOpBody = Arc::new(move |ctx, rec| {
-            let Some(v) = &rec.new else { return };
-            let v2 = with_key::<K, _>(&rec.key, |k| f(k, &de_val::<V>(v)));
-            ctx.forward(FlowRecord {
-                key: rec.key,
-                new: Some(v2.to_bytes()),
-                old: None,
-                ts: rec.ts,
-            });
-        });
-        self.stateless("KSTREAM-MAPVALUES", body, self.repartition_required)
+        self.transform("KSTREAM-MAPVALUES", false, f, |ctx, rec, v2: V2| {
+            ctx.forward(FlowRecord { new: Some(v2.to_bytes()), old: None, ..rec });
+        })
     }
 
     /// Transform key and value (may change the key ⇒ marks the stream as
@@ -184,19 +311,10 @@ impl<K: KSerde, V: KSerde> KStream<K, V> {
         &self,
         f: impl Fn(&K, &V) -> (K2, V2) + Send + Sync + 'static,
     ) -> KStream<K2, V2> {
-        let body: FnOpBody = Arc::new(move |ctx, rec| {
-            let Some(v) = &rec.new else { return };
-            let (k2, v2) = with_key::<K, _>(&rec.key, |k| f(k, &de_val::<V>(v)));
-            ctx.forward(FlowRecord {
-                key: Some(k2.to_bytes()),
-                new: Some(v2.to_bytes()),
-                old: None,
-                ts: rec.ts,
-            });
-        });
-        let s = self.stateless("KSTREAM-MAP", body, true);
-        self.inner.borrow_mut().tag_key_changing(s.node);
-        s
+        self.transform("KSTREAM-MAP", true, f, |ctx, rec, (k2, v2): (K2, V2)| {
+            let (key, new) = (Some(k2.to_bytes()), Some(v2.to_bytes()));
+            ctx.forward(FlowRecord { key, new, old: None, ts: rec.ts });
+        })
     }
 
     /// Change the key only.
@@ -204,14 +322,9 @@ impl<K: KSerde, V: KSerde> KStream<K, V> {
         &self,
         f: impl Fn(&K, &V) -> K2 + Send + Sync + 'static,
     ) -> KStream<K2, V> {
-        let body: FnOpBody = Arc::new(move |ctx, rec| {
-            let Some(v) = &rec.new else { return };
-            let k2 = with_key::<K, _>(&rec.key, |k| f(k, &de_val::<V>(v)));
+        self.transform("KSTREAM-SELECTKEY", true, f, |ctx, rec, k2: K2| {
             ctx.forward(FlowRecord { key: Some(k2.to_bytes()), ..rec });
-        });
-        let s = self.stateless("KSTREAM-SELECTKEY", body, true);
-        self.inner.borrow_mut().tag_key_changing(s.node);
-        s
+        })
     }
 
     /// One record in, any number out.
@@ -219,18 +332,12 @@ impl<K: KSerde, V: KSerde> KStream<K, V> {
         &self,
         f: impl Fn(&K, &V) -> Vec<V2> + Send + Sync + 'static,
     ) -> KStream<K, V2> {
-        let body: FnOpBody = Arc::new(move |ctx, rec| {
-            let Some(v) = &rec.new else { return };
-            for v2 in with_key::<K, _>(&rec.key, |k| f(k, &de_val::<V>(v))) {
-                ctx.forward(FlowRecord {
-                    key: rec.key.clone(),
-                    new: Some(v2.to_bytes()),
-                    old: None,
-                    ts: rec.ts,
-                });
+        self.transform("KSTREAM-FLATMAPVALUES", false, f, |ctx, rec, values: Vec<V2>| {
+            for v2 in values {
+                let (key, new) = (rec.key.clone(), Some(v2.to_bytes()));
+                ctx.forward(FlowRecord { key, new, old: None, ts: rec.ts });
             }
-        });
-        self.stateless("KSTREAM-FLATMAPVALUES", body, self.repartition_required)
+        })
     }
 
     /// Keep records NOT satisfying the predicate.
@@ -244,20 +351,12 @@ impl<K: KSerde, V: KSerde> KStream<K, V> {
         &self,
         f: impl Fn(&K, &V) -> Vec<(K2, V2)> + Send + Sync + 'static,
     ) -> KStream<K2, V2> {
-        let body: FnOpBody = Arc::new(move |ctx, rec| {
-            let Some(v) = &rec.new else { return };
-            for (k2, v2) in with_key::<K, _>(&rec.key, |k| f(k, &de_val::<V>(v))) {
-                ctx.forward(FlowRecord {
-                    key: Some(k2.to_bytes()),
-                    new: Some(v2.to_bytes()),
-                    old: None,
-                    ts: rec.ts,
-                });
+        self.transform("KSTREAM-FLATMAP", true, f, |ctx, rec, pairs: Vec<(K2, V2)>| {
+            for (k2, v2) in pairs {
+                let (key, new) = (Some(k2.to_bytes()), Some(v2.to_bytes()));
+                ctx.forward(FlowRecord { key, new, old: None, ts: rec.ts });
             }
-        });
-        let s = self.stateless("KSTREAM-FLATMAP", body, true);
-        self.inner.borrow_mut().tag_key_changing(s.node);
-        s
+        })
     }
 
     /// Split the stream: records satisfying the predicate go to the first
@@ -276,55 +375,30 @@ impl<K: KSerde, V: KSerde> KStream<K, V> {
     /// Interpret the stream as a changelog of upserts and materialize it
     /// into a table (`toTable` in Kafka Streams).
     pub fn to_table(&self, store: &str) -> KTable<K, V> {
-        let mut b = self.inner.borrow_mut();
-        b.add_store(StoreSpec::new(store, StoreKind::KeyValue)).expect("unique store name");
-        let name = b.next_name("KSTREAM-TOTABLE");
-        let factory: ProcessorFactory =
-            Arc::new(|s| Box::new(ops::TableMaterialize { store: s[0] }));
-        let node = b
-            .add_processor(name, factory, &[self.node], vec![store.to_string()])
-            .expect("valid parent");
-        KTable {
-            inner: self.inner.clone(),
-            node,
-            store: Some(store.to_string()),
-            windows: None,
-            _pd: PhantomData,
-        }
+        let node = materialize(&mut self.inner.borrow_mut(), "KSTREAM-TOTABLE", self.node, store);
+        KTable::new(&self.inner, node, Some(store.to_string()))
     }
 
     /// Side-effect observation; records pass through unchanged.
     pub fn peek(&self, f: impl Fn(&K, &V) + Send + Sync + 'static) -> KStream<K, V> {
-        let body: FnOpBody = Arc::new(move |ctx, rec| {
-            if let Some(v) = &rec.new {
-                with_key::<K, _>(&rec.key, |k| f(k, &de_val::<V>(v)));
-            }
+        let op = fn_op(Arc::new(move |ctx, rec| {
+            decoded(&rec.key, None, rec.new.as_ref(), |k, _, v: Option<V>| v.map(|v| f(k, &v)))?;
             ctx.forward(rec);
-        });
-        self.stateless("KSTREAM-PEEK", body, self.repartition_required)
+            Ok(())
+        }));
+        self.stateless("KSTREAM-PEEK", false, op)
     }
 
     /// Merge two streams of the same type into one.
     pub fn merge(&self, other: &KStream<K, V>) -> KStream<K, V> {
         let mut b = self.inner.borrow_mut();
-        let name = b.next_name("KSTREAM-MERGE");
-        // The closure is required: a bare `ProcessorContext::forward` method
-        // path cannot generalize over the context lifetime (HRTB).
-        #[allow(clippy::redundant_closure_for_method_calls)]
-        let body: FnOpBody = Arc::new(|ctx, rec| ctx.forward(rec));
-        let node = b
-            .add_processor(name, fn_op_factory(body), &[self.node, other.node], vec![])
-            .expect("valid parents");
+        let node =
+            add_node(&mut b, "KSTREAM-MERGE", pass_through(), &[self.node, other.node], vec![]);
         b.tag_join(node);
-        KStream {
-            inner: self.inner.clone(),
-            node,
-            repartition_required: self.repartition_required || other.repartition_required,
-            _pd: PhantomData,
-        }
+        KStream::new(&self.inner, node, self.repartition_required || other.repartition_required)
     }
 
-    /// Attach a custom low-level [`Processor`](crate::processor::Processor)
+    /// Attach a custom low-level [`Processor`]
     /// (the Processor API §3.2;
     /// used e.g. for Bloomberg-style outlier detection operators).
     pub fn process<K2: KSerde, V2: KSerde>(
@@ -335,14 +409,13 @@ impl<K: KSerde, V: KSerde> KStream<K, V> {
         let mut b = self.inner.borrow_mut();
         let store_names: Vec<String> = stores.iter().map(|s| s.name.clone()).collect();
         for spec in stores {
-            b.add_store(spec).expect("unique store name");
+            add_store(&mut b, spec);
         }
-        let name = b.next_name("KSTREAM-PROCESSOR");
-        let node = b.add_processor(name, factory, &[self.node], store_names).expect("valid parent");
+        let node = add_node(&mut b, "KSTREAM-PROCESSOR", factory, &[self.node], store_names);
         // A custom processor may emit arbitrary keys; treat it as
         // key-changing for co-partitioning analysis.
         b.tag_key_changing(node);
-        KStream { inner: self.inner.clone(), node, repartition_required: true, _pd: PhantomData }
+        KStream::new(&self.inner, node, true)
     }
 
     /// Write the stream to a topic (Figure 2's `.to(…)`).
@@ -356,12 +429,8 @@ impl<K: KSerde, V: KSerde> KStream<K, V> {
     /// Group by the current key, repartitioning first if an upstream
     /// operator may have changed keys (§3.2).
     pub fn group_by_key(&self) -> KGroupedStream<K, V> {
-        KGroupedStream {
-            inner: self.inner.clone(),
-            node: self.node,
-            repartition_required: self.repartition_required,
-            _pd: PhantomData,
-        }
+        let repartition = self.repartition_required.then_some(ValueMode::Plain);
+        KGroupedStream::new(&self.inner, self.node, repartition)
     }
 
     /// Re-key then group (always repartitions).
@@ -379,7 +448,7 @@ impl<K: KSerde, V: KSerde> KStream<K, V> {
         table: &KTable<K, VT>,
         f: impl Fn(&V, &VT) -> VR + Send + Sync + 'static,
     ) -> KStream<K, VR> {
-        self.join_table_internal(table, true, move |v, t| t.map(|t| f(v, t)))
+        self.table_lookup(table, inner_joiner(f))
     }
 
     /// Stream-table left join: misses produce `None` on the table side.
@@ -388,39 +457,22 @@ impl<K: KSerde, V: KSerde> KStream<K, V> {
         table: &KTable<K, VT>,
         f: impl Fn(&V, Option<&VT>) -> VR + Send + Sync + 'static,
     ) -> KStream<K, VR> {
-        self.join_table_internal(table, false, move |v, t| Some(f(v, t)))
+        self.table_lookup(table, left_joiner(f))
     }
 
-    fn join_table_internal<VT: KSerde, VR: KSerde>(
+    fn table_lookup<VT: KSerde, VR: KSerde>(
         &self,
         table: &KTable<K, VT>,
-        inner_join: bool,
-        f: impl Fn(&V, Option<&VT>) -> Option<VR> + Send + Sync + 'static,
+        joiner: JoinFn,
     ) -> KStream<K, VR> {
         let (_, table_store) = table.materialized();
-        let joiner: JoinFn = Arc::new(move |stream_v, table_v| {
-            let v = de_val::<V>(stream_v.expect("stream side always present"));
-            let t = table_v.map(|b| de_val::<VT>(b));
-            f(&v, t.as_ref()).map(|r| r.to_bytes())
+        let factory: ProcessorFactory = Arc::new(move |s| {
+            Box::new(ops::StreamTableJoin { table_store: s[0], joiner: joiner.clone() })
         });
         let mut b = self.inner.borrow_mut();
-        let name = b.next_name("KSTREAM-JOIN-TABLE");
-        let factory: ProcessorFactory = Arc::new(move |s| {
-            Box::new(ops::StreamTableJoin {
-                table_store: s[0],
-                joiner: joiner.clone(),
-                left: !inner_join,
-            })
-        });
-        let node =
-            b.add_processor(name, factory, &[self.node], vec![table_store]).expect("valid parent");
+        let node = add_node(&mut b, "KSTREAM-JOIN-TABLE", factory, &[self.node], vec![table_store]);
         b.tag_join(node);
-        KStream {
-            inner: self.inner.clone(),
-            node,
-            repartition_required: self.repartition_required,
-            _pd: PhantomData,
-        }
+        KStream::new(&self.inner, node, self.repartition_required)
     }
 
     /// Windowed stream-stream inner join: pairs are emitted as soon as the
@@ -431,11 +483,7 @@ impl<K: KSerde, V: KSerde> KStream<K, V> {
         window: JoinWindows,
         f: impl Fn(&V, &V2) -> VR + Send + Sync + 'static,
     ) -> KStream<K, VR> {
-        let joiner: JoinFn = Arc::new(move |l, r| match (l, r) {
-            (Some(l), Some(r)) => Some(f(&de_val::<V>(l), &de_val::<V2>(r)).to_bytes()),
-            _ => None,
-        });
-        self.stream_join_internal(other, window, joiner, false, false)
+        self.window_join(other, window, inner_joiner(f), false, false)
     }
 
     /// Windowed left join: unmatched left records are *held* until the
@@ -447,10 +495,7 @@ impl<K: KSerde, V: KSerde> KStream<K, V> {
         window: JoinWindows,
         f: impl Fn(&V, Option<&V2>) -> VR + Send + Sync + 'static,
     ) -> KStream<K, VR> {
-        let joiner: JoinFn = Arc::new(move |l, r| {
-            l.map(|l| f(&de_val::<V>(l), r.map(|b| de_val::<V2>(b)).as_ref()).to_bytes())
-        });
-        self.stream_join_internal(other, window, joiner, true, false)
+        self.window_join(other, window, left_joiner(f), true, false)
     }
 
     /// Windowed outer join: both sides pad after the hold.
@@ -460,16 +505,10 @@ impl<K: KSerde, V: KSerde> KStream<K, V> {
         window: JoinWindows,
         f: impl Fn(Option<&V>, Option<&V2>) -> VR + Send + Sync + 'static,
     ) -> KStream<K, VR> {
-        let joiner: JoinFn = Arc::new(move |l, r| {
-            Some(
-                f(l.map(|b| de_val::<V>(b)).as_ref(), r.map(|b| de_val::<V2>(b)).as_ref())
-                    .to_bytes(),
-            )
-        });
-        self.stream_join_internal(other, window, joiner, true, true)
+        self.window_join(other, window, outer_joiner(f), true, true)
     }
 
-    fn stream_join_internal<V2: KSerde, VR: KSerde>(
+    fn window_join<V2: KSerde, VR: KSerde>(
         &self,
         other: &KStream<K, V2>,
         window: JoinWindows,
@@ -479,26 +518,20 @@ impl<K: KSerde, V: KSerde> KStream<K, V> {
     ) -> KStream<K, VR> {
         let mut b = self.inner.borrow_mut();
         let base = b.next_name("KSTREAM-JOIN");
-        let buf_l = format!("{base}-left-buffer");
-        let buf_r = format!("{base}-right-buffer");
-        // Join buffers must survive restore for the full horizon a record
-        // can still pair or pad: window span plus grace (§5).
-        let retention = (window.before_ms + window.after_ms + window.grace_ms).max(1);
-        b.add_store(StoreSpec::new(&buf_l, StoreKind::Window).with_retention_ms(retention))
-            .expect("unique");
-        b.add_store(StoreSpec::new(&buf_r, StoreKind::Window).with_retention_ms(retention))
-            .expect("unique");
-        let pend_l = left_pads.then(|| format!("{base}-left-pending"));
-        let pend_r = right_pads.then(|| format!("{base}-right-pending"));
-        for p in pend_l.iter().chain(pend_r.iter()) {
-            b.add_store(StoreSpec::new(p, StoreKind::Window).with_retention_ms(retention))
-                .expect("unique");
-        }
         // Both sides declare `[left buffer, right buffer, left pending?,
-        // right pending?]`.
-        let mut stores = vec![buf_l, buf_r];
-        stores.extend(pend_l);
-        stores.extend(pend_r);
+        // right pending?]`. Join buffers must survive restore for the full
+        // horizon a record can still pair or pad: window span plus grace
+        // (§5).
+        let mut stores = vec![format!("{base}-left-buffer"), format!("{base}-right-buffer")];
+        stores.extend(left_pads.then(|| format!("{base}-left-pending")));
+        stores.extend(right_pads.then(|| format!("{base}-right-pending")));
+        let retention = (window.before_ms + window.after_ms + window.grace_ms).max(1);
+        for store in &stores {
+            add_store(
+                &mut b,
+                StoreSpec::new(store, StoreKind::Window).with_retention_ms(retention),
+            );
+        }
         let side = move |this_is_left: bool| -> ProcessorFactory {
             let joiner = joiner.clone();
             Arc::new(move |s| {
@@ -517,23 +550,13 @@ impl<K: KSerde, V: KSerde> KStream<K, V> {
                 })
             })
         };
-        let name_l = b.next_name("KSTREAM-JOINTHIS");
-        let name_r = b.next_name("KSTREAM-JOINOTHER");
-        let jl = b
-            .add_processor(name_l, side(true), &[self.node], stores.clone())
-            .expect("valid parent");
-        let jr = b.add_processor(name_r, side(false), &[other.node], stores).expect("valid parent");
+        let jl = add_node(&mut b, "KSTREAM-JOINTHIS", side(true), &[self.node], stores.clone());
+        let jr = add_node(&mut b, "KSTREAM-JOINOTHER", side(false), &[other.node], stores);
         b.tag_grace(jl, window.grace_ms);
         b.tag_grace(jr, window.grace_ms);
-        let merge_name = b.next_name("KSTREAM-JOINMERGE");
-        // The closure is required: a bare `ProcessorContext::forward` method
-        // path cannot generalize over the context lifetime (HRTB).
-        #[allow(clippy::redundant_closure_for_method_calls)]
-        let body: FnOpBody = Arc::new(|ctx, rec| ctx.forward(rec));
-        let node =
-            b.add_processor(merge_name, fn_op_factory(body), &[jl, jr], vec![]).expect("valid");
+        let node = add_node(&mut b, "KSTREAM-JOINMERGE", pass_through(), &[jl, jr], vec![]);
         b.tag_join(node);
-        KStream { inner: self.inner.clone(), node, repartition_required: false, _pd: PhantomData }
+        KStream::new(&self.inner, node, false)
     }
 }
 
@@ -541,52 +564,59 @@ impl<K: KSerde, V: KSerde> KStream<K, V> {
 pub struct KGroupedStream<K, V> {
     inner: SharedBuilder,
     node: usize,
-    repartition_required: bool,
+    /// The repartition topic an aggregation needs first, if the key may
+    /// have changed: carrying a stream's records (`Plain`) or a re-keyed
+    /// table's revisions (`Change`).
+    repartition: Option<ValueMode>,
     _pd: PhantomData<fn() -> (K, V)>,
 }
 
+impl<K, V> KGroupedStream<K, V> {
+    fn new(inner: &SharedBuilder, node: usize, repartition: Option<ValueMode>) -> Self {
+        Self { inner: inner.clone(), node, repartition, _pd: PhantomData }
+    }
+}
+
 impl<K: KSerde, V: KSerde> KGroupedStream<K, V> {
-    /// Insert the repartition topic if the key may have changed upstream;
-    /// returns the node aggregations should attach to.
-    fn partitioned_node(&self, b: &mut InternalBuilder, mode: ValueMode) -> usize {
-        if !self.repartition_required {
-            return self.node;
+    /// Add the aggregation `role` into the store `spec`, behind the
+    /// repartition topic the grouping needs. A windowed one is tagged with
+    /// its `grace`.
+    fn aggregation<KA, VA>(
+        &self,
+        spec: StoreSpec,
+        role: &str,
+        grace: Option<i64>,
+        op: impl Fn(StoreId) -> Box<dyn Processor> + Send + Sync + 'static,
+    ) -> KTable<KA, VA> {
+        let mut b = self.inner.borrow_mut();
+        let parent =
+            self.repartition.map_or(self.node, |mode| repartition(&mut b, self.node, mode));
+        let store = spec.name.clone();
+        add_store(&mut b, spec);
+        let node =
+            add_node(&mut b, role, Arc::new(move |s| op(s[0])), &[parent], vec![store.clone()]);
+        if let Some(grace) = grace {
+            b.tag_grace(node, grace);
         }
-        let topic = format!("{}-repartition", b.next_name("KSTREAM-AGGREGATE"));
-        b.add_internal_topic(InternalTopic {
-            name: topic.clone(),
-            compacted: false,
-            partitions: None,
-        });
-        let sink = b.next_name("KSTREAM-REPARTITION-SINK");
-        b.add_sink(sink, TopicRef::internal(topic.clone()), mode, &[self.node])
-            .expect("valid parent");
-        let src = b.next_name("KSTREAM-REPARTITION-SOURCE");
-        b.add_source(src, TopicRef::internal(topic), mode).expect("unique name")
+        KTable::new(&self.inner, node, Some(store))
     }
 
-    fn kv_aggregate<VA: KSerde>(&self, store: &str, add: AggFn, sub: AggFn) -> KTable<K, VA> {
-        let mut b = self.inner.borrow_mut();
-        let node = self.partitioned_node(&mut b, ValueMode::Plain);
-        b.add_store(StoreSpec::new(store, StoreKind::KeyValue)).expect("unique store name");
-        let name = b.next_name("KSTREAM-AGGREGATE");
-        let factory: ProcessorFactory = Arc::new(move |s| {
-            Box::new(ops::KvAggregate { store: s[0], add: add.clone(), sub: sub.clone() })
-        });
-        let n =
-            b.add_processor(name, factory, &[node], vec![store.to_string()]).expect("valid parent");
-        KTable {
-            inner: self.inner.clone(),
-            node: n,
-            store: Some(store.to_string()),
-            windows: None,
-            _pd: PhantomData,
-        }
+    /// Aggregate per key into the key-value store `store`, retracting the
+    /// `old` of a revision with `sub` before adding its `new` with `add`.
+    fn kv_aggregate<VA>(&self, role: &str, store: &str, add: AggFn, sub: AggFn) -> KTable<K, VA> {
+        self.aggregation(StoreSpec::new(store, StoreKind::KeyValue), role, None, move |store| {
+            Box::new(ops::KvAggregate { store, add: add.clone(), sub: sub.clone() })
+        })
+    }
+
+    fn stream_aggregate<VA>(&self, store: &str, add: AggFn) -> KTable<K, VA> {
+        // A stream has no retractions: `sub` never runs.
+        self.kv_aggregate("KSTREAM-AGGREGATE", store, add, Arc::new(|agg, _| Ok(agg)))
     }
 
     /// Count records per key into an evolving table.
     pub fn count(&self, store: &str) -> KTable<K, i64> {
-        self.kv_aggregate(store, count_add(), count_sub())
+        self.stream_aggregate(store, counter(1))
     }
 
     /// Combine values per key with `f`.
@@ -595,16 +625,7 @@ impl<K: KSerde, V: KSerde> KGroupedStream<K, V> {
         store: &str,
         f: impl Fn(&V, &V) -> V + Send + Sync + 'static,
     ) -> KTable<K, V> {
-        let add: AggFn = Arc::new(move |cur, v| {
-            let v = de_val::<V>(v);
-            Some(match cur {
-                None => v.to_bytes(),
-                Some(c) => f(&de_val::<V>(&c), &v).to_bytes(),
-            })
-        });
-        // A stream reduce has no retraction input; `sub` is never invoked.
-        let sub: AggFn = Arc::new(|cur, _| cur);
-        self.kv_aggregate(store, add, sub)
+        self.stream_aggregate(store, reducer(f))
     }
 
     /// General aggregation with an initializer. (Aggregations needing the
@@ -615,50 +636,21 @@ impl<K: KSerde, V: KSerde> KGroupedStream<K, V> {
         init: impl Fn() -> VA + Send + Sync + 'static,
         f: impl Fn(&V, VA) -> VA + Send + Sync + 'static,
     ) -> KTable<K, VA> {
-        let add: AggFn = Arc::new(move |cur, v| {
-            let acc = match cur {
-                None => init(),
-                Some(c) => de_val::<VA>(&c),
-            };
-            Some(f(&de_val::<V>(v), acc).to_bytes())
-        });
-        let sub: AggFn = Arc::new(|cur, _| cur);
-        self.kv_aggregate(store, add, sub)
+        self.stream_aggregate(store, aggregator(init, f))
     }
 
     /// Window the grouped stream by fixed time windows (Figure 2's
     /// `windowedBy`).
     pub fn windowed_by(&self, windows: TimeWindows) -> TimeWindowedKStream<K, V> {
-        TimeWindowedKStream { grouped: self.clone_inner(), windows }
+        let grouped = Self::new(&self.inner, self.node, self.repartition);
+        TimeWindowedKStream { grouped, windows }
     }
 
     /// Window the grouped stream by sessions.
     pub fn windowed_by_session(&self, windows: SessionWindows) -> SessionWindowedKStream<K, V> {
-        SessionWindowedKStream { grouped: self.clone_inner(), windows }
+        let grouped = Self::new(&self.inner, self.node, self.repartition);
+        SessionWindowedKStream { grouped, windows }
     }
-
-    fn clone_inner(&self) -> KGroupedStream<K, V> {
-        KGroupedStream {
-            inner: self.inner.clone(),
-            node: self.node,
-            repartition_required: self.repartition_required,
-            _pd: PhantomData,
-        }
-    }
-}
-
-fn count_add() -> AggFn {
-    Arc::new(|cur, _v| {
-        let n = cur.map_or(0, |b| i64::from_bytes(&b).expect("count state"));
-        Some((n + 1).to_bytes())
-    })
-}
-
-fn count_sub() -> AggFn {
-    Arc::new(|cur, _v| {
-        let n = cur.map_or(0, |b| i64::from_bytes(&b).expect("count state"));
-        Some((n - 1).to_bytes())
-    })
 }
 
 /// A grouped stream with fixed time windows attached.
@@ -669,34 +661,22 @@ pub struct TimeWindowedKStream<K, V> {
 
 impl<K: KSerde, V: KSerde> TimeWindowedKStream<K, V> {
     fn window_aggregate<VA: KSerde>(&self, store: &str, agg: AggFn) -> KTable<Windowed<K>, VA> {
-        let mut b = self.grouped.inner.borrow_mut();
-        let node = self.grouped.partitioned_node(&mut b, ValueMode::Plain);
+        let windows = self.windows;
         // A restored window must cover the full liveness horizon: window
         // size plus grace (§5); shorter retention silently truncates
         // completeness after a failover.
-        let retention = (self.windows.size_ms + self.windows.grace_ms).max(1);
-        b.add_store(StoreSpec::new(store, StoreKind::Window).with_retention_ms(retention))
-            .expect("unique store name");
-        let name = b.next_name("KSTREAM-WINDOW-AGGREGATE");
-        let windows = self.windows;
-        let factory: ProcessorFactory = Arc::new(move |s| {
-            Box::new(ops::WindowAggregate { store: s[0], windows, agg: agg.clone() })
+        let retention = (windows.size_ms + windows.grace_ms).max(1);
+        let spec = StoreSpec::new(store, StoreKind::Window).with_retention_ms(retention);
+        let role = "KSTREAM-WINDOW-AGGREGATE";
+        let table = self.grouped.aggregation(spec, role, Some(windows.grace_ms), move |store| {
+            Box::new(ops::WindowAggregate { store, windows, agg: agg.clone() })
         });
-        let n =
-            b.add_processor(name, factory, &[node], vec![store.to_string()]).expect("valid parent");
-        b.tag_grace(n, self.windows.grace_ms);
-        KTable {
-            inner: self.grouped.inner.clone(),
-            node: n,
-            store: Some(store.to_string()),
-            windows: Some(self.windows),
-            _pd: PhantomData,
-        }
+        KTable { windows: Some(windows), ..table }
     }
 
     /// Windowed count (Figure 2's `count()` after `windowedBy`).
     pub fn count(&self, store: &str) -> KTable<Windowed<K>, i64> {
-        self.window_aggregate(store, count_add())
+        self.window_aggregate(store, counter(1))
     }
 
     /// Windowed reduce.
@@ -705,14 +685,7 @@ impl<K: KSerde, V: KSerde> TimeWindowedKStream<K, V> {
         store: &str,
         f: impl Fn(&V, &V) -> V + Send + Sync + 'static,
     ) -> KTable<Windowed<K>, V> {
-        let add: AggFn = Arc::new(move |cur, v| {
-            let v = de_val::<V>(v);
-            Some(match cur {
-                None => v.to_bytes(),
-                Some(c) => f(&de_val::<V>(&c), &v).to_bytes(),
-            })
-        });
-        self.window_aggregate(store, add)
+        self.window_aggregate(store, reducer(f))
     }
 
     /// Windowed aggregation with an initializer.
@@ -722,14 +695,7 @@ impl<K: KSerde, V: KSerde> TimeWindowedKStream<K, V> {
         init: impl Fn() -> VA + Send + Sync + 'static,
         f: impl Fn(&V, VA) -> VA + Send + Sync + 'static,
     ) -> KTable<Windowed<K>, VA> {
-        let add: AggFn = Arc::new(move |cur, v| {
-            let acc = match cur {
-                None => init(),
-                Some(c) => de_val::<VA>(&c),
-            };
-            Some(f(&de_val::<V>(v), acc).to_bytes())
-        });
-        self.window_aggregate(store, add)
+        self.window_aggregate(store, aggregator(init, f))
     }
 }
 
@@ -742,12 +708,8 @@ pub struct SessionWindowedKStream<K, V> {
 impl<K: KSerde, V: KSerde> SessionWindowedKStream<K, V> {
     /// Count per session; merging sessions sums their counts.
     pub fn count(&self, store: &str) -> KTable<Windowed<K>, i64> {
-        let merge: MergeFn = Arc::new(|a, b| {
-            let x = i64::from_bytes(a).expect("count state");
-            let y = i64::from_bytes(b).expect("count state");
-            (x + y).to_bytes()
-        });
-        self.session_aggregate(store, count_add(), merge)
+        let sum = fold(|n: Option<i64>, m: i64| n.unwrap_or(0) + m);
+        self.session_aggregate(store, counter(1), sum)
     }
 
     /// Session reduce: values combine with `f`, sessions merge with `f`.
@@ -756,51 +718,29 @@ impl<K: KSerde, V: KSerde> SessionWindowedKStream<K, V> {
         store: &str,
         f: impl Fn(&V, &V) -> V + Send + Sync + 'static,
     ) -> KTable<Windowed<K>, V> {
-        let f = Arc::new(f);
-        let f2 = f.clone();
-        let add: AggFn = Arc::new(move |cur, v| {
-            let v = de_val::<V>(v);
-            Some(match cur {
-                None => v.to_bytes(),
-                Some(c) => f(&de_val::<V>(&c), &v).to_bytes(),
-            })
-        });
-        let merge: MergeFn = Arc::new(move |a, b| f2(&de_val::<V>(a), &de_val::<V>(b)).to_bytes());
-        self.session_aggregate(store, add, merge)
+        let reduce = reducer(f);
+        self.session_aggregate(store, reduce.clone(), reduce)
     }
 
     fn session_aggregate<VA: KSerde>(
         &self,
         store: &str,
         agg: AggFn,
-        merge: MergeFn,
+        merge: AggFn,
     ) -> KTable<Windowed<K>, VA> {
-        let mut b = self.grouped.inner.borrow_mut();
-        let node = self.grouped.partitioned_node(&mut b, ValueMode::Plain);
-        // A session stays extendable for gap + grace after its last record.
-        let retention = (self.windows.gap_ms + self.windows.grace_ms).max(1);
-        b.add_store(StoreSpec::new(store, StoreKind::Session).with_retention_ms(retention))
-            .expect("unique store name");
-        let name = b.next_name("KSTREAM-SESSION-AGGREGATE");
         let windows = self.windows;
-        let factory: ProcessorFactory = Arc::new(move |s| {
+        // A session stays extendable for gap + grace after its last record.
+        let retention = (windows.gap_ms + windows.grace_ms).max(1);
+        let spec = StoreSpec::new(store, StoreKind::Session).with_retention_ms(retention);
+        let role = "KSTREAM-SESSION-AGGREGATE";
+        self.grouped.aggregation(spec, role, Some(windows.grace_ms), move |store| {
             Box::new(ops::SessionAggregate {
-                store: s[0],
+                store,
                 windows,
                 agg: agg.clone(),
                 merge: merge.clone(),
             })
-        });
-        let n =
-            b.add_processor(name, factory, &[node], vec![store.to_string()]).expect("valid parent");
-        b.tag_grace(n, self.windows.grace_ms);
-        KTable {
-            inner: self.grouped.inner.clone(),
-            node: n,
-            store: Some(store.to_string()),
-            windows: None,
-            _pd: PhantomData,
-        }
+        })
     }
 }
 
@@ -817,15 +757,15 @@ pub struct KTable<K, V> {
     _pd: PhantomData<fn() -> (K, V)>,
 }
 
+impl<K, V> KTable<K, V> {
+    fn new(inner: &SharedBuilder, node: usize, store: Option<String>) -> Self {
+        Self { inner: inner.clone(), node, store, windows: None, _pd: PhantomData }
+    }
+}
+
 impl<K, V> Clone for KTable<K, V> {
     fn clone(&self) -> Self {
-        Self {
-            inner: self.inner.clone(),
-            node: self.node,
-            store: self.store.clone(),
-            windows: self.windows,
-            _pd: PhantomData,
-        }
+        Self { windows: self.windows, ..Self::new(&self.inner, self.node, self.store.clone()) }
     }
 }
 
@@ -842,44 +782,41 @@ impl<K: KSerde, V: KSerde> KTable<K, V> {
         }
         let mut b = self.inner.borrow_mut();
         let store = b.next_name("KTABLE-STORE");
-        b.add_store(StoreSpec::new(&store, StoreKind::KeyValue)).expect("unique store name");
-        let name = b.next_name("KTABLE-MATERIALIZE");
-        let factory: ProcessorFactory =
-            Arc::new(|s| Box::new(ops::TableMaterialize { store: s[0] }));
-        let node = b
-            .add_processor(name, factory, &[self.node], vec![store.clone()])
-            .expect("valid parent");
-        (node, store)
+        (materialize(&mut b, "KTABLE-MATERIALIZE", self.node, &store), store)
     }
 
     /// View the table's changelog as a record stream (Figure 2's
     /// `.toStream()`).
     pub fn to_stream(&self) -> KStream<K, V> {
-        let mut b = self.inner.borrow_mut();
-        let name = b.next_name("KTABLE-TOSTREAM");
-        let body: FnOpBody = Arc::new(|ctx, rec| {
+        let to_stream = fn_op(Arc::new(|ctx, rec| {
             ctx.forward(FlowRecord { old: None, ..rec });
-        });
-        let node =
-            b.add_processor(name, fn_op_factory(body), &[self.node], vec![]).expect("valid parent");
-        KStream { inner: self.inner.clone(), node, repartition_required: false, _pd: PhantomData }
+            Ok(())
+        }));
+        let node = add_node(
+            &mut self.inner.borrow_mut(),
+            "KTABLE-TOSTREAM",
+            to_stream,
+            &[self.node],
+            vec![],
+        );
+        KStream::new(&self.inner, node, false)
     }
 
     /// Filter the table; rows failing the predicate become deletions.
     pub fn filter(&self, f: impl Fn(&K, &V) -> bool + Send + Sync + 'static) -> KTable<K, V> {
-        let body: FnOpBody = Arc::new(move |ctx, rec| {
-            let (old, new) = with_key::<K, _>(&rec.key, |key| {
-                let keep = |v: &Option<Bytes>| -> Option<Bytes> {
-                    v.as_ref().filter(|b| f(key, &de_val::<V>(b))).cloned()
-                };
-                (keep(&rec.old), keep(&rec.new))
+        let filter = fn_op(Arc::new(move |ctx, rec| {
+            let kept = decoded(&rec.key, rec.old.as_ref(), rec.new.as_ref(), |k, old, new| {
+                let keep = |v: Option<V>| v.is_some_and(|v| f(k, &v));
+                (keep(old), keep(new))
             });
-            if old.is_none() && new.is_none() {
-                return;
+            let Some((keep_old, keep_new)) = kept? else { return Ok(()) };
+            let (old, new) = (rec.old.filter(|_| keep_old), rec.new.filter(|_| keep_new));
+            if old.is_some() || new.is_some() {
+                ctx.forward(FlowRecord { key: rec.key, old, new, ts: rec.ts });
             }
-            ctx.forward(FlowRecord { key: rec.key, old, new, ts: rec.ts });
-        });
-        self.stateless_table("KTABLE-FILTER", body)
+            Ok(())
+        }));
+        self.stateless("KTABLE-FILTER", filter)
     }
 
     /// Transform values; both the old and new side of every revision map
@@ -888,34 +825,21 @@ impl<K: KSerde, V: KSerde> KTable<K, V> {
         &self,
         f: impl Fn(&K, &V) -> V2 + Send + Sync + 'static,
     ) -> KTable<K, V2> {
-        let body: FnOpBody = Arc::new(move |ctx, rec| {
-            let (old, new) = with_key::<K, _>(&rec.key, |key| {
-                let map = |v: &Option<Bytes>| -> Option<Bytes> {
-                    v.as_ref().map(|b| f(key, &de_val::<V>(b)).to_bytes())
-                };
-                (map(&rec.old), map(&rec.new))
+        let map = fn_op(Arc::new(move |ctx, rec| {
+            let mapped = decoded(&rec.key, rec.old.as_ref(), rec.new.as_ref(), |k, old, new| {
+                let map = |v: Option<V>| v.map(|v| f(k, &v).to_bytes());
+                (map(old), map(new))
             });
+            let (old, new) = mapped?.unwrap_or_default();
             ctx.forward(FlowRecord { key: rec.key, old, new, ts: rec.ts });
-        });
-        self.stateless_table("KTABLE-MAPVALUES", body)
+            Ok(())
+        }));
+        self.stateless("KTABLE-MAPVALUES", map)
     }
 
-    fn stateless_table<K2: KSerde, V2: KSerde>(
-        &self,
-        role: &str,
-        body: FnOpBody,
-    ) -> KTable<K2, V2> {
-        let mut b = self.inner.borrow_mut();
-        let name = b.next_name(role);
-        let node =
-            b.add_processor(name, fn_op_factory(body), &[self.node], vec![]).expect("valid parent");
-        KTable {
-            inner: self.inner.clone(),
-            node,
-            store: None,
-            windows: self.windows,
-            _pd: PhantomData,
-        }
+    fn stateless<V2>(&self, role: &str, op: ProcessorFactory) -> KTable<K, V2> {
+        let node = add_node(&mut self.inner.borrow_mut(), role, op, &[self.node], vec![]);
+        KTable { windows: self.windows, ..KTable::new(&self.inner, node, None) }
     }
 
     /// Table-table inner join (§5's table-valued join: out-of-order updates
@@ -925,11 +849,7 @@ impl<K: KSerde, V: KSerde> KTable<K, V> {
         other: &KTable<K, V2>,
         f: impl Fn(&V, &V2) -> VR + Send + Sync + 'static,
     ) -> KTable<K, VR> {
-        let joiner: JoinFn = Arc::new(move |l, r| match (l, r) {
-            (Some(l), Some(r)) => Some(f(&de_val::<V>(l), &de_val::<V2>(r)).to_bytes()),
-            _ => None,
-        });
-        self.table_join_internal(other, joiner)
+        self.table_join(other, inner_joiner(f))
     }
 
     /// Table-table left join.
@@ -938,10 +858,7 @@ impl<K: KSerde, V: KSerde> KTable<K, V> {
         other: &KTable<K, V2>,
         f: impl Fn(&V, Option<&V2>) -> VR + Send + Sync + 'static,
     ) -> KTable<K, VR> {
-        let joiner: JoinFn = Arc::new(move |l, r| {
-            l.map(|l| f(&de_val::<V>(l), r.map(|b| de_val::<V2>(b)).as_ref()).to_bytes())
-        });
-        self.table_join_internal(other, joiner)
+        self.table_join(other, left_joiner(f))
     }
 
     /// Table-table outer join.
@@ -950,20 +867,10 @@ impl<K: KSerde, V: KSerde> KTable<K, V> {
         other: &KTable<K, V2>,
         f: impl Fn(Option<&V>, Option<&V2>) -> VR + Send + Sync + 'static,
     ) -> KTable<K, VR> {
-        let joiner: JoinFn = Arc::new(move |l, r| {
-            if l.is_none() && r.is_none() {
-                None
-            } else {
-                Some(
-                    f(l.map(|b| de_val::<V>(b)).as_ref(), r.map(|b| de_val::<V2>(b)).as_ref())
-                        .to_bytes(),
-                )
-            }
-        });
-        self.table_join_internal(other, joiner)
+        self.table_join(other, outer_joiner(f))
     }
 
-    fn table_join_internal<V2: KSerde, VR: KSerde>(
+    fn table_join<V2: KSerde, VR: KSerde>(
         &self,
         other: &KTable<K, V2>,
         joiner: JoinFn,
@@ -980,20 +887,11 @@ impl<K: KSerde, V: KSerde> KTable<K, V> {
                 Box::new(ops::TableTableJoin { other_store, joiner: joiner.clone(), this_is_left })
             })
         };
-        let name_l = b.next_name("KTABLE-JOINTHIS");
-        let name_r = b.next_name("KTABLE-JOINOTHER");
-        let jl = b
-            .add_processor(name_l, side(true), &[left_node], stores.clone())
-            .expect("valid parent");
-        let jr = b.add_processor(name_r, side(false), &[right_node], stores).expect("valid parent");
-        let merge = b.next_name("KTABLE-JOINMERGE");
-        // The closure is required: a bare `ProcessorContext::forward` method
-        // path cannot generalize over the context lifetime (HRTB).
-        #[allow(clippy::redundant_closure_for_method_calls)]
-        let body: FnOpBody = Arc::new(|ctx, rec| ctx.forward(rec));
-        let node = b.add_processor(merge, fn_op_factory(body), &[jl, jr], vec![]).expect("valid");
+        let jl = add_node(&mut b, "KTABLE-JOINTHIS", side(true), &[left_node], stores.clone());
+        let jr = add_node(&mut b, "KTABLE-JOINOTHER", side(false), &[right_node], stores);
+        let node = add_node(&mut b, "KTABLE-JOINMERGE", pass_through(), &[jl, jr], vec![]);
         b.tag_join(node);
-        KTable { inner: self.inner.clone(), node, store: None, windows: None, _pd: PhantomData }
+        KTable::new(&self.inner, node, None)
     }
 
     /// Re-key the table for a downstream re-aggregation. Revisions cross the
@@ -1004,45 +902,39 @@ impl<K: KSerde, V: KSerde> KTable<K, V> {
         &self,
         f: impl Fn(&K, &V) -> (K2, V2) + Send + Sync + 'static,
     ) -> KGroupedTable<K2, V2> {
-        let mut b = self.inner.borrow_mut();
-        let name = b.next_name("KTABLE-GROUPBY");
-        let body: FnOpBody = Arc::new(move |ctx, rec| {
-            with_key::<K, _>(&rec.key, |key| {
-                // Old and new may map to *different* keys: send a retraction to
-                // the old key and an addition to the new key.
-                if let Some(old) = &rec.old {
-                    let (k2, v2) = f(key, &de_val::<V>(old));
-                    ctx.forward(FlowRecord {
-                        key: Some(k2.to_bytes()),
-                        old: Some(v2.to_bytes()),
-                        new: None,
-                        ts: rec.ts,
-                    });
-                }
-                if let Some(new) = &rec.new {
-                    let (k2, v2) = f(key, &de_val::<V>(new));
-                    ctx.forward(FlowRecord {
-                        key: Some(k2.to_bytes()),
-                        old: None,
-                        new: Some(v2.to_bytes()),
-                        ts: rec.ts,
-                    });
-                }
+        let regroup = fn_op(Arc::new(move |ctx, rec| {
+            let regrouped = decoded(&rec.key, rec.old.as_ref(), rec.new.as_ref(), |k, old, new| {
+                let regroup = |v: Option<V>| v.map(|v| f(k, &v));
+                (regroup(old), regroup(new))
             });
-        });
-        let node =
-            b.add_processor(name, fn_op_factory(body), &[self.node], vec![]).expect("valid parent");
+            let Some((old, new)) = regrouped? else { return Ok(()) };
+            // Old and new may map to *different* keys: send a retraction to
+            // the old key and an addition to the new key.
+            if let Some((k2, v2)) = old {
+                let (key, old) = (Some(k2.to_bytes()), Some(v2.to_bytes()));
+                ctx.forward(FlowRecord { key, old, new: None, ts: rec.ts });
+            }
+            if let Some((k2, v2)) = new {
+                let (key, new) = (Some(k2.to_bytes()), Some(v2.to_bytes()));
+                ctx.forward(FlowRecord { key, old: None, new, ts: rec.ts });
+            }
+            Ok(())
+        }));
+        let mut b = self.inner.borrow_mut();
+        let node = add_node(&mut b, "KTABLE-GROUPBY", regroup, &[self.node], vec![]);
         b.tag_key_changing(node);
-        drop(b);
-        KGroupedTable { inner: self.inner.clone(), node, _pd: PhantomData }
+        KGroupedTable::new(&self.inner, node)
     }
 
     /// Buffer revisions until their window closes, emitting one final result
-    /// per window (§5's suppress; requires a windowed table).
+    /// per window (§5's suppress). A table that is not a windowed
+    /// aggregation fails [`StreamsBuilder::build`].
     pub fn suppress_until_window_close(&self) -> KTable<K, V> {
-        let windows = self
-            .windows
-            .expect("suppress_until_window_close requires a windowed aggregation upstream");
+        let Some(windows) = self.windows else {
+            let msg = "suppress_until_window_close requires a windowed aggregation upstream";
+            self.inner.borrow_mut().defer(Err(StreamsError::InvalidTopology(msg.into())));
+            return self.clone();
+        };
         self.suppress(ops::SuppressMode::WindowClose {
             window_size_ms: windows.size_ms,
             grace_ms: windows.grace_ms,
@@ -1058,69 +950,35 @@ impl<K: KSerde, V: KSerde> KTable<K, V> {
     fn suppress(&self, mode: ops::SuppressMode) -> KTable<K, V> {
         let mut b = self.inner.borrow_mut();
         let store = format!("{}-buffer", b.next_name("KTABLE-SUPPRESS"));
-        b.add_store(StoreSpec::new(&store, StoreKind::KeyValue)).expect("unique store name");
-        let name = b.next_name("KTABLE-SUPPRESS");
+        add_store(&mut b, StoreSpec::new(&store, StoreKind::KeyValue));
         let upstream_grace = match mode {
             ops::SuppressMode::WindowClose { grace_ms, .. } => Some(grace_ms),
             ops::SuppressMode::TimeLimit { .. } => None,
         };
         let factory: ProcessorFactory = Arc::new(move |s| Box::new(ops::Suppress::new(s[0], mode)));
-        let node = b.add_processor(name, factory, &[self.node], vec![store]).expect("valid parent");
+        let node = add_node(&mut b, "KTABLE-SUPPRESS", factory, &[self.node], vec![store]);
         b.tag_suppress(node, upstream_grace);
-        KTable {
-            inner: self.inner.clone(),
-            node,
-            store: None,
-            windows: self.windows,
-            _pd: PhantomData,
-        }
+        KTable { windows: self.windows, ..KTable::new(&self.inner, node, None) }
     }
 }
 
 /// A re-keyed table awaiting re-aggregation.
 pub struct KGroupedTable<K, V> {
-    inner: SharedBuilder,
-    node: usize,
-    _pd: PhantomData<fn() -> (K, V)>,
+    /// Always behind a repartition topic: `group_by` re-keys by definition.
+    /// Revisions cross it change-encoded.
+    grouped: KGroupedStream<K, V>,
+}
+
+impl<K, V> KGroupedTable<K, V> {
+    fn new(inner: &SharedBuilder, node: usize) -> Self {
+        Self { grouped: KGroupedStream::new(inner, node, Some(ValueMode::Change)) }
+    }
 }
 
 impl<K: KSerde, V: KSerde> KGroupedTable<K, V> {
-    fn re_aggregate<VA: KSerde>(&self, store: &str, add: AggFn, sub: AggFn) -> KTable<K, VA> {
-        let mut b = self.inner.borrow_mut();
-        // Always repartition: group_by re-keys by definition. Revisions
-        // cross with Change encoding.
-        let topic = format!("{}-repartition", b.next_name("KTABLE-AGGREGATE"));
-        b.add_internal_topic(InternalTopic {
-            name: topic.clone(),
-            compacted: false,
-            partitions: None,
-        });
-        let sink = b.next_name("KTABLE-REPARTITION-SINK");
-        b.add_sink(sink, TopicRef::internal(topic.clone()), ValueMode::Change, &[self.node])
-            .expect("valid parent");
-        let src_name = b.next_name("KTABLE-REPARTITION-SOURCE");
-        let src = b
-            .add_source(src_name, TopicRef::internal(topic), ValueMode::Change)
-            .expect("unique name");
-        b.add_store(StoreSpec::new(store, StoreKind::KeyValue)).expect("unique store name");
-        let name = b.next_name("KTABLE-AGGREGATE");
-        let factory: ProcessorFactory = Arc::new(move |s| {
-            Box::new(ops::KvAggregate { store: s[0], add: add.clone(), sub: sub.clone() })
-        });
-        let n =
-            b.add_processor(name, factory, &[src], vec![store.to_string()]).expect("valid parent");
-        KTable {
-            inner: self.inner.clone(),
-            node: n,
-            store: Some(store.to_string()),
-            windows: None,
-            _pd: PhantomData,
-        }
-    }
-
     /// Count rows per new key, with retractions decrementing.
     pub fn count(&self, store: &str) -> KTable<K, i64> {
-        self.re_aggregate(store, count_add(), count_sub())
+        self.grouped.kv_aggregate("KTABLE-AGGREGATE", store, counter(1), counter(-1))
     }
 
     /// Aggregate with explicit adder and subtractor (§5: "users would need
@@ -1135,20 +993,7 @@ impl<K: KSerde, V: KSerde> KGroupedTable<K, V> {
     ) -> KTable<K, VA> {
         let init = Arc::new(init);
         let init2 = init.clone();
-        let addf: AggFn = Arc::new(move |cur, v| {
-            let acc = match cur {
-                None => init(),
-                Some(c) => de_val::<VA>(&c),
-            };
-            Some(add(&de_val::<V>(v), acc).to_bytes())
-        });
-        let subf: AggFn = Arc::new(move |cur, v| {
-            let acc = match cur {
-                None => init2(),
-                Some(c) => de_val::<VA>(&c),
-            };
-            Some(sub(&de_val::<V>(v), acc).to_bytes())
-        });
-        self.re_aggregate(store, addf, subf)
+        let (add, sub) = (aggregator(move || init(), add), aggregator(move || init2(), sub));
+        self.grouped.kv_aggregate("KTABLE-AGGREGATE", store, add, sub)
     }
 }

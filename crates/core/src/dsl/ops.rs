@@ -14,26 +14,47 @@
 //!   are *held back* until the grace period elapses;
 //! * **[`Suppress`]** — optional buffering that consolidates revision storms
 //!   before they travel downstream (§5, §6.2).
+//!
+//! A function below, or an operator's own state, that does not decode
+//! fails the task ([`ProcessorContext::fail`]) instead of the record.
 
 use crate::dsl::windows::{JoinWindows, SessionWindows, TimeWindows};
-use crate::kserde::{decode_list, decode_windowed_key, encode_list, KSerde};
+use crate::error::StreamsError;
+use crate::kserde::{decode_change, decode_list, decode_windowed_key, encode_list, KSerde};
 use crate::processor::{Processor, ProcessorContext, StoreId};
 use crate::record::FlowRecord;
 use bytes::Bytes;
 use std::sync::Arc;
 
-/// Stateless record transform: receives the record, forwards zero or more.
-pub type FnOpBody = Arc<dyn Fn(&mut ProcessorContext<'_>, FlowRecord) + Send + Sync>;
+type Fallible<T> = Result<T, StreamsError>;
 
-/// Stream aggregation step: `(current_aggregate, incoming_value) → aggregate`.
-pub type AggFn = Arc<dyn Fn(Option<Bytes>, &Bytes) -> Option<Bytes> + Send + Sync>;
+/// Stateless record transform: receives the record, forwards zero or more.
+pub type FnOpBody =
+    Arc<dyn Fn(&mut ProcessorContext<'_>, FlowRecord) -> Fallible<()> + Send + Sync>;
+
+/// Aggregation step: `(current_aggregate, incoming_value) → aggregate`; a
+/// session merge folds one session's aggregate into another's.
+pub type AggFn = Arc<dyn Fn(Option<Bytes>, &Bytes) -> Fallible<Option<Bytes>> + Send + Sync>;
 
 /// Joiner: `(left_value, right_value) → joined` (orientation pre-applied by
 /// the DSL; `None` operands encode the outer sides).
-pub type JoinFn = Arc<dyn Fn(Option<&Bytes>, Option<&Bytes>) -> Option<Bytes> + Send + Sync>;
+pub type JoinFn =
+    Arc<dyn Fn(Option<&Bytes>, Option<&Bytes>) -> Fallible<Option<Bytes>> + Send + Sync>;
 
-/// Session-merge step: fuses two session aggregates.
-pub type MergeFn = Arc<dyn Fn(&Bytes, &Bytes) -> Bytes + Send + Sync>;
+/// `result`'s value, or `None` once its error has failed the task.
+fn ok<T>(ctx: &mut ProcessorContext<'_>, result: Fallible<T>) -> Option<T> {
+    result.map_err(|e| ctx.fail(e)).ok()
+}
+
+/// A read-modify-write's new value: `folded`, or, when the fold failed, the
+/// value as it was, the error kept in `failed` for [`ProcessorContext::fail`].
+fn folded_or_kept(
+    folded: Fallible<Option<Bytes>>,
+    was: Option<&Bytes>,
+    failed: &mut Fallible<()>,
+) -> Option<Bytes> {
+    folded.map_err(|e| *failed = Err(e)).unwrap_or_else(|()| was.cloned())
+}
 
 /// A generic stateless operator (filter / map / flatMap / peek / merge /
 /// toStream are all instances).
@@ -43,7 +64,7 @@ pub struct FnOp {
 
 impl Processor for FnOp {
     fn process(&mut self, ctx: &mut ProcessorContext<'_>, record: FlowRecord) {
-        (self.body)(ctx, record);
+        (self.body)(ctx, record).unwrap_or_else(|e| ctx.fail(e));
     }
 }
 
@@ -68,6 +89,7 @@ impl Processor for WindowAggregate {
         let FlowRecord { key: Some(key), new: Some(value), ts, .. } = record else { return };
         ctx.observe_ts(ts);
         let stream_time = ctx.stream_time();
+        let mut failed = Ok(());
         for start in self.windows.windows_for(ts) {
             if self.windows.is_closed(start, stream_time) {
                 ctx.metrics().late_dropped += 1;
@@ -79,12 +101,13 @@ impl Processor for WindowAggregate {
             let mut revises = false;
             ctx.window_update(self.store, key.clone(), start, ts, |current| {
                 revises = current.is_some();
-                (self.agg)(current.cloned(), &value)
+                folded_or_kept((self.agg)(current.cloned(), &value), current, &mut failed)
             });
             if revises {
                 ctx.metrics().revisions_emitted += 1;
             }
         }
+        failed.unwrap_or_else(|e| ctx.fail(e));
         // GC windows whose grace elapsed.
         let horizon = stream_time
             .saturating_sub(self.windows.size_ms)
@@ -128,16 +151,18 @@ impl Processor for KvAggregate {
         }
         // Read, retract, accumulate, write and forward the revision in one
         // probe of the store (cache-coalescible, §6.2).
+        let mut failed = Ok(());
         ctx.table_update(self.store, key, ts, |current| {
-            let mut agg = current.cloned();
+            let mut agg = Ok(current.cloned());
             if let Some(old) = &old {
-                agg = (self.sub)(agg, old);
+                agg = agg.and_then(|agg| (self.sub)(agg, old));
             }
             if let Some(new) = &new {
-                agg = (self.add)(agg, new);
+                agg = agg.and_then(|agg| (self.add)(agg, new));
             }
-            agg
+            folded_or_kept(agg, current, &mut failed)
         });
+        failed.unwrap_or_else(|e| ctx.fail(e));
     }
 }
 
@@ -167,8 +192,9 @@ pub struct SessionAggregate {
     pub store: StoreId,
     pub windows: SessionWindows,
     pub agg: AggFn,
-    /// Fuses two session aggregates when sessions merge.
-    pub merge: MergeFn,
+    /// Fuses two session aggregates when sessions merge: folds the absorbed
+    /// session's aggregate into the new one.
+    pub merge: AggFn,
 }
 
 impl Processor for SessionAggregate {
@@ -185,15 +211,16 @@ impl Processor for SessionAggregate {
         let overlapping = ctx.session_find(self.store, &key, record.ts, self.windows.gap_ms);
         let mut start = record.ts;
         let mut end = record.ts;
-        let mut agg = (self.agg)(None, &value);
+        let Some(mut agg) = ok(ctx, (self.agg)(None, &value)) else { return };
         for session in &overlapping {
             start = start.min(session.start);
             end = end.max(session.end);
-            if let Some(a) = agg {
-                agg = Some((self.merge)(&a, &session.value));
-            } else {
-                agg = Some(session.value.clone());
-            }
+            let merged = match agg {
+                Some(a) => (self.merge)(Some(a), &session.value),
+                None => Ok(Some(session.value.clone())),
+            };
+            let Some(merged) = ok(ctx, merged) else { return };
+            agg = merged;
             ctx.session_remove(self.store, &key, session.start, session.end);
             // Retract the absorbed session downstream.
             ctx.metrics().revisions_emitted += 1;
@@ -230,12 +257,10 @@ impl Processor for SessionAggregate {
 // ---------------------------------------------------------------------
 
 /// Stream-table join: each stream record looks up the table's current value
-/// for its key.
+/// for its key. On a miss an inner joiner joins nothing, a left one pads.
 pub struct StreamTableJoin {
     pub table_store: StoreId,
     pub joiner: JoinFn,
-    /// Left join: emit with `None` table value on miss.
-    pub left: bool,
 }
 
 impl Processor for StreamTableJoin {
@@ -245,11 +270,9 @@ impl Processor for StreamTableJoin {
         };
         ctx.observe_ts(record.ts);
         let table_value = ctx.kv_get(self.table_store, &key);
-        if table_value.is_none() && !self.left {
-            return;
-        }
         let joined = (self.joiner)(Some(&value), table_value.as_ref());
-        ctx.forward(FlowRecord { key: Some(key), old: None, new: joined, ts: record.ts });
+        let Some(Some(joined)) = ok(ctx, joined) else { return };
+        ctx.forward(FlowRecord { key: Some(key), old: None, new: Some(joined), ts: record.ts });
     }
 }
 
@@ -271,19 +294,14 @@ impl Processor for TableTableJoin {
         ctx.observe_ts(record.ts);
         // The upstream materialization already applied this revision to my
         // store; its prior value travels on the record.
-        let my_old = record.old.clone();
         let other = ctx.kv_get(self.other_store, &key);
-        let (old_join, new_join) = if self.this_is_left {
-            (
-                (self.joiner)(my_old.as_ref(), other.as_ref()),
-                (self.joiner)(record.new.as_ref(), other.as_ref()),
-            )
-        } else {
-            (
-                (self.joiner)(other.as_ref(), my_old.as_ref()),
-                (self.joiner)(other.as_ref(), record.new.as_ref()),
-            )
+        let join = |mine: Option<&Bytes>| {
+            let (l, r) =
+                if self.this_is_left { (mine, other.as_ref()) } else { (other.as_ref(), mine) };
+            (self.joiner)(l, r)
         };
+        let joins = join(record.old.as_ref()).and_then(|old| Ok((old, join(record.new.as_ref())?)));
+        let Some((old_join, new_join)) = ok(ctx, joins) else { return };
         if old_join.is_none() && new_join.is_none() {
             return;
         }
@@ -324,7 +342,7 @@ impl StreamStreamJoin {
         }
     }
 
-    fn oriented(&self, mine: Option<&Bytes>, other: Option<&Bytes>) -> Option<Bytes> {
+    fn oriented(&self, mine: Option<&Bytes>, other: Option<&Bytes>) -> Fallible<Option<Bytes>> {
         if self.this_is_left {
             (self.joiner)(mine, other)
         } else {
@@ -349,7 +367,8 @@ impl Processor for StreamStreamJoin {
         ctx.observe_ts(record.ts);
         // Buffer my record (records sharing (key, ts) accumulate in a list).
         let slot = ctx.window_fetch(self.my_buffer, &key, record.ts);
-        let mut list = slot.as_deref().map(|b| decode_list(b).expect("buffer")).unwrap_or_default();
+        let Some(list) = ok(ctx, slot.as_deref().map(decode_list).transpose()) else { return };
+        let mut list = list.unwrap_or_default();
         list.push(value.clone());
         ctx.window_put(self.my_buffer, key.clone(), record.ts, Some(encode_list(&list)));
 
@@ -358,9 +377,11 @@ impl Processor for StreamStreamJoin {
         let matches = ctx.window_fetch_range(self.other_buffer, &key, lo, hi);
         let mut matched = false;
         for (other_ts, packed) in &matches {
-            for other_val in decode_list(packed).expect("buffer") {
+            let Some(others) = ok(ctx, decode_list(packed)) else { return };
+            for other_val in others {
                 matched = true;
                 let joined = self.oriented(Some(&value), Some(&other_val));
+                let Some(joined) = ok(ctx, joined) else { return };
                 ctx.forward(FlowRecord {
                     key: Some(key.clone()),
                     old: None,
@@ -368,16 +389,21 @@ impl Processor for StreamStreamJoin {
                     ts: record.ts.max(*other_ts),
                 });
             }
-            // The other record is matched now: cancel its pending padding.
+            // The other record is matched now: cancel its pending padding,
+            // if it has any.
             if let Some(op) = self.other_pending {
-                ctx.window_put(op, key.clone(), *other_ts, None);
+                if ctx.window_fetch(op, &key, *other_ts).is_some() {
+                    ctx.window_put(op, key.clone(), *other_ts, None);
+                }
             }
         }
         if !matched {
             if let Some(mp) = self.my_pending {
                 let slot = ctx.window_fetch(mp, &key, record.ts);
-                let mut pend =
-                    slot.as_deref().map(|b| decode_list(b).expect("buffer")).unwrap_or_default();
+                let Some(pend) = ok(ctx, slot.as_deref().map(decode_list).transpose()) else {
+                    return;
+                };
+                let mut pend = pend.unwrap_or_default();
                 pend.push(value);
                 ctx.window_put(mp, key.clone(), record.ts, Some(encode_list(&pend)));
             }
@@ -396,8 +422,10 @@ impl Processor for StreamStreamJoin {
         // never materialized.
         let entries = ctx.window_entries_below(mp, self.pad_horizon(stream_time));
         for (ts, key, packed) in entries {
-            for val in decode_list(&packed).expect("buffer") {
+            let Some(values) = ok(ctx, decode_list(&packed)) else { return };
+            for val in values {
                 let joined = self.oriented(Some(&val), None);
+                let Some(joined) = ok(ctx, joined) else { return };
                 ctx.forward(FlowRecord { key: Some(key.clone()), old: None, new: joined, ts });
             }
             ctx.window_put(mp, key, ts, None);
@@ -463,12 +491,13 @@ impl Suppress {
     }
 
     /// Re-derive the due index from the store contents.
-    fn rebuild_index(&mut self, ctx: &mut ProcessorContext<'_>) {
+    fn rebuild_index(&mut self, ctx: &mut ProcessorContext<'_>) -> Fallible<()> {
         self.due.clear();
         for (key, buf) in ctx.kv_entries(self.store) {
-            let (first_ts, _) = <(i64, Bytes)>::from_bytes(&buf).expect("suppress buffer");
+            let (first_ts, _) = <(i64, Bytes)>::from_bytes(&buf)?;
             self.due.insert((self.due_ts(&key, first_ts), key));
         }
+        Ok(())
     }
 }
 
@@ -481,7 +510,8 @@ impl Processor for Suppress {
         let first_ts = match &existing {
             Some(buf) => {
                 ctx.metrics().suppressed += 1;
-                <(i64, Bytes)>::from_bytes(buf).expect("suppress buffer").0
+                let Some((first_ts, _)) = ok(ctx, <(i64, Bytes)>::from_bytes(buf)) else { return };
+                first_ts
             }
             None => record.ts,
         };
@@ -496,7 +526,8 @@ impl Processor for Suppress {
     fn punctuate(&mut self, ctx: &mut ProcessorContext<'_>, _stream_time: i64, _wall: i64) {
         let buffered = ctx.kv_len(self.store);
         if self.due.len() != buffered {
-            self.rebuild_index(ctx);
+            let rebuilt = self.rebuild_index(ctx);
+            let Some(()) = ok(ctx, rebuilt) else { return };
         }
         // Occupancy before flushing: how many keys the buffer is holding
         // back (§6.2's consolidation working set).
@@ -514,8 +545,9 @@ impl Processor for Suppress {
         for (due_ts, key) in due {
             self.due.remove(&(due_ts, key.clone()));
             let Some(buf) = ctx.kv_get(self.store, &key) else { continue };
-            let (first_ts, payload) = <(i64, Bytes)>::from_bytes(&buf).expect("suppress buffer");
-            let (old, new) = crate::kserde::decode_change(&payload).expect("suppress buffer");
+            let change = <(i64, Bytes)>::from_bytes(&buf)
+                .and_then(|(first_ts, payload)| Ok((first_ts, decode_change(&payload)?)));
+            let Some((first_ts, (old, new))) = ok(ctx, change) else { return };
             ctx.kv_put(self.store, key.clone(), None);
             ctx.forward(FlowRecord { key: Some(key), old, new, ts: first_ts });
         }

@@ -238,7 +238,7 @@ mod tests {
     fn windowed_key_serde_round_trip() {
         let w = Windowed::new("user".to_string(), 5000);
         let b = w.to_bytes();
-        assert_eq!(Windowed::<String>::from_bytes(&b).unwrap(), w);
+        assert_eq!(Windowed::<String>::from_bytes(&b), Ok(w));
     }
 
     #[test]

@@ -82,6 +82,9 @@ macro_rules! numeric_serde {
                 Bytes::copy_from_slice(&self.to_be_bytes())
             }
 
+            // Inline: a typed operator decodes a number per record, and a
+            // call across the crate returns the `Result` through memory.
+            #[inline]
             fn from_bytes(bytes: &[u8]) -> Result<Self, StreamsError> {
                 let arr: [u8; std::mem::size_of::<$t>()] = bytes.try_into().map_err(|_| {
                     StreamsError::Serde(format!(

@@ -47,6 +47,9 @@ pub struct TaskEnv {
     pub stream_time: i64,
     /// The task's partition number.
     pub partition: u32,
+    /// The first error an operator failed the task with
+    /// ([`ProcessorContext::fail`]).
+    pub error: Option<StreamsError>,
 }
 
 impl TaskEnv {
@@ -58,7 +61,13 @@ impl TaskEnv {
             metrics: StreamsMetrics::default(),
             stream_time: i64::MIN,
             partition,
+            error: None,
         }
+    }
+
+    /// `Err` with the error an operator failed the task with, if one did.
+    pub fn check(&self) -> Result<(), StreamsError> {
+        self.error.clone().map_or(Ok(()), Err)
     }
 
     /// Add a store at the next position, returning its id: how a caller
@@ -260,7 +269,8 @@ impl SubTopologyDriver {
     }
 
     /// Feed one input record in at source node `source`, running every
-    /// downstream operator to completion.
+    /// downstream operator to completion. Fails if an operator failed the
+    /// task, on this record or before.
     pub fn process(
         &mut self,
         env: &mut TaskEnv,
@@ -292,7 +302,7 @@ impl SubTopologyDriver {
         }
         env.metrics.records_processed += 1;
         self.graph.forward(&mut self.procs, env, source, record);
-        Ok(())
+        env.check()
     }
 
     /// Run all processors' punctuators in node order (suppress flushes,

@@ -187,6 +187,14 @@ impl<'a> ProcessorContext<'a> {
         &mut self.env.metrics
     }
 
+    /// Fail the task with `error`: how an operator that cannot go on (its
+    /// bytes do not decode) reports it. The task keeps the first error and
+    /// fails its cycle or commit with it ([`TaskEnv::check`]), so nothing
+    /// this record did is committed.
+    pub fn fail(&mut self, error: StreamsError) {
+        self.env.error.get_or_insert(error);
+    }
+
     // ---------------------------------------------------------------
     // Store access. Every mutation's log-shaped side effects — the
     // changelog append (drained by the task into the store's changelog

@@ -45,7 +45,7 @@ impl StandbyTask {
         isolation: IsolationLevel,
     ) -> Result<u64, StreamsError> {
         let mut applied = 0;
-        replay_stores(&mut self.stores, cluster, isolation, &HashMap::new(), true, &mut applied)?;
+        replay_stores(&mut self.stores, cluster, isolation, &HashMap::new(), &mut applied)?;
         self.records_applied += applied;
         Ok(applied)
     }

@@ -214,8 +214,9 @@ impl StreamTask {
     /// were appended after it. Activating the task now would process new
     /// input against stale state, so the caller must park the task and retry
     /// once the pending transaction resolves (fencing restart, abort, or
-    /// coordinator timeout). Replays are idempotent upserts, so retrying the
-    /// whole restore is safe.
+    /// coordinator timeout). Each store's position moves to where its replay
+    /// stopped, so a retry replays only what was appended or became stable
+    /// since.
     pub fn restore(
         &mut self,
         cluster: &Cluster,
@@ -224,12 +225,11 @@ impl StreamTask {
     ) -> Result<bool, StreamsError> {
         let restore_start_ms = cluster.now_ms();
         let replayed_before = self.env.metrics.restore_records;
-        // A loaded spill (or warm standby) already reflects the prefix below
-        // each store's position; replay only the rest. The positions stay
-        // put, so a parked restore retries from them.
+        // A loaded spill, a warm standby or a parked attempt already
+        // reflects the prefix below each store's position; replay the rest.
         let TaskEnv { stores, metrics, .. } = &mut self.env;
-        let applied = &mut metrics.restore_records;
-        let caught_up = replay_stores(stores, cluster, isolation, committed, false, applied)?;
+        let caught_up =
+            replay_stores(stores, cluster, isolation, committed, &mut metrics.restore_records)?;
         let replayed = self.env.metrics.restore_records - replayed_before;
         if replayed > 0 {
             kobs::count("kstreams.restore.sessions", 1);
@@ -256,8 +256,9 @@ impl StreamTask {
 
     /// One process cycle — fetch, process up to `max_records`, then run the
     /// time-driven operators at `wall_ms`. Returns the number of records
-    /// processed. Task-local mutation only: the writes it buffers are the
-    /// caller's to send.
+    /// processed, or the error an operator failed the task with: the
+    /// failing record's offset is not counted as processed. Task-local
+    /// mutation only: the writes it buffers are the caller's to send.
     ///
     /// The cycle is traced once it ran: a `task` span holding the
     /// [`poll`](Self::poll)'s phases and a `punctuate` span if the
@@ -272,7 +273,10 @@ impl StreamTask {
     ) -> Result<usize, StreamsError> {
         let (processed, polled) = self.poll(cluster, max_records, isolation, wall_ms);
         let (result, punctuated) = match processed {
-            Ok(n) => (Ok(n), self.punctuate(wall_ms)),
+            Ok(n) => {
+                let punctuated = self.punctuate(wall_ms);
+                (self.env.check().map(|()| n), punctuated)
+            }
             Err(e) => (Err(e), false),
         };
         if polled.worked() || punctuated || result.is_err() {
@@ -440,10 +444,12 @@ impl StreamTask {
     /// window), so a punctuation pass runs after the flush — and the
     /// store writes punctuation performs (buffer removals, GC) are flushed
     /// again so their changelog appends ride the same transaction.
+    ///
+    /// A task an operator failed fails here too, so no commit covers it.
     pub fn flush_caches(&mut self, wall_time: i64) -> Result<(), StreamsError> {
         let dirty = self.env.cache_dirty_entries();
         if dirty == 0 {
-            return Ok(());
+            return self.env.check();
         }
         // Flushing moves cached writes into the (abortable) transaction:
         // from here until the commit lands this task is not at its
@@ -454,7 +460,8 @@ impl StreamTask {
         kobs::gauge_max("kstreams.cache.dirty_entries_peak", dirty as i64);
         let result = self.driver.flush_caches(&mut self.env).and_then(|()| {
             self.driver.punctuate(&mut self.env, wall_time);
-            self.driver.flush_caches(&mut self.env)
+            self.driver.flush_caches(&mut self.env)?;
+            self.env.check()
         });
         kobs::ktrace::finish_span(span, wall_time * 1000);
         result
@@ -608,8 +615,8 @@ pub(crate) fn query_kv(stores: &mut [StoreEntry], name: &str, key: &[u8]) -> Opt
 /// to its source partition's offset in `committed` (one with none is
 /// skipped: a standby passes no offsets, so it tails changelogs only), then
 /// changelog-backed stores to the end the fetch under `isolation` reaches;
-/// each group in [`StoreId`](crate::processor::StoreId) order. With
-/// `resume`, each store's position moves to where its replay stopped.
+/// each group in [`StoreId`](crate::processor::StoreId) order. Each store's
+/// position moves to where its replay stopped.
 ///
 /// Returns whether every replay caught up. A partition without a leader
 /// makes no progress this pass, and the pass has not caught up.
@@ -618,7 +625,6 @@ pub(crate) fn replay_stores(
     cluster: &Cluster,
     isolation: IsolationLevel,
     committed: &HashMap<TopicPartition, i64>,
-    resume: bool,
     applied: &mut u64,
 ) -> Result<bool, StreamsError> {
     let mut caught_up = true;
@@ -634,24 +640,21 @@ pub(crate) fn replay_stores(
             if !cluster.topic_exists(&tp.topic) {
                 continue;
             }
-            let mut pos = entry.position;
+            let pos = &mut entry.position;
             let replayed = cluster.earliest_offset(&tp).and_then(|start| {
-                pos = pos.max(start);
+                *pos = (*pos).max(start);
                 let store = &mut entry.store;
-                replay_changelog(cluster, &tp, &mut pos, until, isolation, store, applied)?;
+                replay_changelog(cluster, &tp, pos, until, isolation, store, applied)?;
                 let end = match until {
                     Some(bound) => bound,
                     None => cluster.latest_offset(&tp)?,
                 };
-                Ok(pos >= end)
+                Ok(*pos >= end)
             });
             match replayed {
                 Ok(done) => caught_up &= done,
                 Err(kbroker::BrokerError::NoLeader { .. }) => caught_up = false,
                 Err(e) => return Err(e.into()),
-            }
-            if resume {
-                entry.position = pos;
             }
         }
     }

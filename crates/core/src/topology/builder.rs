@@ -26,6 +26,9 @@ pub struct InternalBuilder {
     /// store name → source topic that doubles as its changelog (§3.3).
     source_changelogs: BTreeMap<String, TopicRef>,
     counter: usize,
+    /// The first error of a call that could not return one (a DSL call):
+    /// [`build`](Self::build) returns it.
+    deferred: Option<StreamsError>,
 }
 
 impl InternalBuilder {
@@ -160,6 +163,14 @@ impl InternalBuilder {
         Ok(())
     }
 
+    /// Keep `result`'s error for [`build`](Self::build) to return: how a
+    /// typed DSL call, which returns a handle, reports an invalid topology.
+    pub fn defer(&mut self, result: Result<(), StreamsError>) {
+        if let Err(e) = result {
+            self.deferred.get_or_insert(e);
+        }
+    }
+
     /// Declare an internal topic (repartition channel).
     pub fn add_internal_topic(&mut self, topic: InternalTopic) {
         if !self.internal_topics.iter().any(|t| t.name == topic.name) {
@@ -177,6 +188,9 @@ impl InternalBuilder {
                 parent[x] = root;
             }
             parent[x]
+        }
+        if let Some(e) = self.deferred {
+            return Err(e);
         }
         if self.nodes.is_empty() {
             return Err(StreamsError::InvalidTopology("empty topology".into()));

@@ -31,8 +31,8 @@ const GRACE_MS: i64 = SPAN_MS;
 
 fn count_agg() -> kstreams::dsl::ops::AggFn {
     Arc::new(|cur, _| {
-        let n = cur.map_or(0, |b| i64::from_bytes(&b).unwrap());
-        Some((n + 1).to_bytes())
+        let n = cur.map_or(Ok(0), |b| i64::from_bytes(&b))?;
+        Ok(Some((n + 1).to_bytes()))
     })
 }
 

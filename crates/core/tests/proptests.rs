@@ -21,8 +21,8 @@ use std::sync::Arc;
 
 fn count_agg() -> kstreams::dsl::ops::AggFn {
     Arc::new(|cur, _| {
-        let n = cur.map_or(0, |b| i64::from_bytes(&b).unwrap());
-        Some((n + 1).to_bytes())
+        let n = cur.map_or(Ok(0), |b| i64::from_bytes(&b))?;
+        Ok(Some((n + 1).to_bytes()))
     })
 }
 
@@ -451,12 +451,12 @@ proptest! {
     #[test]
     fn kv_aggregate_retractions_balance(events in prop::collection::vec((0u8..4, 1i64..100), 1..60)) {
         let add: kstreams::dsl::ops::AggFn = Arc::new(|cur, v| {
-            let c = cur.map_or(0, |b| i64::from_bytes(&b).unwrap());
-            Some((c + i64::from_bytes(v).unwrap()).to_bytes())
+            let c = cur.map_or(Ok(0), |b| i64::from_bytes(&b))?;
+            Ok(Some((c + i64::from_bytes(v)?).to_bytes()))
         });
         let sub: kstreams::dsl::ops::AggFn = Arc::new(|cur, v| {
-            let c = cur.map_or(0, |b| i64::from_bytes(&b).unwrap());
-            Some((c - i64::from_bytes(v).unwrap()).to_bytes())
+            let c = cur.map_or(Ok(0), |b| i64::from_bytes(&b))?;
+            Ok(Some((c - i64::from_bytes(v)?).to_bytes()))
         });
         let (mut env, s) = kv_env();
         let mut agg = KvAggregate { store: s, add, sub };

@@ -8,13 +8,16 @@
 //!    `window_expire` — the old code silently discarded them, so operators
 //!    emitting finals or metrics on eviction could not observe their own
 //!    evictions.
+//! 3. A suppress or join buffer holding bytes that do not decode fails the
+//!    task (`TaskEnv::error`) and forwards nothing, instead of panicking.
 
 use bytes::Bytes;
-use kstreams::dsl::ops::StreamStreamJoin;
+use kstreams::dsl::ops::{StreamStreamJoin, Suppress, SuppressMode};
 use kstreams::dsl::windows::JoinWindows;
 use kstreams::processor::driver::TaskEnv;
 use kstreams::processor::{Processor, ProcessorContext, StoreEntry, StoreId};
 use kstreams::state::{Store, StoreKind, StoreSpec};
+use kstreams::{FlowRecord, StreamsError};
 use std::sync::Arc;
 
 /// A task environment holding one empty store per `(name, kind)`, and
@@ -71,7 +74,7 @@ fn join_padding_flush_leaves_live_windows_alone() {
         my_pending: Some(lp),
         other_pending: Some(rp),
         window,
-        joiner: Arc::new(|l: Option<&Bytes>, _r: Option<&Bytes>| l.cloned()),
+        joiner: Arc::new(|l: Option<&Bytes>, _r: Option<&Bytes>| Ok(l.cloned())),
         this_is_left: true,
     };
     let mut forwarded = Vec::new();
@@ -145,4 +148,54 @@ fn session_expire_returns_evictions_like_window_expire() {
     let w_evicted = ctx.window_expire(w, 100);
     assert_eq!(w_evicted, vec![(0, Bytes::from("a"), Bytes::from("w1"))]);
     assert_eq!(ctx.window_entries(w), vec![(200, Bytes::from("a"), Bytes::from("w2"))]);
+}
+
+/// Bytes that are neither a suppress entry nor a join-buffer list: a
+/// length prefix promising more than follows.
+const CORRUPT: &[u8] = &[0, 0, 0, 9, 1];
+
+fn record(ts: i64) -> FlowRecord {
+    let (key, new) = (Some(Bytes::from_static(b"k")), Some(Bytes::from_static(b"v")));
+    FlowRecord { key, old: None, new, ts }
+}
+
+#[test]
+fn a_corrupt_suppress_buffer_fails_the_task() {
+    let (mut env, [buf]) = env_with([("buf", StoreKind::KeyValue)]);
+    let mut suppress = Suppress::new(buf, SuppressMode::TimeLimit { interval_ms: 10 });
+    let mut forwarded = Vec::new();
+    let mut ctx = ProcessorContext::new(&mut forwarded, &mut env);
+    ctx.kv_put(buf, Bytes::from_static(b"k"), Some(Bytes::from_static(CORRUPT)));
+    suppress.process(&mut ctx, record(0));
+    assert!(matches!(env.error.take(), Some(StreamsError::Serde(_))), "the record fails");
+
+    // The flush rebuilds its index from the same entry, and fails too.
+    let mut ctx = ProcessorContext::new(&mut forwarded, &mut env);
+    suppress.punctuate(&mut ctx, 100, 0);
+    assert!(matches!(env.error, Some(StreamsError::Serde(_))), "the flush fails");
+    assert!(forwarded.is_empty());
+}
+
+#[test]
+fn a_corrupt_join_buffer_fails_the_task() {
+    // Corrupt the joining side's own slot, then the other side's.
+    for corrupt_mine in [true, false] {
+        let (mut env, [lb, rb]) = env_with([("lb", StoreKind::Window), ("rb", StoreKind::Window)]);
+        let mut join = StreamStreamJoin {
+            my_buffer: lb,
+            other_buffer: rb,
+            my_pending: None,
+            other_pending: None,
+            window: JoinWindows::of(100),
+            joiner: Arc::new(|l: Option<&Bytes>, _r: Option<&Bytes>| Ok(l.cloned())),
+            this_is_left: true,
+        };
+        let mut forwarded = Vec::new();
+        let mut ctx = ProcessorContext::new(&mut forwarded, &mut env);
+        let slot = if corrupt_mine { lb } else { rb };
+        ctx.window_put(slot, Bytes::from_static(b"k"), 10, Some(Bytes::from_static(CORRUPT)));
+        join.process(&mut ctx, record(10));
+        assert!(matches!(env.error, Some(StreamsError::Serde(_))), "mine: {corrupt_mine}");
+        assert!(forwarded.is_empty());
+    }
 }

@@ -367,3 +367,47 @@ fn stream_table_left_join_pads_missing_table_rows() {
     assert_eq!(read_out(&s.cluster), vec![("u1".into(), "c0@unknown".into())]);
     app.close().unwrap();
 }
+
+#[test]
+fn a_match_cancels_only_padding_that_is_pending() {
+    // One key every 10 ms, each left record 5 ms after a right one: every
+    // left record matches on arrival, so none is ever pending, and the
+    // right records matching it later have no padding to cancel.
+    let s = setup(&["left", "right"]);
+    let builder = StreamsBuilder::new();
+    let right = builder.stream::<String, String>("right");
+    builder
+        .stream::<String, String>("left")
+        .left_join(&right, JoinWindows::of(1_000), |l, r: Option<&String>| {
+            format!("{l}+{}", r.map_or("-", String::as_str))
+        })
+        .to("out");
+    let topology = builder.build().unwrap();
+    let pending =
+        topology.internal_topics.iter().find(|t| t.name.ends_with("left-pending-changelog"));
+    let pending = format!("pending-app-{}", pending.expect("a left join pads its left side").name);
+    let mut app = app_with(&s, topology, "pending-app");
+    let mut p = Producer::new(s.cluster.clone(), ProducerConfig::default());
+    let key = Some("k".to_string().to_bytes());
+    for i in 0..100i64 {
+        p.send("right", key.clone(), Some(format!("r{i}").to_bytes()), 10 * i).unwrap();
+        p.send("left", key.clone(), Some(format!("l{i}").to_bytes()), 10 * i + 5).unwrap();
+    }
+    p.flush().unwrap();
+    run(&s, &mut app, 20);
+    let joined = read_out(&s.cluster);
+    assert!(joined.len() > 100 && joined.iter().all(|(_, v)| !v.ends_with("+-")), "{joined:?}");
+
+    let mut c = Consumer::new(s.cluster.clone(), "verify", ConsumerConfig::default());
+    c.assign(vec![kbroker::TopicPartition::new(&pending, 0)]).unwrap();
+    let mut tombstones = 0;
+    loop {
+        let batch = c.poll().unwrap();
+        if batch.is_empty() {
+            break;
+        }
+        tombstones += batch.iter().filter(|rec| rec.value.is_none()).count();
+    }
+    assert_eq!(tombstones, 0, "no left record was ever pending");
+    app.close().unwrap();
+}

@@ -636,6 +636,15 @@ fn parked_takeover(partitions: u32) -> (Setup, KafkaStreamsApp) {
 #[test]
 fn parked_restore_resumes_once_the_zombie_transaction_aborts() {
     let (s, mut b) = parked_takeover(1);
+    // A parked restore retries from where it stopped: while nothing new
+    // commits, a retry replays nothing.
+    let replayed = b.metrics().restore_records;
+    assert!(replayed > 0, "the parked restore replayed round 0");
+    for _ in 0..3 {
+        b.step().unwrap();
+        s.clock.advance(10);
+        assert_eq!(b.metrics().restore_records, replayed, "a retry replayed records again");
+    }
     s.clock.advance(DEFAULT_TXN_TIMEOUT_MS);
     assert_eq!(s.cluster.abort_expired_transactions(), 1);
     for _ in 0..10 {

@@ -10,6 +10,7 @@
 #                              # and proptest, kobs handle test, no by-name
 #                              # counts on the broker data path or in the
 #                              # operator graph and operators (grep),
+#                              # no unwrapped decode in the typed DSL (grep),
 #                              # state-store unit tests and proptests,
 #                              # operator-graph unit tests, operator
 #                              # permutation and scan tests, instance and
@@ -248,6 +249,15 @@ gate_full() {
       crates/kbroker/src/{cluster,replica,producer,consumer}.rs \
       crates/core/src/processor/*.rs crates/core/src/dsl/ops.rs; then
       echo "use kobs::counter!/kobs::gauge! handles on the data path" >&2
+      exit 1
+    fi
+
+    # Bytes cross into user types at the typed DSL's one decode point, and
+    # a decode that fails fails its task: no decode in dsl/ unwraps.
+    step "no decode unwrapped in kstreams' dsl/"
+    if grep -rnE '(from_bytes|with_decoded|decode_[a-z_]+)\(.*\)\.(expect|unwrap)\(' \
+      crates/core/src/dsl/; then
+      echo "return the decode's error: ProcessorContext::fail fails the task" >&2
       exit 1
     fi
 
