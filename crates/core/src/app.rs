@@ -821,18 +821,21 @@ impl KafkaStreamsApp {
         }
     }
 
-    /// Graceful shutdown: final commit and group leave.
+    /// Graceful shutdown: final commit and group leave. The leave is tried
+    /// even when the commit fails, so the group moves this instance's
+    /// partitions at once rather than after its session times out; the
+    /// first error is returned, and the instance is closed either way.
     pub fn close(&mut self) -> Result<(), StreamsError> {
         if !self.started {
             return Ok(());
         }
-        self.commit_or_dirty_close()?;
-        match self.cluster.group_leave(self.app_id(), &self.instance_id) {
-            Ok(()) | Err(kbroker::BrokerError::UnknownMember { .. }) => {}
-            Err(e) => return Err(e.into()),
-        }
+        let committed = self.commit_or_dirty_close();
+        let left = match self.cluster.group_leave(self.app_id(), &self.instance_id) {
+            Ok(()) | Err(kbroker::BrokerError::UnknownMember { .. }) => Ok(()),
+            Err(e) => Err(e.into()),
+        };
         self.started = false;
-        Ok(())
+        committed.and(left)
     }
 
     /// Simulate a crash: all in-memory state and uncommitted work vanish;

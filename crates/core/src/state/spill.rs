@@ -14,12 +14,14 @@
 //! Spills are advisory: a missing or corrupt file (torn write at crash) is
 //! silently ignored and recovery falls back to full changelog replay, so
 //! correctness never depends on the spill — only recovery time does. Writes
-//! are atomic (tmp + rename) and the whole payload is CRC-guarded.
+//! go through klog's atomic write (tmp + rename), and the file is sealed
+//! by `klog::codec`: magic, body and a CRC over both.
 
 use bytes::Bytes;
-use klog::storage::crc32;
+use klog::codec::{open, seal};
+use klog::storage::disk::write_atomic;
+use klog::LogError;
 use std::fs;
-use std::io;
 use std::path::{Path, PathBuf};
 
 /// Magic prefix of a spill file (`"KSSP"`).
@@ -35,76 +37,46 @@ pub struct StoreSpill {
     pub pairs: Vec<(Bytes, Bytes)>,
 }
 
-/// Directory holding one task's spill files:
-/// `<state_dir>/<app_id>/<task_id>/`.
-pub fn task_dir(state_dir: &Path, app_id: &str, task_id: &str) -> PathBuf {
-    state_dir.join(app_id).join(task_id)
-}
-
-/// Path of one store's spill file inside its task directory.
+/// Path of one store's spill file: `<state_dir>/<app_id>/<task_id>/<store>.spill`.
 pub fn spill_path(state_dir: &Path, app_id: &str, task_id: &str, store: &str) -> PathBuf {
-    task_dir(state_dir, app_id, task_id).join(format!("{store}.spill"))
+    state_dir.join(app_id).join(task_id).join(format!("{store}.spill"))
 }
 
-fn encode(spill: &StoreSpill) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(&SPILL_MAGIC.to_le_bytes());
-    buf.extend_from_slice(&spill.watermark.to_le_bytes());
-    buf.extend_from_slice(&u32::try_from(spill.pairs.len()).expect("store fits u32").to_le_bytes());
-    for (k, v) in &spill.pairs {
-        buf.extend_from_slice(&u32::try_from(k.len()).expect("key fits u32").to_le_bytes());
-        buf.extend_from_slice(k);
-        buf.extend_from_slice(&u32::try_from(v.len()).expect("value fits u32").to_le_bytes());
-        buf.extend_from_slice(v);
+impl StoreSpill {
+    /// The spill file's bytes ([`seal`]ed).
+    pub fn encode(&self) -> Vec<u8> {
+        seal(SPILL_MAGIC, |w| {
+            w.put_i64(self.watermark);
+            w.put_count(self.pairs.len());
+            for (k, v) in &self.pairs {
+                w.put_bytes(k);
+                w.put_bytes(v);
+            }
+        })
     }
-    let crc = crc32(&buf);
-    buf.extend_from_slice(&crc.to_le_bytes());
-    buf
+
+    /// A spill file's contents; `None` for a torn, corrupt or foreign file.
+    pub fn decode(buf: &[u8]) -> Option<StoreSpill> {
+        let mut r = open(buf, SPILL_MAGIC)?;
+        let watermark = r.i64()?;
+        let count = r.count()?;
+        // The count is file content: reserve no more pairs than the body can
+        // hold (two 4-byte length prefixes each); a larger count fails below.
+        let mut pairs = Vec::with_capacity(count.min(r.remaining() / 8));
+        for _ in 0..count {
+            let k = Bytes::copy_from_slice(r.bytes()?);
+            pairs.push((k, Bytes::copy_from_slice(r.bytes()?)));
+        }
+        r.end(StoreSpill { watermark, pairs })
+    }
 }
 
-fn decode(buf: &[u8]) -> Option<StoreSpill> {
-    if buf.len() < 20 {
-        return None;
-    }
-    let (body, crc_bytes) = buf.split_at(buf.len() - 4);
-    if crc32(body) != u32::from_le_bytes(crc_bytes.try_into().ok()?) {
-        return None;
-    }
-    if u32::from_le_bytes(body[0..4].try_into().ok()?) != SPILL_MAGIC {
-        return None;
-    }
-    let watermark = i64::from_le_bytes(body[4..12].try_into().ok()?);
-    let count = u32::from_le_bytes(body[12..16].try_into().ok()?) as usize;
-    let mut pos = 16;
-    // The count is file content: reserve no more pairs than the body can
-    // hold (two 4-byte length prefixes each); a larger count fails below.
-    let mut pairs = Vec::with_capacity(count.min(body.len() / 8));
-    let read = |pos: &mut usize| -> Option<Bytes> {
-        let len = u32::from_le_bytes(body.get(*pos..*pos + 4)?.try_into().ok()?) as usize;
-        *pos += 4;
-        let out = Bytes::copy_from_slice(body.get(*pos..*pos + len)?);
-        *pos += len;
-        Some(out)
-    };
-    for _ in 0..count {
-        let k = read(&mut pos)?;
-        let v = read(&mut pos)?;
-        pairs.push((k, v));
-    }
-    if pos != body.len() {
-        return None; // trailing garbage
-    }
-    Some(StoreSpill { watermark, pairs })
-}
-
-/// Atomically write one store's spill file (tmp + rename).
-pub fn write_spill(path: &Path, spill: &StoreSpill) -> io::Result<()> {
+/// Atomically write one store's spill file.
+pub fn write_spill(path: &Path, spill: &StoreSpill) -> Result<(), LogError> {
     if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent)?;
+        fs::create_dir_all(parent).map_err(|e| LogError::Io(format!("create dir: {e}")))?;
     }
-    let tmp = path.with_extension("spill.tmp");
-    fs::write(&tmp, encode(spill))?;
-    fs::rename(&tmp, path)?;
+    write_atomic(path, &spill.encode())?;
     kobs::count("kstreams.spill.writes", 1);
     kobs::count("kstreams.spill.pairs_written", spill.pairs.len() as u64);
     Ok(())
@@ -114,7 +86,7 @@ pub fn write_spill(path: &Path, spill: &StoreSpill) -> io::Result<()> {
 /// — the caller falls back to full changelog replay.
 pub fn read_spill(path: &Path) -> Option<StoreSpill> {
     let buf = fs::read(path).ok()?;
-    let spill = decode(&buf);
+    let spill = StoreSpill::decode(&buf);
     if spill.is_some() {
         kobs::count("kstreams.spill.loads", 1);
     } else {
@@ -175,12 +147,10 @@ mod tests {
     fn oversized_pair_count_is_discarded_without_reserving_it() {
         let d = dir();
         let path = spill_path(&d, "app", "0_1", "counts");
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&SPILL_MAGIC.to_le_bytes());
-        buf.extend_from_slice(&42i64.to_le_bytes());
-        buf.extend_from_slice(&u32::MAX.to_le_bytes());
-        let crc = crc32(&buf);
-        buf.extend_from_slice(&crc.to_le_bytes());
+        let buf = seal(SPILL_MAGIC, |w| {
+            w.put_i64(42);
+            w.put_u32(u32::MAX);
+        });
         fs::create_dir_all(path.parent().unwrap()).unwrap();
         fs::write(&path, &buf).unwrap();
         assert_eq!(read_spill(&path), None);

@@ -644,7 +644,12 @@ pub(crate) fn replay_stores(
             let replayed = cluster.earliest_offset(&tp).and_then(|start| {
                 *pos = (*pos).max(start);
                 let store = &mut entry.store;
-                replay_changelog(cluster, &tp, pos, until, isolation, store, applied)?;
+                cluster.read_log(&tp, pos, until.unwrap_or(i64::MAX), 4096, isolation, |rec| {
+                    if let Some(key) = &rec.key {
+                        store.apply_changelog(key, rec.value.clone());
+                        *applied += 1;
+                    }
+                })?;
                 let end = match until {
                     Some(bound) => bound,
                     None => cluster.latest_offset(&tp)?,
@@ -659,43 +664,6 @@ pub(crate) fn replay_stores(
         }
     }
     Ok(caught_up)
-}
-
-/// Replay a changelog partition into `store`: apply every keyed record from
-/// `*pos` up to `until` (exclusive), or — with no bound — until a fetch under
-/// `isolation` returns nothing further. `*pos` and `*applied` advance fetch
-/// by fetch, so what was replayed before a failing fetch stays accounted.
-fn replay_changelog(
-    cluster: &Cluster,
-    tp: &TopicPartition,
-    pos: &mut i64,
-    until: Option<i64>,
-    isolation: IsolationLevel,
-    store: &mut Store,
-    applied: &mut u64,
-) -> Result<(), kbroker::BrokerError> {
-    let until = until.unwrap_or(i64::MAX);
-    if *pos >= until {
-        return Ok(());
-    }
-    let handle = cluster.partition_handle(tp)?;
-    while *pos < until {
-        let fetch = handle.fetch(*pos, 4096, isolation)?;
-        if fetch.count() == 0 && fetch.next_offset == *pos {
-            break;
-        }
-        for (off, rec) in fetch.records() {
-            if off >= until {
-                break;
-            }
-            if let Some(key) = &rec.key {
-                store.apply_changelog(key, rec.value.clone());
-                *applied += 1;
-            }
-        }
-        *pos = fetch.next_offset;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

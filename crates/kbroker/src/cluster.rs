@@ -288,9 +288,7 @@ impl Cluster {
     /// brokers so load spreads (leader of partition `p` is broker
     /// `p % num_brokers`).
     ///
-    /// The name must match Kafka's `[A-Za-z0-9._-]{1,249}`: the transaction
-    /// log writes `topic:partition` lists joined by `;` and `|`, so a name
-    /// holding one of those would make a record failover cannot decode.
+    /// The name must match Kafka's `[A-Za-z0-9._-]{1,249}`.
     pub fn create_topic(&self, name: &str, mut config: TopicConfig) -> Result<(), BrokerError> {
         let invalid = |detail| Err(BrokerError::InvalidTopic { topic: name.to_string(), detail });
         if name.is_empty() || name.len() > 249 {
@@ -406,6 +404,37 @@ impl Cluster {
         isolation: IsolationLevel,
     ) -> Result<FetchResult, BrokerError> {
         self.partition_handle(tp)?.fetch(from, max_records, isolation)
+    }
+
+    /// Hand `record` each record of `tp` from `*pos` up to `until`, fetching
+    /// `max_records` at a time until a fetch returns none and does not
+    /// advance. `*pos` advances fetch by fetch, so a failing fetch keeps what
+    /// was read. Coordinators rebuild their state, and tasks their stores,
+    /// with it.
+    pub fn read_log(
+        &self,
+        tp: &TopicPartition,
+        pos: &mut Offset,
+        until: Offset,
+        max_records: usize,
+        isolation: IsolationLevel,
+        mut record: impl FnMut(&Record),
+    ) -> Result<(), BrokerError> {
+        if *pos >= until {
+            return Ok(());
+        }
+        let handle = self.partition_handle(tp)?;
+        while *pos < until {
+            let fetch = handle.fetch(*pos, max_records, isolation)?;
+            if fetch.count() == 0 && fetch.next_offset == *pos {
+                break;
+            }
+            for (_, rec) in fetch.records().take_while(|(off, _)| *off < until) {
+                record(rec);
+            }
+            *pos = fetch.next_offset;
+        }
+        Ok(())
     }
 
     /// Earliest retained offset of a partition.
@@ -555,7 +584,7 @@ mod tests {
     }
 
     #[test]
-    fn create_topic_rejects_names_the_txn_log_cannot_encode() {
+    fn create_topic_admits_only_kafka_legal_names() {
         let c = cluster();
         let long = "x".repeat(250);
         for name in ["a;b", "a|b", "a:b", "a b", "", "tōpic", long.as_str()] {

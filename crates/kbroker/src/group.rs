@@ -20,10 +20,11 @@
 
 use crate::cluster::Cluster;
 use crate::error::BrokerError;
-use crate::topic::{partition_for_key, TopicPartition};
+use crate::topic::{partition_for_key, Topic, TopicPartition};
 use crate::OFFSETS_TOPIC;
 use bytes::Bytes;
 use klog::batch::BatchMeta;
+use klog::codec::{Reader, Writer};
 use klog::{IsolationLevel, Offset, Record};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
@@ -97,9 +98,9 @@ pub struct GroupsRegistry {
 struct OffsetsCacheShard {
     /// How far this offsets-topic partition has been materialized.
     position: Offset,
-    /// Latest committed offset per (group, partition), for groups whose
+    /// Latest committed offset per group and partition, for groups whose
     /// commits land on this shard's offsets partition.
-    offsets: HashMap<(String, TopicPartition), Offset>,
+    offsets: HashMap<String, HashMap<TopicPartition, Offset>>,
 }
 
 impl GroupsRegistry {
@@ -124,30 +125,33 @@ impl GroupsRegistry {
     }
 }
 
-/// Group ids are written unescaped into `\0`-separated offset keys, so a
-/// group id holding a `\0` would commit records that no reader can decode.
-fn check_group_id(group: &str) -> Result<(), BrokerError> {
-    if group.contains('\0') {
-        return Err(BrokerError::InvalidOperation(format!("group id {group:?} holds a NUL")));
-    }
-    Ok(())
-}
-
 fn unknown_member(group: &str, member: &str) -> BrokerError {
     BrokerError::UnknownMember { group: group.to_string(), member: member.to_string() }
 }
 
-fn encode_offset_key(group: &str, tp: &TopicPartition) -> Bytes {
-    Bytes::from(format!("{group}\u{0}{}\u{0}{}", tp.topic, tp.partition))
+/// The `__consumer_offsets` record of `group`'s committed `offset` on `tp`:
+/// the key is the group id and the topic name behind their lengths, then
+/// the partition; the value is the offset.
+pub fn encode_offset_commit(group: &str, tp: &TopicPartition, offset: Offset) -> (Bytes, Bytes) {
+    let mut key = Writer::with_capacity(12 + group.len() + tp.topic.len());
+    key.put_bytes(group.as_bytes());
+    key.put_bytes(tp.topic.as_bytes());
+    key.put_u32(tp.partition);
+    let mut value = Writer::with_capacity(8);
+    value.put_i64(offset);
+    (Bytes::from(key.finish()), Bytes::from(value.finish()))
 }
 
-fn decode_offset_key(key: &[u8]) -> Option<(String, TopicPartition)> {
-    let s = std::str::from_utf8(key).ok()?;
-    let mut it = s.split('\u{0}');
-    let group = it.next()?.to_string();
-    let topic = it.next()?;
-    let partition = it.next()?.parse().ok()?;
-    Some((group, TopicPartition::new(topic, partition)))
+/// The group, partition and offset an offsets record commits.
+pub fn decode_offset_commit<'k>(
+    key: &'k [u8],
+    value: &[u8],
+) -> Option<(&'k str, TopicPartition, Offset)> {
+    let (mut k, mut v) = (Reader::new(key), Reader::new(value));
+    let (group, topic, partition, offset) = (k.str()?, k.str()?, k.u32()?, v.i64()?);
+    k.end(())?;
+    v.end(())?;
+    Some((group, TopicPartition { topic: Topic::new(topic), partition }, offset))
 }
 
 impl Cluster {
@@ -227,7 +231,6 @@ impl Cluster {
         member: &str,
         metadata: &[String],
     ) -> Result<Arc<GroupView>, BrokerError> {
-        check_group_id(group)?;
         let now = self.now_ms();
         let mut groups = self.inner.groups.stripe(group).lock();
         let state = groups.entry(group.to_string()).or_default();
@@ -352,21 +355,15 @@ impl Cluster {
         Ok(())
     }
 
-    fn offset_records(
-        &self,
-        group: &str,
-        offsets: &[(TopicPartition, Offset)],
-    ) -> Result<Vec<Record>, BrokerError> {
-        check_group_id(group)?;
+    fn offset_records(&self, group: &str, offsets: &[(TopicPartition, Offset)]) -> Vec<Record> {
         let ts = self.now_ms();
-        Ok(offsets
+        offsets
             .iter()
-            .map(|(tp, off)| Record {
-                key: Some(encode_offset_key(group, tp)),
-                value: Some(Bytes::from(off.to_string())),
-                timestamp: ts,
+            .map(|(tp, off)| {
+                let (key, value) = encode_offset_commit(group, tp, *off);
+                Record { key: Some(key), value: Some(value), timestamp: ts }
             })
-            .collect())
+            .collect()
     }
 
     /// Plain (at-least-once mode) offset commit: generation-fenced, then
@@ -382,7 +379,7 @@ impl Cluster {
         if offsets.is_empty() {
             return Ok(());
         }
-        let records = self.offset_records(group, offsets)?;
+        let records = self.offset_records(group, offsets);
         self.produce(&self.offsets_partition_for_group(group), BatchMeta::plain(), records)?;
         Ok(())
     }
@@ -405,7 +402,7 @@ impl Cluster {
         if offsets.is_empty() {
             return Ok(());
         }
-        let records = self.offset_records(group, offsets)?;
+        let records = self.offset_records(group, offsets);
         let meta = BatchMeta {
             producer_id,
             producer_epoch,
@@ -441,24 +438,18 @@ impl Cluster {
         // Per-partition cache shard: readers of groups on different offsets
         // partitions materialize concurrently without sharing a lock.
         let mut cache = self.inner.groups.cache[part as usize].lock();
-        let mut pos = cache.position;
-        loop {
-            let fetch = self.fetch(&log_tp, pos, 1024, IsolationLevel::ReadCommitted)?;
-            if fetch.count() == 0 && fetch.next_offset == pos {
-                break;
+        let shard = &mut *cache;
+        let isolation = IsolationLevel::ReadCommitted;
+        self.read_log(&log_tp, &mut shard.position, Offset::MAX, 1024, isolation, |rec| {
+            let (Some(k), Some(v)) = (&rec.key, &rec.value) else { return };
+            let Some((g, tp, off)) = decode_offset_commit(k, v) else { return };
+            if let Some(committed) = shard.offsets.get_mut(g) {
+                committed.insert(tp, off);
+            } else {
+                shard.offsets.insert(g.to_owned(), HashMap::from([(tp, off)]));
             }
-            for (_, rec) in fetch.records() {
-                let (Some(k), Some(v)) = (&rec.key, &rec.value) else { continue };
-                let Some((g, tp)) = decode_offset_key(k) else { continue };
-                let Ok(off) = std::str::from_utf8(v).unwrap_or("").parse::<Offset>() else {
-                    continue;
-                };
-                cache.offsets.insert((g, tp), off);
-            }
-            pos = fetch.next_offset;
-        }
-        cache.position = pos;
-        Ok(cache.offsets.get(&(group.to_string(), *tp)).copied())
+        })?;
+        Ok(cache.offsets.get(group).and_then(|committed| committed.get(tp)).copied())
     }
 }
 
@@ -476,29 +467,35 @@ mod tests {
     }
 
     #[test]
-    fn offset_key_round_trip() {
+    fn offset_commit_round_trips() {
         let tp = TopicPartition::new("orders", 7);
-        let key = encode_offset_key("g1", &tp);
-        assert_eq!(decode_offset_key(&key), Some(("g1".to_string(), tp)));
+        for offset in [-1, 0, i64::MAX] {
+            let (key, value) = encode_offset_commit("g1", &tp, offset);
+            assert_eq!(decode_offset_commit(&key, &value), Some(("g1", tp, offset)));
+        }
     }
 
-    /// A NUL in a group id would end its group field early in the offset
-    /// key: the commit would land and then never be read back, and a restart
-    /// would re-read its input from the earliest offset.
+    /// Offset keys frame each field by its length, so a group id holding
+    /// a NUL commits and reads back like any other: a commit that could not
+    /// be read back would make a restart re-read its input from the
+    /// earliest offset.
     #[test]
-    fn group_ids_holding_a_nul_are_rejected() {
-        fn rejected<T>(result: Result<T, BrokerError>) -> bool {
-            matches!(result, Err(BrokerError::InvalidOperation(_)))
-        }
+    fn group_ids_holding_a_nul_commit_and_read_back() {
         let c = cluster();
-        let tp = TopicPartition::new("t", 0);
-        assert!(rejected(c.group_join("g\0x", "m", &[])));
-        assert!(rejected(c.group_txn_commit_offsets("g\0x", &[(tp, 5)], 1, 0, None)));
-        // The plain path builds its records the same way.
-        assert!(rejected(c.offset_records("g\0x", &[(tp, 5)])));
-        let v = c.group_join("g", "m", &[]).unwrap();
-        c.group_commit_offsets("g", "m", v.generation, &[(tp, 5)]).unwrap();
-        assert_eq!(c.group_committed_offset("g", &tp).unwrap(), Some(5));
+        c.create_topic("src", TopicConfig::new(1)).unwrap();
+        let tp = TopicPartition::new("src", 0);
+        let v = c.group_join("g\0x", "m", &[]).unwrap();
+        c.group_commit_offsets("g\0x", "m", v.generation, &[(tp, 5)]).unwrap();
+        assert_eq!(c.group_committed_offset("g\0x", &tp).unwrap(), Some(5));
+        // The transactional path writes the same records.
+        let (pid, epoch) = c.txn_init_producer("app", 60_000).unwrap();
+        let offsets_tp = c.offsets_partition_for_group("g\0x");
+        c.txn_add_partitions("app", pid, epoch, &[offsets_tp]).unwrap();
+        c.group_txn_commit_offsets("g\0x", &[(tp, 9)], pid, epoch, None).unwrap();
+        c.txn_end("app", pid, epoch, true).unwrap();
+        assert_eq!(c.group_committed_offset("g\0x", &tp).unwrap(), Some(9));
+        // Neither is read as a group whose id the NUL would have cut short.
+        assert_eq!(c.group_committed_offset("g", &tp).unwrap(), None);
     }
 
     #[test]

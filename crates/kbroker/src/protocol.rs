@@ -27,9 +27,10 @@
 // value the callers (runtime coordinator and model checker) branch on.
 #![deny(clippy::unwrap_used)]
 
-use crate::topic::TopicPartition;
+use crate::topic::{Topic, TopicPartition};
 use bytes::Bytes;
 use klog::batch::ControlType;
+use klog::codec::{Reader, Writer};
 use klog::invariant;
 use std::collections::BTreeSet;
 
@@ -51,28 +52,15 @@ pub enum TxnState {
 }
 
 impl TxnState {
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            TxnState::Empty => "Empty",
-            TxnState::Ongoing => "Ongoing",
-            TxnState::PrepareCommit => "PrepareCommit",
-            TxnState::PrepareAbort => "PrepareAbort",
-            TxnState::CompleteCommit => "CompleteCommit",
-            TxnState::CompleteAbort => "CompleteAbort",
-        }
-    }
-
-    pub fn parse(s: &str) -> Option<TxnState> {
-        Some(match s {
-            "Empty" => TxnState::Empty,
-            "Ongoing" => TxnState::Ongoing,
-            "PrepareCommit" => TxnState::PrepareCommit,
-            "PrepareAbort" => TxnState::PrepareAbort,
-            "CompleteCommit" => TxnState::CompleteCommit,
-            "CompleteAbort" => TxnState::CompleteAbort,
-            _ => return None,
-        })
-    }
+    /// Every state, indexed by its one-byte transaction-log tag.
+    pub const BY_TAG: [TxnState; 6] = [
+        TxnState::Empty,
+        TxnState::Ongoing,
+        TxnState::PrepareCommit,
+        TxnState::PrepareAbort,
+        TxnState::CompleteCommit,
+        TxnState::CompleteAbort,
+    ];
 }
 
 /// Legal coordinator state transitions (§4.2.1, Figure 4). The prepare
@@ -103,9 +91,8 @@ pub fn apply_transition(tid: &str, meta: &mut TxnMetadata, to: TxnState) {
     invariant!(
         transition_legal(meta.state, to),
         "txn-state-machine",
-        "tid `{tid}`: illegal coordinator transition {} -> {}",
-        meta.state.as_str(),
-        to.as_str()
+        "tid `{tid}`: illegal coordinator transition {:?} -> {to:?}",
+        meta.state
     );
     meta.state = to;
 }
@@ -137,38 +124,43 @@ impl TxnMetadata {
         }
     }
 
-    /// Serialize to the transaction-log record value. Topic names contain
-    /// none of `| ; :`: `Cluster::create_topic` admits only
-    /// `[A-Za-z0-9._-]`.
+    /// Serialize to the transaction-log record value: the fixed fields,
+    /// then each registered topic's name once, followed by its partitions.
     pub fn encode(&self) -> Bytes {
-        let parts: Vec<String> =
-            self.partitions.iter().map(|tp| format!("{}:{}", tp.topic, tp.partition)).collect();
-        Bytes::from(format!(
-            "{}|{}|{}|{}|{}|{}",
-            self.producer_id,
-            self.epoch,
-            self.state.as_str(),
-            self.txn_start_ms,
-            self.timeout_ms,
-            parts.join(";")
-        ))
+        // Room for a topic header per partition, the most a record holds, so
+        // the buffer is allocated once.
+        let names: usize = self.partitions.iter().map(|tp| 12 + tp.topic.len()).sum();
+        let mut w = Writer::with_capacity(29 + names);
+        w.put_i64(self.producer_id);
+        w.put_i32(self.epoch);
+        w.put_u8(self.state as u8);
+        w.put_i64(self.txn_start_ms);
+        w.put_i64(self.timeout_ms);
+        let mut parts = self.partitions.iter().peekable();
+        while let Some(&&TopicPartition { topic, .. }) = parts.peek() {
+            let run = parts.clone().take_while(|tp| tp.topic == topic).count();
+            w.put_bytes(topic.as_bytes());
+            w.put_count(run);
+            for tp in parts.by_ref().take(run) {
+                w.put_u32(tp.partition);
+            }
+        }
+        Bytes::from(w.finish())
     }
 
     /// Parse a transaction-log record value.
     pub fn decode(value: &[u8]) -> Option<TxnMetadata> {
-        let s = std::str::from_utf8(value).ok()?;
-        let mut it = s.split('|');
-        let producer_id = it.next()?.parse().ok()?;
-        let epoch = it.next()?.parse().ok()?;
-        let state = TxnState::parse(it.next()?)?;
-        let txn_start_ms = it.next()?.parse().ok()?;
-        let timeout_ms = it.next()?.parse().ok()?;
-        let parts_str = it.next()?;
+        let mut r = Reader::new(value);
+        let producer_id = r.i64()?;
+        let epoch = r.i32()?;
+        let state = *TxnState::BY_TAG.get(usize::from(r.u8()?))?;
+        let txn_start_ms = r.i64()?;
+        let timeout_ms = r.i64()?;
         let mut partitions = BTreeSet::new();
-        if !parts_str.is_empty() {
-            for p in parts_str.split(';') {
-                let (topic, part) = p.rsplit_once(':')?;
-                partitions.insert(TopicPartition::new(topic, part.parse().ok()?));
+        while r.remaining() > 0 {
+            let topic = Topic::new(r.str()?);
+            for _ in 0..r.count()? {
+                partitions.insert(TopicPartition { topic, partition: r.u32()? });
             }
         }
         Some(TxnMetadata { producer_id, epoch, state, partitions, txn_start_ms, timeout_ms })
@@ -441,23 +433,32 @@ mod tests {
 
     #[test]
     fn metadata_encode_decode_round_trip() {
-        let meta = TxnMetadata {
-            producer_id: 42,
-            epoch: 7,
-            state: TxnState::PrepareCommit,
-            partitions: [TopicPartition::new("a", 0), TopicPartition::new("b", 3)]
-                .into_iter()
-                .collect(),
-            txn_start_ms: 12345,
-            timeout_ms: 60_000,
-        };
-        assert_eq!(TxnMetadata::decode(&meta.encode()), Some(meta));
+        let partitions: BTreeSet<TopicPartition> =
+            [("a", 0), ("a", 5), ("b", 3)].map(|(t, p)| TopicPartition::new(t, p)).into();
+        for state in TxnState::BY_TAG {
+            let meta = TxnMetadata {
+                producer_id: 42,
+                epoch: 7,
+                state,
+                partitions: partitions.clone(),
+                txn_start_ms: 12345,
+                timeout_ms: 60_000,
+            };
+            let value = meta.encode();
+            // 29 fixed bytes; each topic's name and count once; 4 bytes a
+            // partition.
+            assert_eq!(value.len(), 29 + 2 * (4 + 1 + 4) + 3 * 4);
+            assert_eq!(TxnMetadata::decode(&value), Some(meta));
+        }
     }
 
     #[test]
     fn decode_rejects_garbage() {
         assert_eq!(TxnMetadata::decode(b"not|valid"), None);
         assert_eq!(TxnMetadata::decode(&[0xff, 0xfe]), None);
+        let mut unknown_state = TxnMetadata::fresh(1, 1).encode().to_vec();
+        unknown_state[12] = 6;
+        assert_eq!(TxnMetadata::decode(&unknown_state), None);
     }
 
     #[test]

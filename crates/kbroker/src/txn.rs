@@ -120,8 +120,8 @@ impl Cluster {
         invariant!(
             protocol::decided_marker(meta.state) == Some(ctl),
             "txn-marker-without-prepare",
-            "tid `{tid}`: writing {ctl:?} markers while coordinator state is {}",
-            meta.state.as_str()
+            "tid `{tid}`: writing {ctl:?} markers while coordinator state is {:?}",
+            meta.state
         );
         for tp in &meta.partitions {
             self.append_control_marker(tp, meta.producer_id, meta.epoch, ctl)?;
@@ -139,8 +139,8 @@ impl Cluster {
             invariant!(
                 false,
                 "txn-marker-without-prepare",
-                "tid `{tid}`: txn_finish invoked in state {}",
-                meta.state.as_str()
+                "tid `{tid}`: txn_finish invoked in state {:?}",
+                meta.state
             );
             return Ok(meta);
         };
@@ -273,7 +273,7 @@ impl Cluster {
         if let Err(s) = protocol::register_partitions(tid, meta, partitions, now) {
             return Err(BrokerError::InvalidTxnTransition {
                 transactional_id: tid.to_string(),
-                detail: format!("cannot add partitions in state {}", s.as_str()),
+                detail: format!("cannot add partitions in state {s:?}"),
             });
         }
         self.txn_persist(tid, meta)
@@ -327,9 +327,9 @@ impl Cluster {
             EndDecision::Illegal => Err(BrokerError::InvalidTxnTransition {
                 transactional_id: tid.to_string(),
                 detail: format!(
-                    "cannot {} in state {}",
+                    "cannot {} in state {:?}",
                     if commit { "commit" } else { "abort" },
-                    meta.state.as_str()
+                    meta.state
                 ),
             }),
         }
@@ -400,19 +400,16 @@ impl Cluster {
             let Ok(Some(_)) = self.leader_of(&tp) else { continue };
             let mut rebuilt: HashMap<String, TxnMetadata> = HashMap::new();
             let Ok(mut pos) = self.earliest_offset(&tp) else { continue };
-            while let Ok(fetch) = self.fetch(&tp, pos, 1024, IsolationLevel::ReadUncommitted) {
-                if fetch.count() == 0 {
-                    break;
+            // A log that cannot be read to its end rebuilds nothing.
+            let isolation = IsolationLevel::ReadUncommitted;
+            let Ok(()) = self.read_log(&tp, &mut pos, i64::MAX, 1024, isolation, |rec| {
+                let (Some(k), Some(v)) = (&rec.key, &rec.value) else { return };
+                if let (Ok(tid), Some(meta)) = (std::str::from_utf8(k), TxnMetadata::decode(v)) {
+                    rebuilt.insert(tid.to_owned(), meta);
                 }
-                for (_, rec) in fetch.records() {
-                    let (Some(k), Some(v)) = (&rec.key, &rec.value) else { continue };
-                    let Ok(tid) = std::str::from_utf8(k) else { continue };
-                    if let Some(meta) = TxnMetadata::decode(v) {
-                        rebuilt.insert(tid.to_string(), meta);
-                    }
-                }
-                pos = fetch.next_offset;
-            }
+            }) else {
+                continue;
+            };
             let mut map = shard.lock();
             *map = rebuilt;
             // Roll forward decided transactions (markers may be missing).

@@ -27,12 +27,13 @@ fn init_and_one_commit_write_four_txn_log_records() {
         assert!(snap.is_empty());
         return;
     }
-    // Key `app` (3 bytes) plus the value `pid|epoch|state|start|timeout|
-    // partitions`, one record per step:
-    //   init fence       `0|0|Empty|0|60000|`                           18
-    //   AddPartitions    `0|0|Ongoing|0|60000|out:0;out:1;out:2`        37
-    //   prepare          `0|1|PrepareCommit|0|60000|out:0;out:1;out:2`  43
-    //   complete         `0|1|CompleteCommit|0|60000|`                  27
+    // Key `app` (3 bytes) plus the value: 29 fixed bytes (producer id,
+    // epoch, state tag, start, timeout), then each topic's name behind its
+    // length, its partition count and 4 bytes a partition:
+    //   init fence       29
+    //   AddPartitions    29 + (4 + 3 + 4) + 3 × 4 = 52
+    //   prepare          52
+    //   complete         29 (completion clears the partitions)
     assert_eq!(snap.counter("kbroker.txn.log_records"), Some(4));
-    assert_eq!(snap.counter("kbroker.txn.log_bytes"), Some(4 * 3 + 18 + 37 + 43 + 27));
+    assert_eq!(snap.counter("kbroker.txn.log_bytes"), Some(4 * 3 + 29 + 52 + 52 + 29));
 }

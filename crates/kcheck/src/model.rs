@@ -429,10 +429,7 @@ impl Model {
                             Ok(()) => Self::persist(&mut s, p),
                             Err(state) => violations.push(ModelViolation {
                                 invariant: "txn-state-machine".into(),
-                                detail: format!(
-                                    "p{p}: add-partitions served in state {}",
-                                    state.as_str()
-                                ),
+                                detail: format!("p{p}: add-partitions served in state {state:?}"),
                             }),
                         }
                         if matches!(a, Action::AddParts { .. }) {
@@ -505,8 +502,8 @@ impl Model {
                     Ok(EndDecision::Illegal) => violations.push(ModelViolation {
                         invariant: "txn-state-machine".into(),
                         detail: format!(
-                            "p{p}: honest end-txn(commit={commit}) illegal in state {}",
-                            meta.state.as_str()
+                            "p{p}: honest end-txn(commit={commit}) illegal in state {:?}",
+                            meta.state
                         ),
                     }),
                     Err(ProducerCheckError::Fenced { .. }) => {

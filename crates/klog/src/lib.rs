@@ -14,7 +14,8 @@
 //!   read-committed fetches, and per-producer dedup state,
 //! * [`compaction`] — key-based log compaction for changelog topics (§3.2),
 //! * [`segment`] — segment bookkeeping, retention, and prefix truncation
-//!   (used to purge consumed repartition-topic records, §3.2).
+//!   (used to purge consumed repartition-topic records, §3.2),
+//! * [`codec`] — the one encoding of every internal record and state file.
 //!
 //! `klog` is purely single-partition data structures with no threading and —
 //! by default — no I/O; `kbroker` composes these into a replicated
@@ -26,6 +27,7 @@
 
 pub mod batch;
 pub mod checks;
+pub mod codec;
 pub mod compaction;
 pub mod error;
 pub mod log;

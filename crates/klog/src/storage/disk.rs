@@ -360,7 +360,8 @@ fn segment_bases_in(dir: &Path) -> Result<Vec<Offset>, LogError> {
 
 /// Write a file atomically: temp file in the same directory, then rename.
 /// Nothing is synced: a crash may lose the write, never half-apply it.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), LogError> {
+/// Checkpoints, snapshots, rewritten segments and store spills use it.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), LogError> {
     let tmp = path.with_extension("tmp");
     fs::write(&tmp, bytes).map_err(|e| io_err("write temp", &e))?;
     fs::rename(&tmp, path).map_err(|e| io_err("rename temp", &e))

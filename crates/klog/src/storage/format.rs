@@ -1,12 +1,13 @@
-//! On-disk encoding for segment frames, producer snapshots, and checkpoints.
+//! On-disk encoding for segment frames, producer snapshots, and checkpoints,
+//! written and read through the one [`crate::codec`].
 //!
-//! Everything is little-endian and length-prefixed, with a CRC32 (IEEE) over
-//! each payload so recovery can detect torn or corrupt writes and truncate
-//! at the last valid frame — the same contract Kafka's log recovery relies
-//! on. The codecs are hand-rolled (no external dependencies) and total: any
+//! A CRC32 (IEEE) guards each frame and file, so recovery can detect torn
+//! or corrupt writes and truncate at the last valid frame — the same
+//! contract Kafka's log recovery relies on. Every decoder is total: any
 //! malformed input decodes to `None`, never a panic.
 
 use crate::batch::{BatchMeta, ControlType, StoredBatch};
+use crate::codec::{crc32, open, seal, Reader, Writer};
 use crate::log::AbortedTxn;
 use crate::producer_state::ProducerSnapshotEntry;
 use crate::record::Record;
@@ -19,131 +20,16 @@ pub const SNAPSHOT_MAGIC: u32 = 0x4B53_4E31;
 /// Magic prefix of a checkpoint file (`"KCP1"`).
 pub const CHECKPOINT_MAGIC: u32 = 0x4B43_5031;
 
-/// CRC32 (IEEE 802.3, reflected) lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-/// CRC32 (IEEE) of `data` — the checksum framing every on-disk payload.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
-    }
-    !crc
-}
-
-// ---------------------------------------------------------------------------
-// Little-endian write helpers
-// ---------------------------------------------------------------------------
-
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_i32(out: &mut Vec<u8>, v: i32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_opt_bytes(out: &mut Vec<u8>, v: Option<&Bytes>) {
-    match v {
-        None => put_i32(out, -1),
-        Some(b) => {
-            put_i32(out, i32::try_from(b.len()).unwrap_or(i32::MAX));
-            out.extend_from_slice(b);
-        }
-    }
-}
-
-/// Cursor over a decoded payload; every read is bounds-checked.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.buf.len() {
-            return None;
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Some(s)
-    }
-
-    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
-        self.take(N)?.try_into().ok()
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.array().map(|[b]| b)
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.array().map(u32::from_le_bytes)
-    }
-
-    fn i32(&mut self) -> Option<i32> {
-        self.array().map(i32::from_le_bytes)
-    }
-
-    fn i64(&mut self) -> Option<i64> {
-        self.array().map(i64::from_le_bytes)
-    }
-
-    fn opt_bytes(&mut self) -> Option<Option<Bytes>> {
-        let len = self.i32()?;
-        if len < 0 {
-            return Some(None);
-        }
-        let s = self.take(len as usize)?;
-        Some(Some(Bytes::copy_from_slice(s)))
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Batch frames
-// ---------------------------------------------------------------------------
-
 const FLAG_TRANSACTIONAL: u8 = 1 << 0;
 const FLAG_CONTROL: u8 = 1 << 1;
 const FLAG_ABORT: u8 = 1 << 2;
 
 /// Encode one stored batch as a frame payload (no length/CRC framing).
 pub fn encode_batch(batch: &StoredBatch) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + batch.approximate_size());
-    put_i64(&mut out, batch.meta.producer_id);
-    put_i32(&mut out, batch.meta.producer_epoch);
-    put_i64(&mut out, batch.meta.base_sequence);
+    let mut out = Writer::with_capacity(64 + batch.approximate_size());
+    out.put_i64(batch.meta.producer_id);
+    out.put_i32(batch.meta.producer_epoch);
+    out.put_i64(batch.meta.base_sequence);
     let mut flags = 0u8;
     if batch.meta.transactional {
         flags |= FLAG_TRANSACTIONAL;
@@ -153,15 +39,15 @@ pub fn encode_batch(batch: &StoredBatch) -> Vec<u8> {
         Some(ControlType::Abort) => flags |= FLAG_CONTROL | FLAG_ABORT,
         None => {}
     }
-    put_u8(&mut out, flags);
-    put_u32(&mut out, u32::try_from(batch.entries.len()).unwrap_or(u32::MAX));
+    out.put_u8(flags);
+    out.put_count(batch.entries.len());
     for (offset, rec) in batch.entries.iter() {
-        put_i64(&mut out, *offset);
-        put_i64(&mut out, rec.timestamp);
-        put_opt_bytes(&mut out, rec.key.as_ref());
-        put_opt_bytes(&mut out, rec.value.as_ref());
+        out.put_i64(*offset);
+        out.put_i64(rec.timestamp);
+        out.put_opt_bytes(rec.key.as_deref());
+        out.put_opt_bytes(rec.value.as_deref());
     }
-    out
+    out.finish()
 }
 
 /// Decode a frame payload back into a stored batch. `None` on any
@@ -184,7 +70,7 @@ pub fn decode_batch(payload: &[u8]) -> Option<StoredBatch> {
         transactional: flags & FLAG_TRANSACTIONAL != 0,
         control,
     };
-    let count = r.u32()? as usize;
+    let count = r.count()?;
     if count == 0 {
         return None;
     }
@@ -193,24 +79,21 @@ pub fn decode_batch(payload: &[u8]) -> Option<StoredBatch> {
     for _ in 0..count {
         let offset = r.i64()?;
         let timestamp = r.i64()?;
-        let key = r.opt_bytes()?;
-        let value = r.opt_bytes()?;
+        let key = r.opt_bytes()?.map(Bytes::copy_from_slice);
+        let value = r.opt_bytes()?.map(Bytes::copy_from_slice);
         entries.push((offset, Record { key, value, timestamp }));
     }
-    if !r.done() {
-        return None;
-    }
-    Some(StoredBatch::new(meta, entries))
+    r.end(StoredBatch::new(meta, entries))
 }
 
 /// Frame a payload for appending to a segment file:
 /// `[len: u32][crc32(payload): u32][payload]`.
 pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 8);
-    put_u32(&mut out, u32::try_from(payload.len()).unwrap_or(u32::MAX));
-    put_u32(&mut out, crc32(payload));
-    out.extend_from_slice(payload);
-    out
+    let mut out = Writer::with_capacity(payload.len() + 8);
+    out.put_count(payload.len());
+    out.put_u32(crc32(payload));
+    out.put_raw(payload);
+    out.finish()
 }
 
 /// Read the next frame starting at `pos` in `buf`. Returns the validated
@@ -218,18 +101,11 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
 /// remainder is truncated or fails the CRC — the recovery cut point.
 pub fn next_frame(buf: &[u8], pos: usize) -> Option<(&[u8], usize)> {
     let mut r = Reader::new(buf.get(pos..)?);
-    let len = r.u32()? as usize;
+    let len = r.count()?;
     let crc = r.u32()?;
     let payload = r.take(len)?;
-    if crc32(payload) != crc {
-        return None;
-    }
-    Some((payload, pos + 8 + len))
+    (crc32(payload) == crc).then_some((payload, pos + 8 + len))
 }
-
-// ---------------------------------------------------------------------------
-// Producer-state snapshots
-// ---------------------------------------------------------------------------
 
 /// A decoded producer-state snapshot: the table entries and aborted-txn
 /// index as of `snapshot_offset` (everything strictly below it).
@@ -243,62 +119,48 @@ pub struct ProducerSnapshot {
     pub aborted: Vec<AbortedTxn>,
 }
 
-/// Encode a producer-state snapshot file (magic + body + trailing CRC).
+/// Encode a producer-state snapshot file ([`seal`]ed).
 pub fn encode_snapshot(snapshot: &ProducerSnapshot) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u32(&mut out, SNAPSHOT_MAGIC);
-    put_i64(&mut out, snapshot.snapshot_offset);
-    put_u32(&mut out, u32::try_from(snapshot.entries.len()).unwrap_or(u32::MAX));
-    for e in &snapshot.entries {
-        put_i64(&mut out, e.producer_id);
-        put_i32(&mut out, e.epoch);
-        put_i64(&mut out, e.last_seq);
-        match e.last_batch {
-            None => put_u8(&mut out, 0),
-            Some((base_seq, last_seq, base_off, last_off)) => {
-                put_u8(&mut out, 1);
-                put_i64(&mut out, base_seq);
-                put_i64(&mut out, last_seq);
-                put_i64(&mut out, base_off);
-                put_i64(&mut out, last_off);
+    seal(SNAPSHOT_MAGIC, |w| {
+        w.put_i64(snapshot.snapshot_offset);
+        w.put_count(snapshot.entries.len());
+        for e in &snapshot.entries {
+            w.put_i64(e.producer_id);
+            w.put_i32(e.epoch);
+            w.put_i64(e.last_seq);
+            match e.last_batch {
+                None => w.put_u8(0),
+                Some((base_seq, last_seq, base_off, last_off)) => {
+                    w.put_u8(1);
+                    w.put_i64(base_seq);
+                    w.put_i64(last_seq);
+                    w.put_i64(base_off);
+                    w.put_i64(last_off);
+                }
+            }
+            match e.txn_first_offset {
+                None => w.put_u8(0),
+                Some(off) => {
+                    w.put_u8(1);
+                    w.put_i64(off);
+                }
             }
         }
-        match e.txn_first_offset {
-            None => put_u8(&mut out, 0),
-            Some(off) => {
-                put_u8(&mut out, 1);
-                put_i64(&mut out, off);
-            }
+        w.put_count(snapshot.aborted.len());
+        for a in &snapshot.aborted {
+            w.put_i64(a.producer_id);
+            w.put_i64(a.first_offset);
+            w.put_i64(a.marker_offset);
         }
-    }
-    put_u32(&mut out, u32::try_from(snapshot.aborted.len()).unwrap_or(u32::MAX));
-    for a in &snapshot.aborted {
-        put_i64(&mut out, a.producer_id);
-        put_i64(&mut out, a.first_offset);
-        put_i64(&mut out, a.marker_offset);
-    }
-    let crc = crc32(&out);
-    put_u32(&mut out, crc);
-    out
+    })
 }
 
 /// Decode a producer-state snapshot file; `None` on magic/CRC mismatch or
 /// malformation.
 pub fn decode_snapshot(buf: &[u8]) -> Option<ProducerSnapshot> {
-    if buf.len() < 4 {
-        return None;
-    }
-    let (body, crc_bytes) = buf.split_at(buf.len() - 4);
-    let stored_crc = u32::from_le_bytes(crc_bytes.try_into().ok()?);
-    if crc32(body) != stored_crc {
-        return None;
-    }
-    let mut r = Reader::new(body);
-    if r.u32()? != SNAPSHOT_MAGIC {
-        return None;
-    }
+    let mut r = open(buf, SNAPSHOT_MAGIC)?;
     let snapshot_offset = r.i64()?;
-    let n_entries = r.u32()? as usize;
+    let n_entries = r.count()?;
     let mut entries = Vec::new();
     for _ in 0..n_entries {
         let producer_id = r.i64()?;
@@ -318,7 +180,7 @@ pub fn decode_snapshot(buf: &[u8]) -> Option<ProducerSnapshot> {
             txn_first_offset,
         });
     }
-    let n_aborted = r.u32()? as usize;
+    let n_aborted = r.count()?;
     let mut aborted = Vec::new();
     for _ in 0..n_aborted {
         aborted.push(AbortedTxn {
@@ -327,42 +189,22 @@ pub fn decode_snapshot(buf: &[u8]) -> Option<ProducerSnapshot> {
             marker_offset: r.i64()?,
         });
     }
-    if !r.done() {
-        return None;
-    }
-    Some(ProducerSnapshot { snapshot_offset, entries, aborted })
+    r.end(ProducerSnapshot { snapshot_offset, entries, aborted })
 }
 
-// ---------------------------------------------------------------------------
-// Checkpoints
-// ---------------------------------------------------------------------------
-
-/// Encode the `(log_start, high_watermark)` checkpoint file.
+/// Encode the `(log_start, high_watermark)` checkpoint file ([`seal`]ed).
 pub fn encode_checkpoint(log_start: Offset, high_watermark: Offset) -> Vec<u8> {
-    let mut out = Vec::with_capacity(24);
-    put_u32(&mut out, CHECKPOINT_MAGIC);
-    put_i64(&mut out, log_start);
-    put_i64(&mut out, high_watermark);
-    let crc = crc32(&out);
-    put_u32(&mut out, crc);
-    out
+    seal(CHECKPOINT_MAGIC, |w| {
+        w.put_i64(log_start);
+        w.put_i64(high_watermark);
+    })
 }
 
 /// Decode a checkpoint file into `(log_start, high_watermark)`.
 pub fn decode_checkpoint(buf: &[u8]) -> Option<(Offset, Offset)> {
-    if buf.len() != 24 {
-        return None;
-    }
-    let (body, crc_bytes) = buf.split_at(20);
-    let stored_crc = u32::from_le_bytes(crc_bytes.try_into().ok()?);
-    if crc32(body) != stored_crc {
-        return None;
-    }
-    let mut r = Reader::new(body);
-    if r.u32()? != CHECKPOINT_MAGIC {
-        return None;
-    }
-    Some((r.i64()?, r.i64()?))
+    let mut r = open(buf, CHECKPOINT_MAGIC)?;
+    let hw = (r.i64()?, r.i64()?);
+    r.end(hw)
 }
 
 #[cfg(test)]
@@ -380,13 +222,6 @@ mod tests {
                 (12, Record::new(None, Some(Bytes::from_static(b"v3")), 102)),
             ],
         )
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // IEEE CRC32 of "123456789" is 0xCBF43926 (standard check value).
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

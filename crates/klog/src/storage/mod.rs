@@ -22,7 +22,7 @@ pub mod disk;
 pub mod format;
 
 pub use disk::DiskLog;
-pub use format::{crc32, ProducerSnapshot};
+pub use format::ProducerSnapshot;
 
 use std::path::PathBuf;
 

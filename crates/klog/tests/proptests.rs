@@ -1,16 +1,21 @@
 //! Property-based tests for the log substrate's core invariants.
 
 use bytes::Bytes;
+use kbroker::group::{decode_offset_commit, encode_offset_commit};
+use kbroker::protocol::{TxnMetadata, TxnState};
+use kbroker::TopicPartition;
 use klog::batch::{BatchMeta, ControlType};
+use klog::codec::{seal, Reader};
 use klog::compaction::compact;
 use klog::producer_state::ProducerSnapshotEntry;
 use klog::storage::format::{
-    crc32, decode_batch, decode_checkpoint, decode_snapshot, encode_batch, encode_checkpoint,
+    decode_batch, decode_checkpoint, decode_snapshot, encode_batch, encode_checkpoint,
     encode_snapshot, frame, next_frame, ProducerSnapshot, SNAPSHOT_MAGIC,
 };
 use klog::{AbortedTxn, IsolationLevel, Offset, PartitionLog, Record, StoredBatch};
+use kstreams::state::spill::StoreSpill;
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 fn arb_record() -> impl Strategy<Value = Record> {
     ("[a-d]{1,3}", "[a-z]{0,6}", 0i64..10_000).prop_map(|(k, v, ts)| {
@@ -435,8 +440,10 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// The on-disk decoders are total: whatever bytes recovery reads — garbage, a
-// torn write, a flipped bit — decode to `None` or a value, never a panic.
+// The control-plane decoders are total: whatever bytes recovery or a
+// coordinator reads — garbage, a torn write, a flipped bit — decode to `None`
+// or a value, never a panic. That holds for klog's own files and for every
+// record the broker and the Streams layer write through `klog::codec`.
 // ---------------------------------------------------------------------------
 
 fn arb_batch() -> impl Strategy<Value = StoredBatch> {
@@ -527,6 +534,33 @@ fn arb_snapshot() -> impl Strategy<Value = ProducerSnapshot> {
         })
 }
 
+fn arb_txn_metadata() -> impl Strategy<Value = TxnMetadata> {
+    let partition = ("[a-c]{1,3}", 0u32..5).prop_map(|(t, p)| TopicPartition::new(t, p));
+    let fields = (any::<i64>(), any::<i32>(), 0usize..6, any::<i64>(), any::<i64>());
+    (fields, prop::collection::vec(partition, 0..8)).prop_map(
+        |((producer_id, epoch, state, txn_start_ms, timeout_ms), partitions)| TxnMetadata {
+            producer_id,
+            epoch,
+            state: TxnState::BY_TAG[state],
+            partitions: partitions.into_iter().collect::<BTreeSet<_>>(),
+            txn_start_ms,
+            timeout_ms,
+        },
+    )
+}
+
+fn arb_spill() -> impl Strategy<Value = StoreSpill> {
+    let pair = ("[a-d]{0,4}", "[a-z]{0,6}")
+        .prop_map(|(k, v)| (Bytes::from(k.into_bytes()), Bytes::from(v.into_bytes())));
+    (any::<i64>(), prop::collection::vec(pair, 0..5))
+        .prop_map(|(watermark, pairs)| StoreSpill { watermark, pairs })
+}
+
+/// The magic a spill file opens with.
+fn spill_magic() -> u32 {
+    Reader::new(&StoreSpill { watermark: 0, pairs: Vec::new() }.encode()).u32().unwrap()
+}
+
 /// Every single-bit flip of `bytes`.
 fn bit_flips(bytes: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
     (0..bytes.len() * 8).map(|bit| {
@@ -548,12 +582,15 @@ proptest! {
         let _ = decode_batch(&bytes);
         let _ = decode_snapshot(&bytes);
         let _ = decode_checkpoint(&bytes);
+        let _ = TxnMetadata::decode(&bytes);
+        let (key, value) = bytes.split_at(bytes.len() / 2);
+        let _ = decode_offset_commit(key, value);
+        let _ = decode_offset_commit(&bytes, &bytes[..bytes.len().min(8)]);
+        let _ = StoreSpill::decode(&bytes);
         let framed = frame(&bytes);
         prop_assert_eq!(next_frame(&framed, 0), Some((bytes.as_slice(), framed.len())));
-        let mut sealed = SNAPSHOT_MAGIC.to_le_bytes().to_vec();
-        sealed.extend_from_slice(&bytes);
-        sealed.extend_from_slice(&crc32(&sealed).to_le_bytes());
-        let _ = decode_snapshot(&sealed);
+        let _ = decode_snapshot(&seal(SNAPSHOT_MAGIC, |w| w.put_raw(&bytes)));
+        let _ = StoreSpill::decode(&seal(spill_magic(), |w| w.put_raw(&bytes)));
     }
 
     /// A framed batch round-trips; every truncation and every single-bit
@@ -603,6 +640,59 @@ proptest! {
         }
         for flipped in bit_flips(&enc) {
             prop_assert!(decode_checkpoint(&flipped).is_none());
+        }
+    }
+
+    /// A transaction-log record round-trips. Its partition list runs to
+    /// the end of the value (the log's frame bounds it), so a cut may read
+    /// back fewer partitions, but never the record; no cut or flip panics.
+    #[test]
+    fn txn_records_round_trip_and_survive_damage(meta in arb_txn_metadata()) {
+        let enc = meta.encode();
+        prop_assert_eq!(TxnMetadata::decode(&enc), Some(meta.clone()));
+        for cut in 0..enc.len() {
+            prop_assert!(TxnMetadata::decode(&enc[..cut]) != Some(meta.clone()), "cut at {}", cut);
+        }
+        for flipped in bit_flips(&enc) {
+            let _ = TxnMetadata::decode(&flipped);
+        }
+    }
+
+    /// An offsets record round-trips — a group id holding a NUL included;
+    /// every truncation of its key or value is rejected, and no flip panics.
+    #[test]
+    fn offsets_records_round_trip_and_reject_damage(
+        group in "[ab_]{0,4}",
+        topic in "[a-c]{1,3}",
+        partition in any::<u32>(),
+        offset in any::<i64>(),
+    ) {
+        let group = group.replace('_', "\0");
+        let tp = TopicPartition::new(topic, partition);
+        let (key, value) = encode_offset_commit(&group, &tp, offset);
+        prop_assert_eq!(decode_offset_commit(&key, &value), Some((group.as_str(), tp, offset)));
+        for cut in 0..key.len() {
+            prop_assert!(decode_offset_commit(&key[..cut], &value).is_none(), "key cut at {}", cut);
+        }
+        for cut in 0..value.len() {
+            prop_assert!(decode_offset_commit(&key, &value[..cut]).is_none(), "value cut at {}", cut);
+        }
+        for flipped in bit_flips(&key) {
+            let _ = decode_offset_commit(&flipped, &value);
+        }
+    }
+
+    /// A spill file round-trips; every truncation and every single-bit
+    /// flip is rejected.
+    #[test]
+    fn spills_round_trip_and_reject_damage(spill in arb_spill()) {
+        let enc = spill.encode();
+        prop_assert_eq!(StoreSpill::decode(&enc), Some(spill));
+        for cut in 0..enc.len() {
+            prop_assert!(StoreSpill::decode(&enc[..cut]).is_none(), "spill cut at {}", cut);
+        }
+        for flipped in bit_flips(&enc) {
+            prop_assert!(StoreSpill::decode(&flipped).is_none());
         }
     }
 }

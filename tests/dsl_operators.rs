@@ -5,7 +5,9 @@
 //! DSL call fails the build.
 
 use bytes::Bytes;
-use kbroker::{Cluster, Consumer, ConsumerConfig, Producer, ProducerConfig, TopicConfig};
+use kbroker::{
+    BrokerError, Cluster, Consumer, ConsumerConfig, Producer, ProducerConfig, TopicConfig,
+};
 use kstreams::{KSerde, KafkaStreamsApp, StreamsBuilder, StreamsConfig, StreamsError};
 use simkit::ManualClock;
 use std::collections::HashMap;
@@ -445,6 +447,34 @@ fn a_value_that_does_not_decode_fails_its_task() {
 #[test]
 fn a_record_without_a_key_fails_its_task() {
     poison_fails_its_task(None, &5i64.to_bytes());
+}
+
+/// Closing an instance whose task failed still leaves its group: `close()`
+/// returns the final commit's error, and the member is gone at once, so its
+/// partitions need not wait out a session timeout to move.
+#[test]
+fn close_after_a_failed_task_leaves_the_group() {
+    let s = setup(&["out"]);
+    let builder = StreamsBuilder::new();
+    builder.stream::<String, i64>("in").map_values(|_, v| v * 2).to("out");
+    let mut p = Producer::new(s.cluster.clone(), ProducerConfig::default());
+    p.send("in", Some("k".to_string().to_bytes()), Some(Bytes::from_static(&[1, 2, 3])), 0)
+        .unwrap();
+    p.flush().unwrap();
+    let mut app = KafkaStreamsApp::new(
+        s.cluster.clone(),
+        Arc::new(builder.build().unwrap()),
+        StreamsConfig::new("dsl-app").exactly_once().with_commit_interval_ms(10),
+        "i0",
+    );
+    app.start().unwrap();
+    assert!(matches!(app.step(), Err(StreamsError::Serde(_))));
+    assert!(matches!(app.close(), Err(StreamsError::Serde(_))));
+    assert!(matches!(
+        s.cluster.group_view("dsl-app", "i0"),
+        Err(BrokerError::UnknownMember { .. })
+    ));
+    assert_eq!(app.close(), Ok(()), "a closed instance is no longer started");
 }
 
 #[test]

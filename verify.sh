@@ -11,6 +11,7 @@
 #                              # counts on the broker data path or in the
 #                              # operator graph and operators (grep),
 #                              # no unwrapped decode in the typed DSL (grep),
+#                              # no byte order outside klog::codec (awk),
 #                              # state-store unit tests and proptests,
 #                              # operator-graph unit tests, operator
 #                              # permutation and scan tests, instance and
@@ -258,6 +259,16 @@ gate_full() {
     if grep -rnE '(from_bytes|with_decoded|decode_[a-z_]+)\(.*\)\.(expect|unwrap)\(' \
       crates/core/src/dsl/; then
       echo "return the decode's error: ProcessorContext::fail fails the task" >&2
+      exit 1
+    fi
+
+    # Every internal record and state file is encoded by klog::codec: no
+    # other non-test code in klog, kbroker or kstreams picks a byte order.
+    step "no to_le_bytes/from_le_bytes outside klog::codec"
+    if find crates/{klog,kbroker,core}/src -name '*.rs' ! -path crates/klog/src/codec.rs -print0 |
+      xargs -0 awk '/#\[cfg\(test\)\]/ { nextfile } /(to|from)_le_bytes/ { print FILENAME ":" FNR ": " $0 }' |
+      grep .; then
+      echo "encode and decode control-plane bytes through klog::codec" >&2
       exit 1
     fi
 
